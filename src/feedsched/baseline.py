@@ -4,7 +4,7 @@ The velocity rises along half a sine wave, which zeroes the boundary
 accelerations but leaves the jerk discontinuous at block ends. Its peak
 acceleration and jerk have exact closed forms, so the same scheduling
 machinery applies with the two sine reduction constants in place of the
-shaped-kernel ones.
+shaped-kernel ones: ``SINE`` is the family that carries them.
 """
 
 from __future__ import annotations
@@ -14,19 +14,13 @@ from dataclasses import dataclass
 
 from .chordscan import FeedrateScatter, Limits
 from .geometry import ParametricCurve
-from .optimizer import MuSet, schedule
+from .optimizer import schedule
 from .segmentation import Block
-from .sprofile import ProfileDomainError, ProfileError, block_duration
+from .sprofile import ProfileError, ProfileFamily, block_duration, clamp_time
 
 __all__ = [
     "SineProfile",
-    "build_sine_profile",
-    "sine_velocity_at",
-    "sine_acceleration_at",
-    "sine_jerk_at",
-    "sine_displacement_at",
-    "sine_peaks",
-    "sine_mus",
+    "SINE",
     "sine_schedule",
 ]
 
@@ -47,86 +41,49 @@ class SineProfile:
         if self.T < 0.0:
             raise ProfileError("duration must be non-negative")
 
+    @classmethod
+    def fit(cls, v_s: float, v_e: float, L: float) -> SineProfile:
+        """The transition over a block's feeds and displacement."""
+        return cls(v_s, v_e, block_duration(L, v_s, v_e))
 
-def build_sine_profile(block: Block) -> SineProfile:
-    return SineProfile(
-        v_s=block.v_s,
-        v_e=block.v_e,
-        T=block_duration(block.L, block.v_s, block.v_e),
-    )
-
-
-def _clamp_time(profile: SineProfile, t: float) -> float:
-    grace = 1e-9 * (1.0 + profile.T)
-    if t < -grace or t > profile.T + grace:
-        raise ProfileDomainError(
-            f"t={t!r} outside [0, {profile.T!r}]"
+    def kinematics(self, t: float) -> tuple[float, float, float]:
+        """Feed, acceleration and jerk at block-local time t."""
+        t = clamp_time(t, self.T)
+        if self.v_s == self.v_e:
+            return self.v_s, 0.0, 0.0
+        dv = self.v_e - self.v_s
+        half = 0.5 * dv
+        phase = math.pi * (t / self.T - 0.5)
+        sin, cos = math.sin(phase), math.cos(phase)
+        return (
+            half * (sin + 1.0) + self.v_s,
+            dv * math.pi / (2.0 * self.T) * cos,
+            -dv * (math.pi / self.T) ** 2 / 2.0 * sin,
         )
-    return min(max(t, 0.0), profile.T)
+
+    def displacement(self, t: float) -> float:
+        """Travel (mm) from the block start to block-local time t, exactly."""
+        t = clamp_time(t, self.T)
+        if self.v_s == self.v_e:
+            return self.v_s * t
+        half = 0.5 * (self.v_e - self.v_s)
+        T = self.T
+        return (self.v_s + half) * t - half * T / math.pi * math.sin(
+            math.pi * t / T
+        )
+
+    def peaks(self) -> tuple[float, float]:
+        """Exact peak |accel| and |jerk|: mid-block and block ends."""
+        if self.v_s == self.v_e:
+            return 0.0, 0.0
+        T = self.T
+        dv = abs(self.v_e - self.v_s)
+        return dv * math.pi / (2.0 * T), dv * math.pi * math.pi / (2.0 * T * T)
 
 
-def _phase(profile: SineProfile, t: float) -> float:
-    return math.pi * (t / profile.T - 0.5)
-
-
-def sine_velocity_at(profile: SineProfile, t: float) -> float:
-    t = _clamp_time(profile, t)
-    if profile.v_s == profile.v_e:
-        return profile.v_s
-    half = 0.5 * (profile.v_e - profile.v_s)
-    return half * (math.sin(_phase(profile, t)) + 1.0) + profile.v_s
-
-
-def sine_acceleration_at(profile: SineProfile, t: float) -> float:
-    t = _clamp_time(profile, t)
-    if profile.v_s == profile.v_e:
-        return 0.0
-    dv = profile.v_e - profile.v_s
-    return dv * math.pi / (2.0 * profile.T) * math.cos(_phase(profile, t))
-
-
-def sine_jerk_at(profile: SineProfile, t: float) -> float:
-    t = _clamp_time(profile, t)
-    if profile.v_s == profile.v_e:
-        return 0.0
-    dv = profile.v_e - profile.v_s
-    return -dv * (math.pi / profile.T) ** 2 / 2.0 * math.sin(_phase(profile, t))
-
-
-def sine_displacement_at(profile: SineProfile, t: float) -> float:
-    """Travel (mm) from the block start to block-local time t, exactly."""
-    t = _clamp_time(profile, t)
-    if profile.v_s == profile.v_e:
-        return profile.v_s * t
-    half = 0.5 * (profile.v_e - profile.v_s)
-    T = profile.T
-    return (profile.v_s + half) * t - half * T / math.pi * math.sin(
-        math.pi * t / T
-    )
-
-
-def sine_peaks(v_s: float, v_e: float, L: float) -> tuple[float, float]:
-    """Exact peak |accel| and |jerk| of the sine transition over L."""
-    if v_s == v_e or L <= 0.0:
-        return 0.0, 0.0
-    T = 2.0 * L / (v_s + v_e)
-    dv = abs(v_e - v_s)
-    return dv * math.pi / (2.0 * T), dv * math.pi * math.pi / (2.0 * T * T)
-
-
-def sine_mus() -> tuple[float, float]:
-    """The sine profile's two constraint-reduction constants."""
-    return math.pi / 4.0, math.pi * math.pi / 8.0
-
-
-def _sine_mu_set() -> MuSet:
-    mu6, mu7 = sine_mus()
-    # only the two maxima drive the solvers; the kernel intermediates
-    # have no sine counterpart and stay zero
-    return MuSet(
-        mu1=mu6, mu2=0.0, mu3=mu7, mu4=0.0, mu5=0.0,
-        mu_n=mu6, mu_m=mu7, q=0.0, p_aux=0.0, lambda1=0.0, lambda2=0.0,
-    )
+SINE = ProfileFamily(
+    mu_n=math.pi / 4.0, mu_m=math.pi * math.pi / 8.0, fit=SineProfile.fit
+)
 
 
 def sine_schedule(
@@ -134,15 +91,10 @@ def sine_schedule(
     blocks: list[Block],
     scatter: FeedrateScatter,
     limits: Limits,
-    max_sweeps: int = 1000,
 ) -> list[Block]:
-    """Run the block scheduler with sine constants and sine peaks."""
-    return schedule(
-        curve,
-        blocks,
-        scatter,
-        limits,
-        mus=_sine_mu_set(),
-        peaks_fn=lambda v_s, v_e, L: sine_peaks(v_s, v_e, L),
-        max_sweeps=max_sweeps,
-    )
+    """Run the block scheduler with the sine family.
+
+    The sine plan is a stage of its own under this name, so that the
+    benchmark's call tracing can time it apart from the shaped plan.
+    """
+    return schedule(curve, blocks, scatter, limits, family=SINE)

@@ -5,8 +5,9 @@ scheduling and replay, then writes traces, the block table, and a
 summary into an output directory. ``feedsched gen-curve`` produces a
 random test curve in the same file format.
 
-Exit codes: 0 on success, 2 for unreadable or malformed inputs, 3 when
-no feasible schedule exists for the requested limits.
+Exit codes: 0 on success, 2 for unreadable or malformed inputs (including
+limits out of range and a curve the scan finds singular), 3 when the
+chord scan fails or no feasible schedule exists for the requested limits.
 """
 
 from __future__ import annotations
@@ -18,13 +19,20 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .baseline import sine_schedule
-from .chordscan import Limits, scan_curve
+from .baseline import SINE, sine_schedule
+from .chordscan import ChordScanError, Limits, scan_curve
 from .curvegen import random_curve
 from .geometry import GeometryError, ParametricCurve
 from .optimizer import OptimizerError, schedule
-from .segmentation import Block, BlockKind, build_blocks, find_breakpoints
+from .segmentation import (
+    Block,
+    BlockKind,
+    build_blocks,
+    classify_kind,
+    find_breakpoints,
+)
 from .simulator import SimulationError, interpolate, summarize
+from .sprofile import sigmoid_family
 
 __all__ = [
     "CliError",
@@ -123,16 +131,25 @@ def _cell(x) -> str:
     return repr(value)
 
 
-def save_blocks(blocks: list[Block], path: Path) -> None:
+def save_blocks(blocks: list[Block], path: Path, limits: Limits) -> None:
+    """Write the block table; shape and kind come from limits and feeds."""
+    tol = 1e-9 * limits.v_max
     rows = [
-        (b.u_s, b.u_e, b.v_s, b.v_e, b.L, b.s, b.kind.value, b.T)
+        (
+            b.u_s, b.u_e, b.v_s, b.v_e, b.L, limits.shape_s,
+            classify_kind(b.v_s, b.v_e, tol).value, b.T,
+        )
         for b in blocks
     ]
     _write_csv(path, _BLOCK_HEADER, rows)
 
 
 def load_blocks(path: Path) -> list[Block]:
-    """Read a block table back; inverse of the table writer."""
+    """Read a block table back; inverse of the table writer.
+
+    The shape and kind cells are checked but not kept: a replay takes
+    the shape from its limits and the kind from the feeds.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -145,16 +162,17 @@ def load_blocks(path: Path) -> list[Block]:
         if len(parts) != 8:
             raise CliError("expected 8 columns", location=f"{path}:{i}")
         try:
+            if not float(parts[5]) > 0.0:
+                raise ValueError("shape parameter must be positive")
+            BlockKind(parts[6])
             b = Block(
                 u_s=float(parts[0]),
                 u_e=float(parts[1]),
                 v_s=float(parts[2]),
                 v_e=float(parts[3]),
                 L=float(parts[4]),
-                s=float(parts[5]),
-                kind=BlockKind(parts[6]),
+                T=float(parts[7]),
             )
-            b.T = float(parts[7])
         except ValueError as exc:
             raise CliError(str(exc), location=f"{path}:{i}") from exc
         blocks.append(b)
@@ -169,9 +187,6 @@ class RunConfig:
     limits: Limits
     method: str = "sigmoid"
     out_dir: Path = Path("feedsched-out")
-    emit_traces: bool = True
-    emit_blocks: bool = True
-    emit_summary: bool = True
 
 
 def _summary_doc(summary, n_breakpoints: int) -> dict:
@@ -211,13 +226,21 @@ def run(config: RunConfig) -> int:
         return 2
 
     limits = config.limits
-    scatter = scan_curve(curve, limits)
-    breakpoints = find_breakpoints(scatter, mu_s=limits.mu_s)
-    blocks = build_blocks(curve, scatter, breakpoints, limits)
+    try:
+        scatter = scan_curve(curve, limits)
+        breakpoints = find_breakpoints(scatter, mu_s=limits.mu_s)
+        blocks = build_blocks(curve, scatter, breakpoints, limits)
+    except GeometryError as exc:
+        print(f"error: {config.curve_path}: {exc}", file=sys.stderr)
+        return 2
+    except ChordScanError as exc:
+        print(f"error: chord scan failed: {exc}", file=sys.stderr)
+        return 3
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     methods = ("sigmoid", "sine") if config.method == "both" else (config.method,)
+    families = {"sigmoid": sigmoid_family(limits.shape_s), "sine": SINE}
     results = {}
     for method in methods:
         plan = sine_schedule if method == "sine" else schedule
@@ -230,36 +253,35 @@ def run(config: RunConfig) -> int:
             )
             return 3
         try:
-            samples = interpolate(curve, scheduled, limits, profile_kind=method)
+            samples = interpolate(
+                curve, scheduled, limits, family=families[method]
+            )
         except SimulationError as exc:
             print(f"error: replay failed for {method}: {exc}", file=sys.stderr)
             return 3
         summary = summarize(samples, scheduled)
         results[method] = summary
-        if config.emit_traces:
-            _write_csv(
-                out / f"{method}_feed_vs_u.csv",
-                "u [-],feed [mm/s]",
-                ((s.u, s.v) for s in samples),
-            )
-            _write_csv(
-                out / f"{method}_kinematics_vs_time.csv",
-                "t [s],feed [mm/s],accel [mm/s^2],jerk [mm/s^3]",
-                ((s.t, s.v, s.A, s.J) for s in samples),
-            )
-            _write_csv(
-                out / f"{method}_chord_error_vs_u.csv",
-                "u [-],chord error [mm]",
-                ((s.u, s.chord_err) for s in samples),
-            )
-        if config.emit_blocks:
-            save_blocks(scheduled, out / f"{method}_blocks.csv")
-        if config.emit_summary:
-            _dump_json(
-                _summary_doc(summary, len(breakpoints)),
-                out / f"{method}_summary.json",
-            )
-    if config.method == "both" and config.emit_summary:
+        _write_csv(
+            out / f"{method}_feed_vs_u.csv",
+            "u [-],feed [mm/s]",
+            ((s.u, s.v) for s in samples),
+        )
+        _write_csv(
+            out / f"{method}_kinematics_vs_time.csv",
+            "t [s],feed [mm/s],accel [mm/s^2],jerk [mm/s^3]",
+            ((s.t, s.v, s.A, s.J) for s in samples),
+        )
+        _write_csv(
+            out / f"{method}_chord_error_vs_u.csv",
+            "u [-],chord error [mm]",
+            ((s.u, s.chord_err) for s in samples),
+        )
+        save_blocks(scheduled, out / f"{method}_blocks.csv", limits)
+        _dump_json(
+            _summary_doc(summary, len(breakpoints)),
+            out / f"{method}_summary.json",
+        )
+    if config.method == "both":
         sig, sin = results["sigmoid"], results["sine"]
         comparison = {
             "time_ratio_sine_over_sigmoid": sin.total_time / sig.total_time,
@@ -276,8 +298,12 @@ def run(config: RunConfig) -> int:
 def _load_limits(spec: str, mu_s: float | None) -> Limits:
     """A preset name or a JSON file of limit fields."""
     if spec in PRESETS:
-        limits = PRESETS[spec]
-        return replace(limits, mu_s=mu_s) if mu_s is not None else limits
+        if mu_s is None:
+            return PRESETS[spec]
+        try:
+            return replace(PRESETS[spec], mu_s=mu_s)
+        except ValueError as exc:
+            raise CliError(str(exc), location="--mu-s") from exc
     path = Path(spec)
     try:
         data = json.loads(path.read_text())

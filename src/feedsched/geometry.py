@@ -87,13 +87,17 @@ class ParametricCurve:
         dims = {len(pt) for pt in self.control_points}
         if len(dims) != 1 or dims.pop() not in (2, 3):
             raise GeometryError("control points must all be 2-D or all be 3-D")
+        if not all(math.isfinite(c) for pt in self.control_points for c in pt):
+            raise GeometryError("control point coordinates must be finite")
         if len(self.weights) != n:
             raise GeometryError(
                 f"{n} control points but {len(self.weights)} weights"
             )
-        if any(w <= 0 for w in self.weights):
-            raise GeometryError("weights must be strictly positive")
+        if not all(0.0 < w < math.inf for w in self.weights):
+            raise GeometryError("weights must be finite and strictly positive")
         k = self.knots
+        if not all(math.isfinite(v) for v in k):
+            raise GeometryError("knots must be finite")
         if len(k) != n + p + 1:
             raise GeometryError(
                 f"knot vector must have {n + p + 1} entries, got {len(k)}"

@@ -1,9 +1,9 @@
 """Breakpoint feed optimization across blocks.
 
 Transition blocks must be long enough for their feed change to respect
-the acceleration and jerk ceilings. The reduction coefficients computed
-here collapse each block's peak acceleration to mu_n*(v2^2-v1^2)/L and
-its peak jerk to mu_m*(v2-v1)*(v2+v1)^2/L^2, turning feasibility into
+the acceleration and jerk ceilings. A profile family's reduction
+constants collapse each block's peak acceleration to mu_n*(v2^2-v1^2)/L
+and its peak jerk to mu_m*(v2-v1)*(v2+v1)^2/L^2, turning feasibility into
 closed-form length/feed bounds. The scheduler sweeps the block list,
 growing transitions into neighboring constant blocks, lowering peak
 feeds that cannot be reached, and repeating until no feed moves.
@@ -18,31 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from .chordscan import FeedrateScatter, Limits
 from .geometry import ParametricCurve, param_at_length
 from .segmentation import Block, BlockKind, classify_kind
-from .sprofile import (
-    SIG_D2_MAX,
-    block_duration,
-    build_profile,
-    kernel,
-    kinematic_peaks,
-)
+from .sprofile import ProfileFamily, block_duration, sigmoid_family
 
 __all__ = [
     "OptimizerError",
     "InfeasibleJunctionError",
     "SweepConvergenceError",
     "ScheduleConsistencyError",
-    "Regime",
-    "MuSet",
     "AdjustmentOutcome",
-    "compute_mus",
-    "classify_regime",
     "solve_real_roots",
     "transition_min_length",
     "transition_max_feed",
@@ -77,111 +66,15 @@ class ScheduleConsistencyError(OptimizerError):
     """A finished schedule failed its own feasibility validation."""
 
 
-class Regime(Enum):
-    ACCEL_STRICT = "accel-strict"
-    JERK_STRICT = "jerk-strict"
-    BOTH_STRICT = "both-strict"
-
-
-@dataclass(frozen=True)
-class MuSet:
-    """Constraint-reduction coefficients for one shape parameter.
-
-    mu1/mu2 scale the acceleration bound (mu_n is their max); mu3..mu5
-    scale the jerk bound (mu_m is their max). q and p_aux are kernel
-    intermediates shared by the formulas; lambda1/lambda2 are the
-    extreme values of the kernel's second derivative.
-    """
-
-    mu1: float
-    mu2: float
-    mu3: float
-    mu4: float
-    mu5: float
-    mu_n: float
-    mu_m: float
-    q: float
-    p_aux: float
-    lambda1: float
-    lambda2: float
-
-
 @dataclass(frozen=True)
 class AdjustmentOutcome:
     """Result of optimizing one transition-constant-transition span.
 
     lengths partitions the span into rise, steady, and fall pieces.
-    changed_start/changed_end report whether the corresponding side
-    still needs a transition (a False side degrades to a point).
     """
 
     v2_opt: float
     lengths: tuple[float, float, float]
-    changed_start: bool
-    changed_end: bool
-
-
-def compute_mus(s: float) -> MuSet:
-    """Reduction coefficients from the kernel shape parameter."""
-    if s <= 0.0:
-        raise OptimizerError("shape parameter must be positive")
-    fs = kernel(s)[0]
-    fm = kernel(-s)[0]
-    f3, f3d, _ = kernel(-s / 3.0)
-    span = fs - fm
-    q = f3 - fm
-    p = f3d
-    mu1 = s / (4.0 * span)
-    num2 = abs(81.0 * q * q + 4.0 * s * s * p * p - 36.0 * s * p * q)
-    den2 = 2.0 * span * abs(6.0 * s * p - 54.0 * q)
-    mu2 = num2 / den2 if den2 > 0.0 else 0.0
-    mu3 = s * s * SIG_D2_MAX / (4.0 * span)
-    mu4 = abs(54.0 * q - 12.0 * s * p) / (4.0 * span)
-    mu5 = abs(24.0 * s * p - 54.0 * q) / (4.0 * span)
-    return MuSet(
-        mu1=mu1,
-        mu2=mu2,
-        mu3=mu3,
-        mu4=mu4,
-        mu5=mu5,
-        mu_n=max(mu1, mu2),
-        mu_m=max(mu3, mu4, mu5),
-        q=q,
-        p_aux=p,
-        lambda1=SIG_D2_MAX,
-        lambda2=-SIG_D2_MAX,
-    )
-
-
-def classify_regime(limits: Limits, L_ref: float | None = None) -> Regime:
-    """Which ceiling binds a full-range transition to V_max.
-
-    The reference displacement is the shortest one whose acceleration
-    peak exactly meets a_max; the jerk that transition implies is then
-    compared against j_max. Pass L_ref to classify a specific
-    transition length instead of the acceleration-tight one.
-    """
-    mus = compute_mus(limits.shape_s)
-    v = limits.v_max
-    if L_ref is None:
-        if math.isinf(limits.a_max):
-            L_ref = 0.0
-        else:
-            L_ref = mus.mu1 * v * v / limits.a_max
-    if L_ref <= 0.0:
-        return Regime.JERK_STRICT
-    T_ref = 2.0 * L_ref / v
-    span = kernel(limits.shape_s)[0] - kernel(-limits.shape_s)[0]
-    c = 2.0 * limits.shape_s / T_ref
-    j_ref = c * c * (v / span) * SIG_D2_MAX
-    if math.isinf(limits.j_max):
-        return Regime.ACCEL_STRICT
-    band = 1e-9 * limits.j_max
-    if j_ref > limits.j_max + band:
-        return Regime.JERK_STRICT
-    if j_ref < limits.j_max - band:
-        return Regime.ACCEL_STRICT
-    return Regime.BOTH_STRICT
 
 
 def solve_real_roots(
@@ -234,20 +127,20 @@ def solve_real_roots(
 
 
 def transition_min_length(
-    v_lo: float, v_hi: float, mus: MuSet, limits: Limits
+    v_lo: float, v_hi: float, family: ProfileFamily, limits: Limits
 ) -> float:
     """Shortest displacement over which v_lo can reach v_hi."""
     if v_hi < v_lo:
         raise OptimizerError("transition feeds must be ordered v_lo <= v_hi")
     if v_hi == v_lo:
         return 0.0
-    acc = mus.mu_n * (v_hi * v_hi - v_lo * v_lo) / limits.a_max
-    jrk = math.sqrt(mus.mu_m * (v_hi - v_lo) / limits.j_max) * (v_hi + v_lo)
+    acc = family.mu_n * (v_hi * v_hi - v_lo * v_lo) / limits.a_max
+    jrk = math.sqrt(family.mu_m * (v_hi - v_lo) / limits.j_max) * (v_hi + v_lo)
     return max(acc, jrk)
 
 
 def transition_max_feed(
-    v_lo: float, L: float, mus: MuSet, limits: Limits
+    v_lo: float, L: float, family: ProfileFamily, limits: Limits
 ) -> float:
     """Highest feed reachable from v_lo within displacement L."""
     if L <= 0.0:
@@ -255,11 +148,11 @@ def transition_max_feed(
     if math.isinf(limits.a_max):
         acc = math.inf
     else:
-        acc = math.sqrt(v_lo * v_lo + limits.a_max * L / mus.mu_n)
+        acc = math.sqrt(v_lo * v_lo + limits.a_max * L / family.mu_n)
     if math.isinf(limits.j_max):
         jrk = math.inf
     else:
-        rhs = L * L * limits.j_max / mus.mu_m
+        rhs = L * L * limits.j_max / family.mu_m
         # (v - v_lo)(v + v_lo)^2 == rhs has one root above v_lo, and
         # (v - v_lo)^3 <= rhs bounds it from above
         hi = v_lo + rhs ** (1.0 / 3.0) + 1.0
@@ -272,14 +165,14 @@ def transition_max_feed(
 
 def adjust_peak_junction(
     v1: float, v2: float, v3: float, L1: float, L2: float,
-    mus: MuSet, limits: Limits,
+    family: ProfileFamily, limits: Limits,
 ) -> float:
     """Largest feasible feed for a peak junction, at most the current v2."""
     floor = max(v1, v3)
     if v2 < floor:
         raise OptimizerError("junction feed below its endpoints is no peak")
-    cap1 = transition_max_feed(v1, L1, mus, limits)
-    cap2 = transition_max_feed(v3, L2, mus, limits)
+    cap1 = transition_max_feed(v1, L1, family, limits)
+    cap2 = transition_max_feed(v3, L2, family, limits)
     cap = min(cap1, cap2)
     if cap < floor * (1.0 - 1e-12) - 1e-12:
         raise InfeasibleJunctionError(
@@ -289,7 +182,7 @@ def adjust_peak_junction(
 
 
 def extend_into_constant(
-    trans: Block, const_block: Block, mus: MuSet, limits: Limits
+    trans: Block, const_block: Block, family: ProfileFamily, limits: Limits
 ) -> tuple[Block, Block, float]:
     """Grow a transition into its neighboring constant block.
 
@@ -306,7 +199,7 @@ def extend_into_constant(
         lo, hi = trans.v_e, trans.v_s
     else:
         raise OptimizerError("extension needs an accelerating or braking block")
-    need = transition_min_length(lo, hi, mus, limits)
+    need = transition_min_length(lo, hi, family, limits)
     if need <= trans.L:
         return trans, const_block, const_block.v_s
     transfer = need - trans.L
@@ -315,7 +208,7 @@ def extend_into_constant(
         const_block.L -= transfer
         return trans, const_block, const_block.v_s
     total = trans.L + const_block.L
-    new_hi = transition_max_feed(lo, total, mus, limits)
+    new_hi = transition_max_feed(lo, total, family, limits)
     trans.L = total
     const_block.L = 0.0
     if t_kind is BlockKind.ACCEL:
@@ -324,17 +217,15 @@ def extend_into_constant(
         trans.v_s = new_hi
     const_block.v_s = new_hi
     const_block.v_e = new_hi
-    trans.kind = classify_kind(trans.v_s, trans.v_e, 1e-9 * limits.v_max)
-    const_block.kind = BlockKind.CONSTANT
     return trans, const_block, new_hi
 
 
-def _crossover_delta(mus: MuSet, limits: Limits) -> float:
+def _crossover_delta(family: ProfileFamily, limits: Limits) -> float:
     """Feed rise above which acceleration, not jerk, sets the min length."""
     if math.isinf(limits.j_max) or math.isinf(limits.a_max):
         return math.inf if math.isinf(limits.a_max) else 0.0
-    return mus.mu_m * limits.a_max * limits.a_max / (
-        limits.j_max * mus.mu_n * mus.mu_n
+    return family.mu_m * limits.a_max * limits.a_max / (
+        limits.j_max * family.mu_n * family.mu_n
     )
 
 
@@ -346,16 +237,16 @@ def _poly_sub(a, b):
     return list(np.polysub(a, b))
 
 
-def _boundary_candidates(v1, v3, L, lo, hi, mus, limits):
+def _boundary_candidates(v1, v3, L, lo, hi, family, limits):
     """Feeds where the steady phase vanishes, per binding-form section.
 
     With both sides acceleration-bound the condition is quadratic; one
     jerk-bound side makes it quartic; two make it sextic. Roots are
     candidates only — each is re-checked through the exact objective.
     """
-    delta = _crossover_delta(mus, limits)
-    alpha = mus.mu_n / limits.a_max
-    gamma = math.sqrt(mus.mu_m / limits.j_max)
+    delta = _crossover_delta(family, limits)
+    alpha = family.mu_n / limits.a_max
+    gamma = math.sqrt(family.mu_m / limits.j_max)
     cuts = sorted({lo, hi} | {
         v + delta for v in (v1, v3) if lo < v + delta < hi
     })
@@ -391,7 +282,7 @@ def adjust_with_constant(
     v3: float,
     L_total: float,
     v_ceiling: float,
-    mus: MuSet,
+    family: ProfileFamily,
     limits: Limits,
     floors: tuple[float, float] = (0.0, 0.0),
 ) -> AdjustmentOutcome:
@@ -411,8 +302,8 @@ def adjust_with_constant(
     slack = 1e-12 * max(1.0, L_total)
 
     def side_lengths(v2):
-        l1 = max(transition_min_length(v1, v2, mus, limits), floors[0])
-        l3 = max(transition_min_length(v3, v2, mus, limits), floors[1])
+        l1 = max(transition_min_length(v1, v2, family, limits), floors[0])
+        l3 = max(transition_min_length(v3, v2, family, limits), floors[1])
         return l1, l3
 
     def feasible(v2):
@@ -449,11 +340,11 @@ def adjust_with_constant(
         return t
 
     candidates = {lo, v_h}
-    delta = _crossover_delta(mus, limits)
+    delta = _crossover_delta(family, limits)
     for v in (v1 + delta, v3 + delta):
         if lo < v < v_h:
             candidates.add(v)
-    for r in _boundary_candidates(v1, v3, L_total, lo, v_h, mus, limits):
+    for r in _boundary_candidates(v1, v3, L_total, lo, v_h, family, limits):
         candidates.add(min(max(r, lo), v_h))
     best_v, best_t = None, math.inf
     for v2 in sorted(candidates):
@@ -474,12 +365,10 @@ def adjust_with_constant(
     return AdjustmentOutcome(
         v2_opt=best_v,
         lengths=(l1, l2, l3),
-        changed_start=l1 > 0.0,
-        changed_end=l3 > 0.0,
     )
 
 
-def _peak_capacity(v1, v3, v2_cap, total, mus, limits):
+def _peak_capacity(v1, v3, v2_cap, total, family, limits):
     """Largest junction feed a two-sided rise/fall span can host.
 
     Both transition lengths may trade length freely inside the span.
@@ -488,14 +377,14 @@ def _peak_capacity(v1, v3, v2_cap, total, mus, limits):
     floor = max(v1, v3)
     if v2_cap < floor:
         return None
-    base = transition_min_length(min(v1, v3), floor, mus, limits)
+    base = transition_min_length(min(v1, v3), floor, family, limits)
     if base > total * (1.0 + 1e-12):
         return None
 
     def excess(v2):
         return (
-            transition_min_length(v1, v2, mus, limits)
-            + transition_min_length(v3, v2, mus, limits)
+            transition_min_length(v1, v2, family, limits)
+            + transition_min_length(v3, v2, family, limits)
             - total
         )
 
@@ -511,26 +400,22 @@ def _peak_capacity(v1, v3, v2_cap, total, mus, limits):
     return lo
 
 
-def _peak_split(v1, v3, v2, total, mus, limits):
+def _peak_split(v1, v3, v2, total, family, limits):
     """Tight lengths for both sides, slack parked on the faster side."""
-    t1 = transition_min_length(v1, v2, mus, limits)
-    t3 = transition_min_length(v3, v2, mus, limits)
+    t1 = transition_min_length(v1, v2, family, limits)
+    t3 = transition_min_length(v3, v2, family, limits)
     slack = max(0.0, total - t1 - t3)
     if v1 >= v3:
         return t1 + slack, t3
     return t1, t3 + slack
 
 
-def _set_junction_feed(blocks, j, v, kind_tol):
+def _set_junction_feed(blocks, j, v):
     """Set the feed at junction j (before block j), syncing both sides."""
     if j > 0:
-        b = blocks[j - 1]
-        b.v_e = v
-        b.kind = classify_kind(b.v_s, b.v_e, kind_tol)
+        blocks[j - 1].v_e = v
     if j < len(blocks):
-        b = blocks[j]
-        b.v_s = v
-        b.kind = classify_kind(b.v_s, b.v_e, kind_tol)
+        blocks[j].v_s = v
 
 
 def _reanchor(curve, blocks, i, j):
@@ -546,23 +431,15 @@ def _reanchor(curve, blocks, i, j):
 class _Sweeper:
     """One scheduling pass; holds shared state for the junction handlers."""
 
-    def __init__(self, curve, blocks, scatter, limits, mus, peaks_fn=None):
+    def __init__(self, curve, blocks, scatter, limits, family):
         self.curve = curve
         self.blocks = blocks
         self.scatter = scatter
         self.limits = limits
-        self.mus = mus
-        self.peaks_fn = peaks_fn or self._default_peaks
+        self.family = family
         self.kind_tol = 1e-9 * limits.v_max
         self.floors = [b.L for b in blocks]
         self.change = 0.0
-
-    def _default_peaks(self, v_s, v_e, L):
-        probe = Block(
-            u_s=0.0, u_e=1.0, v_s=v_s, v_e=v_e, L=L,
-            s=self.limits.shape_s, kind=classify_kind(v_s, v_e, self.kind_tol),
-        )
-        return kinematic_peaks(build_profile(probe))
 
     def kind(self, b: Block) -> BlockKind:
         return classify_kind(b.v_s, b.v_e, self.kind_tol)
@@ -576,7 +453,7 @@ class _Sweeper:
         if abs(v - old) <= _FEED_TOL:
             return
         self.change = max(self.change, abs(v - old))
-        _set_junction_feed(self.blocks, j, v, self.kind_tol)
+        _set_junction_feed(self.blocks, j, v)
 
     def run(self):
         self.change = 0.0
@@ -628,7 +505,7 @@ class _Sweeper:
         floors = (self.floors[i], self.floors[i + 2])
         try:
             out = adjust_with_constant(
-                v1, v3, total, ceiling, self.mus, self.limits, floors=floors
+                v1, v3, total, ceiling, self.family, self.limits, floors=floors
             )
         except InfeasibleJunctionError:
             self._repair_span(i, v1, v3, total, floors)
@@ -641,10 +518,10 @@ class _Sweeper:
         # lower the taller boundary until the span can host both climbs
         room = max(0.0, total - floors[0] - floors[1])
         if v1 >= v3:
-            target = transition_max_feed(v3, room, self.mus, self.limits)
+            target = transition_max_feed(v3, room, self.family, self.limits)
             self.set_feed(i, min(v1, target))
         else:
-            target = transition_max_feed(v1, room, self.mus, self.limits)
+            target = transition_max_feed(v1, room, self.family, self.limits)
             self.set_feed(i + 3, min(v3, target))
 
     def _handle_peak(self, i):
@@ -653,7 +530,7 @@ class _Sweeper:
         v2 = max(a.v_e, v1, v3)
         try:
             tuned = adjust_peak_junction(
-                v1, v2, v3, a.L, d.L, self.mus, self.limits
+                v1, v2, v3, a.L, d.L, self.family, self.limits
             )
         except InfeasibleJunctionError as err:
             if self._repair_peak(i, v1, v3, v2):
@@ -679,7 +556,7 @@ class _Sweeper:
         """
         a, d = self.blocks[i], self.blocks[i + 1]
         total = a.L + d.L
-        v_star = _peak_capacity(v1, v3, v2_cap, total, self.mus, self.limits)
+        v_star = _peak_capacity(v1, v3, v2_cap, total, self.family, self.limits)
         if v_star is None:
             return False
         floor = max(v1, v3)
@@ -688,7 +565,7 @@ class _Sweeper:
             v2 = cand
             dead = False
             for _ in range(4):
-                l1, l2 = _peak_split(v1, v3, v2, total, self.mus, self.limits)
+                l1, l2 = _peak_split(v1, v3, v2, total, self.family, self.limits)
                 ceil_donated = self._donated_ceiling(i, l1, l2)
                 if ceil_donated >= v2 - 1e-9:
                     break
@@ -701,7 +578,7 @@ class _Sweeper:
                 dead = True
             if dead:
                 continue
-            l1, l2 = _peak_split(v1, v3, v2, total, self.mus, self.limits)
+            l1, l2 = _peak_split(v1, v3, v2, total, self.family, self.limits)
             t = 2.0 * l1 / (v1 + v2) + 2.0 * l2 / (v3 + v2)
             if best is None or t < best[0] - 1e-15 or (
                 abs(t - best[0]) <= 1e-15 and v2 > best[1]
@@ -736,16 +613,14 @@ class _Sweeper:
         before_L = (trans.L, const.L)
         before_feed = const.v_s
         _, _, new_feed = extend_into_constant(
-            trans, const, self.mus, self.limits
+            trans, const, self.family, self.limits
         )
         if new_feed != before_feed:
             # constant block consumed; extend already rewrote its feeds, so
             # sync both junctions unconditionally to reach the neighbors
             self.change = max(self.change, abs(before_feed - new_feed))
-            _set_junction_feed(self.blocks, const_idx, new_feed, self.kind_tol)
-            _set_junction_feed(
-                self.blocks, const_idx + 1, new_feed, self.kind_tol
-            )
+            _set_junction_feed(self.blocks, const_idx, new_feed)
+            _set_junction_feed(self.blocks, const_idx + 1, new_feed)
         moved = max(
             abs(trans.L - before_L[0]), abs(const.L - before_L[1])
         )
@@ -765,10 +640,10 @@ class _Sweeper:
         if k is BlockKind.DECEL and prev is BlockKind.CONSTANT:
             return
         lo, hi = min(b.v_s, b.v_e), max(b.v_s, b.v_e)
-        need = transition_min_length(lo, hi, self.mus, self.limits)
+        need = transition_min_length(lo, hi, self.family, self.limits)
         if need <= b.L * (1.0 + 1e-9) + 1e-12:
             return
-        cap = transition_max_feed(lo, b.L, self.mus, self.limits)
+        cap = transition_max_feed(lo, b.L, self.family, self.limits)
         j = i if b.v_s > b.v_e else i + 1
         self.set_feed(j, cap)
 
@@ -798,7 +673,7 @@ class _Sweeper:
         return fixed
 
     def _peaks_ok(self, v_s, v_e, L):
-        a_pk, j_pk = self.peaks_fn(v_s, v_e, L)
+        a_pk, j_pk = self.family.fit(v_s, v_e, L).peaks()
         return (
             a_pk <= self.limits.a_max * (1.0 + 1e-9)
             and j_pk <= self.limits.j_max * (1.0 + 1e-9)
@@ -810,22 +685,22 @@ def schedule(
     blocks: list[Block],
     scatter: FeedrateScatter,
     limits: Limits,
-    mus: MuSet | None = None,
-    peaks_fn=None,
+    family: ProfileFamily | None = None,
     max_sweeps: int = _MAX_SWEEPS,
 ) -> list[Block]:
     """Sweep all junctions until no feed changes, then fill durations.
 
     The input list is not modified. Breakpoint feeds only decrease, so
     the result stays below the chord-error ceiling everywhere the scan
-    sampled. A final validation pass re-checks every block's true peaks
-    (peaks_fn, defaulting to the shaped-profile closed forms) against
-    the limits and tightens by bisection if needed.
+    sampled. A final validation pass re-checks every block's true peaks,
+    as the family's fitted profiles report them, against the limits and
+    tightens by bisection if needed. The family defaults to the shaped
+    law at limits.shape_s.
     """
-    if mus is None:
-        mus = compute_mus(limits.shape_s)
+    if family is None:
+        family = sigmoid_family(limits.shape_s)
     work = [replace(b) for b in blocks]
-    sweeper = _Sweeper(curve, work, scatter, limits, mus, peaks_fn=peaks_fn)
+    sweeper = _Sweeper(curve, work, scatter, limits, family)
     for _ in range(max_sweeps):
         change = sweeper.run()
         if change <= max(_FEED_TOL, _LEN_TOL):

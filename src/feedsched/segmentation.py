@@ -2,8 +2,8 @@
 
 Breakpoints are parameters where the feed ceiling changes trend: local
 peaks, valleys, and the edges of saturated plateaus. Consecutive
-breakpoints delimit blocks, each carrying its arc-length displacement
-and a coarse motion kind used by the scheduler.
+breakpoints delimit blocks, each carrying its arc-length displacement;
+``classify_kind`` reads a block's coarse motion kind off its end feeds.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ class Block:
     v_s: float
     v_e: float
     L: float
-    s: float
-    kind: BlockKind
     T: float = 0.0
 
     def __post_init__(self):
@@ -57,8 +55,6 @@ class Block:
             raise ValueError("block displacement must be non-negative")
         if self.v_s < 0.0 or self.v_e < 0.0:
             raise ValueError("block feeds must be non-negative")
-        if self.s <= 0.0:
-            raise ValueError("shape parameter must be positive")
 
 
 def classify_kind(v_s: float, v_e: float, tol: float) -> BlockKind:
@@ -183,7 +179,6 @@ def build_blocks(
     """One block per adjacent breakpoint pair, with arc displacement."""
     if len(breakpoints) < 2:
         raise MalformedScatterError("need at least two breakpoints")
-    tol = 1e-9 * limits.v_max
     blocks = []
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         u_s, u_e = float(scatter.u[a]), float(scatter.u[b])
@@ -195,8 +190,6 @@ def build_blocks(
                 v_s=v_s,
                 v_e=v_e,
                 L=arc_length(curve, u_s, u_e),
-                s=limits.shape_s,
-                kind=classify_kind(v_s, v_e, tol),
             )
         )
     return blocks

@@ -22,21 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import (
-    build_sine_profile,
-    sine_acceleration_at,
-    sine_jerk_at,
-    sine_velocity_at,
-)
 from .chordscan import Limits, chord_error
 from .geometry import ParametricCurve, derivatives, evaluate
 from .segmentation import Block
-from .sprofile import (
-    acceleration_at,
-    build_profile,
-    jerk_at,
-    velocity_at,
-)
+from .sprofile import ProfileFamily, sigmoid_family
 
 __all__ = [
     "SimulationError",
@@ -99,25 +88,16 @@ def total_time(blocks: list[Block]) -> float:
 class _Track:
     """Block profiles laid out on a shared time axis."""
 
-    def __init__(self, blocks, profile_kind):
-        if profile_kind == "sigmoid":
-            make = build_profile
-            fns = (velocity_at, acceleration_at, jerk_at)
-        elif profile_kind == "sine":
-            make = build_sine_profile
-            fns = (sine_velocity_at, sine_acceleration_at, sine_jerk_at)
-        else:
-            raise SimulationError(f"unknown profile kind {profile_kind!r}")
+    def __init__(self, blocks, family):
         self.total = total_time(blocks)
         self.starts = []
         self.durations = []
         self.profiles = []
-        self.fns = fns
         t = 0.0
         for b in blocks:
             self.starts.append(t)
             self.durations.append(b.T)
-            self.profiles.append(make(b))
+            self.profiles.append(family.fit(b.v_s, b.v_e, b.L))
             t += b.T
 
     def _locate(self, t):
@@ -128,12 +108,7 @@ class _Track:
         t = min(max(t, 0.0), self.total)
         i = self._locate(t)
         tau = min(max(t - self.starts[i], 0.0), self.durations[i])
-        p = self.profiles[i]
-        v_fn, a_fn, j_fn = self.fns
-        return v_fn(p, tau), a_fn(p, tau), j_fn(p, tau)
-
-    def velocity(self, t):
-        return self.kinematics(t)[0]
+        return self.profiles[i].kinematics(tau)
 
     def travel(self, t1, t2):
         """Trapezoidal integral of velocity, split at block boundaries."""
@@ -143,9 +118,9 @@ class _Track:
                 cuts.append(s)
         cuts.append(t2)
         total = 0.0
-        v_a = self.velocity(cuts[0])
+        v_a = self.kinematics(cuts[0])[0]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            v_b = self.velocity(b)
+            v_b = self.kinematics(b)[0]
             total += 0.5 * (v_a + v_b) * (b - a)
             v_a = v_b
         return total
@@ -199,9 +174,12 @@ def interpolate(
     curve: ParametricCurve,
     blocks: list[Block],
     limits: Limits,
-    profile_kind: str = "sigmoid",
+    family: ProfileFamily | None = None,
 ) -> list[InterpolationSample]:
     """Sample the scheduled run every Ts from start to path end.
+
+    The blocks are replayed with the profiles of the family they were
+    scheduled with, by default the shaped law at limits.shape_s.
 
     When chordal drift lands the walk on the curve end a tick or two
     before the schedule runs out, the end absorbs the leftover travel;
@@ -210,7 +188,9 @@ def interpolate(
     """
     if not blocks:
         raise SimulationError("empty schedule")
-    track = _Track(blocks, profile_kind)
+    if family is None:
+        family = sigmoid_family(limits.shape_s)
+    track = _Track(blocks, family)
     if track.total <= 0.0:
         raise SimulationError("schedule has zero duration")
     Ts = limits.Ts

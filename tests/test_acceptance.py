@@ -15,14 +15,7 @@ import pytest
 from conftest import make_quarter_circle
 from scipy.integrate import quad
 
-from feedsched.baseline import (
-    build_sine_profile,
-    sine_acceleration_at,
-    sine_jerk_at,
-    sine_mus,
-    sine_peaks,
-    sine_schedule,
-)
+from feedsched.baseline import SINE, sine_schedule
 from feedsched.chordscan import FeedrateScatter, scan_curve
 from feedsched.cli import PRESETS, main
 from feedsched.curvegen import random_curve
@@ -31,16 +24,11 @@ from feedsched.optimizer import (
     InfeasibleJunctionError,
     adjust_peak_junction,
     adjust_with_constant,
-    compute_mus,
     schedule,
 )
-from feedsched.segmentation import Block, BlockKind, build_blocks, find_breakpoints
+from feedsched.segmentation import build_blocks, find_breakpoints
 from feedsched.simulator import interpolate
-from feedsched.sprofile import (
-    build_profile,
-    kinematic_peaks,
-    velocity_at,
-)
+from feedsched.sprofile import sigmoid_family
 
 CORPUS_SEEDS = tuple(range(25))
 CHORD_HEADROOM = 1.05
@@ -51,14 +39,7 @@ def report(ok: bool, label: str, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {label} | {detail}")
 
 
-def make_block(v_s, v_e, L, s=3.3):
-    if v_s == v_e:
-        kind = BlockKind.CONSTANT
-    elif v_e > v_s:
-        kind = BlockKind.ACCEL
-    else:
-        kind = BlockKind.DECEL
-    return Block(u_s=0.0, u_e=1.0, v_s=v_s, v_e=v_e, L=L, s=s, kind=kind)
+SIGMOID = sigmoid_family(3.3)
 
 
 @dataclass(frozen=True)
@@ -93,7 +74,7 @@ def corpus():
             worst = max(s.chord_err for s in samples) / limits.delta_max
             pa = pj = 0.0
             for b in plan:
-                A, J = kinematic_peaks(build_profile(b))
+                A, J = SIGMOID.fit(b.v_s, b.v_e, b.L).peaks()
                 pa, pj = max(pa, A), max(pj, J)
             sine_time = math.nan
             if preset == "high-accel":
@@ -154,7 +135,7 @@ def test_shaped_profiles_beat_sine_baseline_on_shared_segmentation(corpus):
 
 
 def test_junction_optimizers_match_brute_force_grids():
-    mus = compute_mus(3.3)
+    mus = SIGMOID
     limits = PRESETS["standard"]
     rng = np.random.default_rng(424242)
 
@@ -223,8 +204,8 @@ def test_junction_optimizers_match_brute_force_grids():
 
 
 def test_constraint_reduction_constants_take_closed_form_values():
-    mu6, mu7 = sine_mus()
-    m = compute_mus(3.3).mu_m
+    mu6, mu7 = SINE.mu_n, SINE.mu_m
+    m = SIGMOID.mu_m
     ok = (
         abs(mu6 - math.pi / 4.0) <= 1e-9
         and abs(mu7 - math.pi * math.pi / 8.0) <= 1e-9
@@ -254,10 +235,10 @@ def test_profile_seams_travel_and_peaks_validate_on_random_blocks():
         v_a = float(rng.uniform(0.5, 150.0))
         v_b = v_a if i % 29 == 0 else float(rng.uniform(0.5, 150.0))
         L = float(rng.uniform(0.5, 50.0))
-        p = build_profile(make_block(v_a, v_b, L))
+        p = SIGMOID.fit(v_a, v_b, L)
         worst_seam = max(worst_seam, max(oracles.junction_residuals(p)))
         travel, _ = quad(
-            lambda t: velocity_at(p, t),
+            lambda t: p.kinematics(t)[0],
             0.0,
             p.T,
             points=[p.T / 3.0, 2.0 * p.T / 3.0],
@@ -266,7 +247,7 @@ def test_profile_seams_travel_and_peaks_validate_on_random_blocks():
             epsrel=1e-12,
         )
         worst_travel = max(worst_travel, abs(travel - L) / L)
-        A, J = kinematic_peaks(p)
+        A, J = p.peaks()
         da, dj = oracles.dense_transition_peaks(v_a, v_b, L, 3.3)
         for closed, dense in ((A, da), (J, dj)):
             if dense == 0.0:
@@ -344,14 +325,14 @@ def test_sine_closed_forms_match_dense_sampling_and_keep_boundary_jerk():
         if abs(v_a - v_b) < 1e-6:
             v_b = v_a + 15.0
         L = float(rng.uniform(0.5, 40.0))
-        p = build_sine_profile(make_block(v_a, v_b, L))
-        A_closed, J_closed = sine_peaks(v_a, v_b, L)
+        p = SINE.fit(v_a, v_b, L)
+        A_closed, J_closed = p.peaks()
         dense = max(
-            abs(sine_acceleration_at(p, t))
+            abs(p.kinematics(t)[1])
             for t in np.linspace(0.0, p.T, 1001)
         )
         worst = max(worst, abs(A_closed - dense) / A_closed)
-        j0 = sine_jerk_at(p, 0.0)
+        j0 = p.kinematics(0.0)[2]
         jerk_ok &= j0 != 0.0 and abs(abs(j0) - J_closed) <= 1e-9 * J_closed
     ok = worst <= 1e-9 and jerk_ok
     report(

@@ -5,22 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import make_line
-from feedsched.baseline import (
-    SineProfile,
-    build_sine_profile,
-    sine_acceleration_at,
-    sine_displacement_at,
-    sine_jerk_at,
-    sine_mus,
-    sine_peaks,
-    sine_schedule,
-    sine_velocity_at,
-)
+from feedsched.baseline import SINE, SineProfile, sine_schedule
 from feedsched.chordscan import FeedrateScatter, Limits, scan_curve
 from feedsched.curvegen import random_curve
 from feedsched.geometry import arc_length
 from feedsched.optimizer import schedule
-from feedsched.segmentation import Block, build_blocks, classify_kind, find_breakpoints
+from feedsched.segmentation import Block, build_blocks, find_breakpoints
 from feedsched.sprofile import ProfileDomainError, ProfileError, block_duration
 
 HIGH = Limits(
@@ -29,9 +19,8 @@ HIGH = Limits(
 )
 
 
-def make_block(u_s, u_e, v_s, v_e, L, s=3.3):
-    kind = classify_kind(v_s, v_e, 1e-7)
-    return Block(u_s=u_s, u_e=u_e, v_s=v_s, v_e=v_e, L=L, s=s, kind=kind)
+def sine_peaks(v_s, v_e, L):
+    return SINE.fit(v_s, v_e, L).peaks()
 
 
 def random_profile(rng):
@@ -43,10 +32,9 @@ def random_profile(rng):
 
 class TestSineProfile:
     def test_build_from_block(self):
-        block = make_block(0.0, 1.0, 20.0, 80.0, 10.0)
-        prof = build_sine_profile(block)
+        prof = SINE.fit(20.0, 80.0, 10.0)
         assert prof.v_s == 20.0 and prof.v_e == 80.0
-        want = block_duration(block.L, block.v_s, block.v_e)
+        want = block_duration(10.0, 20.0, 80.0)
         assert prof.T == pytest.approx(want, rel=1e-15)
 
     def test_rejects_bad_fields(self):
@@ -59,54 +47,52 @@ class TestSineProfile:
 
     def test_degenerate_constant_allowed(self):
         prof = SineProfile(30.0, 30.0, 0.0)
-        assert sine_velocity_at(prof, 0.0) == 30.0
+        assert prof.kinematics(0.0)[0] == 30.0
 
 
 class TestEvaluators:
     def test_endpoint_velocities(self):
         prof = SineProfile(20.0, 80.0, 0.5)
-        assert sine_velocity_at(prof, 0.0) == pytest.approx(20.0, rel=1e-12)
-        assert sine_velocity_at(prof, prof.T) == pytest.approx(80.0, rel=1e-12)
+        assert prof.kinematics(0.0)[0] == pytest.approx(20.0, rel=1e-12)
+        assert prof.kinematics(prof.T)[0] == pytest.approx(80.0, rel=1e-12)
 
     def test_midpoint_values(self):
         prof = SineProfile(20.0, 80.0, 0.5)
         half = prof.T / 2.0
-        assert sine_velocity_at(prof, half) == pytest.approx(50.0, rel=1e-12)
+        assert prof.kinematics(half)[0] == pytest.approx(50.0, rel=1e-12)
         want = (80.0 - 20.0) * math.pi / (2.0 * prof.T)
-        assert sine_acceleration_at(prof, half) == pytest.approx(want, rel=1e-12)
-        assert sine_jerk_at(prof, half) == pytest.approx(0.0, abs=1e-9)
+        assert prof.kinematics(half)[1] == pytest.approx(want, rel=1e-12)
+        assert prof.kinematics(half)[2] == pytest.approx(0.0, abs=1e-9)
 
     def test_acceleration_vanishes_at_ends(self):
         prof = SineProfile(20.0, 80.0, 0.5)
-        assert abs(sine_acceleration_at(prof, 0.0)) < 1e-9
-        assert abs(sine_acceleration_at(prof, prof.T)) < 1e-9
+        assert abs(prof.kinematics(0.0)[1]) < 1e-9
+        assert abs(prof.kinematics(prof.T)[1]) < 1e-9
 
     def test_jerk_nonzero_at_ends(self):
         # the sine shape starts and stops with a jerk discontinuity
         prof = SineProfile(20.0, 80.0, 0.5)
         want = (80.0 - 20.0) * math.pi**2 / (2.0 * prof.T**2)
-        assert sine_jerk_at(prof, 0.0) == pytest.approx(want, rel=1e-12)
-        assert sine_jerk_at(prof, prof.T) == pytest.approx(-want, rel=1e-12)
+        assert prof.kinematics(0.0)[2] == pytest.approx(want, rel=1e-12)
+        assert prof.kinematics(prof.T)[2] == pytest.approx(-want, rel=1e-12)
 
     def test_braking_flips_signs(self):
         prof = SineProfile(80.0, 20.0, 0.5)
-        assert sine_acceleration_at(prof, prof.T / 2.0) < 0.0
-        assert sine_jerk_at(prof, 0.0) < 0.0
+        assert prof.kinematics(prof.T / 2.0)[1] < 0.0
+        assert prof.kinematics(0.0)[2] < 0.0
 
     def test_constant_profile(self):
         prof = SineProfile(40.0, 40.0, 1.25)
         for t in (0.0, 0.3, 1.25):
-            assert sine_velocity_at(prof, t) == 40.0
-            assert sine_acceleration_at(prof, t) == 0.0
-            assert sine_jerk_at(prof, t) == 0.0
+            assert prof.kinematics(t) == (40.0, 0.0, 0.0)
 
     def test_domain_errors(self):
         prof = SineProfile(20.0, 80.0, 0.5)
         for t in (-1e-3, prof.T + 1e-3):
             with pytest.raises(ProfileDomainError):
-                sine_velocity_at(prof, t)
+                prof.kinematics(t)
         # grace band just outside the ends is tolerated
-        assert sine_velocity_at(prof, -1e-10) == pytest.approx(20.0, rel=1e-9)
+        assert prof.kinematics(-1e-10)[0] == pytest.approx(20.0, rel=1e-9)
 
     def test_derivative_chain(self):
         rng = np.random.default_rng(61)
@@ -116,17 +102,17 @@ class TestEvaluators:
             for frac in (0.2, 0.5, 0.8):
                 t = prof.T * frac
                 dv = (
-                    sine_velocity_at(prof, t + h) - sine_velocity_at(prof, t - h)
+                    prof.kinematics(t + h)[0] - prof.kinematics(t - h)[0]
                 ) / (2.0 * h)
                 da = (
-                    sine_acceleration_at(prof, t + h)
-                    - sine_acceleration_at(prof, t - h)
+                    prof.kinematics(t + h)[1]
+                    - prof.kinematics(t - h)[1]
                 ) / (2.0 * h)
                 assert dv == pytest.approx(
-                    sine_acceleration_at(prof, t), rel=1e-5, abs=1e-6
+                    prof.kinematics(t)[1], rel=1e-5, abs=1e-6
                 )
                 assert da == pytest.approx(
-                    sine_jerk_at(prof, t), rel=1e-5, abs=1e-4
+                    prof.kinematics(t)[2], rel=1e-5, abs=1e-4
                 )
 
 
@@ -138,8 +124,8 @@ class TestSineDisplacement:
             v_e = rng.uniform(1.0, 100.0)
             L = rng.uniform(0.5, 50.0)
             prof = SineProfile(v_s, v_e, 2.0 * L / (v_s + v_e))
-            assert sine_displacement_at(prof, 0.0) == 0.0
-            got = sine_displacement_at(prof, prof.T)
+            assert prof.displacement(0.0) == 0.0
+            got = prof.displacement(prof.T)
             assert got == pytest.approx(L, rel=1e-12)
 
     def test_matches_quadrature(self):
@@ -149,15 +135,15 @@ class TestSineDisplacement:
             for frac in (0.15, 0.4, 0.77):
                 t = prof.T * frac
                 want, _ = quad(
-                    lambda x: sine_velocity_at(prof, x), 0.0, t,
+                    lambda x: prof.kinematics(x)[0], 0.0, t,
                     epsabs=0.0, epsrel=1e-12,
                 )
-                got = sine_displacement_at(prof, t)
+                got = prof.displacement(t)
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_constant_profile_is_linear(self):
         prof = SineProfile(40.0, 40.0, 1.25)
-        assert sine_displacement_at(prof, 0.6) == pytest.approx(24.0, rel=1e-15)
+        assert prof.displacement(0.6) == pytest.approx(24.0, rel=1e-15)
 
 
 class TestSinePeaks:
@@ -169,8 +155,8 @@ class TestSinePeaks:
             prof = random_profile(rng)
             L = 0.5 * (prof.v_s + prof.v_e) * prof.T
             ts = np.linspace(0.0, prof.T, 20001)
-            acc = np.array([sine_acceleration_at(prof, t) for t in ts])
-            jrk = np.array([sine_jerk_at(prof, t) for t in ts])
+            acc = np.array([prof.kinematics(t)[1] for t in ts])
+            jrk = np.array([prof.kinematics(t)[2] for t in ts])
             a_pk, j_pk = sine_peaks(prof.v_s, prof.v_e, L)
             assert a_pk == pytest.approx(np.max(np.abs(acc)), rel=1e-9)
             assert j_pk == pytest.approx(np.max(np.abs(jrk)), rel=1e-9)
@@ -179,7 +165,9 @@ class TestSinePeaks:
 
     def test_no_feed_change(self):
         assert sine_peaks(50.0, 50.0, 10.0) == (0.0, 0.0)
-        assert sine_peaks(50.0, 80.0, 0.0) == (0.0, 0.0)
+        assert sine_peaks(50.0, 50.0, 0.0) == (0.0, 0.0)
+        with pytest.raises(ProfileError):
+            sine_peaks(50.0, 80.0, 0.0)
 
     def test_direction_symmetric(self):
         assert sine_peaks(20.0, 80.0, 5.0) == sine_peaks(80.0, 20.0, 5.0)
@@ -190,21 +178,21 @@ class TestSinePeaks:
             prof = random_profile(rng)
             L = 0.5 * (prof.v_s + prof.v_e) * prof.T
             got, err = quad(
-                lambda t: sine_velocity_at(prof, t), 0.0, prof.T, limit=200
+                lambda t: prof.kinematics(t)[0], 0.0, prof.T, limit=200
             )
             assert got == pytest.approx(L, rel=1e-9)
 
 
 class TestSineMus:
     def test_exact_constants(self):
-        mu_accel, mu_jerk = sine_mus()
+        mu_accel, mu_jerk = SINE.mu_n, SINE.mu_m
         assert abs(mu_accel - math.pi / 4.0) < 1e-9
         assert abs(mu_jerk - math.pi**2 / 8.0) < 1e-9
 
     def test_constants_reproduce_peaks(self):
         # the two constants turn peak formulas into exact identities,
         # so the transition solvers are exactly tight for this shape
-        mu_accel, mu_jerk = sine_mus()
+        mu_accel, mu_jerk = SINE.mu_n, SINE.mu_m
         rng = np.random.default_rng(64)
         for _ in range(30):
             v_lo = rng.uniform(1.0, 60.0)
@@ -223,11 +211,11 @@ class TestSineSchedule:
     def test_tight_transition_is_fixpoint(self):
         # a single rise at exactly the jerk-limited minimum length keeps
         # its feeds, and its peak jerk sits on the limit
-        mu_accel, mu_jerk = sine_mus()
+        mu_accel, mu_jerk = SINE.mu_n, SINE.mu_m
         v_lo, v_hi = 20.0, 80.0
         L = math.sqrt(mu_jerk * (v_hi - v_lo) / HIGH.j_max) * (v_hi + v_lo)
         curve = make_line(end=(L, 0.0))
-        blocks = [make_block(0.0, 1.0, v_lo, v_hi, L)]
+        blocks = [Block(0.0, 1.0, v_lo, v_hi, L)]
         scatter = FeedrateScatter([0.0, 1.0], [v_lo, v_hi])
         out = sine_schedule(curve, blocks, scatter, HIGH)
         assert out[0].v_s == v_lo and out[0].v_e == pytest.approx(v_hi, rel=1e-9)
@@ -239,7 +227,7 @@ class TestSineSchedule:
         # too short for 20 -> 90: end feed drops to what the sine shape
         # can reach, which is below the shaped-profile capacity
         curve = make_line(end=(2.0, 0.0))
-        blocks = [make_block(0.0, 1.0, 20.0, 90.0, 2.0)]
+        blocks = [Block(0.0, 1.0, 20.0, 90.0, 2.0)]
         scatter = FeedrateScatter([0.0, 1.0], [20.0, 90.0])
         sine_out = sine_schedule(curve, blocks, scatter, HIGH)
         sig_out = schedule(curve, blocks, scatter, HIGH)

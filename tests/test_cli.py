@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import math
 import subprocess
@@ -18,8 +19,11 @@ from feedsched.cli import (
     run,
     save_curve,
 )
+from feedsched.chordscan import ScanConvergenceError
 from feedsched.optimizer import OptimizerError
 from feedsched.simulator import interpolate, summarize
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXPECTED_PER_METHOD = (
     "{m}_feed_vs_u.csv",
@@ -163,6 +167,22 @@ class TestRunOutputs:
             assert twin.is_file()
             assert twin.read_bytes() == produced.read_bytes()
 
+    @pytest.mark.parametrize(
+        "column, cell", [(5, "wide"), (5, "0.0"), (6, "sideways")]
+    )
+    def test_block_table_rejects_bad_shape_or_kind(
+        self, both_run, tmp_path, column, cell
+    ):
+        _, out_dir = both_run
+        lines = (out_dir / "sigmoid_blocks.csv").read_text().splitlines()
+        parts = lines[1].split(",")
+        parts[column] = cell
+        lines[1] = ",".join(parts)
+        bad = tmp_path / "blocks.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CliError, match=re.escape(f"{bad}:2")):
+            load_blocks(bad)
+
 
 class TestOptions:
     def test_screening_override_reduces_breakpoints(self, both_run, tmp_path):
@@ -238,3 +258,65 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
         assert out.is_file()
         assert str(out) in proc.stdout
+
+
+def _cubic_doc(points):
+    return {
+        "degree": 3,
+        "control_points": points,
+        "weights": [1.0] * len(points),
+        "knots": [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0],
+    }
+
+
+GOOD_POINTS = [[0.0, 0.0], [2.0, 1.0], [5.0, 5.0], [10.0, 0.0], [15.0, 5.0]]
+
+
+@pytest.mark.parametrize(
+    "points, extra, cause",
+    [
+        (GOOD_POINTS, ["--mu-s", "-1"], "mu_s must be strictly positive"),
+        (
+            [[0.0, 0.0], [2.0, 1.0], [5.0, math.nan], [10.0, 0.0], [15.0, 5.0]],
+            [],
+            "control point coordinates must be finite",
+        ),
+        (
+            [[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [10.0, 0.0], [15.0, 5.0]],
+            [],
+            "vanishing first derivative",
+        ),
+    ],
+    ids=["negative-mu-s", "nan-coordinate", "coincident-start"],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, points, extra, cause):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(_cubic_doc(points)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "feedsched.cli", "run",
+         "--curve", str(curve), "--out-dir", str(tmp_path / "out"), *extra],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert cause in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_chord_scan_failure_is_exit_3(tmp_path, monkeypatch, capsys):
+    import feedsched.cli as cli_mod
+
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(_cubic_doc(GOOD_POINTS)))
+
+    def explode(*args, **kwargs):
+        raise ScanConvergenceError("feed search did not settle at u=0.25")
+
+    monkeypatch.setattr(cli_mod, "scan_curve", explode)
+    assert main(["run", "--curve", str(curve)]) == 3
+    assert "u=0.25" in capsys.readouterr().err

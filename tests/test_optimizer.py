@@ -9,16 +9,11 @@ from feedsched.chordscan import FeedrateScatter, Limits
 from feedsched.curvegen import random_curve
 from feedsched.geometry import arc_length
 from feedsched.optimizer import (
-    AdjustmentOutcome,
     InfeasibleJunctionError,
-    MuSet,
     OptimizerError,
-    Regime,
     SweepConvergenceError,
     adjust_peak_junction,
     adjust_with_constant,
-    classify_regime,
-    compute_mus,
     extend_into_constant,
     schedule,
     solve_real_roots,
@@ -26,87 +21,40 @@ from feedsched.optimizer import (
     transition_min_length,
 )
 from feedsched.chordscan import scan_curve
-from feedsched.segmentation import (
-    Block,
-    BlockKind,
-    build_blocks,
-    classify_kind,
-    find_breakpoints,
-)
-from feedsched.sprofile import build_profile, kernel, kinematic_peaks
+from feedsched.segmentation import Block, build_blocks, find_breakpoints
+from feedsched.sprofile import ProfileError, kernel, sigmoid_family
 
 STD = Limits(
     Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0, j_max=26000.0,
     shape_s=3.3,
 )
-HIGH = Limits(
-    Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=3000.0, j_max=55000.0,
-    shape_s=3.3,
-)
-MUS = compute_mus(3.3)
+SIG = sigmoid_family(3.3)
 
 
-def make_block(u_s, u_e, v_s, v_e, L, s=3.3):
-    kind = classify_kind(v_s, v_e, 1e-7)
-    return Block(u_s=u_s, u_e=u_e, v_s=v_s, v_e=v_e, L=L, s=s, kind=kind)
+def peaks(b):
+    return SIG.fit(b.v_s, b.v_e, b.L).peaks()
 
 
 class TestComputeMus:
     def test_reference_shape(self):
-        mus = compute_mus(3.3)
-        assert mus.mu1 == pytest.approx(0.8881, abs=1e-3)
-        assert 1.10 <= mus.mu_m <= 1.14
-        assert mus.mu_m < math.pi**2 / 8.0
-
-    def test_maxima_fields(self):
-        for s in (2.2, 3.3, 4.1, 5.0):
-            mus = compute_mus(s)
-            assert mus.mu_n == max(mus.mu1, mus.mu2)
-            assert mus.mu_m == max(mus.mu3, mus.mu4, mus.mu5)
-            for name in ("mu1", "mu2", "mu3", "mu4", "mu5"):
-                assert getattr(mus, name) >= 0.0
+        family = sigmoid_family(3.3)
+        # the core acceleration coefficient binds at this shape
+        assert family.mu_n == pytest.approx(0.8881, abs=1e-3)
+        assert 1.10 <= family.mu_m <= 1.14
+        assert family.mu_m < math.pi**2 / 8.0
 
     def test_kernel_symmetry_identity(self):
-        # f(s) - f(-s) == 2 f(s) - 1, so mu1 can be recomputed that way
+        # f(s) - f(-s) == 2 f(s) - 1, so the core acceleration
+        # coefficient s / (4 (f(s) - f(-s))), which mu_n is at this
+        # shape, can be recomputed that way
         s = 3.3
-        mus = compute_mus(s)
+        family = sigmoid_family(s)
         alt = s / (4.0 * (2.0 * kernel(s)[0] - 1.0))
-        assert mus.mu1 == pytest.approx(alt, rel=1e-12)
-
-    def test_extreme_curvature_fields(self):
-        mus = compute_mus(3.3)
-        assert mus.lambda1 == pytest.approx(1.0 / (6.0 * math.sqrt(3.0)))
-        assert mus.lambda2 == -mus.lambda1
+        assert family.mu_n == pytest.approx(alt, rel=1e-12)
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(OptimizerError):
-            compute_mus(0.0)
-
-
-class TestClassifyRegime:
-    def test_high_accel_preset_is_jerk_strict(self):
-        assert classify_regime(HIGH) is Regime.JERK_STRICT
-
-    def test_standard_preset_is_accel_strict(self):
-        assert classify_regime(STD) is Regime.ACCEL_STRICT
-
-    def test_infinite_jerk_means_accel_strict(self):
-        lim = Limits(
-            Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0,
-            j_max=math.inf, shape_s=3.3,
-        )
-        assert classify_regime(lim) is Regime.ACCEL_STRICT
-
-    def test_infinite_accel_means_jerk_strict(self):
-        lim = Limits(
-            Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=math.inf,
-            j_max=26000.0, shape_s=3.3,
-        )
-        assert classify_regime(lim) is Regime.JERK_STRICT
-
-    def test_explicit_reference_length(self):
-        assert classify_regime(STD, L_ref=1e6) is Regime.ACCEL_STRICT
-        assert classify_regime(STD, L_ref=1e-6) is Regime.JERK_STRICT
+        with pytest.raises(ProfileError):
+            sigmoid_family(0.0)
 
 
 class TestSolveRealRoots:
@@ -149,24 +97,24 @@ class TestSolveRealRoots:
 
 class TestTransitionHelpers:
     def test_zero_rise(self):
-        assert transition_min_length(50.0, 50.0, MUS, STD) == 0.0
-        assert transition_max_feed(50.0, 0.0, MUS, STD) == 50.0
+        assert transition_min_length(50.0, 50.0, SIG, STD) == 0.0
+        assert transition_max_feed(50.0, 0.0, SIG, STD) == 50.0
 
     def test_ordering_enforced(self):
         with pytest.raises(OptimizerError):
-            transition_min_length(60.0, 50.0, MUS, STD)
+            transition_min_length(60.0, 50.0, SIG, STD)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             lo = rng.uniform(0.0, 80.0)
             hi = lo + rng.uniform(0.01, 100.0)
-            L = transition_min_length(lo, hi, MUS, STD)
-            back = transition_max_feed(lo, L, MUS, STD)
+            L = transition_min_length(lo, hi, SIG, STD)
+            back = transition_max_feed(lo, L, SIG, STD)
             assert back == pytest.approx(hi, rel=1e-9)
 
     def test_monotone_in_length(self):
-        feeds = [transition_max_feed(10.0, L, MUS, STD) for L in (0.1, 1.0, 10.0)]
+        feeds = [transition_max_feed(10.0, L, SIG, STD) for L in (0.1, 1.0, 10.0)]
         assert feeds[0] < feeds[1] < feeds[2]
 
     def test_infinite_jerk_leaves_accel_bound(self):
@@ -174,9 +122,9 @@ class TestTransitionHelpers:
             Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0,
             j_max=math.inf, shape_s=3.3,
         )
-        got = transition_max_feed(10.0, 2.0, MUS, lim)
+        got = transition_max_feed(10.0, 2.0, SIG, lim)
         assert got == pytest.approx(
-            math.sqrt(100.0 + 1000.0 * 2.0 / MUS.mu_n), rel=1e-12
+            math.sqrt(100.0 + 1000.0 * 2.0 / SIG.mu_n), rel=1e-12
         )
 
     def test_min_length_is_true_feasibility_boundary(self):
@@ -186,7 +134,7 @@ class TestTransitionHelpers:
         for _ in range(50):
             lo = rng.uniform(0.0, 70.0)
             hi = lo + rng.uniform(0.5, 60.0)
-            L = transition_min_length(lo, hi, MUS, STD)
+            L = transition_min_length(lo, hi, SIG, STD)
             a_pk, j_pk = oracles.transition_peaks(lo, hi, L, 3.3)
             ratio = max(float(a_pk) / STD.a_max, float(j_pk) / STD.j_max)
             assert ratio == pytest.approx(1.0, rel=1e-6)
@@ -203,25 +151,25 @@ class TestPeakOracleAgreement:
             L = rng.uniform(0.05, 30.0)
             a_ref, j_ref = oracles.transition_peaks(lo, hi, L, 3.3)
             for v_s, v_e in ((lo, hi), (hi, lo)):
-                blk = make_block(0.0, 1.0, v_s, v_e, L)
-                a_pk, j_pk = kinematic_peaks(build_profile(blk))
+                blk = Block(0.0, 1.0, v_s, v_e, L)
+                a_pk, j_pk = peaks(blk)
                 assert a_pk == pytest.approx(float(a_ref), rel=1e-12, abs=1e-12)
                 assert j_pk == pytest.approx(float(j_ref), rel=1e-12, abs=1e-12)
 
 
 class TestAdjustPeakJunction:
     def test_feasible_peak_unchanged(self):
-        got = adjust_peak_junction(10.0, 30.0, 20.0, 50.0, 50.0, MUS, STD)
+        got = adjust_peak_junction(10.0, 30.0, 20.0, 50.0, 50.0, SIG, STD)
         assert got == 30.0
 
     def test_symmetric_sides(self):
-        a = adjust_peak_junction(10.0, 90.0, 20.0, 2.0, 3.0, MUS, STD)
-        b = adjust_peak_junction(20.0, 90.0, 10.0, 3.0, 2.0, MUS, STD)
+        a = adjust_peak_junction(10.0, 90.0, 20.0, 2.0, 3.0, SIG, STD)
+        b = adjust_peak_junction(20.0, 90.0, 10.0, 3.0, 2.0, SIG, STD)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_not_a_peak_rejected(self):
         with pytest.raises(OptimizerError):
-            adjust_peak_junction(50.0, 40.0, 30.0, 1.0, 1.0, MUS, STD)
+            adjust_peak_junction(50.0, 40.0, 30.0, 1.0, 1.0, SIG, STD)
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(101)
@@ -237,34 +185,34 @@ class TestAdjustPeakJunction:
             )
             if expect is None:
                 with pytest.raises(InfeasibleJunctionError):
-                    adjust_peak_junction(v1, v2, v3, L1, L2, MUS, STD)
+                    adjust_peak_junction(v1, v2, v3, L1, L2, SIG, STD)
                 continue
-            got = adjust_peak_junction(v1, v2, v3, L1, L2, MUS, STD)
+            got = adjust_peak_junction(v1, v2, v3, L1, L2, SIG, STD)
             assert got == pytest.approx(expect, rel=1e-6, abs=1e-3)
             checked += 1
         assert checked >= 20
 
     def test_infeasible_error_carries_caps(self):
         with pytest.raises(InfeasibleJunctionError) as err:
-            adjust_peak_junction(20.0, 85.0, 80.0, 0.5, 3.0, MUS, STD)
+            adjust_peak_junction(20.0, 85.0, 80.0, 0.5, 3.0, SIG, STD)
         cap1, cap2 = err.value.caps
-        assert cap1 == pytest.approx(transition_max_feed(20.0, 0.5, MUS, STD))
-        assert cap2 == pytest.approx(transition_max_feed(80.0, 3.0, MUS, STD))
+        assert cap1 == pytest.approx(transition_max_feed(20.0, 0.5, SIG, STD))
+        assert cap2 == pytest.approx(transition_max_feed(80.0, 3.0, SIG, STD))
 
 
 class TestExtendIntoConstant:
     def test_already_feasible_untouched(self):
-        trans = make_block(0.0, 0.3, 10.0, 60.0, 30.0)
-        const = make_block(0.3, 0.5, 60.0, 60.0, 20.0)
-        t2, c2, feed = extend_into_constant(trans, const, MUS, STD)
+        trans = Block(0.0, 0.3, 10.0, 60.0, 30.0)
+        const = Block(0.3, 0.5, 60.0, 60.0, 20.0)
+        t2, c2, feed = extend_into_constant(trans, const, SIG, STD)
         assert feed == 60.0
         assert t2.L == 30.0 and c2.L == 20.0
 
     def test_partial_transfer_reaches_tightness(self):
-        trans = make_block(0.0, 0.05, 10.0, 60.0, 0.5)
-        const = make_block(0.05, 0.9, 60.0, 60.0, 10.0)
-        _, _, feed = extend_into_constant(trans, const, MUS, STD)
-        need = transition_min_length(10.0, 60.0, MUS, STD)
+        trans = Block(0.0, 0.05, 10.0, 60.0, 0.5)
+        const = Block(0.05, 0.9, 60.0, 60.0, 10.0)
+        _, _, feed = extend_into_constant(trans, const, SIG, STD)
+        need = transition_min_length(10.0, 60.0, SIG, STD)
         assert feed == 60.0
         assert trans.L == pytest.approx(need, rel=1e-12)
         assert trans.L + const.L == pytest.approx(10.5, rel=1e-12)
@@ -273,11 +221,11 @@ class TestExtendIntoConstant:
         assert ratio == pytest.approx(1.0, rel=1e-6)
 
     def test_constant_consumed_lowers_feed(self):
-        trans = make_block(0.0, 0.05, 10.0, 60.0, 0.5)
-        const = make_block(0.05, 0.15, 60.0, 60.0, 1.0)
-        _, _, feed = extend_into_constant(trans, const, MUS, STD)
+        trans = Block(0.0, 0.05, 10.0, 60.0, 0.5)
+        const = Block(0.05, 0.15, 60.0, 60.0, 1.0)
+        _, _, feed = extend_into_constant(trans, const, SIG, STD)
         assert feed == pytest.approx(
-            transition_max_feed(10.0, 1.5, MUS, STD), rel=1e-12
+            transition_max_feed(10.0, 1.5, SIG, STD), rel=1e-12
         )
         assert const.L == 0.0
         assert const.v_s == const.v_e == feed
@@ -285,34 +233,33 @@ class TestExtendIntoConstant:
         assert trans.L == pytest.approx(1.5, rel=1e-12)
 
     def test_braking_orientation(self):
-        const = make_block(0.0, 0.4, 60.0, 60.0, 10.0)
-        trans = make_block(0.4, 0.45, 60.0, 10.0, 0.5)
-        _, _, feed = extend_into_constant(trans, const, MUS, STD)
-        need = transition_min_length(10.0, 60.0, MUS, STD)
+        const = Block(0.0, 0.4, 60.0, 60.0, 10.0)
+        trans = Block(0.4, 0.45, 60.0, 10.0, 0.5)
+        _, _, feed = extend_into_constant(trans, const, SIG, STD)
+        need = transition_min_length(10.0, 60.0, SIG, STD)
         assert feed == 60.0
         assert trans.L == pytest.approx(need, rel=1e-12)
 
     def test_constant_block_rejected_as_transition(self):
-        trans = make_block(0.0, 0.1, 50.0, 50.0, 5.0)
-        const = make_block(0.1, 0.2, 50.0, 50.0, 5.0)
+        trans = Block(0.0, 0.1, 50.0, 50.0, 5.0)
+        const = Block(0.1, 0.2, 50.0, 50.0, 5.0)
         with pytest.raises(OptimizerError):
-            extend_into_constant(trans, const, MUS, STD)
+            extend_into_constant(trans, const, SIG, STD)
 
 
 class TestAdjustWithConstant:
     def test_flat_span(self):
-        out = adjust_with_constant(50.0, 50.0, 10.0, 50.0, MUS, STD)
+        out = adjust_with_constant(50.0, 50.0, 10.0, 50.0, SIG, STD)
         assert out.v2_opt == 50.0
         assert out.lengths == (0.0, 10.0, 0.0)
-        assert not out.changed_start and not out.changed_end
 
     def test_ceiling_below_endpoints_rejected(self):
         with pytest.raises(OptimizerError):
-            adjust_with_constant(50.0, 40.0, 10.0, 45.0, MUS, STD)
+            adjust_with_constant(50.0, 40.0, 10.0, 45.0, SIG, STD)
 
     def test_infeasible_span_raises(self):
         with pytest.raises(InfeasibleJunctionError):
-            adjust_with_constant(10.0, 80.0, 0.2, 90.0, MUS, STD)
+            adjust_with_constant(10.0, 80.0, 0.2, 90.0, SIG, STD)
 
     def test_invariants(self):
         rng = np.random.default_rng(23)
@@ -322,21 +269,19 @@ class TestAdjustWithConstant:
             ceiling = max(v1, v3) + rng.uniform(0.0, 40.0)
             L = rng.uniform(1.0, 80.0)
             try:
-                out = adjust_with_constant(v1, v3, L, ceiling, MUS, STD)
+                out = adjust_with_constant(v1, v3, L, ceiling, SIG, STD)
             except InfeasibleJunctionError:
                 continue
             l1, l2, l3 = out.lengths
             assert l1 + l2 + l3 == pytest.approx(L, rel=1e-9)
             assert max(v1, v3) - 1e-9 <= out.v2_opt <= ceiling + 1e-9
             assert l2 >= 0.0
-            assert l1 >= transition_min_length(v1, out.v2_opt, MUS, STD) - 1e-9
-            assert l3 >= transition_min_length(v3, out.v2_opt, MUS, STD) - 1e-9
-            assert out.changed_start == (l1 > 0.0)
-            assert out.changed_end == (l3 > 0.0)
+            assert l1 >= transition_min_length(v1, out.v2_opt, SIG, STD) - 1e-9
+            assert l3 >= transition_min_length(v3, out.v2_opt, SIG, STD) - 1e-9
 
     def test_floors_respected(self):
         out = adjust_with_constant(
-            20.0, 30.0, 20.0, 60.0, MUS, STD, floors=(5.0, 6.0)
+            20.0, 30.0, 20.0, 60.0, SIG, STD, floors=(5.0, 6.0)
         )
         l1, l2, l3 = out.lengths
         assert l1 >= 5.0 - 1e-12
@@ -355,7 +300,7 @@ class TestAdjustWithConstant:
                 v1, v3, L, ceiling, 3.3, STD.a_max, STD.j_max
             )
             try:
-                out = adjust_with_constant(v1, v3, L, ceiling, MUS, STD)
+                out = adjust_with_constant(v1, v3, L, ceiling, SIG, STD)
             except InfeasibleJunctionError:
                 assert not math.isfinite(ref)
                 continue
@@ -376,7 +321,7 @@ def line_setup(length, feeds, cuts):
     for i in range(len(us) - 1):
         v_s, v_e = feeds[i]
         blocks.append(
-            make_block(us[i], us[i + 1], v_s, v_e, (us[i + 1] - us[i]) * length)
+            Block(us[i], us[i + 1], v_s, v_e, (us[i + 1] - us[i]) * length)
         )
     return curve, blocks
 
@@ -408,13 +353,13 @@ class TestSchedule:
         scatter = FeedrateScatter([0.0, 0.5, 1.0], [20.0, 90.0, 20.0])
         out = schedule(curve, blocks, scatter, STD)
         want = min(
-            transition_max_feed(20.0, 2.0, MUS, STD),
-            transition_max_feed(20.0, 2.0, MUS, STD),
+            transition_max_feed(20.0, 2.0, SIG, STD),
+            transition_max_feed(20.0, 2.0, SIG, STD),
         )
         assert out[0].v_e == pytest.approx(want, rel=1e-9)
         assert out[1].v_s == out[0].v_e
         for b in out:
-            a_pk, j_pk = kinematic_peaks(build_profile(b))
+            a_pk, j_pk = peaks(b)
             assert a_pk <= STD.a_max * (1.0 + 1e-9)
             assert j_pk <= STD.j_max * (1.0 + 1e-9)
 
@@ -422,7 +367,7 @@ class TestSchedule:
         curve, blocks = line_setup(3.5, [(20.0, 85.0), (85.0, 80.0)], [1.0 / 7.0])
         scatter = FeedrateScatter([0.0, 1.0 / 7.0, 1.0], [20.0, 85.0, 80.0])
         out = schedule(curve, blocks, scatter, STD)
-        cap = transition_max_feed(20.0, 0.5, MUS, STD)
+        cap = transition_max_feed(20.0, 0.5, SIG, STD)
         assert out[0].v_e == pytest.approx(cap, rel=1e-6)
         assert out[1].v_s == out[0].v_e
         assert out[1].v_e == pytest.approx(out[1].v_s, abs=1e-6)
@@ -431,7 +376,7 @@ class TestSchedule:
         curve, blocks = line_setup(21.0, [(30.0, 70.0), (70.0, 70.0)], [1.0 / 21.0])
         scatter = FeedrateScatter([0.0, 1.0 / 21.0, 1.0], [30.0, 70.0, 70.0])
         out = schedule(curve, blocks, scatter, STD)
-        need = transition_min_length(30.0, 70.0, MUS, STD)
+        need = transition_min_length(30.0, 70.0, SIG, STD)
         assert out[0].L == pytest.approx(need, rel=1e-9)
         assert out[1].L == pytest.approx(21.0 - need, rel=1e-9)
         assert out[0].v_e == 70.0
@@ -442,7 +387,7 @@ class TestSchedule:
         curve, blocks = line_setup(21.0, [(70.0, 70.0), (70.0, 30.0)], [20.0 / 21.0])
         scatter = FeedrateScatter([0.0, 20.0 / 21.0, 1.0], [70.0, 70.0, 30.0])
         out = schedule(curve, blocks, scatter, STD)
-        need = transition_min_length(30.0, 70.0, MUS, STD)
+        need = transition_min_length(30.0, 70.0, SIG, STD)
         assert out[1].L == pytest.approx(need, rel=1e-9)
         assert out[0].L == pytest.approx(21.0 - need, rel=1e-9)
         assert out[1].v_s == 70.0
@@ -456,12 +401,12 @@ class TestSchedule:
             [0.0, cuts[0], cuts[1], 1.0], [20.0, 80.0, 80.0, 20.0]
         )
         out = schedule(curve, blocks, scatter, STD)
-        need = transition_min_length(20.0, 80.0, MUS, STD)
+        need = transition_min_length(20.0, 80.0, SIG, STD)
         assert out[0].v_e == 80.0
         assert out[0].L == pytest.approx(need, rel=1e-9)
         assert out[2].L == pytest.approx(need, rel=1e-9)
         assert out[1].L == pytest.approx(34.0 - 2.0 * need, rel=1e-9)
-        a_pk, _ = kinematic_peaks(build_profile(out[0]))
+        a_pk, _ = peaks(out[0])
         assert a_pk == pytest.approx(STD.a_max, rel=1e-6)
 
     def test_acd_honors_scatter_dip(self):
@@ -476,7 +421,7 @@ class TestSchedule:
         assert out[1].v_s == pytest.approx(50.0, rel=1e-9)
         assert out[0].v_e == out[1].v_s
         assert out[2].v_s == out[1].v_e
-        need = transition_min_length(20.0, 50.0, MUS, STD)
+        need = transition_min_length(20.0, 50.0, SIG, STD)
         assert out[0].L == pytest.approx(max(need, 2.0), rel=1e-9)
 
     def test_no_constant_budget_collapses_to_peak(self):
@@ -495,7 +440,7 @@ class TestSchedule:
         assert total == pytest.approx(3.0, rel=1e-12)
         for b in out:
             if b.L > 0.0:
-                a_pk, j_pk = kinematic_peaks(build_profile(b))
+                a_pk, j_pk = peaks(b)
                 assert a_pk <= STD.a_max * (1.0 + 1e-9)
                 assert j_pk <= STD.j_max * (1.0 + 1e-9)
 
@@ -535,6 +480,6 @@ class TestSchedule:
             assert b.T >= 0.0
             if b.L > 0.0:
                 assert b.T > 0.0
-                a_pk, j_pk = kinematic_peaks(build_profile(b))
+                a_pk, j_pk = peaks(b)
                 assert a_pk <= STD.a_max * (1.0 + 1e-9)
                 assert j_pk <= STD.j_max * (1.0 + 1e-9)

@@ -140,14 +140,14 @@ class TestBuildBlocks:
             u=[0.0, 0.25, 0.5, 0.75, 1.0],
         )
         blocks = build_blocks(line, sc, [0, 1, 3, 4], STD)
-        assert [b.kind for b in blocks] == [
+        tol = 1e-9 * STD.v_max
+        assert [classify_kind(b.v_s, b.v_e, tol) for b in blocks] == [
             BlockKind.ACCEL, BlockKind.DECEL, BlockKind.CONSTANT,
         ]
         assert [b.L for b in blocks] == pytest.approx([25.0, 50.0, 25.0])
         assert blocks[0].u_e == blocks[1].u_s
         assert blocks[1].u_e == blocks[2].u_s
         assert all(b.T == 0.0 for b in blocks)
-        assert all(b.s == STD.shape_s for b in blocks)
 
     def test_requires_two_breakpoints(self):
         line = make_line()
@@ -160,7 +160,8 @@ class TestBuildBlocks:
         sc = scatter_from(np.full(30, 64.0))
         blocks = build_blocks(line, sc, find_breakpoints(sc), STD)
         assert len(blocks) == 1
-        assert blocks[0].kind is BlockKind.CONSTANT
+        kind = classify_kind(blocks[0].v_s, blocks[0].v_e, 1e-9 * STD.v_max)
+        assert kind is BlockKind.CONSTANT
         assert (blocks[0].u_s, blocks[0].u_e) == (0.0, 1.0)
         assert blocks[0].L == pytest.approx(100.0, rel=1e-9)
 
@@ -184,10 +185,8 @@ class TestBuildBlocks:
 class TestBlockValidation:
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError):
-            Block(u_s=0.5, u_e=0.4, v_s=1.0, v_e=2.0, L=1.0,
-                  s=3.3, kind=BlockKind.ACCEL)
+            Block(u_s=0.5, u_e=0.4, v_s=1.0, v_e=2.0, L=1.0)
 
     def test_negative_feed_rejected(self):
         with pytest.raises(ValueError):
-            Block(u_s=0.0, u_e=1.0, v_s=-1.0, v_e=2.0, L=1.0,
-                  s=3.3, kind=BlockKind.ACCEL)
+            Block(u_s=0.0, u_e=1.0, v_s=-1.0, v_e=2.0, L=1.0)

@@ -8,7 +8,7 @@ from feedsched.chordscan import Limits, scan_curve
 from feedsched.curvegen import random_curve
 from feedsched.geometry import arc_length, evaluate
 from feedsched.optimizer import schedule
-from feedsched.segmentation import Block, build_blocks, classify_kind, find_breakpoints
+from feedsched.segmentation import Block, build_blocks, find_breakpoints
 from feedsched.simulator import (
     InterpolationSample,
     RunSummary,
@@ -25,11 +25,8 @@ STD = Limits(
 )
 
 
-def timed_block(u_s, u_e, v_s, v_e, L, s=3.3):
-    kind = classify_kind(v_s, v_e, 1e-7)
-    b = Block(u_s=u_s, u_e=u_e, v_s=v_s, v_e=v_e, L=L, s=s, kind=kind)
-    b.T = block_duration(L, v_s, v_e)
-    return b
+def timed_block(u_s, u_e, v_s, v_e, L):
+    return Block(u_s, u_e, v_s, v_e, L, T=block_duration(L, v_s, v_e))
 
 
 def scheduled_run(seed, limits):
@@ -161,14 +158,14 @@ class TestScheduledRun:
 
     def test_sine_replay(self):
         curve, blocks = scheduled_run(3, STD)
-        from feedsched.baseline import sine_schedule
+        from feedsched.baseline import SINE, sine_schedule
         from feedsched.chordscan import scan_curve as _scan
 
         scatter = _scan(curve, STD)
         bps = find_breakpoints(scatter)
         raw = build_blocks(curve, scatter, bps, STD)
         sine_blocks = sine_schedule(curve, raw, scatter, STD)
-        samples = interpolate(curve, sine_blocks, STD, profile_kind="sine")
+        samples = interpolate(curve, sine_blocks, STD, family=SINE)
         assert samples[-1].u == 1.0
         for s in samples:
             assert s.chord_err <= 1.05 * STD.delta_max
@@ -219,12 +216,6 @@ class TestErrors:
         b.T = 0.0
         with pytest.raises(SimulationError):
             interpolate(curve, [b], STD)
-
-    def test_unknown_profile_kind(self):
-        curve = make_line()
-        blocks = [timed_block(0.0, 1.0, 100.0, 100.0, 100.0)]
-        with pytest.raises(SimulationError):
-            interpolate(curve, blocks, STD, profile_kind="trapezoid")
 
     def test_empty_summary(self):
         with pytest.raises(SimulationError):

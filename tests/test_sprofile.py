@@ -4,33 +4,21 @@ import numpy as np
 import pytest
 from oracles import core_reference, junction_residuals
 
-from feedsched.segmentation import Block, BlockKind
 from feedsched.sprofile import (
     SIG_D2_ARGMAX,
     SIG_D2_MAX,
     DwellUnsupportedError,
     ProfileDomainError,
     ProfileError,
-    acceleration_at,
     block_duration,
-    build_profile,
-    displacement_at,
-    jerk_at,
     kernel,
-    kinematic_peaks,
     mirrored_kernel,
-    velocity_at,
+    sigmoid_family,
 )
 
 
-def make_block(v_s, v_e, L, s=3.3):
-    if v_s == v_e:
-        kind = BlockKind.CONSTANT
-    elif v_e > v_s:
-        kind = BlockKind.ACCEL
-    else:
-        kind = BlockKind.DECEL
-    return Block(u_s=0.0, u_e=1.0, v_s=v_s, v_e=v_e, L=L, s=s, kind=kind)
+def fit(v_s, v_e, L, s=3.3):
+    return sigmoid_family(s).fit(v_s, v_e, L)
 
 
 def logistic(x):
@@ -110,15 +98,13 @@ class TestBlockDuration:
 
 class TestBuildProfile:
     def test_constant_block_is_flat(self):
-        p = build_profile(make_block(80.0, 80.0, 12.0))
-        assert p.direction is BlockKind.CONSTANT
+        p = fit(80.0, 80.0, 12.0)
+        assert p.cap_start == p.cap_end == (0.0, 0.0, 0.0, 80.0)
         for t in np.linspace(0.0, p.T, 7):
-            assert velocity_at(p, float(t)) == 80.0
-            assert acceleration_at(p, float(t)) == 0.0
-            assert jerk_at(p, float(t)) == 0.0
+            assert p.kinematics(float(t)) == (80.0, 0.0, 0.0)
 
     def test_cap_structure(self):
-        p = build_profile(make_block(0.0, 100.0, 10.0))
+        p = fit(0.0, 100.0, 10.0)
         a1, a2, a3, a4 = p.cap_start
         b1, b2, b3, b4 = p.cap_end
         assert a4 == 0.0 and b4 == 100.0
@@ -127,10 +113,10 @@ class TestBuildProfile:
 
     def test_zero_length_feed_change_rejected(self):
         with pytest.raises(ProfileError):
-            build_profile(make_block(10.0, 20.0, 0.0))
+            fit(10.0, 20.0, 0.0)
 
     def test_junction_conditions_reference_case(self):
-        p = build_profile(make_block(0.0, 100.0, 10.0))
+        p = fit(0.0, 100.0, 10.0)
         assert max(junction_residuals(p)) < 1e-9
 
     def test_junction_conditions_random_blocks(self):
@@ -141,7 +127,7 @@ class TestBuildProfile:
             if v_a == v_b:
                 continue
             L = float(rng.uniform(0.5, 50.0))
-            p = build_profile(make_block(v_a, v_b, L))
+            p = fit(v_a, v_b, L)
             assert max(junction_residuals(p)) < 1e-9
 
     def test_decel_mirrors_accel(self):
@@ -150,20 +136,20 @@ class TestBuildProfile:
             lo = float(rng.uniform(0.0, 60.0))
             hi = float(rng.uniform(70.0, 150.0))
             L = float(rng.uniform(1.0, 30.0))
-            up = build_profile(make_block(lo, hi, L))
-            down = build_profile(make_block(hi, lo, L))
+            up = fit(lo, hi, L)
+            down = fit(hi, lo, L)
             assert down.T == pytest.approx(up.T, rel=1e-15)
             for t in rng.uniform(0.0, up.T, size=25):
                 t = float(t)
-                assert velocity_at(down, t) == pytest.approx(
-                    velocity_at(up, up.T - t), rel=1e-12, abs=1e-10
+                assert down.kinematics(t)[0] == pytest.approx(
+                    up.kinematics(up.T - t)[0], rel=1e-12, abs=1e-10
                 )
 
 
 class TestEvaluation:
     def test_midpoint_velocity(self):
-        p = build_profile(make_block(20.0, 100.0, 15.0))
-        assert velocity_at(p, p.T / 2.0) == pytest.approx(60.0, rel=1e-12)
+        p = fit(20.0, 100.0, 15.0)
+        assert p.kinematics(p.T / 2.0)[0] == pytest.approx(60.0, rel=1e-12)
 
     def test_symmetry_and_displacement(self):
         rng = np.random.default_rng(77)
@@ -172,10 +158,10 @@ class TestEvaluation:
             v_a = float(rng.uniform(0.0, 140.0))
             v_b = float(rng.uniform(5.0, 150.0))
             L = float(rng.uniform(0.5, 40.0))
-            p = build_profile(make_block(v_a, v_b, L))
+            p = fit(v_a, v_b, L)
             for t in rng.uniform(0.0, p.T, size=10):
                 t = float(t)
-                total = velocity_at(p, t) + velocity_at(p, p.T - t)
+                total = p.kinematics(t)[0] + p.kinematics(p.T - t)[0]
                 assert total == pytest.approx(v_a + v_b, rel=1e-9, abs=1e-9)
             # integrate per section so the quadrature sees smooth pieces
             got = 0.0
@@ -183,41 +169,41 @@ class TestEvaluation:
                            (2 * p.T / 3, p.T)]:
                 mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
                 got += half * sum(
-                    w * velocity_at(p, mid + half * float(x))
+                    w * p.kinematics(mid + half * float(x))[0]
                     for x, w in zip(nodes, weights)
                 )
             assert got == pytest.approx(L, rel=1e-9)
 
     def test_endpoints_pinned(self):
-        p = build_profile(make_block(30.0, 90.0, 8.0))
-        assert velocity_at(p, 0.0) == 30.0
-        assert velocity_at(p, p.T) == pytest.approx(90.0, rel=1e-14)
-        assert acceleration_at(p, 0.0) == 0.0
-        assert acceleration_at(p, p.T) == 0.0
+        p = fit(30.0, 90.0, 8.0)
+        assert p.kinematics(0.0)[0] == 30.0
+        assert p.kinematics(p.T)[0] == pytest.approx(90.0, rel=1e-14)
+        assert p.kinematics(0.0)[1] == 0.0
+        assert p.kinematics(p.T)[1] == 0.0
 
     def test_start_jerk_is_cap_coefficient(self):
-        p = build_profile(make_block(0.0, 100.0, 10.0))
-        assert jerk_at(p, 0.0) == pytest.approx(2.0 * p.cap_start[1], rel=1e-15)
-        assert jerk_at(p, 0.0) != 0.0
+        p = fit(0.0, 100.0, 10.0)
+        j0 = p.kinematics(0.0)[2]
+        assert j0 == pytest.approx(2.0 * p.cap_start[1], rel=1e-15)
+        assert j0 != 0.0
 
     def test_accel_block_is_monotone(self):
-        p = build_profile(make_block(10.0, 120.0, 20.0))
+        p = fit(10.0, 120.0, 20.0)
         ts = np.linspace(0.0, p.T, 2000)
-        vs = [velocity_at(p, float(t)) for t in ts]
+        vs = [p.kinematics(float(t))[0] for t in ts]
         assert all(b - a >= -1e-9 for a, b in zip(vs, vs[1:]))
 
     def test_time_domain_enforced(self):
-        p = build_profile(make_block(10.0, 50.0, 5.0))
+        p = fit(10.0, 50.0, 5.0)
         with pytest.raises(ProfileDomainError):
-            velocity_at(p, -0.01)
+            p.kinematics(-0.01)
         with pytest.raises(ProfileDomainError):
-            velocity_at(p, p.T + 0.01)
+            p.kinematics(p.T + 0.01)
 
 
 class TestKinematicPeaks:
     def test_constant_block(self):
-        assert kinematic_peaks(build_profile(make_block(50.0, 50.0, 5.0))) \
-            == (0.0, 0.0)
+        assert fit(50.0, 50.0, 5.0).peaks() == (0.0, 0.0)
 
     def test_peaks_match_dense_sampling(self):
         rng = np.random.default_rng(123)
@@ -225,11 +211,11 @@ class TestKinematicPeaks:
             v_a = float(rng.uniform(0.0, 100.0))
             v_b = float(rng.uniform(20.0, 150.0))
             L = float(rng.uniform(1.0, 30.0))
-            p = build_profile(make_block(v_a, v_b, L))
-            a_peak, j_peak = kinematic_peaks(p)
+            p = fit(v_a, v_b, L)
+            a_peak, j_peak = p.peaks()
             ts = np.linspace(0.0, p.T, 100_001)
-            a_seen = max(abs(acceleration_at(p, float(t))) for t in ts)
-            j_seen = max(abs(jerk_at(p, float(t))) for t in ts)
+            a_seen = max(abs(p.kinematics(float(t))[1]) for t in ts)
+            j_seen = max(abs(p.kinematics(float(t))[2]) for t in ts)
             assert a_seen <= a_peak * (1.0 + 1e-12)
             assert j_seen <= j_peak * (1.0 + 1e-12)
             assert a_peak == pytest.approx(a_seen, rel=1e-6)
@@ -242,13 +228,13 @@ class TestKinematicPeaks:
             v_a = float(rng.uniform(0.0, 120.0))
             v_b = float(rng.uniform(10.0, 150.0))
             L = float(rng.uniform(0.5, 25.0))
-            p = build_profile(make_block(v_a, v_b, L, s=s))
-            a_peak, j_peak = kinematic_peaks(p)
+            p = fit(v_a, v_b, L, s=s)
+            a_peak, j_peak = p.peaks()
             ts = np.linspace(0.0, p.T, 20_001)
             for t in ts:
                 t = float(t)
-                assert abs(acceleration_at(p, t)) <= a_peak * (1 + 1e-12)
-                assert abs(jerk_at(p, t)) <= j_peak * (1 + 1e-12)
+                assert abs(p.kinematics(t)[1]) <= a_peak * (1 + 1e-12)
+                assert abs(p.kinematics(t)[2]) <= j_peak * (1 + 1e-12)
 
 
 class TestDisplacement:
@@ -258,9 +244,9 @@ class TestDisplacement:
             v_a = float(rng.uniform(0.5, 150.0))
             v_b = float(rng.uniform(0.5, 150.0))
             L = float(rng.uniform(0.5, 50.0))
-            p = build_profile(make_block(v_a, v_b, L))
-            assert displacement_at(p, 0.0) == 0.0
-            assert displacement_at(p, p.T) == pytest.approx(L, rel=1e-12)
+            p = fit(v_a, v_b, L)
+            assert p.displacement(0.0) == 0.0
+            assert p.displacement(p.T) == pytest.approx(L, rel=1e-12)
 
     def test_matches_quadrature_inside_every_section(self):
         from scipy.integrate import quad
@@ -271,22 +257,22 @@ class TestDisplacement:
             v_b = float(rng.uniform(1.0, 120.0))
             L = float(rng.uniform(1.0, 40.0))
             s = float(rng.uniform(2.4, 5.0))
-            p = build_profile(make_block(v_a, v_b, L, s=s))
+            p = fit(v_a, v_b, L, s=s)
             for frac in (0.1, 0.33334, 0.5, 0.8, 0.95):
                 t = p.T * frac
                 want, _ = quad(
-                    lambda x: velocity_at(p, x), 0.0, t,
+                    lambda x: p.kinematics(x)[0], 0.0, t,
                     points=[p.T / 3.0, 2.0 * p.T / 3.0],
                     limit=100, epsabs=0.0, epsrel=1e-12,
                 )
-                assert displacement_at(p, t) == pytest.approx(want, rel=1e-9)
+                assert p.displacement(t) == pytest.approx(want, rel=1e-9)
 
     def test_monotone_in_time(self):
-        p = build_profile(make_block(5.0, 140.0, 8.0))
+        p = fit(5.0, 140.0, 8.0)
         ts = np.linspace(0.0, p.T, 500)
-        vals = [displacement_at(p, float(t)) for t in ts]
+        vals = [p.displacement(float(t)) for t in ts]
         assert all(b >= a for a, b in zip(vals[:-1], vals[1:]))
 
     def test_constant_block_is_linear(self):
-        p = build_profile(make_block(60.0, 60.0, 30.0))
-        assert displacement_at(p, 0.25) == pytest.approx(15.0, rel=1e-15)
+        p = fit(60.0, 60.0, 30.0)
+        assert p.displacement(0.25) == pytest.approx(15.0, rel=1e-15)
