@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +90,7 @@ class Limits:
 class FeedrateScatter:
     """Ordered (u, v) samples of the chord-error feed ceiling."""
 
-    __slots__ = ("u", "v", "__dict__")
+    __slots__ = ("u", "v")
 
     def __init__(self, u, v):
         u_arr = np.asarray(u, dtype=float)
@@ -111,10 +110,6 @@ class FeedrateScatter:
 
     def __len__(self) -> int:
         return int(self.u.size)
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(a), float(b)) for a, b in zip(self.u, self.v)]
 
     def value_at(self, u: float) -> float:
         return float(np.interp(u, self.u, self.v))

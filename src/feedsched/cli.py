@@ -229,7 +229,7 @@ def run(config: RunConfig) -> int:
     try:
         scatter = scan_curve(curve, limits)
         breakpoints = find_breakpoints(scatter, mu_s=limits.mu_s)
-        blocks = build_blocks(curve, scatter, breakpoints, limits)
+        blocks = build_blocks(curve, scatter, breakpoints)
     except GeometryError as exc:
         print(f"error: {config.curve_path}: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +30,11 @@ __all__ = [
 _STRAIGHT_CURVATURE = 1e-12
 
 _KNOT_TOL = 1e-12
+
+# Relative tolerance of arc_length and absolute tolerance (mm) of
+# param_at_length.
+_ARC_TOL = 1e-9
+_LENGTH_TOL = 1e-10
 
 
 class GeometryError(ValueError):
@@ -325,12 +330,10 @@ def _adaptive(
     )
 
 
-def arc_length(
-    curve: ParametricCurve, u_a: float, u_b: float, tol: float = 1e-9
-) -> float:
+def arc_length(curve: ParametricCurve, u_a: float, u_b: float) -> float:
     """Arc length between two parameters via adaptive Gauss quadrature.
 
-    ``tol`` is a relative tolerance on the returned length.
+    The returned length is accurate to a relative _ARC_TOL.
     """
     u_a = _check_param(u_a)
     u_b = _check_param(u_b)
@@ -338,8 +341,6 @@ def arc_length(
         raise CurveDomainError(f"u_b={u_b} precedes u_a={u_a}")
     if u_b == u_a:
         return 0.0
-    if tol <= 0.0:
-        raise CurveDomainError("tolerance must be positive")
 
     edges = [u_a]
     for k in curve._interior_knots:
@@ -355,31 +356,26 @@ def arc_length(
         return 0.0
     out = 0.0
     for (lo, hi), est in zip(zip(edges, edges[1:]), estimates):
-        budget = tol * max(est, 1e-3 * total_est)
+        budget = _ARC_TOL * max(est, 1e-3 * total_est)
         out += _adaptive(curve, lo, hi, budget, 0)
     return out
 
 
 def param_at_length(
-    curve: ParametricCurve,
-    u_start: float,
-    length: float,
-    tol: float = 1e-10,
+    curve: ParametricCurve, u_start: float, length: float
 ) -> float:
     """Parameter u >= u_start at which the arc from u_start reaches ``length``.
 
-    The result satisfies |arc_length(u_start, u) - length| <= tol (mm).
-    Lengths at or beyond the curve end clamp to u = 1.
+    The result satisfies |arc_length(u_start, u) - length| <= _LENGTH_TOL
+    (mm). Lengths at or beyond the curve end clamp to u = 1; the arc to
+    the curve end is measured only when a Newton step would pass it.
     """
     u_start = _check_param(u_start)
     if length <= 0.0:
         return u_start
-    remaining = arc_length(curve, u_start, 1.0)
-    if length >= remaining - tol:
-        return 1.0
 
     lo, hi = u_start, 1.0
-    s_lo, s_hi = 0.0, remaining
+    end_checked = False
     u = u_start
     s = 0.0
     for _ in range(120):
@@ -389,18 +385,22 @@ def param_at_length(
             cand = u + step
         else:
             cand = 0.5 * (lo + hi)
+        if cand >= 1.0 and not end_checked:
+            if length >= s + arc_length(curve, u, 1.0) - _LENGTH_TOL:
+                return 1.0
+            end_checked = True
         if not lo < cand < hi:
             cand = 0.5 * (lo + hi)
         if cand >= u:
             s_cand = s + arc_length(curve, u, cand)
         else:
             s_cand = s - arc_length(curve, cand, u)
-        if abs(s_cand - length) <= tol:
+        if abs(s_cand - length) <= _LENGTH_TOL:
             return cand
         if s_cand < length:
-            lo, s_lo = cand, s_cand
+            lo = cand
         else:
-            hi, s_hi = cand, s_cand
+            hi = cand
         u, s = cand, s_cand
         if hi - lo <= 1e-15:
             return 0.5 * (lo + hi)

@@ -44,6 +44,7 @@ __all__ = [
 _FEED_TOL = 1e-9
 _LEN_TOL = 1e-9
 _MAX_SWEEPS = 1000
+_ROOT_TOL = 1e-9
 
 
 class OptimizerError(ValueError):
@@ -77,9 +78,7 @@ class AdjustmentOutcome:
     lengths: tuple[float, float, float]
 
 
-def solve_real_roots(
-    coeffs, interval: tuple[float, float], tol: float = 1e-9
-) -> list[float]:
+def solve_real_roots(coeffs, interval: tuple[float, float]) -> list[float]:
     """Real roots of a polynomial inside [lo, hi], highest degree first.
 
     Roots are Newton-polished, verified against a residual bound, and
@@ -115,7 +114,7 @@ def solve_real_roots(
                 break
             step = fx / dx
             x -= step
-            if abs(step) < tol * 1e-3:
+            if abs(step) < _ROOT_TOL * 1e-3:
                 break
         x = min(max(x, lo), hi)
         bound = scale * max(1.0, abs(x)) ** (c.size - 1)
@@ -419,11 +418,17 @@ def _set_junction_feed(blocks, j, v):
 
 
 def _reanchor(curve, blocks, i, j):
-    """Recompute interior junction parameters of blocks[i..j] from lengths."""
+    """Recompute interior junction parameters of blocks[i..j] from lengths.
+
+    The range's ends stay fixed. Each junction is clamped to the far end,
+    which the arc inversion's tolerance could otherwise overshoot, leaving
+    a zero-length last block that ends before it starts.
+    """
     u = blocks[i].u_s
+    end = blocks[j].u_e
     for k in range(i, j):
         if blocks[k].L > 0.0:
-            u = param_at_length(curve, u, blocks[k].L)
+            u = min(param_at_length(curve, u, blocks[k].L), end)
         blocks[k].u_e = u
         blocks[k + 1].u_s = u
 
@@ -686,7 +691,6 @@ def schedule(
     scatter: FeedrateScatter,
     limits: Limits,
     family: ProfileFamily | None = None,
-    max_sweeps: int = _MAX_SWEEPS,
 ) -> list[Block]:
     """Sweep all junctions until no feed changes, then fill durations.
 
@@ -701,7 +705,7 @@ def schedule(
         family = sigmoid_family(limits.shape_s)
     work = [replace(b) for b in blocks]
     sweeper = _Sweeper(curve, work, scatter, limits, family)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         change = sweeper.run()
         if change <= max(_FEED_TOL, _LEN_TOL):
             if not sweeper.validate():
@@ -709,7 +713,7 @@ def schedule(
     else:
         raise SweepConvergenceError(
             "no fixpoint after "
-            f"{max_sweeps} sweeps; last change {sweeper.change:.3e}"
+            f"{_MAX_SWEEPS} sweeps; last change {sweeper.change:.3e}"
         )
     for b in work:
         b.T = block_duration(b.L, b.v_s, b.v_e)

@@ -14,13 +14,12 @@ from enum import Enum
 
 import numpy as np
 
-from .chordscan import FeedrateScatter, Limits, MalformedScatterError
+from .chordscan import FeedrateScatter, MalformedScatterError
 from .geometry import ParametricCurve, arc_length
 
 __all__ = [
     "BlockKind",
     "Block",
-    "screening_factor",
     "find_breakpoints",
     "build_blocks",
 ]
@@ -61,19 +60,6 @@ def classify_kind(v_s: float, v_e: float, tol: float) -> BlockKind:
     if abs(v_e - v_s) <= tol:
         return BlockKind.CONSTANT
     return BlockKind.ACCEL if v_e > v_s else BlockKind.DECEL
-
-
-def screening_factor(
-    prev: tuple[float, float],
-    cur: tuple[float, float],
-    nxt: tuple[float, float],
-) -> float:
-    """Slope change magnitude of the ceiling at the middle point."""
-    if not prev[0] < cur[0] < nxt[0]:
-        raise MalformedScatterError("screening needs strictly increasing u")
-    left = (cur[1] - prev[1]) / (cur[0] - prev[0])
-    right = (nxt[1] - cur[1]) / (nxt[0] - cur[0])
-    return abs(right - left)
 
 
 def _default_threshold(u: np.ndarray, v: np.ndarray) -> float:
@@ -174,7 +160,6 @@ def build_blocks(
     curve: ParametricCurve,
     scatter: FeedrateScatter,
     breakpoints: list[int],
-    limits: Limits,
 ) -> list[Block]:
     """One block per adjacent breakpoint pair, with arc displacement."""
     if len(breakpoints) < 2:

@@ -1,11 +1,12 @@
 """Replay of a finished schedule through the controller's sampling loop.
 
 Every sampling period the commanded profile advances the tool by the
-integral of velocity over the period; the curve parameter for that
-advance starts from a second-order Taylor prediction and is refined by
-bisection until the straight-line (chordal) advance matches. Each
-sample records the parameter, position, the profile's analytic
-kinematics, and the measured chord deviation of the step.
+difference of its exact closed-form travel at the two tick times; the
+curve parameter for that advance starts from a second-order Taylor
+prediction and is refined by Newton steps, kept inside a bisection
+bracket, until the straight-line (chordal) advance matches. Each sample
+records the parameter, position, the profile's analytic kinematics, and
+the measured chord deviation of the step.
 
 Chordal stepping consumes slightly more path than the commanded travel
 on curved spans, at most about half the chord tolerance per period, so
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .chordscan import Limits, chord_error
 from .geometry import ParametricCurve, derivatives, evaluate
@@ -37,6 +36,7 @@ __all__ = [
 ]
 
 _CHORD_MATCH_TOL = 1e-9  # mm
+_MAX_REFINE_STEPS = 80
 
 # Chord-vs-arc drift ceiling per tick, in units of delta_max. On a
 # circular arc of half-angle theta, arc - chord = 2*rho*(theta -
@@ -86,88 +86,79 @@ def total_time(blocks: list[Block]) -> float:
 
 
 class _Track:
-    """Block profiles laid out on a shared time axis."""
+    """Block profiles laid out on a shared time and travel axis."""
 
     def __init__(self, blocks, family):
         self.total = total_time(blocks)
         self.starts = []
+        self.offsets = []
         self.durations = []
         self.profiles = []
-        t = 0.0
+        t = s = 0.0
         for b in blocks:
             self.starts.append(t)
+            self.offsets.append(s)
             self.durations.append(b.T)
             self.profiles.append(family.fit(b.v_s, b.v_e, b.L))
             t += b.T
+            s += b.L
+        self.length = s
 
-    def _locate(self, t):
-        i = bisect_right(self.starts, t) - 1
-        return max(i, 0)
-
-    def kinematics(self, t):
+    def locate(self, t):
+        """Index of the block running at time t and the time into it."""
         t = min(max(t, 0.0), self.total)
-        i = self._locate(t)
-        tau = min(max(t - self.starts[i], 0.0), self.durations[i])
-        return self.profiles[i].kinematics(tau)
+        i = max(bisect_right(self.starts, t) - 1, 0)
+        return i, min(max(t - self.starts[i], 0.0), self.durations[i])
 
-    def travel(self, t1, t2):
-        """Trapezoidal integral of velocity, split at block boundaries."""
-        cuts = [t1]
-        for s in self.starts:
-            if t1 < s < t2 and s - cuts[-1] > 1e-15:
-                cuts.append(s)
-        cuts.append(t2)
-        total = 0.0
-        v_a = self.kinematics(cuts[0])[0]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            v_b = self.kinematics(b)[0]
-            total += 0.5 * (v_a + v_b) * (b - a)
-            v_a = v_b
-        return total
+    def state(self, t):
+        """Exact commanded travel (mm) from the path start at time t,
+        with the feed, acceleration and jerk there."""
+        i, tau = self.locate(t)
+        profile = self.profiles[i]
+        travel = self.offsets[i] + profile.displacement(tau)
+        return travel, profile.kinematics(tau)
 
 
 def _refine_step(curve, u, pos, advance):
     """Parameter whose chordal distance from pos equals the advance.
 
-    Starts from a second-order prediction, brackets the target, then
-    bisects. Returns None when the rest of the curve is too short for
-    the advance; the caller decides whether that is the path end or an
-    inconsistent plan.
+    Newton's method on the chord gap |C(x) - pos| - advance, seeded by a
+    second-order prediction. Every evaluated parameter tightens a bracket
+    on [u, 1]; a step that would leave it bisects instead, and the curve
+    end is probed only when a step would pass it. Returns None when the
+    rest of the curve is too short for the advance; the caller decides
+    whether that is the path end or an inconsistent plan.
     """
     d1, d2 = derivatives(curve, u, order=2)
     speed_sq = sum(c * c for c in d1)
     speed = math.sqrt(speed_sq)
     dot = sum(a * b for a, b in zip(d1, d2))
-    second = dot * advance * advance / (2.0 * speed_sq * speed_sq)
-    pred = u + advance / speed - second
-
-    def chord_gap(x):
-        p = evaluate(curve, x)
-        return math.dist(p, pos) - advance
-
-    width = max(4.0 * abs(second), 1e-7)
-    lo = min(max(u, pred - width), 1.0)
-    hi = min(pred + width, 1.0)
-    while lo > u and chord_gap(lo) > 0.0:
-        width *= 4.0
-        lo = max(u, pred - width)
-    while chord_gap(hi) < 0.0:
-        if hi >= 1.0:
-            return None
-        width *= 4.0
-        hi = min(pred + width, 1.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        gap = chord_gap(mid)
+    x = u + advance / speed - dot * advance * advance / (
+        2.0 * speed_sq * speed_sq
+    )
+    x = min(max(x, u), 1.0)
+    lo, hi = u, None  # hi: the nearest parameter known to overshoot
+    for _ in range(_MAX_REFINE_STEPS):
+        diff = [a - b for a, b in zip(evaluate(curve, x), pos)]
+        dist = math.sqrt(sum(c * c for c in diff))
+        gap = dist - advance
         if abs(gap) <= _CHORD_MATCH_TOL:
-            return mid
-        if gap < 0.0:
-            lo = mid
+            return x
+        if gap > 0.0:
+            hi = x
+        elif x >= 1.0:
+            return None
         else:
-            hi = mid
-        if hi - lo < 1e-16:
+            lo = x
+        top = 1.0 if hi is None else hi
+        if top - lo < 1e-16:
             break
-    return 0.5 * (lo + hi)
+        (d1,) = derivatives(curve, x, order=1)
+        slope = sum(a * b for a, b in zip(diff, d1)) / dist if dist else 0.0
+        x = x - gap / slope if slope > 0.0 else math.inf
+        if not lo < x < top:
+            x = 1.0 if hi is None else 0.5 * (lo + hi)
+    return 0.5 * (lo + top)
 
 
 def interpolate(
@@ -195,33 +186,29 @@ def interpolate(
         raise SimulationError("schedule has zero duration")
     Ts = limits.Ts
     n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
-    advances = [
-        track.travel((k - 1) * Ts, min(k * Ts, track.total))
-        for k in range(1, n_steps + 1)
-    ]
-    left = sum(advances)
     u = 0.0
     pos = evaluate(curve, 0.0)
-    v, a, j = track.kinematics(0.0)
+    travel, (v, a, j) = track.state(0.0)
     samples = [InterpolationSample(0.0, 0.0, pos, v, a, j, 0.0)]
     for k in range(1, n_steps + 1):
-        advance = advances[k - 1]
-        left -= advance
-        if k == n_steps or u >= 1.0:
+        t = min(k * Ts, track.total)
+        reached, (v, a, j) = track.state(t)
+        advance = reached - travel
+        travel = reached
+        if k == n_steps:
             u_next = 1.0
         else:
-            u_next = _refine_step(curve, u, pos, advance)
+            u_next = _refine_step(curve, u, pos, advance) if u < 1.0 else None
             if u_next is None:
+                left = track.length - travel
                 if left > _END_DRIFT_PER_TICK * limits.delta_max * k:
-                    i = track._locate(min(k * Ts, track.total))
                     raise SimulationError(
-                        f"block {i} at t={k * Ts:.6f}: plan commands "
-                        f"{left + advance:.3e} mm past the path end"
+                        f"block {track.locate(t)[0]} at t={k * Ts:.6f}: plan "
+                        f"commands {left + advance:.3e} mm past the path end"
                     )
                 u_next = 1.0
         err = chord_error(curve, u, u_next)
         pos = evaluate(curve, u_next)
-        v, a, j = track.kinematics(min(k * Ts, track.total))
         samples.append(
             InterpolationSample(k * Ts, u_next, pos, v, a, j, err)
         )

@@ -68,7 +68,7 @@ def corpus():
             limits = PRESETS[preset]
             scatter = scan_curve(curve, limits)
             bps = find_breakpoints(scatter, mu_s=limits.mu_s)
-            blocks = build_blocks(curve, scatter, bps, limits)
+            blocks = build_blocks(curve, scatter, bps)
             plan = schedule(curve, blocks, scatter, limits)
             samples = interpolate(curve, plan, limits)
             worst = max(s.chord_err for s in samples) / limits.delta_max
@@ -292,7 +292,7 @@ def test_breakpoints_keep_spikes_drop_noise_and_blocks_tile_the_arc():
     noise_bps = find_breakpoints(noisy, mu_s=1e-9)
     noise_ok = noise_bps == [0, 5]
 
-    blocks = build_blocks(curve, spike, spike_bps, limits)
+    blocks = build_blocks(curve, spike, spike_bps)
     tiled = (
         blocks[0].u_s == 0.0
         and blocks[-1].u_e == 1.0

@@ -241,7 +241,7 @@ class TestSineSchedule:
         curve = random_curve(3)
         scatter = scan_curve(curve, HIGH)
         bps = find_breakpoints(scatter)
-        blocks = build_blocks(curve, scatter, bps, HIGH)
+        blocks = build_blocks(curve, scatter, bps)
         out = sine_schedule(curve, blocks, scatter, HIGH)
         total_len = arc_length(curve, 0.0, 1.0)
         assert sum(b.L for b in out) == pytest.approx(total_len, rel=1e-8)
@@ -263,7 +263,7 @@ class TestSineSchedule:
             curve = random_curve(seed)
             scatter = scan_curve(curve, HIGH)
             bps = find_breakpoints(scatter)
-            blocks = build_blocks(curve, scatter, bps, HIGH)
+            blocks = build_blocks(curve, scatter, bps)
             t_sine = sum(b.T for b in sine_schedule(curve, blocks, scatter, HIGH))
             t_sig = sum(b.T for b in schedule(curve, blocks, scatter, HIGH))
             assert t_sig <= t_sine * (1.0 + 1e-12)

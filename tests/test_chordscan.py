@@ -88,11 +88,7 @@ class TestFeedrateScatter:
         assert sc.min_between(0.3, 0.8) == pytest.approx(2.0)
         assert sc.min_between(0.6, 0.3) == pytest.approx(4.8)
         assert sc.min_between(0.5, 0.5) == pytest.approx(8.0)
-
-    def test_points_round_trip(self):
-        sc = FeedrateScatter([0.0, 1.0], [3.0, 5.0])
-        assert sc.points == [(0.0, 3.0), (1.0, 5.0)]
-        assert len(sc) == 2
+        assert len(sc) == 5
 
 
 class TestTaylorStep:

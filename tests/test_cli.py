@@ -183,6 +183,17 @@ class TestRunOutputs:
         with pytest.raises(CliError, match=re.escape(f"{bad}:2")):
             load_blocks(bad)
 
+    @pytest.mark.parametrize("seed", [8, 10, 17, 22])
+    def test_reanchored_junctions_stay_ordered(self, tmp_path, seed):
+        # junction re-anchoring once pushed a zero-length block's start a
+        # few 1e-12 past its end on these seeds, and load_blocks then
+        # refused the run's own block table
+        curve, out = str(tmp_path / "curve.json"), tmp_path / "out"
+        assert main(["gen-curve", "--seed", str(seed), "--out", curve]) == 0
+        assert main(["run", "--curve", curve, "--out-dir", str(out)]) == 0
+        blocks = load_blocks(out / "sigmoid_blocks.csv")
+        assert all(b.u_e >= b.u_s for b in blocks)
+
 
 class TestOptions:
     def test_screening_override_reduces_breakpoints(self, both_run, tmp_path):

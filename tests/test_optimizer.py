@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import make_line
 from feedsched.chordscan import FeedrateScatter, Limits
+from feedsched import optimizer
 from feedsched.curvegen import random_curve
 from feedsched.geometry import arc_length
 from feedsched.optimizer import (
@@ -444,17 +445,18 @@ class TestSchedule:
                 assert a_pk <= STD.a_max * (1.0 + 1e-9)
                 assert j_pk <= STD.j_max * (1.0 + 1e-9)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
         curve, blocks = line_setup(4.0, [(20.0, 90.0), (90.0, 20.0)], [0.5])
         scatter = FeedrateScatter([0.0, 0.5, 1.0], [20.0, 90.0, 20.0])
+        monkeypatch.setattr(optimizer, "_MAX_SWEEPS", 0)
         with pytest.raises(SweepConvergenceError):
-            schedule(curve, blocks, scatter, STD, max_sweeps=0)
+            schedule(curve, blocks, scatter, STD)
 
     def test_deterministic(self):
         curve = random_curve(17)
         scatter = scan_curve(curve, STD)
         bps = find_breakpoints(scatter)
-        blocks = build_blocks(curve, scatter, bps, STD)
+        blocks = build_blocks(curve, scatter, bps)
         a = schedule(curve, blocks, scatter, STD)
         b = schedule(curve, blocks, scatter, STD)
         assert [(x.u_s, x.u_e, x.v_s, x.v_e, x.L, x.T) for x in a] == [
@@ -465,7 +467,7 @@ class TestSchedule:
         curve = random_curve(3)
         scatter = scan_curve(curve, STD)
         bps = find_breakpoints(scatter)
-        blocks = build_blocks(curve, scatter, bps, STD)
+        blocks = build_blocks(curve, scatter, bps)
         out = schedule(curve, blocks, scatter, STD)
         assert len(out) == len(blocks)
         for prev, cur in zip(out[:-1], out[1:]):

@@ -17,7 +17,6 @@ from feedsched.segmentation import (
     build_blocks,
     classify_kind,
     find_breakpoints,
-    screening_factor,
 )
 
 from conftest import make_line
@@ -33,32 +32,6 @@ def scatter_from(v, u=None):
     if u is None:
         u = np.linspace(0.0, 1.0, v.size)
     return FeedrateScatter(u, v)
-
-
-class TestScreeningFactor:
-    def test_collinear_points(self):
-        assert screening_factor((0, 0), (1, 1), (2, 2)) == 0.0
-
-    def test_peak(self):
-        assert screening_factor((0, 0), (1, 1), (2, 0)) == 2.0
-
-    def test_duplicate_u_rejected(self):
-        with pytest.raises(MalformedScatterError):
-            screening_factor((0, 0), (0, 1), (1, 2))
-
-    def test_matches_slope_difference(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            u = np.sort(rng.uniform(0, 1, size=3))
-            if u[0] == u[1] or u[1] == u[2]:
-                continue
-            v = rng.uniform(0, 100, size=3)
-            left = (v[1] - v[0]) / (u[1] - u[0])
-            right = (v[2] - v[1]) / (u[2] - u[1])
-            got = screening_factor(
-                (u[0], v[0]), (u[1], v[1]), (u[2], v[2])
-            )
-            assert got == abs(right - left)
 
 
 class TestFindBreakpoints:
@@ -139,7 +112,7 @@ class TestBuildBlocks:
             [50.0, 100.0, 100.0, 30.0, 30.0],
             u=[0.0, 0.25, 0.5, 0.75, 1.0],
         )
-        blocks = build_blocks(line, sc, [0, 1, 3, 4], STD)
+        blocks = build_blocks(line, sc, [0, 1, 3, 4])
         tol = 1e-9 * STD.v_max
         assert [classify_kind(b.v_s, b.v_e, tol) for b in blocks] == [
             BlockKind.ACCEL, BlockKind.DECEL, BlockKind.CONSTANT,
@@ -153,12 +126,12 @@ class TestBuildBlocks:
         line = make_line()
         sc = scatter_from([50.0, 50.0])
         with pytest.raises(MalformedScatterError):
-            build_blocks(line, sc, [0], STD)
+            build_blocks(line, sc, [0])
 
     def test_constant_scatter_yields_single_block(self):
         line = make_line()
         sc = scatter_from(np.full(30, 64.0))
-        blocks = build_blocks(line, sc, find_breakpoints(sc), STD)
+        blocks = build_blocks(line, sc, find_breakpoints(sc))
         assert len(blocks) == 1
         kind = classify_kind(blocks[0].v_s, blocks[0].v_e, 1e-9 * STD.v_max)
         assert kind is BlockKind.CONSTANT
@@ -169,7 +142,7 @@ class TestBuildBlocks:
         curve = random_curve(seed=21)
         sc = scan_curve(curve, STD)
         bps = find_breakpoints(sc)
-        blocks = build_blocks(curve, sc, bps, STD)
+        blocks = build_blocks(curve, sc, bps)
         assert len(blocks) == len(bps) - 1
         assert blocks[0].u_s == 0.0 and blocks[-1].u_e == 1.0
         for a, b in zip(blocks[:-1], blocks[1:]):

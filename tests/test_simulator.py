@@ -17,7 +17,7 @@ from feedsched.simulator import (
     summarize,
     total_time,
 )
-from feedsched.sprofile import block_duration
+from feedsched.sprofile import block_duration, sigmoid_family
 
 STD = Limits(
     Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0, j_max=26000.0,
@@ -33,7 +33,7 @@ def scheduled_run(seed, limits):
     curve = random_curve(seed)
     scatter = scan_curve(curve, limits)
     bps = find_breakpoints(scatter)
-    blocks = build_blocks(curve, scatter, bps, limits)
+    blocks = build_blocks(curve, scatter, bps)
     return curve, schedule(curve, blocks, scatter, limits)
 
 
@@ -102,6 +102,34 @@ class TestStraightLine:
         for k, s in enumerate(samples):
             assert s.position[0] == pytest.approx(0.04 * k, abs=5e-6)
 
+    def test_positions_follow_exact_profile_travel(self):
+        # steep ramp, cruise and brake (peak acceleration 2.7e3 and
+        # 4.9e3 mm/s^2) with both junctions inside a tick: every replayed
+        # position is the plan's exact travel, prefix length plus the
+        # closed-form displacement into the running block
+        curve = make_line(end=(5.0, 0.0))
+        spans = [(2.6037, 10.0, 90.0), (0.9963, 90.0, 90.0), (1.4, 90.0, 20.0)]
+        blocks, s = [], 0.0
+        for L, v_s, v_e in spans:
+            blocks.append(timed_block(s / 5.0, (s + L) / 5.0, v_s, v_e, L))
+            s += L
+        assert all(b.T / STD.Ts != int(b.T / STD.Ts) for b in blocks)
+        family = sigmoid_family(STD.shape_s)
+        samples = interpolate(curve, blocks, STD, family=family)
+        assert len(samples) == 90
+        t0 = prefix = 0.0
+        k = 0
+        for b in blocks:
+            profile = family.fit(b.v_s, b.v_e, b.L)
+            while k < len(samples) and samples[k].t <= t0 + b.T:
+                want = prefix + profile.displacement(samples[k].t - t0)
+                assert samples[k].position[0] == pytest.approx(want, abs=1e-9)
+                k += 1
+            t0 += b.T
+            prefix += b.L
+        assert k == len(samples) - 1
+        assert samples[-1].position[0] == pytest.approx(prefix, abs=1e-9)
+
 
 class TestChordMeasurement:
     def test_circle_sagitta(self):
@@ -163,7 +191,7 @@ class TestScheduledRun:
 
         scatter = _scan(curve, STD)
         bps = find_breakpoints(scatter)
-        raw = build_blocks(curve, scatter, bps, STD)
+        raw = build_blocks(curve, scatter, bps)
         sine_blocks = sine_schedule(curve, raw, scatter, STD)
         samples = interpolate(curve, sine_blocks, STD, family=SINE)
         assert samples[-1].u == 1.0
