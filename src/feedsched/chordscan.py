@@ -181,8 +181,13 @@ def chord_error(curve: ParametricCurve, u_a: float, u_b: float) -> float:
     """
     if u_b < u_a:
         raise ChordScanError(f"u_b={u_b} precedes u_a={u_a}")
-    p_a = evaluate(curve, u_a)
-    p_b = evaluate(curve, u_b)
+    return _chord_deviation(
+        curve, u_a, u_b, evaluate(curve, u_a), evaluate(curve, u_b)
+    )
+
+
+def _chord_deviation(curve, u_a, u_b, p_a, p_b) -> float:
+    """chord_error for u_a <= u_b whose end points p_a, p_b are known."""
     chord = math.dist(p_a, p_b)
     if chord == 0.0:
         return 0.0

@@ -2,7 +2,9 @@
 
 Coordinates are millimetres and the curve parameter u lives on [0, 1].
 Curves may be planar or spatial; planar control points are treated as z = 0
-wherever a cross product is required.
+wherever a cross product is required. Each curve converts its knot spans
+once into power-basis polynomials of the homogeneous curve, so a point and
+its derivatives cost one span lookup and a Horner sum.
 """
 
 from __future__ import annotations
@@ -121,14 +123,6 @@ class ParametricCurve:
         return len(self.control_points[0])
 
     @cached_property
-    def _homogeneous(self) -> list[tuple[float, ...]]:
-        # (x*w, y*w[, z*w], w) per control point
-        return [
-            tuple(c * w for c in pt) + (w,)
-            for pt, w in zip(self.control_points, self.weights)
-        ]
-
-    @cached_property
     def _interior_knots(self) -> tuple[float, ...]:
         seen: list[float] = []
         for k in self.knots:
@@ -138,13 +132,43 @@ class ParametricCurve:
                 seen.append(k)
         return tuple(seen)
 
+    @cached_property
+    def _span_polys(self) -> tuple[list[float], list[tuple]]:
+        """Power-basis form of the homogeneous curve on each knot span.
 
-def _find_span(knots: tuple[float, ...], degree: int, n_ctrl: int, u: float) -> int:
-    if u >= knots[n_ctrl]:
-        return n_ctrl - 1
-    if u <= knots[degree]:
-        return degree
-    return bisect_right(knots, u) - 1
+        Returns the start parameters of the non-empty spans and, per span,
+        its midpoint m and one coefficient row per homogeneous coordinate,
+        highest power first, so that coordinate d on the span is
+        sum_k row_d[p - k] * (u - m)^k. Order k is the k-th basis
+        derivative at m divided by k! (Taylor expansion, exact for
+        polynomials of degree p).
+        """
+        p = self.degree
+        knots = self.knots
+        # (x*w, y*w[, z*w], w) per control point
+        hom = [
+            tuple(c * w for c in pt) + (w,)
+            for pt, w in zip(self.control_points, self.weights)
+        ]
+        starts, polys = [], []
+        for span in range(p, len(self.control_points)):
+            lo, hi = knots[span], knots[span + 1]
+            if not lo < hi:
+                continue
+            mid = 0.5 * (lo + hi)
+            basis = _basis_derivatives(knots, p, span, mid, p)
+            ctrl = hom[span - p : span + 1]
+            rows = tuple(
+                tuple(
+                    sum(b * pt[d] for b, pt in zip(basis[k], ctrl))
+                    / math.factorial(k)
+                    for k in range(p, -1, -1)
+                )
+                for d in range(self.dimension + 1)
+            )
+            starts.append(lo)
+            polys.append((mid, rows))
+        return starts, polys
 
 
 def _basis_derivatives(
@@ -217,33 +241,41 @@ def _check_param(u: float) -> float:
 def _homogeneous_ders(
     curve: ParametricCurve, u: float, order: int
 ) -> list[list[float]]:
-    p = curve.degree
-    n_ctrl = len(curve.control_points)
-    span = _find_span(curve.knots, p, n_ctrl, u)
-    basis = _basis_derivatives(curve.knots, p, span, u, order)
-    hom = curve._homogeneous
-    width = curve.dimension + 1
-    out = []
-    for k in range(order + 1):
-        acc = [0.0] * width
-        row = basis[k]
-        for j in range(p + 1):
-            b = row[j]
-            if b == 0.0:
-                continue
-            pt = hom[span - p + j]
-            for d in range(width):
-                acc[d] += b * pt[d]
-        out.append(acc)
-    return out
+    """Homogeneous curve and its derivatives up to order 2 at u.
+
+    One Horner pass per coordinate over the span polynomial carries the
+    value, the first and half the second derivative together.
+    """
+    starts, polys = curve._span_polys
+    mid, rows = polys[max(bisect_right(starts, u) - 1, 0)]
+    t = u - mid
+    if order == 0:
+        out = []
+        for row in rows:
+            v = 0.0
+            for c in row:
+                v = v * t + c
+            out.append(v)
+        return [out]
+    vals, firsts, seconds = [], [], []
+    for row in rows:
+        v = d1 = h2 = 0.0
+        for c in row:
+            h2 = h2 * t + d1
+            d1 = d1 * t + v
+            v = v * t + c
+        vals.append(v)
+        firsts.append(d1)
+        seconds.append(2.0 * h2)
+    return [vals, firsts, seconds][: order + 1]
 
 
 def evaluate(curve: ParametricCurve, u: float) -> tuple[float, ...]:
     """Point on the curve at parameter u, in curve coordinates (mm)."""
     u = _check_param(u)
     (aw,) = _homogeneous_ders(curve, u, 0)
-    w = aw[-1]
-    return tuple(c / w for c in aw[:-1])
+    w = aw.pop()
+    return tuple([c / w for c in aw])
 
 
 def derivatives(

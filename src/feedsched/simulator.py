@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .chordscan import Limits, chord_error
+from .chordscan import Limits, _chord_deviation
 from .geometry import ParametricCurve, derivatives, evaluate
 from .segmentation import Block
 from .sprofile import ProfileFamily, sigmoid_family
@@ -120,7 +120,8 @@ class _Track:
 
 
 def _refine_step(curve, u, pos, advance):
-    """Parameter whose chordal distance from pos equals the advance.
+    """Parameter whose chordal distance from pos equals the advance, with
+    the curve point there.
 
     Newton's method on the chord gap |C(x) - pos| - advance, seeded by a
     second-order prediction. Every evaluated parameter tightens a bracket
@@ -139,11 +140,12 @@ def _refine_step(curve, u, pos, advance):
     x = min(max(x, u), 1.0)
     lo, hi = u, None  # hi: the nearest parameter known to overshoot
     for _ in range(_MAX_REFINE_STEPS):
-        diff = [a - b for a, b in zip(evaluate(curve, x), pos)]
+        point = evaluate(curve, x)
+        diff = [a - b for a, b in zip(point, pos)]
         dist = math.sqrt(sum(c * c for c in diff))
         gap = dist - advance
         if abs(gap) <= _CHORD_MATCH_TOL:
-            return x
+            return x, point
         if gap > 0.0:
             hi = x
         elif x >= 1.0:
@@ -158,7 +160,8 @@ def _refine_step(curve, u, pos, advance):
         x = x - gap / slope if slope > 0.0 else math.inf
         if not lo < x < top:
             x = 1.0 if hi is None else 0.5 * (lo + hi)
-    return 0.5 * (lo + top)
+    x = 0.5 * (lo + top)
+    return x, evaluate(curve, x)
 
 
 def interpolate(
@@ -195,24 +198,20 @@ def interpolate(
         reached, (v, a, j) = track.state(t)
         advance = reached - travel
         travel = reached
-        if k == n_steps:
-            u_next = 1.0
-        else:
-            u_next = _refine_step(curve, u, pos, advance) if u < 1.0 else None
-            if u_next is None:
+        landing = None
+        if k < n_steps:
+            landing = _refine_step(curve, u, pos, advance) if u < 1.0 else None
+            if landing is None:
                 left = track.length - travel
                 if left > _END_DRIFT_PER_TICK * limits.delta_max * k:
                     raise SimulationError(
                         f"block {track.locate(t)[0]} at t={k * Ts:.6f}: plan "
                         f"commands {left + advance:.3e} mm past the path end"
                     )
-                u_next = 1.0
-        err = chord_error(curve, u, u_next)
-        pos = evaluate(curve, u_next)
-        samples.append(
-            InterpolationSample(k * Ts, u_next, pos, v, a, j, err)
-        )
-        u = u_next
+        u_next, pos_next = landing or (1.0, evaluate(curve, 1.0))
+        err = _chord_deviation(curve, u, u_next, pos, pos_next)
+        u, pos = u_next, pos_next
+        samples.append(InterpolationSample(k * Ts, u, pos, v, a, j, err))
     return samples
 
 

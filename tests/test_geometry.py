@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
+from feedsched import geometry
 from feedsched.curvegen import random_curve
 from feedsched.geometry import (
     CurveDomainError,
@@ -194,3 +196,84 @@ class TestParamAtLength:
         c = make_line()
         assert param_at_length(c, 0.0, 1e5) == 1.0
         assert param_at_length(c, 0.25, 0.0) == 0.25
+
+
+def _random_nurbs(rng, repeat_full):
+    """Seeded rational B-spline with repeated interior knots.
+
+    With repeat_full the first interior knot has multiplicity p, where the
+    curve is only C^0 and the span convention decides the derivatives.
+    """
+    p = int(rng.integers(1, 6))
+    dim = int(rng.integers(2, 4))
+    interior = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(1, 6))))
+    mults = rng.integers(1, p + 1, interior.size)
+    if repeat_full:
+        mults[0] = p
+    knots = (
+        [0.0] * (p + 1)
+        + [float(k) for k, m in zip(interior, mults) for _ in range(m)]
+        + [1.0] * (p + 1)
+    )
+    n = len(knots) - p - 1
+    ctrl = rng.uniform(-20.0, 20.0, (n, dim))
+    weights = np.exp(rng.uniform(-3.0, 3.0, n))
+    weights[rng.integers(0, n)] = math.exp(3.0)
+    weights[rng.integers(0, n)] = math.exp(-3.0)
+    return ParametricCurve(p, ctrl, weights, knots), interior
+
+
+class TestAgainstScipyBSpline:
+    """evaluate and derivatives against scipy's B-spline of the
+    homogeneous coordinates, through the quotient rule."""
+
+    def test_points_and_derivatives(self):
+        rng = np.random.default_rng(2024)
+        for i in range(60):
+            c, interior = _random_nurbs(rng, repeat_full=(i % 3 == 0))
+            hom = np.array(c.control_points) * np.array(c.weights)[:, None]
+            hom = np.column_stack([hom, c.weights])
+            bs = BSpline(np.array(c.knots), hom, c.degree, extrapolate=False)
+            scale = float(np.max(np.abs(c.control_points)))
+            us = np.concatenate([rng.uniform(0.0, 1.0, 25), interior, [0.0, 1.0]])
+            for u in us:
+                u = float(u)
+                a0, a1, a2 = (bs(u, nu=k) for k in range(3))
+                w0, w1, w2 = a0[-1], a1[-1], a2[-1]
+                c0 = a0[:-1] / w0
+                c1 = (a1[:-1] - w1 * c0) / w0
+                c2 = (a2[:-1] - 2.0 * w1 * c1 - w2 * c0) / w0
+                got = np.array(evaluate(c, u))
+                assert np.max(np.abs(got - c0)) <= 1e-12 * scale, (i, u)
+                d1, d2 = (np.array(d) for d in derivatives(c, u, 2))
+                for got_k, want_k in ((d1, c1), (d2, c2)):
+                    err = np.linalg.norm(got_k - want_k)
+                    assert err <= 1e-11 * np.linalg.norm(want_k), (i, u)
+
+
+class TestSpanTable:
+    def test_basis_runs_only_while_building_the_table(self, monkeypatch):
+        src = random_curve(4)
+        calls = []
+        basis = geometry._basis_derivatives
+
+        def counting(*args):
+            calls.append(args)
+            return basis(*args)
+
+        monkeypatch.setattr(geometry, "_basis_derivatives", counting)
+        c = ParametricCurve(src.degree, src.control_points, src.weights, src.knots)
+        evaluate(c, 0.5)
+        spans = len(set(c.knots)) - 1
+        assert len(calls) == spans
+        for u in np.linspace(0.0, 1.0, 17):
+            evaluate(c, float(u))
+            derivatives(c, float(u), 1)
+            derivatives(c, float(u), 2)
+        arc_length(c, 0.1, 0.9)
+        param_at_length(c, 0.2, 3.0)
+        assert len(calls) == spans
+
+        other = ParametricCurve(c.degree, c.control_points, c.weights, c.knots)
+        evaluate(other, 0.5)
+        assert len(calls) == 2 * spans
