@@ -114,17 +114,6 @@ class FeedrateScatter:
     def value_at(self, u: float) -> float:
         return float(np.interp(u, self.u, self.v))
 
-    def min_between(self, u_a: float, u_b: float) -> float:
-        """Smallest ceiling over [u_a, u_b], including interpolated ends."""
-        if u_b < u_a:
-            u_a, u_b = u_b, u_a
-        lo = int(np.searchsorted(self.u, u_a, side="left"))
-        hi = int(np.searchsorted(self.u, u_b, side="right"))
-        best = min(self.value_at(u_a), self.value_at(u_b))
-        if hi > lo:
-            best = min(best, float(self.v[lo:hi].min()))
-        return best
-
 
 def taylor_step(curve: ParametricCurve, u: float, v: float, Ts: float) -> float:
     """Parameter reached after one period at feed v, second-order accurate.
@@ -199,43 +188,47 @@ def _chord_deviation(curve, u_a, u_b, p_a, p_b) -> float:
     return _max_chord_deviation(curve, u_a, u_b, p_a, p_b)
 
 
-def _settle_landing(curve, u, u_pred, target):
+def _settle_landing(curve, u, u_pred, target, p0):
     """Polish a predicted landing until its chord matches the advance.
 
     The truncated prediction can land a few percent short of the chord
     the interpolator will actually traverse at this feed, which would
     certify an optimistically short step. A couple of Newton corrections
-    close that gap; the curve end clamps the landing as usual.
+    close that gap; the curve end clamps the landing as usual. p0 is the
+    point at u; returns the landing parameter and its point.
     """
-    p0 = evaluate(curve, u)
     x = u_pred
     for _ in range(3):
-        gap = target - math.dist(evaluate(curve, x), p0)
+        p = evaluate(curve, x)
+        gap = target - math.dist(p, p0)
         if abs(gap) <= 1e-4 * target:
-            break
+            return x, p
         d1 = derivatives(curve, x, 1)[0]
         speed = math.sqrt(sum(c * c for c in d1))
         if speed <= 0.0:
-            break
+            return x, p
         floor = u + 0.25 * (u_pred - u)
         x = min(max(x + gap / speed, floor), 1.0)
         if x >= 1.0:
             break
-    return x
+    return x, evaluate(curve, x)
 
 
 def _probe_step(
-    curve: ParametricCurve, u: float, v: float, limits: Limits
+    curve: ParametricCurve, u: float, v: float, limits: Limits, p0
 ) -> tuple[float, float]:
-    """One-period chord deviation at feed v; inf marks an unusable step."""
+    """One-period chord deviation at feed v; inf marks an unusable step.
+
+    p0 is the curve point at u, which every probe from u shares.
+    """
     try:
         u_next = taylor_step(curve, u, v, limits.Ts)
     except StepDegeneracyError:
         return math.inf, u
     if u_next <= u:
         return math.inf, u
-    u_next = _settle_landing(curve, u, u_next, v * limits.Ts)
-    return chord_error(curve, u, u_next), u_next
+    u_next, p_next = _settle_landing(curve, u, u_next, v * limits.Ts, p0)
+    return _chord_deviation(curve, u, u_next, p0, p_next), u_next
 
 
 def limit_feedrate(
@@ -250,11 +243,12 @@ def limit_feedrate(
     bisection against the tightest unsafe one, so curvature spikes do
     not cost more feed than the tolerance demands.
     """
+    p0 = evaluate(curve, u)
     v = limits.v_max
     unsafe = None
     safe = None
     for _ in range(_MAX_FEED_ITERATIONS):
-        delta, u_next = _probe_step(curve, u, v, limits)
+        delta, u_next = _probe_step(curve, u, v, limits, p0)
         if delta <= limits.delta_max:
             safe = (v, u_next)
             break
@@ -274,7 +268,7 @@ def limit_feedrate(
     lo, hi = safe[0], unsafe
     for _ in range(_BRACKET_REFINE_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        delta, u_next = _probe_step(curve, u, mid, limits)
+        delta, u_next = _probe_step(curve, u, mid, limits, p0)
         if delta <= limits.delta_max:
             safe = (mid, u_next)
             lo = mid

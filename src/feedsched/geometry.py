@@ -4,7 +4,8 @@ Coordinates are millimetres and the curve parameter u lives on [0, 1].
 Curves may be planar or spatial; planar control points are treated as z = 0
 wherever a cross product is required. Each curve converts its knot spans
 once into power-basis polynomials of the homogeneous curve, so a point and
-its derivatives cost one span lookup and a Horner sum.
+its derivatives cost one span lookup and a Horner sum, and builds from
+them once a piecewise closed-form table of its running arc length.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ class ParametricCurve:
             raise GeometryError("control points must all be 2-D or all be 3-D")
         if not all(math.isfinite(c) for pt in self.control_points for c in pt):
             raise GeometryError("control point coordinates must be finite")
+        if len(set(self.control_points)) == 1:
+            raise GeometryError("control points all coincide: the curve is a point")
         if len(self.weights) != n:
             raise GeometryError(
                 f"{n} control points but {len(self.weights)} weights"
@@ -121,16 +124,6 @@ class ParametricCurve:
     @property
     def dimension(self) -> int:
         return len(self.control_points[0])
-
-    @cached_property
-    def _interior_knots(self) -> tuple[float, ...]:
-        seen: list[float] = []
-        for k in self.knots:
-            if _KNOT_TOL < k < 1.0 - _KNOT_TOL and (
-                not seen or k - seen[-1] > _KNOT_TOL
-            ):
-                seen.append(k)
-        return tuple(seen)
 
     @cached_property
     def _span_polys(self) -> tuple[list[float], list[tuple]]:
@@ -169,6 +162,11 @@ class ParametricCurve:
             starts.append(lo)
             polys.append((mid, rows))
         return starts, polys
+
+    @cached_property
+    def _arc_table(self) -> _ArcTable:
+        """Cumulative arc length of the curve, built once from _span_polys."""
+        return _ArcTable(self)
 
 
 def _basis_derivatives(
@@ -333,37 +331,189 @@ def curvature_radius(curve: ParametricCurve, u: float) -> float:
     return speed3 / cross
 
 
-def _speed(curve: ParametricCurve, u: float) -> float:
-    (d1,) = derivatives(curve, u, 1)
-    return _norm(d1)
-
-
-_GL8 = tuple(zip(*np.polynomial.legendre.leggauss(8)))
-_GL16 = tuple(zip(*np.polynomial.legendre.leggauss(16)))
-
-
-def _gauss(curve: ParametricCurve, a: float, b: float, rule) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * sum(w * _speed(curve, mid + half * x) for x, w in rule)
-
-
-def _adaptive(
-    curve: ParametricCurve, a: float, b: float, tol: float, depth: int
-) -> float:
-    coarse = _gauss(curve, a, b, _GL8)
-    fine = _gauss(curve, a, b, _GL16)
-    if abs(fine - coarse) <= tol or depth >= 28 or (b - a) <= 1e-14:
-        return fine
-    mid = 0.5 * (a + b)
-    half_tol = 0.5 * tol
-    return _adaptive(curve, a, mid, half_tol, depth + 1) + _adaptive(
-        curve, mid, b, half_tol, depth + 1
+# Gauss-Legendre rule of the arc-length table, and the map from the speed
+# at its 16 nodes to the Legendre coefficients of the degree-15
+# polynomial through them (the rule integrates P_m P_n exactly for
+# m + n <= 31, so c_n = (n + 1/2) sum_k w_k P_n(x_k) f_k).
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_LEG_FIT = (
+    (np.arange(16)[:, None] + 0.5)
+    * np.polynomial.legendre.legvander(_GL_X, 15).T
+    * _GL_W
+)
+# The fit's running integral (Legendre coefficients, zero at x = -1) and
+# the fitted speed at the nodes of the two halves' rules; both are linear
+# in the node speeds.
+_RUN_FIT = np.polynomial.legendre.legint(_LEG_FIT, lbnd=-1)
+_HALF_FIT = (
+    np.polynomial.legendre.legvander(
+        np.concatenate([0.5 * _GL_X - 0.5, 0.5 * _GL_X + 0.5]), 15
     )
+    @ _LEG_FIT
+)
+_MAX_PIECE_DEPTH = 28
+# Clenshaw factors (2k+1)/(k+1) and (k+1)/(k+2) of the Legendre
+# recurrence P_{k+1} = (2k+1)/(k+1) x P_k - k/(k+1) P_{k-1}, k = 16..0.
+_CLENSHAW_A = tuple((2 * k + 1) / (k + 1) for k in range(16, -1, -1))
+_CLENSHAW_B = tuple((k + 1) / (k + 2) for k in range(16, -1, -1))
+
+
+def _node_speeds(rows, mids, lo, hi) -> np.ndarray:
+    """|C'| at the 16 Gauss-Legendre nodes of each interval [lo, hi].
+
+    Interval i lies in the span whose power-basis rows about mids[i] are
+    rows[i]; the result has one row of 16 speeds per interval.
+    """
+    t = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _GL_X
+    t = (t - mids[:, None])[:, None, :]
+    val = rows[:, :, :1]
+    der = np.zeros_like(val)
+    for k in range(1, rows.shape[2]):
+        der = der * t + val
+        val = val * t + rows[:, :, k, None]
+    w, dw = val[:, -1:], der[:, -1:]
+    d1 = (der[:, :-1] * w - val[:, :-1] * dw) / (w * w)
+    return np.sqrt((d1 * d1).sum(axis=1))
+
+
+def _legendre(terms, x: float) -> float:
+    """Legendre series at x by Clenshaw's recurrence.
+
+    terms holds (c_k, (2k+1)/(k+1), (k+1)/(k+2)) for k = 16 down to 0.
+    """
+    b1 = b2 = 0.0
+    for c, a, b in terms:
+        b1, b2 = c + a * x * b1 - b * b2, b1
+    return b1
+
+
+class _ArcTable:
+    """Running arc length S(u) of one curve, in closed form piece by piece.
+
+    Each non-empty knot span is halved into pieces until the degree-15
+    Legendre fit of the speed at a piece's 16 Gauss-Legendre nodes
+    matches the speed at the 32 nodes of its two halves' rules within
+    _ARC_TOL of the piece's mean speed (or of 1e-3 of the curve's, if
+    larger), which also bounds the fit's integral over each half against
+    GL16 there. Pieces whose arc is below the rounding level of the
+    control points are not split further. All pieces of one halving level
+    are checked together. A piece keeps the Legendre series, in
+    x = (u - centre) / half on [-1, 1], of the fit's running integral,
+    which is 0 at x = -1 and the piece's GL16 sum at x = 1.
+    """
+
+    __slots__ = ("starts", "cum", "pieces", "_centres", "_halves", "_runs")
+
+    def __init__(self, curve: ParametricCurve):
+        span_starts, polys = curve._span_polys
+        rows = np.array([r for _, r in polys])
+        mids = np.array([m for m, _ in polys])
+        lo = np.array(span_starts)
+        hi = np.append(lo[1:], 1.0)
+        span = np.arange(lo.size)
+        speeds = _node_speeds(rows, mids, lo, hi)
+        slow = 1e-3 * float(0.5 * (hi - lo) @ (speeds @ _GL_W))
+        noise = 1e-13 * max(abs(c) for pt in curve.control_points for c in pt)
+        kept = []
+        for depth in range(_MAX_PIECE_DEPTH + 1):
+            half = 0.5 * (hi - lo)
+            centre = lo + half
+            both = np.tile(span, 2)
+            kids = _node_speeds(
+                rows[both], mids[both],
+                np.concatenate([lo, centre]), np.concatenate([centre, hi]),
+            )
+            n = lo.size
+            whole = half * (speeds @ _GL_W)
+            miss = np.abs(speeds @ _HALF_FIT.T - np.hstack([kids[:n], kids[n:]]))
+            allowed = _ARC_TOL * np.maximum(whole / (2.0 * half), slow)
+            split = (
+                (whole > noise)
+                & (miss.max(axis=1) > allowed)
+                & (depth < _MAX_PIECE_DEPTH)
+            )
+            kept.append((lo[~split], hi[~split], speeds[~split]))
+            if not split.any():
+                break
+            lo, hi = (
+                np.concatenate([lo[split], centre[split]]),
+                np.concatenate([centre[split], hi[split]]),
+            )
+            span = np.tile(span[split], 2)
+            speeds = np.vstack([kids[:n][split], kids[n:][split]])
+        lo, hi, speeds = (np.concatenate(part) for part in zip(*kept))
+        order = np.argsort(lo)
+        lo, hi, speeds = lo[order], hi[order], speeds[order]
+        half = 0.5 * (hi - lo)
+        centre = lo + half
+        run = half[:, None] * (speeds @ _RUN_FIT.T)
+        self.starts = lo.tolist()
+        self.cum = [0.0] + np.cumsum(half * (speeds @ _GL_W)).tolist()
+        self.pieces = [
+            (c, h, tuple(zip(r[::-1], _CLENSHAW_A, _CLENSHAW_B)))
+            for c, h, r in zip(centre.tolist(), half.tolist(), run.tolist())
+        ]
+        self._centres = centre
+        self._halves = half
+        self._runs = run.T
+
+    def _locate(self, u: float) -> tuple[int, float]:
+        """Piece holding u and the running length from its start to u."""
+        i = max(bisect_right(self.starts, u) - 1, 0)
+        centre, half, run = self.pieces[i]
+        return i, _legendre(run, (u - centre) / half)
+
+    def between(self, u_a: float, u_b: float) -> float:
+        i, s_a = self._locate(u_a)
+        j, s_b = self._locate(u_b)
+        return (self.cum[j] - self.cum[i]) + (s_b - s_a)
+
+    def at(self, u: float) -> float:
+        i, s = self._locate(u)
+        return self.cum[i] + s
+
+    def positions(self, u: np.ndarray) -> np.ndarray:
+        """S(u) for an array of parameters in one vectorised pass."""
+        u = np.asarray(u, dtype=float)
+        idx = np.maximum(np.searchsorted(self.starts, u, side="right") - 1, 0)
+        x = (u - self._centres[idx]) / self._halves[idx]
+        run = np.polynomial.legendre.legval(x, self._runs[:, idx], tensor=False)
+        return np.asarray(self.cum)[idx] + run
+
+    def param(self, s: float) -> float:
+        """Parameter at which the running length reaches s (clamped).
+
+        A secant iteration on one piece's running length, from the chord
+        between the piece's ends, kept inside the bracket it narrows.
+        """
+        n = len(self.pieces)
+        if s >= self.cum[n]:
+            return 1.0
+        j = min(max(bisect_right(self.cum, s) - 1, 0), n - 1)
+        r = s - self.cum[j]
+        centre, half, run = self.pieces[j]
+        a, fa = -1.0, -r
+        b, fb = 1.0, (self.cum[j + 1] - self.cum[j]) - r
+        lo, hi = a, b
+        x = a
+        for _ in range(100):
+            x = b - fb * (b - a) / (fb - fa) if fb != fa else lo
+            if not lo <= x <= hi:
+                x = 0.5 * (lo + hi)
+            fx = _legendre(run, x) - r
+            if fx == 0.0 or abs(x - b) <= 1e-15 or hi - lo <= 1e-15:
+                break
+            if fx < 0.0:
+                lo = x
+            else:
+                hi = x
+            a, fa, b, fb = b, fb, x, fx
+        end = self.starts[j + 1] if j + 1 < n else 1.0
+        return min(max(centre + half * x, self.starts[j]), end)
 
 
 def arc_length(curve: ParametricCurve, u_a: float, u_b: float) -> float:
-    """Arc length between two parameters via adaptive Gauss quadrature.
+    """Arc length between two parameters (mm), from the curve's arc table.
 
     The returned length is accurate to a relative _ARC_TOL.
     """
@@ -373,24 +523,7 @@ def arc_length(curve: ParametricCurve, u_a: float, u_b: float) -> float:
         raise CurveDomainError(f"u_b={u_b} precedes u_a={u_a}")
     if u_b == u_a:
         return 0.0
-
-    edges = [u_a]
-    for k in curve._interior_knots:
-        if u_a + _KNOT_TOL < k < u_b - _KNOT_TOL:
-            edges.append(k)
-    edges.append(u_b)
-
-    estimates = [
-        _gauss(curve, lo, hi, _GL16) for lo, hi in zip(edges, edges[1:])
-    ]
-    total_est = sum(estimates)
-    if total_est == 0.0:
-        return 0.0
-    out = 0.0
-    for (lo, hi), est in zip(zip(edges, edges[1:]), estimates):
-        budget = _ARC_TOL * max(est, 1e-3 * total_est)
-        out += _adaptive(curve, lo, hi, budget, 0)
-    return out
+    return curve._arc_table.between(u_a, u_b)
 
 
 def param_at_length(
@@ -399,41 +532,14 @@ def param_at_length(
     """Parameter u >= u_start at which the arc from u_start reaches ``length``.
 
     The result satisfies |arc_length(u_start, u) - length| <= _LENGTH_TOL
-    (mm). Lengths at or beyond the curve end clamp to u = 1; the arc to
-    the curve end is measured only when a Newton step would pass it.
+    (mm). Lengths within _LENGTH_TOL of the curve end or beyond it clamp
+    to u = 1.
     """
     u_start = _check_param(u_start)
     if length <= 0.0:
         return u_start
-
-    lo, hi = u_start, 1.0
-    end_checked = False
-    u = u_start
-    s = 0.0
-    for _ in range(120):
-        speed = _speed(curve, u)
-        if speed > 0.0:
-            step = (length - s) / speed
-            cand = u + step
-        else:
-            cand = 0.5 * (lo + hi)
-        if cand >= 1.0 and not end_checked:
-            if length >= s + arc_length(curve, u, 1.0) - _LENGTH_TOL:
-                return 1.0
-            end_checked = True
-        if not lo < cand < hi:
-            cand = 0.5 * (lo + hi)
-        if cand >= u:
-            s_cand = s + arc_length(curve, u, cand)
-        else:
-            s_cand = s - arc_length(curve, cand, u)
-        if abs(s_cand - length) <= _LENGTH_TOL:
-            return cand
-        if s_cand < length:
-            lo = cand
-        else:
-            hi = cand
-        u, s = cand, s_cand
-        if hi - lo <= 1e-15:
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    table = curve._arc_table
+    target = table.at(u_start) + length
+    if target >= table.cum[-1] - _LENGTH_TOL:
+        return 1.0
+    return max(table.param(target), u_start)

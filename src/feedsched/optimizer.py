@@ -8,6 +8,12 @@ closed-form length/feed bounds. The scheduler sweeps the block list,
 growing transitions into neighboring constant blocks, lowering peak
 feeds that cannot be reached, and repeating until no feed moves.
 
+The sweep works on arc length alone. Each junction starts at the arc
+position of its scan parameter and, when lengths move, sits at the
+prefix sum of the block lengths before it; the scan ceiling is read at
+the arc positions of its samples. Junctions that moved get their curve
+parameter once, after the fixpoint.
+
 Feeds only ever decrease during scheduling, so the chord-error ceiling
 recorded by the scan stays satisfied at every breakpoint; transition
 lengths never shrink below their scan-time spans, so junctions never
@@ -22,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chordscan import FeedrateScatter, Limits
-from .geometry import ParametricCurve, param_at_length
+from .geometry import ParametricCurve
 from .segmentation import Block, BlockKind, classify_kind
 from .sprofile import ProfileFamily, block_duration, sigmoid_family
 
@@ -203,8 +209,13 @@ def extend_into_constant(
         return trans, const_block, const_block.v_s
     transfer = need - trans.L
     if transfer <= const_block.L:
-        trans.L = need
-        const_block.L -= transfer
+        if const_block.L - transfer <= _LEN_TOL:
+            # a residue this small is rounding, not a steady phase
+            trans.L += const_block.L
+            const_block.L = 0.0
+        else:
+            trans.L = need
+            const_block.L -= transfer
         return trans, const_block, const_block.v_s
     total = trans.L + const_block.L
     new_hi = transition_max_feed(lo, total, family, limits)
@@ -358,8 +369,8 @@ def adjust_with_constant(
         raise InfeasibleJunctionError("no feasible top feed in range")
     l1, l3 = side_lengths(best_v)
     l2 = L_total - l1 - l3
-    if l2 < 0.0:
-        l1 += l2  # absorb the sub-tolerance deficit
+    if l2 <= _LEN_TOL:
+        l1 += l2  # absorb the sub-tolerance deficit or residue
         l2 = 0.0
     return AdjustmentOutcome(
         v2_opt=best_v,
@@ -417,34 +428,70 @@ def _set_junction_feed(blocks, j, v):
         blocks[j].v_s = v
 
 
-def _reanchor(curve, blocks, i, j):
-    """Recompute interior junction parameters of blocks[i..j] from lengths.
+def _min_ceiling(s, v, a, b):
+    """Smallest scan ceiling over arc positions [a, b], ends interpolated.
 
-    The range's ends stay fixed. Each junction is clamped to the far end,
-    which the arc inversion's tolerance could otherwise overshoot, leaving
-    a zero-length last block that ends before it starts.
+    s holds the arc positions of the scan samples and v their feeds.
     """
-    u = blocks[i].u_s
-    end = blocks[j].u_e
-    for k in range(i, j):
-        if blocks[k].L > 0.0:
-            u = min(param_at_length(curve, u, blocks[k].L), end)
-        blocks[k].u_e = u
-        blocks[k + 1].u_s = u
+    if b < a:
+        a, b = b, a
+    lo = int(np.searchsorted(s, a, side="left"))
+    hi = int(np.searchsorted(s, b, side="right"))
+    best = min(float(np.interp(a, s, v)), float(np.interp(b, s, v)))
+    if hi > lo:
+        best = min(best, float(v[lo:hi].min()))
+    return best
+
+
+def _anchor_junctions(curve, blocks, pos, start):
+    """Give each junction whose arc position moved its parameter, once.
+
+    Junctions are converted in order and clamped between the previous
+    junction and the next unmoved one, so no block ends before it starts;
+    one that ends a zero-length block takes the previous junction's.
+    """
+    n = len(blocks)
+    u = [b.u_s for b in blocks] + [blocks[-1].u_e]
+    upper = u[:]
+    for j in range(n - 1, 0, -1):
+        if pos[j] != start[j]:
+            upper[j] = upper[j + 1]
+    table = curve._arc_table
+    for j in range(1, n):
+        if pos[j] == pos[j - 1]:
+            u[j] = u[j - 1]
+        elif pos[j] != start[j]:
+            u[j] = min(max(table.param(pos[j]), u[j - 1]), upper[j])
+    for j, b in enumerate(blocks):
+        b.u_s, b.u_e = u[j], u[j + 1]
 
 
 class _Sweeper:
     """One scheduling pass; holds shared state for the junction handlers."""
 
-    def __init__(self, curve, blocks, scatter, limits, family):
-        self.curve = curve
+    def __init__(self, blocks, pos, scan_pos, scan_feed, limits, family):
         self.blocks = blocks
-        self.scatter = scatter
+        self.pos = pos
+        self.scan_pos = scan_pos
+        self.scan_feed = scan_feed
         self.limits = limits
         self.family = family
         self.kind_tol = 1e-9 * limits.v_max
         self.floors = [b.L for b in blocks]
         self.change = 0.0
+
+    def ceiling(self, a, b):
+        return _min_ceiling(self.scan_pos, self.scan_feed, a, b)
+
+    def place(self, i, j):
+        """Re-place the interior junctions of blocks[i..j] from lengths.
+
+        The range's ends stay fixed; each junction is clamped to the far
+        end so rounding cannot push a zero-length last block backwards.
+        """
+        pos = self.pos
+        for k in range(i, j):
+            pos[k + 1] = min(pos[k] + self.blocks[k].L, pos[j + 1])
 
     def kind(self, b: Block) -> BlockKind:
         return classify_kind(b.v_s, b.v_e, self.kind_tol)
@@ -491,7 +538,7 @@ class _Sweeper:
             self.blocks[k].L = L
         if moved > _LEN_TOL:
             self.change = max(self.change, moved)
-            _reanchor(self.curve, self.blocks, i, j)
+            self.place(i, j)
 
     def _handle_acd(self, i):
         a, c, d = self.blocks[i], self.blocks[i + 1], self.blocks[i + 2]
@@ -500,7 +547,7 @@ class _Sweeper:
         ceiling = min(
             self.limits.v_max,
             c.v_s,
-            self.scatter.min_between(c.u_s, c.u_e),
+            self.ceiling(self.pos[i + 1], self.pos[i + 2]),
         )
         lo = max(v1, v3)
         if ceiling < lo:
@@ -599,14 +646,11 @@ class _Sweeper:
     def _donated_ceiling(self, i, l1, l2):
         """Scan ceiling over whichever stretch would change ownership."""
         a, d = self.blocks[i], self.blocks[i + 1]
+        pos = self.pos
         if l1 < a.L - _LEN_TOL:
-            u_new = a.u_s if l1 <= 0.0 else param_at_length(
-                self.curve, a.u_s, l1
-            )
-            return self.scatter.min_between(u_new, a.u_e)
+            return self.ceiling(pos[i] + max(l1, 0.0), pos[i + 1])
         if l2 < d.L - _LEN_TOL:
-            u_new = param_at_length(self.curve, d.u_s, d.L - l2)
-            return self.scatter.min_between(d.u_s, u_new)
+            return self.ceiling(pos[i + 1], pos[i + 1] + (d.L - l2))
         return math.inf
 
     def _handle_extend(self, trans_idx, const_idx):
@@ -631,7 +675,7 @@ class _Sweeper:
         )
         if moved > _LEN_TOL:
             self.change = max(self.change, moved)
-            _reanchor(self.curve, self.blocks, lo_idx, lo_idx + 1)
+            self.place(lo_idx, lo_idx + 1)
 
     def _handle_leftover(self, i):
         b = self.blocks[i]
@@ -694,7 +738,9 @@ def schedule(
 ) -> list[Block]:
     """Sweep all junctions until no feed changes, then fill durations.
 
-    The input list is not modified. Breakpoint feeds only decrease, so
+    The sweep moves junctions in arc length only; each junction that moved
+    gets its curve parameter once at the end. The input list is not
+    modified. Breakpoint feeds only decrease, so
     the result stays below the chord-error ceiling everywhere the scan
     sampled. A final validation pass re-checks every block's true peaks,
     as the family's fitted profiles report them, against the limits and
@@ -704,7 +750,14 @@ def schedule(
     if family is None:
         family = sigmoid_family(limits.shape_s)
     work = [replace(b) for b in blocks]
-    sweeper = _Sweeper(curve, work, scatter, limits, family)
+    if not work:
+        return work
+    n = len(scatter)
+    at = curve._arc_table.positions(
+        np.concatenate([scatter.u, [b.u_s for b in work], [work[-1].u_e]])
+    )
+    start = at[n:].tolist()
+    sweeper = _Sweeper(work, start[:], at[:n], scatter.v, limits, family)
     for _ in range(_MAX_SWEEPS):
         change = sweeper.run()
         if change <= max(_FEED_TOL, _LEN_TOL):
@@ -715,6 +768,7 @@ def schedule(
             "no fixpoint after "
             f"{_MAX_SWEEPS} sweeps; last change {sweeper.change:.3e}"
         )
+    _anchor_junctions(curve, work, sweeper.pos, start)
     for b in work:
         b.T = block_duration(b.L, b.v_s, b.v_e)
         if b.L > 0.0 and not sweeper._peaks_ok(b.v_s, b.v_e, b.L):

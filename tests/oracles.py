@@ -4,7 +4,8 @@ Everything here is written independently of the library's closed-form
 solvers: peak accelerations and jerks come from the piecewise profile
 coefficients evaluated directly with numpy, and the optimization
 oracles search feasibility by bisection or dense grids using those
-peaks as the ground truth.
+peaks as the ground truth. The arc-length reference integrates the
+speed from the public ``derivatives`` by adaptive Gauss quadrature.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from feedsched.geometry import derivatives
 
 SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 SIG_D2_ARGMAX = math.log(2.0 + math.sqrt(3.0))
@@ -280,3 +283,47 @@ def best_span_time(v1, v3, L_total, v_ceiling, s, a_max, j_max):
                 break
             grid = np.linspace(a, b, 1001)
     return best
+
+
+_GL8 = tuple(zip(*np.polynomial.legendre.leggauss(8)))
+_GL16 = tuple(zip(*np.polynomial.legendre.leggauss(16)))
+
+
+def _gauss_arc(curve, a, b, rule):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half * sum(
+        w * math.hypot(*derivatives(curve, mid + half * x, 1)[0]) for x, w in rule
+    )
+
+
+def _adaptive_arc(curve, a, b, tol, depth):
+    coarse = _gauss_arc(curve, a, b, _GL8)
+    fine = _gauss_arc(curve, a, b, _GL16)
+    if abs(fine - coarse) <= tol or depth >= 28 or (b - a) <= 1e-14:
+        return fine
+    mid = 0.5 * (a + b)
+    return _adaptive_arc(curve, a, mid, 0.5 * tol, depth + 1) + _adaptive_arc(
+        curve, mid, b, 0.5 * tol, depth + 1
+    )
+
+
+def arc_length(curve, u_a, u_b, rel=1e-12):
+    """Arc length by adaptive Gauss quadrature, split at interior knots.
+
+    Each knot-free piece is integrated with GL16 and halved until GL8
+    agrees with it within rel of the piece (with a floor of 1e-3 of the
+    whole arc), evaluating the speed point by point through the public
+    ``derivatives``.
+    """
+    knots = sorted({k for k in curve.knots if u_a < k < u_b})
+    edges = [u_a] + knots + [u_b]
+    pieces = list(zip(edges, edges[1:]))
+    estimates = [_gauss_arc(curve, lo, hi, _GL16) for lo, hi in pieces]
+    total = sum(estimates)
+    if total == 0.0:
+        return 0.0
+    return sum(
+        _adaptive_arc(curve, lo, hi, rel * max(est, 1e-3 * total), 0)
+        for (lo, hi), est in zip(pieces, estimates)
+    )

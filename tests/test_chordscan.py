@@ -79,16 +79,7 @@ class TestFeedrateScatter:
         assert sc.value_at(0.75) == pytest.approx(30.0)
         assert sc.value_at(0.0) == 10.0
         assert sc.value_at(1.0) == 40.0
-
-    def test_min_between(self):
-        sc = FeedrateScatter(
-            [0.0, 0.25, 0.5, 0.75, 1.0], [10.0, 4.0, 8.0, 2.0, 6.0]
-        )
-        assert sc.min_between(0.3, 0.6) == pytest.approx(4.8)
-        assert sc.min_between(0.3, 0.8) == pytest.approx(2.0)
-        assert sc.min_between(0.6, 0.3) == pytest.approx(4.8)
-        assert sc.min_between(0.5, 0.5) == pytest.approx(8.0)
-        assert len(sc) == 5
+        assert len(sc) == 3
 
 
 class TestTaylorStep:

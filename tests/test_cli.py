@@ -183,16 +183,22 @@ class TestRunOutputs:
         with pytest.raises(CliError, match=re.escape(f"{bad}:2")):
             load_blocks(bad)
 
-    @pytest.mark.parametrize("seed", [8, 10, 17, 22])
+    @pytest.mark.parametrize("seed", range(25))
     def test_reanchored_junctions_stay_ordered(self, tmp_path, seed):
         # junction re-anchoring once pushed a zero-length block's start a
-        # few 1e-12 past its end on these seeds, and load_blocks then
-        # refused the run's own block table
+        # few 1e-12 past its end on seeds 8, 10, 17 and 22, and load_blocks
+        # then refused the run's own block table; a block of positive
+        # length must also span a positive parameter range
         curve, out = str(tmp_path / "curve.json"), tmp_path / "out"
         assert main(["gen-curve", "--seed", str(seed), "--out", curve]) == 0
         assert main(["run", "--curve", curve, "--out-dir", str(out)]) == 0
         blocks = load_blocks(out / "sigmoid_blocks.csv")
-        assert all(b.u_e >= b.u_s for b in blocks)
+        for b in blocks:
+            assert b.u_e >= b.u_s
+            if b.L > 0.0:
+                assert b.u_e > b.u_s, b
+            if b.u_e == b.u_s:
+                assert b.L == 0.0, b
 
 
 class TestOptions:
@@ -297,8 +303,9 @@ GOOD_POINTS = [[0.0, 0.0], [2.0, 1.0], [5.0, 5.0], [10.0, 0.0], [15.0, 5.0]]
             [],
             "vanishing first derivative",
         ),
+        ([[5.0, 5.0]] * 5, [], "control points all coincide"),
     ],
-    ids=["negative-mu-s", "nan-coordinate", "coincident-start"],
+    ids=["negative-mu-s", "nan-coordinate", "coincident-start", "point-curve"],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, points, extra, cause):
     curve = tmp_path / "curve.json"

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
+
+import oracles
 
 from feedsched import geometry
 from feedsched.curvegen import random_curve
@@ -42,6 +45,12 @@ class TestValidation:
         with pytest.raises(GeometryError):
             ParametricCurve(
                 2, ((0, 0), (1, 1), (2, 0)), (1, 1, 1), (0, 0, 0.2, 1, 1, 1)
+            )
+
+    def test_point_curve_rejected(self):
+        with pytest.raises(GeometryError, match="coincide"):
+            ParametricCurve(
+                2, ((5.0, 5.0),) * 3, (1.0, 20.0, 0.05), (0, 0, 0, 1, 1, 1)
             )
 
     def test_mixed_dimensions(self):
@@ -277,3 +286,67 @@ class TestSpanTable:
         other = ParametricCurve(c.degree, c.control_points, c.weights, c.knots)
         evaluate(other, 0.5)
         assert len(calls) == 2 * spans
+
+
+@st.composite
+def nurbs_curves(draw):
+    """Rational B-splines of degree 1-5 in 2-D or 3-D, weights e^+-3,
+    interior knots repeated up to multiplicity p."""
+    p = draw(st.integers(1, 5))
+    dim = draw(st.sampled_from((2, 3)))
+    gaps = draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=5))
+    interior = np.cumsum(gaps)[:-1] / sum(gaps)
+    knots = [0.0] * (p + 1)
+    for k in interior:
+        knots += [float(k)] * draw(st.integers(1, p))
+    knots += [1.0] * (p + 1)
+    n = len(knots) - p - 1
+    # each control point a step of 0.1 to 10 mm from the last, so that no
+    # span collapses to a point, where the speed is rounding noise
+    ctrl = [draw(st.tuples(*[st.floats(-20.0, 20.0)] * dim))]
+    for _ in range(n - 1):
+        r = draw(st.floats(0.1, 10.0))
+        a, b = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.0, math.pi))
+        step = (math.cos(a), math.sin(a)) if dim == 2 else (
+            math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)
+        )
+        ctrl.append(tuple(x + r * d for x, d in zip(ctrl[-1], step)))
+    logw = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    return ParametricCurve(p, ctrl, [math.exp(w) for w in logw], knots)
+
+
+class TestArcTableProperties:
+    """The arc table against the adaptive-quadrature oracle and against
+    its own scalar lookups."""
+
+    def test_vectorised_positions_match_scalar_lookups(self):
+        rng = np.random.default_rng(6)
+        for seed in range(8):
+            c = random_curve(seed, planar=(seed % 2 == 0))
+            us = np.concatenate([rng.uniform(0.0, 1.0, 200), sorted(set(c.knots))])
+            table = c._arc_table
+            want = [arc_length(c, 0.0, float(u)) for u in us]
+            total = arc_length(c, 0.0, 1.0)
+            assert np.allclose(table.positions(us), want, rtol=0.0, atol=8e-16 * total)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(c=nurbs_curves(), cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
+    def test_arc_length_matches_oracle(self, c, cuts):
+        us = sorted(cuts)
+        for a, b in zip(us, us[1:]):
+            want = oracles.arc_length(c, a, b)
+            assert arc_length(c, a, b) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        c=nurbs_curves(),
+        u0=st.floats(0.0, 1.0),
+        steps=st.lists(st.integers(0, 1000), min_size=1, max_size=6),
+    )
+    def test_param_at_length_round_trip_and_monotone(self, c, u0, steps):
+        rest = arc_length(c, u0, 1.0)
+        lengths = sorted(k / 1000.0 * rest for k in steps)
+        us = [param_at_length(c, u0, L) for L in lengths]
+        for L, u in zip(lengths, us):
+            assert abs(arc_length(c, u0, u) - L) <= geometry._LENGTH_TOL
+        assert all(a <= b for a, b in zip(us, us[1:]))

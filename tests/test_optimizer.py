@@ -6,7 +6,7 @@ import pytest
 import oracles
 from conftest import make_line
 from feedsched.chordscan import FeedrateScatter, Limits
-from feedsched import optimizer
+from feedsched import geometry, optimizer
 from feedsched.curvegen import random_curve
 from feedsched.geometry import arc_length
 from feedsched.optimizer import (
@@ -327,6 +327,63 @@ def line_setup(length, feeds, cuts):
     return curve, blocks
 
 
+class TestResidueLengths:
+    """A steady phase or constant block left with a rounding residue is
+    folded into the transition, so no length lies in (0, _LEN_TOL]."""
+
+    RESIDUES = (-1e-12, 0.0, 4.4e-16, 4.0e-15, 1e-12, 5e-10, 1e-9, 2e-9)
+
+    @staticmethod
+    def assert_no_residue(lengths):
+        for L in lengths:
+            assert L == 0.0 or L > optimizer._LEN_TOL, lengths
+
+    def test_adjust_with_constant(self):
+        for v1, v3, v2 in ((20.0, 30.0, 70.0), (60.0, 10.0, 80.0), (40.0, 40.0, 90.0)):
+            tight = transition_min_length(v1, v2, SIG, STD) + transition_min_length(
+                v3, v2, SIG, STD
+            )
+            for extra in self.RESIDUES:
+                total = tight + extra
+                out = adjust_with_constant(v1, v3, total, v2, SIG, STD)
+                self.assert_no_residue(out.lengths)
+                assert sum(out.lengths) == pytest.approx(total, rel=1e-12)
+
+    def test_extend_into_constant(self):
+        need = transition_min_length(10.0, 60.0, SIG, STD)
+        for extra in self.RESIDUES[1:]:
+            trans = Block(0.0, 0.05, 10.0, 60.0, 0.5)
+            const = Block(0.05, 0.9, 60.0, 60.0, need - 0.5 + extra)
+            total = trans.L + const.L
+            _, _, feed = extend_into_constant(trans, const, SIG, STD)
+            assert feed == 60.0
+            self.assert_no_residue((trans.L, const.L))
+            assert trans.L >= need
+            assert trans.L + const.L == pytest.approx(total, rel=1e-15)
+
+    def test_random_spans(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            v1, v3 = rng.uniform(1.0, 60.0, 2)
+            v2 = max(v1, v3) + rng.uniform(0.0, 40.0)
+            tight = transition_min_length(v1, v2, SIG, STD) + transition_min_length(
+                v3, v2, SIG, STD
+            )
+            total = tight + rng.choice(self.RESIDUES) + rng.uniform(0.0, 1e-9)
+            out = adjust_with_constant(v1, v3, total, v2, SIG, STD)
+            self.assert_no_residue(out.lengths)
+
+
+class TestMinCeiling:
+    def test_min_over_arc_range(self):
+        s = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * 8.0
+        v = np.array([10.0, 4.0, 8.0, 2.0, 6.0])
+        assert optimizer._min_ceiling(s, v, 2.4, 4.8) == pytest.approx(4.8)
+        assert optimizer._min_ceiling(s, v, 2.4, 6.4) == pytest.approx(2.0)
+        assert optimizer._min_ceiling(s, v, 4.8, 2.4) == pytest.approx(4.8)
+        assert optimizer._min_ceiling(s, v, 4.0, 4.0) == pytest.approx(8.0)
+
+
 class TestSchedule:
     def test_already_optimal_is_fixpoint(self):
         curve, blocks = line_setup(
@@ -341,6 +398,10 @@ class TestSchedule:
             assert got.L == pytest.approx(orig.L, rel=1e-12)
         assert out[0].T == pytest.approx(2.0 * 30.0 / 80.0)
         assert out[1].T == pytest.approx(40.0 / 60.0)
+
+    def test_no_blocks(self):
+        curve = make_line()
+        assert schedule(curve, [], FeedrateScatter([0.0, 1.0], [5.0, 5.0]), STD) == []
 
     def test_input_not_mutated(self):
         curve, blocks = line_setup(4.0, [(20.0, 90.0), (90.0, 20.0)], [0.5])
@@ -462,6 +523,33 @@ class TestSchedule:
         assert [(x.u_s, x.u_e, x.v_s, x.v_e, x.L, x.T) for x in a] == [
             (x.u_s, x.u_e, x.v_s, x.v_e, x.L, x.T) for x in b
         ]
+
+    def test_sweep_calls_no_geometry(self, monkeypatch):
+        # the sweep moves junctions in arc length; only the final
+        # conversion maps a moved junction to u, once
+        curve = random_curve(3)
+        scatter = scan_curve(curve, STD)
+        blocks = build_blocks(curve, scatter, find_breakpoints(scatter))
+        calls = []
+
+        def counting(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        monkeypatch.setattr(
+            geometry, "_homogeneous_ders",
+            counting("point", geometry._homogeneous_ders),
+        )
+        for name in ("positions", "param", "at", "between"):
+            method = getattr(geometry._ArcTable, name)
+            monkeypatch.setattr(geometry._ArcTable, name, counting(name, method))
+        out = schedule(curve, blocks, scatter, STD)
+        # a junction after a zero-length block shares the previous one's u
+        converted = sum(
+            b.u_s != orig.u_s and a.L > 0.0
+            for a, b, orig in zip(out, out[1:], blocks[1:])
+        )
+        assert calls.count("positions") == 1
+        assert 0 < converted == calls.count("param") == len(calls) - 1
 
     def test_scanned_curve_end_to_end(self):
         curve = random_curve(3)
