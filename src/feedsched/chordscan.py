@@ -111,9 +111,6 @@ class FeedrateScatter:
     def __len__(self) -> int:
         return int(self.u.size)
 
-    def value_at(self, u: float) -> float:
-        return float(np.interp(u, self.u, self.v))
-
 
 def taylor_step(curve: ParametricCurve, u: float, v: float, Ts: float) -> float:
     """Parameter reached after one period at feed v, second-order accurate.

@@ -38,7 +38,6 @@ __all__ = [
     "SweepConvergenceError",
     "ScheduleConsistencyError",
     "AdjustmentOutcome",
-    "solve_real_roots",
     "transition_min_length",
     "transition_max_feed",
     "adjust_peak_junction",
@@ -50,7 +49,6 @@ __all__ = [
 _FEED_TOL = 1e-9
 _LEN_TOL = 1e-9
 _MAX_SWEEPS = 1000
-_ROOT_TOL = 1e-9
 
 
 class OptimizerError(ValueError):
@@ -84,53 +82,6 @@ class AdjustmentOutcome:
     lengths: tuple[float, float, float]
 
 
-def solve_real_roots(coeffs, interval: tuple[float, float]) -> list[float]:
-    """Real roots of a polynomial inside [lo, hi], highest degree first.
-
-    Roots are Newton-polished, verified against a residual bound, and
-    deduplicated within 1e-7. Near-zero leading coefficients are trimmed
-    before solving.
-    """
-    lo, hi = interval
-    c = np.asarray(coeffs, dtype=float)
-    if c.size == 0:
-        return []
-    scale = float(np.abs(c).max())
-    if scale == 0.0:
-        return []
-    keep = np.abs(c) > 1e-14 * scale
-    first = int(np.argmax(keep))
-    c = c[first:]
-    if c.size <= 1:
-        return []
-    poly = np.polynomial.Polynomial(c[::-1])
-    dpoly = poly.deriv()
-    found = []
-    width = max(hi - lo, 1.0)
-    for r in np.roots(c):
-        if abs(r.imag) > 1e-7 * (1.0 + abs(r.real)):
-            continue
-        x = float(r.real)
-        if x < lo - 1e-6 * width or x > hi + 1e-6 * width:
-            continue
-        for _ in range(50):
-            fx = poly(x)
-            dx = dpoly(x)
-            if dx == 0.0:
-                break
-            step = fx / dx
-            x -= step
-            if abs(step) < _ROOT_TOL * 1e-3:
-                break
-        x = min(max(x, lo), hi)
-        bound = scale * max(1.0, abs(x)) ** (c.size - 1)
-        if abs(poly(x)) > 1e-6 * bound:
-            continue
-        if all(abs(x - y) > 1e-7 for y in found):
-            found.append(x)
-    return sorted(found)
-
-
 def transition_min_length(
     v_lo: float, v_hi: float, family: ProfileFamily, limits: Limits
 ) -> float:
@@ -158,13 +109,20 @@ def transition_max_feed(
         jrk = math.inf
     else:
         rhs = L * L * limits.j_max / family.mu_m
-        # (v - v_lo)(v + v_lo)^2 == rhs has one root above v_lo, and
-        # (v - v_lo)^3 <= rhs bounds it from above
-        hi = v_lo + rhs ** (1.0 / 3.0) + 1.0
-        roots = solve_real_roots(
-            [1.0, v_lo, -v_lo * v_lo, -(v_lo**3 + rhs)], (v_lo, hi)
-        )
-        jrk = roots[-1] if roots else v_lo
+        # (v - v_lo)(v + v_lo)^2 == rhs is increasing and convex above
+        # v_lo, so Newton from an upper bound descends monotonically onto
+        # its root; (v - v_lo)^3 and (v - v_lo)(2 v_lo)^2 bound the left
+        # side from below, which bounds the root from above
+        jrk = v_lo + rhs ** (1.0 / 3.0)
+        den = 4.0 * v_lo * v_lo
+        if den > 0.0:
+            jrk = min(jrk, v_lo + rhs / den)
+        while jrk > 0.0:  # the slope vanishes only at v = v_lo = 0
+            w = jrk + v_lo
+            nxt = jrk - ((jrk - v_lo) * w * w - rhs) / (w * (3.0 * jrk - v_lo))
+            if not nxt < jrk:
+                break
+            jrk = nxt
     return min(acc, jrk)
 
 
@@ -230,63 +188,6 @@ def extend_into_constant(
     return trans, const_block, new_hi
 
 
-def _crossover_delta(family: ProfileFamily, limits: Limits) -> float:
-    """Feed rise above which acceleration, not jerk, sets the min length."""
-    if math.isinf(limits.j_max) or math.isinf(limits.a_max):
-        return math.inf if math.isinf(limits.a_max) else 0.0
-    return family.mu_m * limits.a_max * limits.a_max / (
-        limits.j_max * family.mu_n * family.mu_n
-    )
-
-
-def _poly_mul(a, b):
-    return list(np.polymul(a, b))
-
-
-def _poly_sub(a, b):
-    return list(np.polysub(a, b))
-
-
-def _boundary_candidates(v1, v3, L, lo, hi, family, limits):
-    """Feeds where the steady phase vanishes, per binding-form section.
-
-    With both sides acceleration-bound the condition is quadratic; one
-    jerk-bound side makes it quartic; two make it sextic. Roots are
-    candidates only — each is re-checked through the exact objective.
-    """
-    delta = _crossover_delta(family, limits)
-    alpha = family.mu_n / limits.a_max
-    gamma = math.sqrt(family.mu_m / limits.j_max)
-    cuts = sorted({lo, hi} | {
-        v + delta for v in (v1, v3) if lo < v + delta < hi
-    })
-    out = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        acc1 = mid - v1 >= delta
-        acc3 = mid - v3 >= delta
-        # polynomial pieces in v2, numpy coefficient order (high first)
-        if acc1 and acc3:
-            poly = [2.0 * alpha, 0.0, -(L + alpha * (v1 * v1 + v3 * v3))]
-        elif acc1 != acc3:
-            va, vj = (v1, v3) if acc1 else (v3, v1)
-            w = [-alpha, 0.0, L + alpha * va * va]
-            lhs = _poly_mul(
-                [gamma * gamma], _poly_mul([1.0, -vj], _poly_mul([1.0, vj], [1.0, vj]))
-            )
-            poly = _poly_sub(lhs, _poly_mul(w, w))
-        else:
-            g2 = gamma * gamma
-            t1 = _poly_mul([g2], _poly_mul([1.0, -v1], _poly_mul([1.0, v1], [1.0, v1])))
-            t3 = _poly_mul([g2], _poly_mul([1.0, -v3], _poly_mul([1.0, v3], [1.0, v3])))
-            z = _poly_sub([L * L], np.polyadd(t1, t3))
-            cross = _poly_mul([4.0], _poly_mul(t1, t3))
-            poly = _poly_sub(cross, _poly_mul(z, z))
-        for r in solve_real_roots(poly, (a, b)):
-            out.append(r)
-    return out
-
-
 def adjust_with_constant(
     v1: float,
     v3: float,
@@ -296,13 +197,17 @@ def adjust_with_constant(
     limits: Limits,
     floors: tuple[float, float] = (0.0, 0.0),
 ) -> AdjustmentOutcome:
-    """Optimal top feed and length split for a rise-steady-fall span.
+    """Fastest top feed and length split for a rise-steady-fall span.
 
-    Minimizes traversal time over the top feed v2, with each side's
-    length at the larger of its feasibility minimum and its floor. The
-    candidate set holds the feasibility boundary, section edges where
-    the binding constraint switches form, and the steady-phase-vanishing
-    roots; the exact objective picks the winner (larger v2 on ties).
+    Each side's length is the larger of its minimum length and its floor.
+    The span time T(v2) = l2/v2 + 2*l1/(v1+v2) + 2*l3/(v3+v2), with
+    l2 = L_total - l1 - l3, then never increases with v2, so the top feed
+    is the largest feasible one, found by bisection:
+    - acceleration-bound side: its transition time grows by l'/v2, just
+      what the steady phase loses;
+    - jerk-bound side: it grows by g/sqrt(v2-vi), at most
+      l'/v2 = g*(3*v2-vi)/(2*v2*sqrt(v2-vi)), with g = sqrt(mu_m/j_max);
+    - a binding floor only shortens its side's transition time.
     """
     if L_total <= 0.0:
         raise OptimizerError("span length must be positive")
@@ -324,58 +229,25 @@ def adjust_with_constant(
         raise InfeasibleJunctionError(
             f"span of {L_total:.6f} mm cannot host feeds {v1:.3f}/{v3:.3f}"
         )
-    if feasible(v_ceiling):
-        v_h = v_ceiling
-    else:
-        f_lo, f_hi = lo, v_ceiling
+    v_h = v_ceiling
+    if not feasible(v_ceiling):
+        v_h, f_hi = lo, v_ceiling
         for _ in range(200):
-            mid = 0.5 * (f_lo + f_hi)
+            mid = 0.5 * (v_h + f_hi)
+            if mid == v_h or mid == f_hi:
+                break
             if feasible(mid):
-                f_lo = mid
+                v_h = mid
             else:
                 f_hi = mid
-        v_h = f_lo
-
-    def objective(v2):
-        l1, l3 = side_lengths(v2)
-        l2 = L_total - l1 - l3
-        if l2 < -slack:
-            return math.inf
-        l2 = max(l2, 0.0)
-        t = l2 / v2 if v2 > 0.0 else (math.inf if l2 > 0.0 else 0.0)
-        if l1 > 0.0:
-            t += 2.0 * l1 / (v1 + v2)
-        if l3 > 0.0:
-            t += 2.0 * l3 / (v3 + v2)
-        return t
-
-    candidates = {lo, v_h}
-    delta = _crossover_delta(family, limits)
-    for v in (v1 + delta, v3 + delta):
-        if lo < v < v_h:
-            candidates.add(v)
-    for r in _boundary_candidates(v1, v3, L_total, lo, v_h, family, limits):
-        candidates.add(min(max(r, lo), v_h))
-    best_v, best_t = None, math.inf
-    for v2 in sorted(candidates):
-        t = objective(v2)
-        if t < best_t * (1.0 - 1e-12) or (
-            best_v is not None
-            and abs(t - best_t) <= 1e-12 * max(best_t, 1.0)
-            and v2 > best_v
-        ):
-            best_v, best_t = v2, t
-    if best_v is None or not math.isfinite(best_t):
+    if v_h <= 0.0:
         raise InfeasibleJunctionError("no feasible top feed in range")
-    l1, l3 = side_lengths(best_v)
+    l1, l3 = side_lengths(v_h)
     l2 = L_total - l1 - l3
     if l2 <= _LEN_TOL:
         l1 += l2  # absorb the sub-tolerance deficit or residue
         l2 = 0.0
-    return AdjustmentOutcome(
-        v2_opt=best_v,
-        lengths=(l1, l2, l3),
-    )
+    return AdjustmentOutcome(v2_opt=v_h, lengths=(l1, l2, l3))
 
 
 def _peak_capacity(v1, v3, v2_cap, total, family, limits):
@@ -403,6 +275,8 @@ def _peak_capacity(v1, v3, v2_cap, total, family, limits):
     lo, hi = floor, v2_cap
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if excess(mid) <= 0.0:
             lo = mid
         else:
@@ -708,6 +582,8 @@ class _Sweeper:
             f_lo, f_hi = lo, hi
             for _ in range(100):
                 mid = 0.5 * (f_lo + f_hi)
+                if mid == f_lo or mid == f_hi:
+                    break
                 if self._peaks_ok(
                     mid if b.v_s > b.v_e else lo,
                     lo if b.v_s > b.v_e else mid,

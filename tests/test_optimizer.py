@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from conftest import make_line
+from feedsched.baseline import SINE
 from feedsched.chordscan import FeedrateScatter, Limits
+from feedsched.cli import PRESETS
 from feedsched import geometry, optimizer
 from feedsched.curvegen import random_curve
 from feedsched.geometry import arc_length
@@ -17,7 +20,6 @@ from feedsched.optimizer import (
     adjust_with_constant,
     extend_into_constant,
     schedule,
-    solve_real_roots,
     transition_max_feed,
     transition_min_length,
 )
@@ -30,6 +32,11 @@ STD = Limits(
     shape_s=3.3,
 )
 SIG = sigmoid_family(3.3)
+
+FAMILIES = st.one_of(
+    st.just(SINE), st.floats(1.0, 5.0).map(sigmoid_family)
+)
+PRESET_LIMITS = st.sampled_from(sorted(PRESETS)).map(PRESETS.__getitem__)
 
 
 def peaks(b):
@@ -56,44 +63,6 @@ class TestComputeMus:
     def test_rejects_bad_shape(self):
         with pytest.raises(ProfileError):
             sigmoid_family(0.0)
-
-
-class TestSolveRealRoots:
-    def test_quadratic(self):
-        roots = solve_real_roots([1.0, 0.0, -1.0], (0.0, 2.0))
-        assert roots == pytest.approx([1.0], abs=1e-12)
-
-    def test_interval_filters(self):
-        roots = solve_real_roots([1.0, 0.0, -1.0], (-2.0, 2.0))
-        assert roots == pytest.approx([-1.0, 1.0], abs=1e-12)
-
-    def test_complex_pair_ignored(self):
-        # (x - 0.3)(x - 0.6)(x^2 + 1)
-        poly = np.polymul(np.polymul([1.0, -0.3], [1.0, -0.6]), [1.0, 0.0, 1.0])
-        roots = solve_real_roots(list(poly), (0.0, 1.0))
-        assert roots == pytest.approx([0.3, 0.6], abs=1e-9)
-
-    def test_leading_zeros_trimmed(self):
-        roots = solve_real_roots([0.0, 0.0, 1.0, -1.0], (0.0, 2.0))
-        assert roots == pytest.approx([1.0], abs=1e-12)
-
-    def test_double_root_deduplicated(self):
-        roots = solve_real_roots([1.0, -4.0, 4.0], (0.0, 5.0))
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(2.0, abs=1e-6)
-
-    def test_constant_polynomial_has_no_roots(self):
-        assert solve_real_roots([3.0], (0.0, 1.0)) == []
-
-    def test_random_cubics_recovered(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            r = np.sort(rng.uniform(0.1, 9.9, size=3))
-            if np.min(np.diff(r)) < 1e-3:
-                continue
-            poly = np.polymul(np.polymul([1.0, -r[0]], [1.0, -r[1]]), [1.0, -r[2]])
-            got = solve_real_roots(list(poly), (0.0, 10.0))
-            assert got == pytest.approx(list(r), abs=1e-7)
 
 
 class TestTransitionHelpers:
@@ -141,6 +110,35 @@ class TestTransitionHelpers:
             assert ratio == pytest.approx(1.0, rel=1e-6)
             assert float(a_pk) <= STD.a_max * (1.0 + 1e-9)
             assert float(j_pk) <= STD.j_max * (1.0 + 1e-9)
+
+
+class TestTransitionMaxFeedProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        FAMILIES, PRESET_LIMITS, st.floats(0.0, 200.0),
+        st.floats(-6.0, 3.0),
+    )
+    def test_roundtrip_through_min_length(self, family, limits, v_lo, log_L):
+        # the exact feed lies within 1e-12 relative of the returned one:
+        # the minimum length brackets L across that band
+        L = 10.0**log_L
+        v = transition_max_feed(v_lo, L, family, limits)
+        below = max(v_lo, v * (1.0 - 1e-12))
+        assert transition_min_length(v_lo, below, family, limits) <= L
+        assert transition_min_length(v_lo, v * (1.0 + 1e-12), family, limits) >= L
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        FAMILIES, PRESET_LIMITS, st.floats(0.0, 200.0),
+        st.floats(-6.0, 3.0), st.floats(1e-9, 1.0),
+    )
+    def test_non_decreasing_in_length(self, family, limits, v_lo, log_L, rel):
+        # lengths apart by at least 1e-9 relative: at adjacent floats the
+        # root's rounding can step down by an ulp
+        L = 10.0**log_L
+        a = transition_max_feed(v_lo, L, family, limits)
+        b = transition_max_feed(v_lo, L * (1.0 + rel), family, limits)
+        assert a <= b
 
 
 class TestPeakOracleAgreement:
@@ -312,6 +310,66 @@ class TestAdjustWithConstant:
             assert t == pytest.approx(ref, rel=1e-6)
             done += 1
         assert done >= 20
+
+
+    def test_top_feed_is_largest_feasible(self):
+        # the bisected top feed can have l1 + l3 within the slack while
+        # L - l1 - l3 rounds below -slack; its span time must still count
+        floors = (0.05378279261184567, 2.2925353778681776)
+        out = adjust_with_constant(
+            40.11769072268457, 38.981132752122605, 2.5004717606884355,
+            62.47263231604559, SINE, PRESETS["high-accel"], floors=floors,
+        )
+        assert out.v2_opt == pytest.approx(40.41490556935008, rel=1e-12)
+        assert out.lengths[1] == 0.0
+        assert out.lengths[2] == floors[1]
+        assert sum(out.lengths) == pytest.approx(2.5004717606884355, rel=1e-15)
+
+
+def span_time(v1, v2, v3, L, family, limits, floors):
+    """Span time at top feed v2 > 0 (inf when v2 is infeasible)."""
+    l1 = max(transition_min_length(v1, v2, family, limits), floors[0])
+    l3 = max(transition_min_length(v3, v2, family, limits), floors[1])
+    if l1 + l3 > L + 1e-12 * max(1.0, L):
+        return math.inf
+    l2 = max(L - l1 - l3, 0.0)
+    return l2 / v2 + 2.0 * l1 / (v1 + v2) + 2.0 * l3 / (v3 + v2)
+
+
+class TestAdjustWithConstantProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        FAMILIES, PRESET_LIMITS,
+        st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(0.0, 100.0),
+        st.floats(-3.0, 2.0),
+        st.floats(0.0, 0.6), st.floats(0.0, 0.6),
+    )
+    def test_top_feed_is_feasible_boundary_and_fastest(
+        self, family, limits, v1, v3, rise, log_L, f1, f3
+    ):
+        L = 10.0**log_L
+        lo = max(v1, v3)
+        assume(lo > 0.0)
+        ceiling = lo + rise
+        floors = (f1 * L, f3 * L)
+
+        def time(v2):
+            return span_time(v1, v2, v3, L, family, limits, floors)
+
+        try:
+            out = adjust_with_constant(
+                v1, v3, L, ceiling, family, limits, floors=floors
+            )
+        except InfeasibleJunctionError:
+            assert time(lo) == math.inf
+            return
+        v2 = out.v2_opt
+        t_opt = time(v2)
+        assert t_opt < math.inf
+        if v2 != ceiling:
+            assert time(math.nextafter(v2, math.inf)) == math.inf
+        best = min(time(float(v)) for v in np.linspace(lo, ceiling, 2001))
+        assert t_opt <= best * (1.0 + 1e-12)
 
 
 def line_setup(length, feeds, cuts):
@@ -550,6 +608,31 @@ class TestSchedule:
         )
         assert calls.count("positions") == 1
         assert 0 < converted == calls.count("param") == len(calls) - 1
+
+    def test_total_continuous_in_block_lengths(self):
+        # this curve's top feeds sit on feasibility boundaries, so a
+        # rounding-level change of the block lengths must not move its
+        # total by more than rounding
+        limits = PRESETS["standard"]
+        curve = random_curve(7)
+        scatter = scan_curve(curve, limits)
+        blocks = build_blocks(
+            curve, scatter, find_breakpoints(scatter, mu_s=limits.mu_s)
+        )
+        rng = np.random.default_rng(3)
+
+        def total(blks, family):
+            return sum(b.T for b in schedule(curve, blks, scatter, limits, family))
+
+        for family in (sigmoid_family(limits.shape_s), SINE):
+            ref = total(blocks, family)
+            for _ in range(6):
+                scale = 1.0 + rng.uniform(-1e-12, 1e-12, len(blocks))
+                noisy = [
+                    Block(b.u_s, b.u_e, b.v_s, b.v_e, b.L * float(k))
+                    for b, k in zip(blocks, scale)
+                ]
+                assert total(noisy, family) == pytest.approx(ref, rel=1e-9)
 
     def test_scanned_curve_end_to_end(self):
         curve = random_curve(3)

@@ -151,8 +151,8 @@ class TestBuildBlocks:
         total = sum(b.L for b in blocks)
         assert total == pytest.approx(arc_length(curve, 0.0, 1.0), rel=1e-8)
         for b in blocks:
-            assert b.v_s == sc.value_at(b.u_s)
-            assert b.v_e == sc.value_at(b.u_e)
+            assert b.v_s == np.interp(b.u_s, sc.u, sc.v)
+            assert b.v_e == np.interp(b.u_e, sc.u, sc.v)
 
 
 class TestBlockValidation:
