@@ -29,14 +29,18 @@ __all__ = [
     "Limits",
     "FeedrateScatter",
     "taylor_step",
-    "chord_error",
     "limit_feedrate",
     "scan_curve",
 ]
 
 _MAX_FEED_ITERATIONS = 64
-_BRACKET_REFINE_ITERATIONS = 24
 _FEED_BACKOFF_CAP = 0.95
+# The ceiling is certified once its safe/unsafe bracket is at most this
+# fraction of the unsafe feed wide. The backoff cap leaves a first bracket
+# at least 5 % of its unsafe end wide, and halving that 24 times gave the
+# narrowest bracket the former bisection ever certified; stopping there
+# keeps every certificate at least that tight.
+_BRACKET_REL_WIDTH = 0.05 * 2.0**-24
 _FALLBACK_SAMPLES = 33
 _MAX_SCAN_POINTS = 5_000_000
 # A dip only gets midpoint probes when a neighbour sits at least this
@@ -158,22 +162,14 @@ def _max_chord_deviation(curve, u_a, u_b, p_a, p_b) -> float:
     return worst
 
 
-def chord_error(curve: ParametricCurve, u_a: float, u_b: float) -> float:
-    """Deviation of the chord between two parameters from the curve (mm).
-
-    Uses the circular-arc model with the osculating radius at the midpoint
-    parameter; straight spans report zero. When the chord is too long for
-    the arc model the deviation is sampled directly.
-    """
-    if u_b < u_a:
-        raise ChordScanError(f"u_b={u_b} precedes u_a={u_a}")
-    return _chord_deviation(
-        curve, u_a, u_b, evaluate(curve, u_a), evaluate(curve, u_b)
-    )
-
-
 def _chord_deviation(curve, u_a, u_b, p_a, p_b) -> float:
-    """chord_error for u_a <= u_b whose end points p_a, p_b are known."""
+    """Deviation (mm) of the chord p_a p_b from the curve on [u_a, u_b].
+
+    p_a and p_b are the curve points at u_a <= u_b. Uses the circular-arc
+    model with the osculating radius at the midpoint parameter; straight
+    spans report zero. When the chord is too long for the arc model the
+    deviation is sampled directly.
+    """
     chord = math.dist(p_a, p_b)
     if chord == 0.0:
         return 0.0
@@ -236,42 +232,79 @@ def limit_feedrate(
     Starts each probe from the programmed ceiling and rescales the
     candidate by sqrt(tolerance / measured deviation) until the step's
     chord error fits, forcing geometric backoff when the rescale stalls
-    near the tolerance boundary. The first safe feed then brackets a
-    bisection against the tightest unsafe one, so curvature spikes do
-    not cost more feed than the tolerance demands.
+    near the tolerance boundary. The first safe feed and the last unsafe
+    one then bracket a root-find for the tolerance boundary, so curvature
+    spikes do not cost more feed than the tolerance demands.
     """
     p0 = evaluate(curve, u)
     v = limits.v_max
     unsafe = None
-    safe = None
     for _ in range(_MAX_FEED_ITERATIONS):
         delta, u_next = _probe_step(curve, u, v, limits, p0)
         if delta <= limits.delta_max:
-            safe = (v, u_next)
             break
-        unsafe = v
+        unsafe = (v, delta)
         if math.isinf(delta):
             v *= 0.5
         else:
             v *= min(_FEED_BACKOFF_CAP, math.sqrt(limits.delta_max / delta))
         if not v > 0.0:
             break
-    if safe is None:
+    if not delta <= limits.delta_max:
         raise ScanConvergenceError(
             f"feed adjustment did not converge at u={u:.6f}"
         )
     if unsafe is None:
-        return safe
-    lo, hi = safe[0], unsafe
-    for _ in range(_BRACKET_REFINE_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        delta, u_next = _probe_step(curve, u, mid, limits, p0)
-        if delta <= limits.delta_max:
-            safe = (mid, u_next)
-            lo = mid
+        return v, u_next
+    return _refine_ceiling(curve, u, limits, p0, (v, delta, u_next), unsafe)
+
+
+def _refine_ceiling(curve, u, limits, p0, safe, unsafe):
+    """Shrink a safe/unsafe feed bracket to _BRACKET_REL_WIDTH; the safe end.
+
+    safe is (feed, deviation, landing) and unsafe (feed, deviation), as
+    measured. The deviation grows about as the square of the feed, so
+    g = log(deviation / tolerance) is close to linear in x = log(feed) and
+    a secant step on it lands near the boundary. The Illinois rule halves
+    the kept end's g whenever the same end moves twice running, so the
+    far end closes too; each step stays at least half the stopping width
+    inside the bracket. An end whose deviation is 0 or inf has no
+    logarithm, and a bracket that failed to halve over three steps may
+    sit on a kink in the deviation: both take a bisection step instead.
+    """
+    v_lo, d_lo, u_lo = safe
+    v_hi, d_hi = unsafe
+    dmax = limits.delta_max
+    x_lo, x_hi = math.log(v_lo), math.log(v_hi)
+    g_lo = math.log(d_lo / dmax) if d_lo > 0.0 else -math.inf
+    g_hi = math.log(d_hi / dmax)
+    margin = 0.5 * _BRACKET_REL_WIDTH
+    widths = [math.inf] * 3
+    moved = 0
+    while v_hi - v_lo > _BRACKET_REL_WIDTH * v_hi:
+        width = x_hi - x_lo
+        finite = math.isfinite(g_lo) and math.isfinite(g_hi)
+        if finite and width <= 0.5 * widths[0]:
+            x = x_hi - g_hi * width / (g_hi - g_lo)
         else:
-            hi = mid
-    return safe
+            x = 0.5 * (x_lo + x_hi)
+        widths = widths[1:] + [width]
+        x = min(max(x, x_lo + margin), x_hi - margin)
+        v = math.exp(x)
+        delta, u_next = _probe_step(curve, u, v, limits, p0)
+        if delta <= dmax:
+            x_lo, v_lo, u_lo = x, v, u_next
+            g_lo = math.log(delta / dmax) if delta > 0.0 else -math.inf
+            if moved < 0:
+                g_hi *= 0.5
+            moved = -1
+        else:
+            x_hi, v_hi = x, v
+            g_hi = math.log(delta / dmax)
+            if moved > 0:
+                g_lo *= 0.5
+            moved = 1
+    return v_lo, u_lo
 
 
 def _curvature_feed(curve: ParametricCurve, u: float, limits: Limits) -> float:
@@ -309,7 +342,7 @@ def _refine_wells(curve, us, vs, limits):
                 extra.append((m, v_m))
     if not extra:
         return us, vs
-    pairs = sorted(zip(us, vs)) + extra
+    pairs = list(zip(us, vs)) + extra
     pairs.sort()
     return [p[0] for p in pairs], [p[1] for p in pairs]
 

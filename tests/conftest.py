@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from feedsched.geometry import ParametricCurve
 
@@ -37,6 +39,33 @@ def make_full_circle(radius=5.0):
         weights=(1.0, W, 1.0, W, 1.0, W, 1.0, W, 1.0),
         knots=(0.0, 0.0, 0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.0),
     )
+
+
+@st.composite
+def nurbs_curves(draw):
+    """Rational B-splines of degree 1-5 in 2-D or 3-D, weights e^+-3,
+    interior knots repeated up to multiplicity p."""
+    p = draw(st.integers(1, 5))
+    dim = draw(st.sampled_from((2, 3)))
+    gaps = draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=5))
+    interior = np.cumsum(gaps)[:-1] / sum(gaps)
+    knots = [0.0] * (p + 1)
+    for k in interior:
+        knots += [float(k)] * draw(st.integers(1, p))
+    knots += [1.0] * (p + 1)
+    n = len(knots) - p - 1
+    # each control point a step of 0.1 to 10 mm from the last, so that no
+    # span collapses to a point, where the speed is rounding noise
+    ctrl = [draw(st.tuples(*[st.floats(-20.0, 20.0)] * dim))]
+    for _ in range(n - 1):
+        r = draw(st.floats(0.1, 10.0))
+        a, b = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.0, math.pi))
+        step = (math.cos(a), math.sin(a)) if dim == 2 else (
+            math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)
+        )
+        ctrl.append(tuple(x + r * d for x, d in zip(ctrl[-1], step)))
+    logw = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    return ParametricCurve(p, ctrl, [math.exp(w) for w in logw], knots)
 
 
 @pytest.fixture

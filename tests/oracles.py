@@ -6,6 +6,8 @@ coefficients evaluated directly with numpy, and the optimization
 oracles search feasibility by bisection or dense grids using those
 peaks as the ground truth. The arc-length reference integrates the
 speed from the public ``derivatives`` by adaptive Gauss quadrature.
+The feed-ceiling reference is the scan's former bracket bisection,
+kept verbatim around the library's own step probe.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 
 import numpy as np
 
-from feedsched.geometry import derivatives
+from feedsched.chordscan import ScanConvergenceError, _probe_step
+from feedsched.geometry import derivatives, evaluate
 
 SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 SIG_D2_ARGMAX = math.log(2.0 + math.sqrt(3.0))
@@ -297,15 +300,17 @@ def _gauss_arc(curve, a, b, rule):
     )
 
 
-def _adaptive_arc(curve, a, b, tol, depth):
+def _adaptive_arc(curve, a, b, tol, rel, depth):
     coarse = _gauss_arc(curve, a, b, _GL8)
     fine = _gauss_arc(curve, a, b, _GL16)
-    if abs(fine - coarse) <= tol or depth >= 28 or (b - a) <= 1e-14:
+    if abs(fine - coarse) <= max(tol, rel * abs(fine)):
+        return fine
+    if depth >= 28 or (b - a) <= 1e-14:
         return fine
     mid = 0.5 * (a + b)
-    return _adaptive_arc(curve, a, mid, 0.5 * tol, depth + 1) + _adaptive_arc(
-        curve, mid, b, 0.5 * tol, depth + 1
-    )
+    return _adaptive_arc(
+        curve, a, mid, 0.5 * tol, rel, depth + 1
+    ) + _adaptive_arc(curve, mid, b, 0.5 * tol, rel, depth + 1)
 
 
 def arc_length(curve, u_a, u_b, rel=1e-12):
@@ -314,7 +319,12 @@ def arc_length(curve, u_a, u_b, rel=1e-12):
     Each knot-free piece is integrated with GL16 and halved until GL8
     agrees with it within rel of the piece (with a floor of 1e-3 of the
     whole arc), evaluating the speed point by point through the public
-    ``derivatives``.
+    ``derivatives``. A half also stops once the two rules agree within
+    rel of the half itself: where the speed is many times its piece's
+    mean, as beside a sharp C0 knot with extreme weights, the speed's own
+    rounding (1e-13 relative there) keeps the rules from agreeing any
+    closer, and halving would run to the depth cap. The result stays
+    within about 2 rel of the arc.
     """
     knots = sorted({k for k in curve.knots if u_a < k < u_b})
     edges = [u_a] + knots + [u_b]
@@ -324,6 +334,47 @@ def arc_length(curve, u_a, u_b, rel=1e-12):
     if total == 0.0:
         return 0.0
     return sum(
-        _adaptive_arc(curve, lo, hi, rel * max(est, 1e-3 * total), 0)
+        _adaptive_arc(curve, lo, hi, rel * max(est, 1e-3 * total), rel, 0)
         for (lo, hi), est in zip(pieces, estimates)
     )
+
+
+def bisect_feedrate(curve, u, limits):
+    """Chord-safe feed ceiling at u by rescale and 24 bracket bisections.
+
+    The scan's ceiling search before its root-find: the same rescale from
+    v_max, then 24 halvings of the first safe/unsafe bracket. Returns the
+    safe end and its landing parameter.
+    """
+    p0 = evaluate(curve, u)
+    v = limits.v_max
+    unsafe = None
+    safe = None
+    for _ in range(64):
+        delta, u_next = _probe_step(curve, u, v, limits, p0)
+        if delta <= limits.delta_max:
+            safe = (v, u_next)
+            break
+        unsafe = v
+        if math.isinf(delta):
+            v *= 0.5
+        else:
+            v *= min(0.95, math.sqrt(limits.delta_max / delta))
+        if not v > 0.0:
+            break
+    if safe is None:
+        raise ScanConvergenceError(
+            f"feed adjustment did not converge at u={u:.6f}"
+        )
+    if unsafe is None:
+        return safe
+    lo, hi = safe[0], unsafe
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        delta, u_next = _probe_step(curve, u, mid, limits, p0)
+        if delta <= limits.delta_max:
+            safe = (mid, u_next)
+            lo = mid
+        else:
+            hi = mid
+    return safe

@@ -51,15 +51,18 @@ class CorpusRun:
     jerk_util: float
     total_time: float
     sine_time: float
+    sine_chord_ratio: float
+    sine_accel_util: float
+    sine_jerk_util: float
 
 
 @pytest.fixture(scope="module")
 def corpus():
     """Full pipeline runs for 25 seeded curves under both presets.
 
-    The jerk-strict preset also gets a sine schedule over the same
-    segmentation, so the timing comparison shares every upstream
-    decision with the shaped plan.
+    Every run also gets a sine schedule over the same segmentation, so
+    the timing comparison shares every upstream decision with the shaped
+    plan, and the sine plan is replayed and audited like the shaped one.
     """
     runs = []
     for seed in CORPUS_SEEDS:
@@ -76,10 +79,16 @@ def corpus():
             for b in plan:
                 A, J = SIGMOID.fit(b.v_s, b.v_e, b.L).peaks()
                 pa, pj = max(pa, A), max(pj, J)
+            plan_sine = sine_schedule(curve, blocks, scatter, limits)
             sine_time = math.nan
             if preset == "high-accel":
-                plan_sine = sine_schedule(curve, blocks, scatter, limits)
                 sine_time = sum(b.T for b in plan_sine)
+            sine_samples = interpolate(curve, plan_sine, limits, family=SINE)
+            sine_worst = max(s.chord_err for s in sine_samples)
+            sa = sj = 0.0
+            for b in plan_sine:
+                A, J = SINE.fit(b.v_s, b.v_e, b.L).peaks()
+                sa, sj = max(sa, A), max(sj, J)
             runs.append(
                 CorpusRun(
                     preset=preset,
@@ -89,6 +98,9 @@ def corpus():
                     jerk_util=pj / limits.j_max,
                     total_time=sum(b.T for b in plan),
                     sine_time=sine_time,
+                    sine_chord_ratio=sine_worst / limits.delta_max,
+                    sine_accel_util=sa / limits.a_max,
+                    sine_jerk_util=sj / limits.j_max,
                 )
             )
     return runs
@@ -111,6 +123,27 @@ def test_chord_error_and_kinematic_peaks_stay_inside_limits(corpus):
         f"accel {a_util:.9f}x, jerk {j_util:.9f}x limit",
     )
     assert worst.worst_chord_ratio <= CHORD_HEADROOM
+    assert a_util <= 1.0 + PEAK_SLACK
+    assert j_util <= 1.0 + PEAK_SLACK
+
+
+def test_sine_replays_stay_inside_limits(corpus):
+    worst = max(corpus, key=lambda r: r.sine_chord_ratio)
+    a_util = max(r.sine_accel_util for r in corpus)
+    j_util = max(r.sine_jerk_util for r in corpus)
+    ok = (
+        worst.sine_chord_ratio <= CHORD_HEADROOM
+        and a_util <= 1.0 + PEAK_SLACK
+        and j_util <= 1.0 + PEAK_SLACK
+    )
+    report(
+        ok,
+        "replayed sine chord error and closed-form peaks stay inside limits",
+        f"{len(corpus)} runs; worst chord {worst.sine_chord_ratio:.4f}x "
+        f"tolerance ({worst.preset} seed {worst.seed}); "
+        f"accel {a_util:.9f}x, jerk {j_util:.9f}x limit",
+    )
+    assert worst.sine_chord_ratio <= CHORD_HEADROOM
     assert a_util <= 1.0 + PEAK_SLACK
     assert j_util <= 1.0 + PEAK_SLACK
 

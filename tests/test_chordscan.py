@@ -2,27 +2,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+
+from feedsched import chordscan
 from feedsched.chordscan import (
     ChordScanError,
     FeedrateScatter,
     Limits,
     MalformedScatterError,
     StepDegeneracyError,
-    chord_error,
+    _chord_deviation,
+    _probe_step,
     limit_feedrate,
     scan_curve,
     taylor_step,
 )
+from feedsched.cli import PRESETS
 from feedsched.curvegen import random_curve
 from feedsched.geometry import ParametricCurve, arc_length, evaluate
 
-from conftest import make_full_circle, make_line, make_quarter_circle
+from conftest import (
+    make_full_circle,
+    make_line,
+    make_quarter_circle,
+    nurbs_curves,
+)
 
 STD = Limits(
     Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0,
     j_max=26000.0, shape_s=3.3,
 )
+
+
+def chord_deviation(curve, u_a, u_b):
+    return _chord_deviation(
+        curve, u_a, u_b, evaluate(curve, u_a), evaluate(curve, u_b)
+    )
 
 
 def make_speedup_segment():
@@ -113,16 +130,12 @@ class TestTaylorStep:
 class TestChordError:
     def test_straight_line_has_no_error(self):
         line = make_line()
-        assert chord_error(line, 0.1, 0.4) == 0.0
-
-    def test_reversed_params_rejected(self):
-        with pytest.raises(ChordScanError):
-            chord_error(make_line(), 0.4, 0.1)
+        assert chord_deviation(line, 0.1, 0.4) == 0.0
 
     def test_circle_matches_sampled_deviation(self):
         circle = make_full_circle(radius=5.0)
         for u_a, u_b in [(0.1, 0.104), (0.33, 0.35), (0.7, 0.72)]:
-            got = chord_error(circle, u_a, u_b)
+            got = chord_deviation(circle, u_a, u_b)
             p_a = np.array(evaluate(circle, u_a))
             p_b = np.array(evaluate(circle, u_b))
             seg = p_b - p_a
@@ -142,11 +155,11 @@ class TestChordError:
             weights=(1.0, 1.0, 1.0),
             knots=(0.0, 0.0, 0.0, 1.0, 1.0, 1.0),
         )
-        assert chord_error(hairpin, 0.0, 1.0) == pytest.approx(5.0, abs=1e-9)
+        assert chord_deviation(hairpin, 0.0, 1.0) == pytest.approx(5.0, abs=1e-9)
 
     def test_half_circle_spans_full_radius(self):
         circle = make_full_circle(radius=5.0)
-        assert chord_error(circle, 0.0, 0.5) == pytest.approx(5.0, abs=1e-6)
+        assert chord_deviation(circle, 0.0, 0.5) == pytest.approx(5.0, abs=1e-6)
 
 
 class TestLimitFeedrate:
@@ -161,7 +174,7 @@ class TestLimitFeedrate:
         v_got, _ = limit_feedrate(arc, u, STD)
 
         def too_big(v):
-            return chord_error(arc, u, taylor_step(arc, u, v, STD.Ts)) \
+            return chord_deviation(arc, u, taylor_step(arc, u, v, STD.Ts)) \
                 > STD.delta_max
 
         assert too_big(STD.v_max)
@@ -212,7 +225,7 @@ class TestScanCurve:
         sc = scan_curve(curve, STD)
         assert np.all(sc.v <= STD.v_max * (1.0 + 1e-12))
         for i in range(len(sc) - 1):
-            err = chord_error(curve, float(sc.u[i]), float(sc.u[i + 1]))
+            err = chord_deviation(curve, float(sc.u[i]), float(sc.u[i + 1]))
             assert err <= STD.delta_max * (1.0 + 1e-9)
 
     def test_scan_is_deterministic(self):
@@ -221,3 +234,60 @@ class TestScanCurve:
         b = scan_curve(curve, STD)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.v, b.v)
+
+
+class TestCeilingRootFind:
+    """The root-found ceiling against the former 24-step bisection."""
+
+    def test_matches_bisection_oracle_with_fewer_probes(self, monkeypatch):
+        calls = [0]
+        step = chordscan.taylor_step
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(chordscan, "taylor_step", counted)
+        W = chordscan._BRACKET_REL_WIDTH
+        points = probes = 0
+        worst = 0.0
+        for seed in (6, 12, 18, 24):
+            curve = random_curve(seed)
+            for limits in PRESETS.values():
+                calls[0] = 0
+                sc = scan_curve(curve, limits)
+                points += len(sc)
+                probes += calls[0]
+                for u in map(float, sc.u[:-1]):
+                    v, u_next = limit_feedrate(curve, u, limits)
+                    delta, landing = _probe_step(
+                        curve, u, v, limits, evaluate(curve, u)
+                    )
+                    assert delta <= limits.delta_max
+                    assert landing == u_next
+                    oracle, _ = oracles.bisect_feedrate(curve, u, limits)
+                    assert v >= oracle * (1.0 - W)
+                    worst = min(worst, v / oracle - 1.0)
+        print(f"worst feed vs bisection {worst:.3e} rel; "
+              f"{probes / points:.2f} probes per scatter point")
+        assert probes / points <= 4.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        c=nurbs_curves(),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+        delta_max=st.floats(1e-5, 1e-1),
+        v_max=st.floats(10.0, 5000.0),
+    )
+    def test_ceiling_is_safe_or_a_scan_error(self, c, u, delta_max, v_max):
+        limits = Limits(Ts=1e-3, delta_max=delta_max, v_max=v_max,
+                        a_max=1000.0, j_max=26000.0, shape_s=3.3)
+        try:
+            v, u_next = limit_feedrate(c, u, limits)
+        except ChordScanError:
+            return
+        assert 0.0 < v <= v_max
+        assert u_next > u
+        delta, landing = _probe_step(c, u, v, limits, evaluate(c, u))
+        assert delta <= delta_max
+        assert landing == u_next

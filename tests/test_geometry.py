@@ -20,7 +20,12 @@ from feedsched.geometry import (
     param_at_length,
 )
 
-from conftest import make_full_circle, make_line, make_quarter_circle
+from conftest import (
+    make_full_circle,
+    make_line,
+    make_quarter_circle,
+    nurbs_curves,
+)
 
 
 class TestValidation:
@@ -286,33 +291,6 @@ class TestSpanTable:
         other = ParametricCurve(c.degree, c.control_points, c.weights, c.knots)
         evaluate(other, 0.5)
         assert len(calls) == 2 * spans
-
-
-@st.composite
-def nurbs_curves(draw):
-    """Rational B-splines of degree 1-5 in 2-D or 3-D, weights e^+-3,
-    interior knots repeated up to multiplicity p."""
-    p = draw(st.integers(1, 5))
-    dim = draw(st.sampled_from((2, 3)))
-    gaps = draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=5))
-    interior = np.cumsum(gaps)[:-1] / sum(gaps)
-    knots = [0.0] * (p + 1)
-    for k in interior:
-        knots += [float(k)] * draw(st.integers(1, p))
-    knots += [1.0] * (p + 1)
-    n = len(knots) - p - 1
-    # each control point a step of 0.1 to 10 mm from the last, so that no
-    # span collapses to a point, where the speed is rounding noise
-    ctrl = [draw(st.tuples(*[st.floats(-20.0, 20.0)] * dim))]
-    for _ in range(n - 1):
-        r = draw(st.floats(0.1, 10.0))
-        a, b = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.0, math.pi))
-        step = (math.cos(a), math.sin(a)) if dim == 2 else (
-            math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)
-        )
-        ctrl.append(tuple(x + r * d for x, d in zip(ctrl[-1], step)))
-    logw = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
-    return ParametricCurve(p, ctrl, [math.exp(w) for w in logw], knots)
 
 
 class TestArcTableProperties:
