@@ -20,6 +20,7 @@ from .geometry import (
     derivatives,
     evaluate,
 )
+from .sprofile import SHAPE_S_MAX
 
 __all__ = [
     "ChordScanError",
@@ -70,7 +71,8 @@ class Limits:
 
     Ts is the controller period in seconds, delta_max the chord tolerance
     in mm, v_max/a_max/j_max the feed (mm/s), acceleration (mm/s^2) and
-    jerk (mm/s^3) ceilings, shape_s the steepness of the S-shaped profile.
+    jerk (mm/s^3) ceilings, shape_s the steepness of the S-shaped profile,
+    at most SHAPE_S_MAX.
     mu_s, when given, overrides the automatic breakpoint screening
     threshold (mm/s per unit parameter).
     """
@@ -87,6 +89,11 @@ class Limits:
         for name in ("Ts", "delta_max", "v_max", "a_max", "j_max", "shape_s"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+        if self.shape_s > SHAPE_S_MAX:
+            raise ValueError(
+                f"shape_s {self.shape_s!r} exceeds {SHAPE_S_MAX}, the steepest "
+                "shape whose jerk reduction constant bounds its profiles"
+            )
         if self.mu_s is not None and not self.mu_s > 0.0:
             raise ValueError("mu_s must be strictly positive when given")
 
@@ -174,6 +181,12 @@ def _chord_deviation(curve, u_a, u_b, p_a, p_b) -> float:
     if chord == 0.0:
         return 0.0
     rho = curvature_radius(curve, 0.5 * (u_a + u_b))
+    return _arc_deviation(curve, u_a, u_b, p_a, p_b, chord, rho)
+
+
+def _arc_deviation(curve, u_a, u_b, p_a, p_b, chord, rho) -> float:
+    """_chord_deviation of a chord of nonzero length chord whose midpoint
+    parameter has the osculating radius rho."""
     if math.isinf(rho):
         return 0.0
     if 2.0 * rho > chord:

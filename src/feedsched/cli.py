@@ -118,7 +118,7 @@ def save_curve(curve: ParametricCurve, path: Path) -> None:
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     for row in rows:
-        lines.append(",".join(_cell(x) for x in row))
+        lines.append(",".join(map(_cell, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -261,20 +261,23 @@ def run(config: RunConfig) -> int:
             return 3
         summary = summarize(samples, scheduled)
         results[method] = summary
+        # u and the feed go to two files each: format them once
+        u_cells = [_cell(s.u) for s in samples]
+        v_cells = [_cell(s.v) for s in samples]
         _write_csv(
             out / f"{method}_feed_vs_u.csv",
             "u [-],feed [mm/s]",
-            ((s.u, s.v) for s in samples),
+            zip(u_cells, v_cells),
         )
         _write_csv(
             out / f"{method}_kinematics_vs_time.csv",
             "t [s],feed [mm/s],accel [mm/s^2],jerk [mm/s^3]",
-            ((s.t, s.v, s.A, s.J) for s in samples),
+            ((s.t, v, s.A, s.J) for s, v in zip(samples, v_cells)),
         )
         _write_csv(
             out / f"{method}_chord_error_vs_u.csv",
             "u [-],chord error [mm]",
-            ((s.u, s.chord_err) for s in samples),
+            zip(u_cells, (s.chord_err for s in samples)),
         )
         save_blocks(scheduled, out / f"{method}_blocks.csv", limits)
         _dump_json(

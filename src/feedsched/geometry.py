@@ -24,6 +24,7 @@ __all__ = [
     "ParametricCurve",
     "evaluate",
     "derivatives",
+    "jet",
     "curvature_radius",
     "arc_length",
     "param_at_length",
@@ -164,6 +165,20 @@ class ParametricCurve:
         return starts, polys
 
     @cached_property
+    def _span_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_span_polys as arrays: the span starts, the span midpoints, and
+        the coefficient rows indexed by (span, coordinate, power)."""
+        starts, polys = self._span_polys
+        arrays = (
+            np.array(starts),
+            np.array([m for m, _ in polys]),
+            np.array([r for _, r in polys]),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    @cached_property
     def _arc_table(self) -> _ArcTable:
         """Cumulative arc length of the curve, built once from _span_polys."""
         return _ArcTable(self)
@@ -276,6 +291,33 @@ def evaluate(curve: ParametricCurve, u: float) -> tuple[float, ...]:
     return tuple([c / w for c in aw])
 
 
+def _cartesian(hom, dim: int) -> tuple[list, list, list]:
+    """Curve point and first two derivatives from the homogeneous ones.
+
+    hom holds the homogeneous value, first and second derivative, each a
+    sequence of dim + 1 coordinates with the weight last. A coordinate
+    may be a float or an array of them; the arithmetic is the same.
+    """
+    v, d1, d2 = hom
+    w0, w1, w2 = v[dim], d1[dim], d2[dim]
+    c0 = [a / w0 for a in v[:dim]]
+    c1 = [(a - w1 * c) / w0 for a, c in zip(d1, c0)]
+    c2 = [(a - 2.0 * w1 * b - w2 * c) / w0 for a, b, c in zip(d2, c1, c0)]
+    return c0, c1, c2
+
+
+def jet(
+    curve: ParametricCurve, u: float
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """Point, first and second derivative at u from one Horner pass.
+
+    Equal bit for bit to evaluate(curve, u) and derivatives(curve, u, 2).
+    """
+    u = _check_param(u)
+    c0, c1, c2 = _cartesian(_homogeneous_ders(curve, u, 2), curve.dimension)
+    return tuple(c0), tuple(c1), tuple(c2)
+
+
 def derivatives(
     curve: ParametricCurve, u: float, order: int = 2
 ) -> list[tuple[float, ...]]:
@@ -286,21 +328,8 @@ def derivatives(
     u = _check_param(u)
     if order not in (1, 2):
         raise CurveDomainError(f"unsupported derivative order {order}")
-    ders = _homogeneous_ders(curve, u, order)
-    dim = curve.dimension
-    w0 = ders[0][-1]
-    c0 = [a / w0 for a in ders[0][:dim]]
-    w1 = ders[1][-1]
-    c1 = [(ders[1][i] - w1 * c0[i]) / w0 for i in range(dim)]
-    out = [tuple(c1)]
-    if order == 2:
-        w2 = ders[2][-1]
-        c2 = [
-            (ders[2][i] - 2.0 * w1 * c1[i] - w2 * c0[i]) / w0
-            for i in range(dim)
-        ]
-        out.append(tuple(c2))
-    return out
+    _, c1, c2 = _cartesian(_homogeneous_ders(curve, u, 2), curve.dimension)
+    return [tuple(c1), tuple(c2)][:order]
 
 
 def _embed3(vec: tuple[float, ...]) -> tuple[float, float, float]:
@@ -309,26 +338,50 @@ def _embed3(vec: tuple[float, ...]) -> tuple[float, float, float]:
     return (vec[0], vec[1], 0.0)
 
 
-def _norm(vec) -> float:
-    return math.sqrt(sum(c * c for c in vec))
+def _speed_and_cross(d1, d2, sqrt=math.sqrt):
+    """|C'| and |C' x C''| from the first two derivatives; coordinates
+    may be floats or arrays, with sqrt to match."""
+    a = _embed3(d1)
+    b = _embed3(d2)
+    cx = a[1] * b[2] - a[2] * b[1]
+    cy = a[2] * b[0] - a[0] * b[2]
+    cz = a[0] * b[1] - a[1] * b[0]
+    return sqrt(sum(c * c for c in a)), sqrt(cx * cx + cy * cy + cz * cz)
 
 
 def curvature_radius(curve: ParametricCurve, u: float) -> float:
     """Radius of the osculating circle at u (mm); inf on straight segments."""
-    d1, d2 = derivatives(curve, u, 2)
-    a = _embed3(d1)
-    b = _embed3(d2)
-    speed = _norm(a)
+    speed, cross = _speed_and_cross(*derivatives(curve, u, 2))
     if speed <= 0.0:
         raise SingularCurveError(f"vanishing first derivative at u={u}")
-    cx = a[1] * b[2] - a[2] * b[1]
-    cy = a[2] * b[0] - a[0] * b[2]
-    cz = a[0] * b[1] - a[1] * b[0]
-    cross = math.sqrt(cx * cx + cy * cy + cz * cz)
     speed3 = speed * speed * speed
     if cross / speed3 <= _STRAIGHT_CURVATURE:
         return math.inf
     return speed3 / cross
+
+
+def _curvature_radii(curve: ParametricCurve, u: np.ndarray) -> np.ndarray:
+    """curvature_radius at every parameter of u (all in [0, 1]) in one
+    vectorised pass, equal to it bit for bit.
+
+    Raises SingularCurveError for the first parameter at which
+    curvature_radius would raise.
+    """
+    starts, mids, rows = curve._span_arrays
+    idx = np.maximum(np.searchsorted(starts, u, side="right") - 1, 0)
+    t = (u - mids[idx])[:, None, None]
+    hom = [h[:, :, 0].T for h in _horner(rows[idx], t, 2)]
+    _, d1, d2 = _cartesian(hom, curve.dimension)
+    speed, cross = _speed_and_cross(d1, d2, np.sqrt)
+    singular = np.flatnonzero(speed <= 0.0)
+    if singular.size:
+        u_bad = float(u[singular[0]])
+        raise SingularCurveError(f"vanishing first derivative at u={u_bad}")
+    speed3 = speed * speed * speed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            cross / speed3 <= _STRAIGHT_CURVATURE, math.inf, speed3 / cross
+        )
 
 
 # Gauss-Legendre rule of the arc-length table, and the map from the speed
@@ -358,6 +411,26 @@ _CLENSHAW_A = tuple((2 * k + 1) / (k + 1) for k in range(16, -1, -1))
 _CLENSHAW_B = tuple((k + 1) / (k + 2) for k in range(16, -1, -1))
 
 
+def _horner(rows, t, order: int) -> tuple[np.ndarray, ...]:
+    """Homogeneous value and derivatives up to order (1 or 2) of many span
+    polynomials at once.
+
+    rows[i] holds the coefficient rows of item i's span, highest power
+    first, and t[i] its offsets from the span midpoint, of shape (1, q);
+    each result has shape (items, coordinates, q). The operations are
+    those of _homogeneous_ders, in the same order.
+    """
+    val = rows[:, :, :1]
+    der = np.zeros_like(val)
+    half = np.zeros_like(val)
+    for k in range(1, rows.shape[2]):
+        if order == 2:
+            half = half * t + der
+        der = der * t + val
+        val = val * t + rows[:, :, k, None]
+    return (val, der, 2.0 * half)[: order + 1]
+
+
 def _node_speeds(rows, mids, lo, hi) -> np.ndarray:
     """|C'| at the 16 Gauss-Legendre nodes of each interval [lo, hi].
 
@@ -366,11 +439,7 @@ def _node_speeds(rows, mids, lo, hi) -> np.ndarray:
     """
     t = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _GL_X
     t = (t - mids[:, None])[:, None, :]
-    val = rows[:, :, :1]
-    der = np.zeros_like(val)
-    for k in range(1, rows.shape[2]):
-        der = der * t + val
-        val = val * t + rows[:, :, k, None]
+    val, der = _horner(rows, t, 1)
     w, dw = val[:, -1:], der[:, -1:]
     d1 = (der[:, :-1] * w - val[:, :-1] * dw) / (w * w)
     return np.sqrt((d1 * d1).sum(axis=1))
@@ -405,10 +474,7 @@ class _ArcTable:
     __slots__ = ("starts", "cum", "pieces", "_centres", "_halves", "_runs")
 
     def __init__(self, curve: ParametricCurve):
-        span_starts, polys = curve._span_polys
-        rows = np.array([r for _, r in polys])
-        mids = np.array([m for m, _ in polys])
-        lo = np.array(span_starts)
+        lo, mids, rows = curve._span_arrays
         hi = np.append(lo[1:], 1.0)
         span = np.arange(lo.size)
         speeds = _node_speeds(rows, mids, lo, hi)

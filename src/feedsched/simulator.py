@@ -8,6 +8,12 @@ bracket, until the straight-line (chordal) advance matches. Each sample
 records the parameter, position, the profile's analytic kinematics, and
 the measured chord deviation of the step.
 
+The replay runs in two phases. The walk evaluates each visited parameter
+once, as a jet (point, first and second derivative), and the landing's
+jet seeds the next tick's prediction. The chord pass then measures every
+step's deviation from the osculating radii at all step midpoints, taken
+in one vectorised pass over the curve.
+
 Chordal stepping consumes slightly more path than the commanded travel
 on curved spans, at most about half the chord tolerance per period, so
 a consistent plan runs out of curve marginally early. The replay
@@ -21,8 +27,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .chordscan import Limits, _chord_deviation
-from .geometry import ParametricCurve, derivatives, evaluate
+import numpy as np
+
+from .chordscan import Limits, _arc_deviation
+from .geometry import ParametricCurve, _curvature_radii, jet
 from .segmentation import Block
 from .sprofile import ProfileFamily, sigmoid_family
 
@@ -119,18 +127,18 @@ class _Track:
         return travel, profile.kinematics(tau)
 
 
-def _refine_step(curve, u, pos, advance):
+def _refine_step(curve, u, pos, d1, d2, advance):
     """Parameter whose chordal distance from pos equals the advance, with
-    the curve point there.
+    the curve's jet (point, first and second derivative) there.
 
-    Newton's method on the chord gap |C(x) - pos| - advance, seeded by a
-    second-order prediction. Every evaluated parameter tightens a bracket
-    on [u, 1]; a step that would leave it bisects instead, and the curve
-    end is probed only when a step would pass it. Returns None when the
-    rest of the curve is too short for the advance; the caller decides
-    whether that is the path end or an inconsistent plan.
+    d1 and d2 are the derivatives at u. Newton's method on the chord gap
+    |C(x) - pos| - advance, seeded by a second-order prediction, with one
+    jet per iterate. Every evaluated parameter tightens a bracket on
+    [u, 1]; a step that would leave it bisects instead, and the curve end
+    is probed only when a step would pass it. Returns None when the rest
+    of the curve is too short for the advance; the caller decides whether
+    that is the path end or an inconsistent plan.
     """
-    d1, d2 = derivatives(curve, u, order=2)
     speed_sq = sum(c * c for c in d1)
     speed = math.sqrt(speed_sq)
     dot = sum(a * b for a, b in zip(d1, d2))
@@ -140,12 +148,13 @@ def _refine_step(curve, u, pos, advance):
     x = min(max(x, u), 1.0)
     lo, hi = u, None  # hi: the nearest parameter known to overshoot
     for _ in range(_MAX_REFINE_STEPS):
-        point = evaluate(curve, x)
+        at_x = jet(curve, x)
+        point, d1 = at_x[:2]
         diff = [a - b for a, b in zip(point, pos)]
         dist = math.sqrt(sum(c * c for c in diff))
         gap = dist - advance
         if abs(gap) <= _CHORD_MATCH_TOL:
-            return x, point
+            return x, at_x
         if gap > 0.0:
             hi = x
         elif x >= 1.0:
@@ -155,13 +164,28 @@ def _refine_step(curve, u, pos, advance):
         top = 1.0 if hi is None else hi
         if top - lo < 1e-16:
             break
-        (d1,) = derivatives(curve, x, order=1)
         slope = sum(a * b for a, b in zip(diff, d1)) / dist if dist else 0.0
         x = x - gap / slope if slope > 0.0 else math.inf
         if not lo < x < top:
             x = 1.0 if hi is None else 0.5 * (lo + hi)
     x = 0.5 * (lo + top)
-    return x, evaluate(curve, x)
+    return x, jet(curve, x)
+
+
+def _chord_errors(curve, us, points) -> list[float]:
+    """Chord deviation of the step into each visit (u, point) from the one
+    before, 0 for the first, as chordscan._chord_deviation measures it;
+    the radii at all nonzero chords' midpoints come from one vectorised
+    call."""
+    chords = [math.dist(a, b) for a, b in zip(points, points[1:])]
+    curved = [i for i, chord in enumerate(chords) if chord != 0.0]
+    mids = np.array([0.5 * (us[i] + us[i + 1]) for i in curved])
+    errs = [0.0] * len(us)
+    for i, rho in zip(curved, _curvature_radii(curve, mids).tolist()):
+        errs[i + 1] = _arc_deviation(
+            curve, us[i], us[i + 1], points[i], points[i + 1], chords[i], rho
+        )
+    return errs
 
 
 def interpolate(
@@ -190,9 +214,10 @@ def interpolate(
     Ts = limits.Ts
     n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
     u = 0.0
-    pos = evaluate(curve, 0.0)
+    pos, d1, d2 = jet(curve, 0.0)
     travel, (v, a, j) = track.state(0.0)
-    samples = [InterpolationSample(0.0, 0.0, pos, v, a, j, 0.0)]
+    # the walk; the chord pass measures its steps once it has ended
+    kinematics, us, points = [(0.0, v, a, j)], [u], [pos]
     for k in range(1, n_steps + 1):
         t = min(k * Ts, track.total)
         reached, (v, a, j) = track.state(t)
@@ -200,7 +225,10 @@ def interpolate(
         travel = reached
         landing = None
         if k < n_steps:
-            landing = _refine_step(curve, u, pos, advance) if u < 1.0 else None
+            landing = (
+                _refine_step(curve, u, pos, d1, d2, advance)
+                if u < 1.0 else None
+            )
             if landing is None:
                 left = track.length - travel
                 if left > _END_DRIFT_PER_TICK * limits.delta_max * k:
@@ -208,11 +236,15 @@ def interpolate(
                         f"block {track.locate(t)[0]} at t={k * Ts:.6f}: plan "
                         f"commands {left + advance:.3e} mm past the path end"
                     )
-        u_next, pos_next = landing or (1.0, evaluate(curve, 1.0))
-        err = _chord_deviation(curve, u, u_next, pos, pos_next)
-        u, pos = u_next, pos_next
-        samples.append(InterpolationSample(k * Ts, u, pos, v, a, j, err))
-    return samples
+        u, (pos, d1, d2) = landing or (1.0, jet(curve, 1.0))
+        kinematics.append((k * Ts, v, a, j))
+        us.append(u)
+        points.append(pos)
+    errs = _chord_errors(curve, us, points)
+    return [
+        InterpolationSample(t, u, p, v, a, j, err)
+        for (t, v, a, j), u, p, err in zip(kinematics, us, points, errs)
+    ]
 
 
 def summarize(

@@ -28,6 +28,7 @@ __all__ = [
     "ProfileDomainError",
     "SIG_D2_MAX",
     "SIG_D2_ARGMAX",
+    "SHAPE_S_MAX",
     "kernel",
     "mirrored_kernel",
     "block_duration",
@@ -54,6 +55,17 @@ class ProfileDomainError(ProfileError):
 # the function value is 1/2 -+ sqrt(3)/6, i.e. at x = -+ln(2+sqrt(3)).
 SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 SIG_D2_ARGMAX = math.log(2.0 + math.sqrt(3.0))
+
+# Largest shape s at which sigmoid_family(s).mu_m bounds the fitted
+# profile's peak jerk, mu_m*(v2-v1)*(v2+v1)^2/L^2. Its core term,
+# s^2*SIG_D2_MAX/(4*span), lacks the factor 4 of the core's jerk
+# coefficient s^2*|f''(-s/3)|/span that peaks() uses, so mu_m holds only
+# while the start cap's term binds; the core's coefficient overtakes it
+# at s = 3.311234..., found by bisection on the peak jerk over random
+# transitions and equal to the crossing of the two closed forms. Just
+# above, the bound is exceeded by 1.1 % at s = 3.32 and by 19 % at 3.45.
+# Limits refuses steeper shapes.
+SHAPE_S_MAX = 3.3112
 
 
 def kernel(x: float) -> tuple[float, float, float]:

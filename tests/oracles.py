@@ -7,7 +7,9 @@ oracles search feasibility by bisection or dense grids using those
 peaks as the ground truth. The arc-length reference integrates the
 speed from the public ``derivatives`` by adaptive Gauss quadrature.
 The feed-ceiling reference is the scan's former bracket bisection,
-kept verbatim around the library's own step probe.
+kept verbatim around the library's own step probe. The replay reference
+is the former tick loop, which evaluates points and derivatives
+separately and measures each tick's chord deviation as it goes.
 """
 
 from __future__ import annotations
@@ -16,8 +18,20 @@ import math
 
 import numpy as np
 
-from feedsched.chordscan import ScanConvergenceError, _probe_step
+from feedsched.chordscan import (
+    ScanConvergenceError,
+    _chord_deviation,
+    _probe_step,
+)
 from feedsched.geometry import derivatives, evaluate
+from feedsched.simulator import (
+    _CHORD_MATCH_TOL,
+    _END_DRIFT_PER_TICK,
+    _MAX_REFINE_STEPS,
+    InterpolationSample,
+    SimulationError,
+    _Track,
+)
 
 SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 SIG_D2_ARGMAX = math.log(2.0 + math.sqrt(3.0))
@@ -378,3 +392,68 @@ def bisect_feedrate(curve, u, limits):
         else:
             hi = mid
     return safe
+
+
+def _reference_refine_step(curve, u, pos, advance):
+    d1, d2 = derivatives(curve, u, order=2)
+    speed_sq = sum(c * c for c in d1)
+    speed = math.sqrt(speed_sq)
+    dot = sum(a * b for a, b in zip(d1, d2))
+    x = u + advance / speed - dot * advance * advance / (
+        2.0 * speed_sq * speed_sq
+    )
+    x = min(max(x, u), 1.0)
+    lo, hi = u, None
+    for _ in range(_MAX_REFINE_STEPS):
+        point = evaluate(curve, x)
+        diff = [a - b for a, b in zip(point, pos)]
+        dist = math.sqrt(sum(c * c for c in diff))
+        gap = dist - advance
+        if abs(gap) <= _CHORD_MATCH_TOL:
+            return x, point
+        if gap > 0.0:
+            hi = x
+        elif x >= 1.0:
+            return None
+        else:
+            lo = x
+        top = 1.0 if hi is None else hi
+        if top - lo < 1e-16:
+            break
+        (d1,) = derivatives(curve, x, order=1)
+        slope = sum(a * b for a, b in zip(diff, d1)) / dist if dist else 0.0
+        x = x - gap / slope if slope > 0.0 else math.inf
+        if not lo < x < top:
+            x = 1.0 if hi is None else 0.5 * (lo + hi)
+    x = 0.5 * (lo + top)
+    return x, evaluate(curve, x)
+
+
+def replay_reference(curve, blocks, limits, family):
+    """The tick replay as one scalar loop: Newton on separate point and
+    derivative evaluations, then the chord deviation of each tick."""
+    track = _Track(blocks, family)
+    Ts = limits.Ts
+    n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
+    u = 0.0
+    pos = evaluate(curve, 0.0)
+    travel, (v, a, j) = track.state(0.0)
+    samples = [InterpolationSample(0.0, 0.0, pos, v, a, j, 0.0)]
+    for k in range(1, n_steps + 1):
+        t = min(k * Ts, track.total)
+        reached, (v, a, j) = track.state(t)
+        advance = reached - travel
+        travel = reached
+        landing = None
+        if k < n_steps:
+            if u < 1.0:
+                landing = _reference_refine_step(curve, u, pos, advance)
+            if landing is None:
+                left = track.length - travel
+                if left > _END_DRIFT_PER_TICK * limits.delta_max * k:
+                    raise SimulationError("plan commands travel past the end")
+        u_next, pos_next = landing or (1.0, evaluate(curve, 1.0))
+        err = _chord_deviation(curve, u, u_next, pos, pos_next)
+        u, pos = u_next, pos_next
+        samples.append(InterpolationSample(k * Ts, u, pos, v, a, j, err))
+    return samples

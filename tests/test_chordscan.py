@@ -22,6 +22,7 @@ from feedsched.chordscan import (
 from feedsched.cli import PRESETS
 from feedsched.curvegen import random_curve
 from feedsched.geometry import ParametricCurve, arc_length, evaluate
+from feedsched.sprofile import SHAPE_S_MAX
 
 from conftest import (
     make_full_circle,
@@ -66,6 +67,14 @@ class TestLimits:
         with pytest.raises(ValueError):
             Limits(Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0,
                    j_max=26000.0, shape_s=3.3, mu_s=-1.0)
+
+    def test_rejects_shapes_beyond_the_jerk_bound(self):
+        fields = dict(Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0,
+                      j_max=26000.0)
+        assert Limits(**fields, shape_s=SHAPE_S_MAX).shape_s == SHAPE_S_MAX
+        for s in (3.32, 3.5, math.inf):
+            with pytest.raises(ValueError, match="shape_s"):
+                Limits(**fields, shape_s=s)
 
     def test_mu_s_defaults_to_none(self):
         assert STD.mu_s is None

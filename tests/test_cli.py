@@ -4,6 +4,7 @@ import re
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from feedsched.cli import (
     load_curve,
     main,
     run,
+    _load_limits,
     save_curve,
 )
 from feedsched.chordscan import ScanConvergenceError
@@ -324,6 +326,34 @@ def test_bad_input_exits_2_without_traceback(tmp_path, points, extra, cause):
     assert proc.returncode == 2
     assert cause in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_steep_shape_config_exits_2_without_traceback(tmp_path):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(_cubic_doc(GOOD_POINTS)))
+    cfg = tmp_path / "limits.json"
+    cfg.write_text(json.dumps({"shape_s": 3.5}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "feedsched.cli", "run", "--curve", str(curve),
+         "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "shape_s 3.5 exceeds" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_presets_load_within_the_shape_range():
+    for name, preset in PRESETS.items():
+        assert _load_limits(name, None) == preset
+        assert replace(preset) == preset  # re-runs the range checks
+        assert preset.shape_s == 3.3
 
 
 def test_chord_scan_failure_is_exit_3(tmp_path, monkeypatch, capsys):

@@ -17,6 +17,7 @@ from feedsched.geometry import (
     curvature_radius,
     derivatives,
     evaluate,
+    jet,
     param_at_length,
 )
 
@@ -122,6 +123,22 @@ class TestDerivatives:
                 scale2 = max(1.0, float(np.linalg.norm(fd2)))
                 assert np.linalg.norm(np.array(d1) - fd1) / scale1 < 1e-6
                 assert np.linalg.norm(np.array(d2) - fd2) / scale2 < 1e-4
+
+
+class TestJet:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(c=nurbs_curves(), us=st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_equals_evaluate_and_derivatives(self, c, us):
+        # random parameters, every knot (interior ones and both ends)
+        for u in us + sorted(set(c.knots)):
+            point, d1, d2 = jet(c, u)
+            assert point == evaluate(c, u)
+            assert [d1, d2] == derivatives(c, u, 2)
+            assert [d1] == derivatives(c, u, 1)
+
+    def test_rejects_parameters_outside_the_curve(self, quarter_circle):
+        with pytest.raises(CurveDomainError):
+            jet(quarter_circle, 1.5)
 
 
 class TestCurvature:

@@ -1,12 +1,22 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import make_full_circle, make_line, make_quarter_circle
-from feedsched.chordscan import Limits, scan_curve
+from feedsched import geometry, simulator
+from feedsched.baseline import SINE, sine_schedule
+from feedsched.chordscan import Limits, _chord_deviation, scan_curve
+from feedsched.cli import PRESETS
 from feedsched.curvegen import random_curve
-from feedsched.geometry import arc_length, evaluate
+from feedsched.geometry import (
+    ParametricCurve,
+    SingularCurveError,
+    arc_length,
+    evaluate,
+)
 from feedsched.optimizer import schedule
 from feedsched.segmentation import Block, build_blocks, find_breakpoints
 from feedsched.simulator import (
@@ -209,6 +219,105 @@ class TestScheduledRun:
         assert summary.max_chord_err == max(s.chord_err for s in samples)
         assert summary.total_time == pytest.approx(total_time(blocks), rel=1e-15)
         assert summary.n_points == len(samples)
+
+
+class TestChordPass:
+    # the doubled control point stops this curve at its knot u = 0.5
+    CUSP = ParametricCurve(
+        2, ((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 1.0)),
+        (1.0,) * 4, (0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0),
+    )
+
+    def test_equals_scalar_chord_deviation(self):
+        # hairpin: midpoint radius 0.025 mm against a 1 mm chord, so the
+        # arc model gives way to the sampled deviation
+        hairpin = ParametricCurve(
+            2, ((0.0, 0.0), (10.0, 0.0), (0.0, 1.0)), (1.0, 1.0, 1.0),
+            (0.0, 0.0, 0.0, 1.0, 1.0, 1.0),
+        )
+        cases = [
+            (make_line(), [0.1, 0.4, 0.4]),
+            (make_full_circle(5.0), [0.1, 0.104, 0.104, 0.33, 0.35]),
+            (hairpin, [0.0, 1.0]),
+        ]
+        for curve, us in cases:
+            points = [evaluate(curve, u) for u in us]
+            want = [0.0] + [
+                _chord_deviation(curve, *us[i:i + 2], *points[i:i + 2])
+                for i in range(len(us) - 1)
+            ]
+            assert simulator._chord_errors(curve, us, points) == want
+        assert want[1] == pytest.approx(5.0, abs=1e-9)  # the hairpin's bulge
+
+    def test_zero_chord_skips_the_radius(self):
+        # a zero step at the cusp reports 0 instead of raising
+        point = evaluate(self.CUSP, 0.5)
+        assert simulator._chord_errors(self.CUSP, [0.5, 0.5], [point] * 2) == [
+            0.0, 0.0,
+        ]
+
+    def test_singular_midpoint_raises_like_scalar(self):
+        us = [0.1, 0.2, 0.4, 0.6]
+        points = [evaluate(self.CUSP, u) for u in us]
+        with pytest.raises(SingularCurveError, match="u=0.5"):
+            _chord_deviation(self.CUSP, 0.4, 0.6, *points[2:])
+        with pytest.raises(SingularCurveError, match="u=0.5"):
+            simulator._chord_errors(self.CUSP, us, points)
+
+
+# the benchmark's corpus paths: curve seed and preset
+CORPUS = ((6, "standard"), (12, "high-accel"), (18, "standard"), (24, "high-accel"))
+
+
+@pytest.fixture(scope="module")
+def corpus_plans():
+    """Both laws' schedules of the corpus paths, ready to replay."""
+    plans = []
+    for seed, preset in CORPUS:
+        limits = PRESETS[preset]
+        curve = random_curve(seed)
+        scatter = scan_curve(curve, limits)
+        blocks = build_blocks(curve, scatter, find_breakpoints(scatter))
+        sigmoid = sigmoid_family(limits.shape_s)
+        plans.append(
+            (curve, schedule(curve, blocks, scatter, limits), limits, sigmoid)
+        )
+        plans.append(
+            (curve, sine_schedule(curve, blocks, scatter, limits), limits, SINE)
+        )
+    return plans
+
+
+class TestReplayWork:
+    def test_one_horner_pass_per_visit_and_one_radius_pass(
+        self, corpus_plans, monkeypatch
+    ):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(
+            geometry, "_homogeneous_ders",
+            counting("horner", geometry._homogeneous_ders),
+        )
+        monkeypatch.setattr(
+            simulator, "_curvature_radii",
+            counting("radii", simulator._curvature_radii),
+        )
+        for curve, blocks, limits, family in corpus_plans:
+            calls.clear()
+            ticks = len(interpolate(curve, blocks, limits, family=family)) - 1
+            assert calls["horner"] <= 2.5 * ticks
+            assert calls["radii"] == 1
+
+    def test_samples_equal_scalar_reference(self, corpus_plans):
+        for curve, blocks, limits, family in corpus_plans:
+            got = interpolate(curve, blocks, limits, family=family)
+            assert got == oracles.replay_reference(curve, blocks, limits, family)
 
 
 class TestPathEnd:

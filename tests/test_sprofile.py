@@ -5,6 +5,7 @@ import pytest
 from oracles import core_reference, junction_residuals
 
 from feedsched.sprofile import (
+    SHAPE_S_MAX,
     SIG_D2_ARGMAX,
     SIG_D2_MAX,
     DwellUnsupportedError,
@@ -235,6 +236,30 @@ class TestKinematicPeaks:
                 t = float(t)
                 assert abs(p.kinematics(t)[1]) <= a_peak * (1 + 1e-12)
                 assert abs(p.kinematics(t)[2]) <= j_peak * (1 + 1e-12)
+
+
+class TestShapeRange:
+    @staticmethod
+    def worst_jerk_over_bound(s, rng):
+        family = sigmoid_family(s)
+        worst = 0.0
+        for _ in range(200):
+            v_lo, v_hi = sorted(rng.uniform(0.1, 200.0, size=2))
+            L = float(rng.uniform(0.01, 20.0))
+            ends = (v_lo, v_hi) if rng.random() < 0.5 else (v_hi, v_lo)
+            jerk = family.fit(*map(float, ends), L).peaks()[1]
+            bound = family.mu_m * (v_hi - v_lo) * (v_hi + v_lo) ** 2 / L**2
+            worst = max(worst, jerk / bound)
+        return worst
+
+    def test_mu_m_bounds_the_jerk_up_to_the_largest_shape(self):
+        rng = np.random.default_rng(17)
+        for s in (2.2, 3.0, 3.3, SHAPE_S_MAX):
+            assert self.worst_jerk_over_bound(s, rng) <= 1.0 + 1e-9
+
+    def test_largest_shape_is_tight(self):
+        rng = np.random.default_rng(18)
+        assert self.worst_jerk_over_bound(SHAPE_S_MAX + 5e-3, rng) > 1.004
 
 
 class TestDisplacement:
