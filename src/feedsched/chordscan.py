@@ -20,7 +20,7 @@ from .geometry import (
     derivatives,
     evaluate,
 )
-from .sprofile import SHAPE_S_MAX
+from .sprofile import check_shape
 
 __all__ = [
     "ChordScanError",
@@ -72,7 +72,7 @@ class Limits:
     Ts is the controller period in seconds, delta_max the chord tolerance
     in mm, v_max/a_max/j_max the feed (mm/s), acceleration (mm/s^2) and
     jerk (mm/s^3) ceilings, shape_s the steepness of the S-shaped profile,
-    at most SHAPE_S_MAX.
+    at most sprofile.SHAPE_S_MAX.
     mu_s, when given, overrides the automatic breakpoint screening
     threshold (mm/s per unit parameter).
     """
@@ -86,14 +86,10 @@ class Limits:
     mu_s: float | None = None
 
     def __post_init__(self):
-        for name in ("Ts", "delta_max", "v_max", "a_max", "j_max", "shape_s"):
+        for name in ("Ts", "delta_max", "v_max", "a_max", "j_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.shape_s > SHAPE_S_MAX:
-            raise ValueError(
-                f"shape_s {self.shape_s!r} exceeds {SHAPE_S_MAX}, the steepest "
-                "shape whose jerk reduction constant bounds its profiles"
-            )
+        check_shape(self.shape_s, "shape_s")
         if self.mu_s is not None and not self.mu_s > 0.0:
             raise ValueError("mu_s must be strictly positive when given")
 

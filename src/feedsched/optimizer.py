@@ -4,20 +4,19 @@ Transition blocks must be long enough for their feed change to respect
 the acceleration and jerk ceilings. A profile family's reduction
 constants collapse each block's peak acceleration to mu_n*(v2^2-v1^2)/L
 and its peak jerk to mu_m*(v2-v1)*(v2+v1)^2/L^2, turning feasibility into
-closed-form length/feed bounds. The scheduler sweeps the block list,
-growing transitions into neighboring constant blocks, lowering peak
-feeds that cannot be reached, and repeating until no feed moves.
+closed-form length/feed bounds. The scheduler settles the junctions in
+one forward and one backward pass, after Dong and Stori's bidirectional
+scan: a pass lowers only junctions it has not visited yet.
 
-The sweep works on arc length alone. Each junction starts at the arc
+The passes work on arc length alone. Each junction starts at the arc
 position of its scan parameter and, when lengths move, sits at the
 prefix sum of the block lengths before it; the scan ceiling is read at
 the arc positions of its samples. Junctions that moved get their curve
-parameter once, after the fixpoint.
+parameter once, after the passes.
 
 Feeds only ever decrease during scheduling, so the chord-error ceiling
-recorded by the scan stays satisfied at every breakpoint; transition
-lengths never shrink below their scan-time spans, so junctions never
-drift into regions whose ceiling is below the block's top feed.
+recorded by the scan stays satisfied at every breakpoint; a junction
+moves only where the scan ceiling over the arc it hands over holds it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .sprofile import ProfileFamily, block_duration, sigmoid_family
 __all__ = [
     "OptimizerError",
     "InfeasibleJunctionError",
-    "SweepConvergenceError",
     "ScheduleConsistencyError",
     "AdjustmentOutcome",
     "transition_min_length",
@@ -48,7 +46,6 @@ __all__ = [
 
 _FEED_TOL = 1e-9
 _LEN_TOL = 1e-9
-_MAX_SWEEPS = 1000
 
 
 class OptimizerError(ValueError):
@@ -57,14 +54,6 @@ class OptimizerError(ValueError):
 
 class InfeasibleJunctionError(OptimizerError):
     """No feed at or above the junction floor satisfies the constraints."""
-
-    def __init__(self, msg, caps=None):
-        super().__init__(msg)
-        self.caps = caps
-
-
-class SweepConvergenceError(OptimizerError):
-    """The adjustment sweep did not reach a fixpoint."""
 
 
 class ScheduleConsistencyError(OptimizerError):
@@ -134,13 +123,12 @@ def adjust_peak_junction(
     floor = max(v1, v3)
     if v2 < floor:
         raise OptimizerError("junction feed below its endpoints is no peak")
-    cap1 = transition_max_feed(v1, L1, family, limits)
-    cap2 = transition_max_feed(v3, L2, family, limits)
-    cap = min(cap1, cap2)
+    cap = min(
+        transition_max_feed(v1, L1, family, limits),
+        transition_max_feed(v3, L2, family, limits),
+    )
     if cap < floor * (1.0 - 1e-12) - 1e-12:
-        raise InfeasibleJunctionError(
-            f"no feasible peak feed above {floor:.6f}", caps=(cap1, cap2)
-        )
+        raise InfeasibleJunctionError(f"no feasible peak feed above {floor:.6f}")
     return min(v2, cap)
 
 
@@ -250,58 +238,6 @@ def adjust_with_constant(
     return AdjustmentOutcome(v2_opt=v_h, lengths=(l1, l2, l3))
 
 
-def _peak_capacity(v1, v3, v2_cap, total, family, limits):
-    """Largest junction feed a two-sided rise/fall span can host.
-
-    Both transition lengths may trade length freely inside the span.
-    Returns None when even a flat junction at max(v1, v3) does not fit.
-    """
-    floor = max(v1, v3)
-    if v2_cap < floor:
-        return None
-    base = transition_min_length(min(v1, v3), floor, family, limits)
-    if base > total * (1.0 + 1e-12):
-        return None
-
-    def excess(v2):
-        return (
-            transition_min_length(v1, v2, family, limits)
-            + transition_min_length(v3, v2, family, limits)
-            - total
-        )
-
-    if excess(v2_cap) <= 0.0:
-        return v2_cap
-    lo, hi = floor, v2_cap
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if excess(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _peak_split(v1, v3, v2, total, family, limits):
-    """Tight lengths for both sides, slack parked on the faster side."""
-    t1 = transition_min_length(v1, v2, family, limits)
-    t3 = transition_min_length(v3, v2, family, limits)
-    slack = max(0.0, total - t1 - t3)
-    if v1 >= v3:
-        return t1 + slack, t3
-    return t1, t3 + slack
-
-
-def _set_junction_feed(blocks, j, v):
-    """Set the feed at junction j (before block j), syncing both sides."""
-    if j > 0:
-        blocks[j - 1].v_e = v
-    if j < len(blocks):
-        blocks[j].v_s = v
-
-
 def _min_ceiling(s, v, a, b):
     """Smallest scan ceiling over arc positions [a, b], ends interpolated.
 
@@ -322,287 +258,220 @@ def _anchor_junctions(curve, blocks, pos, start):
 
     Junctions are converted in order and clamped between the previous
     junction and the next unmoved one, so no block ends before it starts;
-    one that ends a zero-length block takes the previous junction's.
+    one that ends a zero-length block takes the previous junction's, and
+    one that starts a zero-length block before an unmoved junction takes
+    that junction's.
     """
     n = len(blocks)
     u = [b.u_s for b in blocks] + [blocks[-1].u_e]
-    upper = u[:]
+    upper = list(range(n + 1))
     for j in range(n - 1, 0, -1):
         if pos[j] != start[j]:
             upper[j] = upper[j + 1]
     table = curve._arc_table
     for j in range(1, n):
+        k = upper[j]
         if pos[j] == pos[j - 1]:
             u[j] = u[j - 1]
+        elif pos[j] == pos[k]:
+            u[j] = u[k]
         elif pos[j] != start[j]:
-            u[j] = min(max(table.param(pos[j]), u[j - 1]), upper[j])
+            u[j] = min(max(table.param(pos[j]), u[j - 1]), u[k])
     for j, b in enumerate(blocks):
         b.u_s, b.u_e = u[j], u[j + 1]
 
 
-class _Sweeper:
-    """One scheduling pass; holds shared state for the junction handlers."""
+class _Passes:
+    """The two passes over one working block list. pos holds the arc
+    position of every junction, start its position at the scan; floors
+    are the scan-time lengths, below which no side of a span shrinks.
+    """
 
-    def __init__(self, blocks, pos, scan_pos, scan_feed, limits, family):
+    def __init__(self, curve, blocks, scatter, limits, family):
+        n = len(scatter)
+        at = curve._arc_table.positions(
+            np.concatenate([scatter.u, [b.u_s for b in blocks], [blocks[-1].u_e]])
+        )
+        self.start = at[n:].tolist()
+        self.pos = self.start[:]
+        self.scan_pos, self.scan_feed = at[:n], scatter.v
         self.blocks = blocks
-        self.pos = pos
-        self.scan_pos = scan_pos
-        self.scan_feed = scan_feed
+        self.floors = [b.L for b in blocks]
         self.limits = limits
         self.family = family
-        self.kind_tol = 1e-9 * limits.v_max
-        self.floors = [b.L for b in blocks]
-        self.change = 0.0
+
+    def kind(self, i):
+        if 0 <= i < len(self.blocks):
+            b = self.blocks[i]
+            return classify_kind(b.v_s, b.v_e, 1e-9 * self.limits.v_max)
+        return None
 
     def ceiling(self, a, b):
         return _min_ceiling(self.scan_pos, self.scan_feed, a, b)
 
-    def place(self, i, j):
-        """Re-place the interior junctions of blocks[i..j] from lengths.
-
-        The range's ends stay fixed; each junction is clamped to the far
-        end so rounding cannot push a zero-length last block backwards.
-        """
-        pos = self.pos
-        for k in range(i, j):
-            pos[k + 1] = min(pos[k] + self.blocks[k].L, pos[j + 1])
-
-    def kind(self, b: Block) -> BlockKind:
-        return classify_kind(b.v_s, b.v_e, self.kind_tol)
+    def feed(self, j):
+        blocks = self.blocks
+        return blocks[j].v_s if j < len(blocks) else blocks[-1].v_e
 
     def set_feed(self, j, v):
-        old = self.blocks[j].v_s if j < len(self.blocks) else self.blocks[-1].v_e
-        if v > old + 1e-9:
-            raise ScheduleConsistencyError(
-                f"junction {j} feed would rise from {old} to {v}"
-            )
-        if abs(v - old) <= _FEED_TOL:
-            return
-        self.change = max(self.change, abs(v - old))
-        _set_junction_feed(self.blocks, j, v)
+        """Set the feed at junction j (before block j) on both sides."""
+        if j > 0:
+            self.blocks[j - 1].v_e = v
+        if j < len(self.blocks):
+            self.blocks[j].v_s = v
 
-    def run(self):
-        self.change = 0.0
-        blocks = self.blocks
-        i = 0
-        while i < len(blocks):
-            k = self.kind(blocks[i])
-            nk = self.kind(blocks[i + 1]) if i + 1 < len(blocks) else None
-            nnk = self.kind(blocks[i + 2]) if i + 2 < len(blocks) else None
-            if k is BlockKind.ACCEL and nk is BlockKind.CONSTANT \
-                    and nnk is BlockKind.DECEL:
-                self._handle_acd(i)
-            elif k is BlockKind.ACCEL and nk is BlockKind.DECEL:
-                self._handle_peak(i)
-            elif k is BlockKind.ACCEL and nk is BlockKind.CONSTANT:
-                self._handle_extend(i, i + 1)
-            elif k is BlockKind.CONSTANT and nk is BlockKind.DECEL:
-                prev = self.kind(blocks[i - 1]) if i > 0 else None
-                if prev is not BlockKind.ACCEL:
-                    self._handle_extend(i + 1, i)
-            i += 1
-        for i in range(len(blocks)):
-            self._handle_leftover(i)
-        return self.change
+    def lower(self, j, v):
+        """Lower the feed at junction j to v; a higher v leaves it."""
+        if v < self.feed(j):
+            self.set_feed(j, v)
 
-    def _apply_lengths(self, i, j, lengths):
-        moved = 0.0
-        for k, L in zip(range(i, j + 1), lengths):
-            moved = max(moved, abs(self.blocks[k].L - L))
-            self.blocks[k].L = L
-        if moved > _LEN_TOL:
-            self.change = max(self.change, moved)
-            self.place(i, j)
+    def fits(self, b):
+        a_pk, j_pk = self.family.fit(b.v_s, b.v_e, b.L).peaks()
+        lim = self.limits
+        return a_pk <= lim.a_max * (1.0 + 1e-9) and j_pk <= lim.j_max * (1.0 + 1e-9)
 
-    def _handle_acd(self, i):
-        a, c, d = self.blocks[i], self.blocks[i + 1], self.blocks[i + 2]
-        v1, v3 = a.v_s, d.v_e
-        total = a.L + c.L + d.L
-        ceiling = min(
-            self.limits.v_max,
-            c.v_s,
-            self.ceiling(self.pos[i + 1], self.pos[i + 2]),
+    def place(self, i, j):
+        """Re-place the junctions between blocks i..j-1 from their lengths,
+        each at its scan position while nothing before it moved and
+        clamped to the fixed far end, so no zero-length block runs back."""
+        pos, start, blocks = self.pos, self.start, self.blocks
+        for k in range(i, j - 1):
+            moved = pos[k] != start[k] or blocks[k].L != self.floors[k]
+            pos[k + 1] = min(pos[k] + blocks[k].L if moved else start[k + 1], pos[j])
+
+    def set_lengths(self, i, lengths):
+        for b, L in zip(self.blocks[i:], lengths):
+            b.L = L
+        self.place(i, i + len(lengths))
+
+    def settle(self, settled, junctions, v):
+        """Lower the junctions to v, a feed every settled block holds, if
+        a block's own peaks exceed the limits: over a tiny block the feed
+        change is so small against the feed that rounding shows in it."""
+        blocks = [self.blocks[k] for k in settled]
+        if not all(b.L == 0.0 or self.fits(b) for b in blocks):
+            for j in junctions:
+                self.lower(j, v)
+
+    def run(self, d):
+        """Settle the blocks whose feed rises in pass direction d: d = 1
+        fits each rise to its start feed, d = -1 each fall to its end feed
+        and each peak to both outer feeds."""
+        blocks, fam, lim = self.blocks, self.family, self.limits
+        rise, fall = (BlockKind.ACCEL, BlockKind.DECEL)[::d]
+        for i in range(len(blocks))[::d]:
+            if self.kind(i) is not rise:
+                continue
+            near, far = (i, i + 1)[::d]
+            nxt = self.kind(i + d)
+            if nxt is BlockKind.CONSTANT and self.kind(i + 2 * d) is fall:
+                self.span(min(i, i + 2 * d), rising=d > 0)
+            elif nxt is BlockKind.CONSTANT:
+                self.extend(i, i + d)
+            elif nxt is fall:
+                # a peak's far side is no higher than one rise over both
+                # blocks reaches; the backward pass then settles the peak
+                both = blocks[i].L + blocks[i + d].L
+                reach = transition_max_feed(self.feed(near), both, fam, lim)
+                self.lower(far + d, reach)
+                if d < 0:
+                    self.peak(i - 1)
+            else:
+                reach = transition_max_feed(self.feed(near), blocks[i].L, fam, lim)
+                self.lower(far, reach)
+                self.settle((i,), (far,), self.feed(near))
+
+    def extend(self, t, c):
+        """Grow transition t into the constant block c next to it."""
+        old = self.blocks[c].v_s
+        _, _, feed = extend_into_constant(
+            self.blocks[t], self.blocks[c], self.family, self.limits
         )
-        lo = max(v1, v3)
-        if ceiling < lo:
-            self.set_feed(i + 1, ceiling)
-            self.set_feed(i + 2, ceiling)
+        if feed != old:
+            # the consumed constant block took the lowered feed; sync
+            # both its junctions to reach the neighbours
+            self.set_feed(c, feed)
+            self.set_feed(c + 1, feed)
+        self.place(min(t, c), min(t, c) + 2)
+        trans = self.blocks[t]
+        self.settle((t,), (c, c + 1), min(trans.v_s, trans.v_e))
+
+    def span(self, i, rising):
+        """Settle the rise-steady-fall run at blocks i, i+1, i+2."""
+        a, c, d = self.blocks[i : i + 3]
+        v1, v3 = a.v_s, d.v_e
+        pos = self.pos
+        ceiling = min(self.limits.v_max, c.v_s, self.ceiling(pos[i + 1], pos[i + 2]))
+        if ceiling < max(v1, v3):
+            self.lower(i + 1, ceiling)
+            self.lower(i + 2, ceiling)
             return
-        floors = (self.floors[i], self.floors[i + 2])
         try:
             out = adjust_with_constant(
-                v1, v3, total, ceiling, self.family, self.limits, floors=floors
+                v1, v3, a.L + c.L + d.L, ceiling, self.family, self.limits,
+                floors=(self.floors[i], self.floors[i + 2]),
             )
         except InfeasibleJunctionError:
-            self._repair_span(i, v1, v3, total, floors)
+            # not even flat: the side with the lower outer feed cannot
+            # fit, and takes the constant block in the pass that settles
+            # it; the pass then caps the next block as usual
+            if not rising:
+                self.extend(i + 2, i + 1)
+            elif v1 < v3:
+                self.extend(i, i + 1)
             return
-        self.set_feed(i + 1, out.v2_opt)
-        self.set_feed(i + 2, out.v2_opt)
-        self._apply_lengths(i, i + 2, out.lengths)
+        self.lower(i + 1, out.v2_opt)
+        self.lower(i + 2, out.v2_opt)
+        self.set_lengths(i, out.lengths)
+        self.settle((i, i + 2), (i + 1, i + 2), max(v1, v3))
 
-    def _repair_span(self, i, v1, v3, total, floors):
-        # lower the taller boundary until the span can host both climbs
-        room = max(0.0, total - floors[0] - floors[1])
-        if v1 >= v3:
-            target = transition_max_feed(v3, room, self.family, self.limits)
-            self.set_feed(i, min(v1, target))
-        else:
-            target = transition_max_feed(v1, room, self.family, self.limits)
-            self.set_feed(i + 3, min(v3, target))
-
-    def _handle_peak(self, i):
+    def peak(self, i):
+        """Settle the peak of rise i and fall i+1 at fixed lengths or, if
+        faster, as the tallest peak over both that the scan ceiling holds
+        on the arc changing hands, slack on the faster side."""
         a, d = self.blocks[i], self.blocks[i + 1]
-        v1, v3 = a.v_s, d.v_e
-        v2 = max(a.v_e, v1, v3)
+        fam, lim = self.family, self.limits
+        v1, v2, v3 = a.v_s, a.v_e, d.v_e
+        total, best = a.L + d.L, None
         try:
-            tuned = adjust_peak_junction(
-                v1, v2, v3, a.L, d.L, self.family, self.limits
-            )
-        except InfeasibleJunctionError as err:
-            if self._repair_peak(i, v1, v3, v2):
-                return
-            # the span cannot connect the boundary feeds at all: flatten
-            # the taller side's block at the best reachable feed
-            cap1, cap2 = err.caps
-            if v3 > v1:
-                self.set_feed(i + 1, cap1)
-                self.set_feed(i + 2, cap1)
+            v = adjust_peak_junction(v1, v2, v3, a.L, d.L, fam, lim)
+            best = (2.0 * a.L / (v1 + v) + 2.0 * d.L / (v3 + v), v, a.L, d.L)
+        except InfeasibleJunctionError:
+            pass
+        cap = v2
+        for _ in range(4):
+            try:
+                v = adjust_with_constant(v1, v3, total, cap, fam, lim).v2_opt
+            except InfeasibleJunctionError:
+                break
+            l1 = transition_min_length(v1, v, fam, lim)
+            l3 = transition_min_length(v3, v, fam, lim)
+            rest = total - l1 - l3
+            # slack runs fastest on the taller side; the span's rounding
+            # allowance costs the longer side least
+            if (v1 >= v3) if rest >= 0.0 else (l1 >= l3):
+                l1 += rest
             else:
-                self.set_feed(i, cap2)
-                self.set_feed(i + 1, cap2)
-            return
-        self.set_feed(i + 1, tuned)
-
-    def _repair_peak(self, i, v1, v3, v2_cap):
-        """Trade length between the two sides to keep the junction high.
-
-        Candidates are the tallest feasible peak and a flat junction at
-        max(v1, v3); each gets clamped by the scan ceiling over whatever
-        stretch changes hands, so feeds stay below vetted territory.
-        """
-        a, d = self.blocks[i], self.blocks[i + 1]
-        total = a.L + d.L
-        v_star = _peak_capacity(v1, v3, v2_cap, total, self.family, self.limits)
-        if v_star is None:
-            return False
-        floor = max(v1, v3)
-        best = None
-        for cand in dict.fromkeys((v_star, floor)):
-            v2 = cand
-            dead = False
-            for _ in range(4):
-                l1, l2 = _peak_split(v1, v3, v2, total, self.family, self.limits)
-                ceil_donated = self._donated_ceiling(i, l1, l2)
-                if ceil_donated >= v2 - 1e-9:
-                    break
-                if ceil_donated < floor - 1e-12:
-                    # donated stretch cannot even hold the boundary feeds
-                    dead = True
-                    break
-                v2 = max(ceil_donated, floor)
-            else:
-                dead = True
-            if dead:
-                continue
-            l1, l2 = _peak_split(v1, v3, v2, total, self.family, self.limits)
-            t = 2.0 * l1 / (v1 + v2) + 2.0 * l2 / (v3 + v2)
-            if best is None or t < best[0] - 1e-15 or (
-                abs(t - best[0]) <= 1e-15 and v2 > best[1]
-            ):
-                best = (t, v2, l1, l2)
+                l3 += rest
+            # a rounding residue is no transition: that side goes flat
+            if l3 <= _LEN_TOL:
+                l1, l3, v = total, 0.0, v3
+            elif l1 <= _LEN_TOL:
+                l1, l3, v = 0.0, total, v1
+            cap = self.ceiling(self.pos[i + 1], self.pos[i] + l1)
+            if cap >= v - _FEED_TOL:
+                t = 2.0 * l1 / (v1 + v) + 2.0 * l3 / (v3 + v)
+                if best is None or t < best[0]:
+                    best = (t, v, l1, l3)
+                break
+            if cap < max(v1, v3):
+                break
         if best is None:
-            return False
-        _, v2, l1, l2 = best
-        self.set_feed(i + 1, v2)
-        self._apply_lengths(i, i + 1, (l1, l2))
-        return True
-
-    def _donated_ceiling(self, i, l1, l2):
-        """Scan ceiling over whichever stretch would change ownership."""
-        a, d = self.blocks[i], self.blocks[i + 1]
-        pos = self.pos
-        if l1 < a.L - _LEN_TOL:
-            return self.ceiling(pos[i] + max(l1, 0.0), pos[i + 1])
-        if l2 < d.L - _LEN_TOL:
-            return self.ceiling(pos[i + 1], pos[i + 1] + (d.L - l2))
-        return math.inf
-
-    def _handle_extend(self, trans_idx, const_idx):
-        trans = self.blocks[trans_idx]
-        const = self.blocks[const_idx]
-        if self.kind(trans) is BlockKind.CONSTANT:
-            return
-        lo_idx = min(trans_idx, const_idx)
-        before_L = (trans.L, const.L)
-        before_feed = const.v_s
-        _, _, new_feed = extend_into_constant(
-            trans, const, self.family, self.limits
-        )
-        if new_feed != before_feed:
-            # constant block consumed; extend already rewrote its feeds, so
-            # sync both junctions unconditionally to reach the neighbors
-            self.change = max(self.change, abs(before_feed - new_feed))
-            _set_junction_feed(self.blocks, const_idx, new_feed)
-            _set_junction_feed(self.blocks, const_idx + 1, new_feed)
-        moved = max(
-            abs(trans.L - before_L[0]), abs(const.L - before_L[1])
-        )
-        if moved > _LEN_TOL:
-            self.change = max(self.change, moved)
-            self.place(lo_idx, lo_idx + 1)
-
-    def _handle_leftover(self, i):
-        b = self.blocks[i]
-        k = self.kind(b)
-        if k is BlockKind.CONSTANT:
-            return
-        nxt = self.kind(self.blocks[i + 1]) if i + 1 < len(self.blocks) else None
-        prev = self.kind(self.blocks[i - 1]) if i > 0 else None
-        if k is BlockKind.ACCEL and nxt is BlockKind.CONSTANT:
-            return
-        if k is BlockKind.DECEL and prev is BlockKind.CONSTANT:
-            return
-        lo, hi = min(b.v_s, b.v_e), max(b.v_s, b.v_e)
-        need = transition_min_length(lo, hi, self.family, self.limits)
-        if need <= b.L * (1.0 + 1e-9) + 1e-12:
-            return
-        cap = transition_max_feed(lo, b.L, self.family, self.limits)
-        j = i if b.v_s > b.v_e else i + 1
-        self.set_feed(j, cap)
-
-    def validate(self):
-        """Post-pass net: tighten any block whose true peaks overflow."""
-        fixed = False
-        for i, b in enumerate(self.blocks):
-            if b.L <= 0.0 or self.kind(b) is BlockKind.CONSTANT:
-                continue
-            if self._peaks_ok(b.v_s, b.v_e, b.L):
-                continue
-            lo, hi = min(b.v_s, b.v_e), max(b.v_s, b.v_e)
-            f_lo, f_hi = lo, hi
-            for _ in range(100):
-                mid = 0.5 * (f_lo + f_hi)
-                if mid == f_lo or mid == f_hi:
-                    break
-                if self._peaks_ok(
-                    mid if b.v_s > b.v_e else lo,
-                    lo if b.v_s > b.v_e else mid,
-                    b.L,
-                ):
-                    f_lo = mid
-                else:
-                    f_hi = mid
-            j = i if b.v_s > b.v_e else i + 1
-            self.set_feed(j, f_lo)
-            fixed = True
-        return fixed
-
-    def _peaks_ok(self, v_s, v_e, L):
-        a_pk, j_pk = self.family.fit(v_s, v_e, L).peaks()
-        return (
-            a_pk <= self.limits.a_max * (1.0 + 1e-9)
-            and j_pk <= self.limits.j_max * (1.0 + 1e-9)
-        )
+            raise InfeasibleJunctionError(f"peak at junction {i + 1} fits nowhere")
+        _, v, l1, l3 = best
+        self.lower(i + 1, v)
+        self.set_lengths(i, (l1, l3))
+        self.settle((i, i + 1), (i + 1,), max(v1, v3))
 
 
 def schedule(
@@ -612,42 +481,29 @@ def schedule(
     limits: Limits,
     family: ProfileFamily | None = None,
 ) -> list[Block]:
-    """Sweep all junctions until no feed changes, then fill durations.
+    """Settle all junction feeds in one forward and one backward pass,
+    then fill durations.
 
-    The sweep moves junctions in arc length only; each junction that moved
+    The passes move junctions in arc length only; each junction that moved
     gets its curve parameter once at the end. The input list is not
-    modified. Breakpoint feeds only decrease, so
-    the result stays below the chord-error ceiling everywhere the scan
-    sampled. A final validation pass re-checks every block's true peaks,
-    as the family's fitted profiles report them, against the limits and
-    tightens by bisection if needed. The family defaults to the shaped
-    law at limits.shape_s.
+    modified. Breakpoint feeds only decrease, so the result stays below
+    the chord-error ceiling everywhere the scan sampled. Every block's
+    true peaks, as the family's fitted profiles report them, are checked
+    against the limits at the end. The family defaults to the shaped law
+    at limits.shape_s.
     """
     if family is None:
         family = sigmoid_family(limits.shape_s)
     work = [replace(b) for b in blocks]
     if not work:
         return work
-    n = len(scatter)
-    at = curve._arc_table.positions(
-        np.concatenate([scatter.u, [b.u_s for b in work], [work[-1].u_e]])
-    )
-    start = at[n:].tolist()
-    sweeper = _Sweeper(work, start[:], at[:n], scatter.v, limits, family)
-    for _ in range(_MAX_SWEEPS):
-        change = sweeper.run()
-        if change <= max(_FEED_TOL, _LEN_TOL):
-            if not sweeper.validate():
-                break
-    else:
-        raise SweepConvergenceError(
-            "no fixpoint after "
-            f"{_MAX_SWEEPS} sweeps; last change {sweeper.change:.3e}"
-        )
-    _anchor_junctions(curve, work, sweeper.pos, start)
+    passes = _Passes(curve, work, scatter, limits, family)
+    passes.run(1)
+    passes.run(-1)
+    _anchor_junctions(curve, work, passes.pos, passes.start)
     for b in work:
         b.T = block_duration(b.L, b.v_s, b.v_e)
-        if b.L > 0.0 and not sweeper._peaks_ok(b.v_s, b.v_e, b.L):
+        if b.L > 0.0 and not passes.fits(b):
             raise ScheduleConsistencyError(
                 f"block at u=[{b.u_s:.6f},{b.u_e:.6f}] violates limits"
             )

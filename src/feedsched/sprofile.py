@@ -29,6 +29,7 @@ __all__ = [
     "SIG_D2_MAX",
     "SIG_D2_ARGMAX",
     "SHAPE_S_MAX",
+    "check_shape",
     "kernel",
     "mirrored_kernel",
     "block_duration",
@@ -64,7 +65,7 @@ SIG_D2_ARGMAX = math.log(2.0 + math.sqrt(3.0))
 # at s = 3.311234..., found by bisection on the peak jerk over random
 # transitions and equal to the crossing of the two closed forms. Just
 # above, the bound is exceeded by 1.1 % at s = 3.32 and by 19 % at 3.45.
-# Limits refuses steeper shapes.
+# check_shape refuses steeper shapes, for sigmoid_family and for Limits.
 SHAPE_S_MAX = 3.3112
 
 
@@ -271,10 +272,27 @@ def sigmoid_family(s: float) -> ProfileFamily:
 
     mu_n is the larger of the core and cap acceleration coefficients,
     mu_m the largest of the core and two cap jerk coefficients, all in
-    closed form from the kernel at s, -s and -s/3.
+    closed form from the kernel at s, -s and -s/3. A shape above
+    SHAPE_S_MAX is refused: its mu_m would under-bound the jerk.
     """
-    if s <= 0.0:
-        raise ProfileError("shape parameter must be positive")
+    check_shape(s, "shape")
+    mu_n, mu_m = _reduction_constants(s)
+    return ProfileFamily(mu_n=mu_n, mu_m=mu_m, fit=partial(SigmoidProfile.fit, s=s))
+
+
+def check_shape(s: float, name: str) -> None:
+    """Refuse a shape outside (0, SHAPE_S_MAX], naming it as name."""
+    if not s > 0.0:
+        raise ProfileError(f"{name} must be strictly positive")
+    if s > SHAPE_S_MAX:
+        raise ProfileError(
+            f"{name} {s!r} exceeds {SHAPE_S_MAX}, the steepest shape whose "
+            "jerk reduction constant bounds its profiles"
+        )
+
+
+def _reduction_constants(s):
+    """mu_n and mu_m of the shaped law at steepness s > 0, any s."""
     fs = kernel(s)[0]
     fm = kernel(-s)[0]
     f3, p, _ = kernel(-s / 3.0)
@@ -287,8 +305,4 @@ def sigmoid_family(s: float) -> ProfileFamily:
     mu3 = s * s * SIG_D2_MAX / (4.0 * span)
     mu4 = abs(54.0 * q - 12.0 * s * p) / (4.0 * span)
     mu5 = abs(24.0 * s * p - 54.0 * q) / (4.0 * span)
-    return ProfileFamily(
-        mu_n=max(mu1, mu2),
-        mu_m=max(mu3, mu4, mu5),
-        fit=partial(SigmoidProfile.fit, s=s),
-    )
+    return max(mu1, mu2), max(mu3, mu4, mu5)

@@ -9,7 +9,9 @@ speed from the public ``derivatives`` by adaptive Gauss quadrature.
 The feed-ceiling reference is the scan's former bracket bisection,
 kept verbatim around the library's own step probe. The replay reference
 is the former tick loop, which evaluates points and derivatives
-separately and measures each tick's chord deviation as it goes.
+separately and measures each tick's chord deviation as it goes. The
+classic scan is the scheduler's baseline: it takes the library's
+``transition_max_feed`` as given and checks how the scheduler uses it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from feedsched.chordscan import (
     _probe_step,
 )
 from feedsched.geometry import derivatives, evaluate
+from feedsched.optimizer import transition_max_feed
 from feedsched.simulator import (
     _CHORD_MATCH_TOL,
     _END_DRIFT_PER_TICK,
@@ -300,6 +303,26 @@ def best_span_time(v1, v3, L_total, v_ceiling, s, a_max, j_max):
                 break
             grid = np.linspace(a, b, 1001)
     return best
+
+
+def classic_scan(blocks, family, limits):
+    """Total time of the classic feed scan over fixed block lengths.
+
+    Each block caps its higher end feed at what its lower end reaches
+    over the block's length; the caps repeat until no feed moves.
+    """
+    v = [b.v_s for b in blocks] + [blocks[-1].v_e]
+    lengths = [b.L for b in blocks]
+    moved = True
+    while moved:
+        moved = False
+        for i, L in enumerate(lengths):
+            lo, hi = (i, i + 1) if v[i] <= v[i + 1] else (i + 1, i)
+            cap = transition_max_feed(v[lo], L, family, limits)
+            if cap < v[hi]:
+                v[hi] = cap
+                moved = True
+    return sum(2.0 * L / (a + b) for L, a, b in zip(lengths, v, v[1:]))
 
 
 _GL8 = tuple(zip(*np.polynomial.legendre.leggauss(8)))

@@ -11,6 +11,8 @@ from feedsched.sprofile import (
     DwellUnsupportedError,
     ProfileDomainError,
     ProfileError,
+    SigmoidProfile,
+    _reduction_constants,
     block_duration,
     kernel,
     mirrored_kernel,
@@ -19,7 +21,9 @@ from feedsched.sprofile import (
 
 
 def fit(v_s, v_e, L, s=3.3):
-    return sigmoid_family(s).fit(v_s, v_e, L)
+    # the profile itself, at any shape; sigmoid_family refuses shapes
+    # steeper than SHAPE_S_MAX
+    return SigmoidProfile.fit(v_s, v_e, L, s=s)
 
 
 def logistic(x):
@@ -241,14 +245,14 @@ class TestKinematicPeaks:
 class TestShapeRange:
     @staticmethod
     def worst_jerk_over_bound(s, rng):
-        family = sigmoid_family(s)
+        mu_m = _reduction_constants(s)[1]
         worst = 0.0
         for _ in range(200):
             v_lo, v_hi = sorted(rng.uniform(0.1, 200.0, size=2))
             L = float(rng.uniform(0.01, 20.0))
             ends = (v_lo, v_hi) if rng.random() < 0.5 else (v_hi, v_lo)
-            jerk = family.fit(*map(float, ends), L).peaks()[1]
-            bound = family.mu_m * (v_hi - v_lo) * (v_hi + v_lo) ** 2 / L**2
+            jerk = fit(*map(float, ends), L, s=s).peaks()[1]
+            bound = mu_m * (v_hi - v_lo) * (v_hi + v_lo) ** 2 / L**2
             worst = max(worst, jerk / bound)
         return worst
 
@@ -260,6 +264,12 @@ class TestShapeRange:
     def test_largest_shape_is_tight(self):
         rng = np.random.default_rng(18)
         assert self.worst_jerk_over_bound(SHAPE_S_MAX + 5e-3, rng) > 1.004
+
+    def test_family_refuses_steeper_shapes(self):
+        assert sigmoid_family(SHAPE_S_MAX).mu_m == _reduction_constants(SHAPE_S_MAX)[1]
+        for s in (SHAPE_S_MAX + 1e-3, 5.0, math.inf, math.nan):
+            with pytest.raises(ProfileError, match="shape"):
+                sigmoid_family(s)
 
 
 class TestDisplacement:
