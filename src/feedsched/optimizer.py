@@ -6,7 +6,9 @@ constants collapse each block's peak acceleration to mu_n*(v2^2-v1^2)/L
 and its peak jerk to mu_m*(v2-v1)*(v2+v1)^2/L^2, turning feasibility into
 closed-form length/feed bounds. The scheduler settles the junctions in
 one forward and one backward pass, after Dong and Stori's bidirectional
-scan: a pass lowers only junctions it has not visited yet.
+scan: a pass lowers only junctions it has not visited yet. Each junction
+solve returns the largest float feed its feasibility test accepts, so
+no pass repairs another's rounding.
 
 The passes work on arc length alone. Each junction starts at the arc
 position of its scan parameter and, when lengths move, sits at the
@@ -22,6 +24,7 @@ moves only where the scan ceiling over the arc it hands over holds it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +47,6 @@ __all__ = [
     "schedule",
 ]
 
-_FEED_TOL = 1e-9
 _LEN_TOL = 1e-9
 
 
@@ -87,7 +89,8 @@ def transition_min_length(
 def transition_max_feed(
     v_lo: float, L: float, family: ProfileFamily, limits: Limits
 ) -> float:
-    """Highest feed reachable from v_lo within displacement L."""
+    """Highest feed reachable from v_lo within displacement L: the largest
+    float v with transition_min_length(v_lo, v) <= L."""
     if L <= 0.0:
         return v_lo
     if math.isinf(limits.a_max):
@@ -112,30 +115,75 @@ def transition_max_feed(
             if not nxt < jrk:
                 break
             jrk = nxt
-    return min(acc, jrk)
+    v = max(min(acc, jrk), v_lo)
+    if math.isinf(v):
+        return v
+    # every rounding is monotone, so the minimum length is non-decreasing
+    # in v even in floats: step from the root onto the last float that fits
+    while v > v_lo and transition_min_length(v_lo, v, family, limits) > L:
+        v = math.nextafter(v, -math.inf)
+    up = math.nextafter(v, math.inf)
+    while transition_min_length(v_lo, up, family, limits) <= L:
+        v, up = up, math.nextafter(up, math.inf)
+    return v
+
+
+def _largest_feasible(feasible, lo, hi):
+    """Largest float in [lo, hi] that the monotone predicate feasible
+    accepts, by bisection down to adjacent floats; feasible(lo) holds."""
+    if feasible(hi):
+        return hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
 
 
 def adjust_peak_junction(
     v1: float, v2: float, v3: float, L1: float, L2: float,
-    family: ProfileFamily, limits: Limits,
-) -> float:
-    """Largest feasible feed for a peak junction, at most the current v2."""
+    family: ProfileFamily, limits: Limits, ceiling: Callable[[float], float],
+) -> tuple[float, float]:
+    """Tallest feasible peak (v, x), v at most v2, of a rise from v1 and a
+    fall to v3 over L1 + L2, its junction moved from L1 to x.
+
+    ceiling(x) is the lowest feed ceiling over the arc between L1 and x.
+    A top feed v fits junctions in I(v) = [l1_min(v), L1 + L2 - l3_min(v)]
+    and holds if ceiling(x) >= v at the point x of I(v) nearest L1.
+    Lowering v widens I(v) and lowers the bar, so the tallest v is a
+    bisection boundary; the ceiling only lowers the one the lengths allow.
+    x is the end of I(v) giving the taller side the slack if the ceiling
+    holds there, else the nearest point.
+    """
     floor = max(v1, v3)
     if v2 < floor:
         raise OptimizerError("junction feed below its endpoints is no peak")
-    cap = min(
-        transition_max_feed(v1, L1, family, limits),
-        transition_max_feed(v3, L2, family, limits),
-    )
-    if cap < floor * (1.0 - 1e-12) - 1e-12:
+    total = L1 + L2
+
+    def ends(v):
+        l1 = transition_min_length(v1, v, family, limits)
+        l3 = transition_min_length(v3, v, family, limits)
+        return (l1, total - l3) if l1 + l3 <= total else None
+
+    def nearest(v):
+        lo, hi = ends(v)
+        return max(min(L1, hi), lo)
+
+    def holds(v):
+        return ends(v) is not None and ceiling(nearest(v)) >= v
+
+    if not holds(floor):
         raise InfeasibleJunctionError(f"no feasible peak feed above {floor:.6f}")
-    return min(v2, cap)
+    v = _largest_feasible(lambda v: ends(v) is not None, floor, v2)
+    if not holds(v):
+        v = _largest_feasible(holds, floor, v)
+    far = ends(v)[int(v1 >= v3)]
+    return v, far if ceiling(far) >= v else nearest(v)
 
 
 def extend_into_constant(
     trans: Block, const_block: Block, family: ProfileFamily, limits: Limits
-) -> tuple[Block, Block, float]:
-    """Grow a transition into its neighboring constant block.
+) -> float:
+    """Grow a transition into its neighboring constant block, in place,
+    and return the constant feed.
 
     Arc length moves from the constant block into the transition until
     the feed change fits; if the whole constant block is not enough,
@@ -152,7 +200,7 @@ def extend_into_constant(
         raise OptimizerError("extension needs an accelerating or braking block")
     need = transition_min_length(lo, hi, family, limits)
     if need <= trans.L:
-        return trans, const_block, const_block.v_s
+        return const_block.v_s
     transfer = need - trans.L
     if transfer <= const_block.L:
         if const_block.L - transfer <= _LEN_TOL:
@@ -162,7 +210,7 @@ def extend_into_constant(
         else:
             trans.L = need
             const_block.L -= transfer
-        return trans, const_block, const_block.v_s
+        return const_block.v_s
     total = trans.L + const_block.L
     new_hi = transition_max_feed(lo, total, family, limits)
     trans.L = total
@@ -173,7 +221,7 @@ def extend_into_constant(
         trans.v_s = new_hi
     const_block.v_s = new_hi
     const_block.v_e = new_hi
-    return trans, const_block, new_hi
+    return new_hi
 
 
 def adjust_with_constant(
@@ -202,7 +250,6 @@ def adjust_with_constant(
     lo = max(v1, v3)
     if v_ceiling < lo:
         raise OptimizerError("feed ceiling below the junction endpoints")
-    slack = 1e-12 * max(1.0, L_total)
 
     def side_lengths(v2):
         l1 = max(transition_min_length(v1, v2, family, limits), floors[0])
@@ -211,29 +258,19 @@ def adjust_with_constant(
 
     def feasible(v2):
         l1, l3 = side_lengths(v2)
-        return l1 + l3 <= L_total + slack
+        return l1 + l3 <= L_total
 
     if not feasible(lo):
         raise InfeasibleJunctionError(
             f"span of {L_total:.6f} mm cannot host feeds {v1:.3f}/{v3:.3f}"
         )
-    v_h = v_ceiling
-    if not feasible(v_ceiling):
-        v_h, f_hi = lo, v_ceiling
-        for _ in range(200):
-            mid = 0.5 * (v_h + f_hi)
-            if mid == v_h or mid == f_hi:
-                break
-            if feasible(mid):
-                v_h = mid
-            else:
-                f_hi = mid
+    v_h = _largest_feasible(feasible, lo, v_ceiling)
     if v_h <= 0.0:
         raise InfeasibleJunctionError("no feasible top feed in range")
     l1, l3 = side_lengths(v_h)
-    l2 = L_total - l1 - l3
+    l2 = L_total - (l1 + l3)
     if l2 <= _LEN_TOL:
-        l1 += l2  # absorb the sub-tolerance deficit or residue
+        l1 += l2  # a residue this small is rounding, not a steady phase
         l2 = 0.0
     return AdjustmentOutcome(v2_opt=v_h, lengths=(l1, l2, l3))
 
@@ -325,11 +362,6 @@ class _Passes:
         if v < self.feed(j):
             self.set_feed(j, v)
 
-    def fits(self, b):
-        a_pk, j_pk = self.family.fit(b.v_s, b.v_e, b.L).peaks()
-        lim = self.limits
-        return a_pk <= lim.a_max * (1.0 + 1e-9) and j_pk <= lim.j_max * (1.0 + 1e-9)
-
     def place(self, i, j):
         """Re-place the junctions between blocks i..j-1 from their lengths,
         each at its scan position while nothing before it moved and
@@ -343,15 +375,6 @@ class _Passes:
         for b, L in zip(self.blocks[i:], lengths):
             b.L = L
         self.place(i, i + len(lengths))
-
-    def settle(self, settled, junctions, v):
-        """Lower the junctions to v, a feed every settled block holds, if
-        a block's own peaks exceed the limits: over a tiny block the feed
-        change is so small against the feed that rounding shows in it."""
-        blocks = [self.blocks[k] for k in settled]
-        if not all(b.L == 0.0 or self.fits(b) for b in blocks):
-            for j in junctions:
-                self.lower(j, v)
 
     def run(self, d):
         """Settle the blocks whose feed rises in pass direction d: d = 1
@@ -379,12 +402,11 @@ class _Passes:
             else:
                 reach = transition_max_feed(self.feed(near), blocks[i].L, fam, lim)
                 self.lower(far, reach)
-                self.settle((i,), (far,), self.feed(near))
 
     def extend(self, t, c):
         """Grow transition t into the constant block c next to it."""
         old = self.blocks[c].v_s
-        _, _, feed = extend_into_constant(
+        feed = extend_into_constant(
             self.blocks[t], self.blocks[c], self.family, self.limits
         )
         if feed != old:
@@ -393,8 +415,6 @@ class _Passes:
             self.set_feed(c, feed)
             self.set_feed(c + 1, feed)
         self.place(min(t, c), min(t, c) + 2)
-        trans = self.blocks[t]
-        self.settle((t,), (c, c + 1), min(trans.v_s, trans.v_e))
 
     def span(self, i, rising):
         """Settle the rise-steady-fall run at blocks i, i+1, i+2."""
@@ -423,55 +443,25 @@ class _Passes:
         self.lower(i + 1, out.v2_opt)
         self.lower(i + 2, out.v2_opt)
         self.set_lengths(i, out.lengths)
-        self.settle((i, i + 2), (i + 1, i + 2), max(v1, v3))
 
     def peak(self, i):
-        """Settle the peak of rise i and fall i+1 at fixed lengths or, if
-        faster, as the tallest peak over both that the scan ceiling holds
-        on the arc changing hands, slack on the faster side."""
+        """Settle the peak of rise i and fall i+1 as the tallest peak over
+        both that the scan ceiling holds on the arc changing hands."""
         a, d = self.blocks[i], self.blocks[i + 1]
-        fam, lim = self.family, self.limits
-        v1, v2, v3 = a.v_s, a.v_e, d.v_e
-        total, best = a.L + d.L, None
-        try:
-            v = adjust_peak_junction(v1, v2, v3, a.L, d.L, fam, lim)
-            best = (2.0 * a.L / (v1 + v) + 2.0 * d.L / (v3 + v), v, a.L, d.L)
-        except InfeasibleJunctionError:
-            pass
-        cap = v2
-        for _ in range(4):
-            try:
-                v = adjust_with_constant(v1, v3, total, cap, fam, lim).v2_opt
-            except InfeasibleJunctionError:
-                break
-            l1 = transition_min_length(v1, v, fam, lim)
-            l3 = transition_min_length(v3, v, fam, lim)
-            rest = total - l1 - l3
-            # slack runs fastest on the taller side; the span's rounding
-            # allowance costs the longer side least
-            if (v1 >= v3) if rest >= 0.0 else (l1 >= l3):
-                l1 += rest
-            else:
-                l3 += rest
-            # a rounding residue is no transition: that side goes flat
-            if l3 <= _LEN_TOL:
-                l1, l3, v = total, 0.0, v3
-            elif l1 <= _LEN_TOL:
-                l1, l3, v = 0.0, total, v1
-            cap = self.ceiling(self.pos[i + 1], self.pos[i] + l1)
-            if cap >= v - _FEED_TOL:
-                t = 2.0 * l1 / (v1 + v) + 2.0 * l3 / (v3 + v)
-                if best is None or t < best[0]:
-                    best = (t, v, l1, l3)
-                break
-            if cap < max(v1, v3):
-                break
-        if best is None:
-            raise InfeasibleJunctionError(f"peak at junction {i + 1} fits nowhere")
-        _, v, l1, l3 = best
+        v1, v3, total = a.v_s, d.v_e, a.L + d.L
+        old, base = self.pos[i + 1], self.pos[i]
+        v, x = adjust_peak_junction(
+            v1, a.v_e, v3, a.L, d.L, self.family, self.limits,
+            lambda x: math.inf if x == a.L else self.ceiling(old, base + x),
+        )
+        l1, l3 = (a.L, d.L) if x == a.L else (x, total - x)
+        # a rounding residue is no transition: that side goes flat
+        if l3 <= _LEN_TOL:
+            l1, l3, v = total, 0.0, v3
+        elif l1 <= _LEN_TOL:
+            l1, l3, v = 0.0, total, v1
         self.lower(i + 1, v)
         self.set_lengths(i, (l1, l3))
-        self.settle((i, i + 1), (i + 1,), max(v1, v3))
 
 
 def schedule(
@@ -503,7 +493,10 @@ def schedule(
     _anchor_junctions(curve, work, passes.pos, passes.start)
     for b in work:
         b.T = block_duration(b.L, b.v_s, b.v_e)
-        if b.L > 0.0 and not passes.fits(b):
+        if b.L == 0.0:
+            continue
+        a_pk, j_pk = family.fit(b.v_s, b.v_e, b.L).peaks()
+        if a_pk > limits.a_max * (1.0 + 1e-9) or j_pk > limits.j_max * (1.0 + 1e-9):
             raise ScheduleConsistencyError(
                 f"block at u=[{b.u_s:.6f},{b.u_e:.6f}] violates limits"
             )

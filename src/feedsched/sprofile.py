@@ -152,9 +152,8 @@ class SigmoidProfile:
             raise ProfileError("zero-length block cannot change feed")
         g, ref, base = _core_setup(v_s, v_e, s)
         k, k1, _ = base(-s / 3.0)
-        v13 = g * (k - ref) + v_s
+        dv = g * (k - ref)
         a13 = g * k1 * (2.0 * s / T)
-        dv = v13 - v_s
         a2 = 27.0 * dv / (T * T) - 3.0 * a13 / T
         a1 = 9.0 * a13 / (T * T) - 54.0 * dv / (T * T * T)
         return cls(v_s, v_e, T, s, (a1, a2, 0.0, v_s), (-a1, -a2, 0.0, v_e))

@@ -208,27 +208,24 @@ def peaks_feasible(v_lo, v_hi, L, s, a_max, j_max, margin=1e-9):
     return (a_pk <= a_max * (1.0 + margin)) & (j_pk <= j_max * (1.0 + margin))
 
 
-def min_feasible_lengths(v_lo, v_hi, s, a_max, j_max, L_hi, iters=80):
-    """Smallest transition length per feed pair, by vector bisection.
+def min_feasible_lengths(v_lo, v_hi, s, a_max, j_max, L_hi, margin=1e-9):
+    """Smallest transition length per feed pair; all inputs broadcast.
 
-    Entries infeasible even at L_hi come back as inf; zero-rise entries
-    as 0. Peaks shrink monotonically as the length grows, so bisection
-    on [0, L_hi] is exact to L_hi * 2^-iters.
+    At fixed feeds the block time scales with L and the law is the same
+    curve on a stretched time axis, so the true peaks scale exactly as
+    1/L (acceleration) and 1/L^2 (jerk). The peaks at L = 1 then give
+    the length at which each meets its limit, with peaks_feasible's
+    margin. Entries infeasible even at L_hi come back as inf; zero-rise
+    entries as 0.
     """
-    v_lo, v_hi = np.broadcast_arrays(
-        np.asarray(v_lo, dtype=float), np.asarray(v_hi, dtype=float)
+    v_lo, v_hi, L_hi = np.broadcast_arrays(
+        np.asarray(v_lo, dtype=float), np.asarray(v_hi, dtype=float),
+        np.asarray(L_hi, dtype=float),
     )
-    rise = v_hi > v_lo
-    lo = np.zeros(v_lo.shape, dtype=float)
-    hi = np.full(v_lo.shape, float(L_hi))
-    feas_hi = peaks_feasible(v_lo, v_hi, np.maximum(hi, 1e-300), s, a_max, j_max)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        ok = peaks_feasible(v_lo, v_hi, np.maximum(mid, 1e-300), s, a_max, j_max)
-        lo = np.where(ok, lo, mid)
-        hi = np.where(ok, mid, hi)
-    out = np.where(feas_hi, hi, np.inf)
-    return np.where(rise, out, 0.0)
+    a_pk, j_pk = transition_peaks(v_lo, v_hi, 1.0, s)
+    scale = 1.0 + margin
+    L = np.maximum(a_pk / (a_max * scale), np.sqrt(j_pk / (j_max * scale)))
+    return np.where(v_hi > v_lo, np.where(L <= L_hi, L, np.inf), 0.0)
 
 
 def largest_peak_feed(v1, v3, L1, L2, v_cap, s, a_max, j_max, iters=200):
@@ -269,20 +266,23 @@ def best_span_time(v1, v3, L_total, v_ceiling, s, a_max, j_max):
     For each candidate top feed the side lengths take their feasibility
     minima (the time is non-decreasing in either length once the top
     feed is at least the endpoint feeds), the remainder runs steady.
-    Returns inf when no candidate is feasible.
+    Returns inf when no candidate is feasible. Broadcasts over array
+    inputs, one span per entry, all spans refined together.
     """
-    lo = max(v1, v3)
-    if v_ceiling < lo:
-        return math.inf
-    grid = np.linspace(lo, v_ceiling, 2001)
-    best = math.inf
+    v1, v3, L_total, v_ceiling = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (v1, v3, L_total, v_ceiling))
+    )
+    lo = np.maximum(v1, v3)
+    grid = np.linspace(lo, np.maximum(v_ceiling, lo), 2001, axis=-1)
+    v1, v3, L_total = v1[..., None], v3[..., None], L_total[..., None]
+    best = np.full(lo.shape, np.inf)
+
+    def at(k):
+        return np.take_along_axis(grid, k[..., None], -1)[..., 0]
+
     for level in range(3):
-        l1 = min_feasible_lengths(
-            np.full(grid.shape, v1), np.maximum(grid, v1), s, a_max, j_max, L_total
-        )
-        l3 = min_feasible_lengths(
-            np.full(grid.shape, v3), np.maximum(grid, v3), s, a_max, j_max, L_total
-        )
+        l1 = min_feasible_lengths(v1, np.maximum(grid, v1), s, a_max, j_max, L_total)
+        l3 = min_feasible_lengths(v3, np.maximum(grid, v3), s, a_max, j_max, L_total)
         l2 = L_total - l1 - l3
         with np.errstate(invalid="ignore"):
             t = np.where(
@@ -293,16 +293,16 @@ def best_span_time(v1, v3, L_total, v_ceiling, s, a_max, j_max):
                 np.inf,
             )
         t = np.where(np.isnan(t), np.inf, t)
-        k = int(np.argmin(t))
-        if float(t[k]) < best:
-            best = float(t[k])
+        k = np.argmin(t, axis=-1)
+        best = np.minimum(best, np.take_along_axis(t, k[..., None], -1)[..., 0])
         if level < 2:
-            a = grid[max(k - 1, 0)]
-            b = grid[min(k + 1, grid.size - 1)]
-            if b <= a:
-                break
-            grid = np.linspace(a, b, 1001)
-    return best
+            # a span with a one-point grid refines onto the same point
+            n = grid.shape[-1]
+            grid = np.linspace(
+                at(np.maximum(k - 1, 0)), at(np.minimum(k + 1, n - 1)), 1001, axis=-1
+            )
+    best = np.where(v_ceiling < lo, np.inf, best)
+    return float(best) if best.ndim == 0 else best
 
 
 def classic_scan(blocks, family, limits):

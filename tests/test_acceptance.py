@@ -180,6 +180,11 @@ def test_junction_optimizers_match_brute_force_grids():
         v2_req = max(v1, v3) + float(rng.uniform(0.5, 60.0))
         L1 = float(rng.uniform(0.05, 8.0))
         L2 = float(rng.uniform(0.05, 8.0))
+
+        def pinned(x, L1=L1):
+            # the junction stays put: a ceiling that holds only there
+            return math.inf if x == L1 else -math.inf
+
         lo = max(v1, v3)
         grid = np.linspace(lo, v2_req, n_grid)
         feasible = oracles.peaks_feasible(
@@ -191,27 +196,32 @@ def test_junction_optimizers_match_brute_force_grids():
         step = grid[1] - grid[0]
         if not feasible[0]:
             try:
-                adjust_peak_junction(v1, v2_req, v3, L1, L2, mus, limits)
+                adjust_peak_junction(v1, v2_req, v3, L1, L2, mus, limits, pinned)
             except InfeasibleJunctionError:
                 peak_pass += 1
             continue
         v2_grid = float(grid[np.nonzero(feasible)[0][-1]])
         try:
-            got = adjust_peak_junction(v1, v2_req, v3, L1, L2, mus, limits)
+            got, _ = adjust_peak_junction(
+                v1, v2_req, v3, L1, L2, mus, limits, pinned
+            )
         except InfeasibleJunctionError:
             continue
         if abs(got - v2_grid) <= step + 1e-9:
             peak_pass += 1
 
     span_pass = span_total = 0
+    spans = []
     for _ in range(200):
         v1 = float(rng.uniform(5.0, 60.0))
         v3 = float(rng.uniform(5.0, 60.0))
         ceiling = max(v1, v3) + float(rng.uniform(1.0, 40.0))
         L = float(rng.uniform(2.0, 60.0))
-        ref = oracles.best_span_time(
-            v1, v3, L, ceiling, 3.3, limits.a_max, limits.j_max
-        )
+        spans.append((v1, v3, L, ceiling))
+    refs = oracles.best_span_time(
+        *np.array(spans).T, 3.3, limits.a_max, limits.j_max
+    )
+    for (v1, v3, L, ceiling), ref in zip(spans, refs.tolist()):
         span_total += 1
         try:
             out = adjust_with_constant(v1, v3, L, ceiling, mus, limits)
