@@ -4,6 +4,9 @@ Walks the curve in controller-period steps, predicting the next parameter
 with a second-order expansion and shrinking the commanded feed until the
 chord deviation of each step fits the programmed tolerance. The result is
 a scatter of per-parameter feed ceilings used by the downstream scheduler.
+Each visited parameter's jet (point, first and second derivative) is
+taken once: all probes from a point share it, and the accepted landing's
+jet is the next point's.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from .geometry import (
     ParametricCurve,
     SingularCurveError,
     curvature_radius,
-    derivatives,
     evaluate,
+    jet,
 )
 from .sprofile import check_shape
 
@@ -119,18 +122,18 @@ class FeedrateScatter:
         return int(self.u.size)
 
 
-def taylor_step(curve: ParametricCurve, u: float, v: float, Ts: float) -> float:
+def taylor_step(d1, d2, u: float, v: float, Ts: float) -> float:
     """Parameter reached after one period at feed v, second-order accurate.
 
-    Clamps at the curve end. Raises StepDegeneracyError if the curvature
-    correction overwhelms the first-order advance, which signals a feed
-    far too large for the local geometry.
+    d1 and d2 are the curve's first two derivatives at u. Clamps at the
+    curve end. Raises StepDegeneracyError if the curvature correction
+    overwhelms the first-order advance, which signals a feed far too
+    large for the local geometry.
     """
     if v < 0.0:
         raise ChordScanError("feed must be non-negative")
     if v == 0.0:
         return u
-    d1, d2 = derivatives(curve, u, 2)
     speed_sq = sum(c * c for c in d1)
     if speed_sq <= 0.0:
         raise SingularCurveError(f"vanishing first derivative at u={u}")
@@ -147,21 +150,14 @@ def taylor_step(curve: ParametricCurve, u: float, v: float, Ts: float) -> float:
 
 
 def _max_chord_deviation(curve, u_a, u_b, p_a, p_b) -> float:
-    ax, ay = p_a[0], p_a[1]
-    bx, by = p_b[0], p_b[1]
-    az = p_a[2] if len(p_a) == 3 else 0.0
-    bz = p_b[2] if len(p_b) == 3 else 0.0
-    dx, dy, dz = bx - ax, by - ay, bz - az
-    seg_sq = dx * dx + dy * dy + dz * dz
+    seg = [b - a for a, b in zip(p_a, p_b)]
+    seg_sq = sum(d * d for d in seg)
     worst = 0.0
     for u in np.linspace(u_a, u_b, _FALLBACK_SAMPLES):
-        p = evaluate(curve, float(u))
-        px, py = p[0] - ax, p[1] - ay
-        pz = (p[2] if len(p) == 3 else 0.0) - az
-        t = (px * dx + py * dy + pz * dz) / seg_sq
-        t = min(1.0, max(0.0, t))
-        ex, ey, ez = px - t * dx, py - t * dy, pz - t * dz
-        worst = max(worst, math.sqrt(ex * ex + ey * ey + ez * ez))
+        rel = [c - a for c, a in zip(evaluate(curve, float(u)), p_a)]
+        t = min(1.0, max(0.0, sum(r * d for r, d in zip(rel, seg)) / seg_sq))
+        err = sum((r - t * d) * (r - t * d) for r, d in zip(rel, seg))
+        worst = max(worst, math.sqrt(err))
     return worst
 
 
@@ -196,41 +192,38 @@ def _settle_landing(curve, u, u_pred, target, p0):
     The truncated prediction can land a few percent short of the chord
     the interpolator will actually traverse at this feed, which would
     certify an optimistically short step. A couple of Newton corrections
-    close that gap; the curve end clamps the landing as usual. p0 is the
-    point at u; returns the landing parameter and its point.
+    close that gap, with one jet per iterate; the curve end clamps the
+    landing as usual. p0 is the point at u; returns the landing parameter
+    and its jet (point, first and second derivative).
     """
     x = u_pred
     for _ in range(3):
-        p = evaluate(curve, x)
+        p, d1, _ = at_x = jet(curve, x)
         gap = target - math.dist(p, p0)
-        if abs(gap) <= 1e-4 * target:
-            return x, p
-        d1 = derivatives(curve, x, 1)[0]
         speed = math.sqrt(sum(c * c for c in d1))
-        if speed <= 0.0:
-            return x, p
-        floor = u + 0.25 * (u_pred - u)
-        x = min(max(x + gap / speed, floor), 1.0)
+        if abs(gap) <= 1e-4 * target or speed <= 0.0:
+            return x, at_x
+        x = min(max(x + gap / speed, u + 0.25 * (u_pred - u)), 1.0)
         if x >= 1.0:
             break
-    return x, evaluate(curve, x)
+    return x, jet(curve, x)
 
 
-def _probe_step(
-    curve: ParametricCurve, u: float, v: float, limits: Limits, p0
-) -> tuple[float, float]:
+def _probe_step(curve, u: float, v: float, limits: Limits, at_u):
     """One-period chord deviation at feed v; inf marks an unusable step.
 
-    p0 is the curve point at u, which every probe from u shares.
+    at_u is the curve's jet at u, which every probe from u shares.
+    Returns the deviation, the landing parameter and the landing's jet.
     """
+    p0, d1, d2 = at_u
     try:
-        u_next = taylor_step(curve, u, v, limits.Ts)
+        u_next = taylor_step(d1, d2, u, v, limits.Ts)
     except StepDegeneracyError:
-        return math.inf, u
+        u_next = u
     if u_next <= u:
-        return math.inf, u
-    u_next, p_next = _settle_landing(curve, u, u_next, v * limits.Ts, p0)
-    return _chord_deviation(curve, u, u_next, p0, p_next), u_next
+        return math.inf, u, at_u
+    u_next, at_next = _settle_landing(curve, u, u_next, v * limits.Ts, p0)
+    return _chord_deviation(curve, u, u_next, p0, at_next[0]), u_next, at_next
 
 
 def limit_feedrate(
@@ -245,11 +238,15 @@ def limit_feedrate(
     one then bracket a root-find for the tolerance boundary, so curvature
     spikes do not cost more feed than the tolerance demands.
     """
-    p0 = evaluate(curve, u)
+    return _limit_feedrate(curve, u, jet(curve, u), limits)[:2]
+
+
+def _limit_feedrate(curve, u, at_u, limits):
+    """limit_feedrate from the jet at u; also returns the landing's jet."""
     v = limits.v_max
     unsafe = None
     for _ in range(_MAX_FEED_ITERATIONS):
-        delta, u_next = _probe_step(curve, u, v, limits, p0)
+        delta, u_next, at_next = _probe_step(curve, u, v, limits, at_u)
         if delta <= limits.delta_max:
             break
         unsafe = (v, delta)
@@ -264,24 +261,27 @@ def limit_feedrate(
             f"feed adjustment did not converge at u={u:.6f}"
         )
     if unsafe is None:
-        return v, u_next
-    return _refine_ceiling(curve, u, limits, p0, (v, delta, u_next), unsafe)
+        return v, u_next, at_next
+    safe = (v, delta, u_next, at_next)
+    return _refine_ceiling(curve, u, limits, at_u, safe, unsafe)
 
 
-def _refine_ceiling(curve, u, limits, p0, safe, unsafe):
-    """Shrink a safe/unsafe feed bracket to _BRACKET_REL_WIDTH; the safe end.
+def _refine_ceiling(curve, u, limits, at_u, safe, unsafe):
+    """Shrink a safe/unsafe feed bracket to _BRACKET_REL_WIDTH; returns the
+    safe end's feed, landing and landing jet.
 
-    safe is (feed, deviation, landing) and unsafe (feed, deviation), as
-    measured. The deviation grows about as the square of the feed, so
-    g = log(deviation / tolerance) is close to linear in x = log(feed) and
-    a secant step on it lands near the boundary. The Illinois rule halves
-    the kept end's g whenever the same end moves twice running, so the
-    far end closes too; each step stays at least half the stopping width
-    inside the bracket. An end whose deviation is 0 or inf has no
-    logarithm, and a bracket that failed to halve over three steps may
-    sit on a kink in the deviation: both take a bisection step instead.
+    safe is (feed, deviation, landing, landing jet) and unsafe (feed,
+    deviation), as measured from at_u, the jet at u. The deviation grows
+    about as the square of the feed, so g = log(deviation / tolerance)
+    is close to linear in x = log(feed) and a secant step on it lands
+    near the boundary. The Illinois rule halves the kept end's g
+    whenever the same end moves twice running, so the far end closes
+    too; each step stays at least half the stopping width inside the
+    bracket. An end whose deviation is 0 or inf has no logarithm, and a
+    bracket that failed to halve over three steps may sit on a kink in
+    the deviation: both take a bisection step instead.
     """
-    v_lo, d_lo, u_lo = safe
+    v_lo, d_lo, u_lo, at_lo = safe
     v_hi, d_hi = unsafe
     dmax = limits.delta_max
     x_lo, x_hi = math.log(v_lo), math.log(v_hi)
@@ -300,9 +300,9 @@ def _refine_ceiling(curve, u, limits, p0, safe, unsafe):
         widths = widths[1:] + [width]
         x = min(max(x, x_lo + margin), x_hi - margin)
         v = math.exp(x)
-        delta, u_next = _probe_step(curve, u, v, limits, p0)
+        delta, u_next, at_next = _probe_step(curve, u, v, limits, at_u)
         if delta <= dmax:
-            x_lo, v_lo, u_lo = x, v, u_next
+            x_lo, v_lo, u_lo, at_lo = x, v, u_next, at_next
             g_lo = math.log(delta / dmax) if delta > 0.0 else -math.inf
             if moved < 0:
                 g_hi *= 0.5
@@ -313,7 +313,7 @@ def _refine_ceiling(curve, u, limits, p0, safe, unsafe):
             if moved > 0:
                 g_lo *= 0.5
             moved = 1
-    return v_lo, u_lo
+    return v_lo, u_lo, at_lo
 
 
 def _curvature_feed(curve: ParametricCurve, u: float, limits: Limits) -> float:
@@ -351,8 +351,7 @@ def _refine_wells(curve, us, vs, limits):
                 extra.append((m, v_m))
     if not extra:
         return us, vs
-    pairs = list(zip(us, vs)) + extra
-    pairs.sort()
+    pairs = sorted([*zip(us, vs), *extra])
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
@@ -367,9 +366,9 @@ def scan_curve(curve: ParametricCurve, limits: Limits) -> FeedrateScatter:
     """
     us = [0.0]
     vs: list[float] = []
-    u = 0.0
+    u, at_u = 0.0, jet(curve, 0.0)
     while u < 1.0:
-        v, u_next = limit_feedrate(curve, u, limits)
+        v, u_next, at_u = _limit_feedrate(curve, u, at_u, limits)
         if u_next >= 1.0:
             us.append(1.0)
             vs.append(min(v, _curvature_feed(curve, u, limits)))

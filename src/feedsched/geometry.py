@@ -3,9 +3,9 @@
 Coordinates are millimetres and the curve parameter u lives on [0, 1].
 Curves may be planar or spatial; planar control points are treated as z = 0
 wherever a cross product is required. Each curve converts its knot spans
-once into power-basis polynomials of the homogeneous curve, so a point and
-its derivatives cost one span lookup and a Horner sum, and builds from
-them once a piecewise closed-form table of its running arc length.
+once into power-basis polynomials of the homogeneous curve, so every
+scalar query is one span lookup and one Horner pass of a single kernel,
+and builds from them once a closed-form table of its running arc length.
 """
 
 from __future__ import annotations
@@ -165,6 +165,22 @@ class ParametricCurve:
         return starts, polys
 
     @cached_property
+    def _span_columns(self) -> tuple[list[float], list[tuple], bool]:
+        """_span_polys by power for _jet: the span starts; per span its
+        midpoint, its top-power (x, y, z, w) column and the lower powers'
+        columns, highest first, with z = 0 on a planar curve; and whether
+        the curve is planar."""
+        starts, polys = self._span_polys
+        planar = self.dimension == 2
+        spans = []
+        for mid, rows in polys:
+            if planar:
+                rows = (*rows[:2], (0.0,) * len(rows[0]), rows[2])
+            top, *lower = zip(*rows)
+            spans.append((mid, top, lower))
+        return starts, spans, planar
+
+    @cached_property
     def _span_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """_span_polys as arrays: the span starts, the span midpoints, and
         the coefficient rows indexed by (span, coordinate, power)."""
@@ -251,44 +267,41 @@ def _check_param(u: float) -> float:
     return u
 
 
-def _homogeneous_ders(
-    curve: ParametricCurve, u: float, order: int
-) -> list[list[float]]:
-    """Homogeneous curve and its derivatives up to order 2 at u.
-
-    One Horner pass per coordinate over the span polynomial carries the
-    value, the first and half the second derivative together.
-    """
-    starts, polys = curve._span_polys
-    mid, rows = polys[max(bisect_right(starts, u) - 1, 0)]
+def _jet(curve: ParametricCurve, u: float):
+    """jet at u in [0, 1]: one Horner pass carries the value, the first and
+    half the second derivative of all four homogeneous coordinates, then
+    _cartesian's operations, in its order, convert them."""
+    starts, spans, planar = curve._span_columns
+    mid, (x, y, z, w), lower = spans[max(bisect_right(starts, u) - 1, 0)]
     t = u - mid
-    if order == 0:
-        out = []
-        for row in rows:
-            v = 0.0
-            for c in row:
-                v = v * t + c
-            out.append(v)
-        return [out]
-    vals, firsts, seconds = [], [], []
-    for row in rows:
-        v = d1 = h2 = 0.0
-        for c in row:
-            h2 = h2 * t + d1
-            d1 = d1 * t + v
-            v = v * t + c
-        vals.append(v)
-        firsts.append(d1)
-        seconds.append(2.0 * h2)
-    return [vals, firsts, seconds][: order + 1]
+    dx = dy = dz = dw = hx = hy = hz = hw = 0.0
+    for cx, cy, cz, cw in lower:
+        hx = hx * t + dx
+        hy = hy * t + dy
+        hz = hz * t + dz
+        hw = hw * t + dw
+        dx = dx * t + x
+        dy = dy * t + y
+        dz = dz * t + z
+        dw = dw * t + w
+        x = x * t + cx
+        y = y * t + cy
+        z = z * t + cz
+        w = w * t + cw
+    x, y, z = x / w, y / w, z / w
+    dx, dy, dz = (dx - dw * x) / w, (dy - dw * y) / w, (dz - dw * z) / w
+    dw, hw = 2.0 * dw, 2.0 * hw
+    hx = (2.0 * hx - dw * dx - hw * x) / w
+    hy = (2.0 * hy - dw * dy - hw * y) / w
+    if planar:
+        return (x, y), (dx, dy), (hx, hy)
+    hz = (2.0 * hz - dw * dz - hw * z) / w
+    return (x, y, z), (dx, dy, dz), (hx, hy, hz)
 
 
 def evaluate(curve: ParametricCurve, u: float) -> tuple[float, ...]:
     """Point on the curve at parameter u, in curve coordinates (mm)."""
-    u = _check_param(u)
-    (aw,) = _homogeneous_ders(curve, u, 0)
-    w = aw.pop()
-    return tuple([c / w for c in aw])
+    return _jet(curve, _check_param(u))[0]
 
 
 def _cartesian(hom, dim: int) -> tuple[list, list, list]:
@@ -306,16 +319,12 @@ def _cartesian(hom, dim: int) -> tuple[list, list, list]:
     return c0, c1, c2
 
 
-def jet(
-    curve: ParametricCurve, u: float
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+def jet(curve: ParametricCurve, u: float) -> tuple[tuple[float, ...], ...]:
     """Point, first and second derivative at u from one Horner pass.
 
     Equal bit for bit to evaluate(curve, u) and derivatives(curve, u, 2).
     """
-    u = _check_param(u)
-    c0, c1, c2 = _cartesian(_homogeneous_ders(curve, u, 2), curve.dimension)
-    return tuple(c0), tuple(c1), tuple(c2)
+    return _jet(curve, _check_param(u))
 
 
 def derivatives(
@@ -325,33 +334,25 @@ def derivatives(
 
     Only orders 1 and 2 are supported; higher orders raise CurveDomainError.
     """
-    u = _check_param(u)
     if order not in (1, 2):
         raise CurveDomainError(f"unsupported derivative order {order}")
-    _, c1, c2 = _cartesian(_homogeneous_ders(curve, u, 2), curve.dimension)
-    return [tuple(c1), tuple(c2)][:order]
-
-
-def _embed3(vec: tuple[float, ...]) -> tuple[float, float, float]:
-    if len(vec) == 3:
-        return vec  # type: ignore[return-value]
-    return (vec[0], vec[1], 0.0)
+    return list(_jet(curve, _check_param(u))[1:order + 1])
 
 
 def _speed_and_cross(d1, d2, sqrt=math.sqrt):
-    """|C'| and |C' x C''| from the first two derivatives; coordinates
-    may be floats or arrays, with sqrt to match."""
-    a = _embed3(d1)
-    b = _embed3(d2)
-    cx = a[1] * b[2] - a[2] * b[1]
-    cy = a[2] * b[0] - a[0] * b[2]
-    cz = a[0] * b[1] - a[1] * b[0]
-    return sqrt(sum(c * c for c in a)), sqrt(cx * cx + cy * cy + cz * cz)
+    """|C'| and |C' x C''| from the first two derivatives, planar ones at
+    z = 0; coordinates may be floats or arrays, with sqrt to match."""
+    ax, ay, az = (*d1, 0.0)[:3]
+    bx, by, bz = (*d2, 0.0)[:3]
+    cx = ay * bz - az * by
+    cy = az * bx - ax * bz
+    cz = ax * by - ay * bx
+    return sqrt(ax * ax + ay * ay + az * az), sqrt(cx * cx + cy * cy + cz * cz)
 
 
 def curvature_radius(curve: ParametricCurve, u: float) -> float:
     """Radius of the osculating circle at u (mm); inf on straight segments."""
-    speed, cross = _speed_and_cross(*derivatives(curve, u, 2))
+    speed, cross = _speed_and_cross(*_jet(curve, _check_param(u))[1:])
     if speed <= 0.0:
         raise SingularCurveError(f"vanishing first derivative at u={u}")
     speed3 = speed * speed * speed
@@ -418,7 +419,7 @@ def _horner(rows, t, order: int) -> tuple[np.ndarray, ...]:
     rows[i] holds the coefficient rows of item i's span, highest power
     first, and t[i] its offsets from the span midpoint, of shape (1, q);
     each result has shape (items, coordinates, q). The operations are
-    those of _homogeneous_ders, in the same order.
+    those of _jet, in the same order.
     """
     val = rows[:, :, :1]
     der = np.zeros_like(val)

@@ -7,7 +7,11 @@ oracles search feasibility by bisection or dense grids using those
 peaks as the ground truth. The arc-length reference integrates the
 speed from the public ``derivatives`` by adaptive Gauss quadrature.
 The feed-ceiling reference is the scan's former bracket bisection,
-kept verbatim around the library's own step probe. The replay reference
+kept verbatim around the library's own step probe. The geometry
+reference is the former kernel: one Horner pass per homogeneous
+coordinate, then the conversion to Cartesian. The scan reference is the
+former walk, which evaluates each point and its derivatives separately
+for every probe and Newton iterate. The replay reference
 is the former tick loop, which evaluates points and derivatives
 separately and measures each tick's chord deviation as it goes. The
 classic scan is the scheduler's baseline: it takes the library's
@@ -17,15 +21,29 @@ classic scan is the scheduler's baseline: it takes the library's
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
 from feedsched.chordscan import (
+    _BRACKET_REL_WIDTH,
+    _FEED_BACKOFF_CAP,
+    _MAX_FEED_ITERATIONS,
+    _WELL_REL_DEPTH,
+    ChordScanError,
+    FeedrateScatter,
     ScanConvergenceError,
     _chord_deviation,
+    _curvature_feed,
     _probe_step,
 )
-from feedsched.geometry import derivatives, evaluate
+from feedsched.geometry import (
+    SingularCurveError,
+    _cartesian,
+    derivatives,
+    evaluate,
+    jet,
+)
 from feedsched.optimizer import transition_max_feed
 from feedsched.simulator import (
     _CHORD_MATCH_TOL,
@@ -376,6 +394,148 @@ def arc_length(curve, u_a, u_b, rel=1e-12):
     )
 
 
+def reference_jet(curve, u):
+    """Point, first and second derivative at u by the former kernel: one
+    Horner pass per homogeneous coordinate of the span polynomial, then
+    geometry._cartesian."""
+    starts, polys = curve._span_polys
+    mid, rows = polys[max(bisect_right(starts, u) - 1, 0)]
+    t = u - mid
+    hom = ([], [], [])
+    for row in rows:
+        v = d1 = h2 = 0.0
+        for c in row:
+            h2 = h2 * t + d1
+            d1 = d1 * t + v
+            v = v * t + c
+        for out, x in zip(hom, (v, d1, 2.0 * h2)):
+            out.append(x)
+    return tuple(tuple(c) for c in _cartesian(hom, curve.dimension))
+
+
+def _scalar_probe(curve, u, v, limits, p0):
+    """The former probe: a Taylor step from derivatives at u, a Newton
+    landing on an evaluate and a derivatives call per iterate, and the
+    chord deviation. Returns the deviation and the landing."""
+    if v == 0.0:
+        return math.inf, u
+    d1, d2 = derivatives(curve, u, 2)
+    speed_sq = sum(c * c for c in d1)
+    if speed_sq <= 0.0:
+        raise SingularCurveError(f"vanishing first derivative at u={u}")
+    speed = math.sqrt(speed_sq)
+    dot = sum(a * b for a, b in zip(d1, d2))
+    Ts = limits.Ts
+    u_pred = u + v * Ts / speed - dot / (2.0 * speed_sq * speed_sq) * v * v * Ts * Ts
+    if u_pred < u or min(u_pred, 1.0) <= u:
+        return math.inf, u
+    u_pred = min(u_pred, 1.0)
+    target = v * Ts
+    x = u_pred
+    for _ in range(3):
+        p = evaluate(curve, x)
+        gap = target - math.dist(p, p0)
+        if abs(gap) <= 1e-4 * target:
+            break
+        d1 = derivatives(curve, x, 1)[0]
+        speed = math.sqrt(sum(c * c for c in d1))
+        if speed <= 0.0:
+            break
+        x = min(max(x + gap / speed, u + 0.25 * (u_pred - u)), 1.0)
+        if x >= 1.0:
+            p = evaluate(curve, x)
+            break
+    else:
+        p = evaluate(curve, x)
+    return _chord_deviation(curve, u, x, p0, p), x
+
+
+def _scalar_feedrate(curve, u, limits):
+    """The former limit_feedrate: rescale from v_max, then the Illinois
+    secant on log deviation against log feed down to the bracket width."""
+    p0 = evaluate(curve, u)
+    dmax = limits.delta_max
+    v = limits.v_max
+    unsafe = None
+    for _ in range(_MAX_FEED_ITERATIONS):
+        delta, u_next = _scalar_probe(curve, u, v, limits, p0)
+        if delta <= dmax:
+            break
+        unsafe = (v, delta)
+        if math.isinf(delta):
+            v *= 0.5
+        else:
+            v *= min(_FEED_BACKOFF_CAP, math.sqrt(dmax / delta))
+        if not v > 0.0:
+            break
+    if not delta <= dmax:
+        raise ScanConvergenceError(f"feed adjustment did not converge at u={u:.6f}")
+    if unsafe is None:
+        return v, u_next
+    v_lo, d_lo, u_lo = v, delta, u_next
+    v_hi, d_hi = unsafe
+    x_lo, x_hi = math.log(v_lo), math.log(v_hi)
+    g_lo = math.log(d_lo / dmax) if d_lo > 0.0 else -math.inf
+    g_hi = math.log(d_hi / dmax)
+    margin = 0.5 * _BRACKET_REL_WIDTH
+    widths = [math.inf] * 3
+    moved = 0
+    while v_hi - v_lo > _BRACKET_REL_WIDTH * v_hi:
+        width = x_hi - x_lo
+        if math.isfinite(g_lo) and math.isfinite(g_hi) and width <= 0.5 * widths[0]:
+            x = x_hi - g_hi * width / (g_hi - g_lo)
+        else:
+            x = 0.5 * (x_lo + x_hi)
+        widths = widths[1:] + [width]
+        x = min(max(x, x_lo + margin), x_hi - margin)
+        v = math.exp(x)
+        delta, u_next = _scalar_probe(curve, u, v, limits, p0)
+        if delta <= dmax:
+            x_lo, v_lo, u_lo = x, v, u_next
+            g_lo = math.log(delta / dmax) if delta > 0.0 else -math.inf
+            if moved < 0:
+                g_hi *= 0.5
+            moved = -1
+        else:
+            x_hi, v_hi = x, v
+            g_hi = math.log(delta / dmax)
+            if moved > 0:
+                g_lo *= 0.5
+            moved = 1
+    return v_lo, u_lo
+
+
+def scalar_scan(curve, limits):
+    """The former scan_curve: each point's ceiling searched from a fresh
+    evaluate, then midpoint probes beside every pronounced dip."""
+    us, vs = [0.0], []
+    u = 0.0
+    while u < 1.0:
+        v, u_next = _scalar_feedrate(curve, u, limits)
+        if u_next >= 1.0:
+            us.append(1.0)
+            vs.append(min(v, _curvature_feed(curve, u, limits)))
+            break
+        us.append(u_next)
+        vs.append(v)
+        u = u_next
+    vs.append(min(vs[-1], _curvature_feed(curve, 1.0, limits)))
+    pairs = list(zip(us, vs))
+    for i in range(1, len(us) - 1):
+        low, high = sorted((vs[i - 1], vs[i + 1]))
+        if vs[i] > low or high <= vs[i] * (1.0 + _WELL_REL_DEPTH):
+            continue
+        for m in (0.5 * (us[i - 1] + us[i]), 0.5 * (us[i] + us[i + 1])):
+            try:
+                v_m, _ = _scalar_feedrate(curve, m, limits)
+            except ChordScanError:
+                continue
+            if v_m < vs[i]:
+                pairs.append((m, v_m))
+    pairs.sort()
+    return FeedrateScatter([p[0] for p in pairs], [p[1] for p in pairs])
+
+
 def bisect_feedrate(curve, u, limits):
     """Chord-safe feed ceiling at u by rescale and 24 bracket bisections.
 
@@ -383,12 +543,12 @@ def bisect_feedrate(curve, u, limits):
     v_max, then 24 halvings of the first safe/unsafe bracket. Returns the
     safe end and its landing parameter.
     """
-    p0 = evaluate(curve, u)
+    at_u = jet(curve, u)
     v = limits.v_max
     unsafe = None
     safe = None
     for _ in range(64):
-        delta, u_next = _probe_step(curve, u, v, limits, p0)
+        delta, u_next, _ = _probe_step(curve, u, v, limits, at_u)
         if delta <= limits.delta_max:
             safe = (v, u_next)
             break
@@ -408,7 +568,7 @@ def bisect_feedrate(curve, u, limits):
     lo, hi = safe[0], unsafe
     for _ in range(24):
         mid = 0.5 * (lo + hi)
-        delta, u_next = _probe_step(curve, u, mid, limits, p0)
+        delta, u_next, _ = _probe_step(curve, u, mid, limits, at_u)
         if delta <= limits.delta_max:
             safe = (mid, u_next)
             lo = mid

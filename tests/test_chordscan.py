@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 
-from feedsched import chordscan
+from feedsched import chordscan, geometry
 from feedsched.chordscan import (
     ChordScanError,
     FeedrateScatter,
@@ -21,7 +22,13 @@ from feedsched.chordscan import (
 )
 from feedsched.cli import PRESETS
 from feedsched.curvegen import random_curve
-from feedsched.geometry import ParametricCurve, arc_length, evaluate
+from feedsched.geometry import (
+    ParametricCurve,
+    arc_length,
+    derivatives,
+    evaluate,
+    jet,
+)
 from feedsched.sprofile import SHAPE_S_MAX
 
 from conftest import (
@@ -107,31 +114,33 @@ class TestFeedrateScatter:
 class TestTaylorStep:
     def test_line_step_is_exact(self):
         line = make_line()
-        u1 = taylor_step(line, 0.0, 100.0, 1e-3)
+        u1 = taylor_step(*derivatives(line, 0.0), 0.0, 100.0, 1e-3)
         # 100 mm/s for 1 ms over a 100 mm line advances u by exactly 1e-3
         assert u1 == pytest.approx(1e-3, rel=1e-12)
 
     def test_zero_feed_stays_put(self):
-        assert taylor_step(make_line(), 0.3, 0.0, 1e-3) == 0.3
+        assert taylor_step(*derivatives(make_line(), 0.3), 0.3, 0.0, 1e-3) == 0.3
 
     def test_negative_feed_rejected(self):
         with pytest.raises(ChordScanError):
-            taylor_step(make_line(), 0.3, -1.0, 1e-3)
+            taylor_step(*derivatives(make_line(), 0.3), 0.3, -1.0, 1e-3)
 
     def test_clamps_at_curve_end(self):
-        assert taylor_step(make_line(), 0.9995, 100.0, 1e-3) == 1.0
+        assert taylor_step(
+            *derivatives(make_line(), 0.9995), 0.9995, 100.0, 1e-3
+        ) == 1.0
 
     def test_degenerate_step_raises(self):
         seg = make_speedup_segment()
         # second-order term overwhelms the advance once v*Ts > 2 at u=0
         with pytest.raises(StepDegeneracyError):
-            taylor_step(seg, 0.0, 5000.0, 1e-3)
-        assert taylor_step(seg, 0.0, 1000.0, 1e-3) > 0.0
+            taylor_step(*derivatives(seg, 0.0), 0.0, 5000.0, 1e-3)
+        assert taylor_step(*derivatives(seg, 0.0), 0.0, 1000.0, 1e-3) > 0.0
 
     def test_matches_arc_length_on_circle(self):
         circle = make_full_circle(radius=5.0)
         for u, v in [(0.05, 50.0), (0.3, 141.0), (0.62, 80.0), (0.9, 20.0)]:
-            u1 = taylor_step(circle, u, v, 1e-3)
+            u1 = taylor_step(*derivatives(circle, u), u, v, 1e-3)
             s = arc_length(circle, u, u1)
             assert s == pytest.approx(v * 1e-3, rel=5e-3)
 
@@ -183,8 +192,8 @@ class TestLimitFeedrate:
         v_got, _ = limit_feedrate(arc, u, STD)
 
         def too_big(v):
-            return chord_deviation(arc, u, taylor_step(arc, u, v, STD.Ts)) \
-                > STD.delta_max
+            u1 = taylor_step(*derivatives(arc, u), u, v, STD.Ts)
+            return chord_deviation(arc, u, u1) > STD.delta_max
 
         assert too_big(STD.v_max)
         lo, hi = 1e-3, STD.v_max
@@ -269,8 +278,8 @@ class TestCeilingRootFind:
                 probes += calls[0]
                 for u in map(float, sc.u[:-1]):
                     v, u_next = limit_feedrate(curve, u, limits)
-                    delta, landing = _probe_step(
-                        curve, u, v, limits, evaluate(curve, u)
+                    delta, landing, _ = _probe_step(
+                        curve, u, v, limits, jet(curve, u)
                     )
                     assert delta <= limits.delta_max
                     assert landing == u_next
@@ -297,6 +306,88 @@ class TestCeilingRootFind:
             return
         assert 0.0 < v <= v_max
         assert u_next > u
-        delta, landing = _probe_step(c, u, v, limits, evaluate(c, u))
+        delta, landing, _ = _probe_step(c, u, v, limits, jet(c, u))
         assert delta <= delta_max
         assert landing == u_next
+
+
+class TestScalarScanReference:
+    """The fused scan against the former walk, which evaluated each point
+    and its derivatives separately for every probe."""
+
+    def assert_same_scan(self, curve, limits):
+        got = scan_curve(curve, limits)
+        ref = oracles.scalar_scan(curve, limits)
+        assert got.u.tobytes() == ref.u.tobytes()
+        assert got.v.tobytes() == ref.v.tobytes()
+
+    def test_corpus_scans_are_bit_identical(self):
+        for seed in range(25):
+            curve = random_curve(seed)
+            for limits in PRESETS.values():
+                self.assert_same_scan(curve, limits)
+
+    @pytest.mark.parametrize("n", [20, 40, 80, 160])
+    def test_long_scans_are_bit_identical(self, n):
+        curve = random_curve(3, n_ctrl=n, extent=1.5 * n)
+        self.assert_same_scan(curve, PRESETS["standard"])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=nurbs_curves(), delta_max=st.floats(1e-3, 1e-1))
+    def test_random_curves_scan_bit_identical_or_raise_alike(self, c, delta_max):
+        # a feed cap of 1/40 of the path per period keeps each walk short
+        limits = Limits(Ts=1e-3, delta_max=delta_max,
+                        v_max=arc_length(c, 0.0, 1.0) / 40e-3,
+                        a_max=1000.0, j_max=26000.0, shape_s=3.3)
+        try:
+            self.assert_same_scan(c, limits)
+        except ChordScanError as err:
+            with pytest.raises(type(err)):
+                oracles.scalar_scan(c, limits)
+
+
+class TestScanWork:
+    def test_one_jet_per_visited_parameter(self, monkeypatch):
+        # every probe from a point shares the point's jet, and the point's
+        # jet is its landing's: no kernel pass is spent on a point beyond
+        # its probes, save the first point's jet, the two end radii and
+        # one jet per midpoint re-probed beside a dip
+        calls = Counter()
+        probing = [False]
+
+        def well_probe(fn):
+            def wrapped(*args):
+                calls["well probes"] += 1
+                return fn(*args)
+            return wrapped
+
+        def kernel(fn):
+            def wrapped(*args):
+                calls["probe passes" if probing[0] else "other passes"] += 1
+                return fn(*args)
+            return wrapped
+
+        def probe(fn):
+            def wrapped(*args):
+                calls["probes"] += 1
+                probing[0] = True
+                try:
+                    return fn(*args)
+                finally:
+                    probing[0] = False
+            return wrapped
+
+        monkeypatch.setattr(geometry, "_jet", kernel(geometry._jet))
+        monkeypatch.setattr(chordscan, "_probe_step", probe(chordscan._probe_step))
+        monkeypatch.setattr(
+            chordscan, "limit_feedrate", well_probe(chordscan.limit_feedrate)
+        )
+        total = Counter()
+        for seed in range(25):
+            curve = random_curve(seed)
+            for limits in PRESETS.values():
+                calls.clear()
+                scan_curve(curve, limits)
+                assert calls["other passes"] == 3 + calls["well probes"]
+                total.update(calls)
+        assert total["probe passes"] <= 3 * total["probes"]

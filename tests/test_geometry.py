@@ -140,6 +140,23 @@ class TestJet:
         with pytest.raises(CurveDomainError):
             jet(quarter_circle, 1.5)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(c=nurbs_curves(), us=st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_every_query_equals_the_former_kernel(self, c, us):
+        # the per-coordinate Horner passes and _cartesian, bit for bit
+        for u in us + sorted(set(c.knots)):
+            point, d1, d2 = oracles.reference_jet(c, u)
+            assert jet(c, u) == (point, d1, d2)
+            assert evaluate(c, u) == point
+            assert derivatives(c, u, 2) == [d1, d2]
+            assert derivatives(c, u, 1) == [d1]
+            speed, cross = geometry._speed_and_cross(d1, d2)
+            speed3 = speed * speed * speed
+            if cross / speed3 <= geometry._STRAIGHT_CURVATURE:
+                assert curvature_radius(c, u) == math.inf
+            else:
+                assert curvature_radius(c, u) == speed3 / cross
+
 
 class TestCurvature:
     def test_circle_radius(self, full_circle):

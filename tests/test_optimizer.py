@@ -739,8 +739,8 @@ class TestSchedule:
             return lambda *args: calls.append(name) or fn(*args)
 
         monkeypatch.setattr(
-            geometry, "_homogeneous_ders",
-            counting("point", geometry._homogeneous_ders),
+            geometry, "_jet",
+            counting("point", geometry._jet),
         )
         for name in ("positions", "param", "at", "between"):
             method = getattr(geometry._ArcTable, name)

@@ -301,8 +301,8 @@ class TestReplayWork:
             return wrapped
 
         monkeypatch.setattr(
-            geometry, "_homogeneous_ders",
-            counting("horner", geometry._homogeneous_ders),
+            geometry, "_jet",
+            counting("horner", geometry._jet),
         )
         monkeypatch.setattr(
             simulator, "_curvature_radii",
