@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .baseline import SINE, sine_schedule
@@ -47,19 +47,11 @@ __all__ = [
 
 PRESETS = {
     "standard": Limits(
-        Ts=1e-3,
-        delta_max=5e-4,
-        v_max=100.0,
-        a_max=1000.0,
-        j_max=26000.0,
+        Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0, j_max=26000.0,
         shape_s=3.3,
     ),
     "high-accel": Limits(
-        Ts=1e-3,
-        delta_max=5e-4,
-        v_max=100.0,
-        a_max=3000.0,
-        j_max=55000.0,
+        Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=3000.0, j_max=55000.0,
         shape_s=3.3,
     ),
 }
@@ -115,20 +107,20 @@ def save_curve(curve: ParametricCurve, path: Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(map(_cell, row)))
-    path.write_text("\n".join(lines) + "\n")
+def _cells(values, path: Path) -> list[str]:
+    """Each value's float repr; a non-finite value raises, naming path."""
+    values = list(map(float, values))
+    if not all(map(math.isfinite, values)):
+        bad = next(x for x in values if not math.isfinite(x))
+        raise CliError(f"non-finite value {bad!r} in output", str(path))
+    return list(map(repr, values))
 
 
-def _cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    value = float(x)
-    if not math.isfinite(value):
-        raise CliError(f"non-finite value {value!r} in output")
-    return repr(value)
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write equal-length columns under a header. A column of numbers is
+    formatted by _cells; one of strings is written as it stands."""
+    cols = [c if isinstance(c[0], str) else _cells(c, path) for c in columns]
+    path.write_text("\n".join([header, *map(",".join, zip(*cols))]) + "\n")
 
 
 def save_blocks(blocks: list[Block], path: Path, limits: Limits) -> None:
@@ -141,7 +133,7 @@ def save_blocks(blocks: list[Block], path: Path, limits: Limits) -> None:
         )
         for b in blocks
     ]
-    _write_csv(path, _BLOCK_HEADER, rows)
+    _write_csv(path, _BLOCK_HEADER, *zip(*rows))
 
 
 def load_blocks(path: Path) -> list[Block]:
@@ -187,18 +179,6 @@ class RunConfig:
     limits: Limits
     method: str = "sigmoid"
     out_dir: Path = Path("feedsched-out")
-
-
-def _summary_doc(summary, n_breakpoints: int) -> dict:
-    return {
-        "max_feed": summary.max_feed,
-        "max_accel": summary.max_accel,
-        "max_jerk": summary.max_jerk,
-        "max_chord_err": summary.max_chord_err,
-        "total_time": summary.total_time,
-        "n_points": summary.n_points,
-        "n_breakpoints": n_breakpoints,
-    }
 
 
 def _utilization(summary, limits: Limits) -> dict:
@@ -261,27 +241,28 @@ def run(config: RunConfig) -> int:
             return 3
         summary = summarize(samples, scheduled)
         results[method] = summary
-        # u and the feed go to two files each: format them once
-        u_cells = [_cell(s.u) for s in samples]
-        v_cells = [_cell(s.v) for s in samples]
-        _write_csv(
-            out / f"{method}_feed_vs_u.csv",
-            "u [-],feed [mm/s]",
-            zip(u_cells, v_cells),
-        )
-        _write_csv(
-            out / f"{method}_kinematics_vs_time.csv",
-            "t [s],feed [mm/s],accel [mm/s^2],jerk [mm/s^3]",
-            ((s.t, v, s.A, s.J) for s, v in zip(samples, v_cells)),
-        )
-        _write_csv(
-            out / f"{method}_chord_error_vs_u.csv",
-            "u [-],chord error [mm]",
-            zip(u_cells, (s.chord_err for s in samples)),
-        )
-        save_blocks(scheduled, out / f"{method}_blocks.csv", limits)
+        feed_csv = out / f"{method}_feed_vs_u.csv"
+        t, u, _, v, A, J, chord_err = zip(*samples)
+        try:
+            # u and the feed go to two files each: format them once
+            u, v = _cells(u, feed_csv), _cells(v, feed_csv)
+            _write_csv(feed_csv, "u [-],feed [mm/s]", u, v)
+            _write_csv(
+                out / f"{method}_kinematics_vs_time.csv",
+                "t [s],feed [mm/s],accel [mm/s^2],jerk [mm/s^3]",
+                t, v, A, J,
+            )
+            _write_csv(
+                out / f"{method}_chord_error_vs_u.csv",
+                "u [-],chord error [mm]",
+                u, chord_err,
+            )
+            save_blocks(scheduled, out / f"{method}_blocks.csv", limits)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
         _dump_json(
-            _summary_doc(summary, len(breakpoints)),
+            asdict(summary) | {"n_breakpoints": len(breakpoints)},
             out / f"{method}_summary.json",
         )
     if config.method == "both":
@@ -317,15 +298,7 @@ def _load_limits(spec: str, mu_s: float | None) -> Limits:
         raise CliError(exc.msg, location=loc) from exc
     if not isinstance(data, dict):
         raise CliError("expected a JSON object", location=spec)
-    base = {
-        "Ts": 1e-3,
-        "delta_max": 5e-4,
-        "v_max": 100.0,
-        "a_max": 1000.0,
-        "j_max": 26000.0,
-        "shape_s": 3.3,
-        "mu_s": None,
-    }
+    base = asdict(PRESETS["standard"])
     unknown = set(data) - set(base)
     if unknown:
         raise CliError(f"unknown keys {sorted(unknown)}", location=spec)

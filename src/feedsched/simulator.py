@@ -8,11 +8,13 @@ bracket, until the straight-line (chordal) advance matches. Each sample
 records the parameter, position, the profile's analytic kinematics, and
 the measured chord deviation of the step.
 
-The replay runs in two phases. The walk evaluates each visited parameter
-once, as a jet (point, first and second derivative), and the landing's
-jet seeds the next tick's prediction. The chord pass then measures every
-step's deviation from the osculating radii at all step midpoints, taken
-in one vectorised pass over the curve.
+The replay runs in two phases. The walk finds each tick's running block
+with a forward cursor over the block start times and evaluates each
+visited parameter once, as a jet (point, first and second derivative);
+the landing's jet seeds the next tick's prediction. The chord pass then
+measures every step's deviation from the osculating radii at all step
+midpoints, taken in one vectorised pass over the curve. A plan longer
+than _MAX_TICKS periods is refused before the walk.
 
 Chordal stepping consumes slightly more path than the commanded travel
 on curved spans, at most about half the chord tolerance per period, so
@@ -24,8 +26,8 @@ an inconsistent plan.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +47,10 @@ __all__ = [
 
 _CHORD_MATCH_TOL = 1e-9  # mm
 _MAX_REFINE_STEPS = 80
+# Longest replay, in sampling periods: 1000 s of motion at Ts = 1 ms, over
+# 400 times the longest corpus or benchmark plan (2316 ticks), and at tens of
+# microseconds per tick, well under a minute of replay.
+_MAX_TICKS = 1_000_000
 
 # Chord-vs-arc drift ceiling per tick, in units of delta_max. On a
 # circular arc of half-angle theta, arc - chord = 2*rho*(theta -
@@ -58,8 +64,7 @@ class SimulationError(ValueError):
     """Replay failed: bad inputs or an unmatchable interpolation step."""
 
 
-@dataclass(frozen=True)
-class InterpolationSample:
+class InterpolationSample(NamedTuple):
     """State of one controller tick.
 
     chord_err is the deviation of the straight segment from the curve
@@ -86,45 +91,37 @@ class RunSummary:
 
 
 def total_time(blocks: list[Block]) -> float:
-    """Sum of block durations; every moving block must have one."""
+    """Sum of block durations; none may be negative and every moving
+    block must have one."""
     for i, b in enumerate(blocks):
-        if b.L > 0.0 and b.T <= 0.0:
-            raise SimulationError(f"block {i} has length but no duration")
+        if b.T < 0.0 or (b.L > 0.0 and b.T <= 0.0):
+            raise SimulationError(f"block {i} has duration {b.T!r}")
     return float(sum(b.T for b in blocks))
 
 
-class _Track:
-    """Block profiles laid out on a shared time and travel axis."""
-
-    def __init__(self, blocks, family):
-        self.total = total_time(blocks)
-        self.starts = []
-        self.offsets = []
-        self.durations = []
-        self.profiles = []
-        t = s = 0.0
-        for b in blocks:
-            self.starts.append(t)
-            self.offsets.append(s)
-            self.durations.append(b.T)
-            self.profiles.append(family.fit(b.v_s, b.v_e, b.L))
-            t += b.T
-            s += b.L
-        self.length = s
-
-    def locate(self, t):
-        """Index of the block running at time t and the time into it."""
-        t = min(max(t, 0.0), self.total)
-        i = max(bisect_right(self.starts, t) - 1, 0)
-        return i, min(max(t - self.starts[i], 0.0), self.durations[i])
-
-    def state(self, t):
-        """Exact commanded travel (mm) from the path start at time t,
-        with the feed, acceleration and jerk there."""
-        i, tau = self.locate(t)
-        profile = self.profiles[i]
-        travel = self.offsets[i] + profile.displacement(tau)
-        return travel, profile.kinematics(tau)
+def _commanded(blocks, family, total, Ts, n_steps):
+    """Commanded travel (mm from the path start), feed, acceleration,
+    jerk and running block index at each tick time min(k*Ts, total), k =
+    0..n_steps. A forward cursor picks the running block as a bisection
+    over the block starts would: the last block starting at or before the
+    tick, so blocks of zero duration are stepped over."""
+    starts, offsets = [], []
+    t = s = 0.0
+    for b in blocks:
+        starts.append(t)
+        offsets.append(s)
+        t += b.T
+        s += b.L
+    profiles = [family.fit(b.v_s, b.v_e, b.L) for b in blocks]
+    i, last = 0, len(blocks) - 1
+    for k in range(n_steps + 1):
+        t = min(k * Ts, total)
+        while i < last and starts[i + 1] <= t:
+            i += 1
+        tau = min(max(t - starts[i], 0.0), blocks[i].T)
+        profile = profiles[i]
+        travel = offsets[i] + profile.displacement(tau)
+        yield (travel, *profile.kinematics(tau), i)
 
 
 def _refine_step(curve, u, pos, d1, d2, advance):
@@ -138,10 +135,20 @@ def _refine_step(curve, u, pos, d1, d2, advance):
     is probed only when a step would pass it. Returns None when the rest
     of the curve is too short for the advance; the caller decides whether
     that is the path end or an inconsistent plan.
+
+    Sums over the 2 or 3 coordinates are written out and added left to
+    right from 0, as the builtin sum adds them.
     """
-    speed_sq = sum(c * c for c in d1)
+    planar = len(pos) == 2
+    if planar:
+        (px, py), (ax, ay), (bx, by) = pos, d1, d2
+        speed_sq = ax * ax + ay * ay
+        dot = 0.0 + ax * bx + ay * by
+    else:
+        (px, py, pz), (ax, ay, az), (bx, by, bz) = pos, d1, d2
+        speed_sq = ax * ax + ay * ay + az * az
+        dot = 0.0 + ax * bx + ay * by + az * bz
     speed = math.sqrt(speed_sq)
-    dot = sum(a * b for a, b in zip(d1, d2))
     x = u + advance / speed - dot * advance * advance / (
         2.0 * speed_sq * speed_sq
     )
@@ -149,9 +156,16 @@ def _refine_step(curve, u, pos, d1, d2, advance):
     lo, hi = u, None  # hi: the nearest parameter known to overshoot
     for _ in range(_MAX_REFINE_STEPS):
         at_x = jet(curve, x)
-        point, d1 = at_x[:2]
-        diff = [a - b for a, b in zip(point, pos)]
-        dist = math.sqrt(sum(c * c for c in diff))
+        if planar:
+            (ex, ey), (ax, ay), _ = at_x
+            ex, ey = ex - px, ey - py
+            dist = math.sqrt(ex * ex + ey * ey)
+            lean = 0.0 + ex * ax + ey * ay
+        else:
+            (ex, ey, ez), (ax, ay, az), _ = at_x
+            ex, ey, ez = ex - px, ey - py, ez - pz
+            dist = math.sqrt(ex * ex + ey * ey + ez * ez)
+            lean = 0.0 + ex * ax + ey * ay + ez * az
         gap = dist - advance
         if abs(gap) <= _CHORD_MATCH_TOL:
             return x, at_x
@@ -164,7 +178,7 @@ def _refine_step(curve, u, pos, d1, d2, advance):
         top = 1.0 if hi is None else hi
         if top - lo < 1e-16:
             break
-        slope = sum(a * b for a, b in zip(diff, d1)) / dist if dist else 0.0
+        slope = lean / dist if dist else 0.0
         x = x - gap / slope if slope > 0.0 else math.inf
         if not lo < x < top:
             x = 1.0 if hi is None else 0.5 * (lo + hi)
@@ -202,49 +216,56 @@ def interpolate(
     When chordal drift lands the walk on the curve end a tick or two
     before the schedule runs out, the end absorbs the leftover travel;
     leftovers beyond the accumulated drift ceiling mean the plan
-    commands more travel than the path holds, which raises.
+    commands more travel than the path holds, which raises. So does a
+    plan of more than _MAX_TICKS periods, before any tick is replayed.
     """
     if not blocks:
         raise SimulationError("empty schedule")
     if family is None:
         family = sigmoid_family(limits.shape_s)
-    track = _Track(blocks, family)
-    if track.total <= 0.0:
+    total = total_time(blocks)
+    if total <= 0.0:
         raise SimulationError("schedule has zero duration")
     Ts = limits.Ts
-    n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
+    periods = total / Ts
+    if not periods <= _MAX_TICKS:
+        raise SimulationError(
+            f"plan of {periods:.6g} ticks exceeds the replay's cap of "
+            f"{_MAX_TICKS} ticks"
+        )
+    n_steps = max(1, math.ceil(periods - 1e-9))
+    length = 0.0
+    for b in blocks:
+        length += b.L
+    ticks = _commanded(blocks, family, total, Ts, n_steps)
+    travel, v, a, j, _ = next(ticks)
     u = 0.0
     pos, d1, d2 = jet(curve, 0.0)
-    travel, (v, a, j) = track.state(0.0)
     # the walk; the chord pass measures its steps once it has ended
     kinematics, us, points = [(0.0, v, a, j)], [u], [pos]
-    for k in range(1, n_steps + 1):
-        t = min(k * Ts, track.total)
-        reached, (v, a, j) = track.state(t)
+    for k, (reached, v, a, j, i) in enumerate(ticks, 1):
         advance = reached - travel
         travel = reached
         landing = None
         if k < n_steps:
-            landing = (
-                _refine_step(curve, u, pos, d1, d2, advance)
-                if u < 1.0 else None
-            )
+            if u < 1.0:
+                landing = _refine_step(curve, u, pos, d1, d2, advance)
             if landing is None:
-                left = track.length - travel
+                left = length - travel
                 if left > _END_DRIFT_PER_TICK * limits.delta_max * k:
                     raise SimulationError(
-                        f"block {track.locate(t)[0]} at t={k * Ts:.6f}: plan "
+                        f"block {i} at t={k * Ts:.6f}: plan "
                         f"commands {left + advance:.3e} mm past the path end"
                     )
         u, (pos, d1, d2) = landing or (1.0, jet(curve, 1.0))
         kinematics.append((k * Ts, v, a, j))
         us.append(u)
         points.append(pos)
+    ts, vs, accels, jerks = zip(*kinematics)
     errs = _chord_errors(curve, us, points)
-    return [
-        InterpolationSample(t, u, p, v, a, j, err)
-        for (t, v, a, j), u, p, err in zip(kinematics, us, points, errs)
-    ]
+    return list(map(
+        InterpolationSample._make, zip(ts, us, points, vs, accels, jerks, errs)
+    ))
 
 
 def summarize(
@@ -253,11 +274,12 @@ def summarize(
     """Componentwise maxima over a replay plus schedule totals."""
     if not samples:
         raise SimulationError("no samples to summarize")
+    _, _, _, vs, accels, jerks, errs = zip(*samples)
     return RunSummary(
-        max_feed=max(s.v for s in samples),
-        max_accel=max(abs(s.A) for s in samples),
-        max_jerk=max(abs(s.J) for s in samples),
-        max_chord_err=max(s.chord_err for s in samples),
+        max_feed=max(vs),
+        max_accel=max(map(abs, accels)),
+        max_jerk=max(map(abs, jerks)),
+        max_chord_err=max(errs),
         total_time=total_time(blocks),
         n_points=len(samples),
     )

@@ -13,7 +13,8 @@ coordinate, then the conversion to Cartesian. The scan reference is the
 former walk, which evaluates each point and its derivatives separately
 for every probe and Newton iterate. The replay reference
 is the former tick loop, which evaluates points and derivatives
-separately and measures each tick's chord deviation as it goes. The
+separately, finds each tick's block by bisection over the block starts
+(``_Track``) and measures each tick's chord deviation as it goes. The
 classic scan is the scheduler's baseline: it takes the library's
 ``transition_max_feed`` as given and checks how the scheduler uses it.
 """
@@ -51,7 +52,7 @@ from feedsched.simulator import (
     _MAX_REFINE_STEPS,
     InterpolationSample,
     SimulationError,
-    _Track,
+    total_time,
 )
 
 SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
@@ -610,6 +611,42 @@ def _reference_refine_step(curve, u, pos, advance):
             x = 1.0 if hi is None else 0.5 * (lo + hi)
     x = 0.5 * (lo + top)
     return x, evaluate(curve, x)
+
+
+class _Track:
+    """Block profiles laid out on a shared time and travel axis: the
+    replay's former block lookup, a bisection over the block starts at
+    every tick."""
+
+    def __init__(self, blocks, family):
+        self.total = total_time(blocks)
+        self.starts = []
+        self.offsets = []
+        self.durations = []
+        self.profiles = []
+        t = s = 0.0
+        for b in blocks:
+            self.starts.append(t)
+            self.offsets.append(s)
+            self.durations.append(b.T)
+            self.profiles.append(family.fit(b.v_s, b.v_e, b.L))
+            t += b.T
+            s += b.L
+        self.length = s
+
+    def locate(self, t):
+        """Index of the block running at time t and the time into it."""
+        t = min(max(t, 0.0), self.total)
+        i = max(bisect_right(self.starts, t) - 1, 0)
+        return i, min(max(t - self.starts[i], 0.0), self.durations[i])
+
+    def state(self, t):
+        """Exact commanded travel (mm) from the path start at time t,
+        with the feed, acceleration and jerk there."""
+        i, tau = self.locate(t)
+        profile = self.profiles[i]
+        travel = self.offsets[i] + profile.displacement(tau)
+        return travel, profile.kinematics(tau)
 
 
 def replay_reference(curve, blocks, limits, family):

@@ -23,6 +23,7 @@ from feedsched.cli import (
 )
 from feedsched.chordscan import ScanConvergenceError
 from feedsched.optimizer import OptimizerError
+from feedsched.segmentation import Block
 from feedsched.simulator import interpolate, summarize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -263,6 +264,43 @@ class TestOptions:
         code = main(["run", "--curve", str(curve_path)])
         assert code == 3
         assert "junction 4" in capsys.readouterr().err
+
+
+    def test_non_finite_output_is_exit_3(
+        self, both_run, monkeypatch, tmp_path, capsys
+    ):
+        curve_path, _ = both_run
+        import feedsched.cli as cli_mod
+
+        def nan_jerk(*args, **kwargs):
+            samples = interpolate(*args, **kwargs)
+            samples[5] = samples[5]._replace(J=math.nan)
+            return samples
+
+        monkeypatch.setattr(cli_mod, "interpolate", nan_jerk)
+        out = tmp_path / "out"
+        code = main(["run", "--curve", str(curve_path), "--out-dir", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {out / 'sigmoid_kinematics_vs_time.csv'}: "
+            "non-finite value nan in output\n"
+        )
+
+    def test_plan_over_the_tick_cap_is_exit_3(
+        self, both_run, monkeypatch, tmp_path, capsys
+    ):
+        # 1e12 ticks at 1 ms: the replay refuses the plan before its walk
+        curve_path, _ = both_run
+        import feedsched.cli as cli_mod
+
+        def endless(curve, blocks, scatter, limits):
+            return [Block(0.0, 1.0, 1e-6, 1e-6, 1000.0, T=1e9)]
+
+        monkeypatch.setattr(cli_mod, "schedule", endless)
+        out = tmp_path / "out"
+        code = main(["run", "--curve", str(curve_path), "--out-dir", str(out)])
+        assert code == 3
+        assert "exceeds the replay's cap" in capsys.readouterr().err
 
 
 class TestSubprocessEntry:

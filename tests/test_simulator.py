@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from conftest import make_full_circle, make_line, make_quarter_circle
@@ -61,6 +62,10 @@ class TestTotalTime:
         b.T = 0.0
         with pytest.raises(SimulationError):
             total_time([b])
+        # a negative duration would put the block starts out of order
+        still = Block(0.5, 0.5, 20.0, 20.0, 0.0, T=-1e-3)
+        with pytest.raises(SimulationError, match="block 1 has duration"):
+            total_time([timed_block(0.0, 0.5, 20.0, 20.0, 5.0), still])
 
 
 class TestStraightLine:
@@ -269,13 +274,23 @@ class TestChordPass:
 CORPUS = ((6, "standard"), (12, "high-accel"), (18, "standard"), (24, "high-accel"))
 
 
+def lifted(curve):
+    """The curve with its control points lifted off the plane, to 3-D."""
+    points = tuple(
+        (x, y, 4.0 * math.sin(1.7 * i))
+        for i, (x, y) in enumerate(curve.control_points)
+    )
+    return ParametricCurve(curve.degree, points, curve.weights, curve.knots)
+
+
 @pytest.fixture(scope="module")
 def corpus_plans():
-    """Both laws' schedules of the corpus paths, ready to replay."""
+    """Both laws' schedules of the corpus paths and of one 3-D curve,
+    ready to replay."""
     plans = []
-    for seed, preset in CORPUS:
+    paths = [(random_curve(seed), preset) for seed, preset in CORPUS]
+    for curve, preset in paths + [(lifted(random_curve(5)), "standard")]:
         limits = PRESETS[preset]
-        curve = random_curve(seed)
         scatter = scan_curve(curve, limits)
         blocks = build_blocks(curve, scatter, find_breakpoints(scatter))
         sigmoid = sigmoid_family(limits.shape_s)
@@ -311,13 +326,93 @@ class TestReplayWork:
         for curve, blocks, limits, family in corpus_plans:
             calls.clear()
             ticks = len(interpolate(curve, blocks, limits, family=family)) - 1
-            assert calls["horner"] <= 2.5 * ticks
+            # at least one kernel pass per tick: a replay that reached
+            # the kernel through a binding of its own would count 0
+            assert ticks <= calls["horner"] <= 2.5 * ticks
             assert calls["radii"] == 1
 
     def test_samples_equal_scalar_reference(self, corpus_plans):
         for curve, blocks, limits, family in corpus_plans:
             got = interpolate(curve, blocks, limits, family=family)
             assert got == oracles.replay_reference(curve, blocks, limits, family)
+
+
+def bits(*xs):
+    return [float(x).hex() for x in xs]
+
+
+@st.composite
+def tick_plans(draw):
+    """(v_s, v_e, L) of each block of a plan the tick walk must step
+    through exactly: zero-length blocks, as the backward pass emits them,
+    blocks shorter than Ts, runs of them whose ends share one tick, and
+    longer blocks; the plan almost surely ends mid-tick."""
+    feed = st.floats(5.0, 100.0)
+    spans = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("zero", "short", "long")))
+        v_s = draw(feed)
+        if kind == "zero":
+            spans.append((v_s, v_s, 0.0))
+            continue
+        v_e = draw(st.one_of(st.just(v_s), feed))
+        T = draw(st.floats(0.01, 0.99)) * (STD.Ts if kind == "short" else 0.05)
+        spans.append((v_s, v_e, 0.5 * T * (v_s + v_e)))
+    return spans
+
+
+def plan_blocks(spans):
+    total = sum(L for _, _, L in spans)
+    blocks, s = [], 0.0
+    for v_s, v_e, L in spans:
+        blocks.append(timed_block(s / total, (s + L) / total, v_s, v_e, L))
+        s += L
+    return blocks
+
+
+class TestTickWalk:
+    # zero-length first, middle and last blocks, five block ends inside
+    # the first tick, a block shorter than Ts across a tick boundary, and
+    # an end 0.115 ticks past the last whole one
+    EDGES = [
+        (20.0, 20.0, 0.0), (20.0, 20.0, 0.005), (20.0, 30.0, 0.01),
+        (30.0, 30.0, 0.0), (30.0, 30.0, 0.0), (30.0, 40.0, 0.014),
+        (40.0, 40.0, 0.0426), (40.0, 40.0, 0.0),
+    ]
+
+    @pytest.mark.parametrize("family", [sigmoid_family(STD.shape_s), SINE])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spans=tick_plans())
+    @example(spans=EDGES)
+    def test_commanded_state_equals_reference_bit_for_bit(self, family, spans):
+        assume(any(L > 0.0 for _, _, L in spans))
+        blocks = plan_blocks(spans)
+        track = oracles._Track(blocks, family)
+        Ts = STD.Ts
+        n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
+        times = [min(k * Ts, track.total) for k in range(n_steps + 1)]
+        walk = simulator._commanded(blocks, family, track.total, Ts, n_steps)
+        for t, (travel, v, a, j, i) in zip(times, walk, strict=True):
+            want_travel, want_kinematics = track.state(t)
+            assert bits(travel, v, a, j) == bits(want_travel, *want_kinematics)
+            assert i == track.locate(t)[0]
+        curve = make_line(end=(track.length, 0.0))
+        samples = interpolate(curve, blocks, STD, family=family)
+        assert [bits(s.v, s.A, s.J) for s in samples] == [
+            bits(*track.state(t)[1]) for t in times
+        ]
+
+    def test_plan_over_the_tick_cap_raises_before_the_walk(self, monkeypatch):
+        # 1e9 s of motion: 1e12 ticks at 1 ms, refused before any jet
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(simulator, "jet", no_walk)
+        blocks = [timed_block(0.0, 1.0, 1e-6, 1e-6, 1000.0)]
+        assert blocks[0].T == 1e9
+        cap = r"1e\+12 ticks exceeds the replay's cap of 1000000"
+        with pytest.raises(SimulationError, match=cap):
+            interpolate(make_line(), blocks, STD)
 
 
 class TestPathEnd:
