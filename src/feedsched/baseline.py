@@ -46,30 +46,22 @@ class SineProfile:
         """The transition over a block's feeds and displacement."""
         return cls(v_s, v_e, block_duration(L, v_s, v_e))
 
-    def kinematics(self, t: float) -> tuple[float, float, float]:
-        """Feed, acceleration and jerk at block-local time t."""
+    def state(self, t: float) -> tuple[float, float, float, float]:
+        """Travel (mm) from the block start, feed, acceleration and jerk
+        at block-local time t, exactly."""
         t = clamp_time(t, self.T)
         if self.v_s == self.v_e:
-            return self.v_s, 0.0, 0.0
+            return self.v_s * t, self.v_s, 0.0, 0.0
+        T = self.T
         dv = self.v_e - self.v_s
         half = 0.5 * dv
-        phase = math.pi * (t / self.T - 0.5)
+        phase = math.pi * (t / T - 0.5)
         sin, cos = math.sin(phase), math.cos(phase)
         return (
+            (self.v_s + half) * t - half * T / math.pi * math.sin(math.pi * t / T),
             half * (sin + 1.0) + self.v_s,
-            dv * math.pi / (2.0 * self.T) * cos,
-            -dv * (math.pi / self.T) ** 2 / 2.0 * sin,
-        )
-
-    def displacement(self, t: float) -> float:
-        """Travel (mm) from the block start to block-local time t, exactly."""
-        t = clamp_time(t, self.T)
-        if self.v_s == self.v_e:
-            return self.v_s * t
-        half = 0.5 * (self.v_e - self.v_s)
-        T = self.T
-        return (self.v_s + half) * t - half * T / math.pi * math.sin(
-            math.pi * t / T
+            dv * math.pi / (2.0 * T) * cos,
+            -dv * (math.pi / T) ** 2 / 2.0 * sin,
         )
 
     def peaks(self) -> tuple[float, float]:

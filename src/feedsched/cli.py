@@ -26,7 +26,6 @@ from .geometry import GeometryError, ParametricCurve
 from .optimizer import OptimizerError, schedule
 from .segmentation import (
     Block,
-    BlockKind,
     build_blocks,
     classify_kind,
     find_breakpoints,
@@ -40,7 +39,6 @@ __all__ = [
     "PRESETS",
     "load_curve",
     "save_curve",
-    "load_blocks",
     "run",
     "main",
 ]
@@ -134,41 +132,6 @@ def save_blocks(blocks: list[Block], path: Path, limits: Limits) -> None:
         for b in blocks
     ]
     _write_csv(path, _BLOCK_HEADER, *zip(*rows))
-
-
-def load_blocks(path: Path) -> list[Block]:
-    """Read a block table back; inverse of the table writer.
-
-    The shape and kind cells are checked but not kept: a replay takes
-    the shape from its limits and the kind from the feeds.
-    """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise CliError(str(exc), location=str(path)) from exc
-    if not lines or lines[0] != _BLOCK_HEADER:
-        raise CliError("unrecognized block table header", location=str(path))
-    blocks = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise CliError("expected 8 columns", location=f"{path}:{i}")
-        try:
-            if not float(parts[5]) > 0.0:
-                raise ValueError("shape parameter must be positive")
-            BlockKind(parts[6])
-            b = Block(
-                u_s=float(parts[0]),
-                u_e=float(parts[1]),
-                v_s=float(parts[2]),
-                v_e=float(parts[3]),
-                L=float(parts[4]),
-                T=float(parts[7]),
-            )
-        except ValueError as exc:
-            raise CliError(str(exc), location=f"{path}:{i}") from exc
-        blocks.append(b)
-    return blocks
 
 
 @dataclass(frozen=True)

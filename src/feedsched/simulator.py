@@ -119,9 +119,8 @@ def _commanded(blocks, family, total, Ts, n_steps):
         while i < last and starts[i + 1] <= t:
             i += 1
         tau = min(max(t - starts[i], 0.0), blocks[i].T)
-        profile = profiles[i]
-        travel = offsets[i] + profile.displacement(tau)
-        yield (travel, *profile.kinematics(tau), i)
+        travel, v, a, j = profiles[i].state(tau)
+        yield offsets[i] + travel, v, a, j, i
 
 
 def _refine_step(curve, u, pos, d1, d2, advance):

@@ -18,7 +18,7 @@ The scheduler and the replay see a velocity law only as a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
@@ -87,6 +87,18 @@ def mirrored_kernel(x: float) -> tuple[float, float, float]:
     return f, -f1, f2
 
 
+def _softplus(x: float) -> float:
+    """log(1 + e^x), the antiderivative of the unit logistic."""
+    if x > 0.0:
+        return x + math.log1p(math.exp(-x))
+    return math.log1p(math.exp(x))
+
+
+def _mirrored_softplus(x: float) -> float:
+    """-log(1 + e^-x), the antiderivative of mirrored_kernel's f."""
+    return -_softplus(-x)
+
+
 def block_duration(L: float, v_s: float, v_e: float) -> float:
     """Duration implied by the law's symmetry: average feed is (v_s+v_e)/2."""
     if L < 0.0:
@@ -115,8 +127,9 @@ class ProfileFamily:
     L by the reduced peaks mu_n*(v2^2-v1^2)/L and
     mu_m*(v2-v1)*(v2+v1)^2/L^2, then checks the fitted profile's exact
     peaks. fit(v_s, v_e, L) returns the law fitted to one block: a
-    profile with its duration T, kinematics(t) -> (v, a, j),
-    displacement(t) and peaks() -> (|a|, |j|).
+    profile with its duration T, state(t) -> (s, v, a, j), the travel,
+    feed, acceleration and jerk at block-local time t, and peaks() ->
+    (|a|, |j|).
     """
 
     mu_n: float
@@ -124,100 +137,116 @@ class ProfileFamily:
     fit: Callable[[float, float, float], Any]
 
 
+def _fitted(default):
+    """A field that __post_init__ derives from v_s, v_e, T and s."""
+    return field(default=default, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class SigmoidProfile:
     """Immutable piecewise velocity law for one block.
 
-    cap_start holds cubic coefficients (a1, a2, a3, a4) in t for the
-    first third; cap_end holds (b1, b2, b3, b4) in tau = T - t for the
-    last third. Structure: a4 == v_s, b4 == v_e, a3 == b3 == 0,
-    b2 == -a2, b1 == -a1. Equal end feeds give a flat profile.
+    v_s, v_e, T and s define it: __post_init__ derives the rest, however
+    the profile is built. cap_start holds cubic coefficients
+    (a1, a2, a3, a4) in t for the first third; cap_end holds
+    (b1, b2, b3, b4) in tau = T - t for the last third. Structure:
+    a4 == v_s, b4 == v_e, a3 == b3 == 0, b2 == -a2, b1 == -a1. Equal end
+    feeds give a flat profile. A feed change also keeps what state and
+    peaks reuse: the core's gain, ref offset, kernel base and its
+    antiderivative anti, c = 2s/T, anti(-s/3)/c as soft0, and the
+    travel s13 and s23 at T/3 and 2T/3.
     """
 
     v_s: float
     v_e: float
     T: float
     s: float
-    cap_start: tuple[float, float, float, float]
-    cap_end: tuple[float, float, float, float]
+    cap_start: tuple[float, float, float, float] = field(init=False)
+    cap_end: tuple[float, float, float, float] = field(init=False)
+    gain: float = _fitted(0.0)
+    ref: float = _fitted(0.0)
+    base: Callable[[float], tuple[float, float, float]] = _fitted(kernel)
+    anti: Callable[[float], float] = _fitted(_softplus)
+    c: float = _fitted(0.0)
+    soft0: float = _fitted(0.0)
+    s13: float = _fitted(0.0)
+    s23: float = _fitted(0.0)
+
+    def __post_init__(self):
+        # a frozen dataclass sets its derived fields through __dict__
+        v_s, v_e, T, s = self.v_s, self.v_e, self.T, self.s
+        if v_s == v_e:
+            flat = (0.0, 0.0, 0.0, v_s)
+            self.__dict__.update(cap_start=flat, cap_end=flat)
+            return
+        if T <= 0.0:
+            raise ProfileError("zero-length block cannot change feed")
+        fs, fm = kernel(s)[0], kernel(-s)[0]
+        if v_e > v_s:
+            g, ref, base, anti = (v_e - v_s) / (fs - fm), fm, kernel, _softplus
+        else:
+            g, ref = (v_s - v_e) / (fs - fm), fs
+            base, anti = mirrored_kernel, _mirrored_softplus
+        k, k1, _ = base(-s / 3.0)
+        c = 2.0 * s / T
+        dv = g * (k - ref)
+        a13 = g * k1 * c
+        a2 = 27.0 * dv / (T * T) - 3.0 * a13 / T
+        a1 = 9.0 * a13 / (T * T) - 54.0 * dv / (T * T * T)
+        cap_start, third = (a1, a2, 0.0, v_s), T / 3.0
+        soft0 = anti(-s / 3.0) / c
+        s13 = _cap_travel(cap_start, third)
+        # the middle third's travel at 2T/3; 2*third - third == third
+        mid = g * (anti(c * (2.0 * third) - s) / c - soft0)
+        self.__dict__.update(
+            cap_start=cap_start, cap_end=(-a1, -a2, 0.0, v_e), gain=g, ref=ref,
+            base=base, anti=anti, c=c, soft0=soft0, s13=s13,
+            s23=s13 + mid + (v_s - g * ref) * third,
+        )
 
     @classmethod
     def fit(cls, v_s: float, v_e: float, L: float, s: float) -> SigmoidProfile:
         """Fit the piecewise law to a block's feeds and displacement."""
-        T = block_duration(L, v_s, v_e)
-        if v_s == v_e:
-            flat = (0.0, 0.0, 0.0, v_s)
-            return cls(v_s, v_e, T, s, flat, flat)
-        if T <= 0.0:
-            raise ProfileError("zero-length block cannot change feed")
-        g, ref, base = _core_setup(v_s, v_e, s)
-        k, k1, _ = base(-s / 3.0)
-        dv = g * (k - ref)
-        a13 = g * k1 * (2.0 * s / T)
-        a2 = 27.0 * dv / (T * T) - 3.0 * a13 / T
-        a1 = 9.0 * a13 / (T * T) - 54.0 * dv / (T * T * T)
-        return cls(v_s, v_e, T, s, (a1, a2, 0.0, v_s), (-a1, -a2, 0.0, v_e))
+        return cls(v_s, v_e, block_duration(L, v_s, v_e), s)
 
-    def kinematics(self, t: float) -> tuple[float, float, float]:
-        """Feed (mm/s), acceleration (mm/s^2) and jerk (mm/s^3) at
-        block-local time t."""
+    def state(self, t: float) -> tuple[float, float, float, float]:
+        """Travel (mm) from the block start, feed (mm/s), acceleration
+        (mm/s^2) and jerk (mm/s^3) at block-local time t.
+
+        The travel is the antiderivative of the velocity law: quartics
+        over the caps and a softplus over the logistic middle, so no
+        quadrature is involved.
+        """
         t = clamp_time(t, self.T)
         if self.v_s == self.v_e:
-            return self.v_s, 0.0, 0.0
+            return self.v_s * t, self.v_s, 0.0, 0.0
         T = self.T
         third = T / 3.0
         if t <= third:
             a1, a2, _, a4 = self.cap_start
             v = ((a1 * t + a2) * t) * t + a4
-            return v, (3.0 * a1 * t + 2.0 * a2) * t, 6.0 * a1 * t + 2.0 * a2
+            a = (3.0 * a1 * t + 2.0 * a2) * t
+            return _cap_travel(self.cap_start, t), v, a, 6.0 * a1 * t + 2.0 * a2
         if t >= 2.0 * third:
             b1, b2, _, b4 = self.cap_end
             tau = T - t
             v = ((b1 * tau + b2) * tau) * tau + b4
-            return v, -(3.0 * b1 * tau + 2.0 * b2) * tau, 6.0 * b1 * tau + 2.0 * b2
-        g, ref, base = _core_setup(self.v_s, self.v_e, self.s)
-        c = 2.0 * self.s / T
-        k, k1, k2 = base(c * t - self.s)
-        return g * (k - ref) + self.v_s, g * k1 * c, g * k2 * c * c
-
-    def displacement(self, t: float) -> float:
-        """Travel (mm) from the block start to block-local time t.
-
-        Antiderivative of the velocity law: quartics over the caps and a
-        softplus over the logistic middle, so no quadrature is involved.
-        """
-        t = clamp_time(t, self.T)
-        if self.v_s == self.v_e:
-            return self.v_s * t
-        T, s = self.T, self.s
-        third = T / 3.0
-
-        def cap_area(coeffs, x):
-            c1, c2, _, c4 = coeffs
-            return ((0.25 * c1 * x + c2 / 3.0) * x * x + c4) * x
-
-        if t <= third:
-            return cap_area(self.cap_start, t)
-        g, ref, base = _core_setup(self.v_s, self.v_e, s)
-        c = 2.0 * s / T
-        if base is kernel:
-            def anti(x):
-                return _softplus(x) / c
-        else:
-            def anti(x):
-                return -_softplus(-x) / c
-        s13 = cap_area(self.cap_start, third)
-        t_mid = min(t, 2.0 * third)
-        s_mid = (
-            s13
-            + g * (anti(c * t_mid - s) - anti(-s / 3.0))
-            + (self.v_s - g * ref) * (t_mid - third)
+            a = -(3.0 * b1 * tau + 2.0 * b2) * tau
+            travel = self.s23
+            if t > 2.0 * third:
+                travel = travel + _cap_travel(self.cap_end, third) - _cap_travel(
+                    self.cap_end, tau
+                )
+            return travel, v, a, 6.0 * b1 * tau + 2.0 * b2
+        g, ref, c = self.gain, self.ref, self.c
+        x = c * t - self.s
+        k, k1, k2 = self.base(x)
+        travel = (
+            self.s13
+            + g * (self.anti(x) / c - self.soft0)
+            + (self.v_s - g * ref) * (t - third)
         )
-        if t <= 2.0 * third:
-            return s_mid
-        return s_mid + cap_area(self.cap_end, third) - cap_area(
-            self.cap_end, T - t
-        )
+        return travel, g * (k - ref) + self.v_s, g * k1 * c, g * k2 * c * c
 
     def peaks(self) -> tuple[float, float]:
         """Exact peak |acceleration| and |jerk| over the whole block.
@@ -230,15 +259,13 @@ class SigmoidProfile:
         """
         if self.v_s == self.v_e:
             return 0.0, 0.0
-        T, s = self.T, self.s
-        c = 2.0 * s / T
-        amp = _core_setup(self.v_s, self.v_e, s)[0]
-        a_peak = c * amp * 0.25
+        T, s, c = self.T, self.s, self.c
+        a_peak = c * self.gain * 0.25
         if s / 3.0 >= SIG_D2_ARGMAX:
             curve_max = SIG_D2_MAX
         else:
             curve_max = abs(kernel(-s / 3.0)[2])
-        j_peak = c * c * amp * curve_max
+        j_peak = c * c * self.gain * curve_max
         a1, a2, _, _ = self.cap_start
         third = T / 3.0
         a_peak = max(a_peak, abs((3.0 * a1 * third + 2.0 * a2) * third))
@@ -250,20 +277,11 @@ class SigmoidProfile:
         return a_peak, max(j_peak, j_cap)
 
 
-def _core_setup(v_s, v_e, s):
-    """Gain, start offset, and kernel family for the middle section."""
-    fs, _, _ = kernel(s)
-    fm, _, _ = kernel(-s)
-    span = fs - fm
-    if v_e > v_s:
-        return (v_e - v_s) / span, fm, kernel
-    return (v_s - v_e) / span, fs, mirrored_kernel
-
-
-def _softplus(x: float) -> float:
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+def _cap_travel(coeffs, x):
+    """Integral of a cap's cubic over [0, x] of its own time: the start
+    cap's travel over its first x seconds, the end cap's over its last."""
+    c1, c2, _, c4 = coeffs
+    return ((0.25 * c1 * x + c2 / 3.0) * x * x + c4) * x
 
 
 def sigmoid_family(s: float) -> ProfileFamily:

@@ -14,18 +14,24 @@ former walk, which evaluates each point and its derivatives separately
 for every probe and Newton iterate. The replay reference
 is the former tick loop, which evaluates points and derivatives
 separately, finds each tick's block by bisection over the block starts
-(``_Track``) and measures each tick's chord deviation as it goes. The
+(``_Track``) and measures each tick's chord deviation as it goes; it
+reads each block's commanded state from ``profile_state_reference``, the
+velocity laws' former separate kinematics and displacement. The
 classic scan is the scheduler's baseline: it takes the library's
 ``transition_max_feed`` as given and checks how the scheduler uses it.
+``load_blocks`` reads a block table the CLI wrote back, so that a test
+can replay a published schedule.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 
+from feedsched.baseline import SineProfile
 from feedsched.chordscan import (
     _BRACKET_REL_WIDTH,
     _FEED_BACKOFF_CAP,
@@ -38,6 +44,7 @@ from feedsched.chordscan import (
     _curvature_feed,
     _probe_step,
 )
+from feedsched.cli import _BLOCK_HEADER, CliError
 from feedsched.geometry import (
     SingularCurveError,
     _cartesian,
@@ -46,6 +53,7 @@ from feedsched.geometry import (
     jet,
 )
 from feedsched.optimizer import transition_max_feed
+from feedsched.segmentation import Block, BlockKind
 from feedsched.simulator import (
     _CHORD_MATCH_TOL,
     _END_DRIFT_PER_TICK,
@@ -54,6 +62,7 @@ from feedsched.simulator import (
     SimulationError,
     total_time,
 )
+from feedsched.sprofile import clamp_time, kernel, mirrored_kernel
 
 SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 SIG_D2_ARGMAX = math.log(2.0 + math.sqrt(3.0))
@@ -613,6 +622,117 @@ def _reference_refine_step(curve, u, pos, advance):
     return x, evaluate(curve, x)
 
 
+def _sigmoid_core_setup(v_s, v_e, s):
+    """Gain, start offset, and kernel family for the middle section."""
+    fs, _, _ = kernel(s)
+    fm, _, _ = kernel(-s)
+    span = fs - fm
+    if v_e > v_s:
+        return (v_e - v_s) / span, fm, kernel
+    return (v_s - v_e) / span, fs, mirrored_kernel
+
+
+def _softplus(x):
+    if x > 0.0:
+        return x + math.log1p(math.exp(-x))
+    return math.log1p(math.exp(x))
+
+
+def _sigmoid_kinematics(profile, t):
+    t = clamp_time(t, profile.T)
+    if profile.v_s == profile.v_e:
+        return profile.v_s, 0.0, 0.0
+    T = profile.T
+    third = T / 3.0
+    if t <= third:
+        a1, a2, _, a4 = profile.cap_start
+        v = ((a1 * t + a2) * t) * t + a4
+        return v, (3.0 * a1 * t + 2.0 * a2) * t, 6.0 * a1 * t + 2.0 * a2
+    if t >= 2.0 * third:
+        b1, b2, _, b4 = profile.cap_end
+        tau = T - t
+        v = ((b1 * tau + b2) * tau) * tau + b4
+        return v, -(3.0 * b1 * tau + 2.0 * b2) * tau, 6.0 * b1 * tau + 2.0 * b2
+    g, ref, base = _sigmoid_core_setup(profile.v_s, profile.v_e, profile.s)
+    c = 2.0 * profile.s / T
+    k, k1, k2 = base(c * t - profile.s)
+    return g * (k - ref) + profile.v_s, g * k1 * c, g * k2 * c * c
+
+
+def _sigmoid_displacement(profile, t):
+    t = clamp_time(t, profile.T)
+    if profile.v_s == profile.v_e:
+        return profile.v_s * t
+    T, s = profile.T, profile.s
+    third = T / 3.0
+
+    def cap_area(coeffs, x):
+        c1, c2, _, c4 = coeffs
+        return ((0.25 * c1 * x + c2 / 3.0) * x * x + c4) * x
+
+    if t <= third:
+        return cap_area(profile.cap_start, t)
+    g, ref, base = _sigmoid_core_setup(profile.v_s, profile.v_e, s)
+    c = 2.0 * s / T
+    if base is kernel:
+        def anti(x):
+            return _softplus(x) / c
+    else:
+        def anti(x):
+            return -_softplus(-x) / c
+    s13 = cap_area(profile.cap_start, third)
+    t_mid = min(t, 2.0 * third)
+    s_mid = (
+        s13
+        + g * (anti(c * t_mid - s) - anti(-s / 3.0))
+        + (profile.v_s - g * ref) * (t_mid - third)
+    )
+    if t <= 2.0 * third:
+        return s_mid
+    return s_mid + cap_area(profile.cap_end, third) - cap_area(
+        profile.cap_end, T - t
+    )
+
+
+def _sine_kinematics(profile, t):
+    t = clamp_time(t, profile.T)
+    if profile.v_s == profile.v_e:
+        return profile.v_s, 0.0, 0.0
+    dv = profile.v_e - profile.v_s
+    half = 0.5 * dv
+    phase = math.pi * (t / profile.T - 0.5)
+    sin, cos = math.sin(phase), math.cos(phase)
+    return (
+        half * (sin + 1.0) + profile.v_s,
+        dv * math.pi / (2.0 * profile.T) * cos,
+        -dv * (math.pi / profile.T) ** 2 / 2.0 * sin,
+    )
+
+
+def _sine_displacement(profile, t):
+    t = clamp_time(t, profile.T)
+    if profile.v_s == profile.v_e:
+        return profile.v_s * t
+    half = 0.5 * (profile.v_e - profile.v_s)
+    T = profile.T
+    return (profile.v_s + half) * t - half * T / math.pi * math.sin(
+        math.pi * t / T
+    )
+
+
+def profile_state_reference(profile, t):
+    """Travel, feed, acceleration and jerk of a fitted sigmoid or sine
+    profile at block-local time t, from the profile's end feeds,
+    duration, shape and cap coefficients alone: the laws' former
+    separate kinematics and displacement, each of which clamps t and
+    sets up the logistic core on its own."""
+    if isinstance(profile, SineProfile):
+        return (_sine_displacement(profile, t), *_sine_kinematics(profile, t))
+    return (
+        _sigmoid_displacement(profile, t), *_sigmoid_kinematics(profile, t)
+    )
+
+
 class _Track:
     """Block profiles laid out on a shared time and travel axis: the
     replay's former block lookup, a bisection over the block starts at
@@ -644,9 +764,8 @@ class _Track:
         """Exact commanded travel (mm) from the path start at time t,
         with the feed, acceleration and jerk there."""
         i, tau = self.locate(t)
-        profile = self.profiles[i]
-        travel = self.offsets[i] + profile.displacement(tau)
-        return travel, profile.kinematics(tau)
+        travel, *kinematics = profile_state_reference(self.profiles[i], tau)
+        return self.offsets[i] + travel, tuple(kinematics)
 
 
 def replay_reference(curve, blocks, limits, family):
@@ -677,3 +796,38 @@ def replay_reference(curve, blocks, limits, family):
         u, pos = u_next, pos_next
         samples.append(InterpolationSample(k * Ts, u, pos, v, a, j, err))
     return samples
+
+
+def load_blocks(path: Path) -> list[Block]:
+    """Read a block table the CLI wrote back; inverse of cli.save_blocks.
+
+    The shape and kind cells are checked but not kept: a replay takes
+    the shape from its limits and the kind from the feeds.
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise CliError(str(exc), location=str(path)) from exc
+    if not lines or lines[0] != _BLOCK_HEADER:
+        raise CliError("unrecognized block table header", location=str(path))
+    blocks = []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise CliError("expected 8 columns", location=f"{path}:{i}")
+        try:
+            if not float(parts[5]) > 0.0:
+                raise ValueError("shape parameter must be positive")
+            BlockKind(parts[6])
+            b = Block(
+                u_s=float(parts[0]),
+                u_e=float(parts[1]),
+                v_s=float(parts[2]),
+                v_e=float(parts[3]),
+                L=float(parts[4]),
+                T=float(parts[7]),
+            )
+        except ValueError as exc:
+            raise CliError(str(exc), location=f"{path}:{i}") from exc
+        blocks.append(b)
+    return blocks

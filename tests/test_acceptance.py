@@ -281,7 +281,7 @@ def test_profile_seams_travel_and_peaks_validate_on_random_blocks():
         p = SIGMOID.fit(v_a, v_b, L)
         worst_seam = max(worst_seam, max(oracles.junction_residuals(p)))
         travel, _ = quad(
-            lambda t: p.kinematics(t)[0],
+            lambda t: p.state(t)[1],
             0.0,
             p.T,
             points=[p.T / 3.0, 2.0 * p.T / 3.0],
@@ -371,11 +371,11 @@ def test_sine_closed_forms_match_dense_sampling_and_keep_boundary_jerk():
         p = SINE.fit(v_a, v_b, L)
         A_closed, J_closed = p.peaks()
         dense = max(
-            abs(p.kinematics(t)[1])
+            abs(p.state(t)[2])
             for t in np.linspace(0.0, p.T, 1001)
         )
         worst = max(worst, abs(A_closed - dense) / A_closed)
-        j0 = p.kinematics(0.0)[2]
+        j0 = p.state(0.0)[3]
         jerk_ok &= j0 != 0.0 and abs(abs(j0) - J_closed) <= 1e-9 * J_closed
     ok = worst <= 1e-9 and jerk_ok
     report(

@@ -47,52 +47,52 @@ class TestSineProfile:
 
     def test_degenerate_constant_allowed(self):
         prof = SineProfile(30.0, 30.0, 0.0)
-        assert prof.kinematics(0.0)[0] == 30.0
+        assert prof.state(0.0)[1] == 30.0
 
 
 class TestEvaluators:
     def test_endpoint_velocities(self):
         prof = SineProfile(20.0, 80.0, 0.5)
-        assert prof.kinematics(0.0)[0] == pytest.approx(20.0, rel=1e-12)
-        assert prof.kinematics(prof.T)[0] == pytest.approx(80.0, rel=1e-12)
+        assert prof.state(0.0)[1] == pytest.approx(20.0, rel=1e-12)
+        assert prof.state(prof.T)[1] == pytest.approx(80.0, rel=1e-12)
 
     def test_midpoint_values(self):
         prof = SineProfile(20.0, 80.0, 0.5)
         half = prof.T / 2.0
-        assert prof.kinematics(half)[0] == pytest.approx(50.0, rel=1e-12)
+        assert prof.state(half)[1] == pytest.approx(50.0, rel=1e-12)
         want = (80.0 - 20.0) * math.pi / (2.0 * prof.T)
-        assert prof.kinematics(half)[1] == pytest.approx(want, rel=1e-12)
-        assert prof.kinematics(half)[2] == pytest.approx(0.0, abs=1e-9)
+        assert prof.state(half)[2] == pytest.approx(want, rel=1e-12)
+        assert prof.state(half)[3] == pytest.approx(0.0, abs=1e-9)
 
     def test_acceleration_vanishes_at_ends(self):
         prof = SineProfile(20.0, 80.0, 0.5)
-        assert abs(prof.kinematics(0.0)[1]) < 1e-9
-        assert abs(prof.kinematics(prof.T)[1]) < 1e-9
+        assert abs(prof.state(0.0)[2]) < 1e-9
+        assert abs(prof.state(prof.T)[2]) < 1e-9
 
     def test_jerk_nonzero_at_ends(self):
         # the sine shape starts and stops with a jerk discontinuity
         prof = SineProfile(20.0, 80.0, 0.5)
         want = (80.0 - 20.0) * math.pi**2 / (2.0 * prof.T**2)
-        assert prof.kinematics(0.0)[2] == pytest.approx(want, rel=1e-12)
-        assert prof.kinematics(prof.T)[2] == pytest.approx(-want, rel=1e-12)
+        assert prof.state(0.0)[3] == pytest.approx(want, rel=1e-12)
+        assert prof.state(prof.T)[3] == pytest.approx(-want, rel=1e-12)
 
     def test_braking_flips_signs(self):
         prof = SineProfile(80.0, 20.0, 0.5)
-        assert prof.kinematics(prof.T / 2.0)[1] < 0.0
-        assert prof.kinematics(0.0)[2] < 0.0
+        assert prof.state(prof.T / 2.0)[2] < 0.0
+        assert prof.state(0.0)[3] < 0.0
 
     def test_constant_profile(self):
         prof = SineProfile(40.0, 40.0, 1.25)
         for t in (0.0, 0.3, 1.25):
-            assert prof.kinematics(t) == (40.0, 0.0, 0.0)
+            assert prof.state(t)[1:] == (40.0, 0.0, 0.0)
 
     def test_domain_errors(self):
         prof = SineProfile(20.0, 80.0, 0.5)
         for t in (-1e-3, prof.T + 1e-3):
             with pytest.raises(ProfileDomainError):
-                prof.kinematics(t)
+                prof.state(t)
         # grace band just outside the ends is tolerated
-        assert prof.kinematics(-1e-10)[0] == pytest.approx(20.0, rel=1e-9)
+        assert prof.state(-1e-10)[1] == pytest.approx(20.0, rel=1e-9)
 
     def test_derivative_chain(self):
         rng = np.random.default_rng(61)
@@ -102,17 +102,17 @@ class TestEvaluators:
             for frac in (0.2, 0.5, 0.8):
                 t = prof.T * frac
                 dv = (
-                    prof.kinematics(t + h)[0] - prof.kinematics(t - h)[0]
+                    prof.state(t + h)[1] - prof.state(t - h)[1]
                 ) / (2.0 * h)
                 da = (
-                    prof.kinematics(t + h)[1]
-                    - prof.kinematics(t - h)[1]
+                    prof.state(t + h)[2]
+                    - prof.state(t - h)[2]
                 ) / (2.0 * h)
                 assert dv == pytest.approx(
-                    prof.kinematics(t)[1], rel=1e-5, abs=1e-6
+                    prof.state(t)[2], rel=1e-5, abs=1e-6
                 )
                 assert da == pytest.approx(
-                    prof.kinematics(t)[2], rel=1e-5, abs=1e-4
+                    prof.state(t)[3], rel=1e-5, abs=1e-4
                 )
 
 
@@ -124,8 +124,8 @@ class TestSineDisplacement:
             v_e = rng.uniform(1.0, 100.0)
             L = rng.uniform(0.5, 50.0)
             prof = SineProfile(v_s, v_e, 2.0 * L / (v_s + v_e))
-            assert prof.displacement(0.0) == 0.0
-            got = prof.displacement(prof.T)
+            assert prof.state(0.0)[0] == 0.0
+            got = prof.state(prof.T)[0]
             assert got == pytest.approx(L, rel=1e-12)
 
     def test_matches_quadrature(self):
@@ -135,15 +135,15 @@ class TestSineDisplacement:
             for frac in (0.15, 0.4, 0.77):
                 t = prof.T * frac
                 want, _ = quad(
-                    lambda x: prof.kinematics(x)[0], 0.0, t,
+                    lambda x: prof.state(x)[1], 0.0, t,
                     epsabs=0.0, epsrel=1e-12,
                 )
-                got = prof.displacement(t)
+                got = prof.state(t)[0]
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_constant_profile_is_linear(self):
         prof = SineProfile(40.0, 40.0, 1.25)
-        assert prof.displacement(0.6) == pytest.approx(24.0, rel=1e-15)
+        assert prof.state(0.6)[0] == pytest.approx(24.0, rel=1e-15)
 
 
 class TestSinePeaks:
@@ -155,8 +155,8 @@ class TestSinePeaks:
             prof = random_profile(rng)
             L = 0.5 * (prof.v_s + prof.v_e) * prof.T
             ts = np.linspace(0.0, prof.T, 20001)
-            acc = np.array([prof.kinematics(t)[1] for t in ts])
-            jrk = np.array([prof.kinematics(t)[2] for t in ts])
+            acc = np.array([prof.state(t)[2] for t in ts])
+            jrk = np.array([prof.state(t)[3] for t in ts])
             a_pk, j_pk = sine_peaks(prof.v_s, prof.v_e, L)
             assert a_pk == pytest.approx(np.max(np.abs(acc)), rel=1e-9)
             assert j_pk == pytest.approx(np.max(np.abs(jrk)), rel=1e-9)
@@ -178,7 +178,7 @@ class TestSinePeaks:
             prof = random_profile(rng)
             L = 0.5 * (prof.v_s + prof.v_e) * prof.T
             got, err = quad(
-                lambda t: prof.kinematics(t)[0], 0.0, prof.T, limit=200
+                lambda t: prof.state(t)[1], 0.0, prof.T, limit=200
             )
             assert got == pytest.approx(L, rel=1e-9)
 

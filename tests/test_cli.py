@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from conftest import make_quarter_circle
+from oracles import load_blocks
 from feedsched.cli import (
     PRESETS,
     CliError,
     RunConfig,
-    load_blocks,
     load_curve,
     main,
     run,
@@ -247,6 +247,16 @@ class TestOptions:
         code = main(["run", "--curve", str(curve_path), "--config", str(cfg)])
         assert code == 2
         assert "vmax" in capsys.readouterr().err
+
+    def test_unknown_method_is_exit_2(self, both_run, tmp_path, capsys):
+        # argparse's choices keep it off the command line; run still
+        # guards a library caller that builds its own config
+        curve_path, _ = both_run
+        out = tmp_path / "out"
+        config = RunConfig(curve_path, PRESETS["standard"], "bogus", out)
+        assert run(config) == 2
+        assert "unknown method 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_curve_is_exit_2(self, tmp_path, capsys):
         code = main(["run", "--curve", str(tmp_path / "absent.json")])

@@ -30,28 +30,21 @@ from conftest import (
 
 
 class TestValidation:
-    def test_weight_count_mismatch(self):
-        with pytest.raises(GeometryError):
-            ParametricCurve(1, ((0, 0), (1, 0)), (1.0,), (0, 0, 1, 1))
+    PAIR = ((0, 0), (1, 0))
 
-    def test_nonpositive_weight(self):
-        with pytest.raises(GeometryError):
-            ParametricCurve(1, ((0, 0), (1, 0)), (1.0, 0.0), (0, 0, 1, 1))
+    def test_degree_below_one(self):
+        with pytest.raises(GeometryError, match="degree must be >= 1, got 0"):
+            ParametricCurve(0, self.PAIR, (1, 1), (0, 0.5, 1))
 
-    def test_decreasing_knots(self):
-        with pytest.raises(GeometryError):
-            ParametricCurve(
-                2,
-                ((0, 0), (1, 1), (2, 0), (3, 1)),
-                (1, 1, 1, 1),
-                (0, 0, 0, 0.7, 0.3, 1, 1, 1)[: 7],
-            )
+    def test_too_few_control_points(self):
+        with pytest.raises(
+            GeometryError, match="need at least 3 control points, got 2"
+        ):
+            ParametricCurve(2, self.PAIR, (1, 1), (0, 0, 0, 1, 1))
 
-    def test_unclamped_knots(self):
-        with pytest.raises(GeometryError):
-            ParametricCurve(
-                2, ((0, 0), (1, 1), (2, 0)), (1, 1, 1), (0, 0, 0.2, 1, 1, 1)
-            )
+    def test_mixed_dimensions(self):
+        with pytest.raises(GeometryError, match="all be 2-D or all be 3-D"):
+            ParametricCurve(1, ((0, 0), (1, 0, 0)), (1, 1), (0, 0, 1, 1))
 
     def test_point_curve_rejected(self):
         with pytest.raises(GeometryError, match="coincide"):
@@ -59,9 +52,48 @@ class TestValidation:
                 2, ((5.0, 5.0),) * 3, (1.0, 20.0, 0.05), (0, 0, 0, 1, 1, 1)
             )
 
-    def test_mixed_dimensions(self):
-        with pytest.raises(GeometryError):
-            ParametricCurve(1, ((0, 0), (1, 0, 0)), (1, 1), (0, 0, 1, 1))
+    def test_weight_count_mismatch(self):
+        with pytest.raises(GeometryError, match="2 control points but 1 weights"):
+            ParametricCurve(1, self.PAIR, (1.0,), (0, 0, 1, 1))
+
+    def test_nonpositive_weight(self):
+        with pytest.raises(GeometryError, match="weights must be finite and"):
+            ParametricCurve(1, self.PAIR, (1.0, 0.0), (0, 0, 1, 1))
+
+    def test_non_finite_knot(self):
+        with pytest.raises(GeometryError, match="knots must be finite"):
+            ParametricCurve(1, self.PAIR, (1, 1), (0, 0, math.nan, 1))
+
+    def test_wrong_knot_count(self):
+        with pytest.raises(
+            GeometryError, match="knot vector must have 4 entries, got 3"
+        ):
+            ParametricCurve(1, self.PAIR, (1, 1), (0, 0, 1))
+
+    def test_decreasing_knots(self):
+        with pytest.raises(GeometryError, match="must be non-decreasing"):
+            ParametricCurve(
+                2,
+                ((0, 0), (1, 1), (2, 0), (3, 1)),
+                (1, 1, 1, 1),
+                (0, 0, 0, 0.7, 0.3, 1, 1, 1)[: 7],
+            )
+
+    def test_knots_not_running_from_zero_to_one(self):
+        with pytest.raises(GeometryError, match="must run from 0 to 1"):
+            ParametricCurve(1, self.PAIR, (1, 1), (0, 0, 2, 2))
+
+    def test_unclamped_knots(self):
+        with pytest.raises(GeometryError, match="must be clamped at 0"):
+            ParametricCurve(
+                2, ((0, 0), (1, 1), (2, 0)), (1, 1, 1), (0, 0, 0.2, 1, 1, 1)
+            )
+
+    def test_unclamped_end_knots(self):
+        with pytest.raises(GeometryError, match="must be clamped at 1"):
+            ParametricCurve(
+                2, ((0, 0), (1, 1), (2, 0)), (1, 1, 1), (0, 0, 0, 0.8, 1, 1)
+            )
 
     def test_parameter_out_of_domain(self, line_curve):
         with pytest.raises(CurveDomainError):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from conftest import make_full_circle, make_line, make_quarter_circle
-from feedsched import geometry, simulator
+from feedsched import geometry, simulator, sprofile
 from feedsched.baseline import SINE, sine_schedule
 from feedsched.chordscan import Limits, _chord_deviation, scan_curve
 from feedsched.cli import PRESETS
@@ -28,7 +28,7 @@ from feedsched.simulator import (
     summarize,
     total_time,
 )
-from feedsched.sprofile import block_duration, sigmoid_family
+from feedsched.sprofile import ProfileFamily, block_duration, sigmoid_family
 
 STD = Limits(
     Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0, j_max=26000.0,
@@ -137,7 +137,7 @@ class TestStraightLine:
         for b in blocks:
             profile = family.fit(b.v_s, b.v_e, b.L)
             while k < len(samples) and samples[k].t <= t0 + b.T:
-                want = prefix + profile.displacement(samples[k].t - t0)
+                want = prefix + profile.state(samples[k].t - t0)[0]
                 assert samples[k].position[0] == pytest.approx(want, abs=1e-9)
                 k += 1
             t0 += b.T
@@ -330,6 +330,41 @@ class TestReplayWork:
             # the kernel through a binding of its own would count 0
             assert ticks <= calls["horner"] <= 2.5 * ticks
             assert calls["radii"] == 1
+
+    def test_one_clamp_and_no_core_setup_per_tick(self, corpus_plans, monkeypatch):
+        # each tick asks its block's profile for one state; setting up
+        # the logistic core (the kernel at +-s) is fit's work alone
+        curve, blocks, limits, family = corpus_plans[0]
+        s = limits.shape_s
+        fitting, clamps, kernel_args = [False], [0], []
+        clamp_time, kernel = sprofile.clamp_time, sprofile.kernel
+
+        def counting_clamp(t, T):
+            clamps[0] += 1
+            return clamp_time(t, T)
+
+        def watched_kernel(x):
+            if not fitting[0]:
+                kernel_args.append(x)
+            return kernel(x)
+
+        def watched_fit(v_s, v_e, L):
+            fitting[0] = True
+            try:
+                return family.fit(v_s, v_e, L)
+            finally:
+                fitting[0] = False
+
+        monkeypatch.setattr(sprofile, "clamp_time", counting_clamp)
+        monkeypatch.setattr(sprofile, "kernel", watched_kernel)
+        watched = ProfileFamily(family.mu_n, family.mu_m, watched_fit)
+        ticks = len(interpolate(curve, blocks, limits, family=watched))
+        assert clamps[0] == ticks
+        # the middle thirds take one kernel evaluation per tick; a state
+        # that reached the kernel through a binding of its own would
+        # count 0 here
+        assert 0 < len(kernel_args) <= ticks
+        assert not {s, -s} & set(kernel_args)
 
     def test_samples_equal_scalar_reference(self, corpus_plans):
         for curve, blocks, limits, family in corpus_plans:

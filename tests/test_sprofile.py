@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from oracles import core_reference, junction_residuals
+from hypothesis import assume, example, given, settings, strategies as st
+from oracles import core_reference, junction_residuals, profile_state_reference
 
+from feedsched.baseline import SineProfile
 from feedsched.sprofile import (
     SHAPE_S_MAX,
     SIG_D2_ARGMAX,
@@ -106,7 +109,7 @@ class TestBuildProfile:
         p = fit(80.0, 80.0, 12.0)
         assert p.cap_start == p.cap_end == (0.0, 0.0, 0.0, 80.0)
         for t in np.linspace(0.0, p.T, 7):
-            assert p.kinematics(float(t)) == (80.0, 0.0, 0.0)
+            assert p.state(float(t))[1:] == (80.0, 0.0, 0.0)
 
     def test_cap_structure(self):
         p = fit(0.0, 100.0, 10.0)
@@ -146,15 +149,15 @@ class TestBuildProfile:
             assert down.T == pytest.approx(up.T, rel=1e-15)
             for t in rng.uniform(0.0, up.T, size=25):
                 t = float(t)
-                assert down.kinematics(t)[0] == pytest.approx(
-                    up.kinematics(up.T - t)[0], rel=1e-12, abs=1e-10
+                assert down.state(t)[1] == pytest.approx(
+                    up.state(up.T - t)[1], rel=1e-12, abs=1e-10
                 )
 
 
 class TestEvaluation:
     def test_midpoint_velocity(self):
         p = fit(20.0, 100.0, 15.0)
-        assert p.kinematics(p.T / 2.0)[0] == pytest.approx(60.0, rel=1e-12)
+        assert p.state(p.T / 2.0)[1] == pytest.approx(60.0, rel=1e-12)
 
     def test_symmetry_and_displacement(self):
         rng = np.random.default_rng(77)
@@ -166,7 +169,7 @@ class TestEvaluation:
             p = fit(v_a, v_b, L)
             for t in rng.uniform(0.0, p.T, size=10):
                 t = float(t)
-                total = p.kinematics(t)[0] + p.kinematics(p.T - t)[0]
+                total = p.state(t)[1] + p.state(p.T - t)[1]
                 assert total == pytest.approx(v_a + v_b, rel=1e-9, abs=1e-9)
             # integrate per section so the quadrature sees smooth pieces
             got = 0.0
@@ -174,36 +177,36 @@ class TestEvaluation:
                            (2 * p.T / 3, p.T)]:
                 mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
                 got += half * sum(
-                    w * p.kinematics(mid + half * float(x))[0]
+                    w * p.state(mid + half * float(x))[1]
                     for x, w in zip(nodes, weights)
                 )
             assert got == pytest.approx(L, rel=1e-9)
 
     def test_endpoints_pinned(self):
         p = fit(30.0, 90.0, 8.0)
-        assert p.kinematics(0.0)[0] == 30.0
-        assert p.kinematics(p.T)[0] == pytest.approx(90.0, rel=1e-14)
-        assert p.kinematics(0.0)[1] == 0.0
-        assert p.kinematics(p.T)[1] == 0.0
+        assert p.state(0.0)[1] == 30.0
+        assert p.state(p.T)[1] == pytest.approx(90.0, rel=1e-14)
+        assert p.state(0.0)[2] == 0.0
+        assert p.state(p.T)[2] == 0.0
 
     def test_start_jerk_is_cap_coefficient(self):
         p = fit(0.0, 100.0, 10.0)
-        j0 = p.kinematics(0.0)[2]
+        j0 = p.state(0.0)[3]
         assert j0 == pytest.approx(2.0 * p.cap_start[1], rel=1e-15)
         assert j0 != 0.0
 
     def test_accel_block_is_monotone(self):
         p = fit(10.0, 120.0, 20.0)
         ts = np.linspace(0.0, p.T, 2000)
-        vs = [p.kinematics(float(t))[0] for t in ts]
+        vs = [p.state(float(t))[1] for t in ts]
         assert all(b - a >= -1e-9 for a, b in zip(vs, vs[1:]))
 
     def test_time_domain_enforced(self):
         p = fit(10.0, 50.0, 5.0)
         with pytest.raises(ProfileDomainError):
-            p.kinematics(-0.01)
+            p.state(-0.01)
         with pytest.raises(ProfileDomainError):
-            p.kinematics(p.T + 0.01)
+            p.state(p.T + 0.01)
 
 
 class TestKinematicPeaks:
@@ -219,8 +222,8 @@ class TestKinematicPeaks:
             p = fit(v_a, v_b, L)
             a_peak, j_peak = p.peaks()
             ts = np.linspace(0.0, p.T, 100_001)
-            a_seen = max(abs(p.kinematics(float(t))[1]) for t in ts)
-            j_seen = max(abs(p.kinematics(float(t))[2]) for t in ts)
+            a_seen = max(abs(p.state(float(t))[2]) for t in ts)
+            j_seen = max(abs(p.state(float(t))[3]) for t in ts)
             assert a_seen <= a_peak * (1.0 + 1e-12)
             assert j_seen <= j_peak * (1.0 + 1e-12)
             assert a_peak == pytest.approx(a_seen, rel=1e-6)
@@ -238,8 +241,8 @@ class TestKinematicPeaks:
             ts = np.linspace(0.0, p.T, 20_001)
             for t in ts:
                 t = float(t)
-                assert abs(p.kinematics(t)[1]) <= a_peak * (1 + 1e-12)
-                assert abs(p.kinematics(t)[2]) <= j_peak * (1 + 1e-12)
+                assert abs(p.state(t)[2]) <= a_peak * (1 + 1e-12)
+                assert abs(p.state(t)[3]) <= j_peak * (1 + 1e-12)
 
 
 class TestShapeRange:
@@ -280,8 +283,8 @@ class TestDisplacement:
             v_b = float(rng.uniform(0.5, 150.0))
             L = float(rng.uniform(0.5, 50.0))
             p = fit(v_a, v_b, L)
-            assert p.displacement(0.0) == 0.0
-            assert p.displacement(p.T) == pytest.approx(L, rel=1e-12)
+            assert p.state(0.0)[0] == 0.0
+            assert p.state(p.T)[0] == pytest.approx(L, rel=1e-12)
 
     def test_matches_quadrature_inside_every_section(self):
         from scipy.integrate import quad
@@ -296,18 +299,72 @@ class TestDisplacement:
             for frac in (0.1, 0.33334, 0.5, 0.8, 0.95):
                 t = p.T * frac
                 want, _ = quad(
-                    lambda x: p.kinematics(x)[0], 0.0, t,
+                    lambda x: p.state(x)[1], 0.0, t,
                     points=[p.T / 3.0, 2.0 * p.T / 3.0],
                     limit=100, epsabs=0.0, epsrel=1e-12,
                 )
-                assert p.displacement(t) == pytest.approx(want, rel=1e-9)
+                assert p.state(t)[0] == pytest.approx(want, rel=1e-9)
 
     def test_monotone_in_time(self):
         p = fit(5.0, 140.0, 8.0)
         ts = np.linspace(0.0, p.T, 500)
-        vals = [p.displacement(float(t)) for t in ts]
+        vals = [p.state(float(t))[0] for t in ts]
         assert all(b >= a for a, b in zip(vals[:-1], vals[1:]))
 
     def test_constant_block_is_linear(self):
         p = fit(60.0, 60.0, 30.0)
-        assert p.displacement(0.25) == pytest.approx(15.0, rel=1e-15)
+        assert p.state(0.25)[0] == pytest.approx(15.0, rel=1e-15)
+
+
+class TestState:
+    BOUNDARIES = ("0", "T/3", "2T/3", "T")
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        law=st.sampled_from(("sine", 0.2, 1.0, 3.3)),
+        v_s=st.one_of(st.just(0.0), st.floats(1e-3, 150.0)),
+        v_e=st.one_of(st.just(0.0), st.floats(1e-3, 150.0)),
+        flat=st.booleans(),
+        L=st.one_of(st.just(0.0), st.floats(1e-9, 50.0)),
+        at=st.one_of(st.sampled_from(BOUNDARIES), st.floats(0.0, 1.0)),
+    )
+    @example(law=3.3, v_s=0.0, v_e=80.0, flat=False, L=2.0, at="2T/3")
+    @example(law=0.2, v_s=90.0, v_e=10.0, flat=False, L=0.5, at="T/3")
+    @example(law="sine", v_s=0.0, v_e=40.0, flat=False, L=1.0, at="T")
+    @example(law=1.0, v_s=30.0, v_e=30.0, flat=True, L=0.0, at="0")
+    def test_equals_the_former_kinematics_and_displacement_bit_for_bit(
+        self, law, v_s, v_e, flat, L, at
+    ):
+        # both laws, flat and zero-length blocks, a start from rest, the
+        # section seams T/3 and 2*(T/3), the ends and times in between
+        if flat:
+            v_e = v_s
+        assume(v_s + v_e > 0.0 and (L > 0.0 or v_s == v_e))
+        if law == "sine":
+            p = SineProfile.fit(v_s, v_e, L)
+        else:
+            p = fit(v_s, v_e, L, s=law)
+        T = p.T
+        if isinstance(at, str):
+            t = {"0": 0.0, "T/3": T / 3.0, "2T/3": 2.0 * (T / 3.0), "T": T}[at]
+        else:
+            t = at * T
+        got = [x.hex() for x in p.state(t)]
+        assert got == [x.hex() for x in profile_state_reference(p, t)]
+
+    def test_a_profile_built_field_by_field_is_the_fitted_one(self):
+        # the fit-time constants follow v_s, v_e, T and s however the
+        # profile is made, and only those four fields show and compare
+        p = fit(10.0, 90.0, 4.0, s=1.0)
+        built = SigmoidProfile(p.v_s, p.v_e, p.T, p.s)
+        replaced = dataclasses.replace(
+            fit(90.0, 30.0, 4.0, s=1.0), v_s=10.0, v_e=90.0, T=p.T
+        )
+        for q in (built, replaced):
+            assert q == p and repr(q) == repr(p)
+            assert q.peaks() == p.peaks()
+            for t in (0.0, p.T / 3.0, 0.5 * p.T, 2.0 * (p.T / 3.0), p.T):
+                assert q.state(t) == p.state(t) == profile_state_reference(p, t)
+        assert "function" not in repr(p) and "gain" not in repr(p)
+        with pytest.raises(ProfileError, match="zero-length block"):
+            SigmoidProfile(10.0, 90.0, 0.0, 1.0)
