@@ -40,6 +40,11 @@ class SineProfile:
             raise ProfileError("a feed change needs positive duration")
         if self.T < 0.0:
             raise ProfileError("duration must be non-negative")
+        if self.v_s != self.v_e and math.pi / self.T > 1e154:
+            raise ProfileError(
+                f"block duration {self.T!r} s is too short for a feed change: "
+                "its jerk's (pi/T)^2 overflows"
+            )
 
     @classmethod
     def fit(cls, v_s: float, v_e: float, L: float) -> SineProfile:

@@ -70,7 +70,7 @@ class MalformedScatterError(ChordScanError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Machine and tolerance settings, all strictly positive.
+    """Machine and tolerance settings, all finite and strictly positive.
 
     Ts is the controller period in seconds, delta_max the chord tolerance
     in mm, v_max/a_max/j_max the feed (mm/s), acceleration (mm/s^2) and
@@ -90,8 +90,8 @@ class Limits:
 
     def __post_init__(self):
         for name in ("Ts", "delta_max", "v_max", "a_max", "j_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         check_shape(self.shape_s, "shape_s")
         if self.mu_s is not None and not self.mu_s > 0.0:
             raise ValueError("mu_s must be strictly positive when given")

@@ -309,7 +309,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "gen-curve":
-        curve = random_curve(args.seed, n_ctrl=args.n_ctrl)
+        try:
+            curve = random_curve(args.seed, n_ctrl=args.n_ctrl)
+        except ValueError as exc:
+            print(f"error: --n-ctrl: {exc}", file=sys.stderr)
+            return 2
         save_curve(curve, args.out)
         print(args.out)
         return 0

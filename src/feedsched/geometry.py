@@ -127,24 +127,23 @@ class ParametricCurve:
         return len(self.control_points[0])
 
     @cached_property
-    def _span_polys(self) -> tuple[list[float], list[tuple]]:
+    def _spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Power-basis form of the homogeneous curve on each knot span.
 
-        Returns the start parameters of the non-empty spans and, per span,
-        its midpoint m and one coefficient row per homogeneous coordinate,
-        highest power first, so that coordinate d on the span is
-        sum_k row_d[p - k] * (u - m)^k. Order k is the k-th basis
-        derivative at m divided by k! (Taylor expansion, exact for
-        polynomials of degree p).
+        Read-only arrays: the start parameters of the non-empty spans,
+        their midpoints m, and the coefficients indexed by (span,
+        coordinate, power), highest power first, so that coordinate d on
+        span i is sum_k c[i, d, p - k] * (u - m_i)^k. The coordinates are
+        x*w, y*w[, z*w] and w. Order k is the k-th basis derivative at m
+        divided by k! (Taylor expansion, exact for polynomials of degree p).
         """
         p = self.degree
         knots = self.knots
-        # (x*w, y*w[, z*w], w) per control point
         hom = [
             tuple(c * w for c in pt) + (w,)
             for pt, w in zip(self.control_points, self.weights)
         ]
-        starts, polys = [], []
+        starts, mids, coeffs = [], [], []
         for span in range(p, len(self.control_points)):
             lo, hi = knots[span], knots[span + 1]
             if not lo < hi:
@@ -152,51 +151,38 @@ class ParametricCurve:
             mid = 0.5 * (lo + hi)
             basis = _basis_derivatives(knots, p, span, mid, p)
             ctrl = hom[span - p : span + 1]
-            rows = tuple(
-                tuple(
+            starts.append(lo)
+            mids.append(mid)
+            coeffs.append([
+                [
                     sum(b * pt[d] for b, pt in zip(basis[k], ctrl))
                     / math.factorial(k)
                     for k in range(p, -1, -1)
-                )
+                ]
                 for d in range(self.dimension + 1)
-            )
-            starts.append(lo)
-            polys.append((mid, rows))
-        return starts, polys
-
-    @cached_property
-    def _span_columns(self) -> tuple[list[float], list[tuple], bool]:
-        """_span_polys by power for _jet: the span starts; per span its
-        midpoint, its top-power (x, y, z, w) column and the lower powers'
-        columns, highest first, with z = 0 on a planar curve; and whether
-        the curve is planar."""
-        starts, polys = self._span_polys
-        planar = self.dimension == 2
-        spans = []
-        for mid, rows in polys:
-            if planar:
-                rows = (*rows[:2], (0.0,) * len(rows[0]), rows[2])
-            top, *lower = zip(*rows)
-            spans.append((mid, top, lower))
-        return starts, spans, planar
-
-    @cached_property
-    def _span_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """_span_polys as arrays: the span starts, the span midpoints, and
-        the coefficient rows indexed by (span, coordinate, power)."""
-        starts, polys = self._span_polys
-        arrays = (
-            np.array(starts),
-            np.array([m for m, _ in polys]),
-            np.array([r for _, r in polys]),
-        )
+            ])
+        arrays = np.array(starts), np.array(mids), np.array(coeffs)
         for a in arrays:
             a.setflags(write=False)
         return arrays
 
     @cached_property
+    def _span_columns(self) -> tuple[list[float], list[tuple], bool]:
+        """_spans by power for _jet: the span starts; per span its
+        midpoint, its top-power (x, y, z, w) column and the lower powers'
+        columns, highest first, with z = 0 on a planar curve; and whether
+        the curve is planar."""
+        starts, mids, coeffs = self._spans
+        planar = self.dimension == 2
+        if planar:
+            coeffs = np.insert(coeffs, 2, 0.0, axis=1)
+        columns = coeffs.transpose(0, 2, 1).tolist()
+        spans = [(m, c[0], c[1:]) for m, c in zip(mids.tolist(), columns)]
+        return starts.tolist(), spans, planar
+
+    @cached_property
     def _arc_table(self) -> _ArcTable:
-        """Cumulative arc length of the curve, built once from _span_polys."""
+        """Cumulative arc length of the curve, built once from _spans."""
         return _ArcTable(self)
 
 
@@ -368,7 +354,7 @@ def _curvature_radii(curve: ParametricCurve, u: np.ndarray) -> np.ndarray:
     Raises SingularCurveError for the first parameter at which
     curvature_radius would raise.
     """
-    starts, mids, rows = curve._span_arrays
+    starts, mids, rows = curve._spans
     idx = np.maximum(np.searchsorted(starts, u, side="right") - 1, 0)
     t = (u - mids[idx])[:, None, None]
     hom = [h[:, :, 0].T for h in _horner(rows[idx], t, 2)]
@@ -446,10 +432,11 @@ def _node_speeds(rows, mids, lo, hi) -> np.ndarray:
     return np.sqrt((d1 * d1).sum(axis=1))
 
 
-def _legendre(terms, x: float) -> float:
+def _legendre(terms, x):
     """Legendre series at x by Clenshaw's recurrence.
 
-    terms holds (c_k, (2k+1)/(k+1), (k+1)/(k+2)) for k = 16 down to 0.
+    terms holds (c_k, (2k+1)/(k+1), (k+1)/(k+2)) for k = 16 down to 0;
+    x and the c_k may be floats or arrays, with the same arithmetic.
     """
     b1 = b2 = 0.0
     for c, a, b in terms:
@@ -475,7 +462,7 @@ class _ArcTable:
     __slots__ = ("starts", "cum", "pieces", "_centres", "_halves", "_runs")
 
     def __init__(self, curve: ParametricCurve):
-        lo, mids, rows = curve._span_arrays
+        lo, mids, rows = curve._spans
         hi = np.append(lo[1:], 1.0)
         span = np.arange(lo.size)
         speeds = _node_speeds(rows, mids, lo, hi)
@@ -513,11 +500,12 @@ class _ArcTable:
         lo, hi, speeds = lo[order], hi[order], speeds[order]
         half = 0.5 * (hi - lo)
         centre = lo + half
-        run = half[:, None] * (speeds @ _RUN_FIT.T)
+        # the running integral's coefficients, highest order first
+        run = half[:, None] * (speeds @ _RUN_FIT.T)[:, ::-1]
         self.starts = lo.tolist()
         self.cum = [0.0] + np.cumsum(half * (speeds @ _GL_W)).tolist()
         self.pieces = [
-            (c, h, tuple(zip(r[::-1], _CLENSHAW_A, _CLENSHAW_B)))
+            (c, h, tuple(zip(r, _CLENSHAW_A, _CLENSHAW_B)))
             for c, h, r in zip(centre.tolist(), half.tolist(), run.tolist())
         ]
         self._centres = centre
@@ -540,12 +528,13 @@ class _ArcTable:
         return self.cum[i] + s
 
     def positions(self, u: np.ndarray) -> np.ndarray:
-        """S(u) for an array of parameters in one vectorised pass."""
+        """S(u) for an array of parameters: at's arithmetic on arrays, so
+        positions(u)[i] == at(u[i]) bit for bit."""
         u = np.asarray(u, dtype=float)
         idx = np.maximum(np.searchsorted(self.starts, u, side="right") - 1, 0)
         x = (u - self._centres[idx]) / self._halves[idx]
-        run = np.polynomial.legendre.legval(x, self._runs[:, idx], tensor=False)
-        return np.asarray(self.cum)[idx] + run
+        terms = zip(self._runs[:, idx], _CLENSHAW_A, _CLENSHAW_B)
+        return np.asarray(self.cum)[idx] + _legendre(terms, x)
 
     def param(self, s: float) -> float:
         """Parameter at which the running length reaches s (clamped).

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "OptimizerError",
     "InfeasibleJunctionError",
     "ScheduleConsistencyError",
-    "AdjustmentOutcome",
     "transition_min_length",
     "transition_max_feed",
     "adjust_peak_junction",
@@ -62,17 +61,6 @@ class ScheduleConsistencyError(OptimizerError):
     """A finished schedule failed its own feasibility validation."""
 
 
-@dataclass(frozen=True)
-class AdjustmentOutcome:
-    """Result of optimizing one transition-constant-transition span.
-
-    lengths partitions the span into rise, steady, and fall pieces.
-    """
-
-    v2_opt: float
-    lengths: tuple[float, float, float]
-
-
 def transition_min_length(
     v_lo: float, v_hi: float, family: ProfileFamily, limits: Limits
 ) -> float:
@@ -93,30 +81,26 @@ def transition_max_feed(
     float v with transition_min_length(v_lo, v) <= L."""
     if L <= 0.0:
         return v_lo
-    if math.isinf(limits.a_max):
-        acc = math.inf
-    else:
-        acc = math.sqrt(v_lo * v_lo + limits.a_max * L / family.mu_n)
-    if math.isinf(limits.j_max):
-        jrk = math.inf
-    else:
-        rhs = L * L * limits.j_max / family.mu_m
-        # (v - v_lo)(v + v_lo)^2 == rhs is increasing and convex above
-        # v_lo, so Newton from an upper bound descends monotonically onto
-        # its root; (v - v_lo)^3 and (v - v_lo)(2 v_lo)^2 bound the left
-        # side from below, which bounds the root from above
-        jrk = v_lo + rhs ** (1.0 / 3.0)
-        den = 4.0 * v_lo * v_lo
-        if den > 0.0:
-            jrk = min(jrk, v_lo + rhs / den)
-        while jrk > 0.0:  # the slope vanishes only at v = v_lo = 0
-            w = jrk + v_lo
-            nxt = jrk - ((jrk - v_lo) * w * w - rhs) / (w * (3.0 * jrk - v_lo))
-            if not nxt < jrk:
-                break
-            jrk = nxt
+    acc = math.sqrt(v_lo * v_lo + limits.a_max * L / family.mu_n)
+    rhs = L * L * limits.j_max / family.mu_m
+    # (v - v_lo)(v + v_lo)^2 == rhs is increasing and convex above v_lo,
+    # so Newton from an upper bound descends monotonically onto its root;
+    # (v - v_lo)^3 and (v - v_lo)(2 v_lo)^2 bound the left side from
+    # below, which bounds the root from above
+    jrk = v_lo + rhs ** (1.0 / 3.0)
+    den = 4.0 * v_lo * v_lo
+    if den > 0.0:
+        jrk = min(jrk, v_lo + rhs / den)
+    while jrk > 0.0:  # the slope vanishes only at v = v_lo = 0
+        w = jrk + v_lo
+        nxt = jrk - ((jrk - v_lo) * w * w - rhs) / (w * (3.0 * jrk - v_lo))
+        if not nxt < jrk:
+            break
+        jrk = nxt
     v = max(min(acc, jrk), v_lo)
     if math.isinf(v):
+        # both bounds overflow only for limits near the float range; the
+        # step below would walk down from there one float at a time
         return v
     # every rounding is monotone, so the minimum length is non-decreasing
     # in v even in floats: step from the root onto the last float that fits
@@ -232,8 +216,9 @@ def adjust_with_constant(
     family: ProfileFamily,
     limits: Limits,
     floors: tuple[float, float] = (0.0, 0.0),
-) -> AdjustmentOutcome:
-    """Fastest top feed and length split for a rise-steady-fall span.
+) -> tuple[float, tuple[float, float, float]]:
+    """Fastest top feed v2 and the span's split into rise, steady and fall
+    lengths, as (v2, lengths).
 
     Each side's length is the larger of its minimum length and its floor.
     The span time T(v2) = l2/v2 + 2*l1/(v1+v2) + 2*l3/(v3+v2), with
@@ -272,7 +257,7 @@ def adjust_with_constant(
     if l2 <= _LEN_TOL:
         l1 += l2  # a residue this small is rounding, not a steady phase
         l2 = 0.0
-    return AdjustmentOutcome(v2_opt=v_h, lengths=(l1, l2, l3))
+    return v_h, (l1, l2, l3)
 
 
 def _min_ceiling(s, v, a, b):
@@ -427,7 +412,7 @@ class _Passes:
             self.lower(i + 2, ceiling)
             return
         try:
-            out = adjust_with_constant(
+            v2, lengths = adjust_with_constant(
                 v1, v3, a.L + c.L + d.L, ceiling, self.family, self.limits,
                 floors=(self.floors[i], self.floors[i + 2]),
             )
@@ -440,9 +425,9 @@ class _Passes:
             elif v1 < v3:
                 self.extend(i, i + 1)
             return
-        self.lower(i + 1, out.v2_opt)
-        self.lower(i + 2, out.v2_opt)
-        self.set_lengths(i, out.lengths)
+        self.lower(i + 1, v2)
+        self.lower(i + 2, v2)
+        self.set_lengths(i, lengths)
 
     def peak(self, i):
         """Settle the peak of rise i and fall i+1 as the tallest peak over

@@ -191,8 +191,14 @@ class SigmoidProfile:
         c = 2.0 * s / T
         dv = g * (k - ref)
         a13 = g * k1 * c
+        cube = T * T * T
+        a1 = 9.0 * a13 / (T * T) - 54.0 * dv / cube if cube else math.inf
+        if not math.isfinite(a1):
+            raise ProfileError(
+                f"block duration {T!r} s is too short for a feed change: "
+                "its cubic caps overflow"
+            )
         a2 = 27.0 * dv / (T * T) - 3.0 * a13 / T
-        a1 = 9.0 * a13 / (T * T) - 54.0 * dv / (T * T * T)
         cap_start, third = (a1, a2, 0.0, v_s), T / 3.0
         soft0 = anti(-s / 3.0) / c
         s13 = _cap_travel(cap_start, third)

@@ -47,6 +47,7 @@ from feedsched.chordscan import (
 from feedsched.cli import _BLOCK_HEADER, CliError
 from feedsched.geometry import (
     SingularCurveError,
+    _basis_derivatives,
     _cartesian,
     derivatives,
     evaluate,
@@ -405,16 +406,28 @@ def arc_length(curve, u_a, u_b, rel=1e-12):
 
 
 def reference_jet(curve, u):
-    """Point, first and second derivative at u by the former kernel: one
-    Horner pass per homogeneous coordinate of the span polynomial, then
-    geometry._cartesian."""
-    starts, polys = curve._span_polys
-    mid, rows = polys[max(bisect_right(starts, u) - 1, 0)]
+    """Point, first and second derivative at u by the former kernel: the
+    span's power-basis rows rebuilt from geometry._basis_derivatives,
+    one Horner pass per homogeneous coordinate, then geometry._cartesian.
+    Reads none of the curve's cached tables."""
+    p, knots = curve.degree, curve.knots
+    spans = [i for i in range(p, len(curve.control_points)) if knots[i] < knots[i + 1]]
+    span = spans[max(bisect_right([knots[i] for i in spans], u) - 1, 0)]
+    mid = 0.5 * (knots[span] + knots[span + 1])
+    basis = _basis_derivatives(knots, p, span, mid, p)
+    ctrl = [
+        tuple(c * w for c in pt) + (w,)
+        for pt, w in zip(
+            curve.control_points[span - p : span + 1],
+            curve.weights[span - p : span + 1],
+        )
+    ]
     t = u - mid
     hom = ([], [], [])
-    for row in rows:
+    for d in range(curve.dimension + 1):
         v = d1 = h2 = 0.0
-        for c in row:
+        for k in range(p, -1, -1):
+            c = sum(b * pt[d] for b, pt in zip(basis[k], ctrl)) / math.factorial(k)
             h2 = h2 * t + d1
             d1 = d1 * t + v
             v = v * t + c

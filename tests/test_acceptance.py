@@ -224,13 +224,11 @@ def test_junction_optimizers_match_brute_force_grids():
     for (v1, v3, L, ceiling), ref in zip(spans, refs.tolist()):
         span_total += 1
         try:
-            out = adjust_with_constant(v1, v3, L, ceiling, mus, limits)
+            v2, (l1, l2, l3) = adjust_with_constant(v1, v3, L, ceiling, mus, limits)
         except InfeasibleJunctionError:
             if not math.isfinite(ref):
                 span_pass += 1
             continue
-        l1, l2, l3 = out.lengths
-        v2 = out.v2_opt
         t = 2.0 * l1 / (v1 + v2) + 2.0 * l3 / (v3 + v2) + l2 / v2
         if math.isfinite(ref) and abs(t - ref) <= 1e-6 * ref:
             span_pass += 1

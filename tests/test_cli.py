@@ -248,6 +248,27 @@ class TestOptions:
         assert code == 2
         assert "vmax" in capsys.readouterr().err
 
+    def test_non_finite_limit_is_exit_2(self, both_run, tmp_path, capsys):
+        curve_path, _ = both_run
+        for name in ("Ts", "delta_max", "v_max", "a_max", "j_max"):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(f'{{"{name}": Infinity}}')
+            out = tmp_path / name
+            code = main(["run", "--curve", str(curve_path), "--config", str(cfg),
+                         "--out-dir", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{name} must be finite and strictly positive" in err
+            assert not out.exists()
+
+    def test_too_few_control_points_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        code = main(["gen-curve", "--seed", "0", "--n-ctrl", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --n-ctrl: need at least 4 control points\n"
+        assert not out.exists()
+
     def test_unknown_method_is_exit_2(self, both_run, tmp_path, capsys):
         # argparse's choices keep it off the command line; run still
         # guards a library caller that builds its own config

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -97,15 +98,16 @@ class TestTransitionHelpers:
         feeds = [transition_max_feed(10.0, L, SIG, STD) for L in (0.1, 1.0, 10.0)]
         assert feeds[0] < feeds[1] < feeds[2]
 
-    def test_infinite_jerk_leaves_accel_bound(self):
-        lim = Limits(
-            Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0,
-            j_max=math.inf, shape_s=3.3,
-        )
-        got = transition_max_feed(10.0, 2.0, SIG, lim)
-        assert got == pytest.approx(
-            math.sqrt(100.0 + 1000.0 * 2.0 / SIG.mu_n), rel=1e-12
-        )
+    def test_non_finite_limits_are_refused(self):
+        for name in ("Ts", "delta_max", "v_max", "a_max", "j_max"):
+            for bad in (math.inf, math.nan, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    replace(STD, **{name: bad})
+
+    def test_overflowing_bounds_reach_inf(self):
+        # a finite feed here would be stepped onto one float at a time
+        lim = replace(STD, a_max=1e308, j_max=1e308)
+        assert transition_max_feed(10.0, 10.0, SIG, lim) == math.inf
 
     def test_min_length_is_true_feasibility_boundary(self):
         # the reduction coefficients are exact for this shape parameter,
@@ -236,7 +238,7 @@ class TestAdjustPeakJunction:
                     floors=(0.0, 0.0),
                 )
                 try:
-                    want = span().v2_opt
+                    want, _ = span()
                 except InfeasibleJunctionError:
                     with pytest.raises(InfeasibleJunctionError):
                         free()
@@ -298,9 +300,9 @@ class TestExtendIntoConstant:
 
 class TestAdjustWithConstant:
     def test_flat_span(self):
-        out = adjust_with_constant(50.0, 50.0, 10.0, 50.0, SIG, STD)
-        assert out.v2_opt == 50.0
-        assert out.lengths == (0.0, 10.0, 0.0)
+        assert adjust_with_constant(50.0, 50.0, 10.0, 50.0, SIG, STD) == (
+            50.0, (0.0, 10.0, 0.0)
+        )
 
     def test_ceiling_below_endpoints_rejected(self):
         with pytest.raises(OptimizerError):
@@ -318,21 +320,19 @@ class TestAdjustWithConstant:
             ceiling = max(v1, v3) + rng.uniform(0.0, 40.0)
             L = rng.uniform(1.0, 80.0)
             try:
-                out = adjust_with_constant(v1, v3, L, ceiling, SIG, STD)
+                v2, (l1, l2, l3) = adjust_with_constant(v1, v3, L, ceiling, SIG, STD)
             except InfeasibleJunctionError:
                 continue
-            l1, l2, l3 = out.lengths
             assert l1 + l2 + l3 == pytest.approx(L, rel=1e-9)
-            assert max(v1, v3) - 1e-9 <= out.v2_opt <= ceiling + 1e-9
+            assert max(v1, v3) - 1e-9 <= v2 <= ceiling + 1e-9
             assert l2 >= 0.0
-            assert l1 >= transition_min_length(v1, out.v2_opt, SIG, STD) - 1e-9
-            assert l3 >= transition_min_length(v3, out.v2_opt, SIG, STD) - 1e-9
+            assert l1 >= transition_min_length(v1, v2, SIG, STD) - 1e-9
+            assert l3 >= transition_min_length(v3, v2, SIG, STD) - 1e-9
 
     def test_floors_respected(self):
-        out = adjust_with_constant(
+        _, (l1, l2, l3) = adjust_with_constant(
             20.0, 30.0, 20.0, 60.0, SIG, STD, floors=(5.0, 6.0)
         )
-        l1, l2, l3 = out.lengths
         assert l1 >= 5.0 - 1e-12
         assert l3 >= 6.0 - 1e-12
         assert l1 + l2 + l3 == pytest.approx(20.0, rel=1e-12)
@@ -349,12 +349,10 @@ class TestAdjustWithConstant:
                 v1, v3, L, ceiling, 3.3, STD.a_max, STD.j_max
             )
             try:
-                out = adjust_with_constant(v1, v3, L, ceiling, SIG, STD)
+                v2, (l1, l2, l3) = adjust_with_constant(v1, v3, L, ceiling, SIG, STD)
             except InfeasibleJunctionError:
                 assert not math.isfinite(ref)
                 continue
-            l1, l2, l3 = out.lengths
-            v2 = out.v2_opt
             t = 2.0 * l1 / (v1 + v2) + 2.0 * l3 / (v3 + v2) + l2 / v2
             assert math.isfinite(ref)
             assert t == pytest.approx(ref, rel=1e-6)
@@ -366,14 +364,14 @@ class TestAdjustWithConstant:
         # the bisected top feed can have l1 + l3 within the slack while
         # L - l1 - l3 rounds below -slack; its span time must still count
         floors = (0.05378279261184567, 2.2925353778681776)
-        out = adjust_with_constant(
+        v2, lengths = adjust_with_constant(
             40.11769072268457, 38.981132752122605, 2.5004717606884355,
             62.47263231604559, SINE, PRESETS["high-accel"], floors=floors,
         )
-        assert out.v2_opt == pytest.approx(40.41490556935008, rel=1e-12)
-        assert out.lengths[1] == 0.0
-        assert out.lengths[2] == floors[1]
-        assert sum(out.lengths) == pytest.approx(2.5004717606884355, rel=1e-15)
+        assert v2 == pytest.approx(40.41490556935008, rel=1e-12)
+        assert lengths[1] == 0.0
+        assert lengths[2] == floors[1]
+        assert sum(lengths) == pytest.approx(2.5004717606884355, rel=1e-15)
 
 
 def span_time(v1, v2, v3, L, family, limits, floors):
@@ -399,7 +397,9 @@ class TestAdjustWithConstantProperties:
     ):
         L = 10.0**log_L
         lo = max(v1, v3)
-        assume(lo > 0.0)
+        # time() reads inf as infeasible, so a feasible span time, at
+        # most about 2L/lo, must not overflow to inf: no subnormal feeds
+        assume(lo > 4.0 * L / sys.float_info.max)
         ceiling = lo + rise
         floors = (f1 * L, f3 * L)
 
@@ -407,13 +407,12 @@ class TestAdjustWithConstantProperties:
             return span_time(v1, v2, v3, L, family, limits, floors)
 
         try:
-            out = adjust_with_constant(
+            v2, _ = adjust_with_constant(
                 v1, v3, L, ceiling, family, limits, floors=floors
             )
         except InfeasibleJunctionError:
             assert time(lo) == math.inf
             return
-        v2 = out.v2_opt
         t_opt = time(v2)
         assert t_opt < math.inf
         if v2 != ceiling:
@@ -543,9 +542,9 @@ class TestResidueLengths:
             )
             for extra in self.RESIDUES:
                 total = tight + extra
-                out = adjust_with_constant(v1, v3, total, v2, SIG, STD)
-                self.assert_no_residue(out.lengths)
-                assert sum(out.lengths) == pytest.approx(total, rel=1e-12)
+                _, lengths = adjust_with_constant(v1, v3, total, v2, SIG, STD)
+                self.assert_no_residue(lengths)
+                assert sum(lengths) == pytest.approx(total, rel=1e-12)
 
     def test_extend_into_constant(self):
         need = transition_min_length(10.0, 60.0, SIG, STD)
@@ -568,8 +567,8 @@ class TestResidueLengths:
                 v3, v2, SIG, STD
             )
             total = tight + rng.choice(self.RESIDUES) + rng.uniform(0.0, 1e-9)
-            out = adjust_with_constant(v1, v3, total, v2, SIG, STD)
-            self.assert_no_residue(out.lengths)
+            _, lengths = adjust_with_constant(v1, v3, total, v2, SIG, STD)
+            self.assert_no_residue(lengths)
 
 
 class TestMinCeiling:
@@ -583,6 +582,30 @@ class TestMinCeiling:
 
 
 class TestSchedule:
+    def test_span_under_a_ceiling_below_its_ends_drops_to_the_ceiling(
+        self, monkeypatch
+    ):
+        # the scan dips to 45 mm/s inside the steady block, below both
+        # outer feeds of 50: the span takes the dip at both junctions and
+        # keeps its lengths, with no top feed to optimise
+        curve = make_line((0.0, 0.0), (30.0, 0.0))
+        scatter = FeedrateScatter(
+            [0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0], [50.0, 60.0, 45.0, 60.0, 50.0]
+        )
+        blocks = build_blocks(curve, scatter, [0, 1, 3, 4])
+        assert [(b.v_s, b.v_e) for b in blocks] == [(50, 60), (60, 60), (60, 50)]
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the span optimised a top feed")
+
+        monkeypatch.setattr(optimizer, "adjust_with_constant", unreached)
+        out = schedule(curve, blocks, scatter, STD)
+        assert [(b.v_s, b.v_e) for b in out] == [(50, 45), (45, 45), (45, 50)]
+        assert [(b.u_s, b.u_e, b.L) for b in out] == [
+            (b.u_s, b.u_e, b.L) for b in blocks
+        ]
+        assert within_limits(out, SIG, STD)
+
     def test_already_optimal_is_fixpoint(self):
         curve, blocks = line_setup(
             100.0,

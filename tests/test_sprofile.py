@@ -122,6 +122,9 @@ class TestBuildProfile:
     def test_zero_length_feed_change_rejected(self):
         with pytest.raises(ProfileError):
             fit(10.0, 20.0, 0.0)
+        # T = 2.18e-215 s: T*T*T is 0, the caps' cubic coefficient infinite
+        with pytest.raises(ProfileError, match="2.18e-215 s is too short"):
+            SigmoidProfile.fit(0.0, 1.0, 1.09e-215, 3.3)
 
     def test_junction_conditions_reference_case(self):
         p = fit(0.0, 100.0, 10.0)
