@@ -33,7 +33,6 @@ __all__ = [
     "Limits",
     "FeedrateScatter",
     "taylor_step",
-    "limit_feedrate",
     "scan_curve",
 ]
 
@@ -173,12 +172,6 @@ def _chord_deviation(curve, u_a, u_b, p_a, p_b) -> float:
     if chord == 0.0:
         return 0.0
     rho = curvature_radius(curve, 0.5 * (u_a + u_b))
-    return _arc_deviation(curve, u_a, u_b, p_a, p_b, chord, rho)
-
-
-def _arc_deviation(curve, u_a, u_b, p_a, p_b, chord, rho) -> float:
-    """_chord_deviation of a chord of nonzero length chord whose midpoint
-    parameter has the osculating radius rho."""
     if math.isinf(rho):
         return 0.0
     if 2.0 * rho > chord:
@@ -226,10 +219,9 @@ def _probe_step(curve, u: float, v: float, limits: Limits, at_u):
     return _chord_deviation(curve, u, u_next, p0, at_next[0]), u_next, at_next
 
 
-def limit_feedrate(
-    curve: ParametricCurve, u: float, limits: Limits
-) -> tuple[float, float]:
-    """Largest chord-safe feed at u, plus the parameter it advances to.
+def _limit_feedrate(curve, u, at_u, limits):
+    """Largest chord-safe feed at u, from the jet at u, with the parameter
+    it advances to and the landing's jet.
 
     Starts each probe from the programmed ceiling and rescales the
     candidate by sqrt(tolerance / measured deviation) until the step's
@@ -238,11 +230,6 @@ def limit_feedrate(
     one then bracket a root-find for the tolerance boundary, so curvature
     spikes do not cost more feed than the tolerance demands.
     """
-    return _limit_feedrate(curve, u, jet(curve, u), limits)[:2]
-
-
-def _limit_feedrate(curve, u, at_u, limits):
-    """limit_feedrate from the jet at u; also returns the landing's jet."""
     v = limits.v_max
     unsafe = None
     for _ in range(_MAX_FEED_ITERATIONS):
@@ -344,7 +331,7 @@ def _refine_wells(curve, us, vs, limits):
             continue
         for m in (0.5 * (us[i - 1] + us[i]), 0.5 * (us[i] + us[i + 1])):
             try:
-                v_m, _ = limit_feedrate(curve, m, limits)
+                v_m = _limit_feedrate(curve, m, jet(curve, m), limits)[0]
             except ChordScanError:
                 continue
             if v_m < vs[i]:

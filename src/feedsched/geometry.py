@@ -5,7 +5,9 @@ Curves may be planar or spatial; planar control points are treated as z = 0
 wherever a cross product is required. Each curve converts its knot spans
 once into power-basis polynomials of the homogeneous curve, so every
 scalar query is one span lookup and one Horner pass of a single kernel,
-and builds from them once a closed-form table of its running arc length.
+a batch of parameters (jets) one vectorised pass with the same
+arithmetic, and builds from them once a closed-form table of its running
+arc length.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "evaluate",
     "derivatives",
     "jet",
+    "jets",
     "curvature_radius",
     "arc_length",
     "param_at_length",
@@ -347,19 +350,31 @@ def curvature_radius(curve: ParametricCurve, u: float) -> float:
     return speed3 / cross
 
 
-def _curvature_radii(curve: ParametricCurve, u: np.ndarray) -> np.ndarray:
-    """curvature_radius at every parameter of u (all in [0, 1]) in one
-    vectorised pass, equal to it bit for bit.
-
-    Raises SingularCurveError for the first parameter at which
-    curvature_radius would raise.
-    """
+def jets(curve: ParametricCurve, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Point, first and second derivative at every parameter of u (1-D),
+    as arrays of shape (len(u), dimension) from one vectorised Horner pass
+    over the span table; row i equals jet(curve, u[i]) bit for bit."""
+    u = np.asarray(u, dtype=float)
+    outside = ~((u >= 0.0) & (u <= 1.0))
+    if outside.any():
+        bad = float(u[outside][0])
+        raise CurveDomainError(f"parameter {bad!r} outside [0, 1]")
     starts, mids, rows = curve._spans
     idx = np.maximum(np.searchsorted(starts, u, side="right") - 1, 0)
     t = (u - mids[idx])[:, None, None]
     hom = [h[:, :, 0].T for h in _horner(rows[idx], t, 2)]
-    _, d1, d2 = _cartesian(hom, curve.dimension)
-    speed, cross = _speed_and_cross(d1, d2, np.sqrt)
+    return tuple(np.array(c).T for c in _cartesian(hom, curve.dimension))
+
+
+def _curvature_radii(curve: ParametricCurve, u: np.ndarray) -> np.ndarray:
+    """curvature_radius at every parameter of u (all in [0, 1]) from one
+    jets pass, equal to it bit for bit.
+
+    Raises SingularCurveError for the first parameter at which
+    curvature_radius would raise.
+    """
+    _, d1, d2 = jets(curve, u)
+    speed, cross = _speed_and_cross(d1.T, d2.T, np.sqrt)
     singular = np.flatnonzero(speed <= 0.0)
     if singular.size:
         u_bad = float(u[singular[0]])

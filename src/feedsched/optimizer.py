@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 _LEN_TOL = 1e-9
+# Relative allowance of the final check of every block's fitted peaks
+# against the limits; the worst fitted peak over the tests and the
+# benchmark workloads is 1 + 3.1e-15 of its limit.
+_PEAK_SLACK = 1e-12
 
 
 class OptimizerError(ValueError):
@@ -281,21 +285,24 @@ def _anchor_junctions(curve, blocks, pos, start):
     Junctions are converted in order and clamped between the previous
     junction and the next unmoved one, so no block ends before it starts;
     one that ends a zero-length block takes the previous junction's, and
-    one that starts a zero-length block before an unmoved junction takes
-    that junction's.
+    one followed by nothing but zero-length blocks up to an unmoved
+    junction takes that junction's, even when its arc position lies an
+    ulp or so short of it by the rounding of a prefix sum of lengths.
     """
     n = len(blocks)
     u = [b.u_s for b in blocks] + [blocks[-1].u_e]
     upper = list(range(n + 1))
+    flat = [True] * (n + 1)  # blocks j to upper[j] all of zero length
     for j in range(n - 1, 0, -1):
         if pos[j] != start[j]:
             upper[j] = upper[j + 1]
+            flat[j] = blocks[j].L == 0.0 and flat[j + 1]
     table = curve._arc_table
     for j in range(1, n):
         k = upper[j]
         if pos[j] == pos[j - 1]:
             u[j] = u[j - 1]
-        elif pos[j] == pos[k]:
+        elif pos[j] == pos[k] or flat[j]:
             u[j] = u[k]
         elif pos[j] != start[j]:
             u[j] = min(max(table.param(pos[j]), u[j - 1]), u[k])
@@ -476,12 +483,13 @@ def schedule(
     passes.run(1)
     passes.run(-1)
     _anchor_junctions(curve, work, passes.pos, passes.start)
+    slack = 1.0 + _PEAK_SLACK
     for b in work:
         b.T = block_duration(b.L, b.v_s, b.v_e)
         if b.L == 0.0:
             continue
         a_pk, j_pk = family.fit(b.v_s, b.v_e, b.L).peaks()
-        if a_pk > limits.a_max * (1.0 + 1e-9) or j_pk > limits.j_max * (1.0 + 1e-9):
+        if a_pk > limits.a_max * slack or j_pk > limits.j_max * slack:
             raise ScheduleConsistencyError(
                 f"block at u=[{b.u_s:.6f},{b.u_e:.6f}] violates limits"
             )

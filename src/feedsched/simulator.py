@@ -1,20 +1,28 @@
 """Replay of a finished schedule through the controller's sampling loop.
 
 Every sampling period the commanded profile advances the tool by the
-difference of its exact closed-form travel at the two tick times; the
-curve parameter for that advance starts from a second-order Taylor
-prediction and is refined by Newton steps, kept inside a bisection
-bracket, until the straight-line (chordal) advance matches. Each sample
-records the parameter, position, the profile's analytic kinematics, and
-the measured chord deviation of the step.
+difference of its exact closed-form travel at the two tick times, and
+the replay lands on the curve parameter whose straight-line (chordal)
+step from the previous landing matches that advance within
+_CHORD_MATCH_TOL. Each sample records the parameter, position, the
+profile's analytic kinematics, and the measured chord deviation of the
+step.
 
-The replay runs in two phases. The walk finds each tick's running block
-with a forward cursor over the block start times and evaluates each
-visited parameter once, as a jet (point, first and second derivative);
-the landing's jet seeds the next tick's prediction. The chord pass then
-measures every step's deviation from the osculating radii at all step
-midpoints, taken in one vectorised pass over the curve. A plan longer
-than _MAX_TICKS periods is refused before the walk.
+The replay runs in two phases. The walk takes the ticks in windows of up
+to _WINDOW_TICKS, finding each tick's running block with a forward cursor
+over the block start times. It solves all landings of a window together:
+the first guesses invert the arc table at the commanded travel, and each
+Newton step over the whole window takes one jets pass (point, first and
+second derivative at every landing) and solves its bidiagonal Jacobian by
+one forward recurrence, until every tick's chord matches or the tick lies
+past the curve end. A window that has not settled after _WINDOW_PASSES
+passes hands its first unsettled tick to the scalar chord step, which
+starts from a second-order Taylor prediction and refines it by Newton
+steps inside a bisection bracket, with one jet per iterate, and steps the
+rest of the window tick by tick. The chord pass then measures every
+step's deviation from the osculating radii at all step midpoints, taken
+in one jets pass. A plan longer than _MAX_TICKS periods is refused
+before the walk.
 
 Chordal stepping consumes slightly more path than the commanded travel
 on curved spans, at most about half the chord tolerance per period, so
@@ -27,12 +35,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .chordscan import Limits, _arc_deviation
-from .geometry import ParametricCurve, _curvature_radii, jet
+from .chordscan import Limits, _max_chord_deviation
+from .geometry import (
+    ParametricCurve,
+    _curvature_radii,
+    _speed_and_cross,
+    jet,
+    jets,
+)
 from .segmentation import Block
 from .sprofile import ProfileFamily, sigmoid_family
 
@@ -47,6 +62,12 @@ __all__ = [
 
 _CHORD_MATCH_TOL = 1e-9  # mm
 _MAX_REFINE_STEPS = 80
+# The walk solves the landings of up to _WINDOW_TICKS ticks at once, with
+# at most _WINDOW_PASSES jets passes, and inverts the arc table on a grid
+# of _GRID_CUTS parameter intervals per piece for its first guesses.
+_WINDOW_TICKS = 512
+_WINDOW_PASSES = 8
+_GRID_CUTS = 16
 # Longest replay, in sampling periods: 1000 s of motion at Ts = 1 ms, over
 # 400 times the longest corpus or benchmark plan (2316 ticks), and at tens of
 # microseconds per tick, well under a minute of replay.
@@ -185,20 +206,120 @@ def _refine_step(curve, u, pos, d1, d2, advance):
     return x, jet(curve, x)
 
 
+def _arc_grid(curve):
+    """Nodes on which the walk inverts the arc table for its first
+    guesses: every piece of the table cut into _GRID_CUTS equal parameter
+    intervals, with the running arc length, the speed and the squared
+    curvature over 24 at each node. The last is the arc excess of a
+    chord: a chord of length a spans about a + a^3 kappa^2 / 24 of arc.
+    It reads 0 where the speed vanishes."""
+    table = curve._arc_table
+    lo = np.asarray(table.starts)
+    hi = np.append(lo[1:], 1.0)
+    cuts = np.arange(_GRID_CUTS) / _GRID_CUTS
+    u = np.append((lo[:, None] + (hi - lo)[:, None] * cuts).ravel(), 1.0)
+    _, d1, d2 = jets(curve, u)
+    speed, cross = _speed_and_cross(d1.T, d2.T, np.sqrt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = cross * cross / (24.0 * speed**6)
+    excess[~np.isfinite(excess)] = 0.0
+    return u, np.maximum.accumulate(table.positions(u)), speed, excess
+
+
+def _params_at(grid, s):
+    """Parameters at the running arc lengths s: the cubic Hermite
+    interpolant of u(s) between the grid's nodes, whose slopes there are
+    the reciprocal speeds; linear where a slope or an interval is
+    degenerate."""
+    u, at, speed, _ = grid
+    i = np.clip(np.searchsorted(at, s, side="right") - 1, 0, u.size - 2)
+    h = at[i + 1] - at[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip((s - at[i]) / h, 0.0, 1.0)
+        rise = t * t * (3.0 - 2.0 * t)
+        x = (
+            u[i] + (u[i + 1] - u[i]) * rise
+            + h * t * (1.0 - t) * ((1.0 - t) / speed[i] - t / speed[i + 1])
+        )
+    return np.where(np.isfinite(x), x, np.interp(s, at, u))
+
+
+def _land(curve, grid, u0, p0, d0, travel, reached):
+    """Landings of a window of ticks, found together by Newton's method.
+
+    Tick m commands the travel reached[m]; the window starts from the
+    landing u0 with point p0 and first derivative d0, at travel. The
+    solve seeks u_1 <= ... <= u_n <= 1 with |C(u_m) - C(u_{m-1})| equal
+    to each tick's advance. It starts from the arc table's parameters at
+    the commanded travel plus the arc excess of the chords before, and
+    each Newton step takes one jets pass. The chord of tick m depends on
+    u_{m-1} and u_m only, so the Jacobian is bidiagonal, and its forward
+    recurrence, step_m = (back_m step_{m-1} - gap_m) / fwd_m, has the
+    closed form step = P cumsum(-gap / (fwd P)) with P the running
+    product of back / fwd; a zero chord takes the tangent for its
+    direction. Each iterate is clamped nondecreasing into [u0, 1], which
+    also takes a parameter whose step is NaN back to the landing before
+    it. A tick lies past the curve end when the landing before it is
+    u = 1, or when its own is and its chord falls short.
+
+    Returns how many leading ticks matched their advance within
+    _CHORD_MATCH_TOL, whether every tick after those lies past the curve
+    end, and the landings' parameters and jets (point, first and second
+    derivative arrays). The solve stops after _WINDOW_PASSES passes; the
+    caller steps any tick neither matched nor past the end one by one.
+    """
+    _, at, _, excess = grid
+    reached = np.asarray(reached)
+    advance = np.diff(reached, prepend=travel)
+    arc = curve._arc_table.at(u0) + (reached - travel)
+    arc += np.cumsum(advance**3 * np.interp(arc, at, excess))
+    x = _params_at(grid, arc)
+    for passes in range(1, _WINDOW_PASSES + 1):
+        x = np.fmin(np.fmax.accumulate(np.fmax(x, u0)), 1.0)
+        at_x = points, d1, _ = jets(curve, x)
+        chord = (points - np.vstack([p0, points[:-1]])).T
+        dist = np.sqrt(sum(c * c for c in chord))
+        gap = dist - advance
+        ended = np.concatenate([[u0], x[:-1]]) == 1.0
+        ended |= (x == 1.0) & (gap < -_CHORD_MATCH_TOL)
+        matched = (np.abs(gap) <= _CHORD_MATCH_TOL) & ~ended
+        if (matched | ended).all() or passes == _WINDOW_PASSES:
+            break
+        before = np.vstack([d0, d1[:-1]]).T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tangent = before / np.sqrt(sum(c * c for c in before))
+            unit = np.where(dist > 0.0, chord / dist, tangent)
+            fwd = sum(a * b for a, b in zip(unit, d1.T))
+            back = sum(a * b for a, b in zip(unit, before))
+            run = np.cumprod(np.concatenate([[1.0], back[1:] / fwd[1:]]))
+            step = run * np.cumsum(-gap / (fwd * run))
+        x = x + step
+    n = int(np.argmin(matched)) if not matched.all() else x.size
+    return n, bool(ended[n:].all()), x, at_x
+
+
 def _chord_errors(curve, us, points) -> list[float]:
     """Chord deviation of the step into each visit (u, point) from the one
-    before, 0 for the first, as chordscan._chord_deviation measures it;
+    before, 0 for the first, as chordscan._chord_deviation measures it:
     the radii at all nonzero chords' midpoints come from one vectorised
-    call."""
-    chords = [math.dist(a, b) for a, b in zip(points, points[1:])]
-    curved = [i for i, chord in enumerate(chords) if chord != 0.0]
-    mids = np.array([0.5 * (us[i] + us[i + 1]) for i in curved])
-    errs = [0.0] * len(us)
-    for i, rho in zip(curved, _curvature_radii(curve, mids).tolist()):
-        errs[i + 1] = _arc_deviation(
-            curve, us[i], us[i + 1], points[i], points[i + 1], chords[i], rho
+    call and the arc model's sagitta is taken on arrays; a chord too long
+    for the arc model is sampled on its own."""
+    chords = np.array(list(map(math.dist, points, points[1:])))
+    curved = np.flatnonzero(chords)
+    u = np.array(us)
+    rho = _curvature_radii(curve, 0.5 * (u[curved] + u[curved + 1]))
+    chord = chords[curved]
+    with np.errstate(invalid="ignore"):
+        sag = np.where(
+            np.isinf(rho), 0.0, rho - np.sqrt(rho * rho - 0.25 * chord * chord)
         )
-    return errs
+    errs = np.zeros(u.size)
+    errs[curved + 1] = sag
+    for i in curved[~np.isinf(rho) & ~(2.0 * rho > chord)].tolist():
+        errs[i + 1] = _max_chord_deviation(
+            curve, us[i], us[i + 1], points[i], points[i + 1]
+        )
+    return errs.tolist()
 
 
 def interpolate(
@@ -238,29 +359,53 @@ def interpolate(
         length += b.L
     ticks = _commanded(blocks, family, total, Ts, n_steps)
     travel, v, a, j, _ = next(ticks)
-    u = 0.0
-    pos, d1, d2 = jet(curve, 0.0)
-    # the walk; the chord pass measures its steps once it has ended
-    kinematics, us, points = [(0.0, v, a, j)], [u], [pos]
-    for k, (reached, v, a, j, i) in enumerate(ticks, 1):
-        advance = reached - travel
-        travel = reached
-        landing = None
-        if k < n_steps:
-            if u < 1.0:
-                landing = _refine_step(curve, u, pos, d1, d2, advance)
-            if landing is None:
-                left = length - travel
-                if left > _END_DRIFT_PER_TICK * limits.delta_max * k:
-                    raise SimulationError(
-                        f"block {i} at t={k * Ts:.6f}: plan "
-                        f"commands {left + advance:.3e} mm past the path end"
-                    )
-        u, (pos, d1, d2) = landing or (1.0, jet(curve, 1.0))
-        kinematics.append((k * Ts, v, a, j))
-        us.append(u)
-        points.append(pos)
-    ts, vs, accels, jerks = zip(*kinematics)
+    u, (pos, d1, d2) = 0.0, jet(curve, 0.0)
+    end = jet(curve, 1.0)  # the final landing and any past the curve end
+    grid = _arc_grid(curve)
+    # the walk, a window of ticks at a time; the chord pass measures its
+    # steps once it has ended
+    ts, vs, accels, jerks, us, points = [0.0], [v], [a], [j], [u], [pos]
+    k = 0
+    while k < n_steps:
+        window = list(islice(ticks, _WINDOW_TICKS))
+        reached, w_v, w_a, w_j, held = zip(*window)
+        first, k = k + 1, k + len(window)
+        ts += [n * Ts for n in range(first, k + 1)]
+        vs += w_v
+        accels += w_a
+        jerks += w_j
+        solved, ended = 0, u == 1.0
+        walk = min(k, n_steps - 1) - first + 1  # the final tick lands at 1
+        if walk > 0 and not ended:
+            solved, ended, x, at_x = _land(
+                curve, grid, u, pos, d1, travel, reached[:walk]
+            )
+        if solved:
+            us += x[:solved].tolist()
+            points += map(tuple, at_x[0][:solved].tolist())
+            u, pos = us[-1], points[-1]
+            d1, d2 = (tuple(c[solved - 1].tolist()) for c in at_x[1:])
+            travel = reached[solved - 1]
+        # ticks past the curve end, the final tick, and any the window
+        # solve left unsettled, which the scalar Newton step takes over
+        for m in range(solved, len(window)):
+            n = first + m
+            advance = reached[m] - travel
+            travel = reached[m]
+            landing = None
+            if n < n_steps:
+                if not ended and u < 1.0:
+                    landing = _refine_step(curve, u, pos, d1, d2, advance)
+                if landing is None:
+                    left = length - travel
+                    if left > _END_DRIFT_PER_TICK * limits.delta_max * n:
+                        raise SimulationError(
+                            f"block {held[m]} at t={n * Ts:.6f}: plan "
+                            f"commands {left + advance:.3e} mm past the path end"
+                        )
+            u, (pos, d1, d2) = landing or (1.0, end)
+            us.append(u)
+            points.append(pos)
     errs = _chord_errors(curve, us, points)
     return list(map(
         InterpolationSample._make, zip(ts, us, points, vs, accels, jerks, errs)

@@ -7,7 +7,9 @@ oracles search feasibility by bisection or dense grids using those
 peaks as the ground truth. The arc-length reference integrates the
 speed from the public ``derivatives`` by adaptive Gauss quadrature.
 The feed-ceiling reference is the scan's former bracket bisection,
-kept verbatim around the library's own step probe. The geometry
+kept verbatim around the library's own step probe, and
+``limit_feedrate`` runs the library's ceiling search from a fresh jet,
+as its former public wrapper did. The geometry
 reference is the former kernel: one Horner pass per homogeneous
 coordinate, then the conversion to Cartesian. The scan reference is the
 former walk, which evaluates each point and its derivatives separately
@@ -42,6 +44,7 @@ from feedsched.chordscan import (
     ScanConvergenceError,
     _chord_deviation,
     _curvature_feed,
+    _limit_feedrate,
     _probe_step,
 )
 from feedsched.cli import _BLOCK_HEADER, CliError
@@ -471,6 +474,13 @@ def _scalar_probe(curve, u, v, limits, p0):
     else:
         p = evaluate(curve, x)
     return _chord_deviation(curve, u, x, p0, p), x
+
+
+def limit_feedrate(curve, u, limits):
+    """The scan's chord-safe feed ceiling at u and the parameter it
+    advances to, from a fresh jet at u: the library's former public
+    wrapper around its ceiling search."""
+    return _limit_feedrate(curve, u, jet(curve, u), limits)[:2]
 
 
 def _scalar_feedrate(curve, u, limits):

@@ -32,7 +32,7 @@ from feedsched.sprofile import sigmoid_family
 
 CORPUS_SEEDS = tuple(range(25))
 CHORD_HEADROOM = 1.05
-PEAK_SLACK = 1e-9
+PEAK_SLACK = 1e-12
 
 
 def report(ok: bool, label: str, detail: str) -> None:

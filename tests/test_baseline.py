@@ -44,6 +44,8 @@ class TestSineProfile:
             SineProfile(20.0, 10.0, -0.5)
         with pytest.raises(ProfileError):
             SineProfile(10.0, 20.0, 0.0)
+        with pytest.raises(ProfileError, match="duration must be non-negative"):
+            SineProfile(10.0, 10.0, -1e-3)
         # T = 2.18e-215 s: (pi/T)**2, the jerk's factor, overflows
         with pytest.raises(ProfileError, match="2.18e-215 s is too short"):
             SineProfile.fit(0.0, 1.0, 1.09e-215).state(0.0)

@@ -16,7 +16,6 @@ from feedsched.chordscan import (
     StepDegeneracyError,
     _chord_deviation,
     _probe_step,
-    limit_feedrate,
     scan_curve,
     taylor_step,
 )
@@ -182,14 +181,14 @@ class TestChordError:
 
 class TestLimitFeedrate:
     def test_straight_line_keeps_programmed_feed(self):
-        v, u1 = limit_feedrate(make_line(), 0.2, STD)
+        v, u1 = oracles.limit_feedrate(make_line(), 0.2, STD)
         assert v == STD.v_max
         assert u1 > 0.2
 
     def test_matches_bisection_oracle_on_tight_arc(self):
         arc = make_quarter_circle(radius=2.0)
         u = 0.3
-        v_got, _ = limit_feedrate(arc, u, STD)
+        v_got, _ = oracles.limit_feedrate(arc, u, STD)
 
         def too_big(v):
             u1 = taylor_step(*derivatives(arc, u), u, v, STD.Ts)
@@ -210,7 +209,7 @@ class TestLimitFeedrate:
         seg = make_speedup_segment()
         lim = Limits(Ts=1e-3, delta_max=5e-4, v_max=5000.0, a_max=1000.0,
                      j_max=26000.0, shape_s=3.3)
-        v, u1 = limit_feedrate(seg, 0.0, lim)
+        v, u1 = oracles.limit_feedrate(seg, 0.0, lim)
         assert 0.0 < v < 5000.0
         assert u1 > 0.0
 
@@ -277,7 +276,7 @@ class TestCeilingRootFind:
                 points += len(sc)
                 probes += calls[0]
                 for u in map(float, sc.u[:-1]):
-                    v, u_next = limit_feedrate(curve, u, limits)
+                    v, u_next = oracles.limit_feedrate(curve, u, limits)
                     delta, landing, _ = _probe_step(
                         curve, u, v, limits, jet(curve, u)
                     )
@@ -301,7 +300,7 @@ class TestCeilingRootFind:
         limits = Limits(Ts=1e-3, delta_max=delta_max, v_max=v_max,
                         a_max=1000.0, j_max=26000.0, shape_s=3.3)
         try:
-            v, u_next = limit_feedrate(c, u, limits)
+            v, u_next = oracles.limit_feedrate(c, u, limits)
         except ChordScanError:
             return
         assert 0.0 < v <= v_max
@@ -354,10 +353,21 @@ class TestScanWork:
         # one jet per midpoint re-probed beside a dip
         calls = Counter()
         probing = [False]
+        in_wells = [False]
+
+        def wells(fn):
+            def wrapped(*args):
+                in_wells[0] = True
+                try:
+                    return fn(*args)
+                finally:
+                    in_wells[0] = False
+            return wrapped
 
         def well_probe(fn):
             def wrapped(*args):
-                calls["well probes"] += 1
+                if in_wells[0]:
+                    calls["well probes"] += 1
                 return fn(*args)
             return wrapped
 
@@ -379,8 +389,9 @@ class TestScanWork:
 
         monkeypatch.setattr(geometry, "_jet", kernel(geometry._jet))
         monkeypatch.setattr(chordscan, "_probe_step", probe(chordscan._probe_step))
+        monkeypatch.setattr(chordscan, "_refine_wells", wells(chordscan._refine_wells))
         monkeypatch.setattr(
-            chordscan, "limit_feedrate", well_probe(chordscan.limit_feedrate)
+            chordscan, "_limit_feedrate", well_probe(chordscan._limit_feedrate)
         )
         total = Counter()
         for seed in range(25):

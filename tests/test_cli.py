@@ -79,6 +79,13 @@ class TestCurveFiles:
         with pytest.raises(CliError, match="control_points"):
             load_curve(path)
 
+    def test_curve_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[3, [[0, 0], [1, 0]]]")
+        with pytest.raises(CliError) as info:
+            load_curve(path)
+        assert str(info.value) == f"{path}: expected a JSON object"
+
     def test_invalid_geometry(self, tmp_path):
         path = tmp_path / "degenerate.json"
         doc = {
@@ -247,6 +254,45 @@ class TestOptions:
         code = main(["run", "--curve", str(curve_path), "--config", str(cfg)])
         assert code == 2
         assert "vmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            (None, ": [Errno 2] No such file or directory"),
+            ('{"v_max": 50.0,\n  "a_max"\n}', ":3:1: Expecting ':' delimiter"),
+            ("[50.0, 3000.0]", ": expected a JSON object"),
+        ],
+        ids=["unreadable", "syntax-error", "not-an-object"],
+    )
+    def test_bad_limits_file_is_exit_2(self, both_run, tmp_path, capsys, text, cause):
+        curve_path, _ = both_run
+        cfg = tmp_path / "limits.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "out"
+        code = main(["run", "--curve", str(curve_path), "--config", str(cfg),
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}{cause}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_screening_override_applies_to_a_limits_file(self, both_run, tmp_path):
+        # --mu-s overrides a limits file as it does a preset: an empty
+        # file is the standard preset, so both runs plan alike
+        curve_path, _ = both_run
+        cfg = tmp_path / "limits.json"
+        cfg.write_text("{}")
+        docs = []
+        for i, config in enumerate((str(cfg), "standard")):
+            out = tmp_path / f"out{i}"
+            code = main(["run", "--curve", str(curve_path), "--config", config,
+                         "--method", "sigmoid", "--out-dir", str(out),
+                         "--mu-s", "1e9"])
+            assert code == 0
+            docs.append((out / "sigmoid_summary.json").read_text())
+        assert docs[0] == docs[1]
 
     def test_non_finite_limit_is_exit_2(self, both_run, tmp_path, capsys):
         curve_path, _ = both_run

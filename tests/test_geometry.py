@@ -18,6 +18,7 @@ from feedsched.geometry import (
     derivatives,
     evaluate,
     jet,
+    jets,
     param_at_length,
 )
 
@@ -171,12 +172,19 @@ class TestJet:
     def test_rejects_parameters_outside_the_curve(self, quarter_circle):
         with pytest.raises(CurveDomainError):
             jet(quarter_circle, 1.5)
+        with pytest.raises(CurveDomainError, match=r"parameter -0\.25 outside"):
+            jets(quarter_circle, np.array([0.5, -0.25, 1.5]))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(c=nurbs_curves(), us=st.lists(st.floats(0.0, 1.0), max_size=6))
     def test_every_query_equals_the_former_kernel(self, c, us):
-        # the per-coordinate Horner passes and _cartesian, bit for bit
-        for u in us + sorted(set(c.knots)):
+        # the per-coordinate Horner passes and _cartesian, bit for bit;
+        # the batch kernel's rows equal the scalar kernel's
+        params = us + sorted(set(c.knots))
+        rows = zip(*(a.tolist() for a in jets(c, np.array(params))))
+        for u, row in zip(params, rows, strict=True):
+            assert tuple(map(tuple, row)) == geometry._jet(c, u)
+        for u in params:
             point, d1, d2 = oracles.reference_jet(c, u)
             assert jet(c, u) == (point, d1, d2)
             assert evaluate(c, u) == point
@@ -276,6 +284,11 @@ class TestParamAtLength:
         c = make_line()
         assert param_at_length(c, 0.0, 1e5) == 1.0
         assert param_at_length(c, 0.25, 0.0) == 0.25
+        # so does the arc table's own inverse, which the scheduler's
+        # junction anchoring calls directly
+        table = random_curve(4)._arc_table
+        assert table.param(table.cum[-1]) == 1.0
+        assert table.param(table.cum[-1] + 1.0) == 1.0
 
 
 def _random_nurbs(rng, repeat_full):

@@ -1,7 +1,9 @@
+import importlib.util
 import math
 import sys
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from feedsched.chordscan import FeedrateScatter, Limits
 from feedsched.cli import PRESETS
 from feedsched import geometry, optimizer, sprofile
 from feedsched.curvegen import random_curve
-from feedsched.geometry import arc_length
+from feedsched.geometry import ParametricCurve, arc_length
 from feedsched.optimizer import (
     InfeasibleJunctionError,
     OptimizerError,
@@ -52,6 +54,23 @@ PRESET_LIMITS = st.sampled_from(sorted(PRESETS)).map(PRESETS.__getitem__)
 
 def peaks(b):
     return SIG.fit(b.v_s, b.v_e, b.L).peaks()
+
+
+def benchmark_curve(workload, seed, name):
+    """The curve and preset of one path of a benchmark workload, placed by
+    seed, as benchmarks/workloads.py draws it."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    for run, doc in workloads.workload_inputs(workload, seed):
+        if run.name == name:
+            curve = ParametricCurve(
+                doc["degree"], doc["control_points"], doc["weights"], doc["knots"]
+            )
+            return curve, run.preset
+    raise LookupError(f"no path {name} in workload {workload}")
 
 
 class TestComputeMus:
@@ -779,6 +798,32 @@ class TestSchedule:
         )
         assert calls.count("positions") == 1
         assert 0 < converted == calls.count("param") == len(calls) - 1
+
+    @pytest.mark.parametrize(
+        "workload, name",
+        [
+            ("corpus", "c12-high-accel-both"),
+            ("corpus", "c18-standard-both"),
+            ("long", "c03-n40-standard-sigmoid"),
+            ("long", "c03-n60-standard-sigmoid"),
+        ],
+    )
+    def test_zero_length_blocks_span_no_parameter(self, workload, name):
+        # on these benchmark paths, placed by seed 71, a zero-length block
+        # closes a re-placed run: its start junction's arc position, a
+        # prefix sum of lengths, falls an ulp or so short of the unmoved
+        # junction after it, and the block used to keep u_s 1 to 3 ulp
+        # below u_e
+        curve, preset = benchmark_curve(workload, 71, name)
+        limits = PRESETS[preset]
+        scatter = scan_curve(curve, limits)
+        blocks = build_blocks(curve, scatter, find_breakpoints(scatter))
+        flat = []
+        for family in (sigmoid_family(limits.shape_s), SINE):
+            plan = schedule(curve, blocks, scatter, limits, family)
+            flat += [(b.u_s, b.u_e) for b in plan if b.L == 0.0]
+        assert flat
+        assert all(u_s == u_e for u_s, u_e in flat)
 
     def test_total_continuous_in_block_lengths(self):
         # these curves' top feeds sit on feasibility boundaries, so a

@@ -303,11 +303,53 @@ def corpus_plans():
     return plans
 
 
+# Jets passes the walk takes per window of ticks. Every window of the
+# 25-seed corpus under both presets and laws settles in 2 (the first
+# guesses and one Newton step); two windows of the 3-D corpus curve take 3.
+WALK_PASSES = 3
+
+# Distance from oracles.replay_reference, whose scalar Newton walk also
+# stops anywhere inside the 1e-9 mm chord match. Measured over the 25-seed
+# corpus under both presets and laws: 2.8e-9 in u and 1.1e-10 mm in
+# chord_err (2.2e-9 and 7.8e-11 mm over corpus_plans).
+U_FROM_REFERENCE = 1e-8
+CHORD_ERR_FROM_REFERENCE = 1e-9  # mm
+
+
+def assert_replay_contract(curve, blocks, limits, family, got):
+    """t, v, A and J equal the scalar reference's bit for bit; every
+    position is its parameter's point; u never falls and ends at 1; every
+    landing below u = 1 matches its commanded advance within the chord
+    match, measured with evaluate; u and chord_err stay within the stated
+    distance of the reference's."""
+    ref = oracles.replay_reference(curve, blocks, limits, family)
+    assert [bits(s.t, s.v, s.A, s.J) for s in got] == [
+        bits(s.t, s.v, s.A, s.J) for s in ref
+    ]
+    track = oracles._Track(blocks, family)
+    travel = [track.state(s.t)[0] for s in got]
+    points = [evaluate(curve, s.u) for s in got]
+    assert [s.position for s in got] == points
+    assert got[0].u == 0.0 and got[-1].u == 1.0
+    for k in range(1, len(got)):
+        assert got[k].u >= got[k - 1].u
+        if got[k].u < 1.0:
+            chord = math.dist(points[k - 1], points[k])
+            advance = travel[k] - travel[k - 1]
+            assert abs(chord - advance) <= simulator._CHORD_MATCH_TOL
+    assert max(abs(a.u - b.u) for a, b in zip(got, ref)) <= U_FROM_REFERENCE
+    assert max(
+        abs(a.chord_err - b.chord_err) for a, b in zip(got, ref)
+    ) <= CHORD_ERR_FROM_REFERENCE
+
+
 class TestReplayWork:
-    def test_one_horner_pass_per_visit_and_one_radius_pass(
+    def test_jets_passes_per_window_and_two_scalar_jets(
         self, corpus_plans, monkeypatch
     ):
         calls = Counter()
+        walking = [False]
+        batch, land = geometry.jets, simulator._land
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -315,9 +357,25 @@ class TestReplayWork:
                 return fn(*args, **kwargs)
             return wrapped
 
+        def counted_jets(*args):
+            calls["walk passes" if walking[0] else "other passes"] += 1
+            return batch(*args)
+
+        def counted_land(*args):
+            calls["windows"] += 1
+            walking[0] = True
+            try:
+                return land(*args)
+            finally:
+                walking[0] = False
+
+        monkeypatch.setattr(simulator, "jets", counted_jets)
+        monkeypatch.setattr(geometry, "jets", counted_jets)
+        monkeypatch.setattr(simulator, "_land", counted_land)
+        monkeypatch.setattr(geometry, "_jet", counting("scalar", geometry._jet))
         monkeypatch.setattr(
-            geometry, "_jet",
-            counting("horner", geometry._jet),
+            simulator, "_refine_step",
+            counting("refine", simulator._refine_step),
         )
         monkeypatch.setattr(
             simulator, "_curvature_radii",
@@ -326,10 +384,17 @@ class TestReplayWork:
         for curve, blocks, limits, family in corpus_plans:
             calls.clear()
             ticks = len(interpolate(curve, blocks, limits, family=family)) - 1
-            # at least one kernel pass per tick: a replay that reached
-            # the kernel through a binding of its own would count 0
-            assert ticks <= calls["horner"] <= 2.5 * ticks
+            # at least one pass per window: a walk that reached the kernel
+            # through a binding of its own would count 0
+            windows = calls["windows"]
+            assert 1 <= windows <= math.ceil(ticks / simulator._WINDOW_TICKS)
+            assert windows <= calls["walk passes"] <= WALK_PASSES * windows
+            # the arc grid's nodes and the chord pass's midpoints
+            assert calls["other passes"] == 2
             assert calls["radii"] == 1
+            # no fallback, so the only scalar jets are the path's two ends
+            assert calls["refine"] == 0
+            assert calls["scalar"] <= 2
 
     def test_one_clamp_and_no_core_setup_per_tick(self, corpus_plans, monkeypatch):
         # each tick asks its block's profile for one state; setting up
@@ -366,10 +431,39 @@ class TestReplayWork:
         assert 0 < len(kernel_args) <= ticks
         assert not {s, -s} & set(kernel_args)
 
-    def test_samples_equal_scalar_reference(self, corpus_plans):
+    def test_replay_meets_its_contract(self, corpus_plans):
         for curve, blocks, limits, family in corpus_plans:
             got = interpolate(curve, blocks, limits, family=family)
-            assert got == oracles.replay_reference(curve, blocks, limits, family)
+            assert_replay_contract(curve, blocks, limits, family, got)
+
+    def test_unsettled_windows_fall_back_to_the_scalar_step(
+        self, corpus_plans, monkeypatch
+    ):
+        # with one pass a window settles only the ticks its first guesses
+        # already match, and the scalar step takes over from the first
+        # tick they miss: a 3-D and a planar plan, both laws, and a plan
+        # 0.1 mm longer than its arc, inside the end-drift allowance,
+        # whose scalar walk steps past the curve end before its last tick
+        monkeypatch.setattr(simulator, "_WINDOW_PASSES", 1)
+        steps = Counter()
+        refine = simulator._refine_step
+
+        def counted(*args):
+            landing = refine(*args)
+            steps["past the end" if landing is None else "landed"] += 1
+            return landing
+
+        monkeypatch.setattr(simulator, "_refine_step", counted)
+        arc = make_quarter_circle(5.0)
+        over = [timed_block(0.0, 1.0, 50.0, 50.0, arc_length(arc, 0.0, 1.0) + 0.1)]
+        sigmoid = sigmoid_family(STD.shape_s)
+        plans = corpus_plans[-2:] + corpus_plans[:2] + [(arc, over, STD, sigmoid)]
+        for curve, blocks, limits, family in plans:
+            steps.clear()
+            got = interpolate(curve, blocks, limits, family=family)
+            assert steps["landed"] > 0
+            assert_replay_contract(curve, blocks, limits, family, got)
+        assert steps["past the end"] > 0
 
 
 def bits(*xs):
@@ -438,11 +532,13 @@ class TestTickWalk:
         ]
 
     def test_plan_over_the_tick_cap_raises_before_the_walk(self, monkeypatch):
-        # 1e9 s of motion: 1e12 ticks at 1 ms, refused before any jet
+        # 1e9 s of motion: 1e12 ticks at 1 ms, refused before any jet or
+        # jets pass
         def no_walk(*args):
             raise AssertionError("the walk started")
 
         monkeypatch.setattr(simulator, "jet", no_walk)
+        monkeypatch.setattr(simulator, "jets", no_walk)
         blocks = [timed_block(0.0, 1.0, 1e-6, 1e-6, 1000.0)]
         assert blocks[0].T == 1e9
         cap = r"1e\+12 ticks exceeds the replay's cap of 1000000"
