@@ -1,86 +1,44 @@
 """Sine-shaped feed transitions, the comparison baseline.
 
 The velocity rises along half a sine wave, which zeroes the boundary
-accelerations but leaves the jerk discontinuous at block ends. Its peak
-acceleration and jerk have exact closed forms, so the same scheduling
-machinery applies with the two sine reduction constants in place of the
-shaped-kernel ones: ``SINE`` is the family that carries them.
+accelerations but leaves the jerk discontinuous at block ends. As a
+unit shape phi(tau) = (1 + sin(pi*(tau - 1/2)))/2 its slope peaks at pi/2
+mid-block and its curvature at pi^2/2 at the block ends, so the same
+scheduling machinery applies with the two sine reduction constants pi/4
+and pi^2/8 in place of the shaped-kernel ones: ``SINE`` is the family
+that carries them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .chordscan import FeedrateScatter, Limits
 from .geometry import ParametricCurve
 from .optimizer import schedule
 from .segmentation import Block
-from .sprofile import ProfileError, ProfileFamily, block_duration, clamp_time
+from .sprofile import Law, ProfileFamily
 
 __all__ = [
-    "SineProfile",
+    "SINE_LAW",
     "SINE",
     "sine_schedule",
 ]
 
 
-@dataclass(frozen=True)
-class SineProfile:
-    """Half-sine feed transition from v_s to v_e over duration T."""
-
-    v_s: float
-    v_e: float
-    T: float
-
-    def __post_init__(self):
-        if self.v_s < 0.0 or self.v_e < 0.0:
-            raise ProfileError("feeds must be non-negative")
-        if self.v_s != self.v_e and self.T <= 0.0:
-            raise ProfileError("a feed change needs positive duration")
-        if self.T < 0.0:
-            raise ProfileError("duration must be non-negative")
-        if self.v_s != self.v_e and math.pi / self.T > 1e154:
-            raise ProfileError(
-                f"block duration {self.T!r} s is too short for a feed change: "
-                "its jerk's (pi/T)^2 overflows"
-            )
-
-    @classmethod
-    def fit(cls, v_s: float, v_e: float, L: float) -> SineProfile:
-        """The transition over a block's feeds and displacement."""
-        return cls(v_s, v_e, block_duration(L, v_s, v_e))
-
-    def state(self, t: float) -> tuple[float, float, float, float]:
-        """Travel (mm) from the block start, feed, acceleration and jerk
-        at block-local time t, exactly."""
-        t = clamp_time(t, self.T)
-        if self.v_s == self.v_e:
-            return self.v_s * t, self.v_s, 0.0, 0.0
-        T = self.T
-        dv = self.v_e - self.v_s
-        half = 0.5 * dv
-        phase = math.pi * (t / T - 0.5)
-        sin, cos = math.sin(phase), math.cos(phase)
-        return (
-            (self.v_s + half) * t - half * T / math.pi * math.sin(math.pi * t / T),
-            half * (sin + 1.0) + self.v_s,
-            dv * math.pi / (2.0 * T) * cos,
-            -dv * (math.pi / T) ** 2 / 2.0 * sin,
-        )
-
-    def peaks(self) -> tuple[float, float]:
-        """Exact peak |accel| and |jerk|: mid-block and block ends."""
-        if self.v_s == self.v_e:
-            return 0.0, 0.0
-        T = self.T
-        dv = abs(self.v_e - self.v_s)
-        return dv * math.pi / (2.0 * T), dv * math.pi * math.pi / (2.0 * T * T)
+def _sine_unit(tau: float) -> tuple[float, float, float, float]:
+    phase = math.pi * (tau - 0.5)
+    sin, cos = math.sin(phase), math.cos(phase)
+    return (
+        0.5 * tau - math.sin(math.pi * tau) / (2.0 * math.pi),
+        0.5 * (sin + 1.0),
+        0.5 * math.pi * cos,
+        -0.5 * math.pi * math.pi * sin,
+    )
 
 
-SINE = ProfileFamily(
-    mu_n=math.pi / 4.0, mu_m=math.pi * math.pi / 8.0, fit=SineProfile.fit
-)
+SINE_LAW = Law(_sine_unit, d1_max=math.pi / 2.0, d2_max=math.pi * math.pi / 2.0)
+SINE = ProfileFamily.of(SINE_LAW)
 
 
 def sine_schedule(

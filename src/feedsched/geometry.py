@@ -42,6 +42,8 @@ _KNOT_TOL = 1e-12
 # param_at_length.
 _ARC_TOL = 1e-9
 _LENGTH_TOL = 1e-10
+# Equal parameter intervals per arc-table piece in the replay's arc grid.
+_GRID_CUTS = 16
 
 
 class GeometryError(ValueError):
@@ -187,6 +189,26 @@ class ParametricCurve:
     def _arc_table(self) -> _ArcTable:
         """Cumulative arc length of the curve, built once from _spans."""
         return _ArcTable(self)
+
+    @cached_property
+    def _arc_grid(self) -> tuple[np.ndarray, ...]:
+        """Nodes on which the replay inverts the arc table for its first
+        guesses, built once: every piece of the table cut into _GRID_CUTS
+        equal parameter intervals, with the running arc length, the speed
+        and the squared curvature over 24 at each node. The last is the
+        arc excess of a chord: a chord of length a spans about
+        a + a^3 kappa^2 / 24 of arc. It reads 0 where the speed vanishes."""
+        table = self._arc_table
+        lo = np.asarray(table.starts)
+        hi = np.append(lo[1:], 1.0)
+        cuts = np.arange(_GRID_CUTS) / _GRID_CUTS
+        u = np.append((lo[:, None] + (hi - lo)[:, None] * cuts).ravel(), 1.0)
+        _, d1, d2 = jets(self, u)
+        speed, cross = _speed_and_cross(d1.T, d2.T, np.sqrt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = cross * cross / (24.0 * speed**6)
+        excess[~np.isfinite(excess)] = 0.0
+        return u, np.maximum.accumulate(table.positions(u)), speed, excess
 
 
 def _basis_derivatives(

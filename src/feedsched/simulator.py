@@ -44,7 +44,6 @@ from .chordscan import Limits, _max_chord_deviation
 from .geometry import (
     ParametricCurve,
     _curvature_radii,
-    _speed_and_cross,
     jet,
     jets,
 )
@@ -63,11 +62,10 @@ __all__ = [
 _CHORD_MATCH_TOL = 1e-9  # mm
 _MAX_REFINE_STEPS = 80
 # The walk solves the landings of up to _WINDOW_TICKS ticks at once, with
-# at most _WINDOW_PASSES jets passes, and inverts the arc table on a grid
-# of _GRID_CUTS parameter intervals per piece for its first guesses.
+# at most _WINDOW_PASSES jets passes, and inverts the curve's arc grid
+# (geometry.ParametricCurve._arc_grid) for its first guesses.
 _WINDOW_TICKS = 512
 _WINDOW_PASSES = 8
-_GRID_CUTS = 16
 # Longest replay, in sampling periods: 1000 s of motion at Ts = 1 ms, over
 # 400 times the longest corpus or benchmark plan (2316 ticks), and at tens of
 # microseconds per tick, well under a minute of replay.
@@ -206,26 +204,6 @@ def _refine_step(curve, u, pos, d1, d2, advance):
     return x, jet(curve, x)
 
 
-def _arc_grid(curve):
-    """Nodes on which the walk inverts the arc table for its first
-    guesses: every piece of the table cut into _GRID_CUTS equal parameter
-    intervals, with the running arc length, the speed and the squared
-    curvature over 24 at each node. The last is the arc excess of a
-    chord: a chord of length a spans about a + a^3 kappa^2 / 24 of arc.
-    It reads 0 where the speed vanishes."""
-    table = curve._arc_table
-    lo = np.asarray(table.starts)
-    hi = np.append(lo[1:], 1.0)
-    cuts = np.arange(_GRID_CUTS) / _GRID_CUTS
-    u = np.append((lo[:, None] + (hi - lo)[:, None] * cuts).ravel(), 1.0)
-    _, d1, d2 = jets(curve, u)
-    speed, cross = _speed_and_cross(d1.T, d2.T, np.sqrt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        excess = cross * cross / (24.0 * speed**6)
-    excess[~np.isfinite(excess)] = 0.0
-    return u, np.maximum.accumulate(table.positions(u)), speed, excess
-
-
 def _params_at(grid, s):
     """Parameters at the running arc lengths s: the cubic Hermite
     interpolant of u(s) between the grid's nodes, whose slopes there are
@@ -361,7 +339,7 @@ def interpolate(
     travel, v, a, j, _ = next(ticks)
     u, (pos, d1, d2) = 0.0, jet(curve, 0.0)
     end = jet(curve, 1.0)  # the final landing and any past the curve end
-    grid = _arc_grid(curve)
+    grid = curve._arc_grid
     # the walk, a window of ticks at a time; the chord pass measures its
     # steps once it has ended
     ts, vs, accels, jerks, us, points = [0.0], [v], [a], [j], [u], [pos]

@@ -1,18 +1,28 @@
-"""Per-block velocity laws: logistic core with cubic end caps.
+"""Per-block velocity laws as unit shapes scaled per block.
 
-A block moves from feed v_s to v_e over displacement L. The middle third
-of the block time follows a logistic (S-shaped) velocity law; the outer
-thirds are cubic polynomials fitted so that velocity and acceleration
-are continuous at the junctions and acceleration vanishes at both block
-ends. The law is symmetric, v(t) + v(T-t) == v_s + v_e, which fixes the
-duration at T = 2L/(v_s+v_e) and makes the commanded displacement exact.
+A law is written once, on normalised time tau = t/T: its unit shape
+gives the travel Phi, feed phi and phi's first two derivatives at tau,
+with phi rising from 0 to 1 and phi(tau) + phi(1 - tau) == 1, and it
+carries the exact maxima of |phi'| and |phi''|. A block moving from feed
+v_s to v_e over displacement L takes T = 2L/(v_s+v_e), which the
+symmetry makes exact, and with the signed change D = v_e - v_s commands
 
-Peak acceleration and jerk magnitudes have closed forms (no sampling),
-which the scheduler uses for feasibility checks. Jerk is bounded but
-deliberately discontinuous at the section junctions and block ends.
+    travel  v_s*t + D*T*Phi(tau)     feed  v_s + D*phi(tau)
+    accel   D*phi'(tau)/T            jerk  D*phi''(tau)/T^2
 
-The scheduler and the replay see a velocity law only as a
-``ProfileFamily``; ``sigmoid_family`` builds the one for this law.
+A falling block is the same law with a negative D. Its peaks are the two
+maxima scaled by |D|/T and |D|/T^2, and since T = 2L/(v1+v2) they are
+mu_n*(v2^2-v1^2)/L and mu_m*(v2-v1)*(v2+v1)^2/L^2 exactly, with
+mu_n = max|phi'|/2 and mu_m = max|phi''|/4: the scheduler's reduction.
+
+The shaped law follows a logistic (S-shaped) curve over the middle third
+of the block time; the outer thirds are cubics fitted so that feed and
+acceleration are continuous at the seams and acceleration vanishes at
+both block ends. Its jerk is bounded but deliberately discontinuous at
+the seams and block ends.
+
+The scheduler and the replay see a law only as a ``ProfileFamily``;
+``sigmoid_family`` builds the one for this law.
 """
 
 from __future__ import annotations
@@ -28,14 +38,14 @@ __all__ = [
     "ProfileDomainError",
     "SIG_D2_MAX",
     "SIG_D2_ARGMAX",
-    "SHAPE_S_MAX",
     "check_shape",
     "kernel",
-    "mirrored_kernel",
     "block_duration",
     "clamp_time",
+    "Law",
+    "Profile",
     "ProfileFamily",
-    "SigmoidProfile",
+    "sigmoid_law",
     "sigmoid_family",
 ]
 
@@ -57,17 +67,6 @@ class ProfileDomainError(ProfileError):
 SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 SIG_D2_ARGMAX = math.log(2.0 + math.sqrt(3.0))
 
-# Largest shape s at which sigmoid_family(s).mu_m bounds the fitted
-# profile's peak jerk, mu_m*(v2-v1)*(v2+v1)^2/L^2. Its core term,
-# s^2*SIG_D2_MAX/(4*span), lacks the factor 4 of the core's jerk
-# coefficient s^2*|f''(-s/3)|/span that peaks() uses, so mu_m holds only
-# while the start cap's term binds; the core's coefficient overtakes it
-# at s = 3.311234..., found by bisection on the peak jerk over random
-# transitions and equal to the crossing of the two closed forms. Just
-# above, the bound is exceeded by 1.1 % at s = 3.32 and by 19 % at 3.45.
-# check_shape refuses steeper shapes, for sigmoid_family and for Limits.
-SHAPE_S_MAX = 3.3112
-
 
 def kernel(x: float) -> tuple[float, float, float]:
     """Unit logistic f(x) = 1/(1+e^-x) with first two derivatives."""
@@ -81,22 +80,11 @@ def kernel(x: float) -> tuple[float, float, float]:
     return f, f1, f2
 
 
-def mirrored_kernel(x: float) -> tuple[float, float, float]:
-    """Falling counterpart p(x) = f(-x) with its derivatives."""
-    f, f1, f2 = kernel(-x)
-    return f, -f1, f2
-
-
 def _softplus(x: float) -> float:
     """log(1 + e^x), the antiderivative of the unit logistic."""
     if x > 0.0:
         return x + math.log1p(math.exp(-x))
     return math.log1p(math.exp(x))
-
-
-def _mirrored_softplus(x: float) -> float:
-    """-log(1 + e^-x), the antiderivative of mirrored_kernel's f."""
-    return -_softplus(-x)
 
 
 def block_duration(L: float, v_s: float, v_e: float) -> float:
@@ -120,6 +108,72 @@ def clamp_time(t: float, T: float) -> float:
 
 
 @dataclass(frozen=True)
+class Law:
+    """A velocity law as a unit shape on tau = t/T in [0, 1].
+
+    unit(tau) -> (Phi, phi, phi', phi''), with phi rising from 0 to 1 and
+    Phi its integral from 0; d1_max and d2_max are the exact maxima of
+    |phi'| and |phi''| over [0, 1].
+    """
+
+    unit: Callable[[float], tuple[float, ...]] = field(repr=False)
+    d1_max: float
+    d2_max: float
+
+
+@dataclass(frozen=True)
+class Profile:
+    """A law fitted to one block: feeds v_s to v_e over duration T."""
+
+    v_s: float
+    v_e: float
+    T: float
+    law: Law
+
+    def __post_init__(self):
+        v_s, v_e, T = self.v_s, self.v_e, self.T
+        if v_s < 0.0 or v_e < 0.0:
+            raise ProfileError("feeds must be non-negative")
+        if T < 0.0:
+            raise ProfileError("duration must be non-negative")
+        if v_s == v_e:
+            return
+        if T == 0.0:
+            raise ProfileError("zero-length block cannot change feed")
+        if not (T * T > 0.0 and self.peaks()[1] < math.inf):
+            raise ProfileError(
+                f"block duration {T!r} s is too short for a feed change: "
+                "its jerk overflows"
+            )
+
+    @classmethod
+    def fit(cls, v_s: float, v_e: float, L: float, law: Law) -> Profile:
+        """The law fitted to a block's feeds and displacement."""
+        return cls(v_s, v_e, block_duration(L, v_s, v_e), law)
+
+    def state(self, t: float) -> tuple[float, float, float, float]:
+        """Travel (mm) from the block start, feed (mm/s), acceleration
+        (mm/s^2) and jerk (mm/s^3) at block-local time t, in closed form."""
+        T, v_s = self.T, self.v_s
+        t = clamp_time(t, T)
+        dv = self.v_e - v_s
+        if not dv:
+            return v_s * t, v_s, 0.0, 0.0
+        travel, phi, d1, d2 = self.law.unit(t / T)
+        return (
+            v_s * t + dv * T * travel, v_s + dv * phi, dv * d1 / T,
+            dv * d2 / (T * T),
+        )
+
+    def peaks(self) -> tuple[float, float]:
+        """Exact peak |acceleration| and |jerk| over the whole block."""
+        T, dv = self.T, abs(self.v_e - self.v_s)
+        if not dv:
+            return 0.0, 0.0
+        return dv * self.law.d1_max / T, dv * self.law.d2_max / (T * T)
+
+
+@dataclass(frozen=True)
 class ProfileFamily:
     """A velocity law as the scheduler and the replay use it.
 
@@ -136,196 +190,84 @@ class ProfileFamily:
     mu_m: float
     fit: Callable[[float, float, float], Any]
 
-
-def _fitted(default):
-    """A field that __post_init__ derives from v_s, v_e, T and s."""
-    return field(default=default, init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class SigmoidProfile:
-    """Immutable piecewise velocity law for one block.
-
-    v_s, v_e, T and s define it: __post_init__ derives the rest, however
-    the profile is built. cap_start holds cubic coefficients
-    (a1, a2, a3, a4) in t for the first third; cap_end holds
-    (b1, b2, b3, b4) in tau = T - t for the last third. Structure:
-    a4 == v_s, b4 == v_e, a3 == b3 == 0, b2 == -a2, b1 == -a1. Equal end
-    feeds give a flat profile. A feed change also keeps what state and
-    peaks reuse: the core's gain, ref offset, kernel base and its
-    antiderivative anti, c = 2s/T, anti(-s/3)/c as soft0, and the
-    travel s13 and s23 at T/3 and 2T/3.
-    """
-
-    v_s: float
-    v_e: float
-    T: float
-    s: float
-    cap_start: tuple[float, float, float, float] = field(init=False)
-    cap_end: tuple[float, float, float, float] = field(init=False)
-    gain: float = _fitted(0.0)
-    ref: float = _fitted(0.0)
-    base: Callable[[float], tuple[float, float, float]] = _fitted(kernel)
-    anti: Callable[[float], float] = _fitted(_softplus)
-    c: float = _fitted(0.0)
-    soft0: float = _fitted(0.0)
-    s13: float = _fitted(0.0)
-    s23: float = _fitted(0.0)
-
-    def __post_init__(self):
-        # a frozen dataclass sets its derived fields through __dict__
-        v_s, v_e, T, s = self.v_s, self.v_e, self.T, self.s
-        if v_s == v_e:
-            flat = (0.0, 0.0, 0.0, v_s)
-            self.__dict__.update(cap_start=flat, cap_end=flat)
-            return
-        if T <= 0.0:
-            raise ProfileError("zero-length block cannot change feed")
-        fs, fm = kernel(s)[0], kernel(-s)[0]
-        if v_e > v_s:
-            g, ref, base, anti = (v_e - v_s) / (fs - fm), fm, kernel, _softplus
-        else:
-            g, ref = (v_s - v_e) / (fs - fm), fs
-            base, anti = mirrored_kernel, _mirrored_softplus
-        k, k1, _ = base(-s / 3.0)
-        c = 2.0 * s / T
-        dv = g * (k - ref)
-        a13 = g * k1 * c
-        cube = T * T * T
-        a1 = 9.0 * a13 / (T * T) - 54.0 * dv / cube if cube else math.inf
-        if not math.isfinite(a1):
-            raise ProfileError(
-                f"block duration {T!r} s is too short for a feed change: "
-                "its cubic caps overflow"
-            )
-        a2 = 27.0 * dv / (T * T) - 3.0 * a13 / T
-        cap_start, third = (a1, a2, 0.0, v_s), T / 3.0
-        soft0 = anti(-s / 3.0) / c
-        s13 = _cap_travel(cap_start, third)
-        # the middle third's travel at 2T/3; 2*third - third == third
-        mid = g * (anti(c * (2.0 * third) - s) / c - soft0)
-        self.__dict__.update(
-            cap_start=cap_start, cap_end=(-a1, -a2, 0.0, v_e), gain=g, ref=ref,
-            base=base, anti=anti, c=c, soft0=soft0, s13=s13,
-            s23=s13 + mid + (v_s - g * ref) * third,
-        )
-
     @classmethod
-    def fit(cls, v_s: float, v_e: float, L: float, s: float) -> SigmoidProfile:
-        """Fit the piecewise law to a block's feeds and displacement."""
-        return cls(v_s, v_e, block_duration(L, v_s, v_e), s)
-
-    def state(self, t: float) -> tuple[float, float, float, float]:
-        """Travel (mm) from the block start, feed (mm/s), acceleration
-        (mm/s^2) and jerk (mm/s^3) at block-local time t.
-
-        The travel is the antiderivative of the velocity law: quartics
-        over the caps and a softplus over the logistic middle, so no
-        quadrature is involved.
-        """
-        t = clamp_time(t, self.T)
-        if self.v_s == self.v_e:
-            return self.v_s * t, self.v_s, 0.0, 0.0
-        T = self.T
-        third = T / 3.0
-        if t <= third:
-            a1, a2, _, a4 = self.cap_start
-            v = ((a1 * t + a2) * t) * t + a4
-            a = (3.0 * a1 * t + 2.0 * a2) * t
-            return _cap_travel(self.cap_start, t), v, a, 6.0 * a1 * t + 2.0 * a2
-        if t >= 2.0 * third:
-            b1, b2, _, b4 = self.cap_end
-            tau = T - t
-            v = ((b1 * tau + b2) * tau) * tau + b4
-            a = -(3.0 * b1 * tau + 2.0 * b2) * tau
-            travel = self.s23
-            if t > 2.0 * third:
-                travel = travel + _cap_travel(self.cap_end, third) - _cap_travel(
-                    self.cap_end, tau
-                )
-            return travel, v, a, 6.0 * b1 * tau + 2.0 * b2
-        g, ref, c = self.gain, self.ref, self.c
-        x = c * t - self.s
-        k, k1, k2 = self.base(x)
-        travel = (
-            self.s13
-            + g * (self.anti(x) / c - self.soft0)
-            + (self.v_s - g * ref) * (t - third)
-        )
-        return travel, g * (k - ref) + self.v_s, g * k1 * c, g * k2 * c * c
-
-    def peaks(self) -> tuple[float, float]:
-        """Exact peak |acceleration| and |jerk| over the whole block.
-
-        The middle section peaks where the logistic's derivatives peak,
-        restricted to the section's argument window; the cubic caps peak
-        at section ends or at the lone interior stationary point when it
-        falls inside. The end cap mirrors the start cap, so one set of
-        candidates covers both.
-        """
-        if self.v_s == self.v_e:
-            return 0.0, 0.0
-        T, s, c = self.T, self.s, self.c
-        a_peak = c * self.gain * 0.25
-        if s / 3.0 >= SIG_D2_ARGMAX:
-            curve_max = SIG_D2_MAX
-        else:
-            curve_max = abs(kernel(-s / 3.0)[2])
-        j_peak = c * c * self.gain * curve_max
-        a1, a2, _, _ = self.cap_start
-        third = T / 3.0
-        a_peak = max(a_peak, abs((3.0 * a1 * third + 2.0 * a2) * third))
-        if a1 != 0.0:
-            t_star = -a2 / (3.0 * a1)
-            if 0.0 < t_star < third:
-                a_peak = max(a_peak, a2 * a2 / (3.0 * abs(a1)))
-        j_cap = max(abs(2.0 * a2), abs(6.0 * a1 * third + 2.0 * a2))
-        return a_peak, max(j_peak, j_cap)
-
-
-def _cap_travel(coeffs, x):
-    """Integral of a cap's cubic over [0, x] of its own time: the start
-    cap's travel over its first x seconds, the end cap's over its last."""
-    c1, c2, _, c4 = coeffs
-    return ((0.25 * c1 * x + c2 / 3.0) * x * x + c4) * x
-
-
-def sigmoid_family(s: float) -> ProfileFamily:
-    """The shaped law with kernel steepness s and its reduction constants.
-
-    mu_n is the larger of the core and cap acceleration coefficients,
-    mu_m the largest of the core and two cap jerk coefficients, all in
-    closed form from the kernel at s, -s and -s/3. A shape above
-    SHAPE_S_MAX is refused: its mu_m would under-bound the jerk.
-    """
-    check_shape(s, "shape")
-    mu_n, mu_m = _reduction_constants(s)
-    return ProfileFamily(mu_n=mu_n, mu_m=mu_m, fit=partial(SigmoidProfile.fit, s=s))
+    def of(cls, law: Law) -> ProfileFamily:
+        """The family of a law: its reduction constants are the law's
+        exact peaks, so the reduced peaks are the fitted ones."""
+        fit = partial(Profile.fit, law=law)
+        return cls(law.d1_max / 2.0, law.d2_max / 4.0, fit)
 
 
 def check_shape(s: float, name: str) -> None:
-    """Refuse a shape outside (0, SHAPE_S_MAX], naming it as name."""
-    if not s > 0.0:
-        raise ProfileError(f"{name} must be strictly positive")
-    if s > SHAPE_S_MAX:
+    """Refuse a shape that is not finite and positive, or so flat that
+    its logistic core does not rise in floats, naming it as name."""
+    if not 0.0 < s < math.inf:
+        raise ProfileError(f"{name} must be finite and strictly positive")
+    if not kernel(s)[0] > kernel(-s)[0]:
         raise ProfileError(
-            f"{name} {s!r} exceeds {SHAPE_S_MAX}, the steepest shape whose "
-            "jerk reduction constant bounds its profiles"
+            f"{name} {s!r} is too flat for its logistic core to rise"
         )
 
 
-def _reduction_constants(s):
-    """mu_n and mu_m of the shaped law at steepness s > 0, any s."""
-    fs = kernel(s)[0]
+def sigmoid_law(s: float) -> Law:
+    """The shaped law with kernel steepness s.
+
+    The core is the logistic rescaled to rise from 0 to 1 over its
+    argument x = s*(2*tau - 1) in [-s, s]; the start cap is the cubic
+    A*tau^3 + B*tau^2 meeting the core's value and slope at tau = 1/3,
+    and the end cap mirrors it. |phi'| peaks at the core's centre or at
+    the cap's stationary point, |phi''| at the ends of the cap or at the
+    logistic's inflexion extremes inside the core's window.
+    """
+    check_shape(s, "shape")
     fm = kernel(-s)[0]
-    f3, p, _ = kernel(-s / 3.0)
-    span = fs - fm
+    span = kernel(s)[0] - fm
+    f3, p, p2 = kernel(-s / 3.0)
     q = f3 - fm
-    mu1 = s / (4.0 * span)
-    num2 = abs(81.0 * q * q + 4.0 * s * s * p * p - 36.0 * s * p * q)
-    den2 = 2.0 * span * abs(6.0 * s * p - 54.0 * q)
-    mu2 = num2 / den2 if den2 > 0.0 else 0.0
-    mu3 = s * s * SIG_D2_MAX / (4.0 * span)
-    mu4 = abs(54.0 * q - 12.0 * s * p) / (4.0 * span)
-    mu5 = abs(24.0 * s * p - 54.0 * q) / (4.0 * span)
-    return max(mu1, mu2), max(mu3, mu4, mu5)
+    # the cap's jerk at tau = 0 and tau = 1/3: 2B and 2A + 2B
+    j0 = (54.0 * q - 12.0 * s * p) / span
+    j13 = (24.0 * s * p - 54.0 * q) / span
+    A, B = (j13 - j0) / 2.0, j0 / 2.0
+    A4, B3 = 0.25 * A, B / 3.0
+    third = 1.0 / 3.0
+    d1_max = 0.5 * s / span
+    if A and 0.0 < -B / (3.0 * A) < third:
+        d1_max = max(d1_max, B * B / (3.0 * abs(A)))
+    curve_max = SIG_D2_MAX if s / 3.0 >= SIG_D2_ARGMAX else abs(p2)
+    d2_max = max(4.0 * s * s * curve_max / span, abs(j0), abs(j13))
+    soft0 = _softplus(-s / 3.0)
+    gain, lead = 1.0 / (2.0 * s * span), fm / span
+
+    def cap(r):
+        return (
+            ((A4 * r + B3) * r * r) * r,
+            ((A * r + B) * r) * r,
+            (3.0 * A * r + 2.0 * B) * r,
+            6.0 * A * r + 2.0 * B,
+        )
+
+    cap13 = cap(third)[0]
+
+    def unit(tau):
+        if tau <= third:
+            return cap(tau)
+        if tau >= 2.0 * third:
+            r = 1.0 - tau
+            travel, phi, d1, d2 = cap(r)
+            return 0.5 - r + travel, 1.0 - phi, d1, -d2
+        x = s * (2.0 * tau - 1.0)
+        f, f1, f2 = kernel(x)
+        return (
+            cap13 + gain * (_softplus(x) - soft0) - lead * (tau - third),
+            (f - fm) / span,
+            2.0 * s * f1 / span,
+            4.0 * s * s * f2 / span,
+        )
+
+    return Law(unit, d1_max, d2_max)
+
+
+def sigmoid_family(s: float) -> ProfileFamily:
+    """The shaped law with kernel steepness s and its reduction constants:
+    mu_n = max|phi'|/2 and mu_m = max|phi''|/4, exact for every s > 0."""
+    return ProfileFamily.of(sigmoid_law(s))

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from feedsched.baseline import SineProfile
+from feedsched.baseline import SINE
 from feedsched.chordscan import (
     _BRACKET_REL_WIDTH,
     _FEED_BACKOFF_CAP,
@@ -66,7 +66,7 @@ from feedsched.simulator import (
     SimulationError,
     total_time,
 )
-from feedsched.sprofile import clamp_time, kernel, mirrored_kernel
+from feedsched.sprofile import clamp_time, kernel
 
 SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 SIG_D2_ARGMAX = math.log(2.0 + math.sqrt(3.0))
@@ -87,9 +87,10 @@ def logistic_d2(x):
     return f * (1.0 - f) * (1.0 - 2.0 * f)
 
 
-def core_reference(profile, t):
-    """Independent middle-section velocity and acceleration."""
-    s, T = profile.s, profile.T
+def core_reference(profile, t, s):
+    """Independent middle-section velocity and acceleration of a profile
+    of the shaped law at steepness s."""
+    T = profile.T
     x = 2.0 * s * t / T - s
     span = float(logistic(s)) - float(logistic(-s))
     c = 2.0 * s / T
@@ -106,31 +107,26 @@ def core_reference(profile, t):
     return v, a
 
 
-def cap_reference(coef, t):
-    c1, c2, c3, c4 = coef
-    v = c1 * t**3 + c2 * t**2 + c3 * t + c4
-    a = 3.0 * c1 * t**2 + 2.0 * c2 * t + c3
-    return v, a
-
-
-def junction_residuals(profile):
-    """The eight fit conditions: ends pinned, junctions C1."""
+def junction_residuals(profile, s):
+    """The eight fit conditions of a shaped profile at steepness s: ends
+    pinned, and at both seams the cap side, read from the profile one
+    float of time into its cap, equal to the core's value and slope by
+    core_reference."""
     T = profile.T
     third = T / 3.0
-    v0, a0 = cap_reference(profile.cap_start, 0.0)
-    v1, a1 = cap_reference(profile.cap_start, third)
-    cv1, ca1 = core_reference(profile, third)
-    cv2, ca2 = core_reference(profile, 2.0 * third)
-    # end cap runs in tau = T - t, acceleration flips sign
-    v2, a2 = cap_reference(profile.cap_end, third)
-    v3, a3 = cap_reference(profile.cap_end, 0.0)
+    _, v0, a0, _ = profile.state(0.0)
+    _, v3, a3, _ = profile.state(T)
+    _, v1, a1, _ = profile.state(math.nextafter(third, 0.0))
+    _, v2, a2, _ = profile.state(math.nextafter(2.0 * third, T))
+    cv1, ca1 = core_reference(profile, third, s)
+    cv2, ca2 = core_reference(profile, 2.0 * third, s)
     return (
         abs(v0 - profile.v_s),
         abs(a0),
         abs(v1 - cv1),
         abs(a1 - ca1),
         abs(v2 - cv2),
-        abs(-a2 - ca2),
+        abs(a2 - ca2),
         abs(v3 - profile.v_e),
         abs(a3),
     )
@@ -645,6 +641,13 @@ def _reference_refine_step(curve, u, pos, advance):
     return x, evaluate(curve, x)
 
 
+def _mirrored_kernel(x):
+    """Falling counterpart p(x) = f(-x) of the logistic, with its
+    derivatives."""
+    f, f1, f2 = kernel(-x)
+    return f, -f1, f2
+
+
 def _sigmoid_core_setup(v_s, v_e, s):
     """Gain, start offset, and kernel family for the middle section."""
     fs, _, _ = kernel(s)
@@ -652,7 +655,23 @@ def _sigmoid_core_setup(v_s, v_e, s):
     span = fs - fm
     if v_e > v_s:
         return (v_e - v_s) / span, fm, kernel
-    return (v_s - v_e) / span, fs, mirrored_kernel
+    return (v_s - v_e) / span, fs, _mirrored_kernel
+
+
+def sigmoid_caps(v_s, v_e, T, s):
+    """Cubic coefficients (a1, a2, a3, a4) in t of the start cap and
+    (b1, b2, b3, b4) in T - t of the end cap, fitted in time units to the
+    core at T/3 and 2T/3: the former profile's own caps."""
+    if v_s == v_e:
+        flat = (0.0, 0.0, 0.0, v_s)
+        return flat, flat
+    g, ref, base = _sigmoid_core_setup(v_s, v_e, s)
+    k, k1, _ = base(-s / 3.0)
+    dv = g * (k - ref)
+    a13 = g * k1 * (2.0 * s / T)
+    a1 = 9.0 * a13 / (T * T) - 54.0 * dv / (T * T * T)
+    a2 = 27.0 * dv / (T * T) - 3.0 * a13 / T
+    return (a1, a2, 0.0, v_s), (-a1, -a2, 0.0, v_e)
 
 
 def _softplus(x):
@@ -661,40 +680,42 @@ def _softplus(x):
     return math.log1p(math.exp(x))
 
 
-def _sigmoid_kinematics(profile, t):
+def _sigmoid_kinematics(profile, t, s):
     t = clamp_time(t, profile.T)
     if profile.v_s == profile.v_e:
         return profile.v_s, 0.0, 0.0
     T = profile.T
     third = T / 3.0
+    cap_start, cap_end = sigmoid_caps(profile.v_s, profile.v_e, T, s)
     if t <= third:
-        a1, a2, _, a4 = profile.cap_start
+        a1, a2, _, a4 = cap_start
         v = ((a1 * t + a2) * t) * t + a4
         return v, (3.0 * a1 * t + 2.0 * a2) * t, 6.0 * a1 * t + 2.0 * a2
     if t >= 2.0 * third:
-        b1, b2, _, b4 = profile.cap_end
+        b1, b2, _, b4 = cap_end
         tau = T - t
         v = ((b1 * tau + b2) * tau) * tau + b4
         return v, -(3.0 * b1 * tau + 2.0 * b2) * tau, 6.0 * b1 * tau + 2.0 * b2
-    g, ref, base = _sigmoid_core_setup(profile.v_s, profile.v_e, profile.s)
-    c = 2.0 * profile.s / T
-    k, k1, k2 = base(c * t - profile.s)
+    g, ref, base = _sigmoid_core_setup(profile.v_s, profile.v_e, s)
+    c = 2.0 * s / T
+    k, k1, k2 = base(c * t - s)
     return g * (k - ref) + profile.v_s, g * k1 * c, g * k2 * c * c
 
 
-def _sigmoid_displacement(profile, t):
+def _sigmoid_displacement(profile, t, s):
     t = clamp_time(t, profile.T)
     if profile.v_s == profile.v_e:
         return profile.v_s * t
-    T, s = profile.T, profile.s
+    T = profile.T
     third = T / 3.0
+    cap_start, cap_end = sigmoid_caps(profile.v_s, profile.v_e, T, s)
 
     def cap_area(coeffs, x):
         c1, c2, _, c4 = coeffs
         return ((0.25 * c1 * x + c2 / 3.0) * x * x + c4) * x
 
     if t <= third:
-        return cap_area(profile.cap_start, t)
+        return cap_area(cap_start, t)
     g, ref, base = _sigmoid_core_setup(profile.v_s, profile.v_e, s)
     c = 2.0 * s / T
     if base is kernel:
@@ -703,7 +724,7 @@ def _sigmoid_displacement(profile, t):
     else:
         def anti(x):
             return -_softplus(-x) / c
-    s13 = cap_area(profile.cap_start, third)
+    s13 = cap_area(cap_start, third)
     t_mid = min(t, 2.0 * third)
     s_mid = (
         s13
@@ -712,9 +733,7 @@ def _sigmoid_displacement(profile, t):
     )
     if t <= 2.0 * third:
         return s_mid
-    return s_mid + cap_area(profile.cap_end, third) - cap_area(
-        profile.cap_end, T - t
-    )
+    return s_mid + cap_area(cap_end, third) - cap_area(cap_end, T - t)
 
 
 def _sine_kinematics(profile, t):
@@ -743,25 +762,35 @@ def _sine_displacement(profile, t):
     )
 
 
-def profile_state_reference(profile, t):
-    """Travel, feed, acceleration and jerk of a fitted sigmoid or sine
-    profile at block-local time t, from the profile's end feeds,
-    duration, shape and cap coefficients alone: the laws' former
-    separate kinematics and displacement, each of which clamps t and
-    sets up the logistic core on its own."""
-    if isinstance(profile, SineProfile):
+def reference_law(family, s):
+    """How profile_state_reference names a family's law: "sine" for
+    SINE, else the shaped law's steepness s."""
+    return "sine" if family is SINE else s
+
+
+def profile_state_reference(profile, t, law):
+    """Travel, feed, acceleration and jerk at block-local time t of a
+    profile of the sine law (law "sine") or of the shaped law at
+    steepness law, from the profile's end feeds and duration alone: the
+    laws' former separate kinematics and displacement in time units,
+    each of which clamps t, fits its own caps and sets up the logistic
+    core on its own, with falling blocks on the mirrored logistic."""
+    if law == "sine":
         return (_sine_displacement(profile, t), *_sine_kinematics(profile, t))
     return (
-        _sigmoid_displacement(profile, t), *_sigmoid_kinematics(profile, t)
+        _sigmoid_displacement(profile, t, law),
+        *_sigmoid_kinematics(profile, t, law),
     )
 
 
 class _Track:
     """Block profiles laid out on a shared time and travel axis: the
     replay's former block lookup, a bisection over the block starts at
-    every tick."""
+    every tick, with each block's state from profile_state_reference
+    under law ("sine" or the shaped law's steepness)."""
 
-    def __init__(self, blocks, family):
+    def __init__(self, blocks, family, law):
+        self.law = law
         self.total = total_time(blocks)
         self.starts = []
         self.offsets = []
@@ -787,14 +816,16 @@ class _Track:
         """Exact commanded travel (mm) from the path start at time t,
         with the feed, acceleration and jerk there."""
         i, tau = self.locate(t)
-        travel, *kinematics = profile_state_reference(self.profiles[i], tau)
+        travel, *kinematics = profile_state_reference(
+            self.profiles[i], tau, self.law
+        )
         return self.offsets[i] + travel, tuple(kinematics)
 
 
 def replay_reference(curve, blocks, limits, family):
     """The tick replay as one scalar loop: Newton on separate point and
     derivative evaluations, then the chord deviation of each tick."""
-    track = _Track(blocks, family)
+    track = _Track(blocks, family, reference_law(family, limits.shape_s))
     Ts = limits.Ts
     n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
     u = 0.0

@@ -277,7 +277,7 @@ def test_profile_seams_travel_and_peaks_validate_on_random_blocks():
         v_b = v_a if i % 29 == 0 else float(rng.uniform(0.5, 150.0))
         L = float(rng.uniform(0.5, 50.0))
         p = SIGMOID.fit(v_a, v_b, L)
-        worst_seam = max(worst_seam, max(oracles.junction_residuals(p)))
+        worst_seam = max(worst_seam, max(oracles.junction_residuals(p, 3.3)))
         travel, _ = quad(
             lambda t: p.state(t)[1],
             0.0,

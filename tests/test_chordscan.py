@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
@@ -28,7 +28,6 @@ from feedsched.geometry import (
     evaluate,
     jet,
 )
-from feedsched.sprofile import SHAPE_S_MAX
 
 from conftest import (
     make_full_circle,
@@ -74,11 +73,13 @@ class TestLimits:
             Limits(Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0,
                    j_max=26000.0, shape_s=3.3, mu_s=-1.0)
 
-    def test_rejects_shapes_beyond_the_jerk_bound(self):
+    def test_rejects_only_shapes_that_cannot_rise(self):
+        # every finite positive shape schedules, steep ones too
         fields = dict(Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0,
                       j_max=26000.0)
-        assert Limits(**fields, shape_s=SHAPE_S_MAX).shape_s == SHAPE_S_MAX
-        for s in (3.32, 3.5, math.inf):
+        for s in (3.32, 6.0, 50.0):
+            assert Limits(**fields, shape_s=s).shape_s == s
+        for s in (-1.0, math.inf, math.nan, 1e-20):
             with pytest.raises(ValueError, match="shape_s"):
                 Limits(**fields, shape_s=s)
 
@@ -331,8 +332,45 @@ class TestScalarScanReference:
         curve = random_curve(3, n_ctrl=n, extent=1.5 * n)
         self.assert_same_scan(curve, PRESETS["standard"])
 
+    # A degree-5 curve whose scan fails to settle a feed, raising
+    # ScanConvergenceError, after a well probe's own search failed. The
+    # drawn curves reach or miss both branches as Hypothesis's pool of
+    # constants from the source changes, so this one pins them.
+    RAISING = ParametricCurve(
+        5,
+        (
+            (5.305433953309237, 1e-10), (7.071190396502029, 1e-10),
+            (7.1032584746321845, 9.177146621351563),
+            (10.49556430242292, 8.639848090020505),
+            (11.559459937713184, 7.582433281532215),
+            (12.263231498764618, 10.117490544405833),
+            (13.258240772618077, 10.01780832409743),
+            (10.878544318951828, 10.268412315387518),
+            (14.294993358930917, 5.649251213729805),
+            (6.78213819435041, 8.52783240524695),
+            (14.456347057010948, 6.166189922472168),
+            (14.412728688592273, 5.467550217089993),
+            (22.105830486489666, 9.860719101551487),
+            (22.338527161847, 6.496786168559593),
+            (17.171343015922222, 4.339792866453793),
+            (17.494210060010964, 4.721574049648303),
+            (26.365178183178266, 3.1881617477829813),
+            (32.2278611633514, 0.3072397288936237),
+            (31.033874326883, 2.3804478727716787),
+        ),
+        (
+            1.1051709180756477, 1.0, 2.254220609111682, 1.0, 1.0,
+            8.086536856298157, 1.0000000001, 1.0, 14.90782677152197,
+            5.875078078988934, 1.0, 1.0, 6.311598078990553, 1.0, 1.0,
+            2.3001342828606113, 1.0, 0.33364399439327985, 12.177869356838576,
+        ),
+        (0.0,) * 6 + (0.4589018554714285,) * 3 + (0.616753164625226,) * 3
+        + (0.6348775714727946,) * 2 + (0.8161216399484792,) * 5 + (1.0,) * 6,
+    )
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(c=nurbs_curves(), delta_max=st.floats(1e-3, 1e-1))
+    @example(c=RAISING, delta_max=1e-3)
     def test_random_curves_scan_bit_identical_or_raise_alike(self, c, delta_max):
         # a feed cap of 1/40 of the path per period keeps each walk short
         limits = Limits(Ts=1e-3, delta_max=delta_max,

@@ -443,25 +443,36 @@ def test_bad_input_exits_2_without_traceback(tmp_path, points, extra, cause):
     assert "Traceback" not in proc.stderr
 
 
-def test_steep_shape_config_exits_2_without_traceback(tmp_path):
-    curve = tmp_path / "curve.json"
-    curve.write_text(json.dumps(_cubic_doc(GOOD_POINTS)))
-    cfg = tmp_path / "limits.json"
-    cfg.write_text(json.dumps({"shape_s": 3.5}))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "feedsched.cli", "run", "--curve", str(curve),
-         "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2
-    assert "shape_s 3.5 exceeds" in proc.stderr
-    assert "Traceback" not in proc.stderr
+@pytest.mark.parametrize(
+    "limits",
+    [
+        # shallow shapes under an acceleration limit that binds: their cap's
+        # acceleration peak exceeds the core's, which the former mu_n missed
+        {"shape_s": 0.5, "a_max": 100, "j_max": 1e6},
+        {"shape_s": 1.0, "a_max": 100, "j_max": 1e6},
+        {"shape_s": 1.5, "a_max": 100, "j_max": 1e6},
+        # a steep shape, whose core's jerk peak binds
+        {"shape_s": 6.0},
+    ],
+    ids=["shallow-0.5", "shallow-1.0", "shallow-1.5", "steep-6.0"],
+)
+def test_any_shape_schedules_within_its_limits(tmp_path, limits):
+    # the reduced peaks are the fitted ones at every shape: a mu_n below a
+    # shallow law's peak acceleration would end in "violates limits"
+    # (exit 3), and a refused steep shape in exit 2
+    curve, cfg, out = tmp_path / "c.json", tmp_path / "l.json", tmp_path / "out"
+    assert main(["gen-curve", "--seed", "6", "--out", str(curve)]) == 0
+    cfg.write_text(json.dumps(limits))
+    assert main([
+        "run", "--curve", str(curve), "--config", str(cfg),
+        "--method", "both", "--out-dir", str(out),
+    ]) == 0
+    used = json.loads((out / "comparison.json").read_text())["utilization"]
+    for method in ("sigmoid", "sine"):
+        for name in ("feed", "accel", "jerk"):
+            assert used[method][name] <= 1.0 + 1e-12
+        # the replayed chord keeps the suite's 1.05 chord allowance
+        assert used[method]["chord"] <= 1.05
 
 
 def test_presets_load_within_the_shape_range():

@@ -14,12 +14,13 @@ from conftest import make_line
 from feedsched.baseline import SINE
 from feedsched.chordscan import FeedrateScatter, Limits
 from feedsched.cli import PRESETS
-from feedsched import geometry, optimizer, sprofile
+from feedsched import geometry, optimizer
 from feedsched.curvegen import random_curve
 from feedsched.geometry import ParametricCurve, arc_length
 from feedsched.optimizer import (
     InfeasibleJunctionError,
     OptimizerError,
+    ScheduleConsistencyError,
     adjust_peak_junction,
     adjust_with_constant,
     extend_into_constant,
@@ -29,7 +30,7 @@ from feedsched.optimizer import (
 )
 from feedsched.chordscan import scan_curve
 from feedsched.segmentation import Block, build_blocks, find_breakpoints
-from feedsched.sprofile import ProfileError, ProfileFamily, kernel, sigmoid_family
+from feedsched.sprofile import ProfileError, kernel, sigmoid_family
 
 STD = Limits(
     Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0, j_max=26000.0,
@@ -38,17 +39,7 @@ STD = Limits(
 SIG = sigmoid_family(3.3)
 
 
-def any_shape_family(s):
-    """The shaped law's reduction constants at any steepness; the
-    solvers take them as given, while sigmoid_family refuses shapes
-    steeper than SHAPE_S_MAX."""
-    mu_n, mu_m = sprofile._reduction_constants(s)
-    return ProfileFamily(mu_n, mu_m, partial(sprofile.SigmoidProfile.fit, s=s))
-
-
-FAMILIES = st.one_of(
-    st.just(SINE), st.floats(1.0, 5.0).map(any_shape_family)
-)
+FAMILIES = st.one_of(st.just(SINE), st.floats(1.0, 5.0).map(sigmoid_family))
 PRESET_LIMITS = st.sampled_from(sorted(PRESETS)).map(PRESETS.__getitem__)
 
 
@@ -624,6 +615,19 @@ class TestSchedule:
             (b.u_s, b.u_e, b.L) for b in blocks
         ]
         assert within_limits(out, SIG, STD)
+
+    def test_final_check_refuses_a_family_that_understates_its_peaks(self):
+        # half the sine's mu_n: the passes let a 2 mm rise from 10 mm/s
+        # reach about 72 mm/s, at twice the acceleration limit, and the
+        # fitted peaks catch it (jerk is out of reach here)
+        half = replace(SINE, mu_n=SINE.mu_n / 2.0)
+        lim = replace(STD, j_max=1e9)
+        curve = make_line(end=(2.0, 0.0))
+        blocks = [Block(0.0, 1.0, 10.0, 100.0, 2.0)]
+        scatter = FeedrateScatter([0.0, 1.0], [10.0, 100.0])
+        assert schedule(curve, blocks, scatter, lim, family=SINE)[0].v_e < 72.0
+        with pytest.raises(ScheduleConsistencyError, match="violates limits"):
+            schedule(curve, blocks, scatter, lim, family=half)
 
     def test_already_optimal_is_fixpoint(self):
         curve, blocks = line_setup(
