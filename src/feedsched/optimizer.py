@@ -10,11 +10,13 @@ scan: a pass lowers only junctions it has not visited yet. Each junction
 solve returns the largest float feed its feasibility test accepts, so
 no pass repairs another's rounding.
 
-The passes work on arc length alone. Each junction starts at the arc
-position of its scan parameter and, when lengths move, sits at the
-prefix sum of the block lengths before it; the scan ceiling is read at
-the arc positions of its samples. Junctions that moved get their curve
-parameter once, after the passes.
+The passes work on one chain: a feed at every junction and a length
+for every block between two of them, in arc length alone. Each junction
+starts at the arc position of its scan parameter and, when lengths move,
+sits at the prefix sum of the block lengths before it; the scan ceiling
+is read at the arc positions of its samples. After the passes the
+blocks they shrank to zero length go, the junctions left that moved get
+their curve parameter once, and the schedule is built as new blocks.
 
 Feeds only ever decrease during scheduling, so the chord-error ceiling
 recorded by the scan stays satisfied at every breakpoint; a junction
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import replace
 
 import numpy as np
 
@@ -168,48 +169,28 @@ def adjust_peak_junction(
 
 
 def extend_into_constant(
-    trans: Block, const_block: Block, family: ProfileFamily, limits: Limits
-) -> float:
-    """Grow a transition into its neighboring constant block, in place,
-    and return the constant feed.
+    lo: float, hi: float, L_t: float, L_c: float,
+    family: ProfileFamily, limits: Limits,
+) -> tuple[float, float, float]:
+    """Grow a transition between feeds lo and hi, of length L_t, into the
+    constant block of length L_c at its hi end, as (feed, L_t, L_c).
 
     Arc length moves from the constant block into the transition until
     the feed change fits; if the whole constant block is not enough,
-    the constant feed itself is lowered to the highest reachable value
-    and the transition absorbs the full span. Total displacement is
-    conserved. Parameter anchors are left to the caller.
+    the transition takes the full span and the constant feed falls to
+    the highest one it reaches, below hi. Total displacement is conserved.
     """
-    t_kind = classify_kind(trans.v_s, trans.v_e, 1e-9 * limits.v_max)
-    if t_kind is BlockKind.ACCEL:
-        lo, hi = trans.v_s, trans.v_e
-    elif t_kind is BlockKind.DECEL:
-        lo, hi = trans.v_e, trans.v_s
-    else:
-        raise OptimizerError("extension needs an accelerating or braking block")
     need = transition_min_length(lo, hi, family, limits)
-    if need <= trans.L:
-        return const_block.v_s
-    transfer = need - trans.L
-    if transfer <= const_block.L:
-        if const_block.L - transfer <= _LEN_TOL:
-            # a residue this small is rounding, not a steady phase
-            trans.L += const_block.L
-            const_block.L = 0.0
-        else:
-            trans.L = need
-            const_block.L -= transfer
-        return const_block.v_s
-    total = trans.L + const_block.L
-    new_hi = transition_max_feed(lo, total, family, limits)
-    trans.L = total
-    const_block.L = 0.0
-    if t_kind is BlockKind.ACCEL:
-        trans.v_e = new_hi
-    else:
-        trans.v_s = new_hi
-    const_block.v_s = new_hi
-    const_block.v_e = new_hi
-    return new_hi
+    if need <= L_t:
+        return hi, L_t, L_c
+    transfer = need - L_t
+    if transfer > L_c:
+        total = L_t + L_c
+        return transition_max_feed(lo, total, family, limits), total, 0.0
+    if L_c - transfer <= _LEN_TOL:
+        # a residue this small is rounding, not a steady phase
+        return hi, L_t + L_c, 0.0
+    return hi, need, L_c - transfer
 
 
 def adjust_with_constant(
@@ -279,102 +260,81 @@ def _min_ceiling(s, v, a, b):
     return best
 
 
-def _anchor_junctions(curve, blocks, pos, start):
-    """Give each junction whose arc position moved its parameter, once.
+def _anchor_junctions(curve, u, pos, start, keep):
+    """Parameters of the kept junctions, each one that moved converted once.
 
     Junctions are converted in order and clamped between the previous
-    junction and the next unmoved one, so no block ends before it starts;
-    one that ends a zero-length block takes the previous junction's, and
-    one followed by nothing but zero-length blocks up to an unmoved
-    junction takes that junction's, even when its arc position lies an
-    ulp or so short of it by the rounding of a prefix sum of lengths.
+    kept junction and the next unmoved one, so no block ends before it
+    starts.
     """
-    n = len(blocks)
-    u = [b.u_s for b in blocks] + [blocks[-1].u_e]
-    upper = list(range(n + 1))
-    flat = [True] * (n + 1)  # blocks j to upper[j] all of zero length
-    for j in range(n - 1, 0, -1):
-        if pos[j] != start[j]:
-            upper[j] = upper[j + 1]
-            flat[j] = blocks[j].L == 0.0 and flat[j + 1]
+    out = [u[j] for j in keep]
+    upper = [len(keep) - 1] * len(keep)
+    for m in range(len(keep) - 2, 0, -1):
+        j = keep[m]
+        upper[m] = m if pos[j] == start[j] else upper[m + 1]
     table = curve._arc_table
-    for j in range(1, n):
-        k = upper[j]
-        if pos[j] == pos[j - 1]:
-            u[j] = u[j - 1]
-        elif pos[j] == pos[k] or flat[j]:
-            u[j] = u[k]
-        elif pos[j] != start[j]:
-            u[j] = min(max(table.param(pos[j]), u[j - 1]), u[k])
-    for j, b in enumerate(blocks):
-        b.u_s, b.u_e = u[j], u[j + 1]
+    for m in range(1, len(keep) - 1):
+        j, k = keep[m], keep[upper[m]]
+        if j != k:
+            out[m] = min(max(table.param(pos[j]), out[m - 1]), u[k])
+    return out
 
 
 class _Passes:
-    """The two passes over one working block list. pos holds the arc
-    position of every junction, start its position at the scan; floors
-    are the scan-time lengths, below which no side of a span shrinks.
+    """The two passes over one chain of junctions: v holds the feed at
+    every junction, L the length of every block between two of them, pos
+    the arc position of every junction and start its position at the
+    scan; floors are the scan-time lengths, below which no side of a span
+    shrinks.
     """
 
     def __init__(self, curve, blocks, scatter, limits, family):
         n = len(scatter)
-        at = curve._arc_table.positions(
-            np.concatenate([scatter.u, [b.u_s for b in blocks], [blocks[-1].u_e]])
-        )
+        self.u = [b.u_s for b in blocks] + [blocks[-1].u_e]
+        at = curve._arc_table.positions(np.concatenate([scatter.u, self.u]))
         self.start = at[n:].tolist()
         self.pos = self.start[:]
         self.scan_pos, self.scan_feed = at[:n], scatter.v
-        self.blocks = blocks
-        self.floors = [b.L for b in blocks]
+        self.v = [b.v_s for b in blocks] + [blocks[-1].v_e]
+        self.L = [b.L for b in blocks]
+        self.floors = self.L[:]
+        self.tol = 1e-9 * limits.v_max
         self.limits = limits
         self.family = family
 
     def kind(self, i):
-        if 0 <= i < len(self.blocks):
-            b = self.blocks[i]
-            return classify_kind(b.v_s, b.v_e, 1e-9 * self.limits.v_max)
+        if 0 <= i < len(self.L):
+            return classify_kind(self.v[i], self.v[i + 1], self.tol)
         return None
 
     def ceiling(self, a, b):
         return _min_ceiling(self.scan_pos, self.scan_feed, a, b)
 
-    def feed(self, j):
-        blocks = self.blocks
-        return blocks[j].v_s if j < len(blocks) else blocks[-1].v_e
-
-    def set_feed(self, j, v):
-        """Set the feed at junction j (before block j) on both sides."""
-        if j > 0:
-            self.blocks[j - 1].v_e = v
-        if j < len(self.blocks):
-            self.blocks[j].v_s = v
-
     def lower(self, j, v):
         """Lower the feed at junction j to v; a higher v leaves it."""
-        if v < self.feed(j):
-            self.set_feed(j, v)
+        if v < self.v[j]:
+            self.v[j] = v
 
     def place(self, i, j):
         """Re-place the junctions between blocks i..j-1 from their lengths,
         each at its scan position while nothing before it moved and
         clamped to the fixed far end, so no zero-length block runs back."""
-        pos, start, blocks = self.pos, self.start, self.blocks
+        pos, start, L = self.pos, self.start, self.L
         for k in range(i, j - 1):
-            moved = pos[k] != start[k] or blocks[k].L != self.floors[k]
-            pos[k + 1] = min(pos[k] + blocks[k].L if moved else start[k + 1], pos[j])
+            moved = pos[k] != start[k] or L[k] != self.floors[k]
+            pos[k + 1] = min(pos[k] + L[k] if moved else start[k + 1], pos[j])
 
     def set_lengths(self, i, lengths):
-        for b, L in zip(self.blocks[i:], lengths):
-            b.L = L
+        self.L[i : i + len(lengths)] = lengths
         self.place(i, i + len(lengths))
 
     def run(self, d):
         """Settle the blocks whose feed rises in pass direction d: d = 1
         fits each rise to its start feed, d = -1 each fall to its end feed
         and each peak to both outer feeds."""
-        blocks, fam, lim = self.blocks, self.family, self.limits
+        v, L, fam, lim = self.v, self.L, self.family, self.limits
         rise, fall = (BlockKind.ACCEL, BlockKind.DECEL)[::d]
-        for i in range(len(blocks))[::d]:
+        for i in range(len(L))[::d]:
             if self.kind(i) is not rise:
                 continue
             near, far = (i, i + 1)[::d]
@@ -386,42 +346,38 @@ class _Passes:
             elif nxt is fall:
                 # a peak's far side is no higher than one rise over both
                 # blocks reaches; the backward pass then settles the peak
-                both = blocks[i].L + blocks[i + d].L
-                reach = transition_max_feed(self.feed(near), both, fam, lim)
+                reach = transition_max_feed(v[near], L[i] + L[i + d], fam, lim)
                 self.lower(far + d, reach)
                 if d < 0:
                     self.peak(i - 1)
             else:
-                reach = transition_max_feed(self.feed(near), blocks[i].L, fam, lim)
-                self.lower(far, reach)
+                self.lower(far, transition_max_feed(v[near], L[i], fam, lim))
 
     def extend(self, t, c):
         """Grow transition t into the constant block c next to it."""
-        old = self.blocks[c].v_s
-        feed = extend_into_constant(
-            self.blocks[t], self.blocks[c], self.family, self.limits
+        v, L = self.v, self.L
+        lo, hi = (t, c) if c > t else (t + 1, t)
+        feed, L[t], L[c] = extend_into_constant(
+            v[lo], v[hi], L[t], L[c], self.family, self.limits
         )
-        if feed != old:
-            # the consumed constant block took the lowered feed; sync
-            # both its junctions to reach the neighbours
-            self.set_feed(c, feed)
-            self.set_feed(c + 1, feed)
+        if feed != v[hi]:
+            # the consumed constant block drops to the feed reached
+            v[c] = v[c + 1] = feed
         self.place(min(t, c), min(t, c) + 2)
 
     def span(self, i, rising):
         """Settle the rise-steady-fall run at blocks i, i+1, i+2."""
-        a, c, d = self.blocks[i : i + 3]
-        v1, v3 = a.v_s, d.v_e
-        pos = self.pos
-        ceiling = min(self.limits.v_max, c.v_s, self.ceiling(pos[i + 1], pos[i + 2]))
+        v, L, pos = self.v, self.L, self.pos
+        v1, v3 = v[i], v[i + 3]
+        ceiling = min(self.limits.v_max, v[i + 1], self.ceiling(pos[i + 1], pos[i + 2]))
         if ceiling < max(v1, v3):
             self.lower(i + 1, ceiling)
             self.lower(i + 2, ceiling)
             return
         try:
             v2, lengths = adjust_with_constant(
-                v1, v3, a.L + c.L + d.L, ceiling, self.family, self.limits,
-                floors=(self.floors[i], self.floors[i + 2]),
+                v1, v3, L[i] + L[i + 1] + L[i + 2], ceiling, self.family,
+                self.limits, floors=(self.floors[i], self.floors[i + 2]),
             )
         except InfeasibleJunctionError:
             # not even flat: the side with the lower outer feed cannot
@@ -439,21 +395,38 @@ class _Passes:
     def peak(self, i):
         """Settle the peak of rise i and fall i+1 as the tallest peak over
         both that the scan ceiling holds on the arc changing hands."""
-        a, d = self.blocks[i], self.blocks[i + 1]
-        v1, v3, total = a.v_s, d.v_e, a.L + d.L
+        v, (L1, L2) = self.v, self.L[i : i + 2]
         old, base = self.pos[i + 1], self.pos[i]
-        v, x = adjust_peak_junction(
-            v1, a.v_e, v3, a.L, d.L, self.family, self.limits,
-            lambda x: math.inf if x == a.L else self.ceiling(old, base + x),
+        top, x = adjust_peak_junction(
+            v[i], v[i + 1], v[i + 2], L1, L2, self.family, self.limits,
+            lambda x: math.inf if x == L1 else self.ceiling(old, base + x),
         )
-        l1, l3 = (a.L, d.L) if x == a.L else (x, total - x)
+        l1, l3 = (L1, L2) if x == L1 else (x, L1 + L2 - x)
         # a rounding residue is no transition: that side goes flat
         if l3 <= _LEN_TOL:
-            l1, l3, v = total, 0.0, v3
+            l1, l3, top = L1 + L2, 0.0, v[i + 2]
         elif l1 <= _LEN_TOL:
-            l1, l3, v = 0.0, total, v1
-        self.lower(i + 1, v)
+            l1, l3, top = 0.0, L1 + L2, v[i]
+        self.lower(i + 1, top)
         self.set_lengths(i, (l1, l3))
+
+    def plan(self, curve):
+        """The blocks of the settled chain. A block the passes shrank to
+        zero length goes; its run of such blocks keeps one junction, the
+        run's last if that one did not move, else its first."""
+        v, L, pos, start = self.v, self.L, self.pos, self.start
+        keep, body = [0], []
+        for i, length in enumerate(L):
+            if length > 0.0:
+                keep.append(i + 1)
+                body.append(i)
+            elif keep[-1] > 0 and pos[i + 1] == start[i + 1]:
+                keep[-1] = i + 1
+        u = _anchor_junctions(curve, self.u, pos, start, keep)
+        return [
+            Block(u[m], u[m + 1], v[a], v[b], L[i], block_duration(L[i], v[a], v[b]))
+            for m, (i, a, b) in enumerate(zip(body, keep, keep[1:]))
+        ]
 
 
 def schedule(
@@ -464,36 +437,33 @@ def schedule(
     family: ProfileFamily | None = None,
 ) -> list[Block]:
     """Settle all junction feeds in one forward and one backward pass,
-    then fill durations.
+    then build the blocks with their durations.
 
-    The passes move junctions in arc length only; each junction that moved
-    gets its curve parameter once at the end. The input list is not
-    modified. Breakpoint feeds only decrease, so the result stays below
-    the chord-error ceiling everywhere the scan sampled. Every block's
-    true peaks, as the family's fitted profiles report them, are checked
+    Adjacent input blocks must share their junction feed. The passes move
+    junctions in arc length only; each junction that moved gets its curve
+    parameter once at the end, and no returned block has zero length.
+    Breakpoint feeds only decrease, so the result stays below the
+    chord-error ceiling everywhere the scan sampled. Every block's true
+    peaks, as the family's fitted profiles report them, are checked
     against the limits at the end. The family defaults to the shaped law
     at limits.shape_s.
     """
     if family is None:
         family = sigmoid_family(limits.shape_s)
-    work = [replace(b) for b in blocks]
-    if not work:
-        return work
-    passes = _Passes(curve, work, scatter, limits, family)
+    if not blocks:
+        return []
+    for a, b in zip(blocks, blocks[1:]):
+        if a.v_e != b.v_s:
+            raise OptimizerError("adjacent blocks must share their junction feed")
+    passes = _Passes(curve, blocks, scatter, limits, family)
     passes.run(1)
     passes.run(-1)
-    _anchor_junctions(curve, work, passes.pos, passes.start)
+    plan = passes.plan(curve)
     slack = 1.0 + _PEAK_SLACK
-    for b in work:
-        b.T = block_duration(b.L, b.v_s, b.v_e)
-        if b.L == 0.0:
-            continue
+    for b in plan:
         a_pk, j_pk = family.fit(b.v_s, b.v_e, b.L).peaks()
         if a_pk > limits.a_max * slack or j_pk > limits.j_max * slack:
             raise ScheduleConsistencyError(
                 f"block at u=[{b.u_s:.6f},{b.u_e:.6f}] violates limits"
             )
-    for a, b in zip(work[:-1], work[1:]):
-        if a.v_e != b.v_s:
-            raise ScheduleConsistencyError("junction feeds desynchronized")
-    return work
+    return plan

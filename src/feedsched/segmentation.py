@@ -31,13 +31,12 @@ class BlockKind(Enum):
     CONSTANT = "constant"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block:
-    """One scheduling unit between two breakpoints.
-
-    Feed endpoints are mutated by the scheduler; u_s/u_e/L are geometric
-    and stay fixed apart from deliberate re-anchoring of junctions. T is
-    a 0.0 sentinel until a velocity profile is built for the block.
+    """One scheduling unit between two breakpoints: its parameter range,
+    end feeds, arc displacement L and duration T, a 0.0 sentinel until a
+    velocity profile is built for the block. The scheduler returns new
+    blocks and never changes one.
     """
 
     u_s: float
@@ -76,11 +75,9 @@ def _default_threshold(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _trend_breaks(v: np.ndarray, i: int) -> bool:
-    left_flat = v[i - 1] == v[i]
-    right_flat = v[i + 1] == v[i]
-    if left_flat and right_flat:
-        return False
-    if left_flat or right_flat:
+    """Whether the trend reverses at i, or a flat run starts or ends there.
+    Called only where the slope changes, so no more than one side is flat."""
+    if v[i - 1] == v[i] or v[i + 1] == v[i]:
         return True
     return (v[i] - v[i - 1]) * (v[i + 1] - v[i]) < 0.0
 
@@ -134,13 +131,16 @@ def find_breakpoints(
     """Indices of trend changes in the ceiling, endpoints always included.
 
     A point qualifies when its slope change exceeds the screening
-    threshold (default: scaled to the scatter's overall feed relief) and
+    threshold (default: scaled to the scatter's overall feed relief; a
+    given mu_s must be positive, as a flat stretch changes no slope) and
     the feed trend actually reverses there. Edges of flat runs count as trend
     changes even when the surrounding trend continues, so saturated
     stretches become their own blocks. Valleys the screening skipped are
     restored whenever they dip materially below both span endpoints,
     since a block laid over one would overrun the scanned ceiling.
     """
+    if mu_s is not None and not mu_s > 0.0:
+        raise ValueError("mu_s must be strictly positive when given")
     u, v = scatter.u, scatter.v
     n = u.size
     if n < 3:

@@ -197,18 +197,14 @@ class TestRunOutputs:
     def test_reanchored_junctions_stay_ordered(self, tmp_path, seed):
         # junction re-anchoring once pushed a zero-length block's start a
         # few 1e-12 past its end on seeds 8, 10, 17 and 22, and load_blocks
-        # then refused the run's own block table; a block of positive
-        # length must also span a positive parameter range
+        # then refused the run's own block table; now no block has zero
+        # length, and each spans a positive parameter range
         curve, out = str(tmp_path / "curve.json"), tmp_path / "out"
         assert main(["gen-curve", "--seed", str(seed), "--out", curve]) == 0
         assert main(["run", "--curve", curve, "--out-dir", str(out)]) == 0
         blocks = load_blocks(out / "sigmoid_blocks.csv")
         for b in blocks:
-            assert b.u_e >= b.u_s
-            if b.L > 0.0:
-                assert b.u_e > b.u_s, b
-            if b.u_e == b.u_s:
-                assert b.L == 0.0, b
+            assert b.L > 0.0 and b.u_e > b.u_s, b
 
 
 class TestOptions:

@@ -97,6 +97,14 @@ class TestFindBreakpoints:
     def test_two_point_scatter(self):
         assert find_breakpoints(scatter_from([10.0, 20.0])) == [0, 1]
 
+    def test_non_positive_threshold_refused(self):
+        # a flat stretch changes no slope, so only a level below zero
+        # would pick its interior points
+        sc = scatter_from([10.0, 80.0, 80.0, 80.0, 10.0])
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="mu_s must be strictly positive"):
+                find_breakpoints(sc, mu_s=bad)
+
 
 class TestClassifyKind:
     def test_tolerance_band(self):
@@ -163,3 +171,12 @@ class TestBlockValidation:
     def test_negative_feed_rejected(self):
         with pytest.raises(ValueError):
             Block(u_s=0.0, u_e=1.0, v_s=-1.0, v_e=2.0, L=1.0)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Block(u_s=0.0, u_e=1.0, v_s=1.0, v_e=2.0, L=-1.0)
+
+    def test_frozen(self):
+        b = Block(u_s=0.0, u_e=1.0, v_s=1.0, v_e=2.0, L=1.0)
+        with pytest.raises(AttributeError):
+            b.v_e = 3.0

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import oracles
 from conftest import make_full_circle, make_line, make_quarter_circle, nurbs_curves
 from feedsched import geometry, simulator, sprofile
 from feedsched.baseline import SINE, sine_schedule
-from feedsched.chordscan import ChordScanError, Limits, _chord_deviation, scan_curve
+from feedsched.chordscan import (
+    ChordScanError, FeedrateScatter, Limits, _chord_deviation, scan_curve,
+)
 from feedsched.cli import PRESETS
 from feedsched.curvegen import random_curve
 from feedsched.geometry import (
@@ -59,8 +62,7 @@ class TestTotalTime:
         assert total_time(blocks) == pytest.approx(want, rel=1e-15)
 
     def test_unfilled_duration_raises(self):
-        b = timed_block(0.0, 1.0, 20.0, 80.0, 10.0)
-        b.T = 0.0
+        b = replace(timed_block(0.0, 1.0, 20.0, 80.0, 10.0), T=0.0)
         with pytest.raises(SimulationError):
             total_time([b])
         # a negative duration would put the block starts out of order
@@ -525,9 +527,9 @@ def bits(*xs):
 @st.composite
 def tick_plans(draw):
     """(v_s, v_e, L) of each block of a plan the tick walk must step
-    through exactly: zero-length blocks, as the backward pass emits them,
-    blocks shorter than Ts, runs of them whose ends share one tick, and
-    longer blocks; the plan almost surely ends mid-tick."""
+    through exactly: zero-length blocks, which a plan read from a file
+    may hold, blocks shorter than Ts, runs of them whose ends share one
+    tick, and longer blocks; the plan almost surely ends mid-tick."""
     feed = st.floats(5.0, 100.0)
     spans = []
     for _ in range(draw(st.integers(1, 8))):
@@ -628,6 +630,25 @@ class TestPathEnd:
         with pytest.raises(SimulationError, match="past the path end"):
             interpolate(curve, blocks, STD)
 
+    @pytest.mark.parametrize("law", ["sigmoid", "sine"])
+    def test_final_tick_reports_the_last_transition_end(self, law):
+        # a 0.5 mm rise to 85 mm/s and a 3 mm fall to 80 mm/s: the peak
+        # hands the whole fall to one rise, and the emptied fall is no
+        # block, so the final tick reads the rise's end state rather than
+        # a flat block's zero acceleration and jerk
+        family = SINE if law == "sine" else sigmoid_family(STD.shape_s)
+        curve = make_line(end=(3.5, 0.0))
+        blocks = [
+            Block(0.0, 1.0 / 7.0, 20.0, 85.0, 0.5),
+            Block(1.0 / 7.0, 1.0, 85.0, 80.0, 3.0),
+        ]
+        scatter = FeedrateScatter([0.0, 1.0 / 7.0, 1.0], [20.0, 85.0, 80.0])
+        [rise] = schedule(curve, blocks, scatter, STD, family)
+        last = interpolate(curve, [rise], STD, family=family)[-1]
+        _, v, a, j = family.fit(rise.v_s, rise.v_e, rise.L).state(rise.T)
+        assert (last.v, last.A, last.J) == (v, a, j)
+        assert j < -0.99 * STD.j_max
+
 
 class TestErrors:
     def test_empty_schedule(self):
@@ -638,8 +659,6 @@ class TestErrors:
     def test_zero_duration_schedule(self):
         curve = make_line()
         b = timed_block(0.0, 1.0, 10.0, 10.0, 0.0)
-        b.L = 0.0
-        b.T = 0.0
         with pytest.raises(SimulationError):
             interpolate(curve, [b], STD)
 
