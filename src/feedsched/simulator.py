@@ -2,27 +2,22 @@
 
 Every sampling period the commanded profile advances the tool by the
 difference of its exact closed-form travel at the two tick times, and
-the replay lands on the curve parameter whose straight-line (chordal)
-step from the previous landing matches that advance within
+the replay lands on the nearest curve parameter whose straight-line
+(chordal) step from the previous landing matches that advance within
 _CHORD_MATCH_TOL. Each sample records the parameter, position, the
 profile's analytic kinematics, and the measured chord deviation of the
 step.
 
-The replay runs in two phases. The walk takes the ticks in windows of up
-to _WINDOW_TICKS, finding each tick's running block with a forward cursor
-over the block start times. It solves all landings of a window together:
-the first guesses invert the arc table at the commanded travel, and each
-Newton step over the whole window takes one jets pass (point, first and
-second derivative at every landing) and solves its bidiagonal Jacobian by
-one forward recurrence, until every tick's chord matches or the tick lies
-past the curve end. A window that has not settled after _WINDOW_PASSES
-passes hands its first unsettled tick to the scalar chord step, which
-starts from a second-order Taylor prediction and refines it by Newton
-steps inside a bisection bracket, with one jet per iterate, and steps the
-rest of the window tick by tick. The chord pass then measures every
-step's deviation from the osculating radii at all step midpoints, taken
-in one jets pass. A plan longer than _MAX_TICKS periods is refused
-before the walk.
+The commanded travel of every tick comes first, from a forward cursor
+over the block start times. The walk then lands the ticks in windows of
+up to _WINDOW_TICKS: Newton steps over the whole window, one jets pass
+each, from first guesses on the arc table, and a screen on the arc each
+landing consumes that keeps only landings on the nearer root (_land).
+The first tick a window leaves unlanded is found by a bracketed search
+over many parameters per jets pass (_first_crossing), and the next
+window starts after it. The chord pass then measures every step's
+deviation from the osculating radii at all step midpoints, in one jets
+pass. A plan longer than _MAX_TICKS periods is refused before the walk.
 
 Chordal stepping consumes slightly more path than the commanded travel
 on curved spans, at most about half the chord tolerance per period, so
@@ -35,18 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .chordscan import Limits, _max_chord_deviation
-from .geometry import (
-    ParametricCurve,
-    _curvature_radii,
-    jet,
-    jets,
-)
+from .geometry import ParametricCurve, _curvature_radii, jet, jets
 from .segmentation import Block
 from .sprofile import ProfileFamily, sigmoid_family
 
@@ -60,12 +50,16 @@ __all__ = [
 ]
 
 _CHORD_MATCH_TOL = 1e-9  # mm
-_MAX_REFINE_STEPS = 80
 # The walk solves the landings of up to _WINDOW_TICKS ticks at once, with
 # at most _WINDOW_PASSES jets passes, and inverts the curve's arc grid
 # (geometry.ParametricCurve._arc_grid) for its first guesses.
 _WINDOW_TICKS = 512
 _WINDOW_PASSES = 8
+# The first-crossing search samples 64 interior parameters of its bracket
+# and its top per pass, and raises after _SEARCH_PASSES. A pass past the
+# match narrows the bracket 65-fold: 9 reach one ulp of u from [0, 1].
+_SEARCH_STEPS = np.arange(1, 66) / 65.0
+_SEARCH_PASSES = 40
 # Longest replay, in sampling periods: 1000 s of motion at Ts = 1 ms, over
 # 400 times the longest corpus or benchmark plan (2316 ticks), and at tens of
 # microseconds per tick, well under a minute of replay.
@@ -124,84 +118,19 @@ def _commanded(blocks, family, total, Ts, n_steps):
     0..n_steps. A forward cursor picks the running block as a bisection
     over the block starts would: the last block starting at or before the
     tick, so blocks of zero duration are stepped over."""
-    starts, offsets = [], []
-    t = s = 0.0
+    starts, offsets = [0.0], [0.0]
     for b in blocks:
-        starts.append(t)
-        offsets.append(s)
-        t += b.T
-        s += b.L
-    profiles = [family.fit(b.v_s, b.v_e, b.L) for b in blocks]
-    i, last = 0, len(blocks) - 1
+        starts.append(starts[-1] + b.T)
+        offsets.append(offsets[-1] + b.L)
+    starts[-1] = math.inf  # the last block runs to the end
+    states = [family.fit(b.v_s, b.v_e, b.L).state for b in blocks]
+    i = 0
     for k in range(n_steps + 1):
         t = min(k * Ts, total)
-        while i < last and starts[i + 1] <= t:
+        while starts[i + 1] <= t:
             i += 1
-        tau = min(max(t - starts[i], 0.0), blocks[i].T)
-        travel, v, a, j = profiles[i].state(tau)
+        travel, v, a, j = states[i](min(t - starts[i], blocks[i].T))
         yield offsets[i] + travel, v, a, j, i
-
-
-def _refine_step(curve, u, pos, d1, d2, advance):
-    """Parameter whose chordal distance from pos equals the advance, with
-    the curve's jet (point, first and second derivative) there.
-
-    d1 and d2 are the derivatives at u. Newton's method on the chord gap
-    |C(x) - pos| - advance, seeded by a second-order prediction, with one
-    jet per iterate. Every evaluated parameter tightens a bracket on
-    [u, 1]; a step that would leave it bisects instead, and the curve end
-    is probed only when a step would pass it. Returns None when the rest
-    of the curve is too short for the advance; the caller decides whether
-    that is the path end or an inconsistent plan.
-
-    Sums over the 2 or 3 coordinates are written out and added left to
-    right from 0, as the builtin sum adds them.
-    """
-    planar = len(pos) == 2
-    if planar:
-        (px, py), (ax, ay), (bx, by) = pos, d1, d2
-        speed_sq = ax * ax + ay * ay
-        dot = 0.0 + ax * bx + ay * by
-    else:
-        (px, py, pz), (ax, ay, az), (bx, by, bz) = pos, d1, d2
-        speed_sq = ax * ax + ay * ay + az * az
-        dot = 0.0 + ax * bx + ay * by + az * bz
-    speed = math.sqrt(speed_sq)
-    x = u + advance / speed - dot * advance * advance / (
-        2.0 * speed_sq * speed_sq
-    )
-    x = min(max(x, u), 1.0)
-    lo, hi = u, None  # hi: the nearest parameter known to overshoot
-    for _ in range(_MAX_REFINE_STEPS):
-        at_x = jet(curve, x)
-        if planar:
-            (ex, ey), (ax, ay), _ = at_x
-            ex, ey = ex - px, ey - py
-            dist = math.sqrt(ex * ex + ey * ey)
-            lean = 0.0 + ex * ax + ey * ay
-        else:
-            (ex, ey, ez), (ax, ay, az), _ = at_x
-            ex, ey, ez = ex - px, ey - py, ez - pz
-            dist = math.sqrt(ex * ex + ey * ey + ez * ez)
-            lean = 0.0 + ex * ax + ey * ay + ez * az
-        gap = dist - advance
-        if abs(gap) <= _CHORD_MATCH_TOL:
-            return x, at_x
-        if gap > 0.0:
-            hi = x
-        elif x >= 1.0:
-            return None
-        else:
-            lo = x
-        top = 1.0 if hi is None else hi
-        if top - lo < 1e-16:
-            break
-        slope = lean / dist if dist else 0.0
-        x = x - gap / slope if slope > 0.0 else math.inf
-        if not lo < x < top:
-            x = 1.0 if hi is None else 0.5 * (lo + hi)
-    x = 0.5 * (lo + top)
-    return x, jet(curve, x)
 
 
 def _params_at(grid, s):
@@ -228,28 +157,35 @@ def _land(curve, grid, u0, p0, d0, travel, reached):
     Tick m commands the travel reached[m]; the window starts from the
     landing u0 with point p0 and first derivative d0, at travel. The
     solve seeks u_1 <= ... <= u_n <= 1 with |C(u_m) - C(u_{m-1})| equal
-    to each tick's advance. It starts from the arc table's parameters at
-    the commanded travel plus the arc excess of the chords before, and
-    each Newton step takes one jets pass. The chord of tick m depends on
-    u_{m-1} and u_m only, so the Jacobian is bidiagonal, and its forward
-    recurrence, step_m = (back_m step_{m-1} - gap_m) / fwd_m, has the
-    closed form step = P cumsum(-gap / (fwd P)) with P the running
-    product of back / fwd; a zero chord takes the tangent for its
-    direction. Each iterate is clamped nondecreasing into [u0, 1], which
-    also takes a parameter whose step is NaN back to the landing before
-    it. A tick lies past the curve end when the landing before it is
-    u = 1, or when its own is and its chord falls short.
+    to each tick's advance, from the arc table's parameters at the
+    commanded travel plus the arc excess of the chords before. Each
+    Newton step is one jets pass and the forward recurrence of the
+    bidiagonal Jacobian, step_m = (back_m step_{m-1} - gap_m) / fwd_m, as
+    step = P cumsum(-gap / (fwd P)) with P the running product of back /
+    fwd; a zero chord takes the tangent for its direction. Each iterate
+    is clamped nondecreasing into [u0, 1], which also undoes a NaN step.
+    The solve stops when every tick matches within _CHORD_MATCH_TOL or
+    lies past the curve end, or after _WINDOW_PASSES passes.
 
-    Returns how many leading ticks matched their advance within
-    _CHORD_MATCH_TOL, whether every tick after those lies past the curve
-    end, and the landings' parameters and jets (point, first and second
-    derivative arrays). The solve stops after _WINDOW_PASSES passes; the
-    caller steps any tick neither matched nor past the end one by one.
+    The screen: a chord that reaches D before it comes back to the
+    advance a consumes at least 2 D - a of arc, and a smooth step's arc
+    exceeds its chord by about a^3 kappa^2 / 24. So a matched tick lands
+    only if its chord still grows there and the arc it consumes exceeds
+    a by at most twice that excess (the larger of the grid's at its two
+    ends) plus the match: no parameter before it then lies farther than
+    a plus the excess plus the match. A tick lies past the curve end if
+    the landing before it is u = 1, or if its own is, its chord is short
+    and chord plus consumed arc stay below 2 (a - match), which a path
+    that reaches a - match exceeds.
+
+    Returns how many leading ticks landed, whether every tick after those
+    lies past the curve end, and the parameters and jets of the landings.
     """
     _, at, _, excess = grid
     reached = np.asarray(reached)
     advance = np.diff(reached, prepend=travel)
-    arc = curve._arc_table.at(u0) + (reached - travel)
+    s0 = curve._arc_table.at(u0)
+    arc = s0 + (reached - travel)
     arc += np.cumsum(advance**3 * np.interp(arc, at, excess))
     x = _params_at(grid, arc)
     for passes in range(1, _WINDOW_PASSES + 1):
@@ -259,9 +195,9 @@ def _land(curve, grid, u0, p0, d0, travel, reached):
         dist = np.sqrt(sum(c * c for c in chord))
         gap = dist - advance
         ended = np.concatenate([[u0], x[:-1]]) == 1.0
-        ended |= (x == 1.0) & (gap < -_CHORD_MATCH_TOL)
+        short = (x == 1.0) & (gap < -_CHORD_MATCH_TOL)
         matched = (np.abs(gap) <= _CHORD_MATCH_TOL) & ~ended
-        if (matched | ended).all() or passes == _WINDOW_PASSES:
+        if (matched | ended | short).all() or passes == _WINDOW_PASSES:
             break
         before = np.vstack([d0, d1[:-1]]).T
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -272,8 +208,54 @@ def _land(curve, grid, u0, p0, d0, travel, reached):
             run = np.cumprod(np.concatenate([[1.0], back[1:] / fwd[1:]]))
             step = run * np.cumsum(-gap / (fwd * run))
         x = x + step
-    n = int(np.argmin(matched)) if not matched.all() else x.size
-    return n, bool(ended[n:].all()), x, at_x
+    s = np.append(s0, curve._arc_table.positions(x))
+    consumed = np.diff(s)
+    bend = np.interp(s, at, excess)
+    bend = advance**3 * np.fmax(bend[:-1], bend[1:])
+    grows = sum(a * b for a, b in zip(chord, d1.T)) > 0.0
+    landed = matched & (grows | (dist <= _CHORD_MATCH_TOL))
+    landed &= consumed - advance <= 2.0 * bend + _CHORD_MATCH_TOL
+    ended |= short & (dist + consumed < 2.0 * (advance - _CHORD_MATCH_TOL))
+    n = int(np.argmin(np.append(landed, False)))
+    return n, bool(n < x.size and ended[n:].all()), x, at_x
+
+
+def _first_crossing(curve, u0, p0, advance, hi):
+    """Nearest parameter past u0 whose chord from p0 matches the advance
+    within _CHORD_MATCH_TOL, with its point and first derivative; None
+    when the curve ends short of the advance.
+
+    Each pass samples _SEARCH_STEPS of a bracket (lo, hi] in one jets
+    pass and takes the first sample that reaches advance - match. Past
+    the match the bracket narrows around it; within, one Newton step from
+    it, kept in the bracket, gives the next hi, with lo back at u0. It
+    returns hi once hi is the first sample of (u0, hi] to reach and it
+    matches. A bracket with no sample that reaches moves on to (hi, 1].
+    """
+    lo = u0
+    for _ in range(_SEARCH_PASSES):
+        u = lo + (hi - lo) * _SEARCH_STEPS
+        u[-1] = hi
+        points, d1, _ = jets(curve, u)
+        chord = points - p0
+        dist = np.sqrt((chord * chord).sum(axis=1))
+        gap = dist - advance
+        reach = gap >= -_CHORD_MATCH_TOL
+        i = int(np.argmax(reach))
+        below = u[i - 1] if i else lo
+        if not reach[i]:
+            if hi == 1.0:
+                return None
+            lo, hi = hi, 1.0
+        elif gap[i] > _CHORD_MATCH_TOL:
+            lo, hi = below, u[i]
+        elif lo == u0 and u[i] == hi:
+            return float(hi), tuple(points[i].tolist()), d1[i]
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = u[i] - gap[i] * dist[i] / (chord[i] @ d1[i])
+            lo, hi = u0, (x if below < x <= hi else u[i])
+    raise SimulationError(f"no landing past u={u0!r} matches {advance:.3e} mm")
 
 
 def _chord_errors(curve, us, points) -> list[float]:
@@ -332,62 +314,52 @@ def interpolate(
             f"{_MAX_TICKS} ticks"
         )
     n_steps = max(1, math.ceil(periods - 1e-9))
-    length = 0.0
-    for b in blocks:
-        length += b.L
-    ticks = _commanded(blocks, family, total, Ts, n_steps)
-    travel, v, a, j, _ = next(ticks)
-    u, (pos, d1, d2) = 0.0, jet(curve, 0.0)
-    end = jet(curve, 1.0)  # the final landing and any past the curve end
+    length = math.fsum(b.L for b in blocks)
+    reached, vs, accels, jerks, held = zip(
+        *_commanded(blocks, family, total, Ts, n_steps)
+    )
+    u, (pos, d1, _) = 0.0, jet(curve, 0.0)
     grid = curve._arc_grid
-    # the walk, a window of ticks at a time; the chord pass measures its
-    # steps once it has ended
-    ts, vs, accels, jerks, us, points = [0.0], [v], [a], [j], [u], [pos]
-    k = 0
-    while k < n_steps:
-        window = list(islice(ticks, _WINDOW_TICKS))
-        reached, w_v, w_a, w_j, held = zip(*window)
-        first, k = k + 1, k + len(window)
-        ts += [n * Ts for n in range(first, k + 1)]
-        vs += w_v
-        accels += w_a
-        jerks += w_j
-        solved, ended = 0, u == 1.0
-        walk = min(k, n_steps - 1) - first + 1  # the final tick lands at 1
-        if walk > 0 and not ended:
-            solved, ended, x, at_x = _land(
-                curve, grid, u, pos, d1, travel, reached[:walk]
-            )
-        if solved:
-            us += x[:solved].tolist()
-            points += map(tuple, at_x[0][:solved].tolist())
-            u, pos = us[-1], points[-1]
-            d1, d2 = (tuple(c[solved - 1].tolist()) for c in at_x[1:])
-            travel = reached[solved - 1]
-        # ticks past the curve end, the final tick, and any the window
-        # solve left unsettled, which the scalar Newton step takes over
-        for m in range(solved, len(window)):
-            n = first + m
-            advance = reached[m] - travel
-            travel = reached[m]
-            landing = None
-            if n < n_steps:
-                if not ended and u < 1.0:
-                    landing = _refine_step(curve, u, pos, d1, d2, advance)
-                if landing is None:
-                    left = length - travel
-                    if left > _END_DRIFT_PER_TICK * limits.delta_max * n:
-                        raise SimulationError(
-                            f"block {held[m]} at t={n * Ts:.6f}: plan "
-                            f"commands {left + advance:.3e} mm past the path end"
-                        )
-            u, (pos, d1, d2) = landing or (1.0, end)
+    us, points = [u], [pos]
+    # the walk lands ticks 1 .. last a window at a time; the search lands
+    # a tick the window left, so each round lands at least one tick
+    k, last = 0, n_steps - 1
+    while k < last and u < 1.0:
+        window = reached[k + 1 : min(k + _WINDOW_TICKS, last) + 1]
+        n, ended, x, (p, d, _) = _land(curve, grid, u, pos, d1, reached[k], window)
+        if n:
+            us += x[:n].tolist()
+            points += zip(*p[:n].T.tolist())
+            u, pos, d1 = us[-1], points[-1], d[n - 1]
+            k += n
+        if ended:
+            break
+        if n < len(window):
+            advance = reached[k + 1] - reached[k]
+            landing = _first_crossing(curve, u, pos, advance, x[n])
+            if landing is None:
+                break
+            u, pos, d1 = landing
             us.append(u)
             points.append(pos)
+            k += 1
+    # the ticks past the curve end and the final tick land on it; leftover
+    # travel only falls and its ceiling only grows, so check the first
+    if k < last:
+        advance = reached[k + 1] - reached[k]
+        left = length - reached[k + 1]
+        if left > _END_DRIFT_PER_TICK * limits.delta_max * (k + 1):
+            raise SimulationError(
+                f"block {held[k + 1]} at t={(k + 1) * Ts:.6f}: plan "
+                f"commands {left + advance:.3e} mm past the path end"
+            )
+    us += [1.0] * (n_steps - k)
+    points += [jet(curve, 1.0)[0]] * (n_steps - k)
+    ts = [n * Ts for n in range(n_steps + 1)]
     errs = _chord_errors(curve, us, points)
-    return list(map(
-        InterpolationSample._make, zip(ts, us, points, vs, accels, jerks, errs)
-    ))
+    # tuple.__new__ builds each sample from its row without a Python call
+    rows = zip(ts, us, points, vs, accels, jerks, errs)
+    return list(map(tuple.__new__, repeat(InterpolationSample), rows))
 
 
 def summarize(

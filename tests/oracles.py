@@ -61,7 +61,6 @@ from feedsched.segmentation import Block, BlockKind
 from feedsched.simulator import (
     _CHORD_MATCH_TOL,
     _END_DRIFT_PER_TICK,
-    _MAX_REFINE_STEPS,
     InterpolationSample,
     SimulationError,
     total_time,
@@ -606,6 +605,11 @@ def bisect_feedrate(curve, u, limits):
     return safe
 
 
+# Newton steps of the reference walk's chord step before it settles for
+# the middle of its bracket
+_REFERENCE_REFINE_STEPS = 80
+
+
 def _reference_refine_step(curve, u, pos, advance):
     d1, d2 = derivatives(curve, u, order=2)
     speed_sq = sum(c * c for c in d1)
@@ -616,7 +620,7 @@ def _reference_refine_step(curve, u, pos, advance):
     )
     x = min(max(x, u), 1.0)
     lo, hi = u, None
-    for _ in range(_MAX_REFINE_STEPS):
+    for _ in range(_REFERENCE_REFINE_STEPS):
         point = evaluate(curve, x)
         diff = [a - b for a, b in zip(point, pos)]
         dist = math.sqrt(sum(c * c for c in diff))

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from feedsched.baseline import SINE, sine_schedule
 from feedsched.chordscan import (
     ChordScanError, FeedrateScatter, Limits, _chord_deviation, scan_curve,
 )
-from feedsched.cli import PRESETS
+from feedsched.cli import PRESETS, load_curve
 from feedsched.curvegen import random_curve
 from feedsched.geometry import (
     GeometryError,
@@ -327,14 +328,21 @@ CHORD_ERR_FROM_REFERENCE = 1e-9  # mm
 COMMANDED_ULPS = 16.0
 
 
+# Interior parameters of each step at which the contract looks for a
+# point farther from the step's start than the step's advance.
+CROSSING_SAMPLES = 64
+
+
 def assert_replay_contract(curve, blocks, limits, family, got, corpus=True):
     """Tick k is at k*Ts, and its v, A and J lie within COMMANDED_ULPS of
     the former per-block arithmetic; every position is its parameter's
     point; u never falls and ends at 1; every landing below u = 1 matches
-    its commanded advance within the chord match, measured with evaluate;
-    every chord_err is the scalar chord deviation of its step. On a corpus
-    plan, u and chord_err also stay within the stated distance of the
-    scalar reference walk's."""
+    its commanded advance within the chord match, measured with evaluate,
+    and is the first crossing of it: none of CROSSING_SAMPLES equally
+    spaced interior parameters of the step lies farther than the advance
+    plus the match from the step's start; every chord_err is the scalar
+    chord deviation of its step. On a corpus plan, u and chord_err also
+    stay within the stated distance of the scalar reference walk's."""
     track = oracles._Track(
         blocks, family, oracles.reference_law(family, limits.shape_s)
     )
@@ -358,6 +366,18 @@ def assert_replay_contract(curve, blocks, limits, family, got, corpus=True):
         assert got[k].chord_err == (chord and _chord_deviation(
             curve, got[k - 1].u, got[k].u, points[k - 1], points[k]
         ))
+    live = [k for k in range(1, len(got)) if got[k].u < 1.0]
+    start = np.array([got[k - 1].u for k in live])[:, None]
+    span = np.array([got[k].u for k in live])[:, None] - start
+    steps = np.arange(1, CROSSING_SAMPLES + 1) / (CROSSING_SAMPLES + 1)
+    inner, _, _ = geometry.jets(curve, (start + span * steps).ravel())
+    inner = inner.reshape(len(live), CROSSING_SAMPLES, curve.dimension)
+    offset = inner - np.reshape(
+        [points[k - 1] for k in live], (len(live), 1, curve.dimension)
+    )
+    reach = np.sqrt((offset**2).sum(axis=2)).max(axis=1, initial=0.0)
+    advance = [commanded[k][0] - commanded[k - 1][0] for k in live]
+    assert (reach <= np.add(advance, simulator._CHORD_MATCH_TOL)).all()
     if corpus:
         ref = oracles.replay_reference(curve, blocks, limits, family)
         assert max(abs(a.u - b.u) for a, b in zip(got, ref)) <= U_FROM_REFERENCE
@@ -397,8 +417,8 @@ class TestReplayWork:
         monkeypatch.setattr(simulator, "_land", counted_land)
         monkeypatch.setattr(geometry, "_jet", counting("scalar", geometry._jet))
         monkeypatch.setattr(
-            simulator, "_refine_step",
-            counting("refine", simulator._refine_step),
+            simulator, "_first_crossing",
+            counting("searched", simulator._first_crossing),
         )
         monkeypatch.setattr(
             simulator, "_curvature_radii",
@@ -420,8 +440,9 @@ class TestReplayWork:
             assert calls["other passes"] == 1 + (id(curve) not in gridded)
             gridded.add(id(curve))
             assert calls["radii"] == 1
-            # no fallback, so the only scalar jets are the path's two ends
-            assert calls["refine"] == 0
+            # every window lands whole, so the only scalar jets are the
+            # path's two ends
+            assert calls["searched"] == 0
             assert calls["scalar"] <= 2
 
     def test_one_clamp_and_no_core_setup_per_tick(self, corpus_plans, monkeypatch):
@@ -465,34 +486,61 @@ class TestReplayWork:
             got = interpolate(curve, blocks, limits, family=family)
             assert_replay_contract(curve, blocks, limits, family, got)
 
-    def test_unsettled_windows_fall_back_to_the_scalar_step(
+    def test_unlanded_ticks_are_searched_from_the_landing_before(
         self, corpus_plans, monkeypatch
     ):
-        # with one pass a window settles only the ticks its first guesses
-        # already match, and the scalar step takes over from the first
-        # tick they miss: a 3-D and a planar plan, both laws, and a plan
-        # 0.1 mm longer than its arc, inside the end-drift allowance,
-        # whose scalar walk steps past the curve end before its last tick
+        # with one pass a window lands only the ticks its first guesses
+        # already match, and the first-crossing search takes the first
+        # tick they miss, after which the next window starts: a 3-D and a
+        # planar plan, both laws, and a plan 0.1 mm longer than its arc,
+        # inside the end-drift allowance, whose walk reaches the curve end
+        # two ticks before its last
         monkeypatch.setattr(simulator, "_WINDOW_PASSES", 1)
-        steps = Counter()
-        refine = simulator._refine_step
+        searched = Counter()
+        search = simulator._first_crossing
 
         def counted(*args):
-            landing = refine(*args)
-            steps["past the end" if landing is None else "landed"] += 1
-            return landing
+            searched["ticks"] += 1
+            return search(*args)
 
-        monkeypatch.setattr(simulator, "_refine_step", counted)
+        monkeypatch.setattr(simulator, "_first_crossing", counted)
         arc = make_quarter_circle(5.0)
         over = [timed_block(0.0, 1.0, 50.0, 50.0, arc_length(arc, 0.0, 1.0) + 0.1)]
         sigmoid = sigmoid_family(STD.shape_s)
         plans = corpus_plans[-2:] + corpus_plans[:2] + [(arc, over, STD, sigmoid)]
         for curve, blocks, limits, family in plans:
-            steps.clear()
+            searched.clear()
             got = interpolate(curve, blocks, limits, family=family)
-            assert steps["landed"] > 0
+            assert searched["ticks"] > 0
             assert_replay_contract(curve, blocks, limits, family, got)
-        assert steps["past the end"] > 0
+        assert got[-4].u < 1.0 and [s.u for s in got[-3:]] == [1.0] * 3
+
+    def test_search_gives_up_after_its_passes(self, monkeypatch):
+        # a first guess that the one Newton pass leaves off the advance,
+        # and one search pass, which only narrows the bracket
+        monkeypatch.setattr(simulator, "_WINDOW_PASSES", 1)
+        monkeypatch.setattr(simulator, "_SEARCH_PASSES", 1)
+        arc = make_quarter_circle(5.0)
+        blocks = [timed_block(0.0, 1.0, 50.0, 50.0, arc_length(arc, 0.0, 1.0))]
+        with pytest.raises(SimulationError, match="no landing past u=0.0 matches"):
+            interpolate(arc, blocks, STD)
+
+
+# A planar and a 3-D draw on which the window solve once matched a tick on
+# a farther root of its chord equation: the chord from the landing before
+# had passed the advance by 7.3e-3 and 4.5e-5 mm and come back.
+NEARER_ROOT = load_curve(Path(__file__).parent / "curves" / "nearer_root.json")
+NEARER_ROOT_3D = ParametricCurve(
+    3,
+    (
+        (2.1802394029990158, -0.11150942281764831, 1.0),
+        (2.1802394029990158, -0.11150942281764831, 1.1),
+        (2.7663091455690405, -0.11150942281764831, -0.8122035082187002),
+        (2.7663091455690405, -0.11150942281764831, -0.7122035082187003),
+    ),
+    (1.0,) * 4,
+    (0.0,) * 4 + (1.0,) * 4,
+)
 
 
 class TestReplayProperty:
@@ -502,12 +550,14 @@ class TestReplayProperty:
         preset=st.sampled_from(sorted(PRESETS)),
         law=st.sampled_from(("sigmoid", "sine")),
     )
+    @example(curve=NEARER_ROOT, preset="high-accel", law="sine")
+    @example(curve=NEARER_ROOT_3D, preset="high-accel", law="sigmoid")
     def test_any_curve_replays_to_its_contract_or_a_documented_error(
         self, curve, preset, law
     ):
-        # rational curves of degree 1-5 with repeated knots: the windows
-        # that do not settle hand ticks to the scalar step, whose
-        # bisection these draws reach
+        # rational curves of degree 1-5 with repeated knots: the ticks
+        # that the window solve does not land, or lands past a nearer
+        # crossing, go to the first-crossing search
         limits = PRESETS[preset]
         family = SINE if law == "sine" else sigmoid_family(limits.shape_s)
         try:
@@ -623,6 +673,34 @@ class TestPathEnd:
         assert samples[-1].u == 1.0
         end = evaluate(curve, 1.0)
         assert math.dist(samples[-1].position, end) < 1e-9
+
+    def test_loop_within_the_advance_lies_past_the_end(self, monkeypatch):
+        # a 40 mm line closed by a triangle of 0.08 mm sides: from the
+        # tick that lands on the line's end no point of the last 0.24 mm
+        # of arc lies 0.1 mm away, so the search runs off the curve end and
+        # the end absorbs the two ticks left
+        searched = []
+        search = simulator._first_crossing
+
+        def counted(*args):
+            searched.append(search(*args))
+            return searched[-1]
+
+        monkeypatch.setattr(simulator, "_first_crossing", counted)
+        corners = (
+            (0.0, 0.0), (40.0, 0.0), (40.08, 0.0),
+            (40.04, 0.04 * math.sqrt(3.0)), (40.0, 0.0),
+        )
+        knots = np.cumsum([0.0] + list(map(math.dist, corners, corners[1:])))
+        curve = ParametricCurve(
+            1, corners, (1.0,) * 5, (0.0, *(knots / knots[-1]), 1.0)
+        )
+        L = arc_length(curve, 0.0, 1.0)
+        samples = interpolate(curve, [timed_block(0.0, 1.0, 100.0, 100.0, L)], STD)
+        assert searched == [None]
+        assert len(samples) == 404
+        assert samples[-4].position == pytest.approx((40.0, 0.0), abs=1e-9)
+        assert [s.u for s in samples[-3:]] == [1.0] * 3
 
     def test_plan_longer_than_path_raises(self):
         curve = make_line(end=(10.0, 0.0))
