@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .chordscan import FeedrateScatter, Limits
 from .geometry import ParametricCurve
 from .optimizer import schedule
@@ -26,14 +28,14 @@ __all__ = [
 ]
 
 
-def _sine_unit(tau: float) -> tuple[float, float, float, float]:
-    phase = math.pi * (tau - 0.5)
-    sin, cos = math.sin(phase), math.cos(phase)
+def _sine_unit(tau):
+    phase = np.pi * (tau - 0.5)
+    sin, cos = np.sin(phase), np.cos(phase)
     return (
-        0.5 * tau - math.sin(math.pi * tau) / (2.0 * math.pi),
+        0.5 * tau - np.sin(np.pi * tau) / (2.0 * np.pi),
         0.5 * (sin + 1.0),
-        0.5 * math.pi * cos,
-        -0.5 * math.pi * math.pi * sin,
+        0.5 * np.pi * cos,
+        -0.5 * np.pi * np.pi * sin,
     )
 
 

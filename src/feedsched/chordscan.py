@@ -241,8 +241,6 @@ def _limit_feedrate(curve, u, at_u, limits):
             v *= 0.5
         else:
             v *= min(_FEED_BACKOFF_CAP, math.sqrt(limits.delta_max / delta))
-        if not v > 0.0:
-            break
     if not delta <= limits.delta_max:
         raise ScanConvergenceError(
             f"feed adjustment did not converge at u={u:.6f}"

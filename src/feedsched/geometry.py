@@ -496,7 +496,10 @@ class _ArcTable:
     which is 0 at x = -1 and the piece's GL16 sum at x = 1.
     """
 
-    __slots__ = ("starts", "cum", "pieces", "_centres", "_halves", "_runs")
+    __slots__ = (
+        "starts", "cum", "pieces", "_lows", "_cums", "_centres", "_halves",
+        "_runs",
+    )
 
     def __init__(self, curve: ParametricCurve):
         lo, mids, rows = curve._spans
@@ -545,6 +548,9 @@ class _ArcTable:
             (c, h, tuple(zip(r, _CLENSHAW_A, _CLENSHAW_B)))
             for c, h, r in zip(centre.tolist(), half.tolist(), run.tolist())
         ]
+        # the arrays that positions reads, built once
+        self._lows = lo
+        self._cums = np.array(self.cum)
         self._centres = centre
         self._halves = half
         self._runs = run.T
@@ -568,10 +574,10 @@ class _ArcTable:
         """S(u) for an array of parameters: at's arithmetic on arrays, so
         positions(u)[i] == at(u[i]) bit for bit."""
         u = np.asarray(u, dtype=float)
-        idx = np.maximum(np.searchsorted(self.starts, u, side="right") - 1, 0)
+        idx = np.maximum(np.searchsorted(self._lows, u, side="right") - 1, 0)
         x = (u - self._centres[idx]) / self._halves[idx]
         terms = zip(self._runs[:, idx], _CLENSHAW_A, _CLENSHAW_B)
-        return np.asarray(self.cum)[idx] + _legendre(terms, x)
+        return self._cums[idx] + _legendre(terms, x)
 
     def param(self, s: float) -> float:
         """Parameter at which the running length reaches s (clamped).

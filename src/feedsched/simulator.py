@@ -8,11 +8,13 @@ _CHORD_MATCH_TOL. Each sample records the parameter, position, the
 profile's analytic kinematics, and the measured chord deviation of the
 step.
 
-The commanded travel of every tick comes first, from a forward cursor
-over the block start times. The walk then lands the ticks in windows of
-up to _WINDOW_TICKS: Newton steps over the whole window, one jets pass
-each, from first guesses on the arc table, and a screen on the arc each
-landing consumes that keeps only landings on the nearer root (_land).
+The commanded travel of every tick comes first, on arrays: one
+searchsorted over the block start times finds each tick's block, and one
+Law.state call evaluates all ticks (_commanded). The walk then lands the
+ticks in windows of up to _WINDOW_TICKS: Newton steps over the whole
+window, one jets pass each, from first guesses on the arc table, and a
+screen on the arc each landing consumes that keeps only landings on the
+nearer root (_land).
 The first tick a window leaves unlanded is found by a bracketed search
 over many parameters per jets pass (_first_crossing), and the next
 window starts after it. The chord pass then measures every step's
@@ -115,22 +117,18 @@ def total_time(blocks: list[Block]) -> float:
 def _commanded(blocks, family, total, Ts, n_steps):
     """Commanded travel (mm from the path start), feed, acceleration,
     jerk and running block index at each tick time min(k*Ts, total), k =
-    0..n_steps. A forward cursor picks the running block as a bisection
-    over the block starts would: the last block starting at or before the
-    tick, so blocks of zero duration are stepped over."""
-    starts, offsets = [0.0], [0.0]
-    for b in blocks:
-        starts.append(starts[-1] + b.T)
-        offsets.append(offsets[-1] + b.L)
-    starts[-1] = math.inf  # the last block runs to the end
-    states = [family.fit(b.v_s, b.v_e, b.L).state for b in blocks]
-    i = 0
-    for k in range(n_steps + 1):
-        t = min(k * Ts, total)
-        while starts[i + 1] <= t:
-            i += 1
-        travel, v, a, j = states[i](min(t - starts[i], blocks[i].T))
-        yield offsets[i] + travel, v, a, j, i
+    0..n_steps, as five arrays. One searchsorted over the block starts
+    picks each tick's running block: the last block starting at or before
+    the tick, so blocks of zero duration are stepped over. One Law.state
+    call then evaluates every tick under its block's fitted profile."""
+    fits = [family.fit(b.v_s, b.v_e, b.L) for b in blocks]
+    starts = np.cumsum([0.0] + [b.T for b in blocks])
+    offsets = np.cumsum([0.0] + [b.L for b in blocks])
+    t = np.minimum(np.arange(n_steps + 1) * Ts, total)
+    held = np.searchsorted(starts[1:-1], t, side="right")
+    v_s, v_e, T = np.array([(p.v_s, p.v_e, p.T) for p in fits])[held].T
+    travel, v, a, j = fits[0].law.state(v_s, v_e, T, t - starts[held])
+    return offsets[held] + travel, v, a, j, held
 
 
 def _params_at(grid, s):
@@ -182,7 +180,6 @@ def _land(curve, grid, u0, p0, d0, travel, reached):
     lies past the curve end, and the parameters and jets of the landings.
     """
     _, at, _, excess = grid
-    reached = np.asarray(reached)
     advance = np.diff(reached, prepend=travel)
     s0 = curve._arc_table.at(u0)
     arc = s0 + (reached - travel)
@@ -315,9 +312,7 @@ def interpolate(
         )
     n_steps = max(1, math.ceil(periods - 1e-9))
     length = math.fsum(b.L for b in blocks)
-    reached, vs, accels, jerks, held = zip(
-        *_commanded(blocks, family, total, Ts, n_steps)
-    )
+    reached, vs, accels, jerks, held = _commanded(blocks, family, total, Ts, n_steps)
     u, (pos, d1, _) = 0.0, jet(curve, 0.0)
     grid = curve._arc_grid
     us, points = [u], [pos]
@@ -358,7 +353,9 @@ def interpolate(
     ts = [n * Ts for n in range(n_steps + 1)]
     errs = _chord_errors(curve, us, points)
     # tuple.__new__ builds each sample from its row without a Python call
-    rows = zip(ts, us, points, vs, accels, jerks, errs)
+    rows = zip(
+        ts, us, points, vs.tolist(), accels.tolist(), jerks.tolist(), errs
+    )
     return list(map(tuple.__new__, repeat(InterpolationSample), rows))
 
 

@@ -2,10 +2,11 @@
 
 A law is written once, on normalised time tau = t/T: its unit shape
 gives the travel Phi, feed phi and phi's first two derivatives at tau,
-with phi rising from 0 to 1 and phi(tau) + phi(1 - tau) == 1, and it
-carries the exact maxima of |phi'| and |phi''|. A block moving from feed
-v_s to v_e over displacement L takes T = 2L/(v_s+v_e), which the
-symmetry makes exact, and with the signed change D = v_e - v_s commands
+a float or elementwise over an array, with phi rising from 0 to 1 and
+phi(tau) + phi(1 - tau) == 1, and it carries the exact maxima of |phi'|
+and |phi''|. A block moving from feed v_s to v_e over displacement L
+takes T = 2L/(v_s+v_e), which the symmetry makes exact, and with the
+signed change D = v_e - v_s commands
 
     travel  v_s*t + D*T*Phi(tau)     feed  v_s + D*phi(tau)
     accel   D*phi'(tau)/T            jerk  D*phi''(tau)/T^2
@@ -21,8 +22,9 @@ acceleration are continuous at the seams and acceleration vanishes at
 both block ends. Its jerk is bounded but deliberately discontinuous at
 the seams and block ends.
 
-The scheduler and the replay see a law only as a ``ProfileFamily``;
-``sigmoid_family`` builds the one for this law.
+The scheduler and the replay see a law as a ``ProfileFamily``, whose fit
+gives each block's ``Profile``; the replay evaluates all its ticks in one
+``Law.state`` call. ``sigmoid_family`` builds the family of this law.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
+
+import numpy as np
 
 __all__ = [
     "ProfileError",
@@ -80,13 +84,6 @@ def kernel(x: float) -> tuple[float, float, float]:
     return f, f1, f2
 
 
-def _softplus(x: float) -> float:
-    """log(1 + e^x), the antiderivative of the unit logistic."""
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
 def block_duration(L: float, v_s: float, v_e: float) -> float:
     """Duration implied by the law's symmetry: average feed is (v_s+v_e)/2."""
     if L < 0.0:
@@ -98,13 +95,17 @@ def block_duration(L: float, v_s: float, v_e: float) -> float:
     return 2.0 * L / (v_s + v_e)
 
 
-def clamp_time(t: float, T: float) -> float:
-    """Block-local time t pulled into [0, T]; a rounding-sized overshoot
-    is tolerated, anything larger raises."""
+def clamp_time(t, T):
+    """Block-local times t pulled into [0, T], for floats or arrays that
+    broadcast together; a rounding-sized overshoot is tolerated, anything
+    larger raises."""
     grace = 1e-9 * (1.0 + T)
-    if t < -grace or t > T + grace:
+    outside = (t < -grace) | (t > T + grace)
+    if np.any(outside):
+        k = np.argmax(outside)
+        t, T = (float(x.flat[k]) for x in np.broadcast_arrays(t, T))
         raise ProfileDomainError(f"t={t!r} outside block duration [0, {T!r}]")
-    return min(max(t, 0.0), T)
+    return np.minimum(np.maximum(t, 0.0), T)
 
 
 @dataclass(frozen=True)
@@ -112,13 +113,40 @@ class Law:
     """A velocity law as a unit shape on tau = t/T in [0, 1].
 
     unit(tau) -> (Phi, phi, phi', phi''), with phi rising from 0 to 1 and
-    Phi its integral from 0; d1_max and d2_max are the exact maxima of
-    |phi'| and |phi''| over [0, 1].
+    Phi its integral from 0, for a float tau or elementwise over an array;
+    d1_max and d2_max are the exact maxima of |phi'| and |phi''| over
+    [0, 1].
     """
 
-    unit: Callable[[float], tuple[float, ...]] = field(repr=False)
+    unit: Callable[[Any], tuple[Any, ...]] = field(repr=False)
     d1_max: float
     d2_max: float
+
+    def state(self, v_s, v_e, T, t):
+        """Travel (mm) from the block start, feed (mm/s), acceleration
+        (mm/s^2) and jerk (mm/s^3) at block-local time t of a block moving
+        from feed v_s to v_e over duration T, in closed form.
+
+        The arguments are floats or arrays that broadcast together, so one
+        call evaluates a block at many times, or every tick of a replay
+        under its own block: each element takes the same arithmetic, and a
+        float t gives floats. A flat block (v_s == v_e) keeps its feed
+        exactly, with acceleration and jerk 0.0.
+        """
+        t = clamp_time(t, T)
+        dv = v_e - v_s
+        moving = dv != 0.0
+        # the masks also drop the 0/0 of a flat block's zero duration
+        with np.errstate(divide="ignore", invalid="ignore"):
+            travel, phi, d1, d2 = self.unit(t / T)
+            accel = np.where(moving, dv * d1 / T, 0.0)
+            jerk = np.where(moving, dv * d2 / (T * T), 0.0)
+            return (
+                v_s * t + np.where(moving, dv * T * travel, 0.0),
+                v_s + np.where(moving, dv * phi, 0.0),
+                accel[()],
+                jerk[()],
+            )
 
 
 @dataclass(frozen=True)
@@ -151,19 +179,11 @@ class Profile:
         """The law fitted to a block's feeds and displacement."""
         return cls(v_s, v_e, block_duration(L, v_s, v_e), law)
 
-    def state(self, t: float) -> tuple[float, float, float, float]:
+    def state(self, t):
         """Travel (mm) from the block start, feed (mm/s), acceleration
-        (mm/s^2) and jerk (mm/s^3) at block-local time t, in closed form."""
-        T, v_s = self.T, self.v_s
-        t = clamp_time(t, T)
-        dv = self.v_e - v_s
-        if not dv:
-            return v_s * t, v_s, 0.0, 0.0
-        travel, phi, d1, d2 = self.law.unit(t / T)
-        return (
-            v_s * t + dv * T * travel, v_s + dv * phi, dv * d1 / T,
-            dv * d2 / (T * T),
-        )
+        (mm/s^2) and jerk (mm/s^3) at block-local time t, a float or an
+        array of times, by Law.state."""
+        return self.law.state(self.v_s, self.v_e, self.T, t)
 
     def peaks(self) -> tuple[float, float]:
         """Exact peak |acceleration| and |jerk| over the whole block."""
@@ -181,14 +201,15 @@ class ProfileFamily:
     L by the reduced peaks mu_n*(v2^2-v1^2)/L and
     mu_m*(v2-v1)*(v2+v1)^2/L^2, then checks the fitted profile's exact
     peaks. fit(v_s, v_e, L) returns the law fitted to one block: a
-    profile with its duration T, state(t) -> (s, v, a, j), the travel,
+    Profile with its duration T, state(t) -> (s, v, a, j), the travel,
     feed, acceleration and jerk at block-local time t, and peaks() ->
-    (|a|, |j|).
+    (|a|, |j|). The replay reads the fitted profiles' feeds, durations
+    and law, and evaluates them all in one Law.state call.
     """
 
     mu_n: float
     mu_m: float
-    fit: Callable[[float, float, float], Any]
+    fit: Callable[[float, float, float], Profile]
 
     @classmethod
     def of(cls, law: Law) -> ProfileFamily:
@@ -235,7 +256,8 @@ def sigmoid_law(s: float) -> Law:
         d1_max = max(d1_max, B * B / (3.0 * abs(A)))
     curve_max = SIG_D2_MAX if s / 3.0 >= SIG_D2_ARGMAX else abs(p2)
     d2_max = max(4.0 * s * s * curve_max / span, abs(j0), abs(j13))
-    soft0 = _softplus(-s / 3.0)
+    # log(1 + e^x), the logistic's antiderivative, at x = -s/3
+    soft0 = math.log1p(math.exp(-s / 3.0))
     gain, lead = 1.0 / (2.0 * s * span), fm / span
 
     def cap(r):
@@ -249,19 +271,28 @@ def sigmoid_law(s: float) -> Law:
     cap13 = cap(third)[0]
 
     def unit(tau):
-        if tau <= third:
-            return cap(tau)
-        if tau >= 2.0 * third:
-            r = 1.0 - tau
-            travel, phi, d1, d2 = cap(r)
-            return 0.5 - r + travel, 1.0 - phi, d1, -d2
+        # each time takes the start cap at r = tau or the end cap, its
+        # mirror at r = 1 - tau, or the core; masks pick which
+        end = tau >= 2.0 * third
+        r = np.where(end, 1.0 - tau, tau)
+        core = (tau > third) & (tau < 2.0 * third)
+        travel, phi, d1, d2 = cap(r)
+        # the logistic and its antiderivative log(1 + e^x) from one
+        # exp(-|x|), as kernel takes the logistic on either side of x = 0
         x = s * (2.0 * tau - 1.0)
-        f, f1, f2 = kernel(x)
+        e = np.exp(-np.abs(x))
+        f = np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+        f1 = f * (1.0 - f)
+        f2 = f1 * (1.0 - 2.0 * f)
+        soft = np.maximum(x, 0.0) + np.log1p(e)
         return (
-            cap13 + gain * (_softplus(x) - soft0) - lead * (tau - third),
-            (f - fm) / span,
-            2.0 * s * f1 / span,
-            4.0 * s * s * f2 / span,
+            np.where(
+                core, cap13 + gain * (soft - soft0) - lead * (tau - third),
+                np.where(end, 0.5 - r + travel, travel),
+            ),
+            np.where(core, (f - fm) / span, np.where(end, 1.0 - phi, phi)),
+            np.where(core, 2.0 * s * f1 / span, d1),
+            np.where(core, 4.0 * s * s * f2 / span, np.where(end, -d2, d2)),
         )
 
     return Law(unit, d1_max, d2_max)

@@ -169,8 +169,7 @@ class TestSinePeaks:
             prof = random_profile(rng)
             L = 0.5 * (prof.v_s + prof.v_e) * prof.T
             ts = np.linspace(0.0, prof.T, 20001)
-            acc = np.array([prof.state(t)[2] for t in ts])
-            jrk = np.array([prof.state(t)[3] for t in ts])
+            _, _, acc, jrk = prof.state(ts)
             a_pk, j_pk = sine_peaks(prof.v_s, prof.v_e, L)
             assert a_pk == pytest.approx(np.max(np.abs(acc)), rel=1e-9)
             assert j_pk == pytest.approx(np.max(np.abs(jrk)), rel=1e-9)

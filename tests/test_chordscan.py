@@ -13,6 +13,7 @@ from feedsched.chordscan import (
     FeedrateScatter,
     Limits,
     MalformedScatterError,
+    ScanConvergenceError,
     StepDegeneracyError,
     _chord_deviation,
     _probe_step,
@@ -252,6 +253,13 @@ class TestScanCurve:
         b = scan_curve(curve, STD)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.v, b.v)
+
+    def test_a_scan_past_its_point_cap_raises(self, monkeypatch):
+        # a straight line takes about 1000 walk steps at STD; a cap of 5
+        # stops the walk on its sixth sample
+        monkeypatch.setattr(chordscan, "_MAX_SCAN_POINTS", 5)
+        with pytest.raises(ScanConvergenceError, match="too many points"):
+            scan_curve(make_line(), STD)
 
 
 class TestCeilingRootFind:

@@ -490,3 +490,15 @@ def test_chord_scan_failure_is_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "scan_curve", explode)
     assert main(["run", "--curve", str(curve)]) == 3
     assert "u=0.25" in capsys.readouterr().err
+
+
+def test_scan_past_its_point_cap_is_exit_3(tmp_path, monkeypatch, capsys):
+    import feedsched.chordscan as chordscan_mod
+
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(_cubic_doc(GOOD_POINTS)))
+    monkeypatch.setattr(chordscan_mod, "_MAX_SCAN_POINTS", 5)
+    out = tmp_path / "out"
+    assert main(["run", "--curve", str(curve), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "chord scan failed: scan produced too many points" in err

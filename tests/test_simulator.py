@@ -33,7 +33,7 @@ from feedsched.simulator import (
     summarize,
     total_time,
 )
-from feedsched.sprofile import ProfileFamily, block_duration, sigmoid_family
+from feedsched.sprofile import block_duration, sigmoid_family
 
 STD = Limits(
     Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0, j_max=26000.0,
@@ -445,41 +445,31 @@ class TestReplayWork:
             assert calls["searched"] == 0
             assert calls["scalar"] <= 2
 
-    def test_one_clamp_and_no_core_setup_per_tick(self, corpus_plans, monkeypatch):
-        # each tick asks its block's profile for one state; setting up
-        # the logistic core (the kernel at +-s) is the law's work, done
-        # once per family, and fitting a block takes no kernel at all
-        curve, blocks, limits, family = corpus_plans[0]
-        s = limits.shape_s
-        fitting, clamps, kernel_args = [False], [0], []
+    def test_one_clamp_per_replay_and_no_kernel(self, corpus_plans, monkeypatch):
+        # every tick of a replay takes its block's state in one Law.state
+        # call: one clamp of all the ticks' local times, and no scalar
+        # kernel, whose set-up at +-s is the law's work, done once per
+        # family. A state that reached clamp_time through a binding of its
+        # own would count no clamp here, one taken per block or per tick
+        # more than one
+        clamped, kernel_args = [], []
         clamp_time, kernel = sprofile.clamp_time, sprofile.kernel
 
         def counting_clamp(t, T):
-            clamps[0] += 1
+            clamped.append(np.size(t))
             return clamp_time(t, T)
 
         def watched_kernel(x):
-            if not fitting[0]:
-                kernel_args.append(x)
+            kernel_args.append(x)
             return kernel(x)
-
-        def watched_fit(v_s, v_e, L):
-            fitting[0] = True
-            try:
-                return family.fit(v_s, v_e, L)
-            finally:
-                fitting[0] = False
 
         monkeypatch.setattr(sprofile, "clamp_time", counting_clamp)
         monkeypatch.setattr(sprofile, "kernel", watched_kernel)
-        watched = ProfileFamily(family.mu_n, family.mu_m, watched_fit)
-        ticks = len(interpolate(curve, blocks, limits, family=watched))
-        assert clamps[0] == ticks
-        # the middle thirds take one kernel evaluation per tick; a state
-        # that reached the kernel through a binding of its own would
-        # count 0 here
-        assert 0 < len(kernel_args) <= ticks
-        assert not {s, -s} & set(kernel_args)
+        for curve, blocks, limits, family in corpus_plans[:2]:
+            clamped.clear()
+            ticks = len(interpolate(curve, blocks, limits, family=family))
+            assert clamped == [ticks]
+        assert kernel_args == []
 
     def test_replay_meets_its_contract(self, corpus_plans):
         for curve, blocks, limits, family in corpus_plans:
@@ -620,8 +610,10 @@ class TestTickWalk:
     def test_commanded_state_equals_reference_bit_for_bit(self, family, spans):
         assume(any(L > 0.0 for _, _, L in spans))
         # the former bisection over the block starts, read through the
-        # fitted profiles' own state: the walk's cursor and offsets are
-        # under test here, the state's arithmetic in test_sprofile
+        # fitted profiles' own float state: the replay's block lookup and
+        # offsets are under test here, and that its one array evaluation
+        # gives each tick its block's float state bit for bit; the
+        # state's arithmetic is tested in test_sprofile
         blocks = plan_blocks(spans)
         track = oracles._Track(
             blocks, family, oracles.reference_law(family, STD.shape_s)
@@ -636,7 +628,7 @@ class TestTickWalk:
         n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
         times = [min(k * Ts, track.total) for k in range(n_steps + 1)]
         walk = simulator._commanded(blocks, family, track.total, Ts, n_steps)
-        for t, (travel, v, a, j, i) in zip(times, walk, strict=True):
+        for t, (travel, v, a, j, i) in zip(times, zip(*walk), strict=True):
             want_travel, want_kinematics = commanded(t)
             assert bits(travel, v, a, j) == bits(want_travel, *want_kinematics)
             assert i == track.locate(t)[0]

@@ -155,11 +155,10 @@ class TestBuildProfile:
             up = fit(lo, hi, L)
             down = fit(hi, lo, L)
             assert down.T == pytest.approx(up.T, rel=1e-15)
-            for t in rng.uniform(0.0, up.T, size=25):
-                t = float(t)
-                assert down.state(t)[1] == pytest.approx(
-                    up.state(up.T - t)[1], rel=1e-12, abs=1e-10
-                )
+            t = rng.uniform(0.0, up.T, size=25)
+            assert down.state(t)[1] == pytest.approx(
+                up.state(up.T - t)[1], rel=1e-12, abs=1e-10
+            )
 
 
 class TestEvaluation:
@@ -175,19 +174,15 @@ class TestEvaluation:
             v_b = float(rng.uniform(5.0, 150.0))
             L = float(rng.uniform(0.5, 40.0))
             p = fit(v_a, v_b, L)
-            for t in rng.uniform(0.0, p.T, size=10):
-                t = float(t)
-                total = p.state(t)[1] + p.state(p.T - t)[1]
-                assert total == pytest.approx(v_a + v_b, rel=1e-9, abs=1e-9)
+            t = rng.uniform(0.0, p.T, size=10)
+            total = p.state(t)[1] + p.state(p.T - t)[1]
+            assert total == pytest.approx(v_a + v_b, rel=1e-9, abs=1e-9)
             # integrate per section so the quadrature sees smooth pieces
             got = 0.0
             for lo, hi in [(0.0, p.T / 3), (p.T / 3, 2 * p.T / 3),
                            (2 * p.T / 3, p.T)]:
                 mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                got += half * sum(
-                    w * p.state(mid + half * float(x))[1]
-                    for x, w in zip(nodes, weights)
-                )
+                got += half * (weights @ p.state(mid + half * nodes)[1])
             assert got == pytest.approx(L, rel=1e-9)
 
     def test_endpoints_pinned(self):
@@ -208,8 +203,7 @@ class TestEvaluation:
     def test_accel_block_is_monotone(self):
         p = fit(10.0, 120.0, 20.0)
         ts = np.linspace(0.0, p.T, 2000)
-        vs = [p.state(float(t))[1] for t in ts]
-        assert all(b - a >= -1e-9 for a, b in zip(vs, vs[1:]))
+        assert (np.diff(p.state(ts)[1]) >= -1e-9).all()
 
     def test_time_domain_enforced(self):
         p = fit(10.0, 50.0, 5.0)
@@ -232,8 +226,8 @@ class TestKinematicPeaks:
             p = fit(v_a, v_b, L)
             a_peak, j_peak = p.peaks()
             ts = np.linspace(0.0, p.T, 100_001)
-            a_seen = max(abs(p.state(float(t))[2]) for t in ts)
-            j_seen = max(abs(p.state(float(t))[3]) for t in ts)
+            _, _, a, j = p.state(ts)
+            a_seen, j_seen = np.abs(a).max(), np.abs(j).max()
             assert a_seen <= a_peak * (1.0 + 1e-12)
             assert j_seen <= j_peak * (1.0 + 1e-12)
             assert a_peak == pytest.approx(a_seen, rel=1e-6)
@@ -249,10 +243,9 @@ class TestKinematicPeaks:
             p = fit(v_a, v_b, L, s=s)
             a_peak, j_peak = p.peaks()
             ts = np.linspace(0.0, p.T, 20_001)
-            for t in ts:
-                t = float(t)
-                assert abs(p.state(t)[2]) <= a_peak * (1 + 1e-12)
-                assert abs(p.state(t)[3]) <= j_peak * (1 + 1e-12)
+            _, _, a, j = p.state(ts)
+            assert (np.abs(a) <= a_peak * (1 + 1e-12)).all()
+            assert (np.abs(j) <= j_peak * (1 + 1e-12)).all()
 
 
 def reduced_peaks(family, v_s, v_e, L):
@@ -287,7 +280,7 @@ class TestReduction:
         taus = np.linspace(0.0, 1.0, 30001)
         for s in self.SHAPES:
             law = sigmoid_law(s)
-            d1, d2 = np.abs([law.unit(float(t))[2:] for t in taus]).max(axis=0)
+            d1, d2 = np.abs(law.unit(taus)[2:]).max(axis=1)
             assert d1 <= law.d1_max * (1.0 + 1e-14)
             assert d2 <= law.d2_max * (1.0 + 1e-14)
             assert d1 >= law.d1_max * (1.0 - 1e-5)
@@ -353,8 +346,7 @@ class TestDisplacement:
     def test_monotone_in_time(self):
         p = fit(5.0, 140.0, 8.0)
         ts = np.linspace(0.0, p.T, 500)
-        vals = [p.state(float(t))[0] for t in ts]
-        assert all(b >= a for a, b in zip(vals[:-1], vals[1:]))
+        assert (np.diff(p.state(ts)[0]) >= 0.0).all()
 
     def test_constant_block_is_linear(self):
         p = fit(60.0, 60.0, 30.0)
@@ -414,6 +406,49 @@ class TestState:
                 for edge in (0.0, T)
             ]
         assert min(abs(got[3] - j) for j in sides) <= self.ULPS * EPS * scales[3]
+
+    # Largest distance of a state taken on an array of times from the
+    # former arithmetic, in the units of ULPS. Measured over 5000 random
+    # blocks x 43 times per law: 2.9 for the sine, 8.4 at s = 1, 12.1 at
+    # s = 3.3 and 10.4 at s = 6. The flat s = 0.2, where the former
+    # falling core loses digits, is left to the float test above.
+    ARRAY_ULPS = 16.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        law=st.sampled_from(("sine", 1.0, 3.3, 6.0)),
+        v_s=st.one_of(st.just(0.0), st.floats(1e-3, 150.0)),
+        v_e=st.one_of(st.just(0.0), st.floats(1e-3, 150.0)),
+        L=st.floats(1e-9, 50.0),
+        taus=st.lists(st.floats(0.0, 1.0), max_size=12),
+    )
+    @example(law="sine", v_s=0.0, v_e=90.0, L=3.0, taus=[0.5, 0.1])
+    @example(law=3.3, v_s=120.0, v_e=0.0, L=0.7, taus=[0.9, 0.2, 0.5])
+    def test_arrays_match_the_former_arithmetic_element_by_element(
+        self, law, v_s, v_e, L, taus
+    ):
+        # rising and falling blocks, from rest and to a stop, at the ends,
+        # the seams T/3 and 2*(T/3) and times in between, in any order:
+        # each element is the state at its own float time, bit for bit
+        assume(v_s != v_e)
+        p = (SINE if law == "sine" else sigmoid_family(law)).fit(v_s, v_e, L)
+        T = p.T
+        t = [0.0, T / 3.0, 2.0 * (T / 3.0), T] + [tau * T for tau in taus]
+        got = np.array(p.state(np.array(t))).T.tolist()
+        scales = (L, max(v_s, v_e), *p.peaks())
+        bound = [self.ARRAY_ULPS * EPS * scale for scale in scales]
+        for k, (tk, row) in enumerate(zip(t, got)):
+            assert [x.hex() for x in row] == [float(x).hex() for x in p.state(tk)]
+            want = profile_state_reference(p, tk, law)
+            for g, w, b in zip(row[:3], want, bound):
+                assert abs(g - w) <= b
+            sides = [want[3]]
+            if k in (1, 2):
+                sides += [
+                    profile_state_reference(p, math.nextafter(tk, edge), law)[3]
+                    for edge in (0.0, T)
+                ]
+            assert min(abs(row[3] - j) for j in sides) <= bound[3]
 
     def test_a_profile_built_field_by_field_is_the_fitted_one(self):
         # a profile is its end feeds, duration and law however it is

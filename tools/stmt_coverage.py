@@ -29,7 +29,7 @@ from pathlib import Path
 
 # never-run statements measured over tier-1 with this script; a change
 # that leaves more of them untested fails
-CEILING = 2
+CEILING = 0
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "feedsched"
