@@ -5,8 +5,8 @@ accelerations but leaves the jerk discontinuous at block ends. As a
 unit shape phi(tau) = (1 + sin(pi*(tau - 1/2)))/2 its slope peaks at pi/2
 mid-block and its curvature at pi^2/2 at the block ends, so the same
 scheduling machinery applies with the two sine reduction constants pi/4
-and pi^2/8 in place of the shaped-kernel ones: ``SINE`` is the family
-that carries them.
+and pi^2/8 in place of the shaped-kernel ones: ``SINE`` is the law that
+carries them.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from .chordscan import FeedrateScatter, Limits
 from .geometry import ParametricCurve
 from .optimizer import schedule
 from .segmentation import Block
-from .sprofile import Law, ProfileFamily
+from .sprofile import Law
 
 __all__ = [
-    "SINE_LAW",
     "SINE",
     "sine_schedule",
 ]
@@ -39,8 +38,7 @@ def _sine_unit(tau):
     )
 
 
-SINE_LAW = Law(_sine_unit, d1_max=math.pi / 2.0, d2_max=math.pi * math.pi / 2.0)
-SINE = ProfileFamily.of(SINE_LAW)
+SINE = Law(_sine_unit, d1_max=math.pi / 2.0, d2_max=math.pi * math.pi / 2.0)
 
 
 def sine_schedule(
@@ -49,9 +47,9 @@ def sine_schedule(
     scatter: FeedrateScatter,
     limits: Limits,
 ) -> list[Block]:
-    """Run the block scheduler with the sine family.
+    """Run the block scheduler with the sine law.
 
     The sine plan is a stage of its own under this name, so that the
     benchmark's call tracing can time it apart from the shaped plan.
     """
-    return schedule(curve, blocks, scatter, limits, family=SINE)
+    return schedule(curve, blocks, scatter, limits, law=SINE)

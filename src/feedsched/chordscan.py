@@ -74,7 +74,7 @@ class Limits:
     Ts is the controller period in seconds, delta_max the chord tolerance
     in mm, v_max/a_max/j_max the feed (mm/s), acceleration (mm/s^2) and
     jerk (mm/s^3) ceilings, shape_s the steepness of the S-shaped profile,
-    any s whose logistic core rises in floats (above about 4e-16).
+    any s whose logistic core rises in floats (from about 5.6e-17).
     mu_s, when given, overrides the automatic breakpoint screening
     threshold (mm/s per unit parameter).
     """

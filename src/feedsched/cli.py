@@ -31,7 +31,7 @@ from .segmentation import (
     find_breakpoints,
 )
 from .simulator import SimulationError, interpolate, summarize
-from .sprofile import sigmoid_family
+from .sprofile import sigmoid_law
 
 __all__ = [
     "CliError",
@@ -183,7 +183,7 @@ def run(config: RunConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     methods = ("sigmoid", "sine") if config.method == "both" else (config.method,)
-    families = {"sigmoid": sigmoid_family(limits.shape_s), "sine": SINE}
+    laws = {"sigmoid": sigmoid_law(limits.shape_s), "sine": SINE}
     results = {}
     for method in methods:
         plan = sine_schedule if method == "sine" else schedule
@@ -196,9 +196,7 @@ def run(config: RunConfig) -> int:
             )
             return 3
         try:
-            samples = interpolate(
-                curve, scheduled, limits, family=families[method]
-            )
+            samples = interpolate(curve, scheduled, limits, law=laws[method])
         except SimulationError as exc:
             print(f"error: replay failed for {method}: {exc}", file=sys.stderr)
             return 3
@@ -292,7 +290,7 @@ def main(argv=None) -> int:
         "--method",
         choices=("sigmoid", "sine", "both"),
         default="sigmoid",
-        help="profile family to schedule",
+        help="velocity law to schedule with",
     )
     runp.add_argument("--out-dir", type=Path, default=Path("feedsched-out"))
     runp.add_argument(

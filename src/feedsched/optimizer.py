@@ -1,10 +1,11 @@
 """Breakpoint feed optimization across blocks.
 
 Transition blocks must be long enough for their feed change to respect
-the acceleration and jerk ceilings. A profile family's reduction
-constants collapse each block's peak acceleration to mu_n*(v2^2-v1^2)/L
-and its peak jerk to mu_m*(v2-v1)*(v2+v1)^2/L^2, turning feasibility into
-closed-form length/feed bounds. The scheduler settles the junctions in
+the acceleration and jerk ceilings. A velocity law's reduction
+constants, Law.mu_n and Law.mu_m, collapse each block's peak
+acceleration to mu_n*(v2^2-v1^2)/L and its peak jerk to
+mu_m*(v2-v1)*(v2+v1)^2/L^2, turning feasibility into closed-form
+length/feed bounds. The scheduler settles the junctions in
 one forward and one backward pass, after Dong and Stori's bidirectional
 scan: a pass lowers only junctions it has not visited yet. Each junction
 solve returns the largest float feed its feasibility test accepts, so
@@ -33,7 +34,7 @@ import numpy as np
 from .chordscan import FeedrateScatter, Limits
 from .geometry import ParametricCurve
 from .segmentation import Block, BlockKind, classify_kind
-from .sprofile import ProfileFamily, block_duration, sigmoid_family
+from .sprofile import Law, block_duration, sigmoid_law
 
 __all__ = [
     "OptimizerError",
@@ -67,27 +68,27 @@ class ScheduleConsistencyError(OptimizerError):
 
 
 def transition_min_length(
-    v_lo: float, v_hi: float, family: ProfileFamily, limits: Limits
+    v_lo: float, v_hi: float, law: Law, limits: Limits
 ) -> float:
     """Shortest displacement over which v_lo can reach v_hi."""
     if v_hi < v_lo:
         raise OptimizerError("transition feeds must be ordered v_lo <= v_hi")
     if v_hi == v_lo:
         return 0.0
-    acc = family.mu_n * (v_hi * v_hi - v_lo * v_lo) / limits.a_max
-    jrk = math.sqrt(family.mu_m * (v_hi - v_lo) / limits.j_max) * (v_hi + v_lo)
+    acc = law.mu_n * (v_hi * v_hi - v_lo * v_lo) / limits.a_max
+    jrk = math.sqrt(law.mu_m * (v_hi - v_lo) / limits.j_max) * (v_hi + v_lo)
     return max(acc, jrk)
 
 
 def transition_max_feed(
-    v_lo: float, L: float, family: ProfileFamily, limits: Limits
+    v_lo: float, L: float, law: Law, limits: Limits
 ) -> float:
     """Highest feed reachable from v_lo within displacement L: the largest
     float v with transition_min_length(v_lo, v) <= L."""
     if L <= 0.0:
         return v_lo
-    acc = math.sqrt(v_lo * v_lo + limits.a_max * L / family.mu_n)
-    rhs = L * L * limits.j_max / family.mu_m
+    acc = math.sqrt(v_lo * v_lo + limits.a_max * L / law.mu_n)
+    rhs = L * L * limits.j_max / law.mu_m
     # (v - v_lo)(v + v_lo)^2 == rhs is increasing and convex above v_lo,
     # so Newton from an upper bound descends monotonically onto its root;
     # (v - v_lo)^3 and (v - v_lo)(2 v_lo)^2 bound the left side from
@@ -109,10 +110,10 @@ def transition_max_feed(
         return v
     # every rounding is monotone, so the minimum length is non-decreasing
     # in v even in floats: step from the root onto the last float that fits
-    while v > v_lo and transition_min_length(v_lo, v, family, limits) > L:
+    while v > v_lo and transition_min_length(v_lo, v, law, limits) > L:
         v = math.nextafter(v, -math.inf)
     up = math.nextafter(v, math.inf)
-    while transition_min_length(v_lo, up, family, limits) <= L:
+    while transition_min_length(v_lo, up, law, limits) <= L:
         v, up = up, math.nextafter(up, math.inf)
     return v
 
@@ -129,7 +130,7 @@ def _largest_feasible(feasible, lo, hi):
 
 def adjust_peak_junction(
     v1: float, v2: float, v3: float, L1: float, L2: float,
-    family: ProfileFamily, limits: Limits, ceiling: Callable[[float], float],
+    law: Law, limits: Limits, ceiling: Callable[[float], float],
 ) -> tuple[float, float]:
     """Tallest feasible peak (v, x), v at most v2, of a rise from v1 and a
     fall to v3 over L1 + L2, its junction moved from L1 to x.
@@ -148,8 +149,8 @@ def adjust_peak_junction(
     total = L1 + L2
 
     def ends(v):
-        l1 = transition_min_length(v1, v, family, limits)
-        l3 = transition_min_length(v3, v, family, limits)
+        l1 = transition_min_length(v1, v, law, limits)
+        l3 = transition_min_length(v3, v, law, limits)
         return (l1, total - l3) if l1 + l3 <= total else None
 
     def nearest(v):
@@ -170,7 +171,7 @@ def adjust_peak_junction(
 
 def extend_into_constant(
     lo: float, hi: float, L_t: float, L_c: float,
-    family: ProfileFamily, limits: Limits,
+    law: Law, limits: Limits,
 ) -> tuple[float, float, float]:
     """Grow a transition between feeds lo and hi, of length L_t, into the
     constant block of length L_c at its hi end, as (feed, L_t, L_c).
@@ -180,13 +181,13 @@ def extend_into_constant(
     the transition takes the full span and the constant feed falls to
     the highest one it reaches, below hi. Total displacement is conserved.
     """
-    need = transition_min_length(lo, hi, family, limits)
+    need = transition_min_length(lo, hi, law, limits)
     if need <= L_t:
         return hi, L_t, L_c
     transfer = need - L_t
     if transfer > L_c:
         total = L_t + L_c
-        return transition_max_feed(lo, total, family, limits), total, 0.0
+        return transition_max_feed(lo, total, law, limits), total, 0.0
     if L_c - transfer <= _LEN_TOL:
         # a residue this small is rounding, not a steady phase
         return hi, L_t + L_c, 0.0
@@ -198,7 +199,7 @@ def adjust_with_constant(
     v3: float,
     L_total: float,
     v_ceiling: float,
-    family: ProfileFamily,
+    law: Law,
     limits: Limits,
     floors: tuple[float, float] = (0.0, 0.0),
 ) -> tuple[float, tuple[float, float, float]]:
@@ -222,8 +223,8 @@ def adjust_with_constant(
         raise OptimizerError("feed ceiling below the junction endpoints")
 
     def side_lengths(v2):
-        l1 = max(transition_min_length(v1, v2, family, limits), floors[0])
-        l3 = max(transition_min_length(v3, v2, family, limits), floors[1])
+        l1 = max(transition_min_length(v1, v2, law, limits), floors[0])
+        l3 = max(transition_min_length(v3, v2, law, limits), floors[1])
         return l1, l3
 
     def feasible(v2):
@@ -288,7 +289,7 @@ class _Passes:
     shrinks.
     """
 
-    def __init__(self, curve, blocks, scatter, limits, family):
+    def __init__(self, curve, blocks, scatter, limits, law):
         n = len(scatter)
         self.u = [b.u_s for b in blocks] + [blocks[-1].u_e]
         at = curve._arc_table.positions(np.concatenate([scatter.u, self.u]))
@@ -300,7 +301,7 @@ class _Passes:
         self.floors = self.L[:]
         self.tol = 1e-9 * limits.v_max
         self.limits = limits
-        self.family = family
+        self.law = law
 
     def kind(self, i):
         if 0 <= i < len(self.L):
@@ -332,7 +333,7 @@ class _Passes:
         """Settle the blocks whose feed rises in pass direction d: d = 1
         fits each rise to its start feed, d = -1 each fall to its end feed
         and each peak to both outer feeds."""
-        v, L, fam, lim = self.v, self.L, self.family, self.limits
+        v, L, law, lim = self.v, self.L, self.law, self.limits
         rise, fall = (BlockKind.ACCEL, BlockKind.DECEL)[::d]
         for i in range(len(L))[::d]:
             if self.kind(i) is not rise:
@@ -346,19 +347,19 @@ class _Passes:
             elif nxt is fall:
                 # a peak's far side is no higher than one rise over both
                 # blocks reaches; the backward pass then settles the peak
-                reach = transition_max_feed(v[near], L[i] + L[i + d], fam, lim)
+                reach = transition_max_feed(v[near], L[i] + L[i + d], law, lim)
                 self.lower(far + d, reach)
                 if d < 0:
                     self.peak(i - 1)
             else:
-                self.lower(far, transition_max_feed(v[near], L[i], fam, lim))
+                self.lower(far, transition_max_feed(v[near], L[i], law, lim))
 
     def extend(self, t, c):
         """Grow transition t into the constant block c next to it."""
         v, L = self.v, self.L
         lo, hi = (t, c) if c > t else (t + 1, t)
         feed, L[t], L[c] = extend_into_constant(
-            v[lo], v[hi], L[t], L[c], self.family, self.limits
+            v[lo], v[hi], L[t], L[c], self.law, self.limits
         )
         if feed != v[hi]:
             # the consumed constant block drops to the feed reached
@@ -376,7 +377,7 @@ class _Passes:
             return
         try:
             v2, lengths = adjust_with_constant(
-                v1, v3, L[i] + L[i + 1] + L[i + 2], ceiling, self.family,
+                v1, v3, L[i] + L[i + 1] + L[i + 2], ceiling, self.law,
                 self.limits, floors=(self.floors[i], self.floors[i + 2]),
             )
         except InfeasibleJunctionError:
@@ -398,7 +399,7 @@ class _Passes:
         v, (L1, L2) = self.v, self.L[i : i + 2]
         old, base = self.pos[i + 1], self.pos[i]
         top, x = adjust_peak_junction(
-            v[i], v[i + 1], v[i + 2], L1, L2, self.family, self.limits,
+            v[i], v[i + 1], v[i + 2], L1, L2, self.law, self.limits,
             lambda x: math.inf if x == L1 else self.ceiling(old, base + x),
         )
         l1, l3 = (L1, L2) if x == L1 else (x, L1 + L2 - x)
@@ -434,7 +435,7 @@ def schedule(
     blocks: list[Block],
     scatter: FeedrateScatter,
     limits: Limits,
-    family: ProfileFamily | None = None,
+    law: Law | None = None,
 ) -> list[Block]:
     """Settle all junction feeds in one forward and one backward pass,
     then build the blocks with their durations.
@@ -444,24 +445,23 @@ def schedule(
     parameter once at the end, and no returned block has zero length.
     Breakpoint feeds only decrease, so the result stays below the
     chord-error ceiling everywhere the scan sampled. Every block's true
-    peaks, as the family's fitted profiles report them, are checked
-    against the limits at the end. The family defaults to the shaped law
-    at limits.shape_s.
+    peaks, by law.peaks, are checked against the limits at the end. The
+    law defaults to the shaped law at limits.shape_s.
     """
-    if family is None:
-        family = sigmoid_family(limits.shape_s)
+    if law is None:
+        law = sigmoid_law(limits.shape_s)
     if not blocks:
         return []
     for a, b in zip(blocks, blocks[1:]):
         if a.v_e != b.v_s:
             raise OptimizerError("adjacent blocks must share their junction feed")
-    passes = _Passes(curve, blocks, scatter, limits, family)
+    passes = _Passes(curve, blocks, scatter, limits, law)
     passes.run(1)
     passes.run(-1)
     plan = passes.plan(curve)
     slack = 1.0 + _PEAK_SLACK
     for b in plan:
-        a_pk, j_pk = family.fit(b.v_s, b.v_e, b.L).peaks()
+        a_pk, j_pk = law.peaks(b.v_s, b.v_e, b.L)
         if a_pk > limits.a_max * slack or j_pk > limits.j_max * slack:
             raise ScheduleConsistencyError(
                 f"block at u=[{b.u_s:.6f},{b.u_e:.6f}] violates limits"

@@ -34,9 +34,9 @@ class BlockKind(Enum):
 @dataclass(frozen=True)
 class Block:
     """One scheduling unit between two breakpoints: its parameter range,
-    end feeds, arc displacement L and duration T, a 0.0 sentinel until a
-    velocity profile is built for the block. The scheduler returns new
-    blocks and never changes one.
+    end feeds, arc displacement L and duration T, a 0.0 sentinel until the
+    scheduler times the block, 2L/(v_s+v_e) under every velocity law. The
+    scheduler returns new blocks and never changes one.
     """
 
     u_s: float

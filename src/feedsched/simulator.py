@@ -8,13 +8,14 @@ _CHORD_MATCH_TOL. Each sample records the parameter, position, the
 profile's analytic kinematics, and the measured chord deviation of the
 step.
 
-The commanded travel of every tick comes first, on arrays: one
-searchsorted over the block start times finds each tick's block, and one
-Law.state call evaluates all ticks (_commanded). The walk then lands the
-ticks in windows of up to _WINDOW_TICKS: Newton steps over the whole
-window, one jets pass each, from first guesses on the arc table, and a
-screen on the arc each landing consumes that keeps only landings on the
-nearer root (_land).
+The commanded travel of every tick comes first, on arrays: the law
+gives each block its duration (Law.duration), one searchsorted over the
+block start times finds each tick's block, and one Law.state call
+evaluates all ticks (_commanded); a block the law cannot carry is
+refused there. The walk then lands the ticks in windows of up to
+_WINDOW_TICKS: Newton steps over the whole window, one jets pass each,
+from first guesses on the arc table, and a screen on the arc each
+landing consumes that keeps only landings on the nearer root (_land).
 The first tick a window leaves unlanded is found by a bracketed search
 over many parameters per jets pass (_first_crossing), and the next
 window starts after it. The chord pass then measures every step's
@@ -40,7 +41,7 @@ import numpy as np
 from .chordscan import Limits, _max_chord_deviation
 from .geometry import ParametricCurve, _curvature_radii, jet, jets
 from .segmentation import Block
-from .sprofile import ProfileFamily, sigmoid_family
+from .sprofile import Law, ProfileError, sigmoid_law
 
 __all__ = [
     "SimulationError",
@@ -114,20 +115,26 @@ def total_time(blocks: list[Block]) -> float:
     return float(sum(b.T for b in blocks))
 
 
-def _commanded(blocks, family, total, Ts, n_steps):
+def _commanded(blocks, law, total, Ts, n_steps):
     """Commanded travel (mm from the path start), feed, acceleration,
     jerk and running block index at each tick time min(k*Ts, total), k =
     0..n_steps, as five arrays. One searchsorted over the block starts
     picks each tick's running block: the last block starting at or before
-    the tick, so blocks of zero duration are stepped over. One Law.state
-    call then evaluates every tick under its block's fitted profile."""
-    fits = [family.fit(b.v_s, b.v_e, b.L) for b in blocks]
+    the tick, so blocks of zero duration are stepped over. One law.state
+    call then evaluates every tick under its block's feeds and duration.
+    A block the law cannot carry raises, naming its index."""
+    rows = []
+    for i, b in enumerate(blocks):
+        try:
+            rows.append((b.v_s, b.v_e, law.duration(b.v_s, b.v_e, b.L)))
+        except ProfileError as exc:
+            raise SimulationError(f"block {i} cannot be replayed: {exc}") from exc
     starts = np.cumsum([0.0] + [b.T for b in blocks])
     offsets = np.cumsum([0.0] + [b.L for b in blocks])
     t = np.minimum(np.arange(n_steps + 1) * Ts, total)
     held = np.searchsorted(starts[1:-1], t, side="right")
-    v_s, v_e, T = np.array([(p.v_s, p.v_e, p.T) for p in fits])[held].T
-    travel, v, a, j = fits[0].law.state(v_s, v_e, T, t - starts[held])
+    v_s, v_e, T = np.array(rows)[held].T
+    travel, v, a, j = law.state(v_s, v_e, T, t - starts[held])
     return offsets[held] + travel, v, a, j, held
 
 
@@ -283,12 +290,12 @@ def interpolate(
     curve: ParametricCurve,
     blocks: list[Block],
     limits: Limits,
-    family: ProfileFamily | None = None,
+    law: Law | None = None,
 ) -> list[InterpolationSample]:
     """Sample the scheduled run every Ts from start to path end.
 
-    The blocks are replayed with the profiles of the family they were
-    scheduled with, by default the shaped law at limits.shape_s.
+    The blocks are replayed with the law they were scheduled with, by
+    default the shaped law at limits.shape_s.
 
     When chordal drift lands the walk on the curve end a tick or two
     before the schedule runs out, the end absorbs the leftover travel;
@@ -298,8 +305,8 @@ def interpolate(
     """
     if not blocks:
         raise SimulationError("empty schedule")
-    if family is None:
-        family = sigmoid_family(limits.shape_s)
+    if law is None:
+        law = sigmoid_law(limits.shape_s)
     total = total_time(blocks)
     if total <= 0.0:
         raise SimulationError("schedule has zero duration")
@@ -312,7 +319,7 @@ def interpolate(
         )
     n_steps = max(1, math.ceil(periods - 1e-9))
     length = math.fsum(b.L for b in blocks)
-    reached, vs, accels, jerks, held = _commanded(blocks, family, total, Ts, n_steps)
+    reached, vs, accels, jerks, held = _commanded(blocks, law, total, Ts, n_steps)
     u, (pos, d1, _) = 0.0, jet(curve, 0.0)
     grid = curve._arc_grid
     us, points = [u], [pos]

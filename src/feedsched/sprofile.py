@@ -22,16 +22,17 @@ acceleration are continuous at the seams and acceleration vanishes at
 both block ends. Its jerk is bounded but deliberately discontinuous at
 the seams and block ends.
 
-The scheduler and the replay see a law as a ``ProfileFamily``, whose fit
-gives each block's ``Profile``; the replay evaluates all its ticks in one
-``Law.state`` call. ``sigmoid_family`` builds the family of this law.
+A ``Law`` is all the scheduler and the replay see of a law: its
+reduction constants, each block's duration and exact peaks, and its
+state, which evaluates every tick of a replay in one call.
+``sigmoid_law`` builds the shaped law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -47,10 +48,7 @@ __all__ = [
     "block_duration",
     "clamp_time",
     "Law",
-    "Profile",
-    "ProfileFamily",
     "sigmoid_law",
-    "sigmoid_family",
 ]
 
 
@@ -115,12 +113,45 @@ class Law:
     unit(tau) -> (Phi, phi, phi', phi''), with phi rising from 0 to 1 and
     Phi its integral from 0, for a float tau or elementwise over an array;
     d1_max and d2_max are the exact maxima of |phi'| and |phi''| over
-    [0, 1].
+    [0, 1], and mu_n = d1_max/2 and mu_m = d2_max/4 are the scheduler's
+    reduction constants, so the reduced peaks are the exact ones.
     """
 
     unit: Callable[[Any], tuple[Any, ...]] = field(repr=False)
     d1_max: float
     d2_max: float
+
+    # cached: the scheduler reads them in every junction solve
+    @cached_property
+    def mu_n(self) -> float:
+        return self.d1_max / 2.0
+
+    @cached_property
+    def mu_m(self) -> float:
+        return self.d2_max / 4.0
+
+    def duration(self, v_s: float, v_e: float, L: float) -> float:
+        """Duration of a block moving from feed v_s to v_e over
+        displacement L, by block_duration; a feed change over no time,
+        or over one whose jerk overflows, is refused."""
+        T = block_duration(L, v_s, v_e)
+        if v_s != v_e:
+            if T == 0.0:
+                raise ProfileError("zero-length block cannot change feed")
+            dv = abs(v_e - v_s)
+            if not (T * T > 0.0 and dv * self.d2_max / (T * T) < math.inf):
+                raise ProfileError(
+                    f"block duration {T!r} s is too short for a feed change: "
+                    "its jerk overflows"
+                )
+        return T
+
+    def peaks(self, v_s: float, v_e: float, L: float) -> tuple[float, float]:
+        """Exact peak |acceleration| and |jerk| over a whole block."""
+        T, dv = self.duration(v_s, v_e, L), abs(v_e - v_s)
+        if not dv:
+            return 0.0, 0.0
+        return dv * self.d1_max / T, dv * self.d2_max / (T * T)
 
     def state(self, v_s, v_e, T, t):
         """Travel (mm) from the block start, feed (mm/s), acceleration
@@ -147,76 +178,6 @@ class Law:
                 accel[()],
                 jerk[()],
             )
-
-
-@dataclass(frozen=True)
-class Profile:
-    """A law fitted to one block: feeds v_s to v_e over duration T."""
-
-    v_s: float
-    v_e: float
-    T: float
-    law: Law
-
-    def __post_init__(self):
-        v_s, v_e, T = self.v_s, self.v_e, self.T
-        if v_s < 0.0 or v_e < 0.0:
-            raise ProfileError("feeds must be non-negative")
-        if T < 0.0:
-            raise ProfileError("duration must be non-negative")
-        if v_s == v_e:
-            return
-        if T == 0.0:
-            raise ProfileError("zero-length block cannot change feed")
-        if not (T * T > 0.0 and self.peaks()[1] < math.inf):
-            raise ProfileError(
-                f"block duration {T!r} s is too short for a feed change: "
-                "its jerk overflows"
-            )
-
-    @classmethod
-    def fit(cls, v_s: float, v_e: float, L: float, law: Law) -> Profile:
-        """The law fitted to a block's feeds and displacement."""
-        return cls(v_s, v_e, block_duration(L, v_s, v_e), law)
-
-    def state(self, t):
-        """Travel (mm) from the block start, feed (mm/s), acceleration
-        (mm/s^2) and jerk (mm/s^3) at block-local time t, a float or an
-        array of times, by Law.state."""
-        return self.law.state(self.v_s, self.v_e, self.T, t)
-
-    def peaks(self) -> tuple[float, float]:
-        """Exact peak |acceleration| and |jerk| over the whole block."""
-        T, dv = self.T, abs(self.v_e - self.v_s)
-        if not dv:
-            return 0.0, 0.0
-        return dv * self.law.d1_max / T, dv * self.law.d2_max / (T * T)
-
-
-@dataclass(frozen=True)
-class ProfileFamily:
-    """A velocity law as the scheduler and the replay use it.
-
-    The scheduler sizes a feed change from v1 to v2 across displacement
-    L by the reduced peaks mu_n*(v2^2-v1^2)/L and
-    mu_m*(v2-v1)*(v2+v1)^2/L^2, then checks the fitted profile's exact
-    peaks. fit(v_s, v_e, L) returns the law fitted to one block: a
-    Profile with its duration T, state(t) -> (s, v, a, j), the travel,
-    feed, acceleration and jerk at block-local time t, and peaks() ->
-    (|a|, |j|). The replay reads the fitted profiles' feeds, durations
-    and law, and evaluates them all in one Law.state call.
-    """
-
-    mu_n: float
-    mu_m: float
-    fit: Callable[[float, float, float], Profile]
-
-    @classmethod
-    def of(cls, law: Law) -> ProfileFamily:
-        """The family of a law: its reduction constants are the law's
-        exact peaks, so the reduced peaks are the fitted ones."""
-        fit = partial(Profile.fit, law=law)
-        return cls(law.d1_max / 2.0, law.d2_max / 4.0, fit)
 
 
 def check_shape(s: float, name: str) -> None:
@@ -296,9 +257,3 @@ def sigmoid_law(s: float) -> Law:
         )
 
     return Law(unit, d1_max, d2_max)
-
-
-def sigmoid_family(s: float) -> ProfileFamily:
-    """The shaped law with kernel steepness s and its reduction constants:
-    mu_n = max|phi'|/2 and mu_m = max|phi''|/4, exact for every s > 0."""
-    return ProfileFamily.of(sigmoid_law(s))

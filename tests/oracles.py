@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ from feedsched.simulator import (
     SimulationError,
     total_time,
 )
-from feedsched.sprofile import clamp_time, kernel
+from feedsched.sprofile import clamp_time, kernel, sigmoid_law
 
 SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
 SIG_D2_ARGMAX = math.log(2.0 + math.sqrt(3.0))
@@ -86,47 +87,46 @@ def logistic_d2(x):
     return f * (1.0 - f) * (1.0 - 2.0 * f)
 
 
-def core_reference(profile, t, s):
-    """Independent middle-section velocity and acceleration of a profile
-    of the shaped law at steepness s."""
-    T = profile.T
+def core_reference(v_s, v_e, T, t, s):
+    """Independent middle-section velocity and acceleration of a block
+    of the shaped law at steepness s: feeds v_s to v_e over duration T."""
     x = 2.0 * s * t / T - s
     span = float(logistic(s)) - float(logistic(-s))
     c = 2.0 * s / T
-    if profile.v_e > profile.v_s:
-        g = (profile.v_e - profile.v_s) / span
+    if v_e > v_s:
+        g = (v_e - v_s) / span
         fx = float(logistic(x))
-        v = g * (fx - float(logistic(-s))) + profile.v_s
+        v = g * (fx - float(logistic(-s))) + v_s
         a = g * c * fx * (1.0 - fx)
     else:
-        g = (profile.v_s - profile.v_e) / span
+        g = (v_s - v_e) / span
         px = float(logistic(-x))
-        v = g * (px - float(logistic(s))) + profile.v_s
+        v = g * (px - float(logistic(s))) + v_s
         a = -g * c * px * (1.0 - px)
     return v, a
 
 
-def junction_residuals(profile, s):
-    """The eight fit conditions of a shaped profile at steepness s: ends
-    pinned, and at both seams the cap side, read from the profile one
-    float of time into its cap, equal to the core's value and slope by
-    core_reference."""
-    T = profile.T
+def junction_residuals(v_s, v_e, T, s):
+    """The eight fit conditions of the shaped law at steepness s on a
+    block from feed v_s to v_e over duration T: ends pinned, and at both
+    seams the cap side, read from the law's state one float of time into
+    its cap, equal to the core's value and slope by core_reference."""
+    state = partial(sigmoid_law(s).state, v_s, v_e, T)
     third = T / 3.0
-    _, v0, a0, _ = profile.state(0.0)
-    _, v3, a3, _ = profile.state(T)
-    _, v1, a1, _ = profile.state(math.nextafter(third, 0.0))
-    _, v2, a2, _ = profile.state(math.nextafter(2.0 * third, T))
-    cv1, ca1 = core_reference(profile, third, s)
-    cv2, ca2 = core_reference(profile, 2.0 * third, s)
+    _, v0, a0, _ = state(0.0)
+    _, v3, a3, _ = state(T)
+    _, v1, a1, _ = state(math.nextafter(third, 0.0))
+    _, v2, a2, _ = state(math.nextafter(2.0 * third, T))
+    cv1, ca1 = core_reference(v_s, v_e, T, third, s)
+    cv2, ca2 = core_reference(v_s, v_e, T, 2.0 * third, s)
     return (
-        abs(v0 - profile.v_s),
+        abs(v0 - v_s),
         abs(a0),
         abs(v1 - cv1),
         abs(a1 - ca1),
         abs(v2 - cv2),
         abs(a2 - ca2),
-        abs(v3 - profile.v_e),
+        abs(v3 - v_e),
         abs(a3),
     )
 
@@ -332,7 +332,7 @@ def best_span_time(v1, v3, L_total, v_ceiling, s, a_max, j_max):
     return float(best) if best.ndim == 0 else best
 
 
-def classic_scan(blocks, family, limits):
+def classic_scan(blocks, law, limits):
     """Total time of the classic feed scan over fixed block lengths.
 
     Each block caps its higher end feed at what its lower end reaches
@@ -345,7 +345,7 @@ def classic_scan(blocks, family, limits):
         moved = False
         for i, L in enumerate(lengths):
             lo, hi = (i, i + 1) if v[i] <= v[i + 1] else (i + 1, i)
-            cap = transition_max_feed(v[lo], L, family, limits)
+            cap = transition_max_feed(v[lo], L, law, limits)
             if cap < v[hi]:
                 v[hi] = cap
                 moved = True
@@ -684,13 +684,12 @@ def _softplus(x):
     return math.log1p(math.exp(x))
 
 
-def _sigmoid_kinematics(profile, t, s):
-    t = clamp_time(t, profile.T)
-    if profile.v_s == profile.v_e:
-        return profile.v_s, 0.0, 0.0
-    T = profile.T
+def _sigmoid_kinematics(v_s, v_e, T, t, s):
+    t = clamp_time(t, T)
+    if v_s == v_e:
+        return v_s, 0.0, 0.0
     third = T / 3.0
-    cap_start, cap_end = sigmoid_caps(profile.v_s, profile.v_e, T, s)
+    cap_start, cap_end = sigmoid_caps(v_s, v_e, T, s)
     if t <= third:
         a1, a2, _, a4 = cap_start
         v = ((a1 * t + a2) * t) * t + a4
@@ -700,19 +699,18 @@ def _sigmoid_kinematics(profile, t, s):
         tau = T - t
         v = ((b1 * tau + b2) * tau) * tau + b4
         return v, -(3.0 * b1 * tau + 2.0 * b2) * tau, 6.0 * b1 * tau + 2.0 * b2
-    g, ref, base = _sigmoid_core_setup(profile.v_s, profile.v_e, s)
+    g, ref, base = _sigmoid_core_setup(v_s, v_e, s)
     c = 2.0 * s / T
     k, k1, k2 = base(c * t - s)
-    return g * (k - ref) + profile.v_s, g * k1 * c, g * k2 * c * c
+    return g * (k - ref) + v_s, g * k1 * c, g * k2 * c * c
 
 
-def _sigmoid_displacement(profile, t, s):
-    t = clamp_time(t, profile.T)
-    if profile.v_s == profile.v_e:
-        return profile.v_s * t
-    T = profile.T
+def _sigmoid_displacement(v_s, v_e, T, t, s):
+    t = clamp_time(t, T)
+    if v_s == v_e:
+        return v_s * t
     third = T / 3.0
-    cap_start, cap_end = sigmoid_caps(profile.v_s, profile.v_e, T, s)
+    cap_start, cap_end = sigmoid_caps(v_s, v_e, T, s)
 
     def cap_area(coeffs, x):
         c1, c2, _, c4 = coeffs
@@ -720,7 +718,7 @@ def _sigmoid_displacement(profile, t, s):
 
     if t <= third:
         return cap_area(cap_start, t)
-    g, ref, base = _sigmoid_core_setup(profile.v_s, profile.v_e, s)
+    g, ref, base = _sigmoid_core_setup(v_s, v_e, s)
     c = 2.0 * s / T
     if base is kernel:
         def anti(x):
@@ -733,79 +731,84 @@ def _sigmoid_displacement(profile, t, s):
     s_mid = (
         s13
         + g * (anti(c * t_mid - s) - anti(-s / 3.0))
-        + (profile.v_s - g * ref) * (t_mid - third)
+        + (v_s - g * ref) * (t_mid - third)
     )
     if t <= 2.0 * third:
         return s_mid
     return s_mid + cap_area(cap_end, third) - cap_area(cap_end, T - t)
 
 
-def _sine_kinematics(profile, t):
-    t = clamp_time(t, profile.T)
-    if profile.v_s == profile.v_e:
-        return profile.v_s, 0.0, 0.0
-    dv = profile.v_e - profile.v_s
+def _sine_kinematics(v_s, v_e, T, t):
+    t = clamp_time(t, T)
+    if v_s == v_e:
+        return v_s, 0.0, 0.0
+    dv = v_e - v_s
     half = 0.5 * dv
-    phase = math.pi * (t / profile.T - 0.5)
+    phase = math.pi * (t / T - 0.5)
     sin, cos = math.sin(phase), math.cos(phase)
     return (
-        half * (sin + 1.0) + profile.v_s,
-        dv * math.pi / (2.0 * profile.T) * cos,
-        -dv * (math.pi / profile.T) ** 2 / 2.0 * sin,
+        half * (sin + 1.0) + v_s,
+        dv * math.pi / (2.0 * T) * cos,
+        -dv * (math.pi / T) ** 2 / 2.0 * sin,
     )
 
 
-def _sine_displacement(profile, t):
-    t = clamp_time(t, profile.T)
-    if profile.v_s == profile.v_e:
-        return profile.v_s * t
-    half = 0.5 * (profile.v_e - profile.v_s)
-    T = profile.T
-    return (profile.v_s + half) * t - half * T / math.pi * math.sin(
+def _sine_displacement(v_s, v_e, T, t):
+    t = clamp_time(t, T)
+    if v_s == v_e:
+        return v_s * t
+    half = 0.5 * (v_e - v_s)
+    return (v_s + half) * t - half * T / math.pi * math.sin(
         math.pi * t / T
     )
 
 
-def reference_law(family, s):
-    """How profile_state_reference names a family's law: "sine" for
-    SINE, else the shaped law's steepness s."""
-    return "sine" if family is SINE else s
+def reference_law(law, s):
+    """How profile_state_reference names a law: "sine" for SINE, else
+    the shaped law's steepness s."""
+    return "sine" if law is SINE else s
 
 
-def profile_state_reference(profile, t, law):
+def profile_state_reference(v_s, v_e, T, t, law):
     """Travel, feed, acceleration and jerk at block-local time t of a
-    profile of the sine law (law "sine") or of the shaped law at
-    steepness law, from the profile's end feeds and duration alone: the
-    laws' former separate kinematics and displacement in time units,
-    each of which clamps t, fits its own caps and sets up the logistic
-    core on its own, with falling blocks on the mirrored logistic."""
+    block from feed v_s to v_e over duration T under the sine law (law
+    "sine") or the shaped law at steepness law: the laws' former
+    separate kinematics and displacement in time units, each of which
+    clamps t, fits its own caps and sets up the logistic core on its
+    own, with falling blocks on the mirrored logistic."""
     if law == "sine":
-        return (_sine_displacement(profile, t), *_sine_kinematics(profile, t))
+        return (
+            _sine_displacement(v_s, v_e, T, t),
+            *_sine_kinematics(v_s, v_e, T, t),
+        )
     return (
-        _sigmoid_displacement(profile, t, law),
-        *_sigmoid_kinematics(profile, t, law),
+        _sigmoid_displacement(v_s, v_e, T, t, law),
+        *_sigmoid_kinematics(v_s, v_e, T, t, law),
     )
 
 
 class _Track:
-    """Block profiles laid out on a shared time and travel axis: the
+    """Blocks of one law laid out on a shared time and travel axis: the
     replay's former block lookup, a bisection over the block starts at
     every tick, with each block's state from profile_state_reference
-    under law ("sine" or the shaped law's steepness)."""
+    under its feeds and the law's duration; name is the law as
+    profile_state_reference names it ("sine" or the shaped law's
+    steepness)."""
 
-    def __init__(self, blocks, family, law):
+    def __init__(self, blocks, law, name):
         self.law = law
+        self.name = name
         self.total = total_time(blocks)
         self.starts = []
         self.offsets = []
         self.durations = []
-        self.profiles = []
+        self.fits = []
         t = s = 0.0
         for b in blocks:
             self.starts.append(t)
             self.offsets.append(s)
             self.durations.append(b.T)
-            self.profiles.append(family.fit(b.v_s, b.v_e, b.L))
+            self.fits.append((b.v_s, b.v_e, law.duration(b.v_s, b.v_e, b.L)))
             t += b.T
             s += b.L
         self.length = s
@@ -821,15 +824,15 @@ class _Track:
         with the feed, acceleration and jerk there."""
         i, tau = self.locate(t)
         travel, *kinematics = profile_state_reference(
-            self.profiles[i], tau, self.law
+            *self.fits[i], tau, self.name
         )
         return self.offsets[i] + travel, tuple(kinematics)
 
 
-def replay_reference(curve, blocks, limits, family):
+def replay_reference(curve, blocks, limits, law):
     """The tick replay as one scalar loop: Newton on separate point and
     derivative evaluations, then the chord deviation of each tick."""
-    track = _Track(blocks, family, reference_law(family, limits.shape_s))
+    track = _Track(blocks, law, reference_law(law, limits.shape_s))
     Ts = limits.Ts
     n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
     u = 0.0

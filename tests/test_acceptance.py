@@ -28,7 +28,7 @@ from feedsched.optimizer import (
 )
 from feedsched.segmentation import build_blocks, find_breakpoints
 from feedsched.simulator import interpolate
-from feedsched.sprofile import sigmoid_family
+from feedsched.sprofile import sigmoid_law
 
 CORPUS_SEEDS = tuple(range(25))
 CHORD_HEADROOM = 1.05
@@ -39,7 +39,7 @@ def report(ok: bool, label: str, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {label} | {detail}")
 
 
-SIGMOID = sigmoid_family(3.3)
+SIGMOID = sigmoid_law(3.3)
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,17 @@ def corpus():
             worst = max(s.chord_err for s in samples) / limits.delta_max
             pa = pj = 0.0
             for b in plan:
-                A, J = SIGMOID.fit(b.v_s, b.v_e, b.L).peaks()
+                A, J = SIGMOID.peaks(b.v_s, b.v_e, b.L)
                 pa, pj = max(pa, A), max(pj, J)
             plan_sine = sine_schedule(curve, blocks, scatter, limits)
             sine_time = math.nan
             if preset == "high-accel":
                 sine_time = sum(b.T for b in plan_sine)
-            sine_samples = interpolate(curve, plan_sine, limits, family=SINE)
+            sine_samples = interpolate(curve, plan_sine, limits, law=SINE)
             sine_worst = max(s.chord_err for s in sine_samples)
             sa = sj = 0.0
             for b in plan_sine:
-                A, J = SINE.fit(b.v_s, b.v_e, b.L).peaks()
+                A, J = SINE.peaks(b.v_s, b.v_e, b.L)
                 sa, sj = max(sa, A), max(sj, J)
             runs.append(
                 CorpusRun(
@@ -276,19 +276,21 @@ def test_profile_seams_travel_and_peaks_validate_on_random_blocks():
         v_a = float(rng.uniform(0.5, 150.0))
         v_b = v_a if i % 29 == 0 else float(rng.uniform(0.5, 150.0))
         L = float(rng.uniform(0.5, 50.0))
-        p = SIGMOID.fit(v_a, v_b, L)
-        worst_seam = max(worst_seam, max(oracles.junction_residuals(p, 3.3)))
+        T = SIGMOID.duration(v_a, v_b, L)
+        worst_seam = max(
+            worst_seam, max(oracles.junction_residuals(v_a, v_b, T, 3.3))
+        )
         travel, _ = quad(
-            lambda t: p.state(t)[1],
+            lambda t: SIGMOID.state(v_a, v_b, T, t)[1],
             0.0,
-            p.T,
-            points=[p.T / 3.0, 2.0 * p.T / 3.0],
+            T,
+            points=[T / 3.0, 2.0 * T / 3.0],
             limit=200,
             epsabs=0.0,
             epsrel=1e-12,
         )
         worst_travel = max(worst_travel, abs(travel - L) / L)
-        A, J = p.peaks()
+        A, J = SIGMOID.peaks(v_a, v_b, L)
         da, dj = oracles.dense_transition_peaks(v_a, v_b, L, 3.3)
         for closed, dense in ((A, da), (J, dj)):
             if dense == 0.0:
@@ -366,14 +368,14 @@ def test_sine_closed_forms_match_dense_sampling_and_keep_boundary_jerk():
         if abs(v_a - v_b) < 1e-6:
             v_b = v_a + 15.0
         L = float(rng.uniform(0.5, 40.0))
-        p = SINE.fit(v_a, v_b, L)
-        A_closed, J_closed = p.peaks()
+        T = SINE.duration(v_a, v_b, L)
+        A_closed, J_closed = SINE.peaks(v_a, v_b, L)
         dense = max(
-            abs(p.state(t)[2])
-            for t in np.linspace(0.0, p.T, 1001)
+            abs(SINE.state(v_a, v_b, T, t)[2])
+            for t in np.linspace(0.0, T, 1001)
         )
         worst = max(worst, abs(A_closed - dense) / A_closed)
-        j0 = p.state(0.0)[3]
+        j0 = SINE.state(v_a, v_b, T, 0.0)[3]
         jerk_ok &= j0 != 0.0 and abs(abs(j0) - J_closed) <= 1e-9 * J_closed
     ok = worst <= 1e-9 and jerk_ok
     report(

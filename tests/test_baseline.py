@@ -1,18 +1,18 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import make_line
-from feedsched.baseline import SINE, SINE_LAW, sine_schedule
+from feedsched.baseline import SINE, sine_schedule
 from feedsched.chordscan import FeedrateScatter, Limits, scan_curve
 from feedsched.curvegen import random_curve
 from feedsched.geometry import arc_length
 from feedsched.optimizer import schedule
 from feedsched.segmentation import Block, build_blocks, find_breakpoints
 from feedsched.sprofile import (
-    Profile,
     ProfileDomainError,
     ProfileError,
     block_duration,
@@ -24,109 +24,106 @@ HIGH = Limits(
 )
 
 
-def sine_profile(v_s, v_e, T):
-    return Profile(v_s, v_e, T, SINE_LAW)
+def sine_state(v_s, v_e, T):
+    """The sine law's state at block-local times of a block moving from
+    feed v_s to v_e over duration T."""
+    return partial(SINE.state, v_s, v_e, T)
 
 
-def sine_peaks(v_s, v_e, L):
-    return SINE.fit(v_s, v_e, L).peaks()
-
-
-def random_profile(rng):
+def random_block(rng):
+    """End feeds, length and duration of a random sine block."""
     v_s = rng.uniform(1.0, 100.0)
     v_e = rng.uniform(1.0, 100.0)
     L = rng.uniform(0.5, 50.0)
-    return sine_profile(v_s, v_e, 2.0 * L / (v_s + v_e))
+    return v_s, v_e, L, 2.0 * L / (v_s + v_e)
 
 
 class TestSineProfile:
     def test_build_from_block(self):
-        prof = SINE.fit(20.0, 80.0, 10.0)
-        assert prof.v_s == 20.0 and prof.v_e == 80.0
-        want = block_duration(10.0, 20.0, 80.0)
-        assert prof.T == pytest.approx(want, rel=1e-15)
+        T = SINE.duration(20.0, 80.0, 10.0)
+        assert T == block_duration(10.0, 20.0, 80.0)
+        assert sine_state(20.0, 80.0, T)(T)[:2] == pytest.approx((10.0, 80.0))
 
     def test_rejects_bad_fields(self):
-        with pytest.raises(ProfileError):
-            sine_profile(-1.0, 20.0, 1.0)
-        with pytest.raises(ProfileError):
-            sine_profile(20.0, 10.0, -0.5)
-        with pytest.raises(ProfileError):
-            sine_profile(10.0, 20.0, 0.0)
-        with pytest.raises(ProfileError, match="duration must be non-negative"):
-            sine_profile(10.0, 10.0, -1e-3)
+        with pytest.raises(ProfileError, match="feeds must be non-negative"):
+            SINE.duration(-1.0, 20.0, 1.0)
+        with pytest.raises(ProfileError, match="displacement must be non-neg"):
+            SINE.duration(20.0, 10.0, -0.5)
+        with pytest.raises(ProfileError, match="zero-length block"):
+            SINE.duration(10.0, 20.0, 0.0)
         # T = 2.18e-215 s: T*T, the jerk's divisor, underflows to 0
         with pytest.raises(ProfileError, match="2.18e-215 s is too short"):
-            SINE.fit(0.0, 1.0, 1.09e-215)
+            SINE.duration(0.0, 1.0, 1.09e-215)
 
     def test_degenerate_constant_allowed(self):
-        prof = sine_profile(30.0, 30.0, 0.0)
-        assert prof.state(0.0)[1] == 30.0
+        assert SINE.duration(30.0, 30.0, 0.0) == 0.0
+        assert sine_state(30.0, 30.0, 0.0)(0.0)[1] == 30.0
 
 
 class TestEvaluators:
     def test_endpoint_velocities(self):
-        prof = sine_profile(20.0, 80.0, 0.5)
-        assert prof.state(0.0)[1] == pytest.approx(20.0, rel=1e-12)
-        assert prof.state(prof.T)[1] == pytest.approx(80.0, rel=1e-12)
+        state = sine_state(20.0, 80.0, 0.5)
+        assert state(0.0)[1] == pytest.approx(20.0, rel=1e-12)
+        assert state(0.5)[1] == pytest.approx(80.0, rel=1e-12)
 
     def test_midpoint_values(self):
-        prof = sine_profile(20.0, 80.0, 0.5)
-        half = prof.T / 2.0
-        assert prof.state(half)[1] == pytest.approx(50.0, rel=1e-12)
-        want = (80.0 - 20.0) * math.pi / (2.0 * prof.T)
-        assert prof.state(half)[2] == pytest.approx(want, rel=1e-12)
-        assert prof.state(half)[3] == pytest.approx(0.0, abs=1e-9)
+        state = sine_state(20.0, 80.0, 0.5)
+        half = 0.5 / 2.0
+        assert state(half)[1] == pytest.approx(50.0, rel=1e-12)
+        want = (80.0 - 20.0) * math.pi / (2.0 * 0.5)
+        assert state(half)[2] == pytest.approx(want, rel=1e-12)
+        assert state(half)[3] == pytest.approx(0.0, abs=1e-9)
 
     def test_acceleration_vanishes_at_ends(self):
-        prof = sine_profile(20.0, 80.0, 0.5)
-        assert abs(prof.state(0.0)[2]) < 1e-9
-        assert abs(prof.state(prof.T)[2]) < 1e-9
+        state = sine_state(20.0, 80.0, 0.5)
+        assert abs(state(0.0)[2]) < 1e-9
+        assert abs(state(0.5)[2]) < 1e-9
 
     def test_jerk_nonzero_at_ends(self):
         # the sine shape starts and stops with a jerk discontinuity
-        prof = sine_profile(20.0, 80.0, 0.5)
-        want = (80.0 - 20.0) * math.pi**2 / (2.0 * prof.T**2)
-        assert prof.state(0.0)[3] == pytest.approx(want, rel=1e-12)
-        assert prof.state(prof.T)[3] == pytest.approx(-want, rel=1e-12)
+        state = sine_state(20.0, 80.0, 0.5)
+        want = (80.0 - 20.0) * math.pi**2 / (2.0 * 0.5**2)
+        assert state(0.0)[3] == pytest.approx(want, rel=1e-12)
+        assert state(0.5)[3] == pytest.approx(-want, rel=1e-12)
 
     def test_braking_flips_signs(self):
-        prof = sine_profile(80.0, 20.0, 0.5)
-        assert prof.state(prof.T / 2.0)[2] < 0.0
-        assert prof.state(0.0)[3] < 0.0
+        state = sine_state(80.0, 20.0, 0.5)
+        assert state(0.5 / 2.0)[2] < 0.0
+        assert state(0.0)[3] < 0.0
 
     def test_constant_profile(self):
-        prof = sine_profile(40.0, 40.0, 1.25)
+        state = sine_state(40.0, 40.0, 1.25)
         for t in (0.0, 0.3, 1.25):
-            assert prof.state(t)[1:] == (40.0, 0.0, 0.0)
+            assert state(t)[1:] == (40.0, 0.0, 0.0)
 
     def test_domain_errors(self):
-        prof = sine_profile(20.0, 80.0, 0.5)
-        for t in (-1e-3, prof.T + 1e-3):
+        state = sine_state(20.0, 80.0, 0.5)
+        for t in (-1e-3, 0.5 + 1e-3):
             with pytest.raises(ProfileDomainError):
-                prof.state(t)
+                state(t)
         # grace band just outside the ends is tolerated
-        assert prof.state(-1e-10)[1] == pytest.approx(20.0, rel=1e-9)
+        assert state(-1e-10)[1] == pytest.approx(20.0, rel=1e-9)
 
     def test_derivative_chain(self):
         rng = np.random.default_rng(61)
         for _ in range(25):
-            prof = random_profile(rng)
-            h = prof.T * 1e-6
+            v_s, v_e, _, T = random_block(rng)
+            state = sine_state(v_s, v_e, T)
+            h = T * 1e-6
             for frac in (0.2, 0.5, 0.8):
-                t = prof.T * frac
+                t = T * frac
                 dv = (
-                    prof.state(t + h)[1] - prof.state(t - h)[1]
+                    state(t + h)[1] - state(t - h)[1]
                 ) / (2.0 * h)
                 da = (
-                    prof.state(t + h)[2]
-                    - prof.state(t - h)[2]
+                    state(t + h)[2]
+                    - state(t - h)[2]
                 ) / (2.0 * h)
                 assert dv == pytest.approx(
-                    prof.state(t)[2], rel=1e-5, abs=1e-6
+                    state(t)[2], rel=1e-5, abs=1e-6
                 )
                 assert da == pytest.approx(
-                    prof.state(t)[3], rel=1e-5, abs=1e-4
+                    state(t)[3], rel=1e-5, abs=1e-4
                 )
 
 
@@ -137,27 +134,29 @@ class TestSineDisplacement:
             v_s = rng.uniform(1.0, 100.0)
             v_e = rng.uniform(1.0, 100.0)
             L = rng.uniform(0.5, 50.0)
-            prof = sine_profile(v_s, v_e, 2.0 * L / (v_s + v_e))
-            assert prof.state(0.0)[0] == 0.0
-            got = prof.state(prof.T)[0]
+            T = 2.0 * L / (v_s + v_e)
+            state = sine_state(v_s, v_e, T)
+            assert state(0.0)[0] == 0.0
+            got = state(T)[0]
             assert got == pytest.approx(L, rel=1e-12)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(89)
         for _ in range(15):
-            prof = random_profile(rng)
+            v_s, v_e, _, T = random_block(rng)
+            state = sine_state(v_s, v_e, T)
             for frac in (0.15, 0.4, 0.77):
-                t = prof.T * frac
+                t = T * frac
                 want, _ = quad(
-                    lambda x: prof.state(x)[1], 0.0, t,
+                    lambda x: state(x)[1], 0.0, t,
                     epsabs=0.0, epsrel=1e-12,
                 )
-                got = prof.state(t)[0]
+                got = state(t)[0]
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_constant_profile_is_linear(self):
-        prof = sine_profile(40.0, 40.0, 1.25)
-        assert prof.state(0.6)[0] == pytest.approx(24.0, rel=1e-15)
+        state = sine_state(40.0, 40.0, 1.25)
+        assert state(0.6)[0] == pytest.approx(24.0, rel=1e-15)
 
 
 class TestSinePeaks:
@@ -166,33 +165,30 @@ class TestSinePeaks:
         # analytic extremum locations (midpoint and both ends)
         rng = np.random.default_rng(62)
         for _ in range(40):
-            prof = random_profile(rng)
-            L = 0.5 * (prof.v_s + prof.v_e) * prof.T
-            ts = np.linspace(0.0, prof.T, 20001)
-            _, _, acc, jrk = prof.state(ts)
-            a_pk, j_pk = sine_peaks(prof.v_s, prof.v_e, L)
+            v_s, v_e, L, T = random_block(rng)
+            ts = np.linspace(0.0, T, 20001)
+            _, _, acc, jrk = sine_state(v_s, v_e, T)(ts)
+            a_pk, j_pk = SINE.peaks(v_s, v_e, L)
             assert a_pk == pytest.approx(np.max(np.abs(acc)), rel=1e-9)
             assert j_pk == pytest.approx(np.max(np.abs(jrk)), rel=1e-9)
             assert a_pk >= np.max(np.abs(acc)) * (1.0 - 1e-12)
             assert j_pk >= np.max(np.abs(jrk)) * (1.0 - 1e-12)
 
     def test_no_feed_change(self):
-        assert sine_peaks(50.0, 50.0, 10.0) == (0.0, 0.0)
-        assert sine_peaks(50.0, 50.0, 0.0) == (0.0, 0.0)
+        assert SINE.peaks(50.0, 50.0, 10.0) == (0.0, 0.0)
+        assert SINE.peaks(50.0, 50.0, 0.0) == (0.0, 0.0)
         with pytest.raises(ProfileError):
-            sine_peaks(50.0, 80.0, 0.0)
+            SINE.peaks(50.0, 80.0, 0.0)
 
     def test_direction_symmetric(self):
-        assert sine_peaks(20.0, 80.0, 5.0) == sine_peaks(80.0, 20.0, 5.0)
+        assert SINE.peaks(20.0, 80.0, 5.0) == SINE.peaks(80.0, 20.0, 5.0)
 
     def test_velocity_integral_recovers_length(self):
         rng = np.random.default_rng(63)
         for _ in range(10):
-            prof = random_profile(rng)
-            L = 0.5 * (prof.v_s + prof.v_e) * prof.T
-            got, err = quad(
-                lambda t: prof.state(t)[1], 0.0, prof.T, limit=200
-            )
+            v_s, v_e, L, T = random_block(rng)
+            state = sine_state(v_s, v_e, T)
+            got, err = quad(lambda t: state(t)[1], 0.0, T, limit=200)
             assert got == pytest.approx(L, rel=1e-9)
 
 
@@ -211,7 +207,7 @@ class TestSineMus:
             v_lo = rng.uniform(1.0, 60.0)
             v_hi = v_lo + rng.uniform(0.5, 40.0)
             L = rng.uniform(0.5, 50.0)
-            a_pk, j_pk = sine_peaks(v_lo, v_hi, L)
+            a_pk, j_pk = SINE.peaks(v_lo, v_hi, L)
             assert a_pk == pytest.approx(
                 mu_accel * (v_hi**2 - v_lo**2) / L, rel=1e-12
             )
@@ -232,7 +228,7 @@ class TestSineSchedule:
         scatter = FeedrateScatter([0.0, 1.0], [v_lo, v_hi])
         out = sine_schedule(curve, blocks, scatter, HIGH)
         assert out[0].v_s == v_lo and out[0].v_e == pytest.approx(v_hi, rel=1e-9)
-        _, j_pk = sine_peaks(out[0].v_s, out[0].v_e, out[0].L)
+        _, j_pk = SINE.peaks(out[0].v_s, out[0].v_e, out[0].L)
         assert j_pk <= HIGH.j_max * (1.0 + 1e-9)
         assert j_pk == pytest.approx(HIGH.j_max, rel=1e-6)
 
@@ -246,7 +242,7 @@ class TestSineSchedule:
         sig_out = schedule(curve, blocks, scatter, HIGH)
         assert sine_out[0].v_e < 90.0
         assert sine_out[0].v_e < sig_out[0].v_e
-        a_pk, j_pk = sine_peaks(sine_out[0].v_s, sine_out[0].v_e, 2.0)
+        a_pk, j_pk = SINE.peaks(sine_out[0].v_s, sine_out[0].v_e, 2.0)
         assert a_pk <= HIGH.a_max * (1.0 + 1e-9)
         assert j_pk <= HIGH.j_max * (1.0 + 1e-9)
 
@@ -265,7 +261,7 @@ class TestSineSchedule:
             if b.L <= 0.0:
                 continue
             assert b.T > 0.0
-            a_pk, j_pk = sine_peaks(b.v_s, b.v_e, b.L)
+            a_pk, j_pk = SINE.peaks(b.v_s, b.v_e, b.L)
             assert a_pk <= HIGH.a_max * (1.0 + 1e-9)
             assert j_pk <= HIGH.j_max * (1.0 + 1e-9)
 

@@ -78,11 +78,15 @@ class TestLimits:
         # every finite positive shape schedules, steep ones too
         fields = dict(Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0,
                       j_max=26000.0)
-        for s in (3.32, 6.0, 50.0):
+        for s in (6e-17, 3.32, 6.0, 50.0):
             assert Limits(**fields, shape_s=s).shape_s == s
         for s in (-1.0, math.inf, math.nan, 1e-20):
             with pytest.raises(ValueError, match="shape_s"):
                 Limits(**fields, shape_s=s)
+        # the logistic core rises in floats from s = 5.551115123125784e-17,
+        # the float after 2^-54, up
+        with pytest.raises(ValueError, match="too flat"):
+            Limits(**fields, shape_s=5e-17)
 
     def test_mu_s_defaults_to_none(self):
         assert STD.mu_s is None

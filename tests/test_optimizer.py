@@ -30,21 +30,21 @@ from feedsched.optimizer import (
 )
 from feedsched.chordscan import scan_curve
 from feedsched.segmentation import Block, build_blocks, find_breakpoints
-from feedsched.sprofile import ProfileError, kernel, sigmoid_family
+from feedsched.sprofile import ProfileError, kernel, sigmoid_law
 
 STD = Limits(
     Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0, j_max=26000.0,
     shape_s=3.3,
 )
-SIG = sigmoid_family(3.3)
+SIG = sigmoid_law(3.3)
 
 
-FAMILIES = st.one_of(st.just(SINE), st.floats(1.0, 5.0).map(sigmoid_family))
+LAWS = st.one_of(st.just(SINE), st.floats(1.0, 5.0).map(sigmoid_law))
 PRESET_LIMITS = st.sampled_from(sorted(PRESETS)).map(PRESETS.__getitem__)
 
 
 def peaks(b):
-    return SIG.fit(b.v_s, b.v_e, b.L).peaks()
+    return SIG.peaks(b.v_s, b.v_e, b.L)
 
 
 def benchmark_curve(workload, seed, name):
@@ -66,24 +66,24 @@ def benchmark_curve(workload, seed, name):
 
 class TestComputeMus:
     def test_reference_shape(self):
-        family = sigmoid_family(3.3)
+        law = sigmoid_law(3.3)
         # the core acceleration coefficient binds at this shape
-        assert family.mu_n == pytest.approx(0.8881, abs=1e-3)
-        assert 1.10 <= family.mu_m <= 1.14
-        assert family.mu_m < math.pi**2 / 8.0
+        assert law.mu_n == pytest.approx(0.8881, abs=1e-3)
+        assert 1.10 <= law.mu_m <= 1.14
+        assert law.mu_m < math.pi**2 / 8.0
 
     def test_kernel_symmetry_identity(self):
         # f(s) - f(-s) == 2 f(s) - 1, so the core acceleration
         # coefficient s / (4 (f(s) - f(-s))), which mu_n is at this
         # shape, can be recomputed that way
         s = 3.3
-        family = sigmoid_family(s)
+        law = sigmoid_law(s)
         alt = s / (4.0 * (2.0 * kernel(s)[0] - 1.0))
-        assert family.mu_n == pytest.approx(alt, rel=1e-12)
+        assert law.mu_n == pytest.approx(alt, rel=1e-12)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ProfileError):
-            sigmoid_family(0.0)
+            sigmoid_law(0.0)
 
 
 class TestTransitionHelpers:
@@ -137,29 +137,29 @@ class TestTransitionHelpers:
 class TestTransitionMaxFeedProperties:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        FAMILIES, PRESET_LIMITS, st.floats(0.0, 200.0),
+        LAWS, PRESET_LIMITS, st.floats(0.0, 200.0),
         st.floats(-6.0, 3.0),
     )
-    def test_roundtrip_through_min_length(self, family, limits, v_lo, log_L):
+    def test_roundtrip_through_min_length(self, law, limits, v_lo, log_L):
         # the returned feed is the largest float whose minimum length fits
         L = 10.0**log_L
-        v = transition_max_feed(v_lo, L, family, limits)
+        v = transition_max_feed(v_lo, L, law, limits)
         up = math.nextafter(v, math.inf)
-        assert transition_min_length(v_lo, v, family, limits) <= L
-        assert L < transition_min_length(v_lo, up, family, limits)
+        assert transition_min_length(v_lo, v, law, limits) <= L
+        assert L < transition_min_length(v_lo, up, law, limits)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        FAMILIES, PRESET_LIMITS, st.floats(0.0, 200.0), st.floats(-6.0, 3.0),
+        LAWS, PRESET_LIMITS, st.floats(0.0, 200.0), st.floats(-6.0, 3.0),
     )
     # a Newton root alone steps down by an ulp at the next length here
     @example(SIG, PRESETS["standard"], 70.12355587967683, 0.8426077742405607)
     @example(SINE, PRESETS["high-accel"], 24.797234690670123, 0.73553984159099)
-    def test_non_decreasing_in_length(self, family, limits, v_lo, log_L):
+    def test_non_decreasing_in_length(self, law, limits, v_lo, log_L):
         # even at adjacent floats of the length
         L = 10.0**log_L
-        a = transition_max_feed(v_lo, L, family, limits)
-        b = transition_max_feed(v_lo, math.nextafter(L, math.inf), family, limits)
+        a = transition_max_feed(v_lo, L, law, limits)
+        b = transition_max_feed(v_lo, math.nextafter(L, math.inf), law, limits)
         assert a <= b
 
 
@@ -234,17 +234,17 @@ class TestAdjustPeakJunction:
         # with no ceiling the peak is a span without floors: both take
         # the boundary float of the same predicate, l1 + l3 <= L1 + L2
         rng = np.random.default_rng(103)
-        for family, limits in ((SIG, STD), (SINE, PRESETS["high-accel"])):
+        for law, limits in ((SIG, STD), (SINE, PRESETS["high-accel"])):
             for _ in range(60):
                 v1, v3 = rng.uniform(1.0, 80.0, 2)
                 v2 = max(v1, v3) + rng.uniform(0.5, 60.0)
                 L1, L2 = 10.0 ** rng.uniform(-4.0, 1.0, 2)
                 free = partial(
-                    adjust_peak_junction, v1, v2, v3, L1, L2, family, limits,
+                    adjust_peak_junction, v1, v2, v3, L1, L2, law, limits,
                     lambda x: math.inf,
                 )
                 span = partial(
-                    adjust_with_constant, v1, v3, L1 + L2, v2, family, limits,
+                    adjust_with_constant, v1, v3, L1 + L2, v2, law, limits,
                     floors=(0.0, 0.0),
                 )
                 try:
@@ -256,8 +256,8 @@ class TestAdjustPeakJunction:
                 v, x = free()
                 assert v == want
                 # the slack goes to the taller side
-                l1 = transition_min_length(v1, v, family, limits)
-                l3 = transition_min_length(v3, v, family, limits)
+                l1 = transition_min_length(v1, v, law, limits)
+                l3 = transition_min_length(v3, v, law, limits)
                 assert x == (L1 + L2 - l3 if v1 >= v3 else l1)
 
 
@@ -385,10 +385,10 @@ class TestAdjustWithConstant:
         assert sum(lengths) == pytest.approx(2.5004717606884355, rel=1e-15)
 
 
-def span_time(v1, v2, v3, L, family, limits, floors):
+def span_time(v1, v2, v3, L, law, limits, floors):
     """Span time at top feed v2 > 0 (inf when v2 is infeasible)."""
-    l1 = max(transition_min_length(v1, v2, family, limits), floors[0])
-    l3 = max(transition_min_length(v3, v2, family, limits), floors[1])
+    l1 = max(transition_min_length(v1, v2, law, limits), floors[0])
+    l3 = max(transition_min_length(v3, v2, law, limits), floors[1])
     if l1 + l3 > L:
         return math.inf
     l2 = max(L - l1 - l3, 0.0)
@@ -398,13 +398,13 @@ def span_time(v1, v2, v3, L, family, limits, floors):
 class TestAdjustWithConstantProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        FAMILIES, PRESET_LIMITS,
+        LAWS, PRESET_LIMITS,
         st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(0.0, 100.0),
         st.floats(-3.0, 2.0),
         st.floats(0.0, 0.6), st.floats(0.0, 0.6),
     )
     def test_top_feed_is_feasible_boundary_and_fastest(
-        self, family, limits, v1, v3, rise, log_L, f1, f3
+        self, law, limits, v1, v3, rise, log_L, f1, f3
     ):
         L = 10.0**log_L
         lo = max(v1, v3)
@@ -415,11 +415,11 @@ class TestAdjustWithConstantProperties:
         floors = (f1 * L, f3 * L)
 
         def time(v2):
-            return span_time(v1, v2, v3, L, family, limits, floors)
+            return span_time(v1, v2, v3, L, law, limits, floors)
 
         try:
             v2, _ = adjust_with_constant(
-                v1, v3, L, ceiling, family, limits, floors=floors
+                v1, v3, L, ceiling, law, limits, floors=floors
             )
         except InfeasibleJunctionError:
             assert time(lo) == math.inf
@@ -452,10 +452,10 @@ def chain_setup(length, feeds, cuts):
     return curve, blocks, FeedrateScatter([0.0, *cuts, 1.0], feeds)
 
 
-def within_limits(plan, family, limits):
+def within_limits(plan, law, limits):
     for b in plan:
         if b.L > 0.0:
-            a_pk, j_pk = family.fit(b.v_s, b.v_e, b.L).peaks()
+            a_pk, j_pk = law.peaks(b.v_s, b.v_e, b.L)
             if a_pk > limits.a_max * (1.0 + 1e-9) or j_pk > limits.j_max * (1.0 + 1e-9):
                 return False
     return True
@@ -484,10 +484,10 @@ class TestClassicScan:
     @staticmethod
     def assert_no_slower(curve, blocks, scatter, label):
         for preset, limits in sorted(PRESETS.items()):
-            for family in (sigmoid_family(limits.shape_s), SINE):
-                plan = schedule(curve, blocks, scatter, limits, family)
-                assert within_limits(plan, family, limits), (label, preset)
-                ref = oracles.classic_scan(blocks, family, limits)
+            for law in (sigmoid_law(limits.shape_s), SINE):
+                plan = schedule(curve, blocks, scatter, limits, law)
+                assert within_limits(plan, law, limits), (label, preset)
+                ref = oracles.classic_scan(blocks, law, limits)
                 assert sum(b.T for b in plan) <= ref * (1.0 + 1e-9), (label, preset)
 
     def check_random_chains(self, seed, scale):
@@ -528,10 +528,10 @@ class TestClassicScan:
             79.60982067189877, 46.26451623239713,
         ]
         curve, blocks, scatter = chain_setup(2.2203856220672744, feeds, cuts)
-        limits, family = PRESETS["standard"], sigmoid_family(3.3)
-        plan = schedule(curve, blocks, scatter, limits, family)
-        assert within_limits(plan, family, limits)
-        ref = oracles.classic_scan(blocks, family, limits)
+        limits, law = PRESETS["standard"], sigmoid_law(3.3)
+        plan = schedule(curve, blocks, scatter, limits, law)
+        assert within_limits(plan, law, limits)
+        ref = oracles.classic_scan(blocks, law, limits)
         assert sum(b.T for b in plan) <= ref * (1.0 + 1e-9)
 
 
@@ -615,18 +615,20 @@ class TestSchedule:
         ]
         assert within_limits(out, SIG, STD)
 
-    def test_final_check_refuses_a_family_that_understates_its_peaks(self):
-        # half the sine's mu_n: the passes let a 2 mm rise from 10 mm/s
-        # reach about 72 mm/s, at twice the acceleration limit, and the
-        # fitted peaks catch it (jerk is out of reach here)
-        half = replace(SINE, mu_n=SINE.mu_n / 2.0)
+    def test_final_check_refuses_a_feed_the_block_cannot_reach(
+        self, monkeypatch
+    ):
+        # a reach that overstates what a 2 mm sine rise from 10 mm/s
+        # attains: the pass keeps the 72 mm/s it is handed, at about twice
+        # the acceleration limit, and the exact peaks catch it
         lim = replace(STD, j_max=1e9)
         curve = make_line(end=(2.0, 0.0))
         blocks = [Block(0.0, 1.0, 10.0, 100.0, 2.0)]
         scatter = FeedrateScatter([0.0, 1.0], [10.0, 100.0])
-        assert schedule(curve, blocks, scatter, lim, family=SINE)[0].v_e < 72.0
+        assert schedule(curve, blocks, scatter, lim, law=SINE)[0].v_e < 72.0
+        monkeypatch.setattr(optimizer, "transition_max_feed", lambda *args: 72.0)
         with pytest.raises(ScheduleConsistencyError, match="violates limits"):
-            schedule(curve, blocks, scatter, lim, family=half)
+            schedule(curve, blocks, scatter, lim, law=SINE)
 
     def test_already_optimal_is_fixpoint(self):
         curve, blocks = line_setup(
@@ -822,8 +824,8 @@ class TestSchedule:
             scatter = scan_curve(curve, limits)
             blocks = build_blocks(curve, scatter, find_breakpoints(scatter))
         before = list(blocks)
-        for family in (sigmoid_family(limits.shape_s), SINE):
-            plan = schedule(curve, blocks, scatter, limits, family)
+        for law in (sigmoid_law(limits.shape_s), SINE):
+            plan = schedule(curve, blocks, scatter, limits, law)
             assert blocks == before
             assert all(b.L > 0.0 and b.u_e > b.u_s for b in plan)
             assert plan[0].u_s == 0.0 and plan[-1].u_e == 1.0
@@ -838,27 +840,27 @@ class TestSchedule:
         for seed, preset in ((7, "standard"), *CORPUS_PICKS):
             curve, scatter, blocks, limits = scanned(seed, preset)
 
-            def total(blks, family):
-                plan = schedule(curve, blks, scatter, limits, family)
+            def total(blks, law):
+                plan = schedule(curve, blks, scatter, limits, law)
                 return sum(b.T for b in plan)
 
-            for family in (sigmoid_family(limits.shape_s), SINE):
-                ref = total(blocks, family)
+            for law in (sigmoid_law(limits.shape_s), SINE):
+                ref = total(blocks, law)
                 for _ in range(6):
                     scale = 1.0 + rng.uniform(-1e-12, 1e-12, len(blocks))
                     noisy = [
                         Block(b.u_s, b.u_e, b.v_s, b.v_e, b.L * float(k))
                         for b, k in zip(blocks, scale)
                     ]
-                    assert total(noisy, family) == pytest.approx(ref, rel=1e-9)
+                    assert total(noisy, law) == pytest.approx(ref, rel=1e-9)
 
     def test_second_pass_moves_nothing(self):
         # each pass lowers only junctions it has not visited yet, so one
         # pass in each direction leaves nothing for a second one
         for seed, preset in CORPUS_PICKS:
             curve, scatter, blocks, limits = scanned(seed, preset)
-            for family in (sigmoid_family(limits.shape_s), SINE):
-                passes = optimizer._Passes(curve, blocks, scatter, limits, family)
+            for law in (sigmoid_law(limits.shape_s), SINE):
+                passes = optimizer._Passes(curve, blocks, scatter, limits, law)
                 passes.run(1)
                 passes.run(-1)
                 v, L = passes.v[:], passes.L[:]

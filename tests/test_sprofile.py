@@ -1,30 +1,35 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from oracles import junction_residuals, profile_state_reference, sigmoid_caps
 
-from feedsched.baseline import SINE, SINE_LAW
+from feedsched.baseline import SINE
 from feedsched.sprofile import (
     SIG_D2_ARGMAX,
     SIG_D2_MAX,
     DwellUnsupportedError,
-    Profile,
+    Law,
     ProfileDomainError,
     ProfileError,
     block_duration,
     kernel,
-    sigmoid_family,
     sigmoid_law,
 )
 
 EPS = 2.0**-52
+SIG = sigmoid_law(3.3)
 
 
 def fit(v_s, v_e, L, s=3.3):
-    return sigmoid_family(s).fit(v_s, v_e, L)
+    """The duration of a block of the shaped law at steepness s and its
+    state at block-local times."""
+    law = sigmoid_law(s)
+    T = law.duration(v_s, v_e, L)
+    return T, partial(law.state, v_s, v_e, T)
 
 
 def logistic(x):
@@ -104,10 +109,10 @@ class TestBlockDuration:
 
 class TestBuildProfile:
     def test_constant_block_is_flat(self):
-        p = fit(80.0, 80.0, 12.0)
-        assert p.peaks() == (0.0, 0.0)
-        for t in np.linspace(0.0, p.T, 7):
-            assert p.state(float(t))[1:] == (80.0, 0.0, 0.0)
+        T, state = fit(80.0, 80.0, 12.0)
+        assert SIG.peaks(80.0, 80.0, 12.0) == (0.0, 0.0)
+        for t in np.linspace(0.0, T, 7):
+            assert state(float(t))[1:] == (80.0, 0.0, 0.0)
 
     def test_cap_structure(self):
         # the unit shape starts at rest, ends at 1 with travel 1/2, and its
@@ -132,8 +137,8 @@ class TestBuildProfile:
             fit(0.0, 1.0, 1.09e-215)
 
     def test_junction_conditions_reference_case(self):
-        p = fit(0.0, 100.0, 10.0)
-        assert max(junction_residuals(p, 3.3)) < 1e-9
+        T = SIG.duration(0.0, 100.0, 10.0)
+        assert max(junction_residuals(0.0, 100.0, T, 3.3)) < 1e-9
 
     def test_junction_conditions_random_blocks(self):
         rng = np.random.default_rng(42)
@@ -143,8 +148,8 @@ class TestBuildProfile:
             if v_a == v_b:
                 continue
             L = float(rng.uniform(0.5, 50.0))
-            p = fit(v_a, v_b, L)
-            assert max(junction_residuals(p, 3.3)) < 1e-9
+            T = SIG.duration(v_a, v_b, L)
+            assert max(junction_residuals(v_a, v_b, T, 3.3)) < 1e-9
 
     def test_decel_mirrors_accel(self):
         rng = np.random.default_rng(9)
@@ -152,19 +157,19 @@ class TestBuildProfile:
             lo = float(rng.uniform(0.0, 60.0))
             hi = float(rng.uniform(70.0, 150.0))
             L = float(rng.uniform(1.0, 30.0))
-            up = fit(lo, hi, L)
-            down = fit(hi, lo, L)
-            assert down.T == pytest.approx(up.T, rel=1e-15)
-            t = rng.uniform(0.0, up.T, size=25)
-            assert down.state(t)[1] == pytest.approx(
-                up.state(up.T - t)[1], rel=1e-12, abs=1e-10
+            T_up, up = fit(lo, hi, L)
+            T_down, down = fit(hi, lo, L)
+            assert T_down == pytest.approx(T_up, rel=1e-15)
+            t = rng.uniform(0.0, T_up, size=25)
+            assert down(t)[1] == pytest.approx(
+                up(T_up - t)[1], rel=1e-12, abs=1e-10
             )
 
 
 class TestEvaluation:
     def test_midpoint_velocity(self):
-        p = fit(20.0, 100.0, 15.0)
-        assert p.state(p.T / 2.0)[1] == pytest.approx(60.0, rel=1e-12)
+        T, state = fit(20.0, 100.0, 15.0)
+        assert state(T / 2.0)[1] == pytest.approx(60.0, rel=1e-12)
 
     def test_symmetry_and_displacement(self):
         rng = np.random.default_rng(77)
@@ -173,49 +178,49 @@ class TestEvaluation:
             v_a = float(rng.uniform(0.0, 140.0))
             v_b = float(rng.uniform(5.0, 150.0))
             L = float(rng.uniform(0.5, 40.0))
-            p = fit(v_a, v_b, L)
-            t = rng.uniform(0.0, p.T, size=10)
-            total = p.state(t)[1] + p.state(p.T - t)[1]
+            T, state = fit(v_a, v_b, L)
+            t = rng.uniform(0.0, T, size=10)
+            total = state(t)[1] + state(T - t)[1]
             assert total == pytest.approx(v_a + v_b, rel=1e-9, abs=1e-9)
             # integrate per section so the quadrature sees smooth pieces
             got = 0.0
-            for lo, hi in [(0.0, p.T / 3), (p.T / 3, 2 * p.T / 3),
-                           (2 * p.T / 3, p.T)]:
+            for lo, hi in [(0.0, T / 3), (T / 3, 2 * T / 3),
+                           (2 * T / 3, T)]:
                 mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                got += half * (weights @ p.state(mid + half * nodes)[1])
+                got += half * (weights @ state(mid + half * nodes)[1])
             assert got == pytest.approx(L, rel=1e-9)
 
     def test_endpoints_pinned(self):
-        p = fit(30.0, 90.0, 8.0)
-        assert p.state(0.0)[1] == 30.0
-        assert p.state(p.T)[1] == pytest.approx(90.0, rel=1e-14)
-        assert p.state(0.0)[2] == 0.0
-        assert p.state(p.T)[2] == 0.0
+        T, state = fit(30.0, 90.0, 8.0)
+        assert state(0.0)[1] == 30.0
+        assert state(T)[1] == pytest.approx(90.0, rel=1e-14)
+        assert state(0.0)[2] == 0.0
+        assert state(T)[2] == 0.0
 
     def test_start_jerk_is_cap_coefficient(self):
-        p = fit(0.0, 100.0, 10.0)
-        j0 = p.state(0.0)[3]
-        a2 = sigmoid_caps(p.v_s, p.v_e, p.T, 3.3)[0][1]
+        T, state = fit(0.0, 100.0, 10.0)
+        j0 = state(0.0)[3]
+        a2 = sigmoid_caps(0.0, 100.0, T, 3.3)[0][1]
         assert j0 == pytest.approx(2.0 * a2, rel=1e-14)
-        assert j0 == 100.0 * sigmoid_law(3.3).unit(0.0)[3] / (p.T * p.T)
+        assert j0 == 100.0 * SIG.unit(0.0)[3] / (T * T)
         assert j0 != 0.0
 
     def test_accel_block_is_monotone(self):
-        p = fit(10.0, 120.0, 20.0)
-        ts = np.linspace(0.0, p.T, 2000)
-        assert (np.diff(p.state(ts)[1]) >= -1e-9).all()
+        T, state = fit(10.0, 120.0, 20.0)
+        ts = np.linspace(0.0, T, 2000)
+        assert (np.diff(state(ts)[1]) >= -1e-9).all()
 
     def test_time_domain_enforced(self):
-        p = fit(10.0, 50.0, 5.0)
+        T, state = fit(10.0, 50.0, 5.0)
         with pytest.raises(ProfileDomainError):
-            p.state(-0.01)
+            state(-0.01)
         with pytest.raises(ProfileDomainError):
-            p.state(p.T + 0.01)
+            state(T + 0.01)
 
 
 class TestKinematicPeaks:
     def test_constant_block(self):
-        assert fit(50.0, 50.0, 5.0).peaks() == (0.0, 0.0)
+        assert SIG.peaks(50.0, 50.0, 5.0) == (0.0, 0.0)
 
     def test_peaks_match_dense_sampling(self):
         rng = np.random.default_rng(123)
@@ -223,10 +228,10 @@ class TestKinematicPeaks:
             v_a = float(rng.uniform(0.0, 100.0))
             v_b = float(rng.uniform(20.0, 150.0))
             L = float(rng.uniform(1.0, 30.0))
-            p = fit(v_a, v_b, L)
-            a_peak, j_peak = p.peaks()
-            ts = np.linspace(0.0, p.T, 100_001)
-            _, _, a, j = p.state(ts)
+            T, state = fit(v_a, v_b, L)
+            a_peak, j_peak = SIG.peaks(v_a, v_b, L)
+            ts = np.linspace(0.0, T, 100_001)
+            _, _, a, j = state(ts)
             a_seen, j_seen = np.abs(a).max(), np.abs(j).max()
             assert a_seen <= a_peak * (1.0 + 1e-12)
             assert j_seen <= j_peak * (1.0 + 1e-12)
@@ -240,20 +245,20 @@ class TestKinematicPeaks:
             v_a = float(rng.uniform(0.0, 120.0))
             v_b = float(rng.uniform(10.0, 150.0))
             L = float(rng.uniform(0.5, 25.0))
-            p = fit(v_a, v_b, L, s=s)
-            a_peak, j_peak = p.peaks()
-            ts = np.linspace(0.0, p.T, 20_001)
-            _, _, a, j = p.state(ts)
+            T, state = fit(v_a, v_b, L, s=s)
+            a_peak, j_peak = sigmoid_law(s).peaks(v_a, v_b, L)
+            ts = np.linspace(0.0, T, 20_001)
+            _, _, a, j = state(ts)
             assert (np.abs(a) <= a_peak * (1 + 1e-12)).all()
             assert (np.abs(j) <= j_peak * (1 + 1e-12)).all()
 
 
-def reduced_peaks(family, v_s, v_e, L):
+def reduced_peaks(law, v_s, v_e, L):
     """The scheduler's reduced forms of a block's peak |a| and |j|."""
     lo, hi = sorted((v_s, v_e))
     return (
-        family.mu_n * (hi * hi - lo * lo) / L,
-        family.mu_m * (hi - lo) * (hi + lo) ** 2 / L**2,
+        law.mu_n * (hi * hi - lo * lo) / L,
+        law.mu_m * (hi - lo) * (hi + lo) ** 2 / L**2,
     )
 
 
@@ -266,12 +271,12 @@ class TestReduction:
         rng = np.random.default_rng(17)
         shapes = self.SHAPES + tuple(rng.uniform(0.05, 10.0, size=30))
         for s in map(float, shapes):
-            family = sigmoid_family(s)
+            law = sigmoid_law(s)
             for _ in range(100):
                 v_s, v_e = map(float, rng.uniform(0.0, 200.0, size=2))
                 L = float(rng.uniform(0.01, 20.0))
-                fitted = family.fit(v_s, v_e, L).peaks()
-                for got, want in zip(fitted, reduced_peaks(family, v_s, v_e, L)):
+                exact = law.peaks(v_s, v_e, L)
+                for got, want in zip(exact, reduced_peaks(law, v_s, v_e, L)):
                     assert abs(got / want - 1.0) <= 1e-12
 
     def test_law_maxima_are_the_sampled_peaks(self):
@@ -294,9 +299,9 @@ class TestReduction:
         span = kernel(s)[0] - fm
         f3, p, _ = kernel(-s / 3.0)
         q = f3 - fm
-        family = sigmoid_family(s)
-        assert family.mu_n == s / (4.0 * span)
-        assert family.mu_m == max(
+        law = sigmoid_law(s)
+        assert law.mu_n == s / (4.0 * span)
+        assert law.mu_m == max(
             abs(54.0 * q - 12.0 * s * p) / (4.0 * span),
             abs(24.0 * s * p - 54.0 * q) / (4.0 * span),
         )
@@ -305,12 +310,12 @@ class TestReduction:
     def test_family_refuses_only_shapes_that_cannot_rise(self):
         for s in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ProfileError, match="shape must be finite"):
-                sigmoid_family(s)
+                sigmoid_law(s)
         # the logistic core's rise f(s) - f(-s) rounds to 0
         with pytest.raises(ProfileError, match="too flat"):
-            sigmoid_family(1e-20)
+            sigmoid_law(1e-20)
         for s in (1e-12, 3.32, 6.0, 50.0):
-            assert sigmoid_family(s).mu_m > 0.0
+            assert sigmoid_law(s).mu_m > 0.0
 
 
 class TestDisplacement:
@@ -320,9 +325,9 @@ class TestDisplacement:
             v_a = float(rng.uniform(0.5, 150.0))
             v_b = float(rng.uniform(0.5, 150.0))
             L = float(rng.uniform(0.5, 50.0))
-            p = fit(v_a, v_b, L)
-            assert p.state(0.0)[0] == 0.0
-            assert p.state(p.T)[0] == pytest.approx(L, rel=1e-12)
+            T, state = fit(v_a, v_b, L)
+            assert state(0.0)[0] == 0.0
+            assert state(T)[0] == pytest.approx(L, rel=1e-12)
 
     def test_matches_quadrature_inside_every_section(self):
         from scipy.integrate import quad
@@ -333,24 +338,24 @@ class TestDisplacement:
             v_b = float(rng.uniform(1.0, 120.0))
             L = float(rng.uniform(1.0, 40.0))
             s = float(rng.uniform(2.4, 5.0))
-            p = fit(v_a, v_b, L, s=s)
+            T, state = fit(v_a, v_b, L, s=s)
             for frac in (0.1, 0.33334, 0.5, 0.8, 0.95):
-                t = p.T * frac
+                t = T * frac
                 want, _ = quad(
-                    lambda x: p.state(x)[1], 0.0, t,
-                    points=[p.T / 3.0, 2.0 * p.T / 3.0],
+                    lambda x: state(x)[1], 0.0, t,
+                    points=[T / 3.0, 2.0 * T / 3.0],
                     limit=100, epsabs=0.0, epsrel=1e-12,
                 )
-                assert p.state(t)[0] == pytest.approx(want, rel=1e-9)
+                assert state(t)[0] == pytest.approx(want, rel=1e-9)
 
     def test_monotone_in_time(self):
-        p = fit(5.0, 140.0, 8.0)
-        ts = np.linspace(0.0, p.T, 500)
-        assert (np.diff(p.state(ts)[0]) >= 0.0).all()
+        T, state = fit(5.0, 140.0, 8.0)
+        ts = np.linspace(0.0, T, 500)
+        assert (np.diff(state(ts)[0]) >= 0.0).all()
 
     def test_constant_block_is_linear(self):
-        p = fit(60.0, 60.0, 30.0)
-        assert p.state(0.25)[0] == pytest.approx(15.0, rel=1e-15)
+        _, state = fit(60.0, 60.0, 30.0)
+        assert state(0.25)[0] == pytest.approx(15.0, rel=1e-15)
 
 
 class TestState:
@@ -385,24 +390,26 @@ class TestState:
         if flat:
             v_e = v_s
         assume(v_s + v_e > 0.0 and (L > 0.0 or v_s == v_e))
-        p = (SINE if law == "sine" else sigmoid_family(law)).fit(v_s, v_e, L)
-        T = p.T
+        model = SINE if law == "sine" else sigmoid_law(law)
+        T = model.duration(v_s, v_e, L)
         if isinstance(at, str):
             t = {"0": 0.0, "T/3": T / 3.0, "2T/3": 2.0 * (T / 3.0), "T": T}[at]
         else:
             t = at * T
-        got = p.state(t)
-        want = profile_state_reference(p, t, law)
+        got = model.state(v_s, v_e, T, t)
+        want = profile_state_reference(v_s, v_e, T, t, law)
         if v_s == v_e:
             assert got == want
             return
-        scales = (L, max(v_s, v_e), *p.peaks())
+        scales = (L, max(v_s, v_e), *model.peaks(v_s, v_e, L))
         for g, w, scale in zip(got[:3], want, scales):
             assert abs(g - w) <= self.ULPS * EPS * scale
         sides = [want[3]]
         if at in ("T/3", "2T/3"):
             sides += [
-                profile_state_reference(p, math.nextafter(t, edge), law)[3]
+                profile_state_reference(
+                    v_s, v_e, T, math.nextafter(t, edge), law
+                )[3]
                 for edge in (0.0, T)
             ]
         assert min(abs(got[3] - j) for j in sides) <= self.ULPS * EPS * scales[3]
@@ -431,40 +438,51 @@ class TestState:
         # the seams T/3 and 2*(T/3) and times in between, in any order:
         # each element is the state at its own float time, bit for bit
         assume(v_s != v_e)
-        p = (SINE if law == "sine" else sigmoid_family(law)).fit(v_s, v_e, L)
-        T = p.T
+        model = SINE if law == "sine" else sigmoid_law(law)
+        T = model.duration(v_s, v_e, L)
+        state = partial(model.state, v_s, v_e, T)
         t = [0.0, T / 3.0, 2.0 * (T / 3.0), T] + [tau * T for tau in taus]
-        got = np.array(p.state(np.array(t))).T.tolist()
-        scales = (L, max(v_s, v_e), *p.peaks())
+        got = np.array(state(np.array(t))).T.tolist()
+        scales = (L, max(v_s, v_e), *model.peaks(v_s, v_e, L))
         bound = [self.ARRAY_ULPS * EPS * scale for scale in scales]
         for k, (tk, row) in enumerate(zip(t, got)):
-            assert [x.hex() for x in row] == [float(x).hex() for x in p.state(tk)]
-            want = profile_state_reference(p, tk, law)
+            assert [x.hex() for x in row] == [float(x).hex() for x in state(tk)]
+            want = profile_state_reference(v_s, v_e, T, tk, law)
             for g, w, b in zip(row[:3], want, bound):
                 assert abs(g - w) <= b
             sides = [want[3]]
             if k in (1, 2):
                 sides += [
-                    profile_state_reference(p, math.nextafter(tk, edge), law)[3]
+                    profile_state_reference(
+                        v_s, v_e, T, math.nextafter(tk, edge), law
+                    )[3]
                     for edge in (0.0, T)
                 ]
             assert min(abs(row[3] - j) for j in sides) <= bound[3]
 
     def test_a_profile_built_field_by_field_is_the_fitted_one(self):
-        # a profile is its end feeds, duration and law however it is
-        # made, and a falling one is the same law
+        # a law is its unit shape and two maxima however it is made, its
+        # reduction constants follow from the maxima and cannot be set
+        # apart from them, and a falling block is the same law
         law = sigmoid_law(1.0)
-        p = Profile.fit(10.0, 90.0, 4.0, law)
-        built = Profile(p.v_s, p.v_e, p.T, law)
+        built = Law(law.unit, law.d1_max, law.d2_max)
         replaced = dataclasses.replace(
-            Profile.fit(90.0, 30.0, 4.0, law), v_s=10.0, v_e=90.0, T=p.T
+            SINE, unit=law.unit, d1_max=law.d1_max, d2_max=law.d2_max
         )
+        T = law.duration(10.0, 90.0, 4.0)
+        assert T == block_duration(4.0, 10.0, 90.0)
         for q in (built, replaced):
-            assert q == p and repr(q) == repr(p)
-            assert q.peaks() == p.peaks()
-            for t in (0.0, p.T / 3.0, 0.5 * p.T, 2.0 * (p.T / 3.0), p.T):
-                assert q.state(t) == p.state(t)
-        assert "function" not in repr(p)
+            assert q == law and repr(q) == repr(law)
+            assert (q.mu_n, q.mu_m) == (law.d1_max / 2.0, law.d2_max / 4.0)
+            assert q.duration(90.0, 10.0, 4.0) == T
+            assert q.peaks(90.0, 10.0, 4.0) == law.peaks(10.0, 90.0, 4.0)
+            for t in (0.0, T / 3.0, 0.5 * T, 2.0 * (T / 3.0), T):
+                assert q.state(10.0, 90.0, T, t) == law.state(10.0, 90.0, T, t)
+        assert "function" not in repr(law)
+        with pytest.raises(TypeError, match="mu_n"):
+            dataclasses.replace(law, mu_n=law.mu_n / 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            law.mu_m = law.mu_m / 2.0
         with pytest.raises(ProfileError, match="zero-length block"):
-            Profile(10.0, 90.0, 0.0, law)
-        assert Profile(10.0, 10.0, 1.0, SINE_LAW).state(0.5) == (5.0, 10.0, 0.0, 0.0)
+            law.duration(10.0, 90.0, 0.0)
+        assert SINE.state(10.0, 10.0, 1.0, 0.5) == (5.0, 10.0, 0.0, 0.0)
