@@ -226,9 +226,11 @@ def _limit_feedrate(curve, u, at_u, limits):
     Starts each probe from the programmed ceiling and rescales the
     candidate by sqrt(tolerance / measured deviation) until the step's
     chord error fits, forcing geometric backoff when the rescale stalls
-    near the tolerance boundary. The first safe feed and the last unsafe
-    one then bracket a root-find for the tolerance boundary, so curvature
-    spikes do not cost more feed than the tolerance demands.
+    near the tolerance boundary, and dropping below the feed that reaches
+    the curve end after a probe whose landing the end clamps. The first
+    safe feed and the last unsafe one then bracket a root-find for the
+    tolerance boundary, so curvature spikes do not cost more feed than
+    the tolerance demands.
     """
     v = limits.v_max
     unsafe = None
@@ -241,6 +243,8 @@ def _limit_feedrate(curve, u, at_u, limits):
             v *= 0.5
         else:
             v *= min(_FEED_BACKOFF_CAP, math.sqrt(limits.delta_max / delta))
+        if u_next == 1.0:  # each feed reaching the end measures one chord
+            v = min(v, _FEED_BACKOFF_CAP * math.dist(at_u[0], at_next[0]) / limits.Ts)
     if not delta <= limits.delta_max:
         raise ScanConvergenceError(
             f"feed adjustment did not converge at u={u:.6f}"

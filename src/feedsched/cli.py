@@ -123,11 +123,10 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
 def save_blocks(blocks: list[Block], path: Path, limits: Limits) -> None:
     """Write the block table; shape and kind come from limits and feeds."""
-    tol = 1e-9 * limits.v_max
     rows = [
         (
             b.u_s, b.u_e, b.v_s, b.v_e, b.L, limits.shape_s,
-            classify_kind(b.v_s, b.v_e, tol).value, b.T,
+            classify_kind(b.v_s, b.v_e, limits.v_max).value, b.T,
         )
         for b in blocks
     ]
@@ -196,27 +195,26 @@ def run(config: RunConfig) -> int:
             )
             return 3
         try:
-            samples = interpolate(curve, scheduled, limits, law=laws[method])
+            replay = interpolate(curve, scheduled, limits, law=laws[method])
         except SimulationError as exc:
             print(f"error: replay failed for {method}: {exc}", file=sys.stderr)
             return 3
-        summary = summarize(samples, scheduled)
+        summary = summarize(replay, scheduled)
         results[method] = summary
         feed_csv = out / f"{method}_feed_vs_u.csv"
-        t, u, _, v, A, J, chord_err = zip(*samples)
         try:
             # u and the feed go to two files each: format them once
-            u, v = _cells(u, feed_csv), _cells(v, feed_csv)
+            u, v = _cells(replay.u, feed_csv), _cells(replay.v, feed_csv)
             _write_csv(feed_csv, "u [-],feed [mm/s]", u, v)
             _write_csv(
                 out / f"{method}_kinematics_vs_time.csv",
                 "t [s],feed [mm/s],accel [mm/s^2],jerk [mm/s^3]",
-                t, v, A, J,
+                replay.t, v, replay.A, replay.J,
             )
             _write_csv(
                 out / f"{method}_chord_error_vs_u.csv",
                 "u [-],chord error [mm]",
-                u, chord_err,
+                u, replay.chord_err,
             )
             save_blocks(scheduled, out / f"{method}_blocks.csv", limits)
         except CliError as exc:

@@ -34,7 +34,7 @@ import numpy as np
 from .chordscan import FeedrateScatter, Limits
 from .geometry import ParametricCurve
 from .segmentation import Block, BlockKind, classify_kind
-from .sprofile import Law, block_duration, sigmoid_law
+from .sprofile import Law, sigmoid_law
 
 __all__ = [
     "OptimizerError",
@@ -299,13 +299,12 @@ class _Passes:
         self.v = [b.v_s for b in blocks] + [blocks[-1].v_e]
         self.L = [b.L for b in blocks]
         self.floors = self.L[:]
-        self.tol = 1e-9 * limits.v_max
         self.limits = limits
         self.law = law
 
     def kind(self, i):
         if 0 <= i < len(self.L):
-            return classify_kind(self.v[i], self.v[i + 1], self.tol)
+            return classify_kind(self.v[i], self.v[i + 1], self.limits.v_max)
         return None
 
     def ceiling(self, a, b):
@@ -425,7 +424,7 @@ class _Passes:
                 keep[-1] = i + 1
         u = _anchor_junctions(curve, self.u, pos, start, keep)
         return [
-            Block(u[m], u[m + 1], v[a], v[b], L[i], block_duration(L[i], v[a], v[b]))
+            Block(u[m], u[m + 1], v[a], v[b], L[i])
             for m, (i, a, b) in enumerate(zip(body, keep, keep[1:]))
         ]
 
@@ -438,7 +437,7 @@ def schedule(
     law: Law | None = None,
 ) -> list[Block]:
     """Settle all junction feeds in one forward and one backward pass,
-    then build the blocks with their durations.
+    then build the blocks.
 
     Adjacent input blocks must share their junction feed. The passes move
     junctions in arc length only; each junction that moved gets its curve

@@ -16,6 +16,7 @@ import numpy as np
 
 from .chordscan import FeedrateScatter, MalformedScatterError
 from .geometry import ParametricCurve, arc_length
+from .sprofile import block_duration
 
 __all__ = [
     "BlockKind",
@@ -34,9 +35,9 @@ class BlockKind(Enum):
 @dataclass(frozen=True)
 class Block:
     """One scheduling unit between two breakpoints: its parameter range,
-    end feeds, arc displacement L and duration T, a 0.0 sentinel until the
-    scheduler times the block, 2L/(v_s+v_e) under every velocity law. The
-    scheduler returns new blocks and never changes one.
+    end feeds and arc displacement L. Its duration T is derived from
+    them, 2L/(v_s+v_e) under every velocity law. The scheduler returns
+    new blocks and never changes one.
     """
 
     u_s: float
@@ -44,7 +45,6 @@ class Block:
     v_s: float
     v_e: float
     L: float
-    T: float = 0.0
 
     def __post_init__(self):
         if self.u_e < self.u_s:
@@ -53,10 +53,16 @@ class Block:
             raise ValueError("block displacement must be non-negative")
         if self.v_s < 0.0 or self.v_e < 0.0:
             raise ValueError("block feeds must be non-negative")
+        if self.v_s + self.v_e == 0.0:
+            raise ValueError("block feeds must not both be zero")
+
+    @property
+    def T(self) -> float:
+        return block_duration(self.L, self.v_s, self.v_e)
 
 
-def classify_kind(v_s: float, v_e: float, tol: float) -> BlockKind:
-    if abs(v_e - v_s) <= tol:
+def classify_kind(v_s: float, v_e: float, v_max: float) -> BlockKind:
+    if abs(v_e - v_s) <= 1e-9 * v_max:
         return BlockKind.CONSTANT
     return BlockKind.ACCEL if v_e > v_s else BlockKind.DECEL
 

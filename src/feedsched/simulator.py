@@ -4,13 +4,13 @@ Every sampling period the commanded profile advances the tool by the
 difference of its exact closed-form travel at the two tick times, and
 the replay lands on the nearest curve parameter whose straight-line
 (chordal) step from the previous landing matches that advance within
-_CHORD_MATCH_TOL. Each sample records the parameter, position, the
-profile's analytic kinematics, and the measured chord deviation of the
-step.
+_CHORD_MATCH_TOL. The replay returns one column per recorded value over
+all ticks (Replay): the time, parameter, position, the profile's
+analytic kinematics, and the measured chord deviation of each step.
 
-The commanded travel of every tick comes first, on arrays: the law
-gives each block its duration (Law.duration), one searchsorted over the
-block start times finds each tick's block, and one Law.state call
+The commanded travel of every tick comes first, on arrays: the law's
+block durations (Law.duration) place the block starts, one searchsorted
+over them finds each tick's block, and one Law.state call
 evaluates all ticks (_commanded); a block the law cannot carry is
 refused there. The walk then lands the ticks in windows of up to
 _WINDOW_TICKS: Newton steps over the whole window, one jets pass each,
@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +43,7 @@ from .sprofile import Law, ProfileError, sigmoid_law
 
 __all__ = [
     "SimulationError",
-    "InterpolationSample",
+    "Replay",
     "RunSummary",
     "total_time",
     "interpolate",
@@ -80,20 +78,22 @@ class SimulationError(ValueError):
     """Replay failed: bad inputs or an unmatchable interpolation step."""
 
 
-class InterpolationSample(NamedTuple):
-    """State of one controller tick.
-
-    chord_err is the deviation of the straight segment from the curve
-    over the step that ENDS at this sample; the first sample carries 0.
+@dataclass(frozen=True, eq=False)
+class Replay:
+    """The replayed ticks as columns: position is ticks x dimension, and
+    chord_err is the deviation of the step ENDING at each tick (0 first).
     """
 
-    t: float
-    u: float
-    position: tuple[float, ...]
-    v: float
-    A: float
-    J: float
-    chord_err: float
+    t: np.ndarray
+    u: np.ndarray
+    position: np.ndarray
+    v: np.ndarray
+    A: np.ndarray
+    J: np.ndarray
+    chord_err: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
 
 
 @dataclass(frozen=True)
@@ -107,33 +107,30 @@ class RunSummary:
 
 
 def total_time(blocks: list[Block]) -> float:
-    """Sum of block durations; none may be negative and every moving
-    block must have one."""
-    for i, b in enumerate(blocks):
-        if b.T < 0.0 or (b.L > 0.0 and b.T <= 0.0):
-            raise SimulationError(f"block {i} has duration {b.T!r}")
+    """Sum of block durations."""
     return float(sum(b.T for b in blocks))
 
 
-def _commanded(blocks, law, total, Ts, n_steps):
+def _commanded(blocks, law, ticks, total):
     """Commanded travel (mm from the path start), feed, acceleration,
-    jerk and running block index at each tick time min(k*Ts, total), k =
-    0..n_steps, as five arrays. One searchsorted over the block starts
-    picks each tick's running block: the last block starting at or before
-    the tick, so blocks of zero duration are stepped over. One law.state
-    call then evaluates every tick under its block's feeds and duration.
-    A block the law cannot carry raises, naming its index."""
+    jerk and running block index at each tick time min(t, total), t in
+    ticks, as five arrays. One searchsorted over the block starts, placed
+    by the law's durations, picks each tick's running block: the last
+    block starting at or before the tick, so blocks of zero duration are
+    stepped over. One law.state call then evaluates every tick under its
+    block's feeds and duration. A block the law cannot carry raises."""
     rows = []
     for i, b in enumerate(blocks):
         try:
             rows.append((b.v_s, b.v_e, law.duration(b.v_s, b.v_e, b.L)))
         except ProfileError as exc:
             raise SimulationError(f"block {i} cannot be replayed: {exc}") from exc
-    starts = np.cumsum([0.0] + [b.T for b in blocks])
+    fits = np.array(rows)
+    starts = np.cumsum(np.append(0.0, fits[:, 2]))
     offsets = np.cumsum([0.0] + [b.L for b in blocks])
-    t = np.minimum(np.arange(n_steps + 1) * Ts, total)
+    t = np.minimum(ticks, total)
     held = np.searchsorted(starts[1:-1], t, side="right")
-    v_s, v_e, T = np.array(rows)[held].T
+    v_s, v_e, T = fits[held].T
     travel, v, a, j = law.state(v_s, v_e, T, t - starts[held])
     return offsets[held] + travel, v, a, j, held
 
@@ -262,7 +259,7 @@ def _first_crossing(curve, u0, p0, advance, hi):
     raise SimulationError(f"no landing past u={u0!r} matches {advance:.3e} mm")
 
 
-def _chord_errors(curve, us, points) -> list[float]:
+def _chord_errors(curve, us, points) -> np.ndarray:
     """Chord deviation of the step into each visit (u, point) from the one
     before, 0 for the first, as chordscan._chord_deviation measures it:
     the radii at all nonzero chords' midpoints come from one vectorised
@@ -283,7 +280,7 @@ def _chord_errors(curve, us, points) -> list[float]:
         errs[i + 1] = _max_chord_deviation(
             curve, us[i], us[i + 1], points[i], points[i + 1]
         )
-    return errs.tolist()
+    return errs
 
 
 def interpolate(
@@ -291,8 +288,9 @@ def interpolate(
     blocks: list[Block],
     limits: Limits,
     law: Law | None = None,
-) -> list[InterpolationSample]:
-    """Sample the scheduled run every Ts from start to path end.
+) -> Replay:
+    """Sample the scheduled run every Ts from start to path end, both
+    ends included, as one Replay.
 
     The blocks are replayed with the law they were scheduled with, by
     default the shaped law at limits.shape_s.
@@ -319,7 +317,8 @@ def interpolate(
         )
     n_steps = max(1, math.ceil(periods - 1e-9))
     length = math.fsum(b.L for b in blocks)
-    reached, vs, accels, jerks, held = _commanded(blocks, law, total, Ts, n_steps)
+    ts = np.arange(n_steps + 1) * Ts
+    reached, vs, accels, jerks, held = _commanded(blocks, law, ts, total)
     u, (pos, d1, _) = 0.0, jet(curve, 0.0)
     grid = curve._arc_grid
     us, points = [u], [pos]
@@ -357,27 +356,19 @@ def interpolate(
             )
     us += [1.0] * (n_steps - k)
     points += [jet(curve, 1.0)[0]] * (n_steps - k)
-    ts = [n * Ts for n in range(n_steps + 1)]
     errs = _chord_errors(curve, us, points)
-    # tuple.__new__ builds each sample from its row without a Python call
-    rows = zip(
-        ts, us, points, vs.tolist(), accels.tolist(), jerks.tolist(), errs
-    )
-    return list(map(tuple.__new__, repeat(InterpolationSample), rows))
+    return Replay(ts, np.array(us), np.array(points), vs, accels, jerks, errs)
 
 
-def summarize(
-    samples: list[InterpolationSample], blocks: list[Block]
-) -> RunSummary:
-    """Componentwise maxima over a replay plus schedule totals."""
-    if not samples:
+def summarize(replay: Replay, blocks: list[Block]) -> RunSummary:
+    """Column maxima (of |A| and |J|) over a replay plus schedule totals."""
+    if not len(replay):
         raise SimulationError("no samples to summarize")
-    _, _, _, vs, accels, jerks, errs = zip(*samples)
     return RunSummary(
-        max_feed=max(vs),
-        max_accel=max(map(abs, accels)),
-        max_jerk=max(map(abs, jerks)),
-        max_chord_err=max(errs),
+        max_feed=float(replay.v.max()),
+        max_accel=float(np.abs(replay.A).max()),
+        max_jerk=float(np.abs(replay.J).max()),
+        max_chord_err=float(replay.chord_err.max()),
         total_time=total_time(blocks),
-        n_points=len(samples),
+        n_points=len(replay),
     )

@@ -62,7 +62,7 @@ from feedsched.segmentation import Block, BlockKind
 from feedsched.simulator import (
     _CHORD_MATCH_TOL,
     _END_DRIFT_PER_TICK,
-    InterpolationSample,
+    Replay,
     SimulationError,
     total_time,
 )
@@ -494,6 +494,9 @@ def _scalar_feedrate(curve, u, limits):
             v *= 0.5
         else:
             v *= min(_FEED_BACKOFF_CAP, math.sqrt(dmax / delta))
+        if u_next == 1.0:
+            end = math.dist(p0, evaluate(curve, 1.0))
+            v = min(v, _FEED_BACKOFF_CAP * end / limits.Ts)
         if not v > 0.0:
             break
     if not delta <= dmax:
@@ -838,7 +841,7 @@ def replay_reference(curve, blocks, limits, law):
     u = 0.0
     pos = evaluate(curve, 0.0)
     travel, (v, a, j) = track.state(0.0)
-    samples = [InterpolationSample(0.0, 0.0, pos, v, a, j, 0.0)]
+    rows = [(0.0, 0.0, pos, v, a, j, 0.0)]
     for k in range(1, n_steps + 1):
         t = min(k * Ts, track.total)
         reached, (v, a, j) = track.state(t)
@@ -855,15 +858,17 @@ def replay_reference(curve, blocks, limits, law):
         u_next, pos_next = landing or (1.0, evaluate(curve, 1.0))
         err = _chord_deviation(curve, u, u_next, pos, pos_next)
         u, pos = u_next, pos_next
-        samples.append(InterpolationSample(k * Ts, u, pos, v, a, j, err))
-    return samples
+        rows.append((k * Ts, u, pos, v, a, j, err))
+    return Replay(*map(np.array, zip(*rows)))
 
 
 def load_blocks(path: Path) -> list[Block]:
     """Read a block table the CLI wrote back; inverse of cli.save_blocks.
 
-    The shape and kind cells are checked but not kept: a replay takes
-    the shape from its limits and the kind from the feeds.
+    The shape, kind and duration cells are checked but not kept: a
+    replay takes the shape from its limits, and a block derives its kind
+    and duration from its feeds and length, which the duration cell must
+    match bit for bit.
     """
     try:
         lines = Path(path).read_text().splitlines()
@@ -886,8 +891,9 @@ def load_blocks(path: Path) -> list[Block]:
                 v_s=float(parts[2]),
                 v_e=float(parts[3]),
                 L=float(parts[4]),
-                T=float(parts[7]),
             )
+            if float(parts[7]) != b.T:
+                raise ValueError(f"T {parts[7]} is not the block's {b.T!r}")
         except ValueError as exc:
             raise CliError(str(exc), location=f"{path}:{i}") from exc
         blocks.append(b)

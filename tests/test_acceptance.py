@@ -73,8 +73,8 @@ def corpus():
             bps = find_breakpoints(scatter, mu_s=limits.mu_s)
             blocks = build_blocks(curve, scatter, bps)
             plan = schedule(curve, blocks, scatter, limits)
-            samples = interpolate(curve, plan, limits)
-            worst = max(s.chord_err for s in samples) / limits.delta_max
+            replay = interpolate(curve, plan, limits)
+            worst = replay.chord_err.max() / limits.delta_max
             pa = pj = 0.0
             for b in plan:
                 A, J = SIGMOID.peaks(b.v_s, b.v_e, b.L)
@@ -83,8 +83,8 @@ def corpus():
             sine_time = math.nan
             if preset == "high-accel":
                 sine_time = sum(b.T for b in plan_sine)
-            sine_samples = interpolate(curve, plan_sine, limits, law=SINE)
-            sine_worst = max(s.chord_err for s in sine_samples)
+            sine_replay = interpolate(curve, plan_sine, limits, law=SINE)
+            sine_worst = sine_replay.chord_err.max()
             sa = sj = 0.0
             for b in plan_sine:
                 A, J = SINE.peaks(b.v_s, b.v_e, b.L)

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from feedsched.chordscan import (
     scan_curve,
     taylor_step,
 )
-from feedsched.cli import PRESETS
+from feedsched.cli import PRESETS, load_curve
 from feedsched.curvegen import random_curve
 from feedsched.geometry import (
     ParametricCurve,
@@ -258,6 +259,35 @@ class TestScanCurve:
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.v, b.v)
 
+    def test_a_curve_that_curls_at_its_end_settles(self):
+        # from u = 0.994717 on this rational quartic every feed whose step
+        # reaches u = 1 measures the same final chord, 1.93e-3 mm long and
+        # 5.19e-4 mm off the curve, so rescaling by at most 0.95 a probe
+        # gave up after 64 probes; capping the next feed below the one
+        # whose step just reaches the end settles the ceiling at 1.97 mm/s
+        curve = load_curve(Path(__file__).parent / "curves" / "end_curl.json")
+        for limits in PRESETS.values():
+            sc = scan_curve(curve, limits)
+            assert len(sc) == 166 and sc.u[-1] == 1.0
+            for i in range(len(sc) - 1):
+                err = chord_deviation(curve, float(sc.u[i]), float(sc.u[i + 1]))
+                assert err <= limits.delta_max * (1.0 + 1e-9)
+
+    def test_a_ceiling_past_its_probe_budget_raises(self, monkeypatch):
+        # one probe at v_max, whose 0.1 mm chord sags 6.25e-4 mm on a
+        # 2 mm radius, leaves the feed unsettled
+        monkeypatch.setattr(chordscan, "_MAX_FEED_ITERATIONS", 1)
+        arc = make_quarter_circle(radius=2.0)
+        with pytest.raises(ScanConvergenceError, match="not converge at u=0.000000"):
+            scan_curve(arc, STD)
+
+    def test_a_well_probe_that_does_not_settle_adds_no_sample(self, monkeypatch):
+        # both midpoints beside the dip fail their one probe at v_max
+        monkeypatch.setattr(chordscan, "_MAX_FEED_ITERATIONS", 1)
+        arc = make_quarter_circle(radius=2.0)
+        us, vs = [0.0, 0.25, 0.5, 0.75, 1.0], [50.0, 50.0, 10.0, 50.0, 50.0]
+        assert chordscan._refine_wells(arc, us, vs, STD) == (us, vs)
+
     def test_a_scan_past_its_point_cap_raises(self, monkeypatch):
         # a straight line takes about 1000 walk steps at STD; a cap of 5
         # stops the walk on its sixth sample
@@ -344,10 +374,9 @@ class TestScalarScanReference:
         curve = random_curve(3, n_ctrl=n, extent=1.5 * n)
         self.assert_same_scan(curve, PRESETS["standard"])
 
-    # A degree-5 curve whose scan fails to settle a feed, raising
-    # ScanConvergenceError, after a well probe's own search failed. The
-    # drawn curves reach or miss both branches as Hypothesis's pool of
-    # constants from the source changes, so this one pins them.
+    # A degree-5 curve on which a well probe at u = 0.994889 once gave up
+    # settling its feed, because the curve end clamped each probe's
+    # landing; it now settles there, as the scalar walk does.
     RAISING = ParametricCurve(
         5,
         (

@@ -150,8 +150,7 @@ class TestRunOutputs:
         curve = load_curve(curve_path)
         limits = PRESETS["standard"]
         blocks = load_blocks(out_dir / "sigmoid_blocks.csv")
-        samples = interpolate(curve, blocks, limits)
-        again = summarize(samples, blocks)
+        again = summarize(interpolate(curve, blocks, limits), blocks)
         stored = json.loads((out_dir / "sigmoid_summary.json").read_text())
         assert again.max_feed == stored["max_feed"]
         assert again.max_accel == stored["max_accel"]
@@ -193,6 +192,22 @@ class TestRunOutputs:
         with pytest.raises(CliError, match=re.escape(f"{bad}:2")):
             load_blocks(bad)
 
+    def test_block_table_rejects_a_duration_off_by_one_ulp(
+        self, both_run, tmp_path
+    ):
+        # a block derives its duration from L and its feeds, so a table
+        # whose T cell disagrees, even in the last bit, is not one the
+        # CLI wrote
+        _, out_dir = both_run
+        lines = (out_dir / "sigmoid_blocks.csv").read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[7] = repr(math.nextafter(float(parts[7]), math.inf))
+        lines[2] = ",".join(parts)
+        bad = tmp_path / "blocks.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CliError, match=re.escape(f"{bad}:3: T {parts[7]}")):
+            load_blocks(bad)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_reanchored_junctions_stay_ordered(self, tmp_path, seed):
         # junction re-anchoring once pushed a zero-length block's start a
@@ -205,6 +220,13 @@ class TestRunOutputs:
         blocks = load_blocks(out / "sigmoid_blocks.csv")
         for b in blocks:
             assert b.L > 0.0 and b.u_e > b.u_s, b
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_curve_that_curls_at_its_end_runs(self, tmp_path, preset):
+        # its scan once gave up 0.5 % before the end, exit 3
+        curve = Path(__file__).parent / "curves" / "end_curl.json"
+        argv = ["run", "--curve", str(curve), "--config", preset]
+        assert main(argv + ["--method", "both", "--out-dir", str(tmp_path)]) == 0
 
 
 class TestOptions:
@@ -346,9 +368,9 @@ class TestOptions:
         import feedsched.cli as cli_mod
 
         def nan_jerk(*args, **kwargs):
-            samples = interpolate(*args, **kwargs)
-            samples[5] = samples[5]._replace(J=math.nan)
-            return samples
+            replay = interpolate(*args, **kwargs)
+            replay.J[5] = math.nan
+            return replay
 
         monkeypatch.setattr(cli_mod, "interpolate", nan_jerk)
         out = tmp_path / "out"
@@ -367,7 +389,7 @@ class TestOptions:
         import feedsched.cli as cli_mod
 
         def endless(curve, blocks, scatter, limits):
-            return [Block(0.0, 1.0, 1e-6, 1e-6, 1000.0, T=1e9)]
+            return [Block(0.0, 1.0, 1e-6, 1e-6, 1000.0)]
 
         monkeypatch.setattr(cli_mod, "schedule", endless)
         out = tmp_path / "out"

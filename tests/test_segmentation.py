@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from feedsched.segmentation import (
     classify_kind,
     find_breakpoints,
 )
+from feedsched.sprofile import block_duration
 
 from conftest import make_line
 
@@ -108,9 +110,11 @@ class TestFindBreakpoints:
 
 class TestClassifyKind:
     def test_tolerance_band(self):
-        assert classify_kind(50.0, 50.0 + 1e-8, tol=1e-7) is BlockKind.CONSTANT
-        assert classify_kind(50.0, 60.0, tol=1e-7) is BlockKind.ACCEL
-        assert classify_kind(60.0, 50.0, tol=1e-7) is BlockKind.DECEL
+        # the band is 1e-9 of v_max: 1e-7 mm/s at 100 mm/s
+        assert classify_kind(50.0, 50.0 + 1e-8, 100.0) is BlockKind.CONSTANT
+        assert classify_kind(50.0, 50.0 + 2e-7, 100.0) is BlockKind.ACCEL
+        assert classify_kind(50.0, 60.0, 100.0) is BlockKind.ACCEL
+        assert classify_kind(60.0, 50.0, 100.0) is BlockKind.DECEL
 
 
 class TestBuildBlocks:
@@ -121,14 +125,12 @@ class TestBuildBlocks:
             u=[0.0, 0.25, 0.5, 0.75, 1.0],
         )
         blocks = build_blocks(line, sc, [0, 1, 3, 4])
-        tol = 1e-9 * STD.v_max
-        assert [classify_kind(b.v_s, b.v_e, tol) for b in blocks] == [
+        assert [classify_kind(b.v_s, b.v_e, STD.v_max) for b in blocks] == [
             BlockKind.ACCEL, BlockKind.DECEL, BlockKind.CONSTANT,
         ]
         assert [b.L for b in blocks] == pytest.approx([25.0, 50.0, 25.0])
         assert blocks[0].u_e == blocks[1].u_s
         assert blocks[1].u_e == blocks[2].u_s
-        assert all(b.T == 0.0 for b in blocks)
 
     def test_requires_two_breakpoints(self):
         line = make_line()
@@ -141,7 +143,7 @@ class TestBuildBlocks:
         sc = scatter_from(np.full(30, 64.0))
         blocks = build_blocks(line, sc, find_breakpoints(sc))
         assert len(blocks) == 1
-        kind = classify_kind(blocks[0].v_s, blocks[0].v_e, 1e-9 * STD.v_max)
+        kind = classify_kind(blocks[0].v_s, blocks[0].v_e, STD.v_max)
         assert kind is BlockKind.CONSTANT
         assert (blocks[0].u_s, blocks[0].u_e) == (0.0, 1.0)
         assert blocks[0].L == pytest.approx(100.0, rel=1e-9)
@@ -176,7 +178,21 @@ class TestBlockValidation:
         with pytest.raises(ValueError, match="non-negative"):
             Block(u_s=0.0, u_e=1.0, v_s=1.0, v_e=2.0, L=-1.0)
 
+    def test_zero_feeds_rejected(self):
+        # a block that never moves has no duration
+        with pytest.raises(ValueError, match="must not both be zero"):
+            Block(u_s=0.0, u_e=1.0, v_s=0.0, v_e=0.0, L=1.0)
+
+    def test_duration_is_derived(self):
+        # T is no field: it is 2L/(v_s+v_e), the scheduler's arithmetic
+        b = Block(u_s=0.0, u_e=1.0, v_s=20.0, v_e=80.0, L=10.0)
+        assert [f.name for f in fields(Block)] == ["u_s", "u_e", "v_s", "v_e", "L"]
+        assert b.T == block_duration(10.0, 20.0, 80.0) == 0.2
+        assert Block(u_s=0.5, u_e=0.5, v_s=0.0, v_e=30.0, L=0.0).T == 0.0
+
     def test_frozen(self):
         b = Block(u_s=0.0, u_e=1.0, v_s=1.0, v_e=2.0, L=1.0)
         with pytest.raises(AttributeError):
             b.v_e = 3.0
+        with pytest.raises(AttributeError):
+            b.T = 3.0

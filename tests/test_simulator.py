@@ -1,6 +1,6 @@
+import dataclasses
 import math
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,23 +26,19 @@ from feedsched.geometry import (
 from feedsched.optimizer import OptimizerError, schedule
 from feedsched.segmentation import Block, build_blocks, find_breakpoints
 from feedsched.simulator import (
-    InterpolationSample,
+    Replay,
     RunSummary,
     SimulationError,
     interpolate,
     summarize,
     total_time,
 )
-from feedsched.sprofile import block_duration, sigmoid_law
+from feedsched.sprofile import sigmoid_law
 
 STD = Limits(
     Ts=1e-3, delta_max=5e-4, v_max=100.0, a_max=1000.0, j_max=26000.0,
     shape_s=3.3,
 )
-
-
-def timed_block(u_s, u_e, v_s, v_e, L):
-    return Block(u_s, u_e, v_s, v_e, L, T=block_duration(L, v_s, v_e))
 
 
 def scheduled_run(seed, limits):
@@ -56,70 +52,60 @@ def scheduled_run(seed, limits):
 class TestTotalTime:
     def test_sums_durations(self):
         blocks = [
-            timed_block(0.0, 0.5, 20.0, 80.0, 10.0),
-            timed_block(0.5, 1.0, 80.0, 80.0, 10.0),
+            Block(0.0, 0.5, 20.0, 80.0, 10.0),
+            Block(0.5, 1.0, 80.0, 80.0, 10.0),
         ]
         want = 2.0 * 10.0 / 100.0 + 10.0 / 80.0
         assert total_time(blocks) == pytest.approx(want, rel=1e-15)
-
-    def test_unfilled_duration_raises(self):
-        b = replace(timed_block(0.0, 1.0, 20.0, 80.0, 10.0), T=0.0)
-        with pytest.raises(SimulationError):
-            total_time([b])
-        # a negative duration would put the block starts out of order
-        still = Block(0.5, 0.5, 20.0, 20.0, 0.0, T=-1e-3)
-        with pytest.raises(SimulationError, match="block 1 has duration"):
-            total_time([timed_block(0.0, 0.5, 20.0, 20.0, 5.0), still])
 
 
 class TestStraightLine:
     def test_constant_feed_steps_exactly(self):
         curve = make_line(end=(100.0, 0.0))
-        blocks = [timed_block(0.0, 1.0, 100.0, 100.0, 100.0)]
-        samples = interpolate(curve, blocks, STD)
-        assert len(samples) == 1001
-        for k, s in enumerate(samples):
-            assert s.t == pytest.approx(k * 1e-3, abs=1e-15)
-            assert s.position[0] == pytest.approx(0.1 * k, abs=5e-6)
-            assert s.v == 100.0
-            assert s.A == 0.0 and s.J == 0.0
-            assert s.chord_err == 0.0
-        assert samples[-1].u == 1.0
+        blocks = [Block(0.0, 1.0, 100.0, 100.0, 100.0)]
+        replay = interpolate(curve, blocks, STD)
+        assert len(replay) == 1001
+        k = np.arange(1001)
+        assert replay.t == pytest.approx(k * 1e-3, abs=1e-15)
+        assert replay.position[:, 0] == pytest.approx(0.1 * k, abs=5e-6)
+        assert (replay.v == 100.0).all()
+        assert (replay.A == 0.0).all() and (replay.J == 0.0).all()
+        assert (replay.chord_err == 0.0).all()
+        assert replay.u[-1] == 1.0
 
     def test_parameter_is_monotone(self):
         curve = make_line(end=(100.0, 0.0))
-        blocks = [timed_block(0.0, 1.0, 100.0, 100.0, 100.0)]
-        samples = interpolate(curve, blocks, STD)
-        us = [s.u for s in samples]
-        assert all(b > a for a, b in zip(us[:-1], us[1:]))
+        blocks = [Block(0.0, 1.0, 100.0, 100.0, 100.0)]
+        replay = interpolate(curve, blocks, STD)
+        assert (np.diff(replay.u) > 0.0).all()
 
     def test_ramp_travel_matches_profile(self):
         curve = make_line(end=(100.0, 0.0))
-        blocks = [timed_block(0.0, 1.0, 20.0, 80.0, 100.0)]
-        samples = interpolate(curve, blocks, STD)
+        blocks = [Block(0.0, 1.0, 20.0, 80.0, 100.0)]
+        replay = interpolate(curve, blocks, STD)
         assert total_time(blocks) == pytest.approx(2.0, rel=1e-12)
-        assert len(samples) == 2001
-        assert samples[-1].u == 1.0
-        assert samples[-1].position[0] == pytest.approx(100.0, abs=1e-9)
+        assert len(replay) == 2001
+        assert replay.u[-1] == 1.0
+        assert replay.position[-1, 0] == pytest.approx(100.0, abs=1e-9)
         # feed trace runs the whole commanded range
-        vs = [s.v for s in samples]
+        vs = replay.v
         assert vs[0] == pytest.approx(20.0, rel=1e-12)
         assert vs[-1] == pytest.approx(80.0, rel=1e-12)
-        assert max(vs) <= 80.0 * (1.0 + 1e-12)
+        assert vs.max() <= 80.0 * (1.0 + 1e-12)
 
     def test_block_boundary_inside_one_tick(self):
         # lengths chosen so the junction time is not a tick multiple;
         # the travel integral splits there and stays exact
         curve = make_line(end=(20.0, 0.0))
         blocks = [
-            timed_block(0.0, 0.49925, 40.0, 40.0, 9.985),
-            timed_block(0.49925, 1.0, 40.0, 40.0, 10.015),
+            Block(0.0, 0.49925, 40.0, 40.0, 9.985),
+            Block(0.49925, 1.0, 40.0, 40.0, 10.015),
         ]
         assert blocks[0].T / STD.Ts != int(blocks[0].T / STD.Ts)
-        samples = interpolate(curve, blocks, STD)
-        assert samples[-1].u == 1.0
-        for k, s in enumerate(samples):
-            assert s.position[0] == pytest.approx(0.04 * k, abs=5e-6)
+        replay = interpolate(curve, blocks, STD)
+        assert replay.u[-1] == 1.0
+        k = np.arange(len(replay))
+        assert replay.position[:, 0] == pytest.approx(0.04 * k, abs=5e-6)
 
     def test_positions_follow_exact_profile_travel(self):
         # steep ramp, cruise and brake (peak acceleration 2.7e3 and
@@ -130,24 +116,24 @@ class TestStraightLine:
         spans = [(2.6037, 10.0, 90.0), (0.9963, 90.0, 90.0), (1.4, 90.0, 20.0)]
         blocks, s = [], 0.0
         for L, v_s, v_e in spans:
-            blocks.append(timed_block(s / 5.0, (s + L) / 5.0, v_s, v_e, L))
+            blocks.append(Block(s / 5.0, (s + L) / 5.0, v_s, v_e, L))
             s += L
         assert all(b.T / STD.Ts != int(b.T / STD.Ts) for b in blocks)
         law = sigmoid_law(STD.shape_s)
-        samples = interpolate(curve, blocks, STD, law=law)
-        assert len(samples) == 90
+        replay = interpolate(curve, blocks, STD, law=law)
+        assert len(replay) == 90
         t0 = prefix = 0.0
         k = 0
         for b in blocks:
             T = law.duration(b.v_s, b.v_e, b.L)
-            while k < len(samples) and samples[k].t <= t0 + b.T:
-                want = prefix + law.state(b.v_s, b.v_e, T, samples[k].t - t0)[0]
-                assert samples[k].position[0] == pytest.approx(want, abs=1e-9)
+            while k < len(replay) and replay.t[k] <= t0 + b.T:
+                want = prefix + law.state(b.v_s, b.v_e, T, replay.t[k] - t0)[0]
+                assert replay.position[k, 0] == pytest.approx(want, abs=1e-9)
                 k += 1
             t0 += b.T
             prefix += b.L
-        assert k == len(samples) - 1
-        assert samples[-1].position[0] == pytest.approx(prefix, abs=1e-9)
+        assert k == len(replay) - 1
+        assert replay.position[-1, 0] == pytest.approx(prefix, abs=1e-9)
 
 
 class TestChordMeasurement:
@@ -155,53 +141,46 @@ class TestChordMeasurement:
         radius = 5.0
         curve = make_full_circle(radius)
         L = arc_length(curve, 0.0, 1.0)
-        blocks = [timed_block(0.0, 1.0, 100.0, 100.0, L)]
-        samples = interpolate(curve, blocks, STD)
+        blocks = [Block(0.0, 1.0, 100.0, 100.0, L)]
+        replay = interpolate(curve, blocks, STD)
         chord = 100.0 * STD.Ts
         want = radius - math.sqrt(radius**2 - 0.25 * chord**2)
-        errs = [s.chord_err for s in samples[1:-1]]
+        errs = replay.chord_err[1:-1]
         assert np.median(errs) == pytest.approx(want, rel=1e-3)
-        assert max(errs) <= want * 1.01
+        assert errs.max() <= want * 1.01
 
     def test_chords_recover_arc_length(self):
         curve = make_quarter_circle(5.0)
         L = arc_length(curve, 0.0, 1.0)
-        blocks = [timed_block(0.0, 1.0, 30.0, 30.0, L)]
-        samples = interpolate(curve, blocks, STD)
-        total = 0.0
-        prev = samples[0]
-        for s in samples[1:]:
-            total += math.dist(prev.position, s.position)
-            prev = s
+        blocks = [Block(0.0, 1.0, 30.0, 30.0, L)]
+        points = interpolate(curve, blocks, STD).position
+        total = sum(map(math.dist, points[:-1], points[1:]))
         assert total == pytest.approx(L, rel=1e-3)
 
 
 class TestScheduledRun:
     def test_end_to_end_invariants(self):
         curve, blocks = scheduled_run(3, STD)
-        samples = interpolate(curve, blocks, STD)
+        replay = interpolate(curve, blocks, STD)
         t_total = total_time(blocks)
-        assert abs(len(samples) - (math.ceil(t_total / STD.Ts) + 1)) <= 1
-        us = np.array([s.u for s in samples])
-        assert np.all(np.diff(us) >= 0.0)
-        assert us[-1] == 1.0
-        for s in samples:
-            assert s.chord_err <= 1.05 * STD.delta_max
-            assert s.v <= STD.v_max * (1.0 + 1e-9)
-            assert abs(s.A) <= STD.a_max * (1.0 + 1e-6)
-            assert abs(s.J) <= STD.j_max * (1.0 + 1e-6)
-            assert all(math.isfinite(c) for c in s.position)
-        chords = sum(
-            math.dist(a.position, b.position)
-            for a, b in zip(samples[:-1], samples[1:])
-        )
+        assert abs(len(replay) - (math.ceil(t_total / STD.Ts) + 1)) <= 1
+        assert np.all(np.diff(replay.u) >= 0.0)
+        assert replay.u[-1] == 1.0
+        assert (replay.chord_err <= 1.05 * STD.delta_max).all()
+        assert (replay.v <= STD.v_max * (1.0 + 1e-9)).all()
+        assert (np.abs(replay.A) <= STD.a_max * (1.0 + 1e-6)).all()
+        assert (np.abs(replay.J) <= STD.j_max * (1.0 + 1e-6)).all()
+        assert np.isfinite(replay.position).all()
+        points = replay.position
+        chords = sum(map(math.dist, points[:-1], points[1:]))
         assert chords == pytest.approx(arc_length(curve, 0.0, 1.0), rel=1e-3)
 
     def test_replay_is_deterministic(self):
         curve, blocks = scheduled_run(7, STD)
         first = interpolate(curve, blocks, STD)
         second = interpolate(curve, blocks, STD)
-        assert first == second
+        for f in dataclasses.fields(Replay):
+            assert np.array_equal(getattr(first, f.name), getattr(second, f.name))
 
     def test_sine_replay(self):
         curve, blocks = scheduled_run(3, STD)
@@ -212,22 +191,31 @@ class TestScheduledRun:
         bps = find_breakpoints(scatter)
         raw = build_blocks(curve, scatter, bps)
         sine_blocks = sine_schedule(curve, raw, scatter, STD)
-        samples = interpolate(curve, sine_blocks, STD, law=SINE)
-        assert samples[-1].u == 1.0
-        for s in samples:
-            assert s.chord_err <= 1.05 * STD.delta_max
-            assert abs(s.A) <= STD.a_max * (1.0 + 1e-6)
+        replay = interpolate(curve, sine_blocks, STD, law=SINE)
+        assert replay.u[-1] == 1.0
+        assert (replay.chord_err <= 1.05 * STD.delta_max).all()
+        assert (np.abs(replay.A) <= STD.a_max * (1.0 + 1e-6)).all()
 
     def test_summary_folds_maxima(self):
         curve, blocks = scheduled_run(3, STD)
-        samples = interpolate(curve, blocks, STD)
-        summary = summarize(samples, blocks)
-        assert summary.max_feed == max(s.v for s in samples)
-        assert summary.max_accel == max(abs(s.A) for s in samples)
-        assert summary.max_jerk == max(abs(s.J) for s in samples)
-        assert summary.max_chord_err == max(s.chord_err for s in samples)
+        replay = interpolate(curve, blocks, STD)
+        summary = summarize(replay, blocks)
+        assert summary.max_feed == max(replay.v.tolist())
+        assert summary.max_accel == max(map(abs, replay.A.tolist()))
+        assert summary.max_jerk == max(map(abs, replay.J.tolist()))
+        assert summary.max_chord_err == max(replay.chord_err.tolist())
         assert summary.total_time == pytest.approx(total_time(blocks), rel=1e-15)
-        assert summary.n_points == len(samples)
+        assert summary.n_points == len(replay)
+        assert all(type(x) is float for x in dataclasses.astuple(summary)[:5])
+
+    def test_length_counts_the_ticks(self):
+        # the benchmark's call tracer counts a replay's ticks as
+        # len(interpolate(...)) - 1, and divides the replay's kernel calls
+        # by that: len must be the number of samples, both ends included
+        curve = make_line(end=(100.0, 0.0))
+        replay = interpolate(curve, [Block(0.0, 1.0, 100.0, 100.0, 100.0)], STD)
+        assert len(replay) == replay.t.size == replay.u.size == 1001
+        assert replay.position.shape == (1001, 2)
 
 
 class TestChordPass:
@@ -255,15 +243,14 @@ class TestChordPass:
                 _chord_deviation(curve, *us[i:i + 2], *points[i:i + 2])
                 for i in range(len(us) - 1)
             ]
-            assert simulator._chord_errors(curve, us, points) == want
+            assert simulator._chord_errors(curve, us, points).tolist() == want
         assert want[1] == pytest.approx(5.0, abs=1e-9)  # the hairpin's bulge
 
     def test_zero_chord_skips_the_radius(self):
         # a zero step at the cusp reports 0 instead of raising
         point = evaluate(self.CUSP, 0.5)
-        assert simulator._chord_errors(self.CUSP, [0.5, 0.5], [point] * 2) == [
-            0.0, 0.0,
-        ]
+        errs = simulator._chord_errors(self.CUSP, [0.5, 0.5], [point] * 2)
+        assert errs.tolist() == [0.0, 0.0]
 
     def test_singular_midpoint_raises_like_scalar(self):
         us = [0.1, 0.2, 0.4, 0.6]
@@ -346,29 +333,28 @@ def assert_replay_contract(curve, blocks, limits, law, got, corpus=True):
     track = oracles._Track(
         blocks, law, oracles.reference_law(law, limits.shape_s)
     )
-    assert [s.t for s in got] == [k * limits.Ts for k in range(len(got))]
-    commanded = [track.state(s.t) for s in got]
+    assert got.t.tolist() == [k * limits.Ts for k in range(len(got))]
+    commanded = [track.state(t) for t in got.t.tolist()]
     for i, name in enumerate(("v", "A", "J")):
-        want = [kinematics[i] for _, kinematics in commanded]
-        bound = COMMANDED_ULPS * 2.0**-52 * max(map(abs, want))
-        assert max(
-            abs(getattr(s, name) - w) for s, w in zip(got, want)
-        ) <= bound
-    points = [evaluate(curve, s.u) for s in got]
-    assert [s.position for s in got] == points
-    assert got[0].u == 0.0 and got[-1].u == 1.0 and got[0].chord_err == 0.0
+        want = np.array([kinematics[i] for _, kinematics in commanded])
+        bound = COMMANDED_ULPS * 2.0**-52 * np.abs(want).max()
+        assert np.abs(getattr(got, name) - want).max() <= bound
+    us, errs = got.u.tolist(), got.chord_err.tolist()
+    points = [evaluate(curve, u) for u in us]
+    assert np.array_equal(got.position, points)
+    assert us[0] == 0.0 and us[-1] == 1.0 and errs[0] == 0.0
     for k in range(1, len(got)):
-        assert got[k].u >= got[k - 1].u
+        assert us[k] >= us[k - 1]
         chord = math.dist(points[k - 1], points[k])
-        if got[k].u < 1.0:
+        if us[k] < 1.0:
             advance = commanded[k][0] - commanded[k - 1][0]
             assert abs(chord - advance) <= simulator._CHORD_MATCH_TOL
-        assert got[k].chord_err == (chord and _chord_deviation(
-            curve, got[k - 1].u, got[k].u, points[k - 1], points[k]
+        assert errs[k] == (chord and _chord_deviation(
+            curve, us[k - 1], us[k], points[k - 1], points[k]
         ))
-    live = [k for k in range(1, len(got)) if got[k].u < 1.0]
-    start = np.array([got[k - 1].u for k in live])[:, None]
-    span = np.array([got[k].u for k in live])[:, None] - start
+    live = [k for k in range(1, len(got)) if us[k] < 1.0]
+    start = np.array([us[k - 1] for k in live])[:, None]
+    span = np.array([us[k] for k in live])[:, None] - start
     steps = np.arange(1, CROSSING_SAMPLES + 1) / (CROSSING_SAMPLES + 1)
     inner, _, _ = geometry.jets(curve, (start + span * steps).ravel())
     inner = inner.reshape(len(live), CROSSING_SAMPLES, curve.dimension)
@@ -380,10 +366,9 @@ def assert_replay_contract(curve, blocks, limits, law, got, corpus=True):
     assert (reach <= np.add(advance, simulator._CHORD_MATCH_TOL)).all()
     if corpus:
         ref = oracles.replay_reference(curve, blocks, limits, law)
-        assert max(abs(a.u - b.u) for a, b in zip(got, ref)) <= U_FROM_REFERENCE
-        assert max(
-            abs(a.chord_err - b.chord_err) for a, b in zip(got, ref)
-        ) <= CHORD_ERR_FROM_REFERENCE
+        assert isinstance(ref, Replay)
+        assert np.abs(got.u - ref.u).max() <= U_FROM_REFERENCE
+        assert np.abs(got.chord_err - ref.chord_err).max() <= CHORD_ERR_FROM_REFERENCE
 
 
 class TestReplayWork:
@@ -495,7 +480,7 @@ class TestReplayWork:
 
         monkeypatch.setattr(simulator, "_first_crossing", counted)
         arc = make_quarter_circle(5.0)
-        over = [timed_block(0.0, 1.0, 50.0, 50.0, arc_length(arc, 0.0, 1.0) + 0.1)]
+        over = [Block(0.0, 1.0, 50.0, 50.0, arc_length(arc, 0.0, 1.0) + 0.1)]
         sigmoid = sigmoid_law(STD.shape_s)
         plans = corpus_plans[-2:] + corpus_plans[:2] + [(arc, over, STD, sigmoid)]
         for curve, blocks, limits, law in plans:
@@ -503,7 +488,7 @@ class TestReplayWork:
             got = interpolate(curve, blocks, limits, law=law)
             assert searched["ticks"] > 0
             assert_replay_contract(curve, blocks, limits, law, got)
-        assert got[-4].u < 1.0 and [s.u for s in got[-3:]] == [1.0] * 3
+        assert got.u[-4] < 1.0 and got.u[-3:].tolist() == [1.0] * 3
 
     def test_search_gives_up_after_its_passes(self, monkeypatch):
         # a first guess that the one Newton pass leaves off the advance,
@@ -511,7 +496,7 @@ class TestReplayWork:
         monkeypatch.setattr(simulator, "_WINDOW_PASSES", 1)
         monkeypatch.setattr(simulator, "_SEARCH_PASSES", 1)
         arc = make_quarter_circle(5.0)
-        blocks = [timed_block(0.0, 1.0, 50.0, 50.0, arc_length(arc, 0.0, 1.0))]
+        blocks = [Block(0.0, 1.0, 50.0, 50.0, arc_length(arc, 0.0, 1.0))]
         with pytest.raises(SimulationError, match="no landing past u=0.0 matches"):
             interpolate(arc, blocks, STD)
 
@@ -589,7 +574,7 @@ def plan_blocks(spans):
     total = sum(L for _, _, L in spans)
     blocks, s = [], 0.0
     for v_s, v_e, L in spans:
-        blocks.append(timed_block(s / total, (s + L) / total, v_s, v_e, L))
+        blocks.append(Block(s / total, (s + L) / total, v_s, v_e, L))
         s += L
     return blocks
 
@@ -630,14 +615,15 @@ class TestTickWalk:
         Ts = STD.Ts
         n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
         times = [min(k * Ts, track.total) for k in range(n_steps + 1)]
-        walk = simulator._commanded(blocks, law, track.total, Ts, n_steps)
+        ticks = np.arange(n_steps + 1) * Ts
+        walk = simulator._commanded(blocks, law, ticks, track.total)
         for t, (travel, v, a, j, i) in zip(times, zip(*walk), strict=True):
             want_travel, want_kinematics = commanded(t)
             assert bits(travel, v, a, j) == bits(want_travel, *want_kinematics)
             assert i == track.locate(t)[0]
         curve = make_line(end=(track.length, 0.0))
-        samples = interpolate(curve, blocks, STD, law=law)
-        assert [bits(s.v, s.A, s.J) for s in samples] == [
+        replay = interpolate(curve, blocks, STD, law=law)
+        assert list(map(bits, replay.v, replay.A, replay.J)) == [
             bits(*commanded(t)[1]) for t in times
         ]
 
@@ -649,7 +635,7 @@ class TestTickWalk:
 
         monkeypatch.setattr(simulator, "jet", no_walk)
         monkeypatch.setattr(simulator, "jets", no_walk)
-        blocks = [timed_block(0.0, 1.0, 1e-6, 1e-6, 1000.0)]
+        blocks = [Block(0.0, 1.0, 1e-6, 1e-6, 1000.0)]
         assert blocks[0].T == 1e9
         cap = r"1e\+12 ticks exceeds the replay's cap of 1000000"
         with pytest.raises(SimulationError, match=cap):
@@ -663,11 +649,11 @@ class TestPathEnd:
         # tail of the plan must finish there instead of failing
         curve = make_quarter_circle(5.0)
         L = arc_length(curve, 0.0, 1.0)
-        blocks = [timed_block(0.0, 1.0, 50.0, 50.0, L)]
-        samples = interpolate(curve, blocks, STD)
-        assert samples[-1].u == 1.0
+        blocks = [Block(0.0, 1.0, 50.0, 50.0, L)]
+        replay = interpolate(curve, blocks, STD)
+        assert replay.u[-1] == 1.0
         end = evaluate(curve, 1.0)
-        assert math.dist(samples[-1].position, end) < 1e-9
+        assert math.dist(replay.position[-1], end) < 1e-9
 
     def test_loop_within_the_advance_lies_past_the_end(self, monkeypatch):
         # a 40 mm line closed by a triangle of 0.08 mm sides: from the
@@ -691,15 +677,15 @@ class TestPathEnd:
             1, corners, (1.0,) * 5, (0.0, *(knots / knots[-1]), 1.0)
         )
         L = arc_length(curve, 0.0, 1.0)
-        samples = interpolate(curve, [timed_block(0.0, 1.0, 100.0, 100.0, L)], STD)
+        replay = interpolate(curve, [Block(0.0, 1.0, 100.0, 100.0, L)], STD)
         assert searched == [None]
-        assert len(samples) == 404
-        assert samples[-4].position == pytest.approx((40.0, 0.0), abs=1e-9)
-        assert [s.u for s in samples[-3:]] == [1.0] * 3
+        assert len(replay) == 404
+        assert replay.position[-4] == pytest.approx((40.0, 0.0), abs=1e-9)
+        assert replay.u[-3:].tolist() == [1.0] * 3
 
     def test_plan_longer_than_path_raises(self):
         curve = make_line(end=(10.0, 0.0))
-        blocks = [timed_block(0.0, 1.0, 50.0, 50.0, 10.5)]
+        blocks = [Block(0.0, 1.0, 50.0, 50.0, 10.5)]
         with pytest.raises(SimulationError, match="past the path end"):
             interpolate(curve, blocks, STD)
 
@@ -717,10 +703,10 @@ class TestPathEnd:
         ]
         scatter = FeedrateScatter([0.0, 1.0 / 7.0, 1.0], [20.0, 85.0, 80.0])
         [rise] = schedule(curve, blocks, scatter, STD, law)
-        last = interpolate(curve, [rise], STD, law=law)[-1]
+        last = interpolate(curve, [rise], STD, law=law)
         T = law.duration(rise.v_s, rise.v_e, rise.L)
         _, v, a, j = law.state(rise.v_s, rise.v_e, T, T)
-        assert (last.v, last.A, last.J) == (v, a, j)
+        assert (last.v[-1], last.A[-1], last.J[-1]) == (v, a, j)
         assert j < -0.99 * STD.j_max
 
 
@@ -732,18 +718,18 @@ class TestErrors:
 
     def test_zero_duration_schedule(self):
         curve = make_line()
-        b = timed_block(0.0, 1.0, 10.0, 10.0, 0.0)
+        b = Block(0.0, 1.0, 10.0, 10.0, 0.0)
         with pytest.raises(SimulationError):
             interpolate(curve, [b], STD)
 
     def test_block_the_law_cannot_carry_names_its_index(self):
-        # a feed change over no length passes total_time, whose blocks
-        # all have valid durations, and is refused by the law's duration
+        # a feed change over no length is a valid Block, of duration 0,
+        # and is refused by the law's duration
         curve = random_curve(0)
         L = arc_length(curve, 0.5, 1.0)
         blocks = [
-            Block(0.0, 0.5, 10.0, 90.0, 0.0, 0.0),
-            timed_block(0.5, 1.0, 90.0, 90.0, L),
+            Block(0.0, 0.5, 10.0, 90.0, 0.0),
+            Block(0.5, 1.0, 90.0, 90.0, L),
         ]
         want = "block 0 cannot be replayed: zero-length block cannot change feed"
         with pytest.raises(SimulationError, match=want):
@@ -751,4 +737,4 @@ class TestErrors:
 
     def test_empty_summary(self):
         with pytest.raises(SimulationError):
-            summarize([], [])
+            summarize(Replay(*[np.empty(0)] * 7), [])
