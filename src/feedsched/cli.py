@@ -199,7 +199,7 @@ def run(config: RunConfig) -> int:
         except SimulationError as exc:
             print(f"error: replay failed for {method}: {exc}", file=sys.stderr)
             return 3
-        summary = summarize(replay, scheduled)
+        summary = summarize(replay)
         results[method] = summary
         feed_csv = out / f"{method}_feed_vs_u.csv"
         try:

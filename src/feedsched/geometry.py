@@ -199,7 +199,7 @@ class ParametricCurve:
         arc excess of a chord: a chord of length a spans about
         a + a^3 kappa^2 / 24 of arc. It reads 0 where the speed vanishes."""
         table = self._arc_table
-        lo = np.asarray(table.starts)
+        lo = table.starts
         hi = np.append(lo[1:], 1.0)
         cuts = np.arange(_GRID_CUTS) / _GRID_CUTS
         u = np.append((lo[:, None] + (hi - lo)[:, None] * cuts).ravel(), 1.0)
@@ -496,10 +496,7 @@ class _ArcTable:
     which is 0 at x = -1 and the piece's GL16 sum at x = 1.
     """
 
-    __slots__ = (
-        "starts", "cum", "pieces", "_lows", "_cums", "_centres", "_halves",
-        "_runs",
-    )
+    __slots__ = ("starts", "cum", "_centres", "_halves", "_runs")
 
     def __init__(self, curve: ParametricCurve):
         lo, mids, rows = curve._spans
@@ -542,42 +539,31 @@ class _ArcTable:
         centre = lo + half
         # the running integral's coefficients, highest order first
         run = half[:, None] * (speeds @ _RUN_FIT.T)[:, ::-1]
-        self.starts = lo.tolist()
-        self.cum = [0.0] + np.cumsum(half * (speeds @ _GL_W)).tolist()
-        self.pieces = [
-            (c, h, tuple(zip(r, _CLENSHAW_A, _CLENSHAW_B)))
-            for c, h, r in zip(centre.tolist(), half.tolist(), run.tolist())
-        ]
-        # the arrays that positions reads, built once
-        self._lows = lo
-        self._cums = np.array(self.cum)
+        self.starts = lo
+        self.cum = np.append(0.0, np.cumsum(half * (speeds @ _GL_W)))
         self._centres = centre
         self._halves = half
         self._runs = run.T
 
-    def _locate(self, u: float) -> tuple[int, float]:
-        """Piece holding u and the running length from its start to u."""
-        i = max(bisect_right(self.starts, u) - 1, 0)
-        centre, half, run = self.pieces[i]
-        return i, _legendre(run, (u - centre) / half)
-
-    def between(self, u_a: float, u_b: float) -> float:
-        i, s_a = self._locate(u_a)
-        j, s_b = self._locate(u_b)
-        return (self.cum[j] - self.cum[i]) + (s_b - s_a)
-
-    def at(self, u: float) -> float:
-        i, s = self._locate(u)
-        return self.cum[i] + s
-
-    def positions(self, u: np.ndarray) -> np.ndarray:
-        """S(u) for an array of parameters: at's arithmetic on arrays, so
-        positions(u)[i] == at(u[i]) bit for bit."""
+    def _locate(self, u):
+        """Piece holding each parameter of u (an array or a lone float)
+        and the running length from that piece's start to it."""
         u = np.asarray(u, dtype=float)
-        idx = np.maximum(np.searchsorted(self._lows, u, side="right") - 1, 0)
+        idx = np.maximum(np.searchsorted(self.starts, u, side="right") - 1, 0)
         x = (u - self._centres[idx]) / self._halves[idx]
         terms = zip(self._runs[:, idx], _CLENSHAW_A, _CLENSHAW_B)
-        return self._cums[idx] + _legendre(terms, x)
+        return idx, _legendre(terms, x)
+
+    def positions(self, u):
+        """S(u) at every parameter of u, or at a lone one; an entry of an
+        array equals the lone parameter's S bit for bit."""
+        idx, s = self._locate(u)
+        return self.cum[idx] + s
+
+    def lengths(self, u: np.ndarray) -> np.ndarray:
+        """Arc between each pair of adjacent parameters of u (1-D)."""
+        idx, s = self._locate(u)
+        return (self.cum[idx[1:]] - self.cum[idx[:-1]]) + (s[1:] - s[:-1])
 
     def param(self, s: float) -> float:
         """Parameter at which the running length reaches s (clamped).
@@ -585,14 +571,16 @@ class _ArcTable:
         A secant iteration on one piece's running length, from the chord
         between the piece's ends, kept inside the bracket it narrows.
         """
-        n = len(self.pieces)
+        n = self.starts.size
         if s >= self.cum[n]:
             return 1.0
         j = min(max(bisect_right(self.cum, s) - 1, 0), n - 1)
-        r = s - self.cum[j]
-        centre, half, run = self.pieces[j]
+        cum_j, cum_k = self.cum[j : j + 2].tolist()
+        r = s - cum_j
+        centre, half = float(self._centres[j]), float(self._halves[j])
+        run = tuple(zip(self._runs[:, j].tolist(), _CLENSHAW_A, _CLENSHAW_B))
         a, fa = -1.0, -r
-        b, fb = 1.0, (self.cum[j + 1] - self.cum[j]) - r
+        b, fb = 1.0, (cum_k - cum_j) - r
         lo, hi = a, b
         x = a
         for _ in range(100):
@@ -607,8 +595,8 @@ class _ArcTable:
             else:
                 hi = x
             a, fa, b, fb = b, fb, x, fx
-        end = self.starts[j + 1] if j + 1 < n else 1.0
-        return min(max(centre + half * x, self.starts[j]), end)
+        end = float(self.starts[j + 1]) if j + 1 < n else 1.0
+        return min(max(centre + half * x, float(self.starts[j])), end)
 
 
 def arc_length(curve: ParametricCurve, u_a: float, u_b: float) -> float:
@@ -620,9 +608,7 @@ def arc_length(curve: ParametricCurve, u_a: float, u_b: float) -> float:
     u_b = _check_param(u_b)
     if u_b < u_a:
         raise CurveDomainError(f"u_b={u_b} precedes u_a={u_a}")
-    if u_b == u_a:
-        return 0.0
-    return curve._arc_table.between(u_a, u_b)
+    return float(curve._arc_table.lengths(np.array([u_a, u_b]))[0])
 
 
 def param_at_length(
@@ -638,7 +624,7 @@ def param_at_length(
     if length <= 0.0:
         return u_start
     table = curve._arc_table
-    target = table.at(u_start) + length
+    target = float(table.positions(u_start)) + length
     if target >= table.cum[-1] - _LENGTH_TOL:
         return 1.0
     return max(table.param(target), u_start)

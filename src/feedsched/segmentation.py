@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .chordscan import FeedrateScatter, MalformedScatterError
-from .geometry import ParametricCurve, arc_length
+from .geometry import ParametricCurve
 from .sprofile import block_duration
 
 __all__ = [
@@ -170,17 +170,10 @@ def build_blocks(
     """One block per adjacent breakpoint pair, with arc displacement."""
     if len(breakpoints) < 2:
         raise MalformedScatterError("need at least two breakpoints")
-    blocks = []
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        u_s, u_e = float(scatter.u[a]), float(scatter.u[b])
-        v_s, v_e = float(scatter.v[a]), float(scatter.v[b])
-        blocks.append(
-            Block(
-                u_s=u_s,
-                u_e=u_e,
-                v_s=v_s,
-                v_e=v_e,
-                L=arc_length(curve, u_s, u_e),
-            )
-        )
-    return blocks
+    u, v = scatter.u[breakpoints], scatter.v[breakpoints].tolist()
+    L = curve._arc_table.lengths(u).tolist()
+    u = u.tolist()
+    return [
+        Block(u_s=u[k], u_e=u[k + 1], v_s=v[k], v_e=v[k + 1], L=L[k])
+        for k in range(len(L))
+    ]

@@ -45,7 +45,6 @@ __all__ = [
     "SimulationError",
     "Replay",
     "RunSummary",
-    "total_time",
     "interpolate",
     "summarize",
 ]
@@ -81,7 +80,8 @@ class SimulationError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Replay:
     """The replayed ticks as columns: position is ticks x dimension, and
-    chord_err is the deviation of the step ENDING at each tick (0 first).
+    chord_err is the deviation of the step ENDING at each tick (0 first);
+    total_time is the plan's duration, the sum of its blocks' T.
     """
 
     t: np.ndarray
@@ -91,6 +91,7 @@ class Replay:
     A: np.ndarray
     J: np.ndarray
     chord_err: np.ndarray
+    total_time: float
 
     def __len__(self) -> int:
         return self.t.size
@@ -104,11 +105,6 @@ class RunSummary:
     max_chord_err: float
     total_time: float
     n_points: int
-
-
-def total_time(blocks: list[Block]) -> float:
-    """Sum of block durations."""
-    return float(sum(b.T for b in blocks))
 
 
 def _commanded(blocks, law, ticks, total):
@@ -153,21 +149,21 @@ def _params_at(grid, s):
     return np.where(np.isfinite(x), x, np.interp(s, at, u))
 
 
-def _land(curve, grid, u0, p0, d0, travel, reached):
+def _land(curve, grid, u0, s0, p0, d0, travel, reached):
     """Landings of a window of ticks, found together by Newton's method.
 
     Tick m commands the travel reached[m]; the window starts from the
-    landing u0 with point p0 and first derivative d0, at travel. The
-    solve seeks u_1 <= ... <= u_n <= 1 with |C(u_m) - C(u_{m-1})| equal
-    to each tick's advance, from the arc table's parameters at the
-    commanded travel plus the arc excess of the chords before. Each
-    Newton step is one jets pass and the forward recurrence of the
-    bidiagonal Jacobian, step_m = (back_m step_{m-1} - gap_m) / fwd_m, as
-    step = P cumsum(-gap / (fwd P)) with P the running product of back /
-    fwd; a zero chord takes the tangent for its direction. Each iterate
-    is clamped nondecreasing into [u0, 1], which also undoes a NaN step.
-    The solve stops when every tick matches within _CHORD_MATCH_TOL or
-    lies past the curve end, or after _WINDOW_PASSES passes.
+    landing u0 at arc position s0, with point p0 and first derivative d0,
+    at travel. The solve seeks u_1 <= ... <= u_n <= 1 with |C(u_m) -
+    C(u_{m-1})| equal to each tick's advance, from the arc table's
+    parameters at the commanded travel plus the arc excess of the chords
+    before. Each Newton step is one jets pass and the forward recurrence
+    of the bidiagonal Jacobian, step_m = (back_m step_{m-1} - gap_m) /
+    fwd_m, as step = P cumsum(-gap / (fwd P)) with P the running product
+    of back / fwd; a zero chord takes the tangent for its direction. Each
+    iterate is clamped nondecreasing into [u0, 1], which also undoes a NaN
+    step. The solve stops when every tick matches within _CHORD_MATCH_TOL
+    or lies past the curve end, or after _WINDOW_PASSES passes.
 
     The screen: a chord that reaches D before it comes back to the
     advance a consumes at least 2 D - a of arc, and a smooth step's arc
@@ -181,11 +177,11 @@ def _land(curve, grid, u0, p0, d0, travel, reached):
     that reaches a - match exceeds.
 
     Returns how many leading ticks landed, whether every tick after those
-    lies past the curve end, and the parameters and jets of the landings.
+    lies past the curve end, the parameters and jets of the landings, and
+    the arc positions of u0 and of the landings.
     """
     _, at, _, excess = grid
     advance = np.diff(reached, prepend=travel)
-    s0 = curve._arc_table.at(u0)
     arc = s0 + (reached - travel)
     arc += np.cumsum(advance**3 * np.interp(arc, at, excess))
     x = _params_at(grid, arc)
@@ -218,7 +214,7 @@ def _land(curve, grid, u0, p0, d0, travel, reached):
     landed &= consumed - advance <= 2.0 * bend + _CHORD_MATCH_TOL
     ended |= short & (dist + consumed < 2.0 * (advance - _CHORD_MATCH_TOL))
     n = int(np.argmin(np.append(landed, False)))
-    return n, bool(n < x.size and ended[n:].all()), x, at_x
+    return n, bool(n < x.size and ended[n:].all()), x, at_x, s
 
 
 def _first_crossing(curve, u0, p0, advance, hi):
@@ -305,7 +301,7 @@ def interpolate(
         raise SimulationError("empty schedule")
     if law is None:
         law = sigmoid_law(limits.shape_s)
-    total = total_time(blocks)
+    total = sum(b.T for b in blocks)
     if total <= 0.0:
         raise SimulationError("schedule has zero duration")
     Ts = limits.Ts
@@ -320,6 +316,8 @@ def interpolate(
     ts = np.arange(n_steps + 1) * Ts
     reached, vs, accels, jerks, held = _commanded(blocks, law, ts, total)
     u, (pos, d1, _) = 0.0, jet(curve, 0.0)
+    # S(0) is the series' rounding at x = -1, not always 0
+    s = curve._arc_table.positions(u)
     grid = curve._arc_grid
     us, points = [u], [pos]
     # the walk lands ticks 1 .. last a window at a time; the search lands
@@ -327,11 +325,13 @@ def interpolate(
     k, last = 0, n_steps - 1
     while k < last and u < 1.0:
         window = reached[k + 1 : min(k + _WINDOW_TICKS, last) + 1]
-        n, ended, x, (p, d, _) = _land(curve, grid, u, pos, d1, reached[k], window)
+        n, ended, x, (p, d, _), arc = _land(
+            curve, grid, u, s, pos, d1, reached[k], window
+        )
         if n:
             us += x[:n].tolist()
             points += zip(*p[:n].T.tolist())
-            u, pos, d1 = us[-1], points[-1], d[n - 1]
+            u, s, pos, d1 = us[-1], arc[n], points[-1], d[n - 1]
             k += n
         if ended:
             break
@@ -341,6 +341,7 @@ def interpolate(
             if landing is None:
                 break
             u, pos, d1 = landing
+            s = curve._arc_table.positions(u)
             us.append(u)
             points.append(pos)
             k += 1
@@ -357,11 +358,13 @@ def interpolate(
     us += [1.0] * (n_steps - k)
     points += [jet(curve, 1.0)[0]] * (n_steps - k)
     errs = _chord_errors(curve, us, points)
-    return Replay(ts, np.array(us), np.array(points), vs, accels, jerks, errs)
+    return Replay(
+        ts, np.array(us), np.array(points), vs, accels, jerks, errs, total
+    )
 
 
-def summarize(replay: Replay, blocks: list[Block]) -> RunSummary:
-    """Column maxima (of |A| and |J|) over a replay plus schedule totals."""
+def summarize(replay: Replay) -> RunSummary:
+    """Column maxima (of |A| and |J|) over a replay and its total time."""
     if not len(replay):
         raise SimulationError("no samples to summarize")
     return RunSummary(
@@ -369,6 +372,6 @@ def summarize(replay: Replay, blocks: list[Block]) -> RunSummary:
         max_accel=float(np.abs(replay.A).max()),
         max_jerk=float(np.abs(replay.J).max()),
         max_chord_err=float(replay.chord_err.max()),
-        total_time=total_time(blocks),
+        total_time=replay.total_time,
         n_points=len(replay),
     )

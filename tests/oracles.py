@@ -64,7 +64,6 @@ from feedsched.simulator import (
     _END_DRIFT_PER_TICK,
     Replay,
     SimulationError,
-    total_time,
 )
 from feedsched.sprofile import clamp_time, kernel, sigmoid_law
 
@@ -801,7 +800,7 @@ class _Track:
     def __init__(self, blocks, law, name):
         self.law = law
         self.name = name
-        self.total = total_time(blocks)
+        self.total = sum(b.T for b in blocks)
         self.starts = []
         self.offsets = []
         self.durations = []
@@ -859,7 +858,7 @@ def replay_reference(curve, blocks, limits, law):
         err = _chord_deviation(curve, u, u_next, pos, pos_next)
         u, pos = u_next, pos_next
         rows.append((k * Ts, u, pos, v, a, j, err))
-    return Replay(*map(np.array, zip(*rows)))
+    return Replay(*map(np.array, zip(*rows)), track.total)
 
 
 def load_blocks(path: Path) -> list[Block]:

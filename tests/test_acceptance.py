@@ -16,10 +16,11 @@ from conftest import make_quarter_circle
 from scipy.integrate import quad
 
 from feedsched.baseline import SINE, sine_schedule
+from feedsched import chordscan
 from feedsched.chordscan import FeedrateScatter, scan_curve
 from feedsched.cli import PRESETS, main
 from feedsched.curvegen import random_curve
-from feedsched.geometry import arc_length
+from feedsched.geometry import arc_length, jet
 from feedsched.optimizer import (
     InfeasibleJunctionError,
     adjust_peak_junction,
@@ -33,6 +34,9 @@ from feedsched.sprofile import sigmoid_law
 CORPUS_SEEDS = tuple(range(25))
 CHORD_HEADROOM = 1.05
 PEAK_SLACK = 1e-12
+# A plan may move by at most this fraction of its total time when every
+# scan landing moves back by 1e-6 of its step (measured: 3.2e-6).
+SHIFT_MOVE = 1e-5
 
 
 def report(ok: bool, label: str, detail: str) -> None:
@@ -50,6 +54,7 @@ class CorpusRun:
     accel_util: float
     jerk_util: float
     total_time: float
+    breakpoints: int
     sine_time: float
     sine_chord_ratio: float
     sine_accel_util: float
@@ -97,6 +102,7 @@ def corpus():
                     accel_util=pa / limits.a_max,
                     jerk_util=pj / limits.j_max,
                     total_time=sum(b.T for b in plan),
+                    breakpoints=len(bps),
                     sine_time=sine_time,
                     sine_chord_ratio=sine_worst / limits.delta_max,
                     sine_accel_util=sa / limits.a_max,
@@ -165,6 +171,58 @@ def test_shaped_profiles_beat_sine_baseline_on_shared_segmentation(corpus):
     )
     assert min(gains) >= 0.0
     assert 0.005 <= mean <= 0.05
+
+
+def shifted_corpus(corpus, shift):
+    """Reschedule the corpus from scans whose every landing short of u = 1
+    moves back by shift of its step, with its jet taken again there, so
+    the walk probes on from the moved landing. Returns the largest
+    relative move of a plan's total time and how many plans changed
+    their breakpoint count."""
+    limit_feedrate = chordscan._limit_feedrate
+
+    def shifted(curve, u, at_u, limits):
+        v, u_next, at_next = limit_feedrate(curve, u, at_u, limits)
+        if u_next < 1.0:
+            u_next = u + (1.0 - shift) * (u_next - u)
+            at_next = jet(curve, u_next)
+        return v, u_next, at_next
+
+    move, recounted = 0.0, 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chordscan, "_limit_feedrate", shifted)
+        for r in corpus:
+            curve, limits = random_curve(r.seed), PRESETS[r.preset]
+            scatter = scan_curve(curve, limits)
+            bps = find_breakpoints(scatter, mu_s=limits.mu_s)
+            blocks = build_blocks(curve, scatter, bps)
+            plan = schedule(curve, blocks, scatter, limits)
+            total = sum(b.T for b in plan)
+            move = max(move, abs(total / r.total_time - 1.0))
+            recounted += len(bps) != r.breakpoints
+    report(
+        move <= SHIFT_MOVE and not recounted,
+        f"landings moved back by {shift:g} of a step",
+        f"{len(corpus)} plans; largest move {100.0 * move:.3g} %; "
+        f"{recounted} breakpoint counts change",
+    )
+    return move, recounted
+
+
+def test_plans_do_not_jump_when_the_scan_landings_move_by_rounding(corpus):
+    move, recounted = shifted_corpus(corpus, 1e-6)
+    assert move <= SHIFT_MOVE
+    assert recounted == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="breakpoints hinge on where the scan samples fall: a 1e-4 "
+    "shift moves plans by up to 1.8 % and changes 18 breakpoint counts",
+)
+def test_plans_move_at_most_a_tenth_percent_when_the_landings_move(corpus):
+    move, _ = shifted_corpus(corpus, 1e-4)
+    assert move <= 1e-3
 
 
 def test_junction_optimizers_match_brute_force_grids():

@@ -150,7 +150,7 @@ class TestRunOutputs:
         curve = load_curve(curve_path)
         limits = PRESETS["standard"]
         blocks = load_blocks(out_dir / "sigmoid_blocks.csv")
-        again = summarize(interpolate(curve, blocks, limits), blocks)
+        again = summarize(interpolate(curve, blocks, limits))
         stored = json.loads((out_dir / "sigmoid_summary.json").read_text())
         assert again.max_feed == stored["max_feed"]
         assert again.max_accel == stored["max_accel"]

@@ -790,7 +790,7 @@ class TestSchedule:
             geometry, "_jet",
             counting("point", geometry._jet),
         )
-        for name in ("positions", "param", "at", "between"):
+        for name in ("positions", "param", "lengths"):
             method = getattr(geometry._ArcTable, name)
             monkeypatch.setattr(geometry._ArcTable, name, counting(name, method))
         out = schedule(curve, blocks, scatter, STD)

@@ -10,6 +10,7 @@ from feedsched.chordscan import (
     MalformedScatterError,
     scan_curve,
 )
+from feedsched.cli import PRESETS
 from feedsched.curvegen import random_curve
 from feedsched.geometry import arc_length
 from feedsched.segmentation import (
@@ -163,6 +164,19 @@ class TestBuildBlocks:
         for b in blocks:
             assert b.v_s == np.interp(b.u_s, sc.u, sc.v)
             assert b.v_e == np.interp(b.u_e, sc.u, sc.v)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("seed", [0, 5, 12])
+    def test_lengths_equal_arc_length_bit_for_bit(self, seed, preset):
+        # one batched table call gives every length; each must be the
+        # public arc_length of its block's parameter range
+        curve = random_curve(seed)
+        sc = scan_curve(curve, PRESETS[preset])
+        blocks = build_blocks(curve, sc, find_breakpoints(sc))
+        assert len(blocks) > 1
+        for b in blocks:
+            assert type(b.L) is float
+            assert b.L == arc_length(curve, b.u_s, b.u_e)
 
 
 class TestBlockValidation:

@@ -31,7 +31,6 @@ from feedsched.simulator import (
     SimulationError,
     interpolate,
     summarize,
-    total_time,
 )
 from feedsched.sprofile import sigmoid_law
 
@@ -51,12 +50,15 @@ def scheduled_run(seed, limits):
 
 class TestTotalTime:
     def test_sums_durations(self):
+        curve = make_line(end=(20.0, 0.0))
         blocks = [
             Block(0.0, 0.5, 20.0, 80.0, 10.0),
             Block(0.5, 1.0, 80.0, 80.0, 10.0),
         ]
         want = 2.0 * 10.0 / 100.0 + 10.0 / 80.0
-        assert total_time(blocks) == pytest.approx(want, rel=1e-15)
+        replay = interpolate(curve, blocks, STD)
+        assert replay.total_time == pytest.approx(want, rel=1e-15)
+        assert replay.total_time == sum(b.T for b in blocks)
 
 
 class TestStraightLine:
@@ -83,7 +85,7 @@ class TestStraightLine:
         curve = make_line(end=(100.0, 0.0))
         blocks = [Block(0.0, 1.0, 20.0, 80.0, 100.0)]
         replay = interpolate(curve, blocks, STD)
-        assert total_time(blocks) == pytest.approx(2.0, rel=1e-12)
+        assert replay.total_time == pytest.approx(2.0, rel=1e-12)
         assert len(replay) == 2001
         assert replay.u[-1] == 1.0
         assert replay.position[-1, 0] == pytest.approx(100.0, abs=1e-9)
@@ -162,7 +164,7 @@ class TestScheduledRun:
     def test_end_to_end_invariants(self):
         curve, blocks = scheduled_run(3, STD)
         replay = interpolate(curve, blocks, STD)
-        t_total = total_time(blocks)
+        t_total = replay.total_time
         assert abs(len(replay) - (math.ceil(t_total / STD.Ts) + 1)) <= 1
         assert np.all(np.diff(replay.u) >= 0.0)
         assert replay.u[-1] == 1.0
@@ -199,12 +201,12 @@ class TestScheduledRun:
     def test_summary_folds_maxima(self):
         curve, blocks = scheduled_run(3, STD)
         replay = interpolate(curve, blocks, STD)
-        summary = summarize(replay, blocks)
+        summary = summarize(replay)
         assert summary.max_feed == max(replay.v.tolist())
         assert summary.max_accel == max(map(abs, replay.A.tolist()))
         assert summary.max_jerk == max(map(abs, replay.J.tolist()))
         assert summary.max_chord_err == max(replay.chord_err.tolist())
-        assert summary.total_time == pytest.approx(total_time(blocks), rel=1e-15)
+        assert summary.total_time == sum(b.T for b in blocks)
         assert summary.n_points == len(replay)
         assert all(type(x) is float for x in dataclasses.astuple(summary)[:5])
 
@@ -737,4 +739,4 @@ class TestErrors:
 
     def test_empty_summary(self):
         with pytest.raises(SimulationError):
-            summarize(Replay(*[np.empty(0)] * 7), [])
+            summarize(Replay(*[np.empty(0)] * 7, 0.0))
