@@ -223,86 +223,71 @@ def _limit_feedrate(curve, u, at_u, limits):
     """Largest chord-safe feed at u, from the jet at u, with the parameter
     it advances to and the landing's jet.
 
-    Starts each probe from the programmed ceiling and rescales the
-    candidate by sqrt(tolerance / measured deviation) until the step's
-    chord error fits, forcing geometric backoff when the rescale stalls
-    near the tolerance boundary, and dropping below the feed that reaches
-    the curve end after a probe whose landing the end clamps. The first
-    safe feed and the last unsafe one then bracket a root-find for the
-    tolerance boundary, so curvature spikes do not cost more feed than
-    the tolerance demands.
+    One bracket holds the last safe and the last unsafe probe, each as
+    x = log(feed), g = log(deviation / tolerance) and the feed; feed 0,
+    always safe, is its safe end until a probe fits. From v_max, each
+    unsafe probe rescales the feed by sqrt(tolerance / deviation), capped
+    for a geometric backoff, halves it after an unusable step, and keeps
+    it below the feed that reaches the curve end after a landing the end
+    clamps; it gives up after _MAX_FEED_ITERATIONS probes or at feed 0.
+    Once a probe fits, an Illinois secant shrinks the bracket to
+    _BRACKET_REL_WIDTH of its unsafe feed: the deviation grows about as
+    the feed squared, so g is close to linear in x. When the same end
+    moves twice running, the other end's g halves (the probe that forms
+    the bracket is no move); each step stays half the stopping width
+    inside the bracket. An end with deviation 0 or inf has no logarithm,
+    and a bracket that did not halve over three steps may sit on a kink
+    of the deviation: both take a bisection step instead.
     """
-    v = limits.v_max
-    unsafe = None
-    for _ in range(_MAX_FEED_ITERATIONS):
-        delta, u_next, at_next = _probe_step(curve, u, v, limits, at_u)
-        if delta <= limits.delta_max:
-            break
-        unsafe = (v, delta)
-        if math.isinf(delta):
-            v *= 0.5
-        else:
-            v *= min(_FEED_BACKOFF_CAP, math.sqrt(limits.delta_max / delta))
-        if u_next == 1.0:  # each feed reaching the end measures one chord
-            v = min(v, _FEED_BACKOFF_CAP * math.dist(at_u[0], at_next[0]) / limits.Ts)
-    if not delta <= limits.delta_max:
-        raise ScanConvergenceError(
-            f"feed adjustment did not converge at u={u:.6f}"
-        )
-    if unsafe is None:
-        return v, u_next, at_next
-    safe = (v, delta, u_next, at_next)
-    return _refine_ceiling(curve, u, limits, at_u, safe, unsafe)
-
-
-def _refine_ceiling(curve, u, limits, at_u, safe, unsafe):
-    """Shrink a safe/unsafe feed bracket to _BRACKET_REL_WIDTH; returns the
-    safe end's feed, landing and landing jet.
-
-    safe is (feed, deviation, landing, landing jet) and unsafe (feed,
-    deviation), as measured from at_u, the jet at u. The deviation grows
-    about as the square of the feed, so g = log(deviation / tolerance)
-    is close to linear in x = log(feed) and a secant step on it lands
-    near the boundary. The Illinois rule halves the kept end's g
-    whenever the same end moves twice running, so the far end closes
-    too; each step stays at least half the stopping width inside the
-    bracket. An end whose deviation is 0 or inf has no logarithm, and a
-    bracket that failed to halve over three steps may sit on a kink in
-    the deviation: both take a bisection step instead.
-    """
-    v_lo, d_lo, u_lo, at_lo = safe
-    v_hi, d_hi = unsafe
     dmax = limits.delta_max
-    x_lo, x_hi = math.log(v_lo), math.log(v_hi)
-    g_lo = math.log(d_lo / dmax) if d_lo > 0.0 else -math.inf
-    g_hi = math.log(d_hi / dmax)
+    v = limits.v_max
+    delta, u_next, at_next = _probe_step(curve, u, v, limits, at_u)
+    if delta <= dmax:
+        return v, u_next, at_next
+    x = math.log(v)
+    x_lo = g_lo = -math.inf
+    v_lo = 0.0
     margin = 0.5 * _BRACKET_REL_WIDTH
     widths = [math.inf] * 3
-    moved = 0
-    while v_hi - v_lo > _BRACKET_REL_WIDTH * v_hi:
-        width = x_hi - x_lo
-        finite = math.isfinite(g_lo) and math.isfinite(g_hi)
-        if finite and width <= 0.5 * widths[0]:
-            x = x_hi - g_hi * width / (g_hi - g_lo)
-        else:
-            x = 0.5 * (x_lo + x_hi)
-        widths = widths[1:] + [width]
-        x = min(max(x, x_lo + margin), x_hi - margin)
-        v = math.exp(x)
-        delta, u_next, at_next = _probe_step(curve, u, v, limits, at_u)
+    moved, rescales = 0, 1
+    while True:
         if delta <= dmax:
-            x_lo, v_lo, u_lo, at_lo = x, v, u_next, at_next
-            g_lo = math.log(delta / dmax) if delta > 0.0 else -math.inf
             if moved < 0:
                 g_hi *= 0.5
-            moved = -1
+            moved = -1 if v_lo > 0.0 else 0
+            x_lo, v_lo, u_lo, at_lo = x, v, u_next, at_next
+            g_lo = math.log(delta / dmax) if delta > 0.0 else -math.inf
         else:
-            x_hi, v_hi = x, v
-            g_hi = math.log(delta / dmax)
             if moved > 0:
                 g_lo *= 0.5
             moved = 1
-    return v_lo, u_lo, at_lo
+            x_hi, v_hi, g_hi = x, v, math.log(delta / dmax)
+        if v_lo == 0.0:
+            if math.isinf(delta):
+                v *= 0.5
+            else:
+                v *= min(_FEED_BACKOFF_CAP, math.sqrt(dmax / delta))
+            if u_next == 1.0:  # each feed reaching the end measures one chord
+                v = min(v, _FEED_BACKOFF_CAP * math.dist(at_u[0], at_next[0]) / limits.Ts)
+            if rescales == _MAX_FEED_ITERATIONS or not v > 0.0:
+                raise ScanConvergenceError(
+                    f"feed adjustment did not converge at u={u:.6f}"
+                )
+            rescales += 1
+            x = math.log(v)
+        elif v_hi - v_lo <= _BRACKET_REL_WIDTH * v_hi:
+            return v_lo, u_lo, at_lo
+        else:
+            width = x_hi - x_lo
+            finite = math.isfinite(g_lo) and math.isfinite(g_hi)
+            if finite and width <= 0.5 * widths[0]:
+                x = x_hi - g_hi * width / (g_hi - g_lo)
+            else:
+                x = 0.5 * (x_lo + x_hi)
+            widths = widths[1:] + [width]
+            x = min(max(x, x_lo + margin), x_hi - margin)
+            v = math.exp(x)
+        delta, u_next, at_next = _probe_step(curve, u, v, limits, at_u)
 
 
 def _curvature_feed(curve: ParametricCurve, u: float, limits: Limits) -> float:

@@ -67,19 +67,23 @@ class CliError(ValueError):
         self.location = location
 
 
-def load_curve(path: Path) -> ParametricCurve:
-    """Read a curve description from a JSON file."""
+def _read_object(path: str | Path, where: str) -> dict:
+    """The JSON object in a file; every failure is a CliError at where."""
     try:
-        text = Path(path).read_text()
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise CliError(str(exc), location=str(path)) from exc
-    try:
-        data = json.loads(text)
+        raise CliError(str(exc), location=where) from exc
     except json.JSONDecodeError as exc:
-        loc = f"{path}:{exc.lineno}:{exc.colno}"
+        loc = f"{where}:{exc.lineno}:{exc.colno}"
         raise CliError(exc.msg, location=loc) from exc
     if not isinstance(data, dict):
-        raise CliError("expected a JSON object", location=str(path))
+        raise CliError("expected a JSON object", location=where)
+    return data
+
+
+def load_curve(path: Path) -> ParametricCurve:
+    """Read a curve description from a JSON file."""
+    data = _read_object(path, str(path))
     fields = ("degree", "control_points", "weights", "knots")
     for name in fields:
         if name not in data:
@@ -247,16 +251,7 @@ def _load_limits(spec: str, mu_s: float | None) -> Limits:
             return replace(PRESETS[spec], mu_s=mu_s)
         except ValueError as exc:
             raise CliError(str(exc), location="--mu-s") from exc
-    path = Path(spec)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise CliError(str(exc), location=spec) from exc
-    except json.JSONDecodeError as exc:
-        loc = f"{spec}:{exc.lineno}:{exc.colno}"
-        raise CliError(exc.msg, location=loc) from exc
-    if not isinstance(data, dict):
-        raise CliError("expected a JSON object", location=spec)
+    data = _read_object(spec, spec)
     base = asdict(PRESETS["standard"])
     unknown = set(data) - set(base)
     if unknown:

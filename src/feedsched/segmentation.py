@@ -80,14 +80,6 @@ def _default_threshold(u: np.ndarray, v: np.ndarray) -> float:
     return 5.0 * spread / span
 
 
-def _trend_breaks(v: np.ndarray, i: int) -> bool:
-    """Whether the trend reverses at i, or a flat run starts or ends there.
-    Called only where the slope changes, so no more than one side is flat."""
-    if v[i - 1] == v[i] or v[i + 1] == v[i]:
-        return True
-    return (v[i] - v[i - 1]) * (v[i + 1] - v[i]) < 0.0
-
-
 _VALLEY_REL_DEPTH = 0.01
 # Chord deviation grows with the square of feed, so an interior ceiling
 # sagging f below the block's endpoint line costs ~(1+f)^2 in chord
@@ -151,15 +143,13 @@ def find_breakpoints(
     n = u.size
     if n < 3:
         return list(range(n))
-    slopes = np.diff(v) / np.diff(u)
-    factors = np.abs(np.diff(slopes))
+    r = np.diff(v)
+    factors = np.abs(np.diff(r / np.diff(u)))
     threshold = _default_threshold(u, v) if mu_s is None else mu_s
-    picked = [0]
-    for i in range(1, n - 1):
-        if factors[i - 1] > threshold and _trend_breaks(v, i):
-            picked.append(i)
-    picked.append(n - 1)
-    return _add_missed_valleys(u, v, picked)
+    # the trend reverses at a point, or a flat run starts or ends there
+    turns = (r[:-1] * r[1:] < 0.0) | (r[:-1] == 0.0) | (r[1:] == 0.0)
+    inner = np.flatnonzero((factors > threshold) & turns) + 1
+    return _add_missed_valleys(u, v, [0, *inner.tolist(), n - 1])
 
 
 def build_blocks(

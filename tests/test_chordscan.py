@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,20 @@ class TestScanCurve:
         with pytest.raises(ScanConvergenceError, match="not converge at u=0.000000"):
             scan_curve(arc, STD)
 
+    def test_a_feed_that_underflows_to_zero_raises_a_scan_error(self, monkeypatch):
+        # the least positive v_max advances no parameter, and halving it
+        # gives 0 mm/s, a feed that cannot advance either: the scan
+        # reports it after that one probe, as the reference does
+        calls = []
+        step = chordscan.taylor_step
+        monkeypatch.setattr(
+            chordscan, "taylor_step", lambda *a: calls.append(a) or step(*a)
+        )
+        limits = replace(STD, v_max=5e-324)
+        with pytest.raises(ScanConvergenceError, match="not converge at u=0.000000"):
+            scan_curve(make_quarter_circle(radius=2.0), limits)
+        assert len(calls) == 1
+
     def test_a_well_probe_that_does_not_settle_adds_no_sample(self, monkeypatch):
         # both midpoints beside the dip fail their one probe at v_max
         monkeypatch.setattr(chordscan, "_MAX_FEED_ITERATIONS", 1)
@@ -373,6 +388,37 @@ class TestScalarScanReference:
     def test_long_scans_are_bit_identical(self, n):
         curve = random_curve(3, n_ctrl=n, extent=1.5 * n)
         self.assert_same_scan(curve, PRESETS["standard"])
+
+    # end_curl.json caps the rescale at the clamped curve end and then
+    # runs a long bracket; spatial.json is a 3-D curve
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parent / "curves").glob("*.json")),
+        ids=lambda p: p.stem,
+    )
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_committed_curves_scan_bit_identical(self, path, preset):
+        self.assert_same_scan(load_curve(path), PRESETS[preset])
+
+    def test_corpus_scans_probe_as_often(self, monkeypatch):
+        # equal bytes could hide extra probes; the ceiling search takes
+        # exactly the probes of the reference's rescale and secant
+        calls = Counter()
+        step, probe = chordscan.taylor_step, oracles._scalar_probe
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(chordscan, "taylor_step", counted("scan", step))
+        monkeypatch.setattr(oracles, "_scalar_probe", counted("ref", probe))
+        for seed in range(25):
+            curve = random_curve(seed)
+            for limits in PRESETS.values():
+                scan_curve(curve, limits)
+                oracles.scalar_scan(curve, limits)
+        assert calls["scan"] == calls["ref"] > 0
 
     # A degree-5 curve on which a well probe at u = 0.994889 once gave up
     # settling its feed, because the curve end clamped each probe's
