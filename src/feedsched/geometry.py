@@ -186,6 +186,14 @@ class ParametricCurve:
         return starts.tolist(), spans, planar
 
     @cached_property
+    def _span_powers(self) -> np.ndarray:
+        """_spans' coefficients indexed by (power, coordinate, span), for
+        jets to gather a span per parameter along the last axis."""
+        powers = np.ascontiguousarray(self._spans[2].transpose(2, 1, 0))
+        powers.setflags(write=False)
+        return powers
+
+    @cached_property
     def _arc_table(self) -> _ArcTable:
         """Cumulative arc length of the curve, built once from _spans."""
         return _ArcTable(self)
@@ -209,6 +217,24 @@ class ParametricCurve:
             excess = cross * cross / (24.0 * speed**6)
         excess[~np.isfinite(excess)] = 0.0
         return u, np.maximum.accumulate(table.positions(u)), speed, excess
+
+
+def _params_at(grid, s):
+    """Parameters at the running arc lengths s: the cubic Hermite
+    interpolant of u(s) between the grid's nodes, whose slopes there are
+    the reciprocal speeds; linear where a slope or an interval is
+    degenerate."""
+    u, at, speed, _ = grid
+    i = np.clip(np.searchsorted(at, s, side="right") - 1, 0, u.size - 2)
+    h = at[i + 1] - at[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip((s - at[i]) / h, 0.0, 1.0)
+        rise = t * t * (3.0 - 2.0 * t)
+        x = (
+            u[i] + (u[i + 1] - u[i]) * rise
+            + h * t * (1.0 - t) * ((1.0 - t) / speed[i] - t / speed[i + 1])
+        )
+    return np.where(np.isfinite(x), x, np.interp(s, at, u))
 
 
 def _basis_derivatives(
@@ -281,7 +307,7 @@ def _check_param(u: float) -> float:
 def _jet(curve: ParametricCurve, u: float):
     """jet at u in [0, 1]: one Horner pass carries the value, the first and
     half the second derivative of all four homogeneous coordinates, then
-    _cartesian's operations, in its order, convert them."""
+    the quotient rule converts them to the point and its derivatives."""
     starts, spans, planar = curve._span_columns
     mid, (x, y, z, w), lower = spans[max(bisect_right(starts, u) - 1, 0)]
     t = u - mid
@@ -313,21 +339,6 @@ def _jet(curve: ParametricCurve, u: float):
 def evaluate(curve: ParametricCurve, u: float) -> tuple[float, ...]:
     """Point on the curve at parameter u, in curve coordinates (mm)."""
     return _jet(curve, _check_param(u))[0]
-
-
-def _cartesian(hom, dim: int) -> tuple[list, list, list]:
-    """Curve point and first two derivatives from the homogeneous ones.
-
-    hom holds the homogeneous value, first and second derivative, each a
-    sequence of dim + 1 coordinates with the weight last. A coordinate
-    may be a float or an array of them; the arithmetic is the same.
-    """
-    v, d1, d2 = hom
-    w0, w1, w2 = v[dim], d1[dim], d2[dim]
-    c0 = [a / w0 for a in v[:dim]]
-    c1 = [(a - w1 * c) / w0 for a, c in zip(d1, c0)]
-    c2 = [(a - 2.0 * w1 * b - w2 * c) / w0 for a, b, c in zip(d2, c1, c0)]
-    return c0, c1, c2
 
 
 def jet(curve: ParametricCurve, u: float) -> tuple[tuple[float, ...], ...]:
@@ -381,11 +392,27 @@ def jets(curve: ParametricCurve, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if outside.any():
         bad = float(u[outside][0])
         raise CurveDomainError(f"parameter {bad!r} outside [0, 1]")
-    starts, mids, rows = curve._spans
+    starts, mids, _ = curve._spans
     idx = np.maximum(np.searchsorted(starts, u, side="right") - 1, 0)
-    t = (u - mids[idx])[:, None, None]
-    hom = [h[:, :, 0].T for h in _horner(rows[idx], t, 2)]
-    return tuple(np.array(c).T for c in _cartesian(hom, curve.dimension))
+    coeffs = curve._span_powers[:, :, idx]
+    t = u - mids[idx]
+    # the value, first and half the second derivative of every homogeneous
+    # coordinate, stacked, take _jet's Horner steps together; its quotient
+    # rule then acts on whole coordinate rows
+    hom = np.zeros((3,) + coeffs.shape[1:])
+    hom[0] = coeffs[0]
+    for c in coeffs[1:]:
+        lower = hom[:2]
+        hom = hom * t
+        hom[0] += c
+        hom[1:] += lower
+    val, der, half = hom
+    dim = curve.dimension
+    w0, w1, w2 = val[dim], der[dim], 2.0 * half[dim]
+    c0 = val[:dim] / w0
+    c1 = (der[:dim] - w1 * c0) / w0
+    c2 = (2.0 * half[:dim] - 2.0 * w1 * c1 - w2 * c0) / w0
+    return c0.T, c1.T, c2.T
 
 
 def _curvature_radii(curve: ParametricCurve, u: np.ndarray) -> np.ndarray:
@@ -435,9 +462,9 @@ _CLENSHAW_A = tuple((2 * k + 1) / (k + 1) for k in range(16, -1, -1))
 _CLENSHAW_B = tuple((k + 1) / (k + 2) for k in range(16, -1, -1))
 
 
-def _horner(rows, t, order: int) -> tuple[np.ndarray, ...]:
-    """Homogeneous value and derivatives up to order (1 or 2) of many span
-    polynomials at once.
+def _horner(rows, t) -> tuple[np.ndarray, np.ndarray]:
+    """Homogeneous value and first derivative of many span polynomials at
+    once.
 
     rows[i] holds the coefficient rows of item i's span, highest power
     first, and t[i] its offsets from the span midpoint, of shape (1, q);
@@ -446,13 +473,10 @@ def _horner(rows, t, order: int) -> tuple[np.ndarray, ...]:
     """
     val = rows[:, :, :1]
     der = np.zeros_like(val)
-    half = np.zeros_like(val)
     for k in range(1, rows.shape[2]):
-        if order == 2:
-            half = half * t + der
         der = der * t + val
         val = val * t + rows[:, :, k, None]
-    return (val, der, 2.0 * half)[: order + 1]
+    return val, der
 
 
 def _node_speeds(rows, mids, lo, hi) -> np.ndarray:
@@ -463,7 +487,7 @@ def _node_speeds(rows, mids, lo, hi) -> np.ndarray:
     """
     t = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _GL_X
     t = (t - mids[:, None])[:, None, :]
-    val, der = _horner(rows, t, 1)
+    val, der = _horner(rows, t)
     w, dw = val[:, -1:], der[:, -1:]
     d1 = (der[:, :-1] * w - val[:, :-1] * dw) / (w * w)
     return np.sqrt((d1 * d1).sum(axis=1))

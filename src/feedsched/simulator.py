@@ -19,8 +19,8 @@ landing consumes that keeps only landings on the nearer root (_land).
 The first tick a window leaves unlanded is found by a bracketed search
 over many parameters per jets pass (_first_crossing), and the next
 window starts after it. The chord pass then measures every step's
-deviation from the osculating radii at all step midpoints, in one jets
-pass. A plan longer than _MAX_TICKS periods is refused before the walk.
+deviation with the scan's chord measure (chordscan._chord_deviations),
+from the osculating radii at all step midpoints, in one jets pass. A plan longer than _MAX_TICKS periods is refused before the walk.
 
 Chordal stepping consumes slightly more path than the commanded travel
 on curved spans, at most about half the chord tolerance per period, so
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chordscan import Limits, _max_chord_deviation
-from .geometry import ParametricCurve, _curvature_radii, jet, jets
+from .chordscan import Limits, _chord_deviations
+from .geometry import ParametricCurve, _params_at, jet, jets
 from .segmentation import Block
 from .sprofile import Law, ProfileError, sigmoid_law
 
@@ -129,24 +129,6 @@ def _commanded(blocks, law, ticks, total):
     v_s, v_e, T = fits[held].T
     travel, v, a, j = law.state(v_s, v_e, T, t - starts[held])
     return offsets[held] + travel, v, a, j, held
-
-
-def _params_at(grid, s):
-    """Parameters at the running arc lengths s: the cubic Hermite
-    interpolant of u(s) between the grid's nodes, whose slopes there are
-    the reciprocal speeds; linear where a slope or an interval is
-    degenerate."""
-    u, at, speed, _ = grid
-    i = np.clip(np.searchsorted(at, s, side="right") - 1, 0, u.size - 2)
-    h = at[i + 1] - at[i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip((s - at[i]) / h, 0.0, 1.0)
-        rise = t * t * (3.0 - 2.0 * t)
-        x = (
-            u[i] + (u[i + 1] - u[i]) * rise
-            + h * t * (1.0 - t) * ((1.0 - t) / speed[i] - t / speed[i + 1])
-        )
-    return np.where(np.isfinite(x), x, np.interp(s, at, u))
 
 
 def _land(curve, grid, u0, s0, p0, d0, travel, reached):
@@ -255,30 +237,6 @@ def _first_crossing(curve, u0, p0, advance, hi):
     raise SimulationError(f"no landing past u={u0!r} matches {advance:.3e} mm")
 
 
-def _chord_errors(curve, us, points) -> np.ndarray:
-    """Chord deviation of the step into each visit (u, point) from the one
-    before, 0 for the first, as chordscan._chord_deviation measures it:
-    the radii at all nonzero chords' midpoints come from one vectorised
-    call and the arc model's sagitta is taken on arrays; a chord too long
-    for the arc model is sampled on its own."""
-    chords = np.array(list(map(math.dist, points, points[1:])))
-    curved = np.flatnonzero(chords)
-    u = np.array(us)
-    rho = _curvature_radii(curve, 0.5 * (u[curved] + u[curved + 1]))
-    chord = chords[curved]
-    with np.errstate(invalid="ignore"):
-        sag = np.where(
-            np.isinf(rho), 0.0, rho - np.sqrt(rho * rho - 0.25 * chord * chord)
-        )
-    errs = np.zeros(u.size)
-    errs[curved + 1] = sag
-    for i in curved[~np.isinf(rho) & ~(2.0 * rho > chord)].tolist():
-        errs[i + 1] = _max_chord_deviation(
-            curve, us[i], us[i + 1], points[i], points[i + 1]
-        )
-    return errs
-
-
 def interpolate(
     curve: ParametricCurve,
     blocks: list[Block],
@@ -357,10 +315,11 @@ def interpolate(
             )
     us += [1.0] * (n_steps - k)
     points += [jet(curve, 1.0)[0]] * (n_steps - k)
-    errs = _chord_errors(curve, us, points)
-    return Replay(
-        ts, np.array(us), np.array(points), vs, accels, jerks, errs, total
+    u, position = np.array(us), np.array(points)
+    errs = np.append(
+        0.0, _chord_deviations(curve, u[:-1], u[1:], position[:-1], position[1:])
     )
+    return Replay(ts, u, position, vs, accels, jerks, errs, total)
 
 
 def summarize(replay: Replay) -> RunSummary:

@@ -6,14 +6,16 @@ coefficients evaluated directly with numpy, and the optimization
 oracles search feasibility by bisection or dense grids using those
 peaks as the ground truth. The arc-length reference integrates the
 speed from the public ``derivatives`` by adaptive Gauss quadrature.
-The feed-ceiling reference is the scan's former bracket bisection,
-kept verbatim around the library's own step probe, and
-``limit_feedrate`` runs the library's ceiling search from a fresh jet,
-as its former public wrapper did. The geometry
+The scan's former scalar probe lives here, ``_probe_step``: a Taylor
+step, the landing's Newton settle and the scalar chord measure
+``_chord_deviation``. The feed-ceiling reference ``bisect_feedrate`` is
+the scan's former bracket bisection around that probe. The geometry
 reference is the former kernel: one Horner pass per homogeneous
 coordinate, then the conversion to Cartesian. The scan reference is the
-former walk, which evaluates each point and its derivatives separately
-for every probe and Newton iterate. The replay reference
+former walk (``scalar_walk``, and ``scalar_scan`` with its well probes),
+whose ceiling search ``_scalar_feedrate`` rescales from v_max and closes
+an Illinois bracket on one parameter, and which evaluates each point and
+its derivatives separately for every probe and Newton iterate. The replay reference
 is the former tick loop, which evaluates points and derivatives
 separately, finds each tick's block by bisection over the block starts
 (``_Track``) and measures each tick's chord deviation as it goes; it
@@ -38,21 +40,21 @@ from feedsched.baseline import SINE
 from feedsched.chordscan import (
     _BRACKET_REL_WIDTH,
     _FEED_BACKOFF_CAP,
+    _LANDING_MATCH,
     _MAX_FEED_ITERATIONS,
+    _SETTLE_STEPS,
     _WELL_REL_DEPTH,
     ChordScanError,
     FeedrateScatter,
     ScanConvergenceError,
-    _chord_deviation,
-    _curvature_feed,
-    _limit_feedrate,
-    _probe_step,
+    StepDegeneracyError,
+    _max_chord_deviation,
 )
 from feedsched.cli import _BLOCK_HEADER, CliError
 from feedsched.geometry import (
     SingularCurveError,
     _basis_derivatives,
-    _cartesian,
+    curvature_radius,
     derivatives,
     evaluate,
     jet,
@@ -402,10 +404,26 @@ def arc_length(curve, u_a, u_b, rel=1e-12):
     )
 
 
+def _cartesian(hom, dim):
+    """Curve point and first two derivatives from the homogeneous ones, by
+    the quotient rule, as the former kernel converted them.
+
+    hom holds the homogeneous value, first and second derivative, each a
+    sequence of dim + 1 coordinates with the weight last. A coordinate
+    may be a float or an array of them; the arithmetic is the same.
+    """
+    v, d1, d2 = hom
+    w0, w1, w2 = v[dim], d1[dim], d2[dim]
+    c0 = [a / w0 for a in v[:dim]]
+    c1 = [(a - w1 * c) / w0 for a, c in zip(d1, c0)]
+    c2 = [(a - 2.0 * w1 * b - w2 * c) / w0 for a, b, c in zip(d2, c1, c0)]
+    return c0, c1, c2
+
+
 def reference_jet(curve, u):
     """Point, first and second derivative at u by the former kernel: the
     span's power-basis rows rebuilt from geometry._basis_derivatives,
-    one Horner pass per homogeneous coordinate, then geometry._cartesian.
+    one Horner pass per homogeneous coordinate, then _cartesian.
     Reads none of the curve's cached tables."""
     p, knots = curve.degree, curve.knots
     spans = [i for i in range(p, len(curve.control_points)) if knots[i] < knots[i + 1]]
@@ -470,32 +488,98 @@ def _scalar_probe(curve, u, v, limits, p0):
     return _chord_deviation(curve, u, x, p0, p), x
 
 
-def limit_feedrate(curve, u, limits):
-    """The scan's chord-safe feed ceiling at u and the parameter it
-    advances to, from a fresh jet at u: the library's former public
-    wrapper around its ceiling search."""
-    return _limit_feedrate(curve, u, jet(curve, u), limits)[:2]
+def _taylor_step(d1, d2, u, v, Ts):
+    """The scan's former scalar second-order step: the parameter reached
+    after one period at feed v from u, where the first two derivatives are
+    d1 and d2, clamped at the curve end; a reversed step raises."""
+    if v == 0.0:
+        return u
+    speed_sq = sum(c * c for c in d1)
+    if speed_sq <= 0.0:
+        raise SingularCurveError(f"vanishing first derivative at u={u}")
+    speed = math.sqrt(speed_sq)
+    dot = sum(a * b for a, b in zip(d1, d2))
+    u_next = u + v * Ts / speed - dot / (2.0 * speed_sq * speed_sq) * v * v * Ts * Ts
+    if u_next < u:
+        raise StepDegeneracyError(f"parameter step reversed at u={u:.6f}")
+    return min(u_next, 1.0)
+
+
+def _chord_deviation(curve, u_a, u_b, p_a, p_b):
+    """The scan's scalar chord measure: deviation (mm) of the chord p_a
+    p_b from the curve on [u_a, u_b], the points at u_a <= u_b, by the
+    circular-arc model with the osculating radius at the midpoint
+    parameter; zero for a zero chord or a straight span, and sampled
+    directly when the chord is too long for the arc model. The chord's
+    length sums its squares coordinate by coordinate, as the library's
+    array measure does."""
+    chord = math.sqrt(sum((b - a) * (b - a) for a, b in zip(p_a, p_b)))
+    if chord == 0.0:
+        return 0.0
+    rho = curvature_radius(curve, 0.5 * (u_a + u_b))
+    if math.isinf(rho):
+        return 0.0
+    if 2.0 * rho > chord:
+        return rho - math.sqrt(rho * rho - 0.25 * chord * chord)
+    return _max_chord_deviation(curve, u_a, u_b, p_a, p_b)
+
+
+def _settle_landing(curve, u, u_pred, target, p0):
+    """The scan's former scalar landing: Newton corrections, one jet per
+    iterate, until the chord from p0 (the point at u) matches the advance
+    target within _LANDING_MATCH of it, at most _SETTLE_STEPS of them, each
+    kept at least a quarter of the predicted step past u and clamped at
+    the curve end. Returns the landing and its jet."""
+    x = u_pred
+    for _ in range(_SETTLE_STEPS):
+        p, d1, _ = at_x = jet(curve, x)
+        gap = target - math.dist(p, p0)
+        speed = math.sqrt(sum(c * c for c in d1))
+        if abs(gap) <= _LANDING_MATCH * target or speed <= 0.0:
+            return x, at_x
+        x = min(max(x + gap / speed, u + 0.25 * (u_pred - u)), 1.0)
+        if x >= 1.0:
+            break
+    return x, jet(curve, x)
+
+
+def _probe_step(curve, u, v, limits, at_u):
+    """The scan's former scalar probe: the chord deviation of one period
+    at feed v from u, inf for a step that does not advance, with the
+    landing and its jet; at_u is the jet at u."""
+    p0, d1, d2 = at_u
+    try:
+        u_next = _taylor_step(d1, d2, u, v, limits.Ts)
+    except StepDegeneracyError:
+        u_next = u
+    if u_next <= u:
+        return math.inf, u, at_u
+    u_next, at_next = _settle_landing(curve, u, u_next, v * limits.Ts, p0)
+    return _chord_deviation(curve, u, u_next, p0, at_next[0]), u_next, at_next
 
 
 def _scalar_feedrate(curve, u, limits):
     """The former limit_feedrate: rescale from v_max, then the Illinois
-    secant on log deviation against log feed down to the bracket width."""
+    secant on log deviation against log feed down to the bracket width.
+    An unsafe probe whose landing the curve end clamped enters the bracket
+    at the feed whose step just reaches the end, as the library's search
+    does."""
     p0 = evaluate(curve, u)
     dmax = limits.delta_max
+    reach = math.dist(p0, evaluate(curve, 1.0)) / limits.Ts
     v = limits.v_max
     unsafe = None
     for _ in range(_MAX_FEED_ITERATIONS):
         delta, u_next = _scalar_probe(curve, u, v, limits, p0)
         if delta <= dmax:
             break
-        unsafe = (v, delta)
+        unsafe = (min(v, reach) if u_next == 1.0 else v, delta)
         if math.isinf(delta):
             v *= 0.5
         else:
             v *= min(_FEED_BACKOFF_CAP, math.sqrt(dmax / delta))
         if u_next == 1.0:
-            end = math.dist(p0, evaluate(curve, 1.0))
-            v = min(v, _FEED_BACKOFF_CAP * end / limits.Ts)
+            v = min(v, _FEED_BACKOFF_CAP * reach)
         if not v > 0.0:
             break
     if not delta <= dmax:
@@ -527,7 +611,8 @@ def _scalar_feedrate(curve, u, limits):
                 g_hi *= 0.5
             moved = -1
         else:
-            x_hi, v_hi = x, v
+            v_hi = min(v, reach) if u_next == 1.0 else v
+            x_hi = math.log(v_hi)
             g_hi = math.log(delta / dmax)
             if moved > 0:
                 g_lo *= 0.5
@@ -535,20 +620,38 @@ def _scalar_feedrate(curve, u, limits):
     return v_lo, u_lo
 
 
-def scalar_scan(curve, limits):
-    """The former scan_curve: each point's ceiling searched from a fresh
-    evaluate, then midpoint probes beside every pronounced dip."""
-    us, vs = [0.0], []
+def _curvature_feed(curve, u, limits):
+    """The scan's former scalar end ceiling: the steady-state chord-safe
+    feed from the osculating radius at u."""
+    rho = curvature_radius(curve, u)
+    if math.isinf(rho):
+        return limits.v_max
+    d = min(limits.delta_max, rho)
+    v = (2.0 / limits.Ts) * math.sqrt(d * (2.0 * rho - d))
+    return min(limits.v_max, v)
+
+
+def scalar_walk(curve, limits):
+    """The former walk: each sample's ceiling searched from a fresh
+    evaluate, up to the sample whose landing is the curve end. Returns the
+    samples and their ceilings."""
+    us, vs = [], []
     u = 0.0
-    while u < 1.0:
+    while True:
         v, u_next = _scalar_feedrate(curve, u, limits)
-        if u_next >= 1.0:
-            us.append(1.0)
-            vs.append(min(v, _curvature_feed(curve, u, limits)))
-            break
-        us.append(u_next)
+        us.append(u)
         vs.append(v)
+        if u_next >= 1.0:
+            return us, vs
         u = u_next
+
+
+def scalar_scan(curve, limits):
+    """The former scan_curve: the former walk, then midpoint probes beside
+    every pronounced dip."""
+    us, vs = scalar_walk(curve, limits)
+    vs[-1] = min(vs[-1], _curvature_feed(curve, us[-1], limits))
+    us.append(1.0)
     vs.append(min(vs[-1], _curvature_feed(curve, 1.0, limits)))
     pairs = list(zip(us, vs))
     for i in range(1, len(us) - 1):

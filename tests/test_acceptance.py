@@ -16,11 +16,10 @@ from conftest import make_quarter_circle
 from scipy.integrate import quad
 
 from feedsched.baseline import SINE, sine_schedule
-from feedsched import chordscan
 from feedsched.chordscan import FeedrateScatter, scan_curve
 from feedsched.cli import PRESETS, main
 from feedsched.curvegen import random_curve
-from feedsched.geometry import arc_length, jet
+from feedsched.geometry import arc_length
 from feedsched.optimizer import (
     InfeasibleJunctionError,
     adjust_peak_junction,
@@ -35,7 +34,8 @@ CORPUS_SEEDS = tuple(range(25))
 CHORD_HEADROOM = 1.05
 PEAK_SLACK = 1e-12
 # A plan may move by at most this fraction of its total time when every
-# scan landing moves back by 1e-6 of its step (measured: 3.2e-6).
+# scan landing moves back by 1e-6 of its step (measured: 3.2e-6), or when
+# the windowed scan replaces the scalar walk.
 SHIFT_MOVE = 1e-5
 
 
@@ -174,26 +174,30 @@ def test_shaped_profiles_beat_sine_baseline_on_shared_segmentation(corpus):
 
 
 def shifted_corpus(corpus, shift):
-    """Reschedule the corpus from scans whose every landing short of u = 1
-    moves back by shift of its step, with its jet taken again there, so
-    the walk probes on from the moved landing. Returns the largest
-    relative move of a plan's total time and how many plans changed
-    their breakpoint count."""
-    limit_feedrate = chordscan._limit_feedrate
+    """Reschedule the corpus from the reference walk (oracles.scalar_scan)
+    with every landing short of u = 1 moved back by shift of its step, so
+    that the walk probes on from the moved landing. Returns the largest
+    relative move of a plan's total time from the corpus plan, scanned by
+    scan_curve, and how many plans changed their breakpoint count. Both
+    presets share a curve's scan: it reads only Ts, delta_max and v_max."""
+    feedrate = oracles._scalar_feedrate
 
-    def shifted(curve, u, at_u, limits):
-        v, u_next, at_next = limit_feedrate(curve, u, at_u, limits)
+    def shifted(curve, u, limits):
+        v, u_next = feedrate(curve, u, limits)
         if u_next < 1.0:
             u_next = u + (1.0 - shift) * (u_next - u)
-            at_next = jet(curve, u_next)
-        return v, u_next, at_next
+        return v, u_next
 
     move, recounted = 0.0, 0
+    scans = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chordscan, "_limit_feedrate", shifted)
+        patch.setattr(oracles, "_scalar_feedrate", shifted)
         for r in corpus:
             curve, limits = random_curve(r.seed), PRESETS[r.preset]
-            scatter = scan_curve(curve, limits)
+            key = (r.seed, limits.Ts, limits.delta_max, limits.v_max)
+            if key not in scans:
+                scans[key] = oracles.scalar_scan(curve, limits)
+            scatter = scans[key]
             bps = find_breakpoints(scatter, mu_s=limits.mu_s)
             blocks = build_blocks(curve, scatter, bps)
             plan = schedule(curve, blocks, scatter, limits)
@@ -202,11 +206,19 @@ def shifted_corpus(corpus, shift):
             recounted += len(bps) != r.breakpoints
     report(
         move <= SHIFT_MOVE and not recounted,
-        f"landings moved back by {shift:g} of a step",
+        f"reference landings moved back by {shift:g} of a step",
         f"{len(corpus)} plans; largest move {100.0 * move:.3g} %; "
         f"{recounted} breakpoint counts change",
     )
     return move, recounted
+
+
+def test_plans_match_the_reference_walk(corpus):
+    # every plan from the windowed scan lies within SHIFT_MOVE of the plan
+    # from the scalar walk it replaces, with the same breakpoints
+    move, recounted = shifted_corpus(corpus, 0.0)
+    assert move <= SHIFT_MOVE
+    assert recounted == 0
 
 
 def test_plans_do_not_jump_when_the_scan_landings_move_by_rounding(corpus):

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
 import oracles
+from oracles import _chord_deviation
 from conftest import make_full_circle, make_line, make_quarter_circle, nurbs_curves
-from feedsched import geometry, simulator, sprofile
+from feedsched import chordscan, geometry, simulator, sprofile
 from feedsched.baseline import SINE, sine_schedule
 from feedsched.chordscan import (
-    ChordScanError, FeedrateScatter, Limits, _chord_deviation, scan_curve,
+    ChordScanError, FeedrateScatter, Limits, _chord_deviations, scan_curve,
 )
 from feedsched.cli import PRESETS, load_curve
 from feedsched.curvegen import random_curve
@@ -227,6 +228,11 @@ class TestChordPass:
         (1.0,) * 4, (0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0),
     )
 
+    @staticmethod
+    def steps(curve, us, points):
+        u, p = np.array(us), np.array(points)
+        return _chord_deviations(curve, u[:-1], u[1:], p[:-1], p[1:])
+
     def test_equals_scalar_chord_deviation(self):
         # hairpin: midpoint radius 0.025 mm against a 1 mm chord, so the
         # arc model gives way to the sampled deviation
@@ -241,18 +247,17 @@ class TestChordPass:
         ]
         for curve, us in cases:
             points = [evaluate(curve, u) for u in us]
-            want = [0.0] + [
+            want = [
                 _chord_deviation(curve, *us[i:i + 2], *points[i:i + 2])
                 for i in range(len(us) - 1)
             ]
-            assert simulator._chord_errors(curve, us, points).tolist() == want
-        assert want[1] == pytest.approx(5.0, abs=1e-9)  # the hairpin's bulge
+            assert self.steps(curve, us, points).tolist() == want
+        assert want[0] == pytest.approx(5.0, abs=1e-9)  # the hairpin's bulge
 
     def test_zero_chord_skips_the_radius(self):
         # a zero step at the cusp reports 0 instead of raising
         point = evaluate(self.CUSP, 0.5)
-        errs = simulator._chord_errors(self.CUSP, [0.5, 0.5], [point] * 2)
-        assert errs.tolist() == [0.0, 0.0]
+        assert self.steps(self.CUSP, [0.5, 0.5], [point] * 2).tolist() == [0.0]
 
     def test_singular_midpoint_raises_like_scalar(self):
         us = [0.1, 0.2, 0.4, 0.6]
@@ -260,7 +265,7 @@ class TestChordPass:
         with pytest.raises(SingularCurveError, match="u=0.5"):
             _chord_deviation(self.CUSP, 0.4, 0.6, *points[2:])
         with pytest.raises(SingularCurveError, match="u=0.5"):
-            simulator._chord_errors(self.CUSP, us, points)
+            self.steps(self.CUSP, us, points)
 
 
 # the benchmark's corpus paths: curve seed and preset
@@ -408,8 +413,8 @@ class TestReplayWork:
             counting("searched", simulator._first_crossing),
         )
         monkeypatch.setattr(
-            simulator, "_curvature_radii",
-            counting("radii", simulator._curvature_radii),
+            chordscan, "_curvature_radii",
+            counting("radii", chordscan._curvature_radii),
         )
         for curve, *_ in corpus_plans:
             curve.__dict__.pop("_arc_grid", None)
