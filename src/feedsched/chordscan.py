@@ -9,12 +9,16 @@ scatter of per-parameter feed ceilings used by the downstream scheduler.
 The walk runs in windows of up to _WINDOW_SAMPLES samples (_walk). A
 window predicts its samples from the closed-form ceiling (_predict),
 certifies all their ceilings at once in masked probe rounds on arrays
-(_ceilings, one taylor_step call per round), and corrects the chain of
-samples by the forward recurrence of its bidiagonal Jacobian until each
-sample's certified landing is the next sample (_window). A window stops
-at its first link that does not settle, and the next starts from that
-sample's exact landing. _chord_deviations is the chord measure of both
-the probes and the replay.
+(_ceilings, one taylor_step call per round), each search opened at its
+predicted feed beside the scalar search's descent from v_max, and
+corrects the chain of samples by the forward recurrence of its
+bidiagonal Jacobian until each sample's certified landing is the next
+sample (_window). Where a root is in doubt, or the chain carries small
+changes of its landings into large ones, the samples take the scalar
+search itself, opened at v_max, so that the walk follows the one it
+replaced. A window ends early at a link that does not settle, and the
+next starts from that sample's exact landing. _chord_deviations is the
+chord measure of both the probes and the replay.
 """
 
 from __future__ import annotations
@@ -65,12 +69,18 @@ _PAIR_SPAN = 1e-3
 # fraction, after at most _SETTLE_STEPS Newton corrections.
 _LANDING_MATCH = 1e-4
 _SETTLE_STEPS = 3
-# The walk certifies up to _WINDOW_SAMPLES samples at once, in at most
-# _WINDOW_ROUNDS rounds, until each landing matches the next sample within
-# _LINK_MATCH of its step.
+# The walk certifies up to _WINDOW_SAMPLES samples at once, until each
+# landing matches the next sample within _LINK_MATCH of its step; a
+# window whose links still miss after _WINDOW_ROUNDS rounds ends early.
 _WINDOW_SAMPLES = 512
 _WINDOW_ROUNDS = 8
 _LINK_MATCH = 1e-10
+# Where the closed-form prediction misses a ceiling by more than a factor
+# e^_PREDICT_TRUST, the window gives the samples up to it the scalar
+# search (_odd); a ceiling that search found stays its own while its
+# sample moves less than _SCALAR_MOVE of its step.
+_PREDICT_TRUST = 0.1
+_SCALAR_MOVE = 1e-6
 _FALLBACK_SAMPLES = 33
 _MAX_SCAN_POINTS = 5_000_000
 # A dip only gets midpoint probes when a neighbour sits at least this
@@ -164,7 +174,7 @@ def _norms(rows):
     return np.sqrt((rows * rows).sum(axis=1))
 
 
-def taylor_step(d1, d2, u, v, Ts: float, strict: bool = True):
+def taylor_step(d1, d2, u, v, Ts: float):
     """Parameters reached after one period at feed v, second-order accurate.
 
     d1 and d2 are the curve's first two derivatives at u, one row per
@@ -172,8 +182,7 @@ def taylor_step(d1, d2, u, v, Ts: float, strict: bool = True):
     lone derivatives with float u and v give a float. Clamps at the curve
     end. A step whose curvature correction overwhelms the first-order
     advance, which signals a feed far too large for the local geometry,
-    raises StepDegeneracyError, or with strict=False comes back as u, a
-    step that does not advance.
+    comes back as u: a step that does not advance.
     """
     d1, d2, u, v = (np.asarray(a, dtype=float) for a in (d1, d2, u, v))
     if (v < 0.0).any():
@@ -192,15 +201,7 @@ def taylor_step(d1, d2, u, v, Ts: float, strict: bool = True):
             bad = np.broadcast_to(u, singular.shape)[singular].flat[0]
             raise SingularCurveError(f"vanishing first derivative at u={bad}")
         u_next = np.where(still, u, u_next)
-    back = u_next < u
-    if back.any():
-        if strict:
-            at, feed = (np.broadcast_to(a, back.shape)[back].flat[0] for a in (u, v))
-            raise StepDegeneracyError(
-                f"parameter step reversed at u={at:.6f} for v={feed:.3f}"
-            )
-        u_next = np.where(back, u, u_next)
-    return np.minimum(u_next, 1.0)[()]
+    return np.minimum(np.where(u_next < u, u, u_next), 1.0)[()]
 
 
 def _max_chord_deviation(curve, u_a, u_b, p_a, p_b) -> float:
@@ -284,7 +285,7 @@ def _probe(curve, u, v, at_u, Ts):
     that does not advance, with the landings and their jets; at_u holds
     the jets at u."""
     p0, d1, d2 = at_u
-    u_pred = taylor_step(d1, d2, u, v, Ts, False)
+    u_pred = taylor_step(d1, d2, u, v, Ts)
     go = u_pred > u
     if go.all():
         land, at_land = _settle(curve, u, u_pred, v * Ts, p0)
@@ -308,22 +309,27 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
     at_u holds the jets at u. Each search keeps one bracket, the last
     safe and the last unsafe probe, each as x = log(feed), g =
     log(deviation / tolerance) and the feed; every round probes a few
-    feeds per unfinished search, all in one _probe call. A search opens
-    at first[i] (at most v_max, which ends it if it fits). Until the
-    bracket has both ends, each probe steps past the root that the
-    deviation's power law predicts, g falling by its exponent times the
-    step in x, by a hundredth of that step more plus half the stopping
-    width times 8 to the number of one-sided probes so far; a deviation
-    of 0 goes to v_max, an unusable step halves the feed. The exponent is
-    the one the last two probes show, else 2 (the sagitta of a chord)
-    less the chord's relative rate of change with its midpoint, slope[i],
-    times the step from u (a faster chord moves its own midpoint). An
-    unsafe probe whose landing the curve end clamped enters the bracket
-    at the feed whose step just reaches the end, dist(C(u), C(1)) / Ts,
-    since every feed past it measures the same chord; one whose step the
-    curvature correction reversed at the feed where that begins; the
-    next probe then goes just below that end. A search gives up after
-    _MAX_FEED_ITERATIONS one-sided probes or at feed 0.
+    feeds per unfinished search, all in one _probe call. An unsafe probe
+    whose landing the curve end clamped enters the bracket at the feed
+    whose step just reaches the end, dist(C(u), C(1)) / Ts, since every
+    feed past it measures the same chord; one whose step the curvature
+    correction reversed at the feed where that begins. A search gives up
+    after _MAX_FEED_ITERATIONS one-sided probes or at feed 0.
+
+    A search with first[i] nan is the scalar search the walk replaced:
+    it opens at v_max, which ends it if it fits, and each unsafe probe
+    rescales the feed by sqrt(tolerance / deviation), at most
+    _FEED_BACKOFF_CAP, until a probe fits (_descend). Any other search
+    opens at first[i], at most v_max; until its bracket has both ends,
+    each probe steps past the root that the deviation's power law
+    predicts, g falling by its exponent times the step in x, by a
+    hundredth of that step more plus half the stopping width times 8 to
+    the number of one-sided probes so far; a deviation of 0 goes to
+    v_max, an unusable step halves the feed, and below an unsafe end at
+    such an edge the next probe goes just under it. The exponent is the
+    one the last two probes show, else 2 (the sagitta of a chord) less
+    the chord's relative rate of change with its midpoint, slope[i],
+    times the step from u (a faster chord moves its own midpoint).
 
     Once both ends exist, an Illinois secant shrinks the bracket to
     _BRACKET_REL_WIDTH of its unsafe feed: g is close to linear in x.
@@ -331,22 +337,20 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
     step stays half the stopping width inside the bracket. An end with
     deviation 0 or inf has no logarithm, and a bracket that did not halve
     over three steps may sit on a kink of the deviation: both take a
-    bisection step instead. Once a secant step falls in a bracket at most
-    _PAIR_SPAN wide, a quarter of the stopping width either side of it is
-    probed, which closes the bracket when the secant was that close. A
-    search whose safe end lands on the curve end is the walk's last, whose
-    feed the curvature ceiling caps: it is done once it fits that.
+    bisection step instead. Outside the scalar search, a secant step in a
+    bracket at most _PAIR_SPAN wide is probed as a pair, a quarter of the
+    stopping width either side of it, which closes the bracket when the
+    secant was that close. A search whose safe end lands on the curve end
+    is the walk's last, whose feed the curvature ceiling caps: it is done
+    once it fits that.
 
-    A search opened below v_max also takes, beside it, the descent from
-    v_max of the scalar search the walk replaces: each unsafe probe
-    rescales the feed by sqrt(tolerance / deviation), at most
-    _FEED_BACKOFF_CAP (halving it after an unusable step, and keeping it
-    below that cap of the end's reach after a landing on the end), until
-    a probe fits, and gives up as the search does. Where the deviation
-    does not grow with the feed, the root found from first[i] may lie
-    outside the descent's bracket, its first safe probe and the unsafe one
-    before it; the search then starts again from that bracket, as the
-    scalar search did.
+    A search opened below v_max with no second[i] also runs the scalar
+    search's descent beside it, and is done only once that descent has
+    found its first safe probe (or would, as the deviation grows with the
+    feed, at the safe end found beside it). Where the root found lies
+    outside the descent's bracket, its first safe probe and the unsafe
+    end before it, the scalar search would find another root: the search
+    is in doubt.
 
     A finite second[i] reopens a bracket carried over from a nearby
     parameter, first[i] its safe end and second[i] its unsafe one, both
@@ -359,8 +363,9 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
     there without a probe.
 
     Returns the safe feeds, the unsafe ends (inf where v_max fits), the
-    landings of the safe feeds and their jets, and a mask of the
-    searches that gave up.
+    landings of the safe feeds and their jets, a mask of the searches
+    that gave up, one of the unsafe ends at a feed where a step reverses
+    or reaches the curve end, and one of the searches in doubt.
     """
     n = u.size
     dmax, v_max, Ts = limits.delta_max, limits.v_max, limits.Ts
@@ -381,20 +386,21 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
     edge = np.zeros(n, dtype=bool)
     # the feed whose step just reaches the curve end
     reach = _norms(jet(curve, 1.0)[0] - at_u[0]) / Ts
-    # the descent: its next feed (nan once over), its unsafe probes, its
-    # first safe probe (feed 0 until then) and the unsafe end before it
+    # the scalar search's, opened at v_max
+    exact = np.isnan(first)
+    # the scalar search's descent beside a search opened at a feed below
+    # v_max: its next feed (nan once over), its probes, its first safe
+    # feed (0 until then) and its last unsafe end
     fall = np.full(n, math.nan)
     falls = np.zeros(n, dtype=int)
-    s_x, s_g, s_v, s_land = np.zeros(n), np.zeros(n), np.zeros(n), u.copy()
-    s_at = [a.copy() for a in at_u[:2]]
-    h_x, h_g, h_v = np.full(n, math.inf), np.full(n, math.inf), np.full(n, math.inf)
-    h_edge = np.zeros(n, dtype=bool)
+    s_v, h_v = np.zeros(n), np.full(n, math.inf)
+    doubt = np.zeros(n, dtype=bool)
 
     def unsafe_end(i, f, d, landing):
         # where an unsafe probe enters the bracket, and whether that is an
-        # edge: the reach after a landing on the end, or the feed where a
-        # step the curvature correction reversed begins to reverse,
-        # 2 |C'|^3 / (Ts C'.C'')
+        # edge: the reach after a landing on the curve end, or the feed
+        # where a step the curvature correction reversed begins to
+        # reverse, 2 |C'|^3 / (Ts C'.C'')
         ended = (landing == 1.0) & (reach[i] < f)
         f_hi = np.where(ended, reach[i], f)
         turned = np.isinf(d) & (landing == u[i])
@@ -430,43 +436,9 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
         moved[t] = 1
         x_hi[t], v_hi[t], g_hi[t] = np.log(f_hi[b]), f_hi[b], g[b]
 
-    def descend(i, f, d, landing, at_landing):
-        with np.errstate(divide="ignore"):
-            g = np.log(d / dmax)
-        safe = d <= dmax
-        s, t = i[safe], i[~safe]
-        s_x[s], s_g[s], s_v[s], s_land[s] = np.log(f[safe]), g[safe], f[safe], landing[safe]
-        s_at[0][s], s_at[1][s] = at_landing[0][safe], at_landing[1][safe]
-        fall[s] = math.nan
-        f_hi, at_edge = unsafe_end(i, f, d, landing)
-        h_v[t], h_g[t], h_edge[t] = f_hi[~safe], g[~safe], at_edge[~safe]
-        h_x[t] = np.log(h_v[t])
-        d = d[~safe]
-        with np.errstate(divide="ignore"):
-            nxt = f[~safe] * np.where(
-                np.isinf(d), 0.5, np.minimum(_FEED_BACKOFF_CAP, np.sqrt(dmax / d))
-            )
-        # halvings that would all reverse their steps are taken at once
-        turned = at_edge[~safe] & (landing[~safe] < 1.0)
-        if turned.any():
-            top, turn = f[~safe][turned], f_hi[~safe][turned]
-            halves = np.floor(np.log2(top / turn)) + 1.0
-            halves += top * 0.5**halves >= turn
-            nxt[turned] = top * 0.5**halves
-        ended = landing[~safe] == 1.0
-        nxt[ended] = np.minimum(nxt[ended], _FEED_BACKOFF_CAP * reach[t[ended]])
-        fall[t] = nxt
-        falls[t] += 1
-        failed[t[(falls[t] >= _MAX_FEED_ITERATIONS) | ~(nxt > 0.0)]] = True
-
     live = np.arange(n)
-    f = np.where(first > 0.0, np.minimum(first, v_max), v_max)
-    # the descent opens at v_max: for every search opened cold, and for a
-    # carried-over one whose step at v_max may reach the curve end, where
-    # a landing on the end sets the descent's unsafe end at the reach
-    with np.errstate(divide="ignore"):
-        near_end = u + 2.0 * v_max * Ts / _norms(at_u[1]) >= 1.0
-    fall[(f < v_max) & (~np.isfinite(second) | near_end)] = v_max
+    f = np.where(exact, v_max, np.minimum(first, v_max))
+    fall[~exact & np.isnan(second) & (f < v_max)] = v_max
     second = np.minimum(second, v_max)
     # a carried-over unsafe end at the reach stays there
     with np.errstate(invalid="ignore"):
@@ -497,10 +469,19 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
         if pair.size:
             record(pair, upper, d_pair, l_pair, at_pair)
         if falling.size:
-            descend(falling, f[j:], d[j:], landing[j:], [a[j:] for a in at_landing])
+            f, d, landing = f[j:], d[j:], landing[j:]
+            safe = d <= dmax
+            s_v[falling[safe]], fall[falling[safe]] = f[safe], math.nan
+            t, f, d, landing = falling[~safe], f[~safe], d[~safe], landing[~safe]
+            h_v[t], at_edge = unsafe_end(t, f, d, landing)
+            nxt = _descend(f, d, landing, h_v[t], at_edge, reach[t], dmax)
+            falls[t] += 1
+            over = (falls[t] >= _MAX_FEED_ITERATIONS) | ~(nxt > 0.0)
+            doubt[t[over]] = True
+            fall[t] = np.where(over, math.nan, nxt)
         # a descent whose next feed falls to the safe end found beside it,
         # and whose last unsafe end lies above that, would fit there as the
-        # deviation grows with the feed: it ends without a bracket of its own
+        # deviation grows with the feed: it ends without a bracket
         fall[(fall <= v_lo) & (h_v >= v_lo)] = math.nan
 
         lo, hi = v_lo[live], v_hi[live]
@@ -508,25 +489,16 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
         with np.errstate(invalid="ignore"):
             narrow = hi - lo <= stop[live] * hi
         found = (lo >= v_max) | (bracket & narrow) | (lo >= enough[live])
-        # a search done beside its descent holds while the descent lasts,
-        # and starts again from the descent's bracket if its root lies
-        # outside it
-        over = found & (s_v[live] > 0.0) & np.isnan(fall[live])
-        outside = over & ((s_v[live] > lo) | (lo > h_v[live]))
-        i = live[outside]
-        x_lo[i], g_lo[i], v_lo[i], land[i] = s_x[i], s_g[i], s_v[i], s_land[i]
-        at_land[0][i], at_land[1][i] = s_at[0][i], s_at[1][i]
-        x_hi[i], g_hi[i], v_hi[i], edge[i] = h_x[i], h_g[i], h_v[i], h_edge[i]
-        moved[i], widths[i], s_v[i] = 0, math.inf, 0.0
-        bracket[outside] = np.isfinite(v_hi[i])
-        found[outside] = v_lo[i] >= v_max
         done = found & np.isnan(fall[live])
         pair = upper = live[:0]
         i = live[bracket & ~found]
         if i.size:
-            pair, upper = _illinois(i, x_lo, g_lo, x_hi, g_hi, widths, stop, feed, edge)
+            pair, upper = _illinois(i, x_lo, g_lo, x_hi, g_hi, widths, stop, feed, edge, exact)
         i = live[~bracket & ~found]
         if i.size:
+            down = i[exact[i]]
+            feed[down] = _descend(feed[down], dev[down], lam[down], v_hi[down], edge[down], reach[down], dmax)
+            i = i[~exact[i]]
             up = v_lo[i] > 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 power = 2.0 - slope[i] * (lam[i] - u[i])
@@ -545,21 +517,45 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
             nxt[below] = v_hi[i[below]] * (1.0 - 0.5 * stop[i[below]])
             if raised is not None:
                 nxt = np.where(raised[i], v_lo[i] * (1.0 + 0.9 * _BRACKET_REL_WIDTH), nxt)
-            nxt = np.minimum(nxt, v_max)
-            feed[i] = nxt
+            feed[i] = np.minimum(nxt, v_max)
+            i = np.concatenate([down, i])
             opens[i] += 1
-            failed[i[(opens[i] >= _MAX_FEED_ITERATIONS) | ~(nxt > 0.0)]] = True
+            failed[i[(opens[i] >= _MAX_FEED_ITERATIONS) | ~(feed[i] > 0.0)]] = True
         raised = None
         searching = live[~found]
         live = live[~done]
         live = live[~failed[live]]
         if not live.size:
-            return v_lo, v_hi, land, at_land, failed
+            # a root outside the descent's bracket is not the one the
+            # scalar search finds
+            doubt |= (s_v > v_lo) | (v_lo > h_v)
+            return v_lo, v_hi, land, at_land, failed, edge, doubt
         searching = searching[~failed[searching]]
         f = feed[searching]
 
 
-def _illinois(i, x_lo, g_lo, x_hi, g_hi, widths, stop, feed, edge):
+def _descend(f, d, landing, f_hi, at_edge, reach, dmax):
+    """The scalar search's next feeds after unsafe probes at feeds f,
+    with deviations d and landings landing, which entered the bracket at
+    f_hi (at_edge where a step reverses or reaches the curve end there):
+    each feed rescaled by sqrt(tolerance / deviation), at most
+    _FEED_BACKOFF_CAP, or halved after an unusable step (all the halvings
+    that would still reverse the step at once), and kept below that cap
+    of the end's reach after a landing on the end."""
+    with np.errstate(divide="ignore"):
+        nxt = f * np.where(np.isinf(d), 0.5, np.minimum(_FEED_BACKOFF_CAP, np.sqrt(dmax / d)))
+    ended = landing == 1.0
+    turned = at_edge & ~ended
+    if turned.any():
+        top, turn = f[turned], f_hi[turned]
+        halves = np.floor(np.log2(top / turn)) + 1.0
+        halves += top * 0.5**halves >= turn
+        nxt[turned] = top * 0.5**halves
+    nxt[ended] = np.minimum(nxt[ended], _FEED_BACKOFF_CAP * reach[ended])
+    return nxt
+
+
+def _illinois(i, x_lo, g_lo, x_hi, g_hi, widths, stop, feed, edge, exact):
     """Set in feed the next feeds of the bracketed searches i: an Illinois
     secant step in log feed, or a bisection step where an end's g is not
     finite or the bracket did not halve over three steps, kept half the
@@ -579,7 +575,7 @@ def _illinois(i, x_lo, g_lo, x_hi, g_hi, widths, stop, feed, edge):
         )
     widths[i] = np.column_stack([widths[i, 1:], width])
     margin = 0.5 * stop[i]
-    both = secant & (width <= _PAIR_SPAN)
+    both = secant & (width <= _PAIR_SPAN) & ~exact[i]
     x = x - np.where(both, 0.5 * margin, 0.0)
     feed[i] = np.exp(np.minimum(np.maximum(x, x_lo[i] + margin), x_hi[i] - margin))
     pair = i[both]
@@ -697,7 +693,7 @@ def _predict(curve, plan, limits, u0):
             i = np.flatnonzero((dchord == 0.0) & live & (chord > 0.0))
             if i.size:
                 v = np.full(i.size, limits.v_max)
-                ahead = taylor_step(d1[i], d2[i], x[i], v, limits.Ts, False)
+                ahead = taylor_step(d1[i], d2[i], x[i], v, limits.Ts)
                 go = ahead > x[i]
                 _, (p, _, _) = _settle(
                     curve, x[i[go]], ahead[go], v[go] * limits.Ts, points[i[go]]
@@ -735,91 +731,173 @@ def _window(curve, x, first, slope, at_x, limits):
     x[n - 1] and the last one's landing x[n], each sample's landing at
     its ceiling the next sample.
 
-    Each round searches the ceilings of the samples from the first one
-    whose link may have moved, in one _ceilings call, and checks each
-    link: the landing lam[k] of sample k matches x[k + 1] within
-    _LINK_MATCH of its step. Past the first link m that misses, the
-    chain is corrected by the forward recurrence of its bidiagonal
-    Jacobian, step[k + 1] = L'[k] step[k] - (x[k + 1] - lam[k]) with
-    step[m] = 0, so x[m + 1] becomes lam[m] exactly and the links before
-    it keep their samples and ceilings. L'[k] is the landing's rate of
-    change with its start when the chord follows its closed-form value:
-    along the chord, (fwd - q) dlam = (back + q) du, with q half the
-    chord's rate of change with its midpoint, slope[k] times the chord.
-    A moved sample's search reopens at its bracket from the round before,
-    both ends scaled by the feed's change that rate predicts; the other
-    samples open at their predicted feeds, first.
+    Each round searches the ceilings of some samples in one _ceilings
+    call and checks each link: the landing lam[k] of sample k matches
+    x[k + 1] within _LINK_MATCH of its step. Past the first link m that
+    misses, the chain is corrected by the forward recurrence of its
+    bidiagonal Jacobian, step[k + 1] = L'[k] step[k] - (x[k + 1] - lam[k])
+    with step[m] = 0, so x[m + 1] becomes lam[m] exactly and the links
+    before it keep their samples and ceilings, and the next round
+    searches the samples past m. L'[k] is the landing's rate of change
+    with its start when the chord follows its closed-form value: along
+    the chord, (fwd - q) dlam = (back + q) du, with q half the chord's
+    rate of change with its midpoint, slope[k] times the chord. A moved
+    sample's search reopens at its bracket from the round before, both
+    ends scaled by the feed's change that rate predicts; the first round
+    opens each search at its predicted feed, first.
 
-    The window stops at the first link that still misses after
-    _WINDOW_ROUNDS rounds, or at the first landing on the curve end.
-    Returns how many samples it keeps, whether the walk ends with the
-    last of them, the last one's landing and the samples' ceilings. A
-    kept sample whose search gives up raises ScanConvergenceError.
+    The window ends early, at the first link that still misses (the
+    samples past it are dropped, and that sample's landing starts the
+    next window), when that link misses by more than its step, when it
+    is the link right after the last correction (which did not settle
+    it), or after _WINDOW_ROUNDS rounds (twice that once it has ended
+    early); or before the first link a correction grows or shrinks by
+    more than half. It also ends at the first landing on the curve end.
+
+    Once every link holds, some samples take the scalar search, opened
+    at v_max, in one round: every sample of a window that ended early
+    (its chain is the kind whose landings carry a change into the samples
+    after them many times over), the samples up to the last one whose
+    ceiling misses its prediction by more than a factor e^_PREDICT_TRUST
+    (_odd), and any whose search was in doubt or gave up; unless their
+    ceiling already is that search's, found by it at a sample that has
+    since moved less than _SCALAR_MOVE of its step. The chain is then
+    checked and corrected again. A search whose predicted feed is v_max
+    is that search from the first round.
+
+    Returns how many samples the window keeps, whether the walk ends
+    with the last of them, the last one's landing and the samples'
+    ceilings. A kept sample whose scalar search gives up raises
+    ScanConvergenceError.
     """
     n = x.size - 1
     v, top, lam = (np.full(n, math.nan) for _ in range(3))
     point, tangent, land_point, land_tangent = (
         np.zeros((n, curve.dimension)) for _ in range(4)
     )
-    failed = np.zeros(n, dtype=bool)
+    failed, exact, need, edge = (np.zeros(n, dtype=bool) for _ in range(4))
+    predicted = first.copy()
+    # a search whose predicted feed is v_max is the scalar search
+    first = np.where(first < limits.v_max, first, math.nan)
+    # where each sample was when the scalar search last found its ceiling
+    at_scalar = np.full(n, math.nan)
     second = np.full(n, math.nan)
-    start = rounds = 0
+    search = np.arange(n)
+    rounds = 0
+    corrected = -2
+    cap = n
+    # whether the window has ended early, before the last sample's link
+    free = False
     while True:
         rounds += 1
-        i = start + np.flatnonzero(x[start:n] < 1.0)
+        i = search[x[search] < 1.0]
         if i.size:
             at = jets(curve, x[i]) if at_x is None else [a[i] for a in at_x]
-            v[i], top[i], lam[i], at_lam, failed[i] = _ceilings(
-                curve, x[i], at, limits, first[i], second[i], slope[i]
+            opened = first[i]
+            v[i], top[i], lam[i], at_lam, failed[i], edge[i], doubt = _ceilings(
+                curve, x[i], at, limits, opened, second[i], slope[i]
             )
+            scalar = np.isnan(opened)
+            at_scalar[i[scalar]] = x[i[scalar]]
+            with np.errstate(invalid="ignore"):
+                near = np.abs(x[i] - at_scalar[i]) <= _SCALAR_MOVE * (lam[i] - x[i])
+            exact[i] = scalar | (exact[i] & near)
+            need[i] |= doubt
             point[i], tangent[i] = at[:2]
             land_point[i], land_tangent[i] = at_lam[:2]
         at_x = None
-        lam[start:][(x[start:n] >= 1.0) | failed[start:]] = math.nan
-        step = lam - x[:-1]
+        lam[(x[:n] >= 1.0) | failed] = math.nan
+        step = lam - x[:n]
         # a landing that matches the curve end lands on it
         lam[1.0 - lam <= _LINK_MATCH * step] = 1.0
         ok = (np.abs(x[1:] - lam) <= _LINK_MATCH * step) & (
             (x[1:] < 1.0) | (lam == 1.0)
         )
         m = int(np.argmin(np.append(ok, False)))
-        keep = min(m, n - 1)
-        ends = np.flatnonzero(lam[: keep + 1] == 1.0)
-        if ends.size:
-            return int(ends[0]) + 1, True, 1.0, v
-        if failed[keep]:
-            raise ScanConvergenceError(
-                f"feed adjustment did not converge at u={x[keep]:.6f}"
+        if m < n and failed[m] and exact[m]:
+            raise ScanConvergenceError(f"feed adjustment did not converge at u={x[m]:.6f}")
+        ends = np.flatnonzero(lam[: min(m, n - 1) + 1] == 1.0)
+        cut = int(ends[0]) + 1 if ends.size else min(n, cap)
+        # a link that misses by more than its step, or the one after a
+        # correction, leaves the chain past it unsettled for rounds; so
+        # does one still open after _WINDOW_ROUNDS rounds (twice that
+        # once the window has ended early)
+        if m < cut and (
+            rounds >= _WINDOW_ROUNDS * (1 + free)
+            or not free and (m == corrected + 1 or abs(x[m + 1] - lam[m]) > step[m])
+        ):
+            cut, free = m + 1, True
+        if cut < n:
+            n, free = cut, free or not ends.size
+            x = x[: n + 1]
+            v, top, lam, failed, exact, need, edge, predicted, second, first, slope, at_scalar = (
+                a[:n] for a in (v, top, lam, failed, exact, need, edge, predicted, second, first, slope, at_scalar)
             )
-        if m == n or rounds == _WINDOW_ROUNDS:
-            return keep + 1, False, float(lam[keep]), v
-        k = np.arange(m, n)
-        chord = land_point[k] - point[k]
+            point, tangent, land_point, land_tangent = (
+                a[:n] for a in (point, tangent, land_point, land_tangent)
+            )
+            ok = ok[:n]
+        # the last sample's landing ends the walk, or in a window ended
+        # early starts the next one
+        ok[-1] |= free | (lam[-1] == 1.0)
+        m = int(np.argmin(np.append(ok, False)))
+        chord = land_point - point
         length = _norms(chord)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             unit = chord / length[:, None]
-            q = 0.5 * slope[k] * length
-            rate = ((unit * tangent[k]).sum(axis=1) + q) / (
-                (unit * land_tangent[k]).sum(axis=1) - q
-            )
-            miss = x[k + 1] - lam[k]
-            usable = np.isfinite(rate) & np.isfinite(miss)
-            rate, miss = np.where(usable, rate, 1.0), np.where(usable, miss, 0.0)
-            run = np.cumprod(rate)
-            moved = run * np.cumsum(-miss / run)
+            q = 0.5 * slope * length
+            rate = ((unit * tangent).sum(axis=1) + q) / ((unit * land_tangent).sum(axis=1) - q)
+        rate = np.where(np.isfinite(rate), rate, 1.0)
+        if m == n:
+            # past a sample whose root is in doubt, the landings of the
+            # samples before it (another search's ceiling may move each by
+            # up to about a quarter of the stopping width of its step)
+            # would carry into the walk that follows: they take the
+            # scalar search too, as do all samples of a window ended early
+            odd = np.flatnonzero(_odd(lam, v, predicted, edge))
+            need[: odd[-1] + 1 if odd.size else 0] = True
+            need |= free
+            fresh = np.flatnonzero((need | failed) & ~exact & (x[:n] < 1.0))
+            if fresh.size:
+                # the scalar search at the samples the window keeps
+                search = fresh
+                first[fresh] = second[fresh] = math.nan
+                continue
+            return n, lam[-1] == 1.0, float(lam[-1]), v
+        with np.errstate(invalid="ignore"):
+            miss = x[m + 1 :] - lam[m:]
+        miss = np.where(np.isfinite(miss), miss, 0.0)
+        run = np.cumprod(rate[m:])
+        moved = run * np.cumsum(-miss / run)
         before = x.copy()
-        x[m + 1 :] = np.fmin(
-            np.fmax.accumulate(np.fmax(x[m + 1 :] + moved, x[m])), 1.0
-        )
-        start = m + 1
-        j = np.arange(start, n)
+        corrected = m
+        x[m + 1 :] = np.fmin(np.fmax.accumulate(np.fmax(x[m + 1 :] + moved, x[m])), 1.0)
+        # past a link the correction grows or shrinks by more than half,
+        # the chain is not worth searching: the window ends before it
+        span = np.diff(before[m:])
+        with np.errstate(invalid="ignore"):
+            torn = np.flatnonzero(np.abs(np.diff(x[m:]) - span) > 0.5 * span)
+        if torn.size:
+            cap = m + 1 + int(torn[0])
+        search = j = np.arange(m + 1, min(n, cap))
         # the chord, and so the feed, follows its midpoint, which moves by
         # the mean of the sample's move and its landing's
         with np.errstate(invalid="ignore"):
-            scale = 1.0 + slope[j] * 0.5 * (1.0 + rate[j - m]) * (x[j] - before[j])
+            scale = 1.0 + slope[j] * 0.5 * (1.0 + rate[j]) * (x[j] - before[j])
         warm = (scale > 0.0) & np.isfinite(v[j])
         first[j[warm]] = v[j[warm]] * scale[warm]
         second[j] = np.where(warm, top[j] * scale, math.nan)
+
+
+def _odd(lam, v, predicted, at_edge):
+    """Where ceilings v miss their closed-form predictions by more than a
+    factor e^_PREDICT_TRUST, short of the curve end (lam holds their
+    landings) and of a feed where a step reverses or reaches the end
+    (at_edge): there the deviation may have several roots below v_max,
+    and a search opened at the prediction may have found another than
+    the scalar search's."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.abs(np.log(v / predicted)) > _PREDICT_TRUST) & (lam < 1.0) & ~at_edge
 
 
 def _walk(curve: ParametricCurve, limits: Limits):
@@ -879,9 +957,18 @@ def _refine_wells(curve, us, vs, limits):
     _, d1, d2 = jets(curve, mid)
     chord, dchord = _closed_form_chords(_curvatures(d1, d2), limits)
     slope = _chord_slopes(curve, mid, step, chord, dchord)
-    found, *_, failed = _ceilings(
-        curve, m, at, limits, chord / limits.Ts, np.full(m.size, math.nan), slope
+    predicted = chord / limits.Ts
+    none = np.full(m.size, math.nan)
+    found, _, land, _, failed, edge, doubt = _ceilings(
+        curve, m, at, limits, predicted, none, slope
     )
+    # the scalar search decides where the one opened at the prediction
+    # may have found another root
+    redo = np.flatnonzero(doubt | failed | _odd(land, found, predicted, edge))
+    if redo.size:
+        found[redo], _, _, _, failed[redo], _, _ = _ceilings(
+            curve, m[redo], [a[redo] for a in at], limits, none[redo], none[redo], none[redo]
+        )
     deeper = ~failed & (found < floor)
     if not deeper.any():
         return us, vs

@@ -55,24 +55,24 @@ def chord_deviation(curve, u_a, u_b):
 
 
 def ceiling(curve, u, limits):
-    """The library's ceiling search at u alone, opened at v_max as the
+    """The library's scalar search at u alone, opened at v_max as the
     reference walk opens it: the feed and the parameter it lands on."""
     x = np.array([u])
-    v, _, land, _, failed = chordscan._ceilings(
-        curve, x, jets(curve, x), limits, np.array([limits.v_max]),
-        np.array([math.nan]), np.zeros(1),
+    none = np.array([math.nan])
+    v, _, land, _, failed, _, _ = chordscan._ceilings(
+        curve, x, jets(curve, x), limits, none, none, none
     )
     if failed[0]:
         raise ScanConvergenceError(f"feed adjustment did not converge at u={u:.6f}")
     return float(v[0]), float(land[0])
 
 
-def assert_certified(curve, limits, walk=None):
-    """Every sample of the walk (chordscan._walk's, unless given) passes
-    the reference probe's certificate: the probe at (u_k, v_k) fits the
-    tolerance and lands on u_{k+1}, or on the curve end after the last,
-    within 1e-10 of the step. Returns the worst landing miss, in steps."""
-    us, vs = walk or chordscan._walk(curve, limits)
+def assert_certified(curve, limits):
+    """Every sample of chordscan._walk passes the reference probe's
+    certificate: the probe at (u_k, v_k) fits the tolerance and lands on
+    u_{k+1}, or on the curve end after the last, within 1e-10 of the
+    step. Returns the worst landing miss, in steps."""
+    us, vs = chordscan._walk(curve, limits)
     ahead = us[1:] + [1.0]
     worst = 0.0
     for u, v, u_next in zip(us, vs, ahead):
@@ -172,10 +172,14 @@ class TestTaylorStep:
 
     def test_degenerate_step_raises(self):
         seg = make_speedup_segment()
-        # second-order term overwhelms the advance once v*Ts > 2 at u=0
+        # second-order term overwhelms the advance once v*Ts > 2 at u=0:
+        # the reference's scalar step raises, and the library's does not
+        # advance
+        at = derivatives(seg, 0.0)
         with pytest.raises(StepDegeneracyError):
-            taylor_step(*derivatives(seg, 0.0), 0.0, 5000.0, 1e-3)
-        assert taylor_step(*derivatives(seg, 0.0), 0.0, 1000.0, 1e-3) > 0.0
+            oracles._taylor_step(*at, 0.0, 5000.0, 1e-3)
+        assert taylor_step(*at, 0.0, 5000.0, 1e-3) == 0.0
+        assert taylor_step(*at, 0.0, 1000.0, 1e-3) > 0.0
 
     def test_matches_arc_length_on_circle(self):
         circle = make_full_circle(radius=5.0)
@@ -196,20 +200,20 @@ class TestTaylorStep:
             taylor_step(d1, d2, 0.5, 1.0, 1e-3)
 
     def test_rows_step_as_lone_parameters(self):
-        # one call steps every row as its own call does; a step the
-        # curvature correction reverses raises, or with strict=False
-        # stays at its start
+        # one call steps every row as its own call does, the reference's
+        # scalar step too; a step the curvature correction reverses stays
+        # at its start
         seg = make_speedup_segment()
         u = np.array([0.0, 0.2, 0.5, 0.9995])
         v = np.array([1000.0, 0.0, 300.0, 100.0])
         _, d1, d2 = jets(seg, u)
         want = [taylor_step(*derivatives(seg, float(a)), float(a), float(b), 1e-3)
                 for a, b in zip(u, v)]
+        assert want == [oracles._taylor_step(*derivatives(seg, float(a)), float(a),
+                                             float(b), 1e-3) for a, b in zip(u, v)]
         assert taylor_step(d1, d2, u, v, 1e-3).tolist() == want
         v[0] = 5000.0
-        with pytest.raises(StepDegeneracyError, match="u=0.000000"):
-            taylor_step(d1, d2, u, v, 1e-3)
-        stayed = taylor_step(d1, d2, u, v, 1e-3, strict=False)
+        stayed = taylor_step(d1, d2, u, v, 1e-3)
         assert stayed[0] == 0.0 and stayed[1:].tolist() == want[1:]
 
 
@@ -407,7 +411,7 @@ class TestCeilingRootFind:
                 assert_certified(curve, limits)
         print(f"worst feed vs bisection {worst:.3e} rel; "
               f"{probes / points:.3f} probe rounds per scatter point")
-        assert probes / points <= 4.0
+        assert probes / points <= 0.1
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -432,12 +436,9 @@ class TestCeilingRootFind:
 
 # The walk solves its chain of samples to a match of 1e-10 of a step, and
 # its ceilings sit anywhere in the last bracket, as the reference's do; the
-# chain carries those differences along the curve. nearer_root.json's chain
-# passes a near-cusp where each landing moves up to a hundred times as far
-# as the sample before it, and its samples drift up to 2.0e-6 of a step.
+# chain carries those differences along the curve.
 U_MATCH = 1e-6
 V_MATCH = 1e-6
-NEAR_CUSP_U_MATCH = 1e-5
 
 
 class TestScalarScanReference:
@@ -447,14 +448,14 @@ class TestScalarScanReference:
     within V_MATCH, and every sample passes the reference probe's
     certificate."""
 
-    def assert_same_scan(self, curve, limits, u_match=U_MATCH):
+    def assert_same_scan(self, curve, limits, u_match=U_MATCH, v_match=V_MATCH):
         got = scan_curve(curve, limits)
         ref = oracles.scalar_scan(curve, limits)
         assert len(got) == len(ref)
         du = np.abs(got.u - ref.u)[1:] / np.diff(ref.u)
         dv = np.abs(got.v / ref.v - 1.0)
         assert du.max() <= u_match
-        assert dv.max() <= V_MATCH
+        assert dv.max() <= v_match
         assert_certified(curve, limits)
         return du.max(), dv.max()
 
@@ -475,12 +476,13 @@ class TestScalarScanReference:
     # end_curl.json caps the rescale at the clamped curve end and then
     # runs a long bracket; nearer_root.json has feeds whose landings jump
     # to a farther root, so its deviation falls back below the tolerance
-    # far above the first root; spatial.json is a 3-D curve
+    # far above the first root, and a near-cusp where each landing moves
+    # up to a hundred times as far as the sample before it; spatial.json
+    # is a 3-D curve
     @pytest.mark.parametrize("path", CURVES, ids=lambda p: p.stem)
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_committed_curves_scan_bit_identical(self, path, preset):
-        u_match = NEAR_CUSP_U_MATCH if path.stem == "nearer_root" else U_MATCH
-        du, dv = self.assert_same_scan(load_curve(path), PRESETS[preset], u_match)
+        du, dv = self.assert_same_scan(load_curve(path), PRESETS[preset])
         print(f"{path.stem}: worst u {du:.2e} of a step, v {dv:.2e} rel")
 
     # A degree-5 curve on which a well probe at u = 0.994889 once gave up
@@ -522,39 +524,26 @@ class TestScalarScanReference:
     @given(c=nurbs_curves(), delta_max=st.floats(1e-3, 1e-1))
     @example(c=RAISING, delta_max=1e-3)
     def test_random_curves_scan_bit_identical_or_raise_alike(self, c, delta_max):
-        # a feed cap of 1/40 of the path per period keeps each walk short.
-        # On these curves a deviation may have several roots, or a chain
-        # may pass a near-cusp as nearer_root.json's does, and the walk and
-        # the reference may then part: from the first sample where they do,
-        # each feed fits at its own sample, and the walk passes the
-        # certificate throughout
+        # a feed cap of 1/40 of the path per period keeps each walk short;
+        # on these curves a deviation may have several roots, and a chain
+        # may pass a near-cusp as nearer_root.json's does
         limits = Limits(Ts=1e-3, delta_max=delta_max,
                         v_max=arc_length(c, 0.0, 1.0) / 40e-3,
                         a_max=1000.0, j_max=26000.0, shape_s=3.3)
         try:
-            got = chordscan._walk(c, limits)
+            scan_curve(c, limits)
         except ChordScanError as err:
             with pytest.raises(type(err)):
-                oracles.scalar_walk(c, limits)
+                oracles.scalar_scan(c, limits)
             return
-        ref = oracles.scalar_walk(c, limits)
-        assert_certified(c, limits, got)
-        k = parting(c, limits, got, ref)
-        if k is None:
-            got, ref = scan_curve(c, limits), oracles.scalar_scan(c, limits)
-            n = min(len(got), len(ref))
-            apart = np.abs(got.u[:n] - ref.u[:n]) > U_MATCH * np.diff(ref.u[:n], prepend=0.0)
-            apart |= np.abs(got.v[:n] / ref.v[:n] - 1.0) > V_MATCH
-            if len(got) == len(ref) and not apart.any():
-                return
-            # the walks agree, so the first entry apart is a well midpoint
-            k = int(np.argmax(np.append(apart, True)))
-            got, ref = (got.u.tolist(), got.v.tolist()), (ref.u.tolist(), ref.v.tolist())
-        for us, vs in (got, ref):
-            if k < len(us):
-                at = jet(c, us[k])
-                assert oracles._probe_step(c, us[k], vs[k], limits, at)[0] <= delta_max
-
+        # where the reference's own samples move by more than the match
+        # when the tolerance moves by one ulp, its scan is an outcome of
+        # its rounding (its last bracket end flips with the sign of its
+        # last secant's error): the scan is held to ten times that spread
+        du, dv = reference_spread(c, limits)
+        if du > U_MATCH or dv > V_MATCH:
+            print(f"reference spread at one ulp: u {du:.1e} of a step, v {dv:.1e} rel")
+        self.assert_same_scan(c, limits, max(U_MATCH, 10.0 * du), max(V_MATCH, 10.0 * dv))
 
     def test_corpus_scans_probe_as_often(self, monkeypatch):
         # every window certifies all its samples in a bounded number of
@@ -571,31 +560,28 @@ class TestScalarScanReference:
         assert 0 < rounds <= WINDOW_ROUNDS
 
 
-def parting(curve, limits, got, ref):
-    """The first sample at which two walks, each as samples and ceilings,
-    differ: in the ceiling (capped by the curvature ceiling at the last
-    sample, as the scan caps it), or in the sample after it by more than
-    U_MATCH of its step; None where they agree throughout."""
-    (gu, gv), (ru, rv) = got, ref
-    n = min(len(gu), len(ru))
-    gv, rv = list(gv), list(rv)
-    for vs, us in ((gv, gu), (rv, ru)):
-        vs[-1] = min(vs[-1], oracles._curvature_feed(curve, us[-1], limits))
-    for k in range(n):
-        ahead = (ru + [1.0])[k + 1]
-        if abs(gv[k] / rv[k] - 1.0) > V_MATCH:
-            return k
-        if abs((gu + [1.0])[k + 1] - ahead) > U_MATCH * (ahead - ru[k]):
-            return k
-    return None if len(gu) == len(ru) else n - 1
+def reference_spread(curve, limits):
+    """How far the reference scan moves when the tolerance moves by one
+    ulp either way: its largest change of a sample, in steps, and of a
+    feed, relative. Both scans must keep the reference's sample count."""
+    ref = oracles.scalar_scan(curve, limits)
+    du = dv = 0.0
+    for tol in (math.nextafter(limits.delta_max, 0.0), math.nextafter(limits.delta_max, 1.0)):
+        other = oracles.scalar_scan(curve, replace(limits, delta_max=tol))
+        assert len(other) == len(ref)
+        du = max(du, (np.abs(other.u - ref.u)[1:] / np.diff(ref.u)).max())
+        dv = max(dv, np.abs(other.v / ref.v - 1.0).max())
+    return du, dv
 
 
 # Bounds on the work of one window of the walk, its prediction included:
 # probe rounds (taylor_step calls, one per round for all its searches) and
-# geometry.jets passes. The corpus, the long curves, end_curl.json and
-# spatial.json take at most 9 rounds and 40 passes.
+# geometry.jets passes. The corpus and the long curves take at most 9
+# rounds and 32 passes; the committed curves at most 151 passes, in the
+# first window of nearer_root.json, which ends early at its near-cusp and
+# whose 37 samples then take the scalar search.
 WINDOW_ROUNDS = 16
-WINDOW_PASSES = 60
+WINDOW_PASSES = 180
 
 
 def window_work(monkeypatch):
@@ -637,13 +623,9 @@ class TestScanWork:
         # length: the walk evaluates its samples, landings and midpoints
         # together, never one by one
         windows = window_work(monkeypatch)
-        # nearer_root.json's chain through its near-cusp, where a landing
-        # moves a hundred times as far as the sample before it, takes all
-        # _WINDOW_ROUNDS rounds of its first window
         for path in CURVES:
-            if path.stem != "nearer_root":
-                for limits in PRESETS.values():
-                    scan_curve(load_curve(path), limits)
+            for limits in PRESETS.values():
+                scan_curve(load_curve(path), limits)
         for seed in range(25):
             scan_curve(random_curve(seed), PRESETS["standard"])
         for n in (20, 40, 80, 160):
