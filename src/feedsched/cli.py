@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .baseline import SINE, sine_schedule
 from .chordscan import ChordScanError, Limits, scan_curve
@@ -111,11 +112,12 @@ def save_curve(curve: ParametricCurve, path: Path) -> None:
 
 def _cells(values, path: Path) -> list[str]:
     """Each value's float repr; a non-finite value raises, naming path."""
-    values = list(map(float, values))
-    if not all(map(math.isfinite, values)):
-        bad = next(x for x in values if not math.isfinite(x))
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(values[np.argmin(finite)])
         raise CliError(f"non-finite value {bad!r} in output", str(path))
-    return list(map(repr, values))
+    return list(map(repr, values.tolist()))
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:

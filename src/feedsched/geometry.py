@@ -143,30 +143,22 @@ class ParametricCurve:
         divided by k! (Taylor expansion, exact for polynomials of degree p).
         """
         p = self.degree
-        knots = self.knots
-        hom = [
-            tuple(c * w for c in pt) + (w,)
-            for pt, w in zip(self.control_points, self.weights)
-        ]
-        starts, mids, coeffs = [], [], []
-        for span in range(p, len(self.control_points)):
-            lo, hi = knots[span], knots[span + 1]
-            if not lo < hi:
-                continue
-            mid = 0.5 * (lo + hi)
-            basis = _basis_derivatives(knots, p, span, mid, p)
-            ctrl = hom[span - p : span + 1]
-            starts.append(lo)
-            mids.append(mid)
-            coeffs.append([
-                [
-                    sum(b * pt[d] for b, pt in zip(basis[k], ctrl))
-                    / math.factorial(k)
-                    for k in range(p, -1, -1)
-                ]
-                for d in range(self.dimension + 1)
-            ])
-        arrays = np.array(starts), np.array(mids), np.array(coeffs)
+        knots = np.array(self.knots)
+        span = np.arange(p, len(self.control_points))
+        span = span[knots[span] < knots[span + 1]]
+        lo = knots[span]
+        mid = 0.5 * (lo + knots[span + 1])
+        basis = _basis_derivatives(knots, p, span, mid)
+        w = np.array(self.weights)[:, None]
+        hom = np.hstack([np.array(self.control_points) * w, w])
+        coeffs = []
+        for k in range(p, -1, -1):
+            # sum() over the span's control points, in order, from 0.0
+            acc = 0.0
+            for j in range(p + 1):
+                acc = acc + basis[k][j][:, None] * hom[span - p + j]
+            coeffs.append(acc / math.factorial(k))
+        arrays = lo, mid, np.stack(coeffs, axis=2)
         for a in arrays:
             a.setflags(write=False)
         return arrays
@@ -237,13 +229,14 @@ def _params_at(grid, s):
     return np.where(np.isfinite(x), x, np.interp(s, at, u))
 
 
-def _basis_derivatives(
-    knots: tuple[float, ...], degree: int, span: int, u: float, order: int
-) -> list[list[float]]:
-    """Nonzero basis functions and their derivatives at u.
+def _basis_derivatives(knots: np.ndarray, degree: int, span, u) -> list:
+    """Nonzero basis functions and all their derivatives at u, on arrays
+    of spans at once (Piegl and Tiller, The NURBS Book, A2.3).
 
-    Returns ders[k][j] = d^k/du^k of basis function (span - degree + j),
-    for k in 0..order and j in 0..degree.
+    span and u are matching 1-D arrays; returns ders[k][j], the array of
+    d^k/du^k of basis function (span - degree + j) at each u, for k and j
+    in 0..degree. Every element takes the scalar algorithm's float
+    operations in the same order.
     """
     p = degree
     ndu = [[0.0] * (p + 1) for _ in range(p + 1)]
@@ -261,16 +254,15 @@ def _basis_derivatives(
             saved = left[j - r] * temp
         ndu[j][j] = saved
 
-    ders = [[0.0] * (p + 1) for _ in range(order + 1)]
+    ders = [[0.0] * (p + 1) for _ in range(p + 1)]
     for j in range(p + 1):
         ders[0][j] = ndu[j][p]
 
     work = [[0.0] * (p + 1) for _ in range(2)]
-    max_k = min(order, p)
     for r in range(p + 1):
         s1, s2 = 0, 1
         work[0][0] = 1.0
-        for k in range(1, max_k + 1):
+        for k in range(1, p + 1):
             d = 0.0
             rk = r - k
             pk = p - k
@@ -281,19 +273,18 @@ def _basis_derivatives(
             j2 = k - 1 if r - 1 <= pk else p - r
             for j in range(j1, j2 + 1):
                 work[s2][j] = (work[s1][j] - work[s1][j - 1]) / ndu[pk + 1][rk + j]
-                d += work[s2][j] * ndu[rk + j][pk]
+                d = d + work[s2][j] * ndu[rk + j][pk]
             if r <= pk:
                 work[s2][k] = -work[s1][k - 1] / ndu[pk + 1][r]
-                d += work[s2][k] * ndu[r][pk]
+                d = d + work[s2][k] * ndu[r][pk]
             ders[k][r] = d
             s1, s2 = s2, s1
 
     factor = float(p)
-    for k in range(1, max_k + 1):
+    for k in range(1, p + 1):
         for j in range(p + 1):
-            ders[k][j] *= factor
+            ders[k][j] = ders[k][j] * factor
         factor *= p - k
-    # Derivatives beyond the degree vanish identically; rows stay zero.
     return ders
 
 

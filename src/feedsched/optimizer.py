@@ -53,6 +53,9 @@ _LEN_TOL = 1e-9
 # against the limits; the worst fitted peak over the tests and the
 # benchmark workloads is 1 + 3.1e-15 of its limit.
 _PEAK_SLACK = 1e-12
+# Doubling steps of ulps a stalled junction solve takes from its secant
+# root before it bisects what is left of its bracket.
+_GALLOP_STEPS = 16
 
 
 class OptimizerError(ValueError):
@@ -128,6 +131,59 @@ def _largest_feasible(feasible, lo, hi):
     return lo
 
 
+def _largest_fitting(need, total, lo, hi):
+    """Largest float v in [lo, hi] with need(v) <= total, where need does
+    not decrease in floats and need(lo) <= total.
+
+    That float is unique, so any bracket of a fitting and a failing end
+    closed down to adjacent floats finds it, as _largest_feasible does.
+    An Illinois secant on need(v) - total narrows the bracket. Once
+    rounding stalls it, its root falling on an end or moving by an ulp or
+    less, the search gallops from that root in doubling steps of ulps,
+    at most _GALLOP_STEPS, and bisects the bracket left.
+    """
+    b, gb = hi, need(hi) - total
+    if gb <= 0.0:
+        return hi
+    a, ga = lo, need(lo) - total
+    x, kept = math.nan, 0
+    while True:
+        root = a - ga * (b - a) / (gb - ga)
+        if not a < root < b or abs(root - x) <= math.ulp(root):
+            break
+        x = root
+        gx = need(x) - total
+        # Illinois: an end kept twice in a row has its value halved
+        if gx <= 0.0:
+            if kept < 0:
+                gb *= 0.5
+            a, ga, kept = x, gx, -1
+        else:
+            if kept > 0:
+                ga *= 0.5
+            b, gb, kept = x, gx, 1
+    if a < root < b:
+        up = need(root) <= total
+        a, b = (root, b) if up else (a, root)
+    else:
+        up = not root >= b
+    # gallop from the end the root holds toward the other one
+    near, far = (a, b) if up else (b, a)
+    step = math.ulp(near) if up else -math.ulp(near)
+    for _ in range(_GALLOP_STEPS):
+        c = near + step
+        if not min(near, far) < c < max(near, far):
+            break
+        if (need(c) <= total) is not up:
+            far = c
+            break
+        near, step = c, 2.0 * step
+    a, b = (near, far) if up else (far, near)
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        a, b = (mid, b) if need(mid) <= total else (a, mid)
+    return a
+
+
 def adjust_peak_junction(
     v1: float, v2: float, v3: float, L1: float, L2: float,
     law: Law, limits: Limits, ceiling: Callable[[float], float],
@@ -139,7 +195,9 @@ def adjust_peak_junction(
     A top feed v fits junctions in I(v) = [l1_min(v), L1 + L2 - l3_min(v)]
     and holds if ceiling(x) >= v at the point x of I(v) nearest L1.
     Lowering v widens I(v) and lowers the bar, so the tallest v is a
-    bisection boundary; the ceiling only lowers the one the lengths allow.
+    feasibility boundary: the largest float whose I(v) is not empty, from
+    a secant solve, unless the ceiling fails there; then a bisection for
+    the largest v that holds.
     x is the end of I(v) giving the taller side the slack if the ceiling
     holds there, else the nearest point.
     """
@@ -148,9 +206,17 @@ def adjust_peak_junction(
         raise OptimizerError("junction feed below its endpoints is no peak")
     total = L1 + L2
 
-    def ends(v):
+    def side_lengths(v):
         l1 = transition_min_length(v1, v, law, limits)
         l3 = transition_min_length(v3, v, law, limits)
+        return l1, l3
+
+    def need(v):
+        l1, l3 = side_lengths(v)
+        return l1 + l3
+
+    def ends(v):
+        l1, l3 = side_lengths(v)
         return (l1, total - l3) if l1 + l3 <= total else None
 
     def nearest(v):
@@ -162,7 +228,7 @@ def adjust_peak_junction(
 
     if not holds(floor):
         raise InfeasibleJunctionError(f"no feasible peak feed above {floor:.6f}")
-    v = _largest_feasible(lambda v: ends(v) is not None, floor, v2)
+    v = _largest_fitting(need, total, floor, v2)
     if not holds(v):
         v = _largest_feasible(holds, floor, v)
     far = ends(v)[int(v1 >= v3)]
@@ -209,7 +275,7 @@ def adjust_with_constant(
     Each side's length is the larger of its minimum length and its floor.
     The span time T(v2) = l2/v2 + 2*l1/(v1+v2) + 2*l3/(v3+v2), with
     l2 = L_total - l1 - l3, then never increases with v2, so the top feed
-    is the largest feasible one, found by bisection:
+    is the largest feasible float, found by _largest_fitting:
     - acceleration-bound side: its transition time grows by l'/v2, just
       what the steady phase loses;
     - jerk-bound side: it grows by g/sqrt(v2-vi), at most
@@ -227,15 +293,15 @@ def adjust_with_constant(
         l3 = max(transition_min_length(v3, v2, law, limits), floors[1])
         return l1, l3
 
-    def feasible(v2):
+    def need(v2):
         l1, l3 = side_lengths(v2)
-        return l1 + l3 <= L_total
+        return l1 + l3
 
-    if not feasible(lo):
+    if not need(lo) <= L_total:
         raise InfeasibleJunctionError(
             f"span of {L_total:.6f} mm cannot host feeds {v1:.3f}/{v3:.3f}"
         )
-    v_h = _largest_feasible(feasible, lo, v_ceiling)
+    v_h = _largest_fitting(need, L_total, lo, v_ceiling)
     if v_h <= 0.0:
         raise InfeasibleJunctionError("no feasible top feed in range")
     l1, l3 = side_lengths(v_h)

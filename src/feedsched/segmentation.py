@@ -97,30 +97,38 @@ def _add_missed_valleys(
     block laid over a skipped valley would command feeds the scan never
     cleared. A span is split where its interior falls materially below
     both endpoints, or sags well under the straight line between them
-    (a one-piece block cannot dive early and recover). The worst sample
-    becomes a breakpoint, then each half is re-checked.
+    (a one-piece block cannot dive early and recover). The worst sample,
+    the first of equal ones, becomes a breakpoint, then each half is
+    re-checked. A span's split depends only on its ends, so every span
+    open at one level is checked at once, on arrays.
     """
-    out = list(picked)
-    stack = list(zip(picked[:-1], picked[1:]))
-    while stack:
-        a, b = stack.pop()
-        if b - a < 2:
-            continue
-        inner_u = u[a + 1 : b]
-        inner_v = v[a + 1 : b]
-        line = v[a] + (v[b] - v[a]) * (inner_u - u[a]) / (u[b] - u[a])
+    out = [np.asarray(picked)]
+    a, b = out[0][:-1], out[0][1:]
+    while True:
+        wide = b - a >= 2
+        a, b = a[wide], b[wide]
+        if not a.size:
+            break
+        # the interior samples of every span, flattened span by span
+        size = b - a - 1
+        first = np.cumsum(size) - size
+        at = np.arange(int(size.sum())) + np.repeat(a + 1 - first, size)
+        ua, ub = np.repeat(u[a], size), np.repeat(u[b], size)
+        va, vb = np.repeat(v[a], size), np.repeat(v[b], size)
+        line = va + (vb - va) * (u[at] - ua) / (ub - ua)
         bound = np.maximum(
-            min(v[a], v[b]) * (1.0 - _VALLEY_REL_DEPTH),
+            np.where(vb < va, vb, va) * (1.0 - _VALLEY_REL_DEPTH),
             line * (1.0 - _FLANK_REL_SAG),
         )
-        gap = bound - inner_v
-        k = a + 1 + int(np.argmax(gap))
-        if gap[k - a - 1] > 0.0:
-            out.append(k)
-            stack.append((a, k))
-            stack.append((k, b))
-    out.sort()
-    return out
+        gap = bound - v[at]
+        # each span's first sample of largest gap, as np.argmax picks it
+        worst = np.maximum.reduceat(gap, first)
+        hit = np.where(gap == np.repeat(worst, size), np.arange(at.size), at.size)
+        split = worst > 0.0
+        k = at[np.minimum.reduceat(hit, first)[split]]
+        out.append(k)
+        a, b = np.concatenate([a[split], k]), np.concatenate([k, b[split]])
+    return np.sort(np.concatenate(out)).tolist()
 
 
 def find_breakpoints(

@@ -229,7 +229,7 @@ def _first_crossing(curve, u0, p0, advance, hi):
         elif gap[i] > _CHORD_MATCH_TOL:
             lo, hi = below, u[i]
         elif lo == u0 and u[i] == hi:
-            return float(hi), tuple(points[i].tolist()), d1[i]
+            return float(hi), points[i], d1[i]
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 x = u[i] - gap[i] * dist[i] / (chord[i] @ d1[i])
@@ -277,7 +277,8 @@ def interpolate(
     # S(0) is the series' rounding at x = -1, not always 0
     s = curve._arc_table.positions(u)
     grid = curve._arc_grid
-    us, points = [u], [pos]
+    # the landings, as slices of the windows' arrays and lone searched ones
+    us, points = [np.array([u])], [np.array([pos])]
     # the walk lands ticks 1 .. last a window at a time; the search lands
     # a tick the window left, so each round lands at least one tick
     k, last = 0, n_steps - 1
@@ -287,9 +288,9 @@ def interpolate(
             curve, grid, u, s, pos, d1, reached[k], window
         )
         if n:
-            us += x[:n].tolist()
-            points += zip(*p[:n].T.tolist())
-            u, s, pos, d1 = us[-1], arc[n], points[-1], d[n - 1]
+            us.append(x[:n])
+            points.append(p[:n])
+            u, s, pos, d1 = float(x[n - 1]), arc[n], p[n - 1], d[n - 1]
             k += n
         if ended:
             break
@@ -300,8 +301,8 @@ def interpolate(
                 break
             u, pos, d1 = landing
             s = curve._arc_table.positions(u)
-            us.append(u)
-            points.append(pos)
+            us.append(np.array([u]))
+            points.append(pos[None])
             k += 1
     # the ticks past the curve end and the final tick land on it; leftover
     # travel only falls and its ceiling only grows, so check the first
@@ -313,9 +314,9 @@ def interpolate(
                 f"block {held[k + 1]} at t={(k + 1) * Ts:.6f}: plan "
                 f"commands {left + advance:.3e} mm past the path end"
             )
-    us += [1.0] * (n_steps - k)
-    points += [jet(curve, 1.0)[0]] * (n_steps - k)
-    u, position = np.array(us), np.array(points)
+    us.append(np.full(n_steps - k, 1.0))
+    points.append(np.repeat([jet(curve, 1.0)[0]], n_steps - k, axis=0))
+    u, position = np.concatenate(us), np.concatenate(points)
     errs = np.append(
         0.0, _chord_deviations(curve, u[:-1], u[1:], position[:-1], position[1:])
     )

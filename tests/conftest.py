@@ -42,9 +42,9 @@ def make_full_circle(radius=5.0):
 
 
 @st.composite
-def nurbs_curves(draw):
-    """Rational B-splines of degree 1-5 in 2-D or 3-D, weights e^+-3,
-    interior knots repeated up to multiplicity p."""
+def nurbs_curves(draw, log_weight=3.0):
+    """Rational B-splines of degree 1-5 in 2-D or 3-D, weights
+    e^+-log_weight, interior knots repeated up to multiplicity p."""
     p = draw(st.integers(1, 5))
     dim = draw(st.sampled_from((2, 3)))
     gaps = draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=5))
@@ -64,7 +64,9 @@ def nurbs_curves(draw):
             math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)
         )
         ctrl.append(tuple(x + r * d for x, d in zip(ctrl[-1], step)))
-    logw = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    logw = draw(
+        st.lists(st.floats(-log_weight, log_weight), min_size=n, max_size=n)
+    )
     return ParametricCurve(p, ctrl, [math.exp(w) for w in logw], knots)
 
 

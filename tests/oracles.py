@@ -11,7 +11,11 @@ step, the landing's Newton settle and the scalar chord measure
 ``_chord_deviation``. The feed-ceiling reference ``bisect_feedrate`` is
 the scan's former bracket bisection around that probe. The geometry
 reference is the former kernel: one Horner pass per homogeneous
-coordinate, then the conversion to Cartesian. The scan reference is the
+coordinate, then the conversion to Cartesian, on span rows from the
+former span-by-span table build (``scalar_spans``, the scalar basis
+recurrences of ``_basis_derivatives``). The valley restore reference
+``stack_missed_valleys`` is the former stack loop of
+``find_breakpoints``, one span at a time. The scan reference is the
 former walk (``scalar_walk``, and ``scalar_scan`` with its well probes),
 whose ceiling search ``_scalar_feedrate`` rescales from v_max and closes
 an Illinois bracket on one parameter, and which evaluates each point and
@@ -53,14 +57,18 @@ from feedsched.chordscan import (
 from feedsched.cli import _BLOCK_HEADER, CliError
 from feedsched.geometry import (
     SingularCurveError,
-    _basis_derivatives,
     curvature_radius,
     derivatives,
     evaluate,
     jet,
 )
 from feedsched.optimizer import transition_max_feed
-from feedsched.segmentation import Block, BlockKind
+from feedsched.segmentation import (
+    _FLANK_REL_SAG,
+    _VALLEY_REL_DEPTH,
+    Block,
+    BlockKind,
+)
 from feedsched.simulator import (
     _CHORD_MATCH_TOL,
     _END_DRIFT_PER_TICK,
@@ -420,9 +428,102 @@ def _cartesian(hom, dim):
     return c0, c1, c2
 
 
+def _basis_derivatives(knots, degree, span, u, order):
+    """Nonzero basis functions and their derivatives at u, by the scalar
+    algorithm A2.3 of Piegl and Tiller's The NURBS Book, the former
+    kernel's.
+
+    Returns ders[k][j] = d^k/du^k of basis function (span - degree + j),
+    for k in 0..order and j in 0..degree.
+    """
+    p = degree
+    ndu = [[0.0] * (p + 1) for _ in range(p + 1)]
+    ndu[0][0] = 1.0
+    left = [0.0] * (p + 1)
+    right = [0.0] * (p + 1)
+    for j in range(1, p + 1):
+        left[j] = u - knots[span + 1 - j]
+        right[j] = knots[span + j] - u
+        saved = 0.0
+        for r in range(j):
+            ndu[j][r] = right[r + 1] + left[j - r]
+            temp = ndu[r][j - 1] / ndu[j][r]
+            ndu[r][j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j][j] = saved
+
+    ders = [[0.0] * (p + 1) for _ in range(order + 1)]
+    for j in range(p + 1):
+        ders[0][j] = ndu[j][p]
+
+    work = [[0.0] * (p + 1) for _ in range(2)]
+    max_k = min(order, p)
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        work[0][0] = 1.0
+        for k in range(1, max_k + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                work[s2][0] = work[s1][0] / ndu[pk + 1][rk]
+                d = work[s2][0] * ndu[rk][pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                work[s2][j] = (work[s1][j] - work[s1][j - 1]) / ndu[pk + 1][rk + j]
+                d += work[s2][j] * ndu[rk + j][pk]
+            if r <= pk:
+                work[s2][k] = -work[s1][k - 1] / ndu[pk + 1][r]
+                d += work[s2][k] * ndu[r][pk]
+            ders[k][r] = d
+            s1, s2 = s2, s1
+
+    factor = float(p)
+    for k in range(1, max_k + 1):
+        for j in range(p + 1):
+            ders[k][j] *= factor
+        factor *= p - k
+    # Derivatives beyond the degree vanish identically; rows stay zero.
+    return ders
+
+
+def scalar_spans(curve):
+    """The curve's span table built span by span, as the library built it
+    before its array pass: one scalar _basis_derivatives call per
+    non-empty span, each coefficient a sum() over the span's control
+    points divided by k!. Returns (starts, mids, coeffs) like
+    ParametricCurve._spans."""
+    p = curve.degree
+    knots = curve.knots
+    hom = [
+        tuple(c * w for c in pt) + (w,)
+        for pt, w in zip(curve.control_points, curve.weights)
+    ]
+    starts, mids, coeffs = [], [], []
+    for span in range(p, len(curve.control_points)):
+        lo, hi = knots[span], knots[span + 1]
+        if not lo < hi:
+            continue
+        mid = 0.5 * (lo + hi)
+        basis = _basis_derivatives(knots, p, span, mid, p)
+        ctrl = hom[span - p : span + 1]
+        starts.append(lo)
+        mids.append(mid)
+        coeffs.append([
+            [
+                sum(b * pt[d] for b, pt in zip(basis[k], ctrl))
+                / math.factorial(k)
+                for k in range(p, -1, -1)
+            ]
+            for d in range(curve.dimension + 1)
+        ])
+    return np.array(starts), np.array(mids), np.array(coeffs)
+
+
 def reference_jet(curve, u):
     """Point, first and second derivative at u by the former kernel: the
-    span's power-basis rows rebuilt from geometry._basis_derivatives,
+    span's power-basis rows rebuilt from the scalar _basis_derivatives,
     one Horner pass per homogeneous coordinate, then _cartesian.
     Reads none of the curve's cached tables."""
     p, knots = curve.degree, curve.knots
@@ -962,6 +1063,33 @@ def replay_reference(curve, blocks, limits, law):
         u, pos = u_next, pos_next
         rows.append((k * Ts, u, pos, v, a, j, err))
     return Replay(*map(np.array, zip(*rows)), track.total)
+
+
+def stack_missed_valleys(u, v, picked):
+    """The former valley restore of segmentation.find_breakpoints: a stack
+    of spans, one span at a time, each split at the first sample of
+    largest gap below its bound, then its halves pushed back."""
+    out = list(picked)
+    stack = list(zip(picked[:-1], picked[1:]))
+    while stack:
+        a, b = stack.pop()
+        if b - a < 2:
+            continue
+        inner_u = u[a + 1 : b]
+        inner_v = v[a + 1 : b]
+        line = v[a] + (v[b] - v[a]) * (inner_u - u[a]) / (u[b] - u[a])
+        bound = np.maximum(
+            min(v[a], v[b]) * (1.0 - _VALLEY_REL_DEPTH),
+            line * (1.0 - _FLANK_REL_SAG),
+        )
+        gap = bound - inner_v
+        k = a + 1 + int(np.argmax(gap))
+        if gap[k - a - 1] > 0.0:
+            out.append(k)
+            stack.append((a, k))
+            stack.append((k, b))
+    out.sort()
+    return out
 
 
 def load_blocks(path: Path) -> list[Block]:

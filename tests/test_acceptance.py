@@ -15,6 +15,7 @@ import pytest
 from conftest import make_quarter_circle
 from scipy.integrate import quad
 
+from feedsched import segmentation
 from feedsched.baseline import SINE, sine_schedule
 from feedsched.chordscan import FeedrateScatter, scan_curve
 from feedsched.cli import PRESETS, main
@@ -179,8 +180,16 @@ def shifted_corpus(corpus, shift):
     that the walk probes on from the moved landing. Returns the largest
     relative move of a plan's total time from the corpus plan, scanned by
     scan_curve, and how many plans changed their breakpoint count. Both
-    presets share a curve's scan: it reads only Ts, delta_max and v_max."""
+    presets share a curve's scan: it reads only Ts, delta_max and v_max.
+    Every valley restore on those scans is checked against the former
+    stack loop, oracles.stack_missed_valleys."""
     feedrate = oracles._scalar_feedrate
+    restore = segmentation._add_missed_valleys
+
+    def checked(u, v, picked):
+        got = restore(u, v, picked)
+        assert got == oracles.stack_missed_valleys(u, v, picked)
+        return got
 
     def shifted(curve, u, limits):
         v, u_next = feedrate(curve, u, limits)
@@ -192,6 +201,7 @@ def shifted_corpus(corpus, shift):
     scans = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracles, "_scalar_feedrate", shifted)
+        patch.setattr(segmentation, "_add_missed_valleys", checked)
         for r in corpus:
             curve, limits = random_curve(r.seed), PRESETS[r.preset]
             key = (r.seed, limits.Ts, limits.delta_max, limits.v_max)

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import make_quarter_circle
@@ -18,6 +19,7 @@ from feedsched.cli import (
     load_curve,
     main,
     run,
+    _cells,
     _load_limits,
     save_curve,
 )
@@ -380,6 +382,23 @@ class TestOptions:
             f"error: {out / 'sigmoid_kinematics_vs_time.csv'}: "
             "non-finite value nan in output\n"
         )
+
+    def test_cells_name_the_first_non_finite_value(self, tmp_path):
+        path = tmp_path / "x.csv"
+        for values, bad in (
+            ([1.0, math.inf, math.nan], "inf"),
+            (np.array([2.0, 3.0, math.nan, -math.inf]), "nan"),
+            ((0.5, -math.inf), "-inf"),
+        ):
+            with pytest.raises(CliError) as err:
+                _cells(values, path)
+            assert str(err.value) == f"{path}: non-finite value {bad} in output"
+
+    def test_cells_are_each_values_float_repr(self, tmp_path):
+        values = [0.1, -0.0, 5e-324, 1e300, 2, np.float64(1.0) / 3.0, 1.0 - 2**-53]
+        want = [repr(float(x)) for x in values]
+        assert _cells(values, tmp_path / "x.csv") == want
+        assert _cells(np.array(values), tmp_path / "x.csv") == want
 
     def test_plan_over_the_tick_cap_is_exit_3(
         self, both_run, monkeypatch, tmp_path, capsys

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.interpolate import BSpline
 import oracles
 
 from feedsched import geometry
+from feedsched.cli import load_curve
 from feedsched.curvegen import random_curve
 from feedsched.geometry import (
     CurveDomainError,
@@ -344,8 +346,21 @@ class TestAgainstScipyBSpline:
                     assert err <= 1e-11 * np.linalg.norm(want_k), (i, u)
 
 
+CURVE_FILES = sorted((Path(__file__).parent / "curves").glob("*.json"))
+
+
+def same_arrays(got, want):
+    """Equal shapes, dtypes and bytes, so -0.0 and 0.0 differ."""
+    return all(
+        a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(got, want, strict=True)
+    )
+
+
 class TestSpanTable:
     def test_basis_runs_only_while_building_the_table(self, monkeypatch):
+        # one array pass of the basis recurrences per curve builds every
+        # span's row; no later query runs it again
         src = random_curve(4)
         calls = []
         basis = geometry._basis_derivatives
@@ -357,19 +372,50 @@ class TestSpanTable:
         monkeypatch.setattr(geometry, "_basis_derivatives", counting)
         c = ParametricCurve(src.degree, src.control_points, src.weights, src.knots)
         evaluate(c, 0.5)
+        assert len(calls) == 1
         spans = len(set(c.knots)) - 1
-        assert len(calls) == spans
+        assert calls[0][2].size == spans
         for u in np.linspace(0.0, 1.0, 17):
             evaluate(c, float(u))
             derivatives(c, float(u), 1)
             derivatives(c, float(u), 2)
+        jets(c, np.linspace(0.0, 1.0, 9))
         arc_length(c, 0.1, 0.9)
         param_at_length(c, 0.2, 3.0)
-        assert len(calls) == spans
+        assert len(calls) == 1
 
         other = ParametricCurve(c.degree, c.control_points, c.weights, c.knots)
         evaluate(other, 0.5)
-        assert len(calls) == 2 * spans
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
+    def test_equals_the_scalar_build_on_the_curve_files(self, path):
+        c = load_curve(path)
+        assert same_arrays(c._spans, oracles.scalar_spans(c))
+
+    def test_equals_the_scalar_build_on_generated_curves(self):
+        for seed in range(25):
+            c = random_curve(seed)
+            assert same_arrays(c._spans, oracles.scalar_spans(c))
+        c = random_curve(3, n_ctrl=60, extent=90.0)
+        assert same_arrays(c._spans, oracles.scalar_spans(c))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(c=st.one_of(nurbs_curves(), nurbs_curves(log_weight=30.0)))
+    def test_equals_the_scalar_build(self, c):
+        # degrees 1-5, interior knots up to p-fold, planar and spatial,
+        # weights up to e^+-30
+        assert same_arrays(c._spans, oracles.scalar_spans(c))
+
+    def test_a_sum_of_negative_zeros_is_positive_zero(self):
+        # y = -0.0 everywhere: each term of the constant coefficient is
+        # -0.0, and a sum that starts from 0.0 gives +0.0, as sum() does
+        c = ParametricCurve(
+            2, ((-1.0, -0.0), (0.0, -0.0), (1.0, -0.0)), (1.0, 1.0, 1.0),
+            (0.0, 0.0, 0.0, 1.0, 1.0, 1.0),
+        )
+        assert same_arrays(c._spans, oracles.scalar_spans(c))
+        assert math.copysign(1.0, c._spans[2][0, 1, 2]) == 1.0
 
 
 class TestArcTableProperties:

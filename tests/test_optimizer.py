@@ -432,6 +432,126 @@ class TestAdjustWithConstantProperties:
         assert t_opt <= best * (1.0 + 1e-12)
 
 
+def checked_solves(monkeypatch):
+    """Make every junction solve also run the bisection it replaced,
+    _largest_feasible, and assert the same float; returns the number of
+    need evaluations of each solve."""
+    solve = optimizer._largest_fitting
+    evaluations = []
+
+    def both(need, total, lo, hi):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return need(v)
+
+        got = solve(counted, total, lo, hi)
+        want = optimizer._largest_feasible(lambda v: need(v) <= total, lo, hi)
+        assert float(got).hex() == float(want).hex()
+        evaluations.append(len(calls))
+        return got
+
+    monkeypatch.setattr(optimizer, "_largest_fitting", both)
+    return evaluations
+
+
+class TestJunctionSolves:
+    """The junction solves' secant and gallop against the bisection down to
+    adjacent floats that they replace: the largest fitting float is
+    unique, so both must return it bit for bit."""
+
+    def test_match_the_bisection_on_random_spans_and_peaks(self, monkeypatch):
+        evaluations = checked_solves(monkeypatch)
+        rng = np.random.default_rng(29)
+        laws = (SINE, SIG, sigmoid_law(1.0), sigmoid_law(5.0))
+        limits = list(PRESETS.values())
+        for k in range(2400):
+            law, lim = laws[k % 4], limits[k // 4 % len(limits)]
+            case = k // 8 % 6
+            v1 = float(rng.uniform(0.0, 100.0))
+            v3 = v1 if case == 1 else float(rng.uniform(0.0, 100.0))
+            lo = max(v1, v3)
+            hi = lo + float(rng.exponential(30.0))
+            L = 10.0 ** float(rng.uniform(*((-9.0, -5.0) if case == 2 else (-3.0, 2.0))))
+            f = (0.0, 0.0)
+            if case in (3, 4):
+                f = tuple(float(x) * L for x in rng.uniform(0.0, 0.6, 2))
+
+            def need(v):
+                return (
+                    max(transition_min_length(v1, v, law, lim), f[0])
+                    + max(transition_min_length(v3, v, law, lim), f[1])
+                )
+
+            if case in (4, 5):
+                # the total exactly at the boundary: some feed's need, or
+                # the floors' sum, where the need is flat
+                at = lo + (hi - lo) * float(rng.uniform())
+                L = need(at if rng.uniform() < 0.7 else lo)
+            try:
+                adjust_with_constant(v1, v3, L, hi, law, lim, floors=f)
+            except InfeasibleJunctionError:
+                pass
+            if case in (0, 1, 2, 5):
+                L1 = L * float(rng.uniform(0.0, 1.0))
+                try:
+                    adjust_peak_junction(
+                        v1, hi, v3, L1, L - L1, law, lim, lambda x: math.inf
+                    )
+                except InfeasibleJunctionError:
+                    pass
+        assert len(evaluations) >= 2000
+
+    def test_take_few_evaluations_on_the_corpus_and_long_plans(self, monkeypatch):
+        # the bisection took 51 evaluations per solve on these plans; the
+        # secant and gallop take about 6
+        evaluations = checked_solves(monkeypatch)
+        paths = [scanned(seed, preset) for seed, preset in CORPUS_PICKS]
+        for name in ("c03-n40-standard-sigmoid", "c03-n60-standard-sigmoid"):
+            curve, preset = benchmark_curve("long", 71, name)
+            limits = PRESETS[preset]
+            scatter = scan_curve(curve, limits)
+            blocks = build_blocks(
+                curve, scatter, find_breakpoints(scatter, mu_s=limits.mu_s)
+            )
+            paths.append((curve, scatter, blocks, limits))
+        for curve, scatter, blocks, limits in paths:
+            for law in (sigmoid_law(limits.shape_s), SINE):
+                schedule(curve, blocks, scatter, limits, law)
+        assert len(evaluations) > 100
+        assert sum(evaluations) / len(evaluations) <= 20.0
+
+    def test_fitting_hi_returns_after_one_evaluation(self):
+        calls = []
+        assert optimizer._largest_fitting(
+            lambda v: calls.append(v) or v, 10.0, 1.0, 5.0
+        ) == 5.0
+        assert calls == [5.0]
+
+    @pytest.mark.parametrize("edge", [3.0, math.nextafter(3.0, math.inf), 7.25])
+    def test_a_step_need_is_solved_on_its_edge(self, edge):
+        # need jumps from 0 to 2 past edge, which no secant resolves: the
+        # gallop and bisection find the edge
+        def need(v):
+            return 0.0 if v <= edge else 2.0
+
+        assert optimizer._largest_fitting(need, 1.0, 3.0, 50.0) == edge
+
+    def test_a_flat_need_far_below_its_edge_stops_galloping(self):
+        # need(lo) equals the total on a flat stretch up to 30: the secant
+        # root stays on lo, and after _GALLOP_STEPS doubling ulp steps the
+        # bisection takes the rest of the bracket, at most 64 halvings
+        calls = []
+
+        def need(v):
+            calls.append(v)
+            return 1.0 if v <= 30.0 else 1.0 + (v - 30.0)
+
+        assert optimizer._largest_fitting(need, 1.0, 1.0, 100.0) == 30.0
+        assert len(calls) <= 2 + optimizer._GALLOP_STEPS + 64
+
+
 def line_setup(length, feeds, cuts):
     """A straight segment with blocks cut at the given arc fractions."""
     curve = make_line(end=(length, 0.0))

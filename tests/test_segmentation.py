@@ -3,7 +3,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from feedsched import segmentation
 from feedsched.chordscan import (
     FeedrateScatter,
     Limits,
@@ -107,6 +110,66 @@ class TestFindBreakpoints:
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="mu_s must be strictly positive"):
                 find_breakpoints(sc, mu_s=bad)
+
+
+def checked_valleys(monkeypatch):
+    """Make every valley restore also run the former stack loop
+    (oracles.stack_missed_valleys) and assert the two agree; returns
+    the list of the spans' picks that were checked."""
+    restore = segmentation._add_missed_valleys
+    seen = []
+
+    def both(u, v, picked):
+        got = restore(u, v, picked)
+        assert got == oracles.stack_missed_valleys(u, v, picked)
+        assert all(type(k) is int for k in got)
+        seen.append(picked)
+        return got
+
+    monkeypatch.setattr(segmentation, "_add_missed_valleys", both)
+    return seen
+
+
+class TestValleyRestore:
+    """The valley restore, which splits every open span of one level at
+    once, against the former stack loop, one span at a time."""
+
+    def test_matches_the_stack_loop_on_the_corpus_scans(self, monkeypatch):
+        seen = checked_valleys(monkeypatch)
+        for seed in range(25):
+            curve = random_curve(seed)
+            for preset in ("standard", "high-accel"):
+                limits = PRESETS[preset]
+                scatter = scan_curve(curve, limits)
+                find_breakpoints(scatter, mu_s=limits.mu_s)
+                find_breakpoints(scatter)
+        assert len(seen) == 100
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        levels=st.lists(st.integers(1, 4), min_size=2, max_size=60),
+        even=st.booleans(),
+        gaps=st.lists(st.floats(0.01, 1.0), min_size=60, max_size=60),
+        cuts=st.lists(st.booleans(), min_size=60, max_size=60),
+    )
+    def test_matches_the_stack_loop_on_random_scatters(
+        self, levels, even, gaps, cuts
+    ):
+        # few feed levels give flat runs and, on even spacing, tied gaps;
+        # dense picks give spans of two and three samples
+        n = len(levels)
+        u = np.linspace(0.0, 1.0, n) if even else np.cumsum([0.0, *gaps[: n - 1]])
+        v = 25.0 * np.array(levels, dtype=float)
+        picked = [0, *(k for k in range(1, n - 1) if cuts[k]), n - 1]
+        got = segmentation._add_missed_valleys(u, v, picked)
+        assert got == oracles.stack_missed_valleys(u, v, picked)
+
+    def test_ties_split_at_the_first_worst_sample(self):
+        # two equally deep samples: the first becomes the breakpoint, then
+        # the second splits the right half
+        u = np.linspace(0.0, 1.0, 5)
+        v = np.array([100.0, 50.0, 100.0, 50.0, 100.0])
+        assert segmentation._add_missed_valleys(u, v, [0, 4]) == [0, 1, 3, 4]
 
 
 class TestClassifyKind:
