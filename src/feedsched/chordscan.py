@@ -258,12 +258,11 @@ def _settle(curve, u, u_pred, target, p0):
     by more than _LANDING_MATCH of it. A correction stays at least a
     quarter of the predicted step past u, and the curve end clamps it;
     a landing clamped there takes no further step. Returns the landings
-    and their jets (points, first and second derivatives).
+    and their points and first derivatives, from first-order jets passes.
     """
     x = u_pred.copy()
-    at_x = jets(curve, x)
+    at_x = p, d1 = jets(curve, x, order=1)
     todo = np.arange(x.size)
-    p, d1 = at_x[:2]
     for steps in range(_SETTLE_STEPS):
         gap = target[todo] - _norms(p - p0[todo])
         speed = _norms(d1)
@@ -275,15 +274,15 @@ def _settle(curve, u, u_pred, target, p0):
             break
         floor = u[todo] + 0.25 * (u_pred[todo] - u[todo])
         x[todo] = np.minimum(np.maximum(x[todo] + gap[more] / speed[more], floor), 1.0)
-        p, d1, d2 = jets(curve, x[todo])
-        at_x[0][todo], at_x[1][todo], at_x[2][todo] = p, d1, d2
+        p, d1 = jets(curve, x[todo], order=1)
+        at_x[0][todo], at_x[1][todo] = p, d1
     return x, at_x
 
 
 def _probe(curve, u, v, at_u, Ts):
     """One-period chord deviation at feed v[i] from u[i], inf for a step
-    that does not advance, with the landings and their jets; at_u holds
-    the jets at u."""
+    that does not advance, with the landings and their points and first
+    derivatives; at_u holds the jets at u."""
     p0, d1, d2 = at_u
     u_pred = taylor_step(d1, d2, u, v, Ts)
     go = u_pred > u
@@ -293,7 +292,7 @@ def _probe(curve, u, v, at_u, Ts):
     go = np.flatnonzero(go)
     dev = np.full(u.size, math.inf)
     land = u.copy()
-    at_land = [a.copy() for a in at_u]
+    at_land = [a.copy() for a in at_u[:2]]
     if go.size:
         x, at_x = _settle(curve, u[go], u_pred[go], v[go] * Ts, p0[go])
         land[go] = x
@@ -360,12 +359,14 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
     end probed instead; if the safe end no longer fits, the search closes
     in on the nearby root to _FINE_REL_WIDTH, so that its feed moves no
     further than the root did. An unsafe end at the end's reach stays
-    there without a probe.
+    there without a probe, and one at the feed its search probes in the
+    same round (v_max where v_max fitted before) takes that probe.
 
     Returns the safe feeds, the unsafe ends (inf where v_max fits), the
-    landings of the safe feeds and their jets, a mask of the searches
-    that gave up, one of the unsafe ends at a feed where a step reverses
-    or reaches the curve end, and one of the searches in doubt.
+    landings of the safe feeds with their points and first derivatives,
+    a mask of the searches that gave up, one of the unsafe ends at a feed
+    where a step reverses or reaches the curve end, and one of the
+    searches in doubt.
     """
     n = u.size
     dmax, v_max, Ts = limits.delta_max, limits.v_max, limits.Ts
@@ -450,22 +451,26 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
     raised = np.zeros(n, dtype=bool)
     while True:
         falling = live[np.isfinite(fall[live])]
-        rows = np.concatenate([searching, pair, falling])
-        f = np.concatenate([f, upper, fall[falling]])
+        # a pair's upper feed that its own search probes in this round (a
+        # carried-over unsafe end at v_max, say) is probed once, for both
+        slot = np.searchsorted(searching, pair)
+        once = upper != f[slot]
+        rows = np.concatenate([searching, pair[once], falling])
+        f = np.concatenate([f, upper[once], fall[falling]])
         d, landing, at_landing = _probe(curve, u[rows], f, [a[rows] for a in at_u], Ts)
-        k, j = searching.size, searching.size + pair.size
+        k = searching.size
+        j = k + int(once.sum())
+        slot[once] = np.arange(k, j)
+        d_pair, l_pair, at_pair = d[slot], landing[slot], [a[slot] for a in at_landing]
         record(searching, f[:k], d[:k], landing[:k], [a[:k] for a in at_landing])
         if raised is not None:
             # a carried-over bracket keeps its safe end where it can
             kept = d[:k][pair] <= dmax
-            held = kept & (d[k:j] > dmax)
+            held = kept & (d_pair > dmax)
             raised[pair[kept & ~held]] = True
             stop[pair[~kept]] = _FINE_REL_WIDTH
-            pair, upper = pair[held], f[k:j][held]
-            d_pair, l_pair = d[k:j][held], landing[k:j][held]
-            at_pair = [a[k:j][held] for a in at_landing]
-        else:
-            d_pair, l_pair, at_pair = d[k:j], landing[k:j], [a[k:j] for a in at_landing]
+            pair, upper = pair[held], upper[held]
+            d_pair, l_pair, at_pair = d_pair[held], l_pair[held], [a[held] for a in at_pair]
         if pair.size:
             record(pair, upper, d_pair, l_pair, at_pair)
         if falling.size:
@@ -648,7 +653,10 @@ def _predict(curve, plan, limits, u0):
     is then solved by Newton's method: each step is one jets pass at the
     samples, the midpoints and the midpoints moved by _SLOPE_STEP of their
     step either way (for each chord's rate of change with its midpoint, a
-    central difference of the curvature), and the forward recurrence of
+    central difference of the curvature, 0 for a capped chord: those
+    points only for the chords the step before left uncapped and their
+    neighbours, all on the first step, and one more pass for a chord
+    uncapped outside them), and the forward recurrence of
     the chain's bidiagonal Jacobian, with each link's change kept within
     half its length; up to _PREDICT_STEPS steps, until every chord
     matches within _PREDICT_MATCH. Once the chords match within _CAPPED_MATCH,
@@ -669,16 +677,32 @@ def _predict(curve, plan, limits, u0):
     x = np.fmin(np.fmax.accumulate(np.fmax(np.append(u0, _params_at(grid, s)), u0)), 1.0)
     probed = None
     at_x = None
+    # the chords whose central-difference points the next pass takes
+    taken = np.ones(n, dtype=bool)
     for _ in range(_PREDICT_STEPS):
         mid = 0.5 * (x[:-1] + x[1:])
         h = _SLOPE_STEP * np.diff(x)
         lo, hi = np.fmax(mid - h, 0.0), np.fmin(mid + h, 1.0)
-        points, d1, d2 = jets(curve, np.concatenate([x, mid, lo, hi]))
-        kappa = _curvatures(d1[n + 1 :], d2[n + 1 :]).reshape(3, n)
-        chord, dchord = _closed_form_chords(kappa[0], limits)
+        points, d1, d2 = jets(curve, np.concatenate([x, mid, lo[taken], hi[taken]]))
+        kappa = _curvatures(d1[n + 1 :], d2[n + 1 :])
+        chord, dchord = _closed_form_chords(kappa[:n], limits)
+        # a capped chord (dchord 0) changes at rate 0 whatever its
+        # curvature; an uncapped one the pass did not take takes its own
+        ends = np.zeros((2, n))
+        ends[:, taken] = kappa[n:].reshape(2, -1)
+        uncapped = dchord != 0.0
+        late = uncapped & ~taken
+        if late.any():
+            _, e1, e2 = jets(curve, np.concatenate([lo[late], hi[late]]))
+            ends[:, late] = _curvatures(e1, e2).reshape(2, -1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rate = dchord * (kappa[2] - kappa[1]) / (hi - lo)
+            rate = np.where(uncapped, dchord * (ends[1] - ends[0]) / (hi - lo), 0.0)
         rate = np.where(np.isfinite(rate), rate, 0.0)
+        # the next pass takes the uncapped chords and their neighbours, the
+        # capped chords a step of the chain may uncap
+        taken = uncapped.copy()
+        taken[1:] |= uncapped[:-1]
+        taken[:-1] |= uncapped[1:]
         link = points[1 : n + 1] - points[:n]
         length = _norms(link)
         live = x[1:] < 1.0
@@ -695,7 +719,7 @@ def _predict(curve, plan, limits, u0):
                 v = np.full(i.size, limits.v_max)
                 ahead = taylor_step(d1[i], d2[i], x[i], v, limits.Ts)
                 go = ahead > x[i]
-                _, (p, _, _) = _settle(
+                _, (p, _) = _settle(
                     curve, x[i[go]], ahead[go], v[go] * limits.Ts, points[i[go]]
                 )
                 probed[i[go]] = _norms(p - points[i[go]])

@@ -374,10 +374,11 @@ def curvature_radius(curve: ParametricCurve, u: float) -> float:
     return speed3 / cross
 
 
-def jets(curve: ParametricCurve, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Point, first and second derivative at every parameter of u (1-D),
-    as arrays of shape (len(u), dimension) from one vectorised Horner pass
-    over the span table; row i equals jet(curve, u[i]) bit for bit."""
+def jets(curve: ParametricCurve, u, order: int = 2) -> tuple[np.ndarray, ...]:
+    """Point and derivatives up to order (1 or 2) at every parameter of u
+    (1-D), as arrays of shape (len(u), dimension) from one vectorised
+    Horner pass over the span table; row i equals jet(curve, u[i]) bit for
+    bit, and order 1 gives the first two arrays of order 2 bit for bit."""
     u = np.asarray(u, dtype=float)
     outside = ~((u >= 0.0) & (u <= 1.0))
     if outside.any():
@@ -388,20 +389,24 @@ def jets(curve: ParametricCurve, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     coeffs = curve._span_powers[:, :, idx]
     t = u - mids[idx]
     # the value, first and half the second derivative of every homogeneous
-    # coordinate, stacked, take _jet's Horner steps together; its quotient
-    # rule then acts on whole coordinate rows
-    hom = np.zeros((3,) + coeffs.shape[1:])
+    # coordinate, stacked up to order, take _jet's Horner steps together;
+    # its quotient rule then acts on whole coordinate rows
+    hom = np.zeros((order + 1,) + coeffs.shape[1:])
     hom[0] = coeffs[0]
     for c in coeffs[1:]:
-        lower = hom[:2]
+        lower = hom[:-1]
         hom = hom * t
         hom[0] += c
         hom[1:] += lower
-    val, der, half = hom
     dim = curve.dimension
-    w0, w1, w2 = val[dim], der[dim], 2.0 * half[dim]
+    val, der = hom[0], hom[1]
+    w0, w1 = val[dim], der[dim]
     c0 = val[:dim] / w0
     c1 = (der[:dim] - w1 * c0) / w0
+    if order == 1:
+        return c0.T, c1.T
+    half = hom[2]
+    w2 = 2.0 * half[dim]
     c2 = (2.0 * half[:dim] - 2.0 * w1 * c1 - w2 * c0) / w0
     return c0.T, c1.T, c2.T
 

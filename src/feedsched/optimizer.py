@@ -27,7 +27,9 @@ moves only where the scan ceiling over the arc it hands over holds it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -315,16 +317,31 @@ def adjust_with_constant(
 def _min_ceiling(s, v, a, b):
     """Smallest scan ceiling over arc positions [a, b], ends interpolated.
 
-    s holds the arc positions of the scan samples and v their feeds.
+    s holds the arc positions of the scan samples and v their feeds, both
+    as lists of floats.
     """
     if b < a:
         a, b = b, a
-    lo = int(np.searchsorted(s, a, side="left"))
-    hi = int(np.searchsorted(s, b, side="right"))
-    best = min(float(np.interp(a, s, v)), float(np.interp(b, s, v)))
+    best = min(_interp(a, s, v), _interp(b, s, v))
+    lo, hi = bisect_left(s, a), bisect_right(s, b)
     if hi > lo:
-        best = min(best, float(v[lo:hi].min()))
+        best = min(best, min(v[lo:hi]))
     return best
+
+
+def _interp(x, s, v):
+    """np.interp(x, s, v) on lists of floats, with its arithmetic: the end
+    feed outside [s[0], s[-1]], a sample's own feed on it, else the line
+    through the two samples around x."""
+    j = bisect_right(s, x) - 1
+    if j < 0:
+        return v[0]
+    if j >= len(s) - 1:
+        return v[-1]
+    if s[j] == x:
+        return v[j]
+    slope = (v[j + 1] - v[j]) / (s[j + 1] - s[j])
+    return slope * (x - s[j]) + v[j]
 
 
 def _anchor_junctions(curve, u, pos, start, keep):
@@ -373,8 +390,14 @@ class _Passes:
             return classify_kind(self.v[i], self.v[i + 1], self.limits.v_max)
         return None
 
+    @cached_property
+    def _scan_lists(self):
+        """scan_pos and scan_feed as lists for _min_ceiling, built at the
+        first ceiling read: a plan of a few blocks may read none."""
+        return self.scan_pos.tolist(), self.scan_feed.tolist()
+
     def ceiling(self, a, b):
-        return _min_ceiling(self.scan_pos, self.scan_feed, a, b)
+        return _min_ceiling(*self._scan_lists, a, b)
 
     def lower(self, j, v):
         """Lower the feed at junction j to v; a higher v leaves it."""

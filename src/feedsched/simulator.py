@@ -159,7 +159,8 @@ def _land(curve, grid, u0, s0, p0, d0, travel, reached):
     that reaches a - match exceeds.
 
     Returns how many leading ticks landed, whether every tick after those
-    lies past the curve end, the parameters and jets of the landings, and
+    lies past the curve end, the parameters of the landings with their
+    points and first derivatives (one first-order jets pass), and
     the arc positions of u0 and of the landings.
     """
     _, at, _, excess = grid
@@ -169,7 +170,7 @@ def _land(curve, grid, u0, s0, p0, d0, travel, reached):
     x = _params_at(grid, arc)
     for passes in range(1, _WINDOW_PASSES + 1):
         x = np.fmin(np.fmax.accumulate(np.fmax(x, u0)), 1.0)
-        at_x = points, d1, _ = jets(curve, x)
+        at_x = points, d1 = jets(curve, x, order=1)
         chord = (points - np.vstack([p0, points[:-1]])).T
         dist = np.sqrt(sum(c * c for c in chord))
         gap = dist - advance
@@ -204,10 +205,11 @@ def _first_crossing(curve, u0, p0, advance, hi):
     within _CHORD_MATCH_TOL, with its point and first derivative; None
     when the curve ends short of the advance.
 
-    Each pass samples _SEARCH_STEPS of a bracket (lo, hi] in one jets
-    pass and takes the first sample that reaches advance - match. Past
-    the match the bracket narrows around it; within, one Newton step from
-    it, kept in the bracket, gives the next hi, with lo back at u0. It
+    Each pass samples _SEARCH_STEPS of a bracket (lo, hi] in one
+    first-order jets pass and takes the first sample that reaches
+    advance - match. Past the match the bracket narrows around it; within,
+    one Newton step from it, kept in the bracket, gives the next hi, with
+    lo back at u0. It
     returns hi once hi is the first sample of (u0, hi] to reach and it
     matches. A bracket with no sample that reaches moves on to (hi, 1].
     """
@@ -215,7 +217,7 @@ def _first_crossing(curve, u0, p0, advance, hi):
     for _ in range(_SEARCH_PASSES):
         u = lo + (hi - lo) * _SEARCH_STEPS
         u[-1] = hi
-        points, d1, _ = jets(curve, u)
+        points, d1 = jets(curve, u, order=1)
         chord = points - p0
         dist = np.sqrt((chord * chord).sum(axis=1))
         gap = dist - advance
@@ -284,7 +286,7 @@ def interpolate(
     k, last = 0, n_steps - 1
     while k < last and u < 1.0:
         window = reached[k + 1 : min(k + _WINDOW_TICKS, last) + 1]
-        n, ended, x, (p, d, _), arc = _land(
+        n, ended, x, (p, d), arc = _land(
             curve, grid, u, s, pos, d1, reached[k], window
         )
         if n:

@@ -19,7 +19,10 @@ recurrences of ``_basis_derivatives``). The valley restore reference
 former walk (``scalar_walk``, and ``scalar_scan`` with its well probes),
 whose ceiling search ``_scalar_feedrate`` rescales from v_max and closes
 an Illinois bracket on one parameter, and which evaluates each point and
-its derivatives separately for every probe and Newton iterate. The replay reference
+its derivatives separately for every probe and Newton iterate; the
+window prediction's reference ``predict_every_point`` takes the central
+differences of every chord, capped or not. ``min_ceiling_interp`` is the
+scheduler's former ceiling lookup on np.interp. The replay reference
 is the former tick loop, which evaluates points and derivatives
 separately, finds each tick's block by bisection over the block starts
 (``_Track``) and measures each tick's chord deviation as it goes; it
@@ -40,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from feedsched import chordscan
 from feedsched.baseline import SINE
 from feedsched.chordscan import (
     _BRACKET_REL_WIDTH,
@@ -57,10 +61,12 @@ from feedsched.chordscan import (
 from feedsched.cli import _BLOCK_HEADER, CliError
 from feedsched.geometry import (
     SingularCurveError,
+    _params_at,
     curvature_radius,
     derivatives,
     evaluate,
     jet,
+    jets,
 )
 from feedsched.optimizer import transition_max_feed
 from feedsched.segmentation import (
@@ -809,6 +815,87 @@ def bisect_feedrate(curve, u, limits):
         else:
             hi = mid
     return safe
+
+
+def min_ceiling_interp(s, v, a, b):
+    """The scheduler's former smallest scan ceiling over arc positions
+    [a, b]: arrays s and v, np.searchsorted for the samples inside and
+    np.interp at both ends."""
+    if b < a:
+        a, b = b, a
+    lo = int(np.searchsorted(s, a, side="left"))
+    hi = int(np.searchsorted(s, b, side="right"))
+    best = min(float(np.interp(a, s, v)), float(np.interp(b, s, v)))
+    if hi > lo:
+        best = min(best, float(v[lo:hi].min()))
+    return best
+
+
+def predict_every_point(curve, plan, limits, u0):
+    """chordscan._predict as it was before it skipped the central
+    differences of capped chords: every Newton step evaluates the
+    samples, the midpoints and both points around every midpoint in one
+    jets pass, and takes each chord's rate of change from them, times its
+    derivative in the curvature (0 for a capped chord)."""
+    grid, count = plan
+    at = grid[1]
+    s0 = float(curve._arc_table.positions(u0))
+    c0 = np.interp(s0, at, count)
+    n = int(np.clip(np.ceil(count[-1] - c0) + 1.0, 1.0, chordscan._WINDOW_SAMPLES))
+    s = np.interp(c0 + np.arange(1, n + 1), count, at)
+    x = np.fmin(np.fmax.accumulate(np.fmax(np.append(u0, _params_at(grid, s)), u0)), 1.0)
+    probed = None
+    at_x = None
+    for _ in range(chordscan._PREDICT_STEPS):
+        mid = 0.5 * (x[:-1] + x[1:])
+        h = chordscan._SLOPE_STEP * np.diff(x)
+        lo, hi = np.fmax(mid - h, 0.0), np.fmin(mid + h, 1.0)
+        points, d1, d2 = jets(curve, np.concatenate([x, mid, lo, hi]))
+        kappa = chordscan._curvatures(d1[n + 1 :], d2[n + 1 :]).reshape(3, n)
+        chord, dchord = chordscan._closed_form_chords(kappa[0], limits)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = dchord * (kappa[2] - kappa[1]) / (hi - lo)
+        rate = np.where(np.isfinite(rate), rate, 0.0)
+        link = points[1 : n + 1] - points[:n]
+        length = chordscan._norms(link)
+        live = x[1:] < 1.0
+        if probed is not None:
+            chord = np.where(np.isnan(probed), chord, probed)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            miss = np.abs(length - chord)[live] / chord[live]
+        if probed is None and not (miss > chordscan._CAPPED_MATCH).any():
+            probed = np.full(n, math.nan)
+            i = np.flatnonzero((dchord == 0.0) & live & (chord > 0.0))
+            if i.size:
+                v = np.full(i.size, limits.v_max)
+                ahead = chordscan.taylor_step(d1[i], d2[i], x[i], v, limits.Ts)
+                go = ahead > x[i]
+                _, (p, _) = chordscan._settle(
+                    curve, x[i[go]], ahead[go], v[go] * limits.Ts, points[i[go]]
+                )
+                probed[i[go]] = chordscan._norms(p - points[i[go]])
+                chord = np.where(np.isnan(probed), chord, probed)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    miss = np.abs(length - chord)[live] / chord[live]
+        if not (miss > chordscan._PREDICT_MATCH).any():
+            at_x = points[:n], d1[:n], d2[:n]
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            unit = np.where(length[:, None] > 0.0, link, d1[:n]) / np.where(
+                length > 0.0, length, chordscan._norms(d1[:n])
+            )[:, None]
+            ahead = (unit * d1[1 : n + 1]).sum(axis=1)
+            fwd = np.fmax(ahead - 0.5 * rate, 0.25 * ahead)
+            back = (unit * d1[:n]).sum(axis=1) + 0.5 * rate
+            run = np.cumprod(back / fwd)
+            step = run * np.cumsum(-(length - chord) / (fwd * run))
+        span = np.diff(x)
+        grow = np.diff(np.where(np.isfinite(step), step, 0.0), prepend=0.0)
+        grow = np.clip(grow, -0.5 * span, 0.5 * np.fmax(span, span.mean()))
+        x[1:] = np.fmin(x[0] + np.cumsum(span + grow), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(chord > 0.0, rate / chord, 0.0)
+    return x, np.where(dchord == 0.0, limits.v_max, chord / limits.Ts), slope, at_x
 
 
 # Newton steps of the reference walk's chord step before it settles for

@@ -577,9 +577,11 @@ def reference_spread(curve, limits):
 # Bounds on the work of one window of the walk, its prediction included:
 # probe rounds (taylor_step calls, one per round for all its searches) and
 # geometry.jets passes. The corpus and the long curves take at most 9
-# rounds and 32 passes; the committed curves at most 151 passes, in the
+# rounds and 32 passes; the committed curves at most 159 passes, in the
 # first window of nearer_root.json, which ends early at its near-cusp and
-# whose 37 samples then take the scalar search.
+# whose 37 samples then take the scalar search (151 before the prediction
+# skipped the central differences of capped chords: 8 of its steps uncap
+# a chord whose neighbours were capped, and take one pass more).
 WINDOW_ROUNDS = 16
 WINDOW_PASSES = 180
 
@@ -593,10 +595,10 @@ def window_work(monkeypatch):
     predict, window = chordscan._predict, chordscan._window
 
     def counting(key, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             if inside[0]:
                 windows[-1][key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     def within(fn, start):
@@ -670,3 +672,59 @@ class TestScanWork:
         assert (np.abs(short.u - full.u)[1:] / np.diff(full.u)).max() <= U_MATCH
         assert np.abs(short.v / full.v - 1.0).max() <= V_MATCH
         assert_certified(curve, limits)
+
+
+CRUISE = Path(__file__).parent / "curves" / "cruise.json"
+
+
+class TestOnlyWhatCallersRead:
+    """The scan computes only what its callers read: each probe round
+    probes a parameter at a feed once, and the prediction takes central
+    differences only for chords below the feed cap."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_no_round_probes_a_feed_twice(self, preset, monkeypatch):
+        # on cruise.json a carried-over bracket whose unsafe end is v_max
+        # reopens with its safe end at v_max too: one probe serves both
+        probe = chordscan._probe
+        rows = []
+
+        def once(curve, u, v, at_u, Ts):
+            assert len(set(zip(u.tolist(), v.tolist()))) == u.size
+            rows.append(u.size)
+            return probe(curve, u, v, at_u, Ts)
+
+        monkeypatch.setattr(chordscan, "_probe", once)
+        scatter = scan_curve(load_curve(CRUISE), PRESETS[preset])
+        print(f"{len(scatter)} samples: {len(rows)} rounds, {sum(rows)} probe rows")
+        assert len(rows) > 0
+
+    def test_predictions_equal_the_every_point_reference(self, monkeypatch):
+        # x, the feeds and the jets at the samples bit for bit; the
+        # slopes equal in value: a capped chord's is +0.0 where the
+        # reference's 0 times a falling curvature gives -0.0
+        predict = chordscan._predict
+        windows = []
+
+        def both(curve, plan, limits, u0):
+            got = predict(curve, plan, limits, u0)
+            want = oracles.predict_every_point(curve, plan, limits, u0)
+            x, feed, slope, at_x = got
+            assert x.tobytes() == want[0].tobytes()
+            assert feed.tobytes() == want[1].tobytes()
+            assert np.array_equal(slope, want[2])
+            assert (at_x is None) == (want[3] is None)
+            if at_x is not None:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(at_x, want[3], strict=True))
+            windows.append(x.size)
+            return got
+
+        monkeypatch.setattr(chordscan, "_predict", both)
+        for seed in range(25):
+            for limits in PRESETS.values():
+                scan_curve(random_curve(seed), limits)
+        for n in (20, 40, 80, 160):
+            scan_curve(random_curve(3, n_ctrl=n, extent=1.5 * n), PRESETS["standard"])
+        for limits in PRESETS.values():
+            scan_curve(load_curve(CRUISE), limits)
+        print(f"{len(windows)} windows, {sum(windows)} predicted samples")

@@ -418,6 +418,41 @@ class TestSpanTable:
         assert math.copysign(1.0, c._spans[2][0, 1, 2]) == 1.0
 
 
+def assert_first_order_pass_matches(c, u):
+    """jets at order 1 gives the first two arrays of the order-2 pass, bit
+    for bit (same_arrays tells -0.0 from 0.0), whatever it gives where a
+    weight e^-30 rounds the homogeneous weight to 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full = jets(c, u)
+        first = jets(c, u, order=1)
+    assert len(first) == 2
+    assert same_arrays(first, full[:2])
+
+
+class TestFirstOrderJets:
+    PARAMS = np.concatenate([np.linspace(0.0, 1.0, 257), [1e-300, 0.5 + 2e-16]])
+
+    def test_matches_the_second_order_pass_on_the_curve_files(self):
+        for path in CURVE_FILES:
+            c = load_curve(path)
+            assert_first_order_pass_matches(c, np.append(self.PARAMS, sorted(set(c.knots))))
+
+    def test_matches_the_second_order_pass_on_generated_curves(self):
+        for seed in range(25):
+            c = random_curve(seed)
+            assert_first_order_pass_matches(c, np.append(self.PARAMS, sorted(set(c.knots))))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        c=st.one_of(nurbs_curves(), nurbs_curves(log_weight=30.0)),
+        us=st.lists(st.floats(0.0, 1.0), max_size=8),
+    )
+    def test_matches_the_second_order_pass(self, c, us):
+        # degrees 1-5, planar and spatial, weights up to e^+-30, random
+        # parameters and every knot
+        assert_first_order_pass_matches(c, np.array(us + sorted(set(c.knots))))
+
+
 class TestArcTableProperties:
     """The arc table against the adaptive-quadrature oracle and against
     its own lookups of lone parameters."""

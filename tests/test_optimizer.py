@@ -709,6 +709,43 @@ class TestMinCeiling:
         assert optimizer._min_ceiling(s, v, 4.8, 2.4) == pytest.approx(4.8)
         assert optimizer._min_ceiling(s, v, 4.0, 4.0) == pytest.approx(8.0)
 
+    def test_equals_the_interp_form_on_every_corpus_and_long_call(self, monkeypatch):
+        # bisect and np.interp's own arithmetic on lists give np.interp's
+        # float bit for bit, ends outside the scan and on a sample included
+        ceiling = optimizer._min_ceiling
+        calls = []
+
+        def both(s, v, a, b):
+            got = ceiling(s, v, a, b)
+            want = oracles.min_ceiling_interp(np.array(s), np.array(v), a, b)
+            assert type(got) is float
+            assert got.hex() == want.hex()
+            calls.append((a, b))
+            return got
+
+        monkeypatch.setattr(optimizer, "_min_ceiling", both)
+        paths = [scanned(seed, preset) for seed in range(25) for preset in sorted(PRESETS)]
+        for name in ("c03-n40-standard-sigmoid", "c03-n60-standard-sigmoid"):
+            curve, preset = benchmark_curve("long", 71, name)
+            limits = PRESETS[preset]
+            scatter = scan_curve(curve, limits)
+            blocks = build_blocks(
+                curve, scatter, find_breakpoints(scatter, mu_s=limits.mu_s)
+            )
+            paths.append((curve, scatter, blocks, limits))
+        for curve, scatter, blocks, limits in paths:
+            for law in (sigmoid_law(limits.shape_s), SINE):
+                schedule(curve, blocks, scatter, limits, law)
+        print(f"{len(calls)} calls")
+        assert len(calls) > 1000
+
+    def test_ends_outside_the_scan_and_on_samples(self):
+        s = [0.0, 1.0, 2.0, 4.0]
+        v = [3.0, 1.0, 5.0, 2.0]
+        for a, b in ((-1.0, 0.5), (3.0, 9.0), (1.0, 2.0), (4.0, 4.0), (0.25, 3.5), (-2.0, -1.0)):
+            want = oracles.min_ceiling_interp(np.array(s), np.array(v), a, b)
+            assert optimizer._min_ceiling(s, v, a, b).hex() == want.hex()
+
 
 class TestSchedule:
     def test_span_under_a_ceiling_below_its_ends_drops_to_the_ceiling(

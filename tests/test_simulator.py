@@ -392,9 +392,9 @@ class TestReplayWork:
                 return fn(*args, **kwargs)
             return wrapped
 
-        def counted_jets(*args):
+        def counted_jets(*args, **kwargs):
             calls["walk passes" if walking[0] else "other passes"] += 1
-            return batch(*args)
+            return batch(*args, **kwargs)
 
         def counted_land(*args):
             calls["windows"] += 1
