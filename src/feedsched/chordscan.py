@@ -6,8 +6,10 @@ settled onto its chord, keeps the chord deviation within the programmed
 tolerance, and the next sample is that step's landing. The result is a
 scatter of per-parameter feed ceilings used by the downstream scheduler.
 
-The walk runs in windows of up to _WINDOW_SAMPLES samples (_walk). A
-window predicts its samples from the closed-form ceiling (_predict),
+The walk runs in windows of up to _WINDOW_SAMPLES samples (_walk), and
+longer where the closed-form plan caps the steps at v_max: a window runs
+on through such a run, up to _CAPPED_STRETCH times that (_window_start).
+A window predicts its samples from the closed-form ceiling (_predict),
 certifies all their ceilings at once in masked probe rounds on arrays
 (_ceilings, one taylor_step call per round), each search opened at its
 predicted feed beside the scalar search's descent from v_max, and
@@ -69,10 +71,13 @@ _PAIR_SPAN = 1e-3
 # fraction, after at most _SETTLE_STEPS Newton corrections.
 _LANDING_MATCH = 1e-4
 _SETTLE_STEPS = 3
-# The walk certifies up to _WINDOW_SAMPLES samples at once, until each
-# landing matches the next sample within _LINK_MATCH of its step; a
-# window whose links still miss after _WINDOW_ROUNDS rounds ends early.
+# The walk certifies up to _WINDOW_SAMPLES samples at once, or up to
+# _CAPPED_STRETCH times that where the window runs on through steps capped
+# at v_max, until each landing matches the next sample within _LINK_MATCH
+# of its step; a window whose links still miss after _WINDOW_ROUNDS rounds
+# ends early.
 _WINDOW_SAMPLES = 512
+_CAPPED_STRETCH = 8
 _WINDOW_ROUNDS = 8
 _LINK_MATCH = 1e-10
 # Where the closed-form prediction misses a ceiling by more than a factor
@@ -589,16 +594,22 @@ def _illinois(i, x_lo, g_lo, x_hi, g_hi, widths, stop, feed, edge, exact):
 
 def _feed_plan(curve: ParametricCurve, limits: Limits):
     """The closed-form steps along the curve's arc grid and their running
-    count: at each node the chord of _closed_form_chords, and the count
-    integrates one over that chord along the arc. Returns the grid and
-    the counts at its nodes."""
+    counts: at each node the chord of _closed_form_chords, and the count
+    integrates one over that chord along the arc; the uncapped count
+    integrates it only at the nodes whose chord is below v_max Ts, so it
+    stays flat over a run of capped steps. Returns the grid and both
+    counts at its nodes."""
     grid = curve._arc_grid
     _, at, _, excess = grid
-    chord, _ = _closed_form_chords(np.sqrt(24.0 * excess), limits)
-    with np.errstate(divide="ignore", over="ignore"):
-        rate = 1.0 / np.maximum(chord, _TINY)
-        count = np.append(0.0, np.cumsum(np.diff(at) * 0.5 * (rate[:-1] + rate[1:])))
-    return grid, np.minimum(count, np.finfo(float).max)
+    chord, dchord = _closed_form_chords(np.sqrt(24.0 * excess), limits)
+    rate = 1.0 / np.maximum(chord, _TINY)
+
+    def running(r):
+        with np.errstate(over="ignore"):
+            count = np.append(0.0, np.cumsum(np.diff(at) * 0.5 * (r[:-1] + r[1:])))
+        return np.minimum(count, np.finfo(float).max)
+
+    return grid, running(rate), running(np.where(dchord != 0.0, rate, 0.0))
 
 
 def _closed_form_chords(kappa, limits):
@@ -643,23 +654,48 @@ def _chord_slopes(curve, mid, step, chord, dchord):
     return np.where(np.isfinite(slope), slope, 0.0)
 
 
+def _window_start(curve, plan, u0):
+    """A window's first guess from u0: its samples one closed-form step
+    apart by the plan's running count and the last one's landing.
+
+    The window takes up to _WINDOW_SAMPLES samples, and past them the
+    samples whose steps the plan caps at v_max Ts (its uncapped count
+    stays flat over them), up to the first uncapped step or
+    _CAPPED_STRETCH times _WINDOW_SAMPLES samples: a capped chain is
+    certified in as few rounds at any length, while a chord-bound one
+    keeps short windows."""
+    grid, count, free = plan
+    at = grid[1]
+    s0 = float(curve._arc_table.positions(u0))
+    c0 = np.interp(s0, at, count)
+    n = int(np.clip(np.ceil(count[-1] - c0) + 1.0, 1.0, _CAPPED_STRETCH * _WINDOW_SAMPLES))
+    s = np.interp(c0 + np.arange(1, n + 1), count, at)
+    if n > _WINDOW_SAMPLES:
+        # each step's increase of the uncapped count, from the last
+        # sample of a window of _WINDOW_SAMPLES on
+        rise = np.diff(np.interp(np.append(s0, s)[_WINDOW_SAMPLES - 1 :], at, free))
+        n = _WINDOW_SAMPLES - 1 + max(1, int(np.argmax(np.append(rise, 1.0) > 0.0)))
+        s = s[:n]
+    return np.fmin(np.fmax.accumulate(np.fmax(np.append(u0, _params_at(grid, s)), u0)), 1.0)
+
+
 def _predict(curve, plan, limits, u0):
     """A window's predicted samples from u0: the chain whose every chord
     is the closed-form chord at its midpoint parameter, capped at v_max
     Ts, with the feeds and slopes the window's searches start from.
 
-    The chain starts one closed-form step apart by the plan's running
-    count, up to _WINDOW_SAMPLES samples and the last one's landing, and
-    is then solved by Newton's method: each step is one jets pass at the
-    samples, the midpoints and the midpoints moved by _SLOPE_STEP of their
-    step either way (for each chord's rate of change with its midpoint, a
-    central difference of the curvature, 0 for a capped chord: those
-    points only for the chords the step before left uncapped and their
-    neighbours, all on the first step, and one more pass for a chord
-    uncapped outside them), and the forward recurrence of
-    the chain's bidiagonal Jacobian, with each link's change kept within
-    half its length; up to _PREDICT_STEPS steps, until every chord
-    matches within _PREDICT_MATCH. Once the chords match within _CAPPED_MATCH,
+    The chain starts from _window_start's samples and is then solved by
+    Newton's method: each step is one jets pass at the samples, the
+    midpoints and the midpoints moved by _SLOPE_STEP of their step either
+    way (for each chord's rate of change with its midpoint, a central
+    difference of the curvature, 0 for a capped chord: those points only
+    for the chords the step before left uncapped and their neighbours, on
+    the first step for the first _WINDOW_SAMPLES chords, past which the
+    window runs on only through steps the plan caps, and one more pass
+    for a chord uncapped outside them), and the forward recurrence of the
+    chain's bidiagonal Jacobian, with each link's change kept within half
+    its length; up to _PREDICT_STEPS steps, until every chord matches
+    within _PREDICT_MATCH. Once the chords match within _CAPPED_MATCH,
     the steps capped at v_max are probed there (Taylor step and settle),
     and their chords become the probes': a probe's landing misses the
     chord v_max Ts by the settle's residual.
@@ -668,17 +704,13 @@ def _predict(curve, plan, limits, u0):
     of change of its chord with its midpoint, and the jets at the samples
     (None when the chain did not settle).
     """
-    grid, count = plan
-    at = grid[1]
-    s0 = float(curve._arc_table.positions(u0))
-    c0 = np.interp(s0, at, count)
-    n = int(np.clip(np.ceil(count[-1] - c0) + 1.0, 1.0, _WINDOW_SAMPLES))
-    s = np.interp(c0 + np.arange(1, n + 1), count, at)
-    x = np.fmin(np.fmax.accumulate(np.fmax(np.append(u0, _params_at(grid, s)), u0)), 1.0)
+    x = _window_start(curve, plan, u0)
+    n = x.size - 1
     probed = None
     at_x = None
-    # the chords whose central-difference points the next pass takes
-    taken = np.ones(n, dtype=bool)
+    # the chords whose central-difference points the next pass takes: on
+    # the first, all but those of a run the plan caps past _WINDOW_SAMPLES
+    taken = np.arange(n) < _WINDOW_SAMPLES
     for _ in range(_PREDICT_STEPS):
         mid = 0.5 * (x[:-1] + x[1:])
         h = _SLOPE_STEP * np.diff(x)

@@ -190,6 +190,9 @@ def run(config: RunConfig) -> int:
     methods = ("sigmoid", "sine") if config.method == "both" else (config.method,)
     laws = {"sigmoid": sigmoid_law(limits.shape_s), "sine": SINE}
     results = {}
+    # both laws' tick times are arange(n + 1) * Ts, so the shorter column
+    # is a prefix of the longer one: its cells are formatted once
+    times: list[str] = []
     for method in methods:
         plan = sine_schedule if method == "sine" else schedule
         try:
@@ -212,10 +215,12 @@ def run(config: RunConfig) -> int:
             # u and the feed go to two files each: format them once
             u, v = _cells(replay.u, feed_csv), _cells(replay.v, feed_csv)
             _write_csv(feed_csv, "u [-],feed [mm/s]", u, v)
+            kinematics_csv = out / f"{method}_kinematics_vs_time.csv"
+            times += _cells(replay.t[len(times) :], kinematics_csv)
             _write_csv(
-                out / f"{method}_kinematics_vs_time.csv",
+                kinematics_csv,
                 "t [s],feed [mm/s],accel [mm/s^2],jerk [mm/s^3]",
-                replay.t, v, replay.A, replay.J,
+                times[: len(replay)], v, replay.A, replay.J,
             )
             _write_csv(
                 out / f"{method}_chord_error_vs_u.csv",

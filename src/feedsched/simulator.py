@@ -12,15 +12,18 @@ The commanded travel of every tick comes first, on arrays: the law's
 block durations (Law.duration) place the block starts, one searchsorted
 over them finds each tick's block, and one Law.state call
 evaluates all ticks (_commanded); a block the law cannot carry is
-refused there. The walk then lands the ticks in windows of up to
-_WINDOW_TICKS: Newton steps over the whole window, one jets pass each,
-from first guesses on the arc table, and a screen on the arc each
-landing consumes that keeps only landings on the nearer root (_land).
-The first tick a window leaves unlanded is found by a bracketed search
-over many parameters per jets pass (_first_crossing), and the next
-window starts after it. The chord pass then measures every step's
-deviation with the scan's chord measure (chordscan._chord_deviations),
-from the osculating radii at all step midpoints, in one jets pass. A plan longer than _MAX_TICKS periods is refused before the walk.
+refused there. The walk then lands the ticks in windows: Newton steps
+over the whole window, one jets pass each, from first guesses on the arc
+table, and a screen on the arc each landing consumes that keeps only
+landings on the nearer root (_land). The first window has _WINDOW_TICKS
+ticks, and one that lands whole doubles the next, up to _LONGEST_WINDOW
+times that. The first tick a window leaves unlanded is found by a
+bracketed search over many parameters per jets pass (_first_crossing),
+and the next window starts after it at _WINDOW_TICKS again. The chord
+pass then measures every step's deviation with the scan's chord measure
+(chordscan._chord_deviations), from the osculating radii at all step
+midpoints, in one jets pass. A plan longer than _MAX_TICKS periods is
+refused before the walk.
 
 Chordal stepping consumes slightly more path than the commanded travel
 on curved spans, at most about half the chord tolerance per period, so
@@ -50,10 +53,13 @@ __all__ = [
 ]
 
 _CHORD_MATCH_TOL = 1e-9  # mm
-# The walk solves the landings of up to _WINDOW_TICKS ticks at once, with
-# at most _WINDOW_PASSES jets passes, and inverts the curve's arc grid
-# (geometry.ParametricCurve._arc_grid) for its first guesses.
+# The walk solves the landings of a window of ticks at once, with at most
+# _WINDOW_PASSES jets passes, and inverts the curve's arc grid
+# (geometry.ParametricCurve._arc_grid) for its first guesses. A window
+# starts at _WINDOW_TICKS ticks and doubles after each one that lands
+# whole, up to _LONGEST_WINDOW times that.
 _WINDOW_TICKS = 512
+_LONGEST_WINDOW = 8
 _WINDOW_PASSES = 8
 # The first-crossing search samples 64 interior parameters of its bracket
 # and its top per pass, and raises after _SEARCH_PASSES. A pass past the
@@ -282,13 +288,17 @@ def interpolate(
     # the landings, as slices of the windows' arrays and lone searched ones
     us, points = [np.array([u])], [np.array([pos])]
     # the walk lands ticks 1 .. last a window at a time; the search lands
-    # a tick the window left, so each round lands at least one tick
-    k, last = 0, n_steps - 1
+    # a tick the window left, so each round lands at least one tick. A
+    # window that lands whole doubles the next, up to _LONGEST_WINDOW
+    # times _WINDOW_TICKS; one that stops short starts over from
+    # _WINDOW_TICKS
+    k, last, size = 0, n_steps - 1, _WINDOW_TICKS
     while k < last and u < 1.0:
-        window = reached[k + 1 : min(k + _WINDOW_TICKS, last) + 1]
+        window = reached[k + 1 : min(k + size, last) + 1]
         n, ended, x, (p, d), arc = _land(
             curve, grid, u, s, pos, d1, reached[k], window
         )
+        size = min(2 * size, _LONGEST_WINDOW * _WINDOW_TICKS) if n == len(window) else _WINDOW_TICKS
         if n:
             us.append(x[:n])
             points.append(p[:n])

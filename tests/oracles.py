@@ -61,7 +61,6 @@ from feedsched.chordscan import (
 from feedsched.cli import _BLOCK_HEADER, CliError
 from feedsched.geometry import (
     SingularCurveError,
-    _params_at,
     curvature_radius,
     derivatives,
     evaluate,
@@ -837,13 +836,8 @@ def predict_every_point(curve, plan, limits, u0):
     samples, the midpoints and both points around every midpoint in one
     jets pass, and takes each chord's rate of change from them, times its
     derivative in the curvature (0 for a capped chord)."""
-    grid, count = plan
-    at = grid[1]
-    s0 = float(curve._arc_table.positions(u0))
-    c0 = np.interp(s0, at, count)
-    n = int(np.clip(np.ceil(count[-1] - c0) + 1.0, 1.0, chordscan._WINDOW_SAMPLES))
-    s = np.interp(c0 + np.arange(1, n + 1), count, at)
-    x = np.fmin(np.fmax.accumulate(np.fmax(np.append(u0, _params_at(grid, s)), u0)), 1.0)
+    x = chordscan._window_start(curve, plan, u0)
+    n = x.size - 1
     probed = None
     at_x = None
     for _ in range(chordscan._PREDICT_STEPS):

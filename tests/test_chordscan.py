@@ -728,3 +728,71 @@ class TestOnlyWhatCallersRead:
         for limits in PRESETS.values():
             scan_curve(load_curve(CRUISE), limits)
         print(f"{len(windows)} windows, {sum(windows)} predicted samples")
+
+
+def capped_steps(curve, plan, limits, u0, n):
+    """Whether the plan caps each of the n steps of a window from u0 at
+    v_max Ts: every node of the arc grid in or next to the step's span,
+    one closed-form step by the plan's running count, has a capped chord.
+    The plan's last step may end at the curve end, so fewer may return."""
+    grid, count, _ = plan
+    at, excess = grid[1], grid[3]
+    s0 = float(curve._arc_table.positions(u0))
+    ends = np.interp(np.interp(s0, at, count) + np.arange(1, n + 1), count, at)
+    ends = np.append(s0, ends[ends < at[-1]])
+    _, dchord = chordscan._closed_form_chords(np.sqrt(24.0 * excess), limits)
+    capped = dchord == 0.0
+    lo = np.searchsorted(at, ends[:-1], side="right") - 1
+    hi = np.searchsorted(at, ends[1:], side="left")
+    return np.array([capped[a : b + 1].all() for a, b in zip(lo, hi)])
+
+
+def window_sizes(curve, limits, monkeypatch):
+    """The sample count of each window of a scan of curve, after checking
+    the rule that sizes it: a window longer than _WINDOW_SAMPLES runs on
+    only through steps the plan caps, from the last of the first
+    _WINDOW_SAMPLES samples on, and stops at the first step the plan
+    leaves uncapped, unless it ends the curve or is _CAPPED_STRETCH times
+    _WINDOW_SAMPLES long."""
+    start = chordscan._window_start
+    size, sizes = chordscan._WINDOW_SAMPLES, []
+
+    def checked(curve, plan, u0):
+        x = start(curve, plan, u0)
+        n = x.size - 1
+        sizes.append(n)
+        if n > size:
+            capped = capped_steps(curve, plan, limits, u0, n + 1)
+            assert capped[size - 1 : n].all()
+            if capped.size > n and n < chordscan._CAPPED_STRETCH * size:
+                assert not capped[n]
+        return x
+
+    monkeypatch.setattr(chordscan, "_window_start", checked)
+    scan_curve(curve, limits)
+    monkeypatch.setattr(chordscan, "_window_start", start)
+    return sizes
+
+
+class TestWindowsSizedByTheChain:
+    """A scan window runs on past _WINDOW_SAMPLES samples through a run of
+    steps the plan caps at v_max; chord-bound stretches keep windows of
+    _WINDOW_SAMPLES."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_cruise_scans_in_two_windows(self, preset, monkeypatch):
+        # 98 % of its 1605 samples sit at v_max: the first window runs
+        # on to its first uncapped step, the second to the curve end
+        sizes = window_sizes(load_curve(CRUISE), PRESETS[preset], monkeypatch)
+        print(f"cruise.json, {preset}: windows of {sizes} samples")
+        assert len(sizes) <= 2
+        assert max(sizes) > chordscan._WINDOW_SAMPLES
+
+    @pytest.mark.parametrize("n", [160, 320])
+    def test_long_windows_run_only_through_capped_steps(self, n, monkeypatch):
+        # chord-bound curves: a window passes _WINDOW_SAMPLES only where
+        # its last sample's step is capped
+        curve = random_curve(3, n_ctrl=n, extent=1.5 * n)
+        sizes = window_sizes(curve, PRESETS["standard"], monkeypatch)
+        print(f"n = {n}: windows of {sizes} samples")
+        assert max(sizes) < 2 * chordscan._WINDOW_SAMPLES

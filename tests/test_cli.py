@@ -178,6 +178,22 @@ class TestRunOutputs:
             assert twin.is_file()
             assert twin.read_bytes() == produced.read_bytes()
 
+    def test_both_run_kinematics_equal_single_law_runs(self, both_run, tmp_path):
+        # a both run formats the time column once, the longer replay's
+        # tail after the shorter one's cells: its kinematics files are
+        # those of the two single-law runs, byte for byte
+        curve_path, out_dir = both_run
+        ticks = set()
+        for method in ("sigmoid", "sine"):
+            single = tmp_path / method
+            argv = ["run", "--curve", str(curve_path), "--method", method]
+            assert main(argv + ["--out-dir", str(single)]) == 0
+            name = f"{method}_kinematics_vs_time.csv"
+            data = (single / name).read_bytes()
+            assert (out_dir / name).read_bytes() == data
+            ticks.add(data.count(b"\n"))
+        assert len(ticks) == 2
+
     @pytest.mark.parametrize(
         "column, cell", [(5, "wide"), (5, "0.0"), (6, "sideways")]
     )

@@ -508,6 +508,91 @@ class TestReplayWork:
             interpolate(arc, blocks, STD)
 
 
+CURVES = Path(__file__).parent / "curves"
+
+
+def committed_plans(name):
+    """Both laws' schedules of a committed curve under both presets."""
+    curve = load_curve(CURVES / name)
+    plans = []
+    for preset in sorted(PRESETS):
+        limits = PRESETS[preset]
+        scatter = scan_curve(curve, limits)
+        blocks = build_blocks(curve, scatter, find_breakpoints(scatter))
+        for plan, law in ((schedule, sigmoid_law(limits.shape_s)), (sine_schedule, SINE)):
+            plans.append((curve, plan(curve, blocks, scatter, limits), limits, law))
+    return plans
+
+
+def replay_windows(monkeypatch, curve, blocks, limits, law):
+    """The replay, after checking the rule that sizes its windows: the
+    first has _WINDOW_TICKS ticks, one after a window that landed whole
+    twice as many, up to _LONGEST_WINDOW times _WINDOW_TICKS, and one after
+    a window that stopped short or a first-crossing search _WINDOW_TICKS
+    again, each cut at the last tick. Returns it and its window lengths."""
+    events = []
+    land, search = simulator._land, simulator._first_crossing
+
+    def landing(*args):
+        out = land(*args)
+        events.append((len(args[-1]), out[0]))
+        return out
+
+    def searching(*args):
+        events.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(simulator, "_land", landing)
+    monkeypatch.setattr(simulator, "_first_crossing", searching)
+    got = interpolate(curve, blocks, limits, law=law)
+    monkeypatch.setattr(simulator, "_land", land)
+    monkeypatch.setattr(simulator, "_first_crossing", search)
+    first = simulator._WINDOW_TICKS
+    size, k, last = first, 0, len(got) - 2
+    for event in events:
+        if event is None:
+            size, k = first, k + 1
+            continue
+        length, landed = event
+        assert length == min(size, last - k)
+        k += landed
+        whole = landed == length
+        size = min(2 * size, simulator._LONGEST_WINDOW * first) if whole else first
+    return got, [e[0] for e in events if e is not None]
+
+
+class TestDoublingWindows:
+    """A replay window that lands whole doubles the next: the landings are
+    those of fixed windows of _WINDOW_TICKS, within 1e-12 in u, and every
+    chord matches its advance."""
+
+    @pytest.mark.parametrize("name", ["cruise.json", "nearer_root.json", "end_curl.json"])
+    def test_landings_match_fixed_windows(self, name, monkeypatch):
+        lengths, longest = [], simulator._LONGEST_WINDOW
+        for curve, blocks, limits, law in committed_plans(name):
+            got, windows = replay_windows(monkeypatch, curve, blocks, limits, law)
+            lengths += windows
+            monkeypatch.setattr(simulator, "_LONGEST_WINDOW", 1)
+            fixed = interpolate(curve, blocks, limits, law=law)
+            monkeypatch.setattr(simulator, "_LONGEST_WINDOW", longest)
+            assert len(got) == len(fixed)
+            assert np.abs(got.u - fixed.u).max() <= 1e-12
+            assert_replay_contract(curve, blocks, limits, law, got, corpus=False)
+        print(f"{name}: windows of {lengths} ticks")
+        if name == "cruise.json":
+            assert max(lengths) > simulator._WINDOW_TICKS
+
+    def test_a_search_starts_the_next_window_short(self, monkeypatch):
+        # windows of 16 ticks double on nearer_root.json up to its first
+        # crossing search, and start from 16 after it
+        monkeypatch.setattr(simulator, "_WINDOW_TICKS", 16)
+        for curve, blocks, limits, law in committed_plans("nearer_root.json"):
+            got, windows = replay_windows(monkeypatch, curve, blocks, limits, law)
+            print(f"windows of {windows} ticks")
+            assert max(windows) == 128 and windows.count(16) == 2
+            assert_replay_contract(curve, blocks, limits, law, got, corpus=False)
+
+
 # A planar and a 3-D draw on which the window solve once matched a tick on
 # a farther root of its chord equation: the chord from the landing before
 # had passed the advance by 7.3e-3 and 4.5e-5 mm and come back.
