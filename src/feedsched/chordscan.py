@@ -36,8 +36,6 @@ from .geometry import (
     _curvature_radii,
     _params_at,
     _speed_and_cross,
-    evaluate,
-    jet,
     jets,
 )
 from .sprofile import check_shape
@@ -209,16 +207,22 @@ def taylor_step(d1, d2, u, v, Ts: float):
     return np.minimum(np.where(u_next < u, u, u_next), 1.0)[()]
 
 
-def _max_chord_deviation(curve, u_a, u_b, p_a, p_b) -> float:
-    seg = [b - a for a, b in zip(p_a, p_b)]
+def _sampled_deviations(curve, u_a, u_b, p_a, p_b) -> np.ndarray:
+    """Largest distance of the curve from each chord p_a[i] p_b[i] over
+    _FALLBACK_SAMPLES parameters spaced evenly on [u_a[i], u_b[i]], every
+    chord's samples in one jets pass; each distance is to the nearest
+    point of the chord, summed coordinate by coordinate."""
+    u = np.concatenate([
+        np.linspace(a, b, _FALLBACK_SAMPLES) for a, b in zip(u_a.tolist(), u_b.tolist())
+    ])
+    points = jets(curve, u, order=1)[0].reshape(u_a.size, _FALLBACK_SAMPLES, -1)
+    # coordinate, chord, sample
+    rel = (points - p_a[:, None]).transpose(2, 0, 1)
+    seg = (p_b - p_a).T[:, :, None]
     seg_sq = sum(d * d for d in seg)
-    worst = 0.0
-    for u in np.linspace(u_a, u_b, _FALLBACK_SAMPLES):
-        rel = [c - a for c, a in zip(evaluate(curve, float(u)), p_a)]
-        t = min(1.0, max(0.0, sum(r * d for r, d in zip(rel, seg)) / seg_sq))
-        err = sum((r - t * d) * (r - t * d) for r, d in zip(rel, seg))
-        worst = max(worst, math.sqrt(err))
-    return worst
+    t = np.fmin(1.0, np.fmax(0.0, sum(r * d for r, d in zip(rel, seg)) / seg_sq))
+    err = sum((r - t * d) * (r - t * d) for r, d in zip(rel, seg))
+    return np.sqrt(err).max(axis=1, initial=0.0)
 
 
 def _chord_deviations(curve, u_a, u_b, p_a, p_b) -> np.ndarray:
@@ -229,8 +233,8 @@ def _chord_deviations(curve, u_a, u_b, p_a, p_b) -> np.ndarray:
     The circular-arc model with the osculating radius at the midpoint
     parameter: the radii at all nonzero chords' midpoints come from one
     jets pass and the sagitta is taken on arrays. Zero chords and straight
-    spans report zero; a chord too long for the arc model is sampled
-    directly, on its own.
+    spans report zero; the chords too long for the arc model are sampled
+    directly, all in one more pass.
     """
     chord = _norms(p_b - p_a)
     dev = np.zeros(chord.size)
@@ -244,11 +248,10 @@ def _chord_deviations(curve, u_a, u_b, p_a, p_b) -> np.ndarray:
         sag = rho - np.sqrt(rho * rho - 0.25 * chord * chord)
     flat = np.isinf(rho)
     dev[curved] = np.where(flat, 0.0, sag)
-    for i in np.flatnonzero(~flat & ~(2.0 * rho > chord)).tolist():
-        j = curved[i]
-        dev[j] = _max_chord_deviation(
-            curve, float(u_a[i]), float(u_b[i]), p_a[j].tolist(), p_b[j].tolist()
-        )
+    long = np.flatnonzero(~flat & ~(2.0 * rho > chord))
+    if long.size:
+        j = curved[long]
+        dev[j] = _sampled_deviations(curve, u_a[long], u_b[long], p_a[j], p_b[j])
     return dev
 
 
@@ -391,7 +394,7 @@ def _ceilings(curve, u, at_u, limits, first, second, slope):
     # unsafe ends at the feed where a step reverses or reaches the end
     edge = np.zeros(n, dtype=bool)
     # the feed whose step just reaches the curve end
-    reach = _norms(jet(curve, 1.0)[0] - at_u[0]) / Ts
+    reach = _norms(curve._end_jets[0][1] - at_u[0]) / Ts
     # the scalar search's, opened at v_max
     exact = np.isnan(first)
     # the scalar search's descent beside a search opened at a feed below
@@ -630,7 +633,7 @@ def _closed_form_chords(kappa, limits):
 def _curvatures(d1, d2):
     """|C' x C''| / |C'|^3 from rows of first and second derivatives; 0
     where it is not finite."""
-    speed, cross = _speed_and_cross(d1.T, d2.T, np.sqrt)
+    speed, cross = _speed_and_cross(d1.T, d2.T)
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = cross / (speed * speed * speed)
     return np.where(np.isfinite(kappa), kappa, 0.0)
@@ -959,8 +962,19 @@ def _odd(lam, v, predicted, at_edge):
 def _walk(curve: ParametricCurve, limits: Limits):
     """The walk's samples from u = 0 and their ceilings, window by window,
     each window from the exact landing of the last sample kept before it,
-    up to the sample whose landing is the curve end."""
+    up to the sample whose landing is the curve end. A curve whose
+    closed-form plan alone counts more than _MAX_SCAN_POINTS samples is
+    refused before the first window, and a walk that passes the cap
+    after a window stops there. A feed cap whose step underflows to 0 mm
+    is left to the first probe, which reports a feed that cannot
+    advance."""
     plan = _feed_plan(curve, limits)
+    planned = plan[1][-1]
+    if planned > _MAX_SCAN_POINTS and limits.v_max * limits.Ts > 0.0:
+        raise ScanConvergenceError(
+            f"scan produced too many points: its plan counts {planned:.4g} "
+            f"samples, past the cap of {_MAX_SCAN_POINTS}"
+        )
     us: list[float] = []
     vs: list[float] = []
     u = 0.0

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .geometry import ParametricCurve, derivatives
+from .geometry import ParametricCurve, jets
 
 __all__ = ["random_curve"]
 
@@ -80,9 +80,6 @@ def random_curve(
 
 
 def _well_formed(curve: ParametricCurve, extent: float) -> bool:
-    floor = _MIN_SPEED_FRACTION * extent
-    for u in np.linspace(0.0, 1.0, 257):
-        (d1,) = derivatives(curve, float(u), 1)
-        if math.sqrt(sum(c * c for c in d1)) < floor:
-            return False
-    return True
+    _, d1 = jets(curve, np.linspace(0.0, 1.0, 257), order=1)
+    speed = np.sqrt(sum(c * c for c in d1.T))
+    return not (speed < _MIN_SPEED_FRACTION * extent).any()

@@ -3,11 +3,14 @@
 Coordinates are millimetres and the curve parameter u lives on [0, 1].
 Curves may be planar or spatial; planar control points are treated as z = 0
 wherever a cross product is required. Each curve converts its knot spans
-once into power-basis polynomials of the homogeneous curve, so every
-scalar query is one span lookup and one Horner pass of a single kernel,
-a batch of parameters (jets) one vectorised pass with the same
-arithmetic, and builds from them once a closed-form table of its running
-arc length.
+once into power-basis polynomials of the homogeneous curve, and one
+kernel reads them: jets takes a batch of parameters through one span
+lookup and one vectorised Horner pass. Every point and derivative query
+is a row of a jets pass, the scalar ones (evaluate, jet, derivatives,
+curvature_radius) a pass of one parameter. A pass costs about as much
+for one parameter as for a hundred, so a caller with many parameters
+batches them into one jets call. Each curve also builds once a
+closed-form table of its running arc length.
 """
 
 from __future__ import annotations
@@ -164,26 +167,21 @@ class ParametricCurve:
         return arrays
 
     @cached_property
-    def _span_columns(self) -> tuple[list[float], list[tuple], bool]:
-        """_spans by power for _jet: the span starts; per span its
-        midpoint, its top-power (x, y, z, w) column and the lower powers'
-        columns, highest first, with z = 0 on a planar curve; and whether
-        the curve is planar."""
-        starts, mids, coeffs = self._spans
-        planar = self.dimension == 2
-        if planar:
-            coeffs = np.insert(coeffs, 2, 0.0, axis=1)
-        columns = coeffs.transpose(0, 2, 1).tolist()
-        spans = [(m, c[0], c[1:]) for m, c in zip(mids.tolist(), columns)]
-        return starts.tolist(), spans, planar
-
-    @cached_property
     def _span_powers(self) -> np.ndarray:
         """_spans' coefficients indexed by (power, coordinate, span), for
         jets to gather a span per parameter along the last axis."""
         powers = np.ascontiguousarray(self._spans[2].transpose(2, 1, 0))
         powers.setflags(write=False)
         return powers
+
+    @cached_property
+    def _end_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """jets at u = 0 and u = 1, read-only, from one pass per curve:
+        the path ends of every replay and the scan's reach to the end."""
+        ends = jets(self, np.array([0.0, 1.0]))
+        for a in ends:
+            a.setflags(write=False)
+        return ends
 
     @cached_property
     def _arc_table(self) -> _ArcTable:
@@ -204,7 +202,7 @@ class ParametricCurve:
         cuts = np.arange(_GRID_CUTS) / _GRID_CUTS
         u = np.append((lo[:, None] + (hi - lo)[:, None] * cuts).ravel(), 1.0)
         _, d1, d2 = jets(self, u)
-        speed, cross = _speed_and_cross(d1.T, d2.T, np.sqrt)
+        speed, cross = _speed_and_cross(d1.T, d2.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             excess = cross * cross / (24.0 * speed**6)
         excess[~np.isfinite(excess)] = 0.0
@@ -295,90 +293,12 @@ def _check_param(u: float) -> float:
     return u
 
 
-def _jet(curve: ParametricCurve, u: float):
-    """jet at u in [0, 1]: one Horner pass carries the value, the first and
-    half the second derivative of all four homogeneous coordinates, then
-    the quotient rule converts them to the point and its derivatives."""
-    starts, spans, planar = curve._span_columns
-    mid, (x, y, z, w), lower = spans[max(bisect_right(starts, u) - 1, 0)]
-    t = u - mid
-    dx = dy = dz = dw = hx = hy = hz = hw = 0.0
-    for cx, cy, cz, cw in lower:
-        hx = hx * t + dx
-        hy = hy * t + dy
-        hz = hz * t + dz
-        hw = hw * t + dw
-        dx = dx * t + x
-        dy = dy * t + y
-        dz = dz * t + z
-        dw = dw * t + w
-        x = x * t + cx
-        y = y * t + cy
-        z = z * t + cz
-        w = w * t + cw
-    x, y, z = x / w, y / w, z / w
-    dx, dy, dz = (dx - dw * x) / w, (dy - dw * y) / w, (dz - dw * z) / w
-    dw, hw = 2.0 * dw, 2.0 * hw
-    hx = (2.0 * hx - dw * dx - hw * x) / w
-    hy = (2.0 * hy - dw * dy - hw * y) / w
-    if planar:
-        return (x, y), (dx, dy), (hx, hy)
-    hz = (2.0 * hz - dw * dz - hw * z) / w
-    return (x, y, z), (dx, dy, dz), (hx, hy, hz)
-
-
-def evaluate(curve: ParametricCurve, u: float) -> tuple[float, ...]:
-    """Point on the curve at parameter u, in curve coordinates (mm)."""
-    return _jet(curve, _check_param(u))[0]
-
-
-def jet(curve: ParametricCurve, u: float) -> tuple[tuple[float, ...], ...]:
-    """Point, first and second derivative at u from one Horner pass.
-
-    Equal bit for bit to evaluate(curve, u) and derivatives(curve, u, 2).
-    """
-    return _jet(curve, _check_param(u))
-
-
-def derivatives(
-    curve: ParametricCurve, u: float, order: int = 2
-) -> list[tuple[float, ...]]:
-    """Exact parameter-space derivatives d^k C/du^k for k = 1..order.
-
-    Only orders 1 and 2 are supported; higher orders raise CurveDomainError.
-    """
-    if order not in (1, 2):
-        raise CurveDomainError(f"unsupported derivative order {order}")
-    return list(_jet(curve, _check_param(u))[1:order + 1])
-
-
-def _speed_and_cross(d1, d2, sqrt=math.sqrt):
-    """|C'| and |C' x C''| from the first two derivatives, planar ones at
-    z = 0; coordinates may be floats or arrays, with sqrt to match."""
-    ax, ay, az = (*d1, 0.0)[:3]
-    bx, by, bz = (*d2, 0.0)[:3]
-    cx = ay * bz - az * by
-    cy = az * bx - ax * bz
-    cz = ax * by - ay * bx
-    return sqrt(ax * ax + ay * ay + az * az), sqrt(cx * cx + cy * cy + cz * cz)
-
-
-def curvature_radius(curve: ParametricCurve, u: float) -> float:
-    """Radius of the osculating circle at u (mm); inf on straight segments."""
-    speed, cross = _speed_and_cross(*_jet(curve, _check_param(u))[1:])
-    if speed <= 0.0:
-        raise SingularCurveError(f"vanishing first derivative at u={u}")
-    speed3 = speed * speed * speed
-    if cross / speed3 <= _STRAIGHT_CURVATURE:
-        return math.inf
-    return speed3 / cross
-
-
 def jets(curve: ParametricCurve, u, order: int = 2) -> tuple[np.ndarray, ...]:
     """Point and derivatives up to order (1 or 2) at every parameter of u
     (1-D), as arrays of shape (len(u), dimension) from one vectorised
-    Horner pass over the span table; row i equals jet(curve, u[i]) bit for
-    bit, and order 1 gives the first two arrays of order 2 bit for bit."""
+    Horner pass over the span table. Order 1 gives the first two arrays
+    of order 2 bit for bit, and a parameter's row does not depend on the
+    others in u."""
     u = np.asarray(u, dtype=float)
     outside = ~((u >= 0.0) & (u <= 1.0))
     if outside.any():
@@ -389,8 +309,8 @@ def jets(curve: ParametricCurve, u, order: int = 2) -> tuple[np.ndarray, ...]:
     coeffs = curve._span_powers[:, :, idx]
     t = u - mids[idx]
     # the value, first and half the second derivative of every homogeneous
-    # coordinate, stacked up to order, take _jet's Horner steps together;
-    # its quotient rule then acts on whole coordinate rows
+    # coordinate, stacked up to order, take their Horner steps together;
+    # the quotient rule then acts on whole coordinate rows
     hom = np.zeros((order + 1,) + coeffs.shape[1:])
     hom[0] = coeffs[0]
     for c in coeffs[1:]:
@@ -411,15 +331,60 @@ def jets(curve: ParametricCurve, u, order: int = 2) -> tuple[np.ndarray, ...]:
     return c0.T, c1.T, c2.T
 
 
-def _curvature_radii(curve: ParametricCurve, u: np.ndarray) -> np.ndarray:
-    """curvature_radius at every parameter of u (all in [0, 1]) from one
-    jets pass, equal to it bit for bit.
+def _row(curve: ParametricCurve, u: float, order: int):
+    """The jets row of the lone parameter u, checked, as tuples of floats."""
+    return tuple(tuple(a[0].tolist()) for a in jets(curve, [_check_param(u)], order))
 
-    Raises SingularCurveError for the first parameter at which
-    curvature_radius would raise.
+
+def evaluate(curve: ParametricCurve, u: float) -> tuple[float, ...]:
+    """Point on the curve at parameter u, in curve coordinates (mm)."""
+    return _row(curve, u, 1)[0]
+
+
+def jet(curve: ParametricCurve, u: float) -> tuple[tuple[float, ...], ...]:
+    """Point, first and second derivative at u.
+
+    Equal bit for bit to evaluate(curve, u) and derivatives(curve, u, 2).
+    """
+    return _row(curve, u, 2)
+
+
+def derivatives(
+    curve: ParametricCurve, u: float, order: int = 2
+) -> list[tuple[float, ...]]:
+    """Exact parameter-space derivatives d^k C/du^k for k = 1..order.
+
+    Only orders 1 and 2 are supported; higher orders raise CurveDomainError.
+    """
+    if order not in (1, 2):
+        raise CurveDomainError(f"unsupported derivative order {order}")
+    return list(_row(curve, u, order)[1:])
+
+
+def _speed_and_cross(d1, d2):
+    """|C'| and |C' x C''| from the first two derivatives, each a
+    sequence of coordinate arrays, planar ones at z = 0."""
+    ax, ay, az = (*d1, 0.0)[:3]
+    bx, by, bz = (*d2, 0.0)[:3]
+    cx = ay * bz - az * by
+    cy = az * bx - ax * bz
+    cz = ax * by - ay * bx
+    return np.sqrt(ax * ax + ay * ay + az * az), np.sqrt(cx * cx + cy * cy + cz * cz)
+
+
+def curvature_radius(curve: ParametricCurve, u: float) -> float:
+    """Radius of the osculating circle at u (mm); inf on straight segments."""
+    return float(_curvature_radii(curve, np.array([_check_param(u)]))[0])
+
+
+def _curvature_radii(curve: ParametricCurve, u: np.ndarray) -> np.ndarray:
+    """curvature_radius at every parameter of u from one jets pass.
+
+    Raises SingularCurveError for the first parameter at which the first
+    derivative vanishes.
     """
     _, d1, d2 = jets(curve, u)
-    speed, cross = _speed_and_cross(d1.T, d2.T, np.sqrt)
+    speed, cross = _speed_and_cross(d1.T, d2.T)
     singular = np.flatnonzero(speed <= 0.0)
     if singular.size:
         u_bad = float(u[singular[0]])
@@ -465,7 +430,7 @@ def _horner(rows, t) -> tuple[np.ndarray, np.ndarray]:
     rows[i] holds the coefficient rows of item i's span, highest power
     first, and t[i] its offsets from the span midpoint, of shape (1, q);
     each result has shape (items, coordinates, q). The operations are
-    those of _jet, in the same order.
+    those of jets, in the same order.
     """
     val = rows[:, :, :1]
     der = np.zeros_like(val)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chordscan import Limits, _chord_deviations
-from .geometry import ParametricCurve, _params_at, jet, jets
+from .geometry import ParametricCurve, _params_at, jets
 from .segmentation import Block
 from .sprofile import Law, ProfileError, sigmoid_law
 
@@ -281,7 +281,8 @@ def interpolate(
     length = math.fsum(b.L for b in blocks)
     ts = np.arange(n_steps + 1) * Ts
     reached, vs, accels, jerks, held = _commanded(blocks, law, ts, total)
-    u, (pos, d1, _) = 0.0, jet(curve, 0.0)
+    (pos, end), (d1, _), _ = curve._end_jets
+    u = 0.0
     # S(0) is the series' rounding at x = -1, not always 0
     s = curve._arc_table.positions(u)
     grid = curve._arc_grid
@@ -327,7 +328,7 @@ def interpolate(
                 f"commands {left + advance:.3e} mm past the path end"
             )
     us.append(np.full(n_steps - k, 1.0))
-    points.append(np.repeat([jet(curve, 1.0)[0]], n_steps - k, axis=0))
+    points.append(np.repeat([end], n_steps - k, axis=0))
     u, position = np.concatenate(us), np.concatenate(points)
     errs = np.append(
         0.0, _chord_deviations(curve, u[:-1], u[1:], position[:-1], position[1:])

@@ -1,10 +1,33 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import feedsched.cli  # noqa: F401  (imports every stage module)
+from feedsched import geometry
 from feedsched.geometry import ParametricCurve
+
+# The public queries of a lone parameter; each is a one-parameter jets
+# pass, which the pipeline never needs.
+SCALAR_QUERIES = ("evaluate", "jet", "derivatives", "curvature_radius")
+
+
+def count_scalar_queries(monkeypatch, calls):
+    """Count in calls (a Counter) every call of a public scalar query,
+    by name, through every feedsched module that binds it."""
+    modules = [m for n, m in sys.modules.items() if n.startswith("feedsched.")]
+    for name in SCALAR_QUERIES:
+        fn = getattr(geometry, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
 
 W = math.sqrt(2.0) / 2.0
 

@@ -5,26 +5,29 @@ solvers: peak accelerations and jerks come from the piecewise profile
 coefficients evaluated directly with numpy, and the optimization
 oracles search feasibility by bisection or dense grids using those
 peaks as the ground truth. The arc-length reference integrates the
-speed from the public ``derivatives`` by adaptive Gauss quadrature.
+speed from ``reference_jet`` by adaptive Gauss quadrature.
 The scan's former scalar probe lives here, ``_probe_step``: a Taylor
 step, the landing's Newton settle and the scalar chord measure
 ``_chord_deviation``. The feed-ceiling reference ``bisect_feedrate`` is
 the scan's former bracket bisection around that probe. The geometry
-reference is the former kernel: one Horner pass per homogeneous
-coordinate, then the conversion to Cartesian, on span rows from the
-former span-by-span table build (``scalar_spans``, the scalar basis
-recurrences of ``_basis_derivatives``). The valley restore reference
+reference ``reference_jet`` is the former kernel: one Horner pass per
+homogeneous coordinate, then the conversion to Cartesian, on span rows
+from the former span-by-span table build (``_span_rows``, the scalar
+basis recurrences of ``_basis_derivatives``), built once per curve.
+Every scalar reference here takes its points and derivatives from it,
+and ``reference_radius`` its osculating radii, so none reads the
+library's geometry tables. The valley restore reference
 ``stack_missed_valleys`` is the former stack loop of
 ``find_breakpoints``, one span at a time. The scan reference is the
 former walk (``scalar_walk``, and ``scalar_scan`` with its well probes),
 whose ceiling search ``_scalar_feedrate`` rescales from v_max and closes
 an Illinois bracket on one parameter, and which evaluates each point and
-its derivatives separately for every probe and Newton iterate; the
+its derivatives on its own for every probe and Newton iterate; the
 window prediction's reference ``predict_every_point`` takes the central
 differences of every chord, capped or not. ``min_ceiling_interp`` is the
 scheduler's former ceiling lookup on np.interp. The replay reference
-is the former tick loop, which evaluates points and derivatives
-separately, finds each tick's block by bisection over the block starts
+is the former tick loop, which evaluates each point and derivative on
+its own, finds each tick's block by bisection over the block starts
 (``_Track``) and measures each tick's chord deviation as it goes; it
 reads each block's commanded state from ``profile_state_reference``, the
 velocity laws' former separate kinematics and displacement. The
@@ -49,6 +52,7 @@ from feedsched.chordscan import (
     _BRACKET_REL_WIDTH,
     _FEED_BACKOFF_CAP,
     _LANDING_MATCH,
+    _FALLBACK_SAMPLES,
     _MAX_FEED_ITERATIONS,
     _SETTLE_STEPS,
     _WELL_REL_DEPTH,
@@ -56,17 +60,9 @@ from feedsched.chordscan import (
     FeedrateScatter,
     ScanConvergenceError,
     StepDegeneracyError,
-    _max_chord_deviation,
 )
 from feedsched.cli import _BLOCK_HEADER, CliError
-from feedsched.geometry import (
-    SingularCurveError,
-    curvature_radius,
-    derivatives,
-    evaluate,
-    jet,
-    jets,
-)
+from feedsched.geometry import _STRAIGHT_CURVATURE, SingularCurveError, jets
 from feedsched.optimizer import transition_max_feed
 from feedsched.segmentation import (
     _FLANK_REL_SAG,
@@ -374,7 +370,7 @@ def _gauss_arc(curve, a, b, rule):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * sum(
-        w * math.hypot(*derivatives(curve, mid + half * x, 1)[0]) for x, w in rule
+        w * math.hypot(*reference_jet(curve, mid + half * x)[1]) for x, w in rule
     )
 
 
@@ -396,8 +392,8 @@ def arc_length(curve, u_a, u_b, rel=1e-12):
 
     Each knot-free piece is integrated with GL16 and halved until GL8
     agrees with it within rel of the piece (with a floor of 1e-3 of the
-    whole arc), evaluating the speed point by point through the public
-    ``derivatives``. A half also stops once the two rules agree within
+    whole arc), evaluating the speed point by point through
+    ``reference_jet``. A half also stops once the two rules agree within
     rel of the half itself: where the speed is many times its piece's
     mean, as beside a sharp C0 knot with extreme weights, the speed's own
     rounding (1e-13 relative there) keeps the rules from agreeing any
@@ -415,22 +411,6 @@ def arc_length(curve, u_a, u_b, rel=1e-12):
         _adaptive_arc(curve, lo, hi, rel * max(est, 1e-3 * total), rel, 0)
         for (lo, hi), est in zip(pieces, estimates)
     )
-
-
-def _cartesian(hom, dim):
-    """Curve point and first two derivatives from the homogeneous ones, by
-    the quotient rule, as the former kernel converted them.
-
-    hom holds the homogeneous value, first and second derivative, each a
-    sequence of dim + 1 coordinates with the weight last. A coordinate
-    may be a float or an array of them; the arithmetic is the same.
-    """
-    v, d1, d2 = hom
-    w0, w1, w2 = v[dim], d1[dim], d2[dim]
-    c0 = [a / w0 for a in v[:dim]]
-    c1 = [(a - w1 * c) / w0 for a, c in zip(d1, c0)]
-    c2 = [(a - 2.0 * w1 * b - w2 * c) / w0 for a, b, c in zip(d2, c1, c0)]
-    return c0, c1, c2
 
 
 def _basis_derivatives(knots, degree, span, u, order):
@@ -493,19 +473,20 @@ def _basis_derivatives(knots, degree, span, u, order):
     return ders
 
 
-def scalar_spans(curve):
+def _span_rows(curve):
     """The curve's span table built span by span, as the library built it
-    before its array pass: one scalar _basis_derivatives call per
-    non-empty span, each coefficient a sum() over the span's control
-    points divided by k!. Returns (starts, mids, coeffs) like
-    ParametricCurve._spans."""
+    before its array pass: the starts and midpoints of the non-empty
+    spans and, per span and homogeneous coordinate, the power-basis
+    coefficients, highest power first, each a sum() over the span's
+    control points of one scalar _basis_derivatives call at the midpoint,
+    divided by k!."""
     p = curve.degree
     knots = curve.knots
     hom = [
         tuple(c * w for c in pt) + (w,)
         for pt, w in zip(curve.control_points, curve.weights)
     ]
-    starts, mids, coeffs = [], [], []
+    starts, mids, rows = [], [], []
     for span in range(p, len(curve.control_points)):
         lo, hi = knots[span], knots[span + 1]
         if not lo < hi:
@@ -515,7 +496,7 @@ def scalar_spans(curve):
         ctrl = hom[span - p : span + 1]
         starts.append(lo)
         mids.append(mid)
-        coeffs.append([
+        rows.append([
             [
                 sum(b * pt[d] for b, pt in zip(basis[k], ctrl))
                 / math.factorial(k)
@@ -523,38 +504,70 @@ def scalar_spans(curve):
             ]
             for d in range(curve.dimension + 1)
         ])
-    return np.array(starts), np.array(mids), np.array(coeffs)
+    return starts, mids, rows
+
+
+def scalar_spans(curve):
+    """_span_rows as arrays (starts, mids, coeffs), like
+    ParametricCurve._spans."""
+    return tuple(np.array(a) for a in _span_rows(curve))
+
+
+# _span_rows and the dimension of the curves reference_jet read last, by
+# id; each entry holds its curve, so that no other curve takes that id
+# while it lives
+_ROWS = {}
 
 
 def reference_jet(curve, u):
     """Point, first and second derivative at u by the former kernel: the
-    span's power-basis rows rebuilt from the scalar _basis_derivatives,
-    one Horner pass per homogeneous coordinate, then _cartesian.
-    Reads none of the curve's cached tables."""
-    p, knots = curve.degree, curve.knots
-    spans = [i for i in range(p, len(curve.control_points)) if knots[i] < knots[i + 1]]
-    span = spans[max(bisect_right([knots[i] for i in spans], u) - 1, 0)]
-    mid = 0.5 * (knots[span] + knots[span + 1])
-    basis = _basis_derivatives(knots, p, span, mid, p)
-    ctrl = [
-        tuple(c * w for c in pt) + (w,)
-        for pt, w in zip(
-            curve.control_points[span - p : span + 1],
-            curve.weights[span - p : span + 1],
-        )
-    ]
-    t = u - mid
-    hom = ([], [], [])
-    for d in range(curve.dimension + 1):
+    span's power-basis rows from _span_rows, built once per curve, one
+    Horner pass per homogeneous coordinate, then the quotient rule to
+    Cartesian. Reads none of the curve's cached tables."""
+    entry = _ROWS.get(id(curve))
+    if entry is None or entry[0] is not curve:
+        if len(_ROWS) >= 64:
+            _ROWS.clear()
+        entry = _ROWS[id(curve)] = (curve, *_span_rows(curve), curve.dimension)
+    _, starts, mids, rows, dim = entry
+    i = max(bisect_right(starts, u) - 1, 0)
+    t = u - mids[i]
+    vs, ds, hs = [], [], []
+    for row in rows[i]:
         v = d1 = h2 = 0.0
-        for k in range(p, -1, -1):
-            c = sum(b * pt[d] for b, pt in zip(basis[k], ctrl)) / math.factorial(k)
+        for c in row:
             h2 = h2 * t + d1
             d1 = d1 * t + v
             v = v * t + c
-        for out, x in zip(hom, (v, d1, 2.0 * h2)):
-            out.append(x)
-    return tuple(tuple(c) for c in _cartesian(hom, curve.dimension))
+        vs.append(v)
+        ds.append(d1)
+        hs.append(2.0 * h2)
+    w0, w1, w2 = vs[dim], ds[dim], hs[dim]
+    c0 = [a / w0 for a in vs[:dim]]
+    c1 = [(a - w1 * c) / w0 for a, c in zip(ds, c0)]
+    c2 = [(a - 2.0 * w1 * b - w2 * c) / w0 for a, b, c in zip(hs, c1, c0)]
+    return tuple(c0), tuple(c1), tuple(c2)
+
+
+def reference_radius(curve, u):
+    """Radius of the osculating circle at u by the former scalar
+    arithmetic on reference_jet: inf where the curvature is below the
+    library's straight threshold, SingularCurveError where the speed
+    vanishes."""
+    _, d1, d2 = reference_jet(curve, u)
+    ax, ay, az = (*d1, 0.0)[:3]
+    bx, by, bz = (*d2, 0.0)[:3]
+    cx = ay * bz - az * by
+    cy = az * bx - ax * bz
+    cz = ax * by - ay * bx
+    speed = math.sqrt(ax * ax + ay * ay + az * az)
+    cross = math.sqrt(cx * cx + cy * cy + cz * cz)
+    if speed <= 0.0:
+        raise SingularCurveError(f"vanishing first derivative at u={u}")
+    speed3 = speed * speed * speed
+    if cross / speed3 <= _STRAIGHT_CURVATURE:
+        return math.inf
+    return speed3 / cross
 
 
 def _scalar_probe(curve, u, v, limits, p0):
@@ -563,7 +576,7 @@ def _scalar_probe(curve, u, v, limits, p0):
     chord deviation. Returns the deviation and the landing."""
     if v == 0.0:
         return math.inf, u
-    d1, d2 = derivatives(curve, u, 2)
+    _, d1, d2 = reference_jet(curve, u)
     speed_sq = sum(c * c for c in d1)
     if speed_sq <= 0.0:
         raise SingularCurveError(f"vanishing first derivative at u={u}")
@@ -577,20 +590,19 @@ def _scalar_probe(curve, u, v, limits, p0):
     target = v * Ts
     x = u_pred
     for _ in range(3):
-        p = evaluate(curve, x)
+        p, d1, _ = reference_jet(curve, x)
         gap = target - math.dist(p, p0)
         if abs(gap) <= 1e-4 * target:
             break
-        d1 = derivatives(curve, x, 1)[0]
         speed = math.sqrt(sum(c * c for c in d1))
         if speed <= 0.0:
             break
         x = min(max(x + gap / speed, u + 0.25 * (u_pred - u)), 1.0)
         if x >= 1.0:
-            p = evaluate(curve, x)
+            p = reference_jet(curve, x)[0]
             break
     else:
-        p = evaluate(curve, x)
+        p = reference_jet(curve, x)[0]
     return _chord_deviation(curve, u, x, p0, p), x
 
 
@@ -622,12 +634,28 @@ def _chord_deviation(curve, u_a, u_b, p_a, p_b):
     chord = math.sqrt(sum((b - a) * (b - a) for a, b in zip(p_a, p_b)))
     if chord == 0.0:
         return 0.0
-    rho = curvature_radius(curve, 0.5 * (u_a + u_b))
+    rho = reference_radius(curve, 0.5 * (u_a + u_b))
     if math.isinf(rho):
         return 0.0
     if 2.0 * rho > chord:
         return rho - math.sqrt(rho * rho - 0.25 * chord * chord)
-    return _max_chord_deviation(curve, u_a, u_b, p_a, p_b)
+    return _sampled_deviation(curve, u_a, u_b, p_a, p_b)
+
+
+def _sampled_deviation(curve, u_a, u_b, p_a, p_b):
+    """The scan's former measure of a chord too long for the arc model:
+    the largest distance from the chord p_a p_b to the curve at
+    _FALLBACK_SAMPLES parameters spaced evenly on [u_a, u_b], each point
+    taken on its own."""
+    seg = [b - a for a, b in zip(p_a, p_b)]
+    seg_sq = sum(d * d for d in seg)
+    worst = 0.0
+    for u in np.linspace(u_a, u_b, _FALLBACK_SAMPLES):
+        rel = [c - a for c, a in zip(reference_jet(curve, float(u))[0], p_a)]
+        t = min(1.0, max(0.0, sum(r * d for r, d in zip(rel, seg)) / seg_sq))
+        err = sum((r - t * d) * (r - t * d) for r, d in zip(rel, seg))
+        worst = max(worst, math.sqrt(err))
+    return worst
 
 
 def _settle_landing(curve, u, u_pred, target, p0):
@@ -638,7 +666,7 @@ def _settle_landing(curve, u, u_pred, target, p0):
     the curve end. Returns the landing and its jet."""
     x = u_pred
     for _ in range(_SETTLE_STEPS):
-        p, d1, _ = at_x = jet(curve, x)
+        p, d1, _ = at_x = reference_jet(curve, x)
         gap = target - math.dist(p, p0)
         speed = math.sqrt(sum(c * c for c in d1))
         if abs(gap) <= _LANDING_MATCH * target or speed <= 0.0:
@@ -646,7 +674,7 @@ def _settle_landing(curve, u, u_pred, target, p0):
         x = min(max(x + gap / speed, u + 0.25 * (u_pred - u)), 1.0)
         if x >= 1.0:
             break
-    return x, jet(curve, x)
+    return x, reference_jet(curve, x)
 
 
 def _probe_step(curve, u, v, limits, at_u):
@@ -670,9 +698,9 @@ def _scalar_feedrate(curve, u, limits):
     An unsafe probe whose landing the curve end clamped enters the bracket
     at the feed whose step just reaches the end, as the library's search
     does."""
-    p0 = evaluate(curve, u)
+    p0 = reference_jet(curve, u)[0]
     dmax = limits.delta_max
-    reach = math.dist(p0, evaluate(curve, 1.0)) / limits.Ts
+    reach = math.dist(p0, reference_jet(curve, 1.0)[0]) / limits.Ts
     v = limits.v_max
     unsafe = None
     for _ in range(_MAX_FEED_ITERATIONS):
@@ -729,7 +757,7 @@ def _scalar_feedrate(curve, u, limits):
 def _curvature_feed(curve, u, limits):
     """The scan's former scalar end ceiling: the steady-state chord-safe
     feed from the osculating radius at u."""
-    rho = curvature_radius(curve, u)
+    rho = reference_radius(curve, u)
     if math.isinf(rho):
         return limits.v_max
     d = min(limits.delta_max, rho)
@@ -782,7 +810,7 @@ def bisect_feedrate(curve, u, limits):
     v_max, then 24 halvings of the first safe/unsafe bracket. Returns the
     safe end and its landing parameter.
     """
-    at_u = jet(curve, u)
+    at_u = reference_jet(curve, u)
     v = limits.v_max
     unsafe = None
     safe = None
@@ -898,7 +926,7 @@ _REFERENCE_REFINE_STEPS = 80
 
 
 def _reference_refine_step(curve, u, pos, advance):
-    d1, d2 = derivatives(curve, u, order=2)
+    _, d1, d2 = reference_jet(curve, u)
     speed_sq = sum(c * c for c in d1)
     speed = math.sqrt(speed_sq)
     dot = sum(a * b for a, b in zip(d1, d2))
@@ -908,7 +936,7 @@ def _reference_refine_step(curve, u, pos, advance):
     x = min(max(x, u), 1.0)
     lo, hi = u, None
     for _ in range(_REFERENCE_REFINE_STEPS):
-        point = evaluate(curve, x)
+        point, d1, _ = reference_jet(curve, x)
         diff = [a - b for a, b in zip(point, pos)]
         dist = math.sqrt(sum(c * c for c in diff))
         gap = dist - advance
@@ -923,13 +951,12 @@ def _reference_refine_step(curve, u, pos, advance):
         top = 1.0 if hi is None else hi
         if top - lo < 1e-16:
             break
-        (d1,) = derivatives(curve, x, order=1)
         slope = sum(a * b for a, b in zip(diff, d1)) / dist if dist else 0.0
         x = x - gap / slope if slope > 0.0 else math.inf
         if not lo < x < top:
             x = 1.0 if hi is None else 0.5 * (lo + hi)
     x = 0.5 * (lo + top)
-    return x, evaluate(curve, x)
+    return x, reference_jet(curve, x)[0]
 
 
 def _mirrored_kernel(x):
@@ -1123,7 +1150,7 @@ def replay_reference(curve, blocks, limits, law):
     Ts = limits.Ts
     n_steps = max(1, math.ceil(track.total / Ts - 1e-9))
     u = 0.0
-    pos = evaluate(curve, 0.0)
+    pos = reference_jet(curve, 0.0)[0]
     travel, (v, a, j) = track.state(0.0)
     rows = [(0.0, 0.0, pos, v, a, j, 0.0)]
     for k in range(1, n_steps + 1):
@@ -1139,7 +1166,7 @@ def replay_reference(curve, blocks, limits, law):
                 left = track.length - travel
                 if left > _END_DRIFT_PER_TICK * limits.delta_max * k:
                     raise SimulationError("plan commands travel past the end")
-        u_next, pos_next = landing or (1.0, evaluate(curve, 1.0))
+        u_next, pos_next = landing or (1.0, reference_jet(curve, 1.0)[0])
         err = _chord_deviation(curve, u, u_next, pos, pos_next)
         u, pos = u_next, pos_next
         rows.append((k * Ts, u, pos, v, a, j, err))

@@ -4,13 +4,14 @@ import re
 import math
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_quarter_circle
+from conftest import count_scalar_queries, make_quarter_circle
 from oracles import load_blocks
 from feedsched.cli import (
     PRESETS,
@@ -29,6 +30,7 @@ from feedsched.segmentation import Block
 from feedsched.simulator import interpolate, summarize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CURVE_FILES = sorted((Path(__file__).parent / "curves").glob("*.json"))
 
 EXPECTED_PER_METHOD = (
     "{m}_feed_vs_u.csv",
@@ -559,3 +561,19 @@ def test_scan_past_its_point_cap_is_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["run", "--curve", str(curve), "--out-dir", str(out)]) == 3
     err = capsys.readouterr().err
     assert "chord scan failed: scan produced too many points" in err
+
+
+def test_runs_take_no_lone_geometry_query(tmp_path, monkeypatch):
+    # a lone point or derivative costs a whole jets pass, so the pipeline
+    # takes every one it reads in batches: over a run of each committed
+    # curve under both presets, no module calls evaluate, jet,
+    # derivatives or curvature_radius
+    calls = Counter()
+    count_scalar_queries(monkeypatch, calls)
+    for path in CURVE_FILES:
+        for preset in sorted(PRESETS):
+            out = tmp_path / f"{path.stem}-{preset}"
+            argv = ["run", "--curve", str(path), "--config", preset, "--method", "both"]
+            assert main([*argv, "--out-dir", str(out)]) == 0
+    assert len(CURVE_FILES) == 4
+    assert not calls

@@ -5,15 +5,13 @@ import pytest
 
 from feedsched import curvegen
 from feedsched.curvegen import random_curve
-from feedsched.geometry import derivatives
+from feedsched.geometry import jets
 
 
 def slowest(curve):
     """Least speed over the 257 parameters _well_formed samples."""
-    return min(
-        math.hypot(*derivatives(curve, float(u), 1)[0])
-        for u in np.linspace(0.0, 1.0, 257)
-    )
+    _, d1 = jets(curve, np.linspace(0.0, 1.0, 257), order=1)
+    return min(math.hypot(*d) for d in d1.tolist())
 
 
 def test_a_draw_under_the_speed_floor_is_drawn_again(monkeypatch):

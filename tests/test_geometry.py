@@ -180,24 +180,26 @@ class TestJet:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(c=nurbs_curves(), us=st.lists(st.floats(0.0, 1.0), max_size=6))
     def test_every_query_equals_the_former_kernel(self, c, us):
-        # the per-coordinate Horner passes and _cartesian, bit for bit;
-        # the batch kernel's rows equal the scalar kernel's
+        # every jets row, at either order, and every public query equal
+        # the former kernel's per-coordinate Horner passes and quotient
+        # rule bit for bit, at random parameters and every knot
         params = us + sorted(set(c.knots))
-        rows = zip(*(a.tolist() for a in jets(c, np.array(params))))
-        for u, row in zip(params, rows, strict=True):
-            assert tuple(map(tuple, row)) == geometry._jet(c, u)
-        for u in params:
-            point, d1, d2 = oracles.reference_jet(c, u)
-            assert jet(c, u) == (point, d1, d2)
-            assert evaluate(c, u) == point
-            assert derivatives(c, u, 2) == [d1, d2]
-            assert derivatives(c, u, 1) == [d1]
-            speed, cross = geometry._speed_and_cross(d1, d2)
-            speed3 = speed * speed * speed
-            if cross / speed3 <= geometry._STRAIGHT_CURVATURE:
-                assert curvature_radius(c, u) == math.inf
-            else:
-                assert curvature_radius(c, u) == speed3 / cross
+        passes = jets(c, np.array(params)), jets(c, np.array(params), order=1)
+        for i, u in enumerate(params):
+            point, d1, d2 = want = oracles.reference_jet(c, u)
+            for rows in passes:
+                assert bits(a[i].tolist() for a in rows) == bits(want[: len(rows)])
+            assert bits(jet(c, u)) == bits(want)
+            assert bits([evaluate(c, u)]) == bits([point])
+            assert bits(derivatives(c, u, 2)) == bits([d1, d2])
+            assert bits(derivatives(c, u, 1)) == bits([d1])
+            assert bits([[curvature_radius(c, u)]]) == bits([[oracles.reference_radius(c, u)]])
+
+
+def bits(rows):
+    """The hex form of every float of a sequence of rows, so that -0.0 and
+    0.0 differ."""
+    return [[x.hex() for x in row] for row in rows]
 
 
 class TestCurvature:
@@ -240,8 +242,7 @@ class TestArcLength:
     def test_against_dense_polyline(self):
         for seed in (0, 5):
             c = random_curve(seed)
-            us = np.linspace(0.0, 1.0, 40001)
-            pts = np.array([evaluate(c, float(u)) for u in us])
+            pts = jets(c, np.linspace(0.0, 1.0, 40001), order=1)[0]
             poly = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
             quad = arc_length(c, 0.0, 1.0)
             assert quad == pytest.approx(poly, rel=1e-6)

@@ -934,19 +934,17 @@ class TestSchedule:
 
     def test_sweep_calls_no_geometry(self, monkeypatch):
         # the sweep moves junctions in arc length; only the final
-        # conversion maps a moved junction to u, once
+        # conversion maps a moved junction to u, once, and it takes no
+        # point or derivative: every such query is a jets pass
         curve = random_curve(3)
         scatter = scan_curve(curve, STD)
         blocks = build_blocks(curve, scatter, find_breakpoints(scatter))
         calls = []
 
         def counting(name, fn):
-            return lambda *args: calls.append(name) or fn(*args)
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
-        monkeypatch.setattr(
-            geometry, "_jet",
-            counting("point", geometry._jet),
-        )
+        monkeypatch.setattr(geometry, "jets", counting("point", geometry.jets))
         for name in ("positions", "param", "lengths"):
             method = getattr(geometry._ArcTable, name)
             monkeypatch.setattr(geometry._ArcTable, name, counting(name, method))

@@ -9,7 +9,14 @@ from hypothesis import assume, example, given, seed, settings, strategies as st
 
 import oracles
 from oracles import _chord_deviation
-from conftest import make_full_circle, make_line, make_quarter_circle, nurbs_curves
+from conftest import (
+    SCALAR_QUERIES,
+    count_scalar_queries,
+    make_full_circle,
+    make_line,
+    make_quarter_circle,
+    nurbs_curves,
+)
 from feedsched import chordscan, geometry, simulator, sprofile
 from feedsched.baseline import SINE, sine_schedule
 from feedsched.chordscan import (
@@ -331,8 +338,8 @@ def assert_replay_contract(curve, blocks, limits, law, got, corpus=True):
     """Tick k is at k*Ts, and its v, A and J lie within COMMANDED_ULPS of
     the former per-block arithmetic; every position is its parameter's
     point; u never falls and ends at 1; every landing below u = 1 matches
-    its commanded advance within the chord match, measured with evaluate,
-    and is the first crossing of it: none of CROSSING_SAMPLES equally
+    its commanded advance within the chord match, measured on one jets
+    pass, and is the first crossing of it: none of CROSSING_SAMPLES equally
     spaced interior parameters of the step lies farther than the advance
     plus the match from the step's start; every chord_err is the scalar
     chord deviation of its step. On a corpus plan, u and chord_err also
@@ -347,7 +354,7 @@ def assert_replay_contract(curve, blocks, limits, law, got, corpus=True):
         bound = COMMANDED_ULPS * 2.0**-52 * np.abs(want).max()
         assert np.abs(getattr(got, name) - want).max() <= bound
     us, errs = got.u.tolist(), got.chord_err.tolist()
-    points = [evaluate(curve, u) for u in us]
+    points = geometry.jets(curve, got.u, order=1)[0].tolist()
     assert np.array_equal(got.position, points)
     assert us[0] == 0.0 and us[-1] == 1.0 and errs[0] == 0.0
     for k in range(1, len(got)):
@@ -379,7 +386,7 @@ def assert_replay_contract(curve, blocks, limits, law, got, corpus=True):
 
 
 class TestReplayWork:
-    def test_jets_passes_per_window_and_two_scalar_jets(
+    def test_jets_passes_per_window_and_no_scalar_query(
         self, corpus_plans, monkeypatch
     ):
         calls = Counter()
@@ -407,7 +414,7 @@ class TestReplayWork:
         monkeypatch.setattr(simulator, "jets", counted_jets)
         monkeypatch.setattr(geometry, "jets", counted_jets)
         monkeypatch.setattr(simulator, "_land", counted_land)
-        monkeypatch.setattr(geometry, "_jet", counting("scalar", geometry._jet))
+        count_scalar_queries(monkeypatch, calls)
         monkeypatch.setattr(
             simulator, "_first_crossing",
             counting("searched", simulator._first_crossing),
@@ -418,6 +425,7 @@ class TestReplayWork:
         )
         for curve, *_ in corpus_plans:
             curve.__dict__.pop("_arc_grid", None)
+            curve.__dict__.pop("_end_jets", None)
         gridded = set()
         for curve, blocks, limits, law in corpus_plans:
             calls.clear()
@@ -427,15 +435,15 @@ class TestReplayWork:
             windows = calls["windows"]
             assert 1 <= windows <= math.ceil(ticks / simulator._WINDOW_TICKS)
             assert windows <= calls["walk passes"] <= WALK_PASSES * windows
-            # the chord pass's midpoints, and the arc grid's nodes on the
-            # first replay of a curve only: both laws' plans share it
-            assert calls["other passes"] == 1 + (id(curve) not in gridded)
+            # the chord pass's midpoints, and on the first replay of a
+            # curve only the arc grid's nodes and the path's two ends, one
+            # pass each: both laws' plans share them
+            assert calls["other passes"] == 1 + 2 * (id(curve) not in gridded)
             gridded.add(id(curve))
             assert calls["radii"] == 1
-            # every window lands whole, so the only scalar jets are the
-            # path's two ends
+            # every window lands whole, and no tick takes a lone query
             assert calls["searched"] == 0
-            assert calls["scalar"] <= 2
+            assert not any(calls[name] for name in SCALAR_QUERIES)
 
     def test_one_clamp_per_replay_and_no_kernel(self, corpus_plans, monkeypatch):
         # every tick of a replay takes its block's state in one Law.state
@@ -720,12 +728,12 @@ class TestTickWalk:
         ]
 
     def test_plan_over_the_tick_cap_raises_before_the_walk(self, monkeypatch):
-        # 1e9 s of motion: 1e12 ticks at 1 ms, refused before any jet or
-        # jets pass
-        def no_walk(*args):
+        # 1e9 s of motion: 1e12 ticks at 1 ms, refused before any jets
+        # pass, the path ends' included
+        def no_walk(*args, **kwargs):
             raise AssertionError("the walk started")
 
-        monkeypatch.setattr(simulator, "jet", no_walk)
+        monkeypatch.setattr(geometry, "jets", no_walk)
         monkeypatch.setattr(simulator, "jets", no_walk)
         blocks = [Block(0.0, 1.0, 1e-6, 1e-6, 1000.0)]
         assert blocks[0].T == 1e9
